@@ -23,7 +23,7 @@ print(f"  estimated object style: ({est.alpha_hat.coefficients[0]:.6f}, "
 print(f"  selected ego preset:    ({enabled.selected_alpha.coefficients[0]:.2f}, "
       f"{enabled.selected_alpha.coefficients[1]:.2f})")
 print(f"  compatibility rows dropped under infeasibility: "
-      f"{enabled.compat_rows_dropped}")
+      f"{enabled.trial.relaxed_steps}")
 
 print()
 print("merge completion (steps):")

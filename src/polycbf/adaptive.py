@@ -144,7 +144,6 @@ class AdaptiveRecord:
     final_estimate: Optional[AlphaEstimate] = None
     converged_at: Optional[int] = None
     converged_within_budget: bool = False
-    compat_rows_dropped: int = 0
 
 
 def run_adaptive_merge(cfg: ScenarioConfig,
@@ -244,7 +243,6 @@ def run_adaptive_merge(cfg: ScenarioConfig,
         final_estimate=est,
         converged_at=learner.converged_at,
         converged_within_budget=learner.converged,
-        compat_rows_dropped=trial.relaxed_steps,
     )
 
 

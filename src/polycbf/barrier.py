@@ -135,10 +135,21 @@ def kappa(alpha: AlphaVector | Sequence[float], h: float) -> float:
     Exactly zero at h = 0, strictly increasing for h > 0 whenever some
     coefficient is positive.
     """
+    return _kappa(*_kappa_args(alpha, h))
+
+
+def _kappa_args(alpha: AlphaVector | Sequence[float],
+                h: float) -> tuple[tuple[float, ...], float]:
+    """Validated (coefficients, clearance) arguments for the kappa kernel."""
     coeffs = alpha.coefficients if isinstance(alpha, AlphaVector) else AlphaVector(tuple(alpha)).coefficients
     h = float(h)
     if not math.isfinite(h):
         raise DomainError(f"non-finite clearance: {h}")
+    return coeffs, h
+
+
+def _kappa(coeffs: tuple[float, ...], h: float) -> float:
+    """Scalar kernel of kappa: no validation, shared with the batch simulator."""
     total = 0.0
     term = h
     h2 = h * h

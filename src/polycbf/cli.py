@@ -627,7 +627,10 @@ def _cmd_run(args) -> int:
     if declared != experiment:
         raise ConfigurationError(
             f"config declares experiment {declared!r} but {experiment!r} was requested")
+    _rule_counts(cp)
     seed = args.seed if args.seed is not None else _get_int(cp, "run", "seed", 0)
+    if args.trials is not None and args.trials < 1:
+        raise ConfigurationError(f"--trials = {args.trials} is not >= 1")
     if args.trials is not None and experiment in ("sweep", "adaptive"):
         print(f"note: --trials has no effect on {experiment}", file=sys.stderr)
 
@@ -701,7 +704,7 @@ def _rule_safety(cp) -> str:
 def _rule_styles(cp) -> str:
     n = 0
     for section, key in (("sweep", "styles"), ("sweep", "other_alpha"),
-                         ("policy", "presets"), ("adaptive", "object_alpha")):
+                         ("policy", "presets")):
         raw = _get(cp, section, key)
         if raw is not None:
             n += len(_parse_styles(raw, f"[{section}] {key}"))

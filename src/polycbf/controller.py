@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barrier import AlphaVector, SafetyConfig, kappa, safety_value
+from .barrier import AlphaVector, SafetyConfig, _kappa, _kappa_args, safety_value
 from .dynamics import VehicleState
 from .errors import ConfigurationError, DegenerateConstraintError, DomainError
 
@@ -131,11 +131,19 @@ class QpSolution:
 def nominal_control(state: VehicleState, plan: NominalPlan,
                     limits: Optional[ControlLimits] = None) -> np.ndarray:
     """Cruise acceleration gain * (desired velocity - velocity), box-clamped."""
+    lo = limits.u_min if limits is not None else (-math.inf, -math.inf)
+    hi = limits.u_max if limits is not None else (math.inf, math.inf)
     d = plan.lane_direction
-    u = plan.gain * (plan.desired_speed * d - state.velocity)
-    if limits is not None:
-        u = np.minimum(np.maximum(u, limits.u_min), limits.u_max)
-    return u
+    return np.array(_cruise(plan.gain, plan.desired_speed, float(d[0]), float(d[1]),
+                            float(state.velocity[0]), float(state.velocity[1]),
+                            float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])))
+
+
+def _cruise(gain, speed, d_x, d_y, v_x, v_y, lo_x, lo_y, hi_x, hi_y):
+    """Scalar kernel of nominal_control: no validation, shared with the batch simulator."""
+    ux = gain * (speed * d_x - v_x)
+    uy = gain * (speed * d_y - v_y)
+    return min(max(ux, lo_x), hi_x), min(max(uy, lo_y), hi_y)
 
 
 def build_safety_constraint(ego: VehicleState, other: VehicleState, other_u_assumed,
@@ -164,12 +172,18 @@ def build_safety_constraint(ego: VehicleState, other: VehicleState, other_u_assu
     dt = float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    h = safety_value(ego.position, other.position, cfg)
-    a = np.array([-2.0 * dx_x * dt, -2.0 * dx_y * dt])
+    coeffs, h = _kappa_args(alpha, safety_value(ego.position, other.position, cfg))
+    ax, ay, b = _safety_row(dx_x, dx_y, dv_x, dv_y, uo_x, uo_y, h, coeffs, dt)
+    return np.array([ax, ay]), b
+
+
+def _safety_row(dx_x, dx_y, dv_x, dv_y, uo_x, uo_y, h, coeffs, dt):
+    """Scalar kernel of build_safety_constraint: no validation, shared with the
+    batch simulator.  dx, dv and h are ego minus other.  Returns (ax, ay, b)."""
     b = (2.0 * (dx_x * dv_x + dx_y * dv_y)
          - 2.0 * (dx_x * uo_x + dx_y * uo_y) * dt
-         + kappa(alpha, h))
-    return a, b
+         + _kappa(coeffs, h))
+    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, b
 
 
 def _enumerate_min_deviation(ubar_x, ubar_y, rows):

@@ -47,6 +47,11 @@ def step(state: VehicleState, u, dt: float = DEFAULT_DT) -> VehicleState:
     u = np.asarray(u, dtype=np.float64).reshape(2)
     if not np.isfinite(u).all():
         raise DomainError("acceleration has non-finite components")
-    v_next = state.velocity + u * dt
-    x_next = state.position + v_next * dt
-    return VehicleState(x_next, v_next)
+    return VehicleState(*_step(state.position, state.velocity, u, dt))
+
+
+def _step(x, v, u, dt):
+    """Kernel of step along one axis (or both, on arrays): no validation,
+    shared with the batch simulator.  Returns (x', v')."""
+    v_next = v + u * dt
+    return x + v_next * dt, v_next

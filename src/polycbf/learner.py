@@ -138,15 +138,21 @@ def fit(samples: Sequence[BarrierSample], cfg: RidgeConfig) -> AlphaEstimate:
     H = np.array([s.basis.values for s in samples], dtype=np.float64)
     y = np.array([cfg.rate_sign * s.hdot_obs for s in samples], dtype=np.float64)
     G = H.T @ H + cfg.regularizer * np.eye(q)
-    if cfg.regularizer == 0.0:
+    return _ridge_solve(G, H.T @ y, cfg.regularizer, len(samples))
+
+
+def _ridge_solve(G: np.ndarray, rhs: np.ndarray, regularizer: float,
+                 n_samples: int) -> AlphaEstimate:
+    """Solve the normal equations G alpha = rhs and clamp to the valid cone."""
+    if regularizer == 0.0:
         cond = np.linalg.cond(G)
         if not np.isfinite(cond) or cond > 1e14:
             raise RankDeficiencyError(
                 "normal matrix is singular; add samples at distinct clearances "
                 "or use a regularizer > 0")
-    raw = np.linalg.solve(G, H.T @ y)
+    raw = np.linalg.solve(G, rhs)
     clamped = tuple(max(float(v), 0.0) for v in raw)
-    return AlphaEstimate(AlphaVector(clamped), tuple(float(v) for v in raw), len(samples))
+    return AlphaEstimate(AlphaVector(clamped), tuple(float(v) for v in raw), n_samples)
 
 
 def check_convergence(history: Sequence[AlphaEstimate], cfg: RidgeConfig) -> bool:
@@ -215,17 +221,8 @@ class StyleLearner:
         self._gram += np.outer(phi, phi)
         self._moment += (self.ridge.rate_sign * sample.hdot_obs) * phi
         self.samples.append(sample)
-        G = self._gram + self._ridge_eye
-        if self.ridge.regularizer == 0.0:
-            cond = np.linalg.cond(G)
-            if not np.isfinite(cond) or cond > 1e14:
-                raise RankDeficiencyError(
-                    "normal matrix is singular; add samples at distinct clearances "
-                    "or use a regularizer > 0")
-        raw = np.linalg.solve(G, self._moment)
-        clamped = tuple(max(float(v), 0.0) for v in raw)
-        est = AlphaEstimate(AlphaVector(clamped), tuple(float(v) for v in raw),
-                            len(self.samples))
+        est = _ridge_solve(self._gram + self._ridge_eye, self._moment,
+                           self.ridge.regularizer, len(self.samples))
         self.history.append(est)
         if self.converged_at is None and check_convergence(self.history, self.ridge):
             self.converged_at = len(self.samples)

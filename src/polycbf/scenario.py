@@ -20,8 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .barrier import AlphaVector, SafetyConfig, kappa
-from .controller import DEFAULT_LIMITS, ControlLimits, _solve_scalar
-from .dynamics import VehicleState
+from .controller import DEFAULT_LIMITS, ControlLimits, _cruise, _safety_row, _solve_scalar
+from .dynamics import VehicleState, _step
 from .errors import ConfigurationError
 from .learner import RidgeConfig, StyleLearner, observe, observe_analytic
 
@@ -101,6 +101,8 @@ class RoadGeometry:
         object.__setattr__(self, "main_dir", main_vec / main_len)
         object.__setattr__(self, "ramp_dir", ramp_vec / ramp_len)
         object.__setattr__(self, "ramp_length", ramp_len)
+        object.__setattr__(self, "_scalars", tuple(float(c) for c in (
+            *self.merge_point, *self.ramp_dir, *self.main_dir, self.lookahead)))
 
     def direction(self, route: str, position, heading=None) -> np.ndarray:
         """Unit travel direction for a vehicle of the given route at a position."""
@@ -110,35 +112,41 @@ class RoadGeometry:
             return np.asarray(heading, dtype=np.float64)
         if route not in ("main", "ramp"):
             raise ConfigurationError(f"unknown route {route!r}")
-        pxf, pyf = float(position[0]), float(position[1])
-        target = self.progress(route, (pxf, pyf)) + self.lookahead
-        if route == "ramp" and target < 0.0:
-            dx, dy = float(self.ramp_dir[0]), float(self.ramp_dir[1])
-        else:
-            dx, dy = float(self.main_dir[0]), float(self.main_dir[1])
-        tx = float(self.merge_point[0]) + target * dx
-        ty = float(self.merge_point[1]) + target * dy
-        ddx, ddy = tx - pxf, ty - pyf
-        norm = math.hypot(ddx, ddy)
-        if norm <= 1e-9:
-            # Standing on the aim point: fall back to the local tangent.
-            return np.array([dx, dy])
-        return np.array([ddx / norm, ddy / norm])
+        return np.array(self._pursuit(route == "ramp", float(position[0]), float(position[1])))
 
     def progress(self, route: str, position) -> float:
         """Signed arc length to the merge point; NaN for fixed-heading vehicles."""
         if route == "fixed":
             return math.nan
-        px = float(position[0]) - float(self.merge_point[0])
-        py = float(position[1]) - float(self.merge_point[1])
-        if route == "main":
-            return px * float(self.main_dir[0]) + py * float(self.main_dir[1])
-        if route == "ramp":
-            along_ramp = px * float(self.ramp_dir[0]) + py * float(self.ramp_dir[1])
+        if route not in ("main", "ramp"):
+            raise ConfigurationError(f"unknown route {route!r}")
+        return self._progress(route == "ramp", float(position[0]), float(position[1]))
+
+    def _progress(self, ramp: bool, px: float, py: float) -> float:
+        """Scalar kernel of progress for main (ramp False) and ramp routes."""
+        mx, my, rx, ry, ex, ey, _ = self._scalars
+        sx, sy = px - mx, py - my
+        if ramp:
+            along_ramp = sx * rx + sy * ry
             if along_ramp < 0.0:
                 return along_ramp
-            return px * float(self.main_dir[0]) + py * float(self.main_dir[1])
-        raise ConfigurationError(f"unknown route {route!r}")
+        return sx * ex + sy * ey
+
+    def _pursuit(self, ramp: bool, px: float, py: float) -> Tuple[float, float]:
+        """Scalar kernel of direction for main (ramp False) and ramp routes."""
+        mx, my, rx, ry, ex, ey, look = self._scalars
+        target = self._progress(ramp, px, py) + look
+        if ramp and target < 0.0:
+            dx, dy = rx, ry
+        else:
+            dx, dy = ex, ey
+        ddx = mx + target * dx - px
+        ddy = my + target * dy - py
+        norm = math.hypot(ddx, ddy)
+        if norm <= 1e-9:
+            # Standing on the aim point: fall back to the local tangent.
+            return dx, dy
+        return ddx / norm, ddy / norm
 
     def place(self, route: str, progress: float) -> np.ndarray:
         """Route point at a given signed arc distance from the merge."""
@@ -281,9 +289,6 @@ def simulate(cfg: ScenarioConfig,
     r2 = cfg.safety.r_safe * cfg.safety.r_safe
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
-    # The hot loop runs on scalars, mirroring nominal_control,
-    # build_safety_constraint, kappa, and step operation for operation; a
-    # dedicated test pins the equivalence against the library path.
     init = [v.initial_state(geom) for v in vehicles]
     px = [float(s.position[0]) for s in init]
     py = [float(s.position[1]) for s in init]
@@ -296,20 +301,10 @@ def simulate(cfg: ScenarioConfig,
     lo_y = [float(v.limits.u_min[1]) for v in vehicles]
     hi_x = [float(v.limits.u_max[0]) for v in vehicles]
     hi_y = [float(v.limits.u_max[1]) for v in vehicles]
-    mx, my = float(geom.merge_point[0]), float(geom.merge_point[1])
-    # Raw unit route tangents; the pursuit direction and then the nominal
-    # plan each renormalize their own copy, in that order, mirroring the
-    # library operations exactly.
-    rtx, rty = float(geom.ramp_dir[0]), float(geom.ramp_dir[1])
-    mtx, mty = float(geom.main_dir[0]), float(geom.main_dir[1])
-    look = float(geom.lookahead)
-    fixed_dir = []
-    for v in vehicles:
-        if v.route == "fixed":
-            hn = math.hypot(float(v.heading[0]), float(v.heading[1]))
-            fixed_dir.append((float(v.heading[0]) / hn, float(v.heading[1]) / hn))
-        else:
-            fixed_dir.append(None)
+    ramp = [v.route == "ramp" for v in vehicles]
+    headings = [(float(v.heading[0]), float(v.heading[1])) if v.route == "fixed" else None
+                for v in vehicles]
+    h_of = [[0.0] * n for _ in range(n)]
 
     states = np.empty((N + 1, n, 4))
     inputs = np.zeros((N + 1, n, 2))
@@ -334,10 +329,12 @@ def simulate(cfg: ScenarioConfig,
         for p, (i, j) in enumerate(pairs):
             dxx = px[i] - px[j]
             dyy = py[i] - py[j]
-            pair_h[t, p] = dxx * dxx + dyy * dyy - r2
+            h = dxx * dxx + dyy * dyy - r2
+            pair_h[t, p] = h
+            h_of[i][j] = h_of[j][i] = h
         for v, spec in enumerate(vehicles):
             if merge_step[spec.name] is None and spec.route != "fixed":
-                if geom.progress(spec.route, (px[v], py[v])) > 0.0:
+                if geom._progress(ramp[v], px[v], py[v]) > 0.0:
                     merge_step[spec.name] = t
         if t == N or stop:
             n_logged = t + 1
@@ -348,53 +345,21 @@ def simulate(cfg: ScenarioConfig,
         else:
             cur_states = None
         new_u = []
-        for v, spec in enumerate(vehicles):
+        for v in range(n):
             alpha = alpha_fn(t, v) if alpha_fn is not None else alphas[v]
-            coeffs = alpha.coefficients
-            if spec.route == "fixed":
-                dir_x, dir_y = fixed_dir[v]
+            if headings[v] is None:
+                dir_x, dir_y = geom._pursuit(ramp[v], px[v], py[v])
             else:
-                if spec.route == "ramp":
-                    s = (px[v] - mx) * rtx + (py[v] - my) * rty
-                    if s >= 0.0:
-                        s = (px[v] - mx) * mtx + (py[v] - my) * mty
-                else:
-                    s = (px[v] - mx) * mtx + (py[v] - my) * mty
-                target = s + look
-                if spec.route == "ramp" and target < 0.0:
-                    ax_, ay_ = rtx, rty
-                else:
-                    ax_, ay_ = mtx, mty
-                ddx = mx + target * ax_ - px[v]
-                ddy = my + target * ay_ - py[v]
-                nn = math.hypot(ddx, ddy)
-                if nn <= 1e-9:
-                    dir_x, dir_y = ax_, ay_
-                else:
-                    dir_x, dir_y = ddx / nn, ddy / nn
-                n2 = math.hypot(dir_x, dir_y)
-                dir_x, dir_y = dir_x / n2, dir_y / n2
-            ub_x = gains[v] * (desired[v] * dir_x - vx[v])
-            ub_y = gains[v] * (desired[v] * dir_y - vy[v])
-            ub_x = min(max(ub_x, lo_x[v]), hi_x[v])
-            ub_y = min(max(ub_y, lo_y[v]), hi_y[v])
-
-            rows = []
-            for w in range(n):
-                if w == v:
-                    continue
-                dxx = px[v] - px[w]
-                dyy = py[v] - py[w]
-                h = dxx * dxx + dyy * dyy - r2
-                total = 0.0
-                term = h
-                h2 = h * h
-                for c in coeffs:
-                    total += c * term
-                    term *= h2
-                b = (2.0 * (dxx * (vx[v] - vx[w]) + dyy * (vy[v] - vy[w]))
-                     + total)
-                rows.append((-2.0 * dxx * dt, -2.0 * dyy * dt, b))
+                dir_x, dir_y = headings[v]
+            # NominalPlan normalizes the lane direction it is given.
+            nn = math.hypot(dir_x, dir_y)
+            ub_x, ub_y = _cruise(gains[v], desired[v], dir_x / nn, dir_y / nn,
+                                 vx[v], vy[v], lo_x[v], lo_y[v], hi_x[v], hi_y[v])
+            coeffs = alpha.coefficients
+            h_v = h_of[v]
+            rows = [_safety_row(px[v] - px[w], py[v] - py[w], vx[v] - vx[w], vy[v] - vy[w],
+                                0.0, 0.0, h_v[w], coeffs, dt)
+                    for w in range(n) if w != v]
             n_safety = len(rows)
             if extra_rows_fn is not None:
                 for a, b in extra_rows_fn(t, v, cur_states):
@@ -418,10 +383,8 @@ def simulate(cfg: ScenarioConfig,
 
         for v in range(n):
             ux, uy = new_u[v]
-            vx[v] = vx[v] + ux * dt
-            vy[v] = vy[v] + uy * dt
-            px[v] = px[v] + vx[v] * dt
-            py[v] = py[v] + vy[v] * dt
+            px[v], vx[v] = _step(px[v], vx[v], ux, dt)
+            py[v], vy[v] = _step(py[v], vy[v], uy, dt)
         if on_step is not None:
             carried = snapshot()
             stop = bool(on_step(t + 1, cur_states, carried))

@@ -153,7 +153,7 @@ def test_adaptive_run_identifies_and_concedes():
     # the object in the shipped preset drives a (0.9, 0.1) style
     assert est.alpha_hat.coefficients == pytest.approx((0.9, 0.1), abs=1e-4)
     assert rec.selected_alpha == DEFAULT_POLICY.presets[-1]
-    assert rec.compat_rows_dropped == 0
+    assert rec.trial.relaxed_steps == 0
     assert not rec.trial.metrics.collision
     # sampling happened strictly inside the observation phase
     assert rec.sample_steps and max(rec.sample_steps) <= 300

@@ -239,6 +239,23 @@ def test_invalid_value_exits_three(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment,config,trials", [
+    ("predict", None, 0),
+    ("invariance", None, 0),
+    ("invariance", None, -1),
+    ("invariance", INVARIANCE_SMALL.replace("trials = 3", "trials = 0"), None),
+])
+def test_nonpositive_trials_exit_three(tmp_path, capsys, experiment, config, trials):
+    args = ["run", experiment, "--out", tmp_path]
+    if config is not None:
+        args += ["--config", write_cfg(tmp_path, config)]
+    if trials is not None:
+        args += ["--trials", trials]
+    assert run_cli(args) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / experiment).exists()
+
+
 def test_experiment_mismatch_exits_three(tmp_path, capsys):
     p = write_cfg(tmp_path, INVARIANCE_SMALL)
     assert run_cli(["run", "sweep", "--config", p, "--out", tmp_path]) == 3

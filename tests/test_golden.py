@@ -1,0 +1,45 @@
+"""Golden artifacts: the CSV bytes of two shipped runs, pinned by sha256.
+
+The digests were recorded before `simulate` and the per-vehicle API were
+moved onto shared scalar kernels, so a refactor that changes any output bit
+fails here, not only a rerun that disagrees with itself.  Neither run calls
+BLAS or LAPACK, so the digests do not depend on the numpy build's
+linear-algebra kernels.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import polycbf
+from polycbf import cli
+
+PRESETS = Path(polycbf.__file__).parent / "presets"
+
+GOLDEN = {
+    "invariance": (["run", "invariance", "--trials", "3", "--seed", "0"], {
+        "metrics.csv": "4932bdc860850026d673cd9439c1b20dc80553cbf9db308853c74ad4f0d44fe3",
+        "trajectory.csv": "4357fbd2994d080b6d4867274973d6b282a05146bc5956eb531aa2ee82769b43",
+    }),
+    "sweep_gamma": (["run", "sweep", "--config", str(PRESETS / "sweep_gamma.cfg"),
+                     "--seed", "0"], {
+        "distance_style_00.csv": "cea94fbca81b85e4a68e6a145b3ca0d65ec9f6c73971e8e31a8b297d63f1a708",
+        "distance_style_01.csv": "62e5609c049a67bb125a793da75e4429b1fdd74e47d88f1f66a41229820eae61",
+        "distance_style_02.csv": "ec44c3b030e885057510fe7b43809ad81a838507e42ef1a0411a4a7a0b14224c",
+        "distance_style_03.csv": "1d12a26992477a3efd4f4b0ca9bb51a026ad8c921f126b25d970b2384047f5f3",
+        "distance_style_04.csv": "4d721f5c5c84dd29e50f5de6de55d116ac34fc48190d1f4817fe233416f31326",
+        "distance_style_05.csv": "7cc3f5a4d10ecf2e2d5cb871a79457ce20a54575481f54dba7c1020d49ca7211",
+        "distance_style_06.csv": "2bb69f541c836042e5e81cd3c6cb411ca86c913544204122751f896fbf444e1e",
+        "metrics.csv": "95fc0b49fa4165fdb8a4c80913dec2a2507e6ecb7a36bc7bfae40c4d74d1fd24",
+        "trajectory.csv": "45f6358b35665b32bb9e1c8942457b6aaffd161a23d01374be53095d9c5e1d88",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_csv_bytes_match_golden_digests(tmp_path, name):
+    args, digests = GOLDEN[name]
+    assert cli.main(args + ["--out", str(tmp_path)]) == 0
+    out = tmp_path / args[1]
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert found == digests
