@@ -629,6 +629,8 @@ def _cmd_run(args) -> int:
             f"config declares experiment {declared!r} but {experiment!r} was requested")
     _rule_counts(cp)
     seed = args.seed if args.seed is not None else _get_int(cp, "run", "seed", 0)
+    if seed < 0:
+        raise ConfigurationError(f"seed = {seed} is not >= 0")
     if args.trials is not None and args.trials < 1:
         raise ConfigurationError(f"--trials = {args.trials} is not >= 1")
     if args.trials is not None and experiment in ("sweep", "adaptive"):
@@ -670,6 +672,8 @@ def _rule_experiment(cp) -> str:
 
 def _rule_seed(cp) -> str:
     seed = _get_int(cp, "run", "seed", 0)
+    if seed < 0:
+        raise ConfigurationError(f"[run] seed = {seed} is not >= 0")
     return f"seed {seed}"
 
 

@@ -6,11 +6,15 @@ half-plane row per neighbor.  A row (a, b) encodes a.u <= b and is derived
 from the one-step clearance rate, so satisfying it keeps the clearance decay
 within the vehicle's class-K margin.
 
-The solver is a dense active-set enumeration specialized to two decision
+The solver is an active-set enumeration specialized to two decision
 variables: the optimum of a strictly convex 2-D projection lies either at the
-nominal point, on a single constraint line, or at the intersection of two, so
-checking every candidate is exact and fast.  Infeasible programs fall back to
-the box-bounded input minimizing the worst violation and are flagged.
+nominal point, on a single constraint line, or at the intersection of two.
+When the nominal point satisfies every row, which is the common case, it is
+returned at once.  Otherwise the projections and pairwise intersections are
+scored by objective and checked in that order, so only the answer and the
+candidates that undercut it are screened against the rows; ties go to the
+first candidate generated.  Infeasible programs fall back to the box-bounded
+input minimizing the worst violation and are flagged.
 """
 
 from __future__ import annotations
@@ -190,9 +194,23 @@ def _enumerate_min_deviation(ubar_x, ubar_y, rows):
     """Best feasible candidate for min ||u - ubar||^2 over rows a.u <= b.
 
     rows include the box faces.  Returns (ux, uy, objective) or None when no
-    candidate satisfies every row.
+    candidate satisfies every row.  Among candidates with the smallest
+    objective, the first one generated wins.
     """
-    candidates = [(ubar_x, ubar_y)]
+    checks = [(ax, ay, b, _FEAS_TOL * max(1.0, abs(b))) for ax, ay, b in rows]
+
+    def feasible(ux, uy):
+        for ax, ay, b, tol in checks:
+            if ax * ux + ay * uy - b > tol:
+                return False
+        return True
+
+    if feasible(ubar_x, ubar_y):
+        return ubar_x, ubar_y, 0.0
+
+    # The nominal point is cut off: generate the projections onto each line,
+    # then the pairwise intersections, and scan them by (objective, index).
+    candidates = []
     n = len(rows)
     for i in range(n):
         ax, ay, b = rows[i]
@@ -211,25 +229,18 @@ def _enumerate_min_deviation(ubar_x, ubar_y, rows):
             if scale == 0.0 or abs(det) <= 1e-14 * scale:
                 continue
             candidates.append(((b1 * ay2 - b2 * ay1) / det, (ax1 * b2 - ax2 * b1) / det))
-    best = None
-    best_obj = math.inf
-    for ux, uy in candidates:
-        ok = True
-        for ax, ay, b in rows:
-            if ax * ux + ay * uy - b > _FEAS_TOL * max(1.0, abs(b)):
-                ok = False
-                break
-        if not ok:
-            continue
+    scored = []
+    for index, (ux, uy) in enumerate(candidates):
         dxu = ux - ubar_x
         dyu = uy - ubar_y
         obj = dxu * dxu + dyu * dyu
-        if obj < best_obj:
-            best_obj = obj
-            best = (ux, uy)
-    if best is None:
-        return None
-    return best[0], best[1], best_obj
+        if math.isfinite(obj):  # never the answer, and NaN would pass feasible()
+            scored.append((obj, index, ux, uy))
+    scored.sort()
+    for obj, _, ux, uy in scored:
+        if feasible(ux, uy):
+            return ux, uy, obj
+    return None
 
 
 def _minimax_violation(rows, lo_x, lo_y, hi_x, hi_y):

@@ -256,6 +256,27 @@ def test_nonpositive_trials_exit_three(tmp_path, capsys, experiment, config, tri
     assert not (tmp_path / experiment).exists()
 
 
+NEGATIVE_SEED = INVARIANCE_SMALL.replace("experiment = invariance",
+                                         "experiment = invariance\nseed = -4")
+
+
+@pytest.mark.parametrize("argv,config,code,stream,message", [
+    (["run", "invariance", "--seed", -1, "--config"], INVARIANCE_SMALL, 3, "err", "config error"),
+    (["run", "predict", "--seed", -1], None, 3, "err", "config error"),
+    (["run", "invariance", "--config"], NEGATIVE_SEED, 3, "err", "config error"),
+    (["validate"], NEGATIVE_SEED, 0, "out", "FAIL seed"),
+], ids=["flag", "flag-preset", "config-key", "validate"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, argv, config, code, stream, message):
+    args = list(argv)
+    if config is not None:
+        args.append(write_cfg(tmp_path, config))
+    if argv[0] == "run":
+        args += ["--out", tmp_path]
+    assert run_cli(args) == code
+    assert message in getattr(capsys.readouterr(), stream)
+    assert not any(p.is_dir() for p in tmp_path.iterdir())  # no artifacts written
+
+
 def test_experiment_mismatch_exits_three(tmp_path, capsys):
     p = write_cfg(tmp_path, INVARIANCE_SMALL)
     assert run_cli(["run", "sweep", "--config", p, "--out", tmp_path]) == 3

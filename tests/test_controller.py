@@ -73,6 +73,34 @@ def test_solve_qp_matches_kkt_oracle():
             assert abs(sol.objective - obj_star) <= 1e-6
 
 
+def test_solve_qp_matches_kkt_oracle_with_many_rows():
+    # platoon-sized programs: up to 15 rows plus the box.  Random offsets make
+    # most large programs infeasible; mirroring every offset to |b| keeps the
+    # origin, which the box always holds, feasible under the same rows.
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(100):
+        u_nom, lo, hi, drawn = random_box_qp(rng, n_rows_max=15)
+        for rows in (drawn, [(a, abs(b)) for a, b in drawn]):
+            sol = solve_qp(QpProblem(u_nom, lo, hi,
+                                     tuple((np.asarray(a), b) for a, b in rows)))
+            expect = qp_oracle(u_nom, lo, hi, rows)
+            if expect is None:
+                assert not sol.feasible
+                assert sol.max_violation > 0.0
+                assert np.all(sol.u >= lo - 1e-9) and np.all(sol.u <= hi + 1e-9)
+                outcome = "infeasible"
+            else:
+                u_star, obj_star = expect
+                assert sol.feasible
+                assert np.linalg.norm(sol.u - u_star) <= 1e-6
+                assert abs(sol.objective - obj_star) <= 1e-6
+                outcome = "active" if obj_star > 0.0 else "nominal"
+            if len(rows) > 8:
+                seen.add(outcome)
+    assert {"infeasible", "active"} <= seen
+
+
 def test_solve_qp_returns_nominal_when_slack():
     u_nom = np.array([0.5, -0.25])
     sol = solve_qp(QpProblem(u_nom, np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
@@ -95,6 +123,56 @@ def test_solve_qp_residuals_nonnegative_within_tolerance():
         for a, b in rows:
             assert float(np.asarray(a) @ sol.u) <= b + 1e-9 * max(1.0, abs(b))
     assert checked > 100
+
+
+def test_solve_qp_nominal_on_a_row_line_is_returned_unchanged():
+    # the nominal point satisfies a.u = b exactly; its own projection ties at
+    # objective 0, and the nominal itself must come back
+    u_nom = np.array([0.25, 0.75])
+    sol = solve_qp(QpProblem(u_nom, np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
+                             ((np.array([1.0, 1.0]), 1.0),
+                              (np.array([-1.0, 1.0]), 0.5))))
+    assert sol.feasible
+    assert np.array_equal(sol.u, u_nom)
+    assert sol.objective == 0.0
+
+
+def test_solve_qp_duplicated_rows_match_a_single_copy():
+    lo, hi = np.array([-4.0, -4.0]), np.array([4.0, 4.0])
+    u_nom = np.array([2.0, 1.5])
+    row = (np.array([0.6, 0.8]), 0.5)
+    single = solve_qp(QpProblem(u_nom, lo, hi, (row,)))
+    tripled = solve_qp(QpProblem(u_nom, lo, hi, (row, row, row)))
+    assert tripled.feasible and single.feasible
+    assert np.array_equal(tripled.u, single.u)
+    assert tripled.objective == single.objective
+    u_star, obj_star = qp_oracle(u_nom, lo, hi, [row, row, row])
+    assert np.linalg.norm(tripled.u - u_star) <= 1e-9
+    assert abs(tripled.objective - obj_star) <= 1e-9
+
+
+def test_solve_qp_row_through_a_box_corner():
+    # u_x + u_y <= -2 meets the box [-1, 1]^2 only at the corner (-1, -1):
+    # the row/face intersections and the face/face corner tie there
+    u_nom = np.array([0.5, 0.2])
+    sol = solve_qp(QpProblem(u_nom, np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
+                             ((np.array([1.0, 1.0]), -2.0),)))
+    assert sol.feasible
+    assert np.array_equal(sol.u, [-1.0, -1.0])
+    assert sol.objective == 1.5 ** 2 + 1.2 ** 2
+
+
+def test_solve_qp_tie_goes_to_the_first_generated_candidate():
+    # three rows through (1/3, 0.2): their pairwise intersections differ in
+    # the last bit of u_y but share one objective, and the first pair wins
+    rows = ((np.array([-0.8604435054687407, 0.5095458506323697]), -0.18490533169643963),
+            (np.array([0.9197211920964997, -0.3925721956641776]), 0.2280592915659977),
+            (np.array([-0.08667408168209619, 0.9962367206465366]), 0.1703559835686086))
+    sol = solve_qp(QpProblem(np.array([-1.008873076676171, 1.9044018657405672]),
+                             np.array([-2.0, -2.0]), np.array([2.0, 2.0]), rows))
+    assert sol.feasible
+    assert sol.u.tolist() == [0.3333333333333333, 0.19999999999999987]
+    assert sol.objective == 4.7065037670105285
 
 
 def test_solve_qp_single_row_projection():
@@ -132,6 +210,29 @@ def test_solve_qp_infeasible_contradictory_rows():
     assert sol.u[0] == pytest.approx(0.0, abs=1e-8)
     # y is unconstrained, so the tie resolves toward the nominal
     assert sol.u[1] == pytest.approx(0.4, abs=1e-9)
+
+
+def test_solve_qp_infeasible_single_row_keeps_corner_violation():
+    # u_x + 2 u_y <= -4 cannot hold in [-1, 1]^2; the corner (-1, -1) leaves
+    # the smallest violation, t* = -1 - 2 + 4 = 1
+    sol = solve_qp(QpProblem(np.array([0.3, -0.2]), np.array([-1.0, -1.0]),
+                             np.array([1.0, 1.0]), ((np.array([1.0, 2.0]), -4.0),)))
+    assert not sol.feasible
+    assert sol.max_violation == 1.0
+    assert sol.u == pytest.approx([-1.0, -1.0], abs=1e-8)
+
+
+def test_solve_qp_infeasible_multi_row_keeps_minimax_violation():
+    # u_x <= -2 and u_y <= -3 in [-1, 1]^2: the LP fallback minimizes the
+    # worst violation, max(u_x + 2, u_y + 3) >= 2 at u_y = -1, u_x <= 0
+    u_nom = np.array([0.3, 0.4])
+    sol = solve_qp(QpProblem(u_nom, np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
+                             ((np.array([1.0, 0.0]), -2.0),
+                              (np.array([0.0, 1.0]), -3.0))))
+    assert not sol.feasible
+    assert sol.max_violation == pytest.approx(2.0, rel=1e-9)
+    # the relaxed re-solve keeps u_x at the nominal and pins u_y to the wall
+    assert sol.u == pytest.approx([0.0, -1.0], abs=1e-8)
 
 
 def test_build_safety_constraint_hand_example():

@@ -10,6 +10,7 @@ from helpers import configs_equal
 from polycbf import (
     AlphaVector,
     ConfigurationError,
+    ControlLimits,
     NominalPlan,
     RoadGeometry,
     SafetyConfig,
@@ -257,6 +258,31 @@ def test_unfiltered_head_on_pair_collides():
     rec = run_trial(cfg)
     assert rec.metrics.collision
     assert min(rec.metrics.min_h.values()) < 0.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "decentralized filters: each assumes its neighbour holds its velocity, so "
+    "both spend the same clearance slack in one synchronous step and the "
+    "clearance goes negative while every QP is feasible"))
+def test_rear_end_approach_with_feasible_filters_does_not_collide():
+    # an ego at cruise speed closing on a stopped lead: every QP stays
+    # feasible, yet near h = 0 the two inputs alternate in sign and grow
+    wide = ControlLimits((-1e5, -1e5), (1e5, 1e5))
+    base = dict(role="neighbor", route="fixed", heading=(1.0, 0.0), gain=0.8,
+                alpha=AlphaVector((5.0,)), limits=wide)
+    cfg = ScenarioConfig(
+        geometry=default_geometry(),
+        safety=SafetyConfig(q=1),
+        vehicles=(
+            VehicleSpec(name="ego", start_position=(0.0, 0.0), speed=10.0,
+                        desired_speed=10.0, **base),
+            VehicleSpec(name="lead", start_position=(30.0, 0.0), speed=0.0,
+                        desired_speed=0.0, **base),
+        ),
+        dt=0.01, n_steps=800)
+    rec = run_trial(cfg)
+    assert rec.metrics.infeasible_step_count == 0
+    assert not rec.metrics.collision
 
 
 def test_merge_step_matches_logged_positions():
