@@ -11,7 +11,7 @@ whole roster finishes sooner.
 """
 from polycbf import experiment_prediction_in_loop
 
-cmp = experiment_prediction_in_loop(seed=0)
+cmp = experiment_prediction_in_loop()
 enabled, disabled = cmp.enabled, cmp.disabled
 
 est = enabled.final_estimate

@@ -21,9 +21,10 @@ from .adaptive import (DEFAULT_POLICY, AdaptiveRecord, CompatibilityRow,
                        MismatchTrial, StylePolicy, aggressiveness_score,
                        compatibility_constraint, experiment_assumption_mismatch,
                        run_adaptive_merge, select_alpha)
-from .scenario import (AdaptiveComparison, PredictionSummary, PredictionTrial,
-                       RoadGeometry, ScenarioConfig, SweepEntry, TrajectoryLog,
-                       TrialMetrics, TrialRecord, VehicleSpec,
+from .scenario import (AdaptiveComparison, AdaptiveSettings, InvarianceSettings,
+                       PredictionSummary, PredictionTrial, PredictSettings,
+                       RoadGeometry, ScenarioConfig, SweepEntry, SweepSettings,
+                       TrajectoryLog, TrialMetrics, TrialRecord, VehicleSpec,
                        adaptive_preset_config, default_geometry,
                        experiment_behavior_sweep, experiment_invariance,
                        experiment_prediction, experiment_prediction_in_loop,
@@ -47,8 +48,9 @@ __all__ = [
     "DEFAULT_POLICY", "AdaptiveRecord", "CompatibilityRow", "MismatchTrial",
     "StylePolicy", "aggressiveness_score", "compatibility_constraint",
     "experiment_assumption_mismatch", "run_adaptive_merge", "select_alpha",
-    "AdaptiveComparison", "PredictionSummary", "PredictionTrial", "RoadGeometry",
-    "ScenarioConfig", "SweepEntry", "TrajectoryLog", "TrialMetrics",
+    "AdaptiveComparison", "AdaptiveSettings", "InvarianceSettings",
+    "PredictSettings", "PredictionSummary", "PredictionTrial", "RoadGeometry",
+    "ScenarioConfig", "SweepEntry", "SweepSettings", "TrajectoryLog", "TrialMetrics",
     "TrialRecord", "VehicleSpec", "adaptive_preset_config", "default_geometry",
     "experiment_behavior_sweep", "experiment_invariance", "experiment_prediction",
     "experiment_prediction_in_loop", "gamma_sweep_settings",

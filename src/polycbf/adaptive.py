@@ -21,7 +21,8 @@ from .controller import ControlLimits, NominalPlan, _solve_scalar, safe_control
 from .dynamics import VehicleState, step
 from .errors import ConfigurationError, DegenerateConstraintError
 from .learner import AlphaEstimate, RidgeConfig, StyleLearner, observe, observe_analytic
-from .scenario import ScenarioConfig, TrialRecord, simulate
+from .scenario import (OBSERVATION_MODES, AdaptiveSettings, ScenarioConfig, TrialRecord,
+                       simulate)
 
 __all__ = [
     "CompatibilityRow",
@@ -35,9 +36,6 @@ __all__ = [
     "MismatchTrial",
     "experiment_assumption_mismatch",
 ]
-
-HDOT_MODES = ("finite_diff", "analytic")
-
 
 @dataclass(frozen=True)
 class CompatibilityRow:
@@ -149,7 +147,7 @@ class AdaptiveRecord:
 def run_adaptive_merge(cfg: ScenarioConfig,
                        policy: StylePolicy = DEFAULT_POLICY,
                        ridge: Optional[RidgeConfig] = None,
-                       phase_budget: int = 300,
+                       phase_budget: int = AdaptiveSettings.phase_budget,
                        prediction_enabled: bool = True,
                        hdot_mode: str = "finite_diff",
                        enforce_compatibility: bool = True) -> AdaptiveRecord:
@@ -162,7 +160,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     being identified), and at least one neighbor; the object is observed
     against the first neighbor.
     """
-    if hdot_mode not in HDOT_MODES:
+    if hdot_mode not in OBSERVATION_MODES:
         raise ConfigurationError(f"unknown hdot_mode {hdot_mode!r}")
     if phase_budget < 1:
         raise ConfigurationError(f"phase_budget must be >= 1, got {phase_budget}")

@@ -12,6 +12,13 @@ feasible, then one ``h:<A>:<B>`` clearance column per vehicle pair.  Each
 step contributes one row per vehicle; the clearance columns repeat on every
 row of the step.
 
+Configs are INI files.  Each section is parsed, by field type, into the
+dataclass that declares its keys and their defaults (the experiment's
+*Settings, SafetyConfig, RidgeConfig, StylePolicy, VehicleSpec, ...), so a
+key left out takes that default and a key that names no field is a config
+error.  `run` builds every object before it writes anything; `validate`
+reports the same construction rule by rule.
+
 Exit codes: 0 on success, 2 for unknown subcommands or experiments (usage
 error), 3 for a config that cannot be parsed or fails construction, 4 when
 a run completes but flags a collision (artifacts are still written).
@@ -26,14 +33,17 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import hashlib
+import inspect
 import json
-import math
 import os
 import sys
+import typing
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,12 +52,13 @@ from .barrier import AlphaVector, SafetyConfig
 from .controller import ControlLimits
 from .errors import ConfigurationError, DomainError
 from .learner import RidgeConfig
-from .scenario import (COLLISION_TOL, ScenarioConfig, TrajectoryLog, VehicleSpec,
-                       adaptive_preset_config, default_geometry,
-                       experiment_behavior_sweep, experiment_invariance,
-                       experiment_prediction, experiment_prediction_in_loop,
-                       invariance_trial_setup, prediction_trial_setup, run_trial,
-                       sweep_trial_config)
+from .scenario import (COLLISION_TOL, AdaptiveSettings, InvarianceSettings,
+                       PredictSettings, RoadGeometry, ScenarioConfig, SweepSettings,
+                       TrajectoryLog, VehicleSpec, adaptive_preset_config,
+                       default_geometry, experiment_behavior_sweep,
+                       experiment_invariance, experiment_prediction,
+                       experiment_prediction_in_loop, invariance_trial_setup,
+                       prediction_trial_setup, run_trial, sweep_trial_config)
 
 __all__ = [
     "main",
@@ -57,7 +68,6 @@ __all__ = [
     "OUT_ENV",
 ]
 
-EXPERIMENTS = ("predict", "sweep", "adaptive", "invariance")
 OUT_ENV = "POLYCBF_OUT"
 
 TRAJECTORY_COLUMNS = ("step", "vehicle", "x", "y", "vx", "vy", "ux", "uy",
@@ -73,8 +83,9 @@ def _opt(value: Optional[int]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing.  Flat INI sections; float lists are whitespace separated,
-# style lists separate entries with "|".
+# Config parsing.  Flat INI sections, each read into the dataclass (or, for
+# the road, the function) that declares its keys and their defaults.  Float
+# lists are whitespace separated, style lists separate entries with "|".
 
 def _parse_config(text: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
@@ -97,44 +108,18 @@ def _preset_text(name: str) -> str:
         raise ConfigurationError(f"no shipped preset named {name!r}")
 
 
-def _get(cp, section: str, key: str, default=None, required: bool = False) -> Optional[str]:
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    if required:
-        raise ConfigurationError(f"[{section}] is missing required key {key!r}")
-    return default
-
-
-def _get_float(cp, section: str, key: str, default: float) -> float:
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
+def _parse_float(raw: str, where: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigurationError(f"[{section}] {key} = {raw!r} is not a number")
+        raise ConfigurationError(f"{where} = {raw!r} is not a number")
 
 
-def _get_int(cp, section: str, key: str, default: Optional[int]) -> Optional[int]:
-    raw = _get(cp, section, key)
-    if raw is None or raw.strip() == "":
-        return default
+def _parse_int(raw: str, where: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigurationError(f"[{section}] {key} = {raw!r} is not an integer")
-
-
-def _get_bool(cp, section: str, key: str, default: bool) -> bool:
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"[{section}] {key} = {raw!r} is not a boolean")
+        raise ConfigurationError(f"{where} = {raw!r} is not an integer")
 
 
 def _parse_floats(raw: str, where: str, n: Optional[int] = None) -> Tuple[float, ...]:
@@ -148,136 +133,210 @@ def _parse_floats(raw: str, where: str, n: Optional[int] = None) -> Tuple[float,
     return vals
 
 
-def _get_pair(cp, section: str, key: str, default: Tuple[float, float]) -> Tuple[float, float]:
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    vals = _parse_floats(raw, f"[{section}] {key}", n=2)
-    return (vals[0], vals[1])
+def _parse_pair(raw: str, where: str) -> Tuple[float, float]:
+    return _parse_floats(raw, where, n=2)
 
 
-def _parse_styles(raw: str, where: str) -> List[AlphaVector]:
+def _parse_styles(raw: str, where: str) -> Tuple[AlphaVector, ...]:
     out: List[AlphaVector] = []
     for chunk in raw.split("|"):
         coeffs = _parse_floats(chunk, where)
         if not coeffs:
             raise ConfigurationError(f"{where}: empty style entry")
         out.append(AlphaVector(coeffs))
-    return out
+    return tuple(out)
 
 
-def _get_alpha(cp, section: str, key: str, default: Optional[AlphaVector]) -> Optional[AlphaVector]:
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    styles = _parse_styles(raw, f"[{section}] {key}")
+def _parse_alpha(raw: str, where: str) -> AlphaVector:
+    styles = _parse_styles(raw, where)
     if len(styles) != 1:
-        raise ConfigurationError(f"[{section}] {key}: expected a single style")
+        raise ConfigurationError(f"{where}: expected a single style")
     return styles[0]
 
 
+def _optional(parse: Callable[[str, str], object]) -> Callable[[str, str], object]:
+    def parse_optional(raw: str, where: str):
+        return None if raw.strip().lower() in ("", "none") else parse(raw, where)
+    return parse_optional
+
+
+# Parsers by annotation.  A parameter whose annotation is not listed here (a
+# road, a roster, an actuator box) is not a config key.
+_PARSERS: Dict[object, Callable[[str, str], object]] = {
+    str: lambda raw, where: raw,
+    float: _parse_float,
+    int: _parse_int,
+    Optional[float]: _optional(_parse_float),
+    Optional[int]: _optional(_parse_int),
+    Tuple[float, float]: _parse_pair,
+    Optional[Tuple[float, float]]: _optional(_parse_pair),
+    AlphaVector: _parse_alpha,
+    Tuple[AlphaVector, ...]: _parse_styles,
+}
+
+
+def _section(cp, section: str) -> Dict[str, str]:
+    return dict(cp.items(section)) if cp.has_section(section) else {}
+
+
+@functools.lru_cache(maxsize=None)
+def _keys(target) -> Dict[str, Callable[[str, str], object]]:
+    """Parser per config key of a dataclass or function: its parameters whose
+    annotation has a parser.  Cached, since resolving annotations is slow and
+    the targets are fixed module-level names."""
+    hints = typing.get_type_hints(target)
+    return {name: _PARSERS[hints[name]] for name in inspect.signature(target).parameters
+            if hints.get(name) in _PARSERS}
+
+
+def _split(where: str, raw: Dict[str, str], *targets) -> List[dict]:
+    """Typed keyword arguments for each target from one section's raw values.
+    Each key goes to the first target that has it as a config key; a key that
+    no target takes is an error naming the section and the key."""
+    out: List[dict] = [{} for _ in targets]
+    for key, text in raw.items():
+        for table, kwargs in zip(map(_keys, targets), out):
+            if key in table:
+                kwargs[key] = table[key](text, f"{where} {key}")
+                break
+        else:
+            raise ConfigurationError(f"{where} has no key {key!r}")
+    return out
+
+
+def _build(cls, where: str, raw: Dict[str, str], **given):
+    """Construct cls from a section's raw values; the caller supplies the
+    `given` fields, which are therefore not keys.  Keys left out take the
+    dataclass's defaults, and construction is the validation."""
+    clash = sorted(raw.keys() & given.keys())
+    if clash:
+        raise ConfigurationError(f"{where} has no key {clash[0]!r}")
+    (kwargs,) = _split(where, raw, cls)
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING and f.name not in kwargs and f.name not in given:
+            raise ConfigurationError(f"{where} is missing required key {f.name!r}")
+    try:
+        return cls(**given, **kwargs)
+    except (ConfigurationError, DomainError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class _Run:
+    """The [run] section."""
+
+    experiment: str
+    seed: int = 0
+
+
+_SETTINGS = {"predict": PredictSettings, "sweep": SweepSettings,
+             "adaptive": AdaptiveSettings, "invariance": InvarianceSettings}
+EXPERIMENTS = tuple(_SETTINGS)
+
+
+def _build_run(cp, experiment: Optional[str] = None) -> _Run:
+    """[run]; `experiment`, when given, is the default of its experiment key."""
+    raw = _section(cp, "run")
+    if experiment is not None:
+        raw = {"experiment": experiment, **raw}
+    return _build(_Run, "[run]", raw)
+
+
+def _build_settings(cp, experiment: str, trials: Optional[int] = None):
+    """The experiment's own section; trials, when given, replaces its trial count."""
+    if experiment not in _SETTINGS:
+        raise ConfigurationError(f"unknown experiment {experiment!r}")
+    settings = _build(_SETTINGS[experiment], f"[{experiment}]", _section(cp, experiment))
+    if trials is not None and hasattr(settings, "trials"):
+        settings = dataclasses.replace(settings, trials=trials)
+    return settings
+
+
 def _build_safety(cp) -> SafetyConfig:
-    return SafetyConfig(r_safe=_get_float(cp, "safety", "r_safe", 5.0),
-                        q=_get_int(cp, "safety", "q", 2))
+    return _build(SafetyConfig, "[safety]", _section(cp, "safety"))
 
 
 def _build_ridge(cp, safety: SafetyConfig) -> Optional[RidgeConfig]:
     if not cp.has_section("ridge"):
         return None
-    thr_raw = _get(cp, "ridge", "admission_threshold")
-    if thr_raw is not None and thr_raw.strip().lower() == "none":
-        threshold: Optional[float] = None
-    else:
-        threshold = _get_float(cp, "ridge", "admission_threshold", 0.01)
-    return RidgeConfig(
-        regularizer=_get_float(cp, "ridge", "regularizer", 1e-8),
-        q_hypothesis=_get_int(cp, "ridge", "q_hypothesis", safety.q),
-        convergence_tol=_get_float(cp, "ridge", "convergence_tol", 1e-6),
-        convergence_window=_get_int(cp, "ridge", "convergence_window", 5),
-        admission_threshold=threshold,
-    )
+    # The hypothesis order follows [safety] q unless the section sets it;
+    # the regression's sign convention is not a config key.
+    raw = {"q_hypothesis": str(safety.q), **_section(cp, "ridge")}
+    return _build(RidgeConfig, "[ridge]", raw, rate_sign=RidgeConfig.rate_sign)
 
 
 def _build_policy(cp) -> Optional[StylePolicy]:
     if not cp.has_section("policy"):
         return None
-    raw = _get(cp, "policy", "presets", required=True)
-    presets = tuple(_parse_styles(raw, "[policy] presets"))
-    return StylePolicy(presets=presets,
-                       reference_h=_get_float(cp, "policy", "reference_h", 25.0))
-
-
-def _build_limits(cp, section: str) -> Optional[ControlLimits]:
-    lo_raw = _get(cp, section, "accel_min")
-    hi_raw = _get(cp, section, "accel_max")
-    if lo_raw is None and hi_raw is None:
-        return None
-    if lo_raw is None or hi_raw is None:
-        raise ConfigurationError(f"[{section}] needs both accel_min and accel_max")
-    lo = _parse_floats(lo_raw, f"[{section}] accel_min", n=2)
-    hi = _parse_floats(hi_raw, f"[{section}] accel_max", n=2)
-    return ControlLimits(lo, hi)
+    return _build(StylePolicy, "[policy]", _section(cp, "policy"))
 
 
 def _build_vehicle(cp, section: str) -> VehicleSpec:
+    where = f"[{section}]"
     name = section[len("vehicle."):]
     if not name or name != name.strip() or any(c in name for c in ":,"):
         raise ConfigurationError(
-            f"[{section}]: vehicle names must be non-empty and free of ':' and ','")
-    alpha = _get_alpha(cp, section, "alpha", None)
-    if alpha is None:
-        raise ConfigurationError(f"[{section}] is missing required key 'alpha'")
-    kwargs = dict(
-        name=name,
-        role=_get(cp, section, "role", "neighbor"),
-        route=_get(cp, section, "route", "main"),
-        start_progress=_get_float(cp, section, "start_progress", -80.0),
-        speed=_get_float(cp, section, "speed", 10.0),
-        desired_speed=_get_float(cp, section, "desired_speed", 10.0),
-        gain=_get_float(cp, section, "gain", 0.8),
-        alpha=alpha,
-    )
-    limits = _build_limits(cp, section)
-    if limits is not None:
-        kwargs["limits"] = limits
-    pos_raw = _get(cp, section, "start_position")
-    if pos_raw is not None:
-        kwargs["start_position"] = tuple(_parse_floats(pos_raw, f"[{section}] start_position", n=2))
-    head_raw = _get(cp, section, "heading")
-    if head_raw is not None:
-        kwargs["heading"] = tuple(_parse_floats(head_raw, f"[{section}] heading", n=2))
-    return VehicleSpec(**kwargs)
+            f"{where}: vehicle names must be non-empty and free of ':' and ','")
+    raw = _section(cp, section)
+    if "alpha" not in raw:
+        raise ConfigurationError(f"{where} is missing required key 'alpha'")
+    # The actuator box is read from two keys of its own.
+    lo, hi = raw.pop("accel_min", None), raw.pop("accel_max", None)
+    spec = _build(VehicleSpec, where, raw, name=name)
+    if lo is None and hi is None:
+        return spec
+    if lo is None or hi is None:
+        raise ConfigurationError(f"{where} needs both accel_min and accel_max")
+    return dataclasses.replace(spec, limits=ControlLimits(
+        _parse_pair(lo, f"{where} accel_min"), _parse_pair(hi, f"{where} accel_max")))
 
 
-def _build_geometry(cp):
-    geom = default_geometry(
-        merge_x=_get_float(cp, "scenario", "merge_x", 100.0),
-        ramp_angle_deg=_get_float(cp, "scenario", "ramp_angle_deg", 15.0),
-        ramp_length=_get_float(cp, "scenario", "ramp_length", 120.0))
-    look = _get_float(cp, "scenario", "lookahead", geom.lookahead)
-    if look != geom.lookahead:
-        geom = dataclasses.replace(geom, lookahead=look)
-    return geom
+def _build_geometry(cp) -> Tuple[RoadGeometry, dict]:
+    """[scenario]: the road (default_geometry's keywords, then lookahead) and
+    the ScenarioConfig keywords dt and n_steps."""
+    shape, road, steps = _split("[scenario]", _section(cp, "scenario"),
+                                default_geometry, RoadGeometry, ScenarioConfig)
+    return dataclasses.replace(default_geometry(**shape), **road), steps
 
 
 def _vehicle_sections(cp) -> List[str]:
     return [s for s in cp.sections() if s.startswith("vehicle.")]
 
 
-def _build_scenario(cp, seed: int) -> ScenarioConfig:
+def _build_scenario(cp) -> ScenarioConfig:
     # Section order in the file is roster order; the adaptive observer
     # watches the object against the first neighbor, so order matters.
     vehicles = tuple(_build_vehicle(cp, s) for s in _vehicle_sections(cp))
     if not vehicles:
         raise ConfigurationError("config declares no [vehicle.*] sections")
-    return ScenarioConfig(
-        geometry=_build_geometry(cp),
-        vehicles=vehicles,
-        dt=_get_float(cp, "scenario", "dt", 0.01),
-        n_steps=_get_int(cp, "scenario", "n_steps", 3000),
-        safety=_build_safety(cp),
-        seed=seed,
-    )
+    geometry, steps = _build_geometry(cp)
+    return ScenarioConfig(geometry=geometry, vehicles=vehicles,
+                          safety=_build_safety(cp), **steps)
+
+
+def _check_roster(cfg: ScenarioConfig) -> None:
+    roles = [v.role for v in cfg.vehicles]
+    if roles.count("ego") != 1 or roles.count("object") != 1 or "neighbor" not in roles:
+        raise ConfigurationError(
+            f"adaptive runs need one ego, one object, and a neighbor; got {roles}")
+
+
+def _build_inputs(cp, experiment: str, trials: Optional[int] = None) -> dict:
+    """Every object the experiment reads from the config, built (and so
+    validated) before anything is written."""
+    inputs = {"settings": _build_settings(cp, experiment, trials)}
+    if experiment == "adaptive":
+        if _vehicle_sections(cp):
+            cfg = _build_scenario(cp)
+            _check_roster(cfg)
+        else:
+            cfg = adaptive_preset_config()
+        inputs.update(cfg=cfg, ridge=_build_ridge(cp, cfg.safety), policy=_build_policy(cp))
+    else:
+        inputs["safety"] = _build_safety(cp)
+        if experiment == "predict":
+            inputs["ridge"] = _build_ridge(cp, inputs["safety"])
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +442,10 @@ def _write_manifest(out_dir: Path, experiment: str, config_label: str,
 # Experiment runners.  Each returns (stdout lines, emitted files, collision
 # diagnostic or None).
 
-def _run_predict(cp, seed: int, trials: Optional[int], out_dir: Path):
-    safety = _build_safety(cp)
-    ridge = _build_ridge(cp, safety)
+def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
+                 safety: SafetyConfig, ridge: Optional[RidgeConfig]):
     q = ridge.q_hypothesis if ridge is not None else safety.q
-    mode = _get(cp, "predict", "mode", "analytic")
-    dt = _get_float(cp, "predict", "dt", 0.01)
-    n_steps = _get_int(cp, "predict", "n_steps", 4000)
-    closing = _get_pair(cp, "predict", "closing_range", (0.5, 0.9))
-    margin = _get_pair(cp, "predict", "margin_range", (1.0, 2.5))
-    cap = _get_int(cp, "predict", "sample_cap", None)
-    n_trials = trials if trials is not None else _get_int(cp, "predict", "trials", 30)
-
-    summary = experiment_prediction(n_trials=n_trials, seed=seed, mode=mode,
-                                    ridge=ridge, safety=safety, dt=dt,
-                                    n_steps=n_steps, closing_range=closing,
-                                    margin_range=margin, sample_cap=cap)
+    summary = experiment_prediction(seed=seed, ridge=ridge, safety=safety, **vars(settings))
 
     header = (["trial"] + [f"truth_{k}" for k in range(q)]
               + [f"estimate_{k}" for k in range(q)]
@@ -418,16 +465,14 @@ def _run_predict(cp, seed: int, trials: Optional[int], out_dir: Path):
                est_rows)
 
     # Trajectory of the hardest trial (largest estimation error).
-    worst = max(range(n_trials), key=lambda k: summary.trials[k].rmse)
-    _, cfg = prediction_trial_setup(worst, seed=seed, q=q, safety=safety, dt=dt,
-                                    n_steps=n_steps, closing_range=closing,
-                                    margin_range=margin)
+    worst = max(range(settings.trials), key=lambda k: summary.trials[k].rmse)
+    _, cfg = prediction_trial_setup(worst, seed=seed, q=q, safety=safety, **vars(settings))
     rec = run_trial(cfg)
     trajectory = out_dir / "trajectory.csv"
     write_trajectory_csv(trajectory, rec.log)
 
     lines = [
-        f"predict: {n_trials} trials, mode {mode}",
+        f"predict: {settings.trials} trials, mode {settings.mode}",
         f"mean rmse {summary.mean_rmse:.6e}, worst rmse {summary.trials[worst].rmse:.6e} (trial {worst})",
     ]
     conv = summary.max_convergence_samples
@@ -439,25 +484,9 @@ def _run_predict(cp, seed: int, trials: Optional[int], out_dir: Path):
     return lines, [metrics, estimates, trajectory], diag
 
 
-def _sweep_kwargs(cp) -> dict:
-    return dict(
-        other_alpha=_get_alpha(cp, "sweep", "other_alpha", AlphaVector((0.75, 0.25))),
-        safety=_build_safety(cp),
-        dt=_get_float(cp, "sweep", "dt", 0.01),
-        n_steps=_get_int(cp, "sweep", "n_steps", 3200),
-        ramp_angle_deg=_get_float(cp, "sweep", "ramp_angle_deg", 30.0),
-        ego_progress=_get_float(cp, "sweep", "ego_progress", -40.0),
-        other_progress=_get_float(cp, "sweep", "other_progress", -40.0),
-        ego_speed=_get_float(cp, "sweep", "ego_speed", 3.0),
-        other_speed=_get_float(cp, "sweep", "other_speed", 3.0),
-        accel_bound=_get_float(cp, "sweep", "accel_bound", 8.0),
-    )
-
-
-def _run_sweep(cp, seed: int, out_dir: Path):
-    raw = _get(cp, "sweep", "styles", required=True)
-    styles = _parse_styles(raw, "[sweep] styles")
-    kwargs = _sweep_kwargs(cp)
+def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: SafetyConfig):
+    kwargs = dict(vars(settings), safety=safety)
+    styles = kwargs.pop("styles")
     entries = experiment_behavior_sweep(styles, **kwargs)
 
     q = max(len(s.coefficients) for s in styles)
@@ -499,19 +528,11 @@ def _run_sweep(cp, seed: int, out_dir: Path):
     return lines, [metrics, trajectory] + files, diag
 
 
-def _run_adaptive(cp, seed: int, out_dir: Path):
-    if _vehicle_sections(cp):
-        cfg = _build_scenario(cp, seed)
-    else:
-        cfg = adaptive_preset_config(seed=seed)
-    ridge = _build_ridge(cp, cfg.safety)
-    policy = _build_policy(cp)
-    budget = _get_int(cp, "adaptive", "phase_budget", 300)
-    hdot_mode = _get(cp, "adaptive", "hdot_mode", "analytic")
-
-    comparison = experiment_prediction_in_loop(seed=seed, cfg=cfg, policy=policy,
-                                               ridge=ridge, phase_budget=budget,
-                                               hdot_mode=hdot_mode)
+def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
+                  cfg: ScenarioConfig, ridge: Optional[RidgeConfig],
+                  policy: Optional[StylePolicy]):
+    comparison = experiment_prediction_in_loop(cfg=cfg, policy=policy, ridge=ridge,
+                                               **vars(settings))
     enabled, disabled = comparison.enabled, comparison.disabled
     q = cfg.safety.q
 
@@ -571,17 +592,9 @@ def _run_adaptive(cp, seed: int, out_dir: Path):
     return lines, [metrics, estimates, traj_on, traj_off], diag
 
 
-def _run_invariance(cp, seed: int, trials: Optional[int], out_dir: Path):
-    n_trials = trials if trials is not None else _get_int(cp, "invariance", "trials", 100)
-    kwargs = dict(
-        safety=_build_safety(cp),
-        dt=_get_float(cp, "invariance", "dt", 0.01),
-        n_steps=_get_int(cp, "invariance", "n_steps", 1200),
-        ramp_angle_deg=_get_float(cp, "invariance", "ramp_angle_deg", 8.0),
-        speed_range=_get_pair(cp, "invariance", "speed_range", (9.0, 10.5)),
-        progress_range=_get_pair(cp, "invariance", "progress_range", (-90.0, -60.0)),
-    )
-    metrics_list = experiment_invariance(n_trials=n_trials, seed=seed, **kwargs)
+def _run_invariance(out_dir: Path, seed: int, settings: InvarianceSettings,
+                    safety: SafetyConfig):
+    metrics_list = experiment_invariance(seed=seed, safety=safety, **vars(settings))
 
     rows = []
     for idx, m in enumerate(metrics_list):
@@ -592,8 +605,8 @@ def _run_invariance(cp, seed: int, trials: Optional[int], out_dir: Path):
     _write_csv(metrics, ["trial", "collision", "infeasible_steps", "min_h",
                          "merge_step:ego", "merge_step:other"], rows)
 
-    worst = min(range(n_trials), key=lambda k: min(metrics_list[k].min_h.values()))
-    rec = run_trial(invariance_trial_setup(worst, seed=seed, **kwargs))
+    worst = min(range(settings.trials), key=lambda k: min(metrics_list[k].min_h.values()))
+    rec = run_trial(invariance_trial_setup(worst, seed=seed, safety=safety, **vars(settings)))
     trajectory = out_dir / "trajectory.csv"
     write_trajectory_csv(trajectory, rec.log)
 
@@ -601,7 +614,7 @@ def _run_invariance(cp, seed: int, trials: Optional[int], out_dir: Path):
     worst_h = min(min(m.min_h.values()) for m in metrics_list)
     total_inf = sum(m.infeasible_step_count for m in metrics_list)
     lines = [
-        f"invariance: {n_trials} randomized trials, {n_collisions} collisions",
+        f"invariance: {settings.trials} randomized trials, {n_collisions} collisions",
         f"worst clearance {worst_h:.6f} (trial {worst}), "
         f"{total_inf} infeasible filter steps in total",
     ]
@@ -623,16 +636,16 @@ def _cmd_run(args) -> int:
         cp = _parse_config(_preset_text(preset))
         config_label = f"preset:{preset}"
 
-    declared = _get(cp, "run", "experiment", experiment)
-    if declared != experiment:
-        raise ConfigurationError(
-            f"config declares experiment {declared!r} but {experiment!r} was requested")
-    _rule_counts(cp)
-    seed = args.seed if args.seed is not None else _get_int(cp, "run", "seed", 0)
+    declared = _build_run(cp, experiment)
+    if declared.experiment != experiment:
+        raise ConfigurationError(f"config declares experiment {declared.experiment!r} "
+                                 f"but {experiment!r} was requested")
+    seed = args.seed if args.seed is not None else declared.seed
     if seed < 0:
         raise ConfigurationError(f"seed = {seed} is not >= 0")
     if args.trials is not None and args.trials < 1:
         raise ConfigurationError(f"--trials = {args.trials} is not >= 1")
+    inputs = _build_inputs(cp, experiment, args.trials)
     if args.trials is not None and experiment in ("sweep", "adaptive"):
         print(f"note: --trials has no effect on {experiment}", file=sys.stderr)
 
@@ -641,14 +654,9 @@ def _cmd_run(args) -> int:
     out_dir = base / experiment
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if experiment == "predict":
-        lines, files, diag = _run_predict(cp, seed, args.trials, out_dir)
-    elif experiment == "sweep":
-        lines, files, diag = _run_sweep(cp, seed, out_dir)
-    elif experiment == "adaptive":
-        lines, files, diag = _run_adaptive(cp, seed, out_dir)
-    else:
-        lines, files, diag = _run_invariance(cp, seed, args.trials, out_dir)
+    runner = {"predict": _run_predict, "sweep": _run_sweep,
+              "adaptive": _run_adaptive, "invariance": _run_invariance}[experiment]
+    lines, files, diag = runner(out_dir, seed, **inputs)
 
     manifest = _write_manifest(out_dir, experiment, config_label, seed, files)
     for line in lines:
@@ -664,40 +672,21 @@ def _cmd_run(args) -> int:
 # validate: per-rule diagnostics, always exits 0 unless the file is unreadable.
 
 def _rule_experiment(cp) -> str:
-    declared = _get(cp, "run", "experiment", required=True)
+    declared = _build_run(cp).experiment
     if declared not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {declared!r}")
     return f"experiment {declared!r}"
 
 
 def _rule_seed(cp) -> str:
-    seed = _get_int(cp, "run", "seed", 0)
+    seed = _build_run(cp).seed
     if seed < 0:
         raise ConfigurationError(f"[run] seed = {seed} is not >= 0")
     return f"seed {seed}"
 
 
-def _rule_timestep(cp) -> str:
-    found = []
-    for section in cp.sections():
-        if cp.has_option(section, "dt"):
-            dt = _get_float(cp, section, "dt", 0.0)
-            if not (math.isfinite(dt) and dt > 0.0):
-                raise ConfigurationError(f"[{section}] dt = {dt} is not > 0")
-            found.append(f"[{section}] {dt}")
-    return "; ".join(found) if found else "no dt keys declared (defaults apply)"
-
-
-def _rule_counts(cp) -> str:
-    found = []
-    for section in cp.sections():
-        for key in ("n_steps", "trials", "phase_budget"):
-            if cp.has_option(section, key):
-                value = _get_int(cp, section, key, 0)
-                if value < 1:
-                    raise ConfigurationError(f"[{section}] {key} = {value} is not >= 1")
-                found.append(f"[{section}] {key}={value}")
-    return "; ".join(found) if found else "no count keys declared (defaults apply)"
+def _rule_settings(cp) -> str:
+    return repr(_build_settings(cp, _build_run(cp).experiment))
 
 
 def _rule_safety(cp) -> str:
@@ -705,51 +694,16 @@ def _rule_safety(cp) -> str:
     return f"r_safe {safety.r_safe}, order {safety.q}"
 
 
-def _rule_styles(cp) -> str:
-    n = 0
-    for section, key in (("sweep", "styles"), ("sweep", "other_alpha"),
-                         ("policy", "presets")):
-        raw = _get(cp, section, key)
-        if raw is not None:
-            n += len(_parse_styles(raw, f"[{section}] {key}"))
-    for section in _vehicle_sections(cp):
-        if _get_alpha(cp, section, "alpha", None) is not None:
-            n += 1
-    return f"{n} style vectors parsed, all coefficients non-negative" if n \
-        else "no style keys declared"
-
-
-def _rule_vehicles(cp) -> str:
-    sections = _vehicle_sections(cp)
-    for section in sections:
-        _build_vehicle(cp, section)
-    return f"{len(sections)} vehicle sections valid" if sections \
-        else "no vehicle sections declared"
-
-
-def _rule_geometry(cp) -> str:
-    geom = _build_geometry(cp)
-    return (f"merge at x={geom.merge_point[0]:g}, "
-            f"lookahead {geom.lookahead:g}")
-
-
-def _rule_roster(cp) -> str:
-    sections = _vehicle_sections(cp)
-    if not sections:
-        return "no roster declared"
-    vehicles = [_build_vehicle(cp, s) for s in sections]
-    names = [v.name for v in vehicles]
-    if len(names) != len(set(names)):
-        raise ConfigurationError(f"duplicate vehicle names in {names}")
-    roles = [v.role for v in vehicles]
-    if roles.count("ego") > 1:
-        raise ConfigurationError("more than one ego vehicle")
-    if _get(cp, "run", "experiment") == "adaptive":
-        if roles.count("ego") != 1 or roles.count("object") != 1 \
-                or roles.count("neighbor") < 1:
-            raise ConfigurationError(
-                f"adaptive runs need one ego, one object, and a neighbor; got {roles}")
-    return f"roster {names} with roles {roles}"
+def _rule_scenario(cp) -> str:
+    geometry, _ = _build_geometry(cp)
+    road = f"merge at x={geometry.merge_point[0]:g}, lookahead {geometry.lookahead:g}"
+    if not _vehicle_sections(cp):
+        return f"{road}; no vehicle sections declared"
+    cfg = _build_scenario(cp)
+    if cp.get("run", "experiment", fallback=None) == "adaptive":
+        _check_roster(cfg)
+    return (f"{road}; roster {[v.name for v in cfg.vehicles]} "
+            f"with roles {[v.role for v in cfg.vehicles]}")
 
 
 def _rule_ridge(cp) -> str:
@@ -767,16 +721,13 @@ def _rule_policy(cp) -> str:
     return f"{len(policy.presets)} presets, strictly ordered by aggressiveness"
 
 
+# Each rule builds what `run` builds from the same sections, with the same code.
 _VALIDATE_RULES = (
     ("experiment", _rule_experiment),
     ("seed", _rule_seed),
-    ("timestep", _rule_timestep),
-    ("counts", _rule_counts),
+    ("settings", _rule_settings),
     ("safety", _rule_safety),
-    ("styles", _rule_styles),
-    ("vehicles", _rule_vehicles),
-    ("geometry", _rule_geometry),
-    ("roster", _rule_roster),
+    ("scenario", _rule_scenario),
     ("ridge", _rule_ridge),
     ("policy", _rule_policy),
 )

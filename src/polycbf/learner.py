@@ -24,7 +24,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .barrier import AlphaVector, BarrierBasis, SafetyConfig, basis, hdot, safety_value
+from .barrier import (DEFAULT_Q, AlphaVector, BarrierBasis, SafetyConfig, basis, hdot,
+                      safety_value)
 from .dynamics import VehicleState
 from .errors import ConfigurationError, InsufficientDataError, RankDeficiencyError
 
@@ -67,7 +68,7 @@ class RidgeConfig:
     """
 
     regularizer: float = 1e-8
-    q_hypothesis: int = 2
+    q_hypothesis: int = DEFAULT_Q
     convergence_tol: float = 1e-6
     convergence_window: int = 5
     rate_sign: float = -1.0

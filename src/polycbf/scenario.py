@@ -9,6 +9,10 @@ are deterministic functions of their configuration.
 Progress along a route is measured as signed arc length to the merge point
 (negative before it); a vehicle has completed the merge once its progress
 turns positive.
+
+Each experiment declares its settings and their defaults once, in a frozen
+*Settings dataclass whose fields its experiment and trial builders take as
+keyword overrides.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barrier import AlphaVector, SafetyConfig, kappa
+from .barrier import DEFAULT_Q, AlphaVector, SafetyConfig, kappa
 from .controller import DEFAULT_LIMITS, ControlLimits, _cruise, _safety_row, _solve_scalar
-from .dynamics import VehicleState, _step
+from .dynamics import DEFAULT_DT, VehicleState, _step
 from .errors import ConfigurationError
 from .learner import RidgeConfig, StyleLearner, observe, observe_analytic
 
@@ -35,16 +39,20 @@ __all__ = [
     "default_geometry",
     "run_trial",
     "simulate",
+    "PredictSettings",
     "PredictionTrial",
     "PredictionSummary",
     "prediction_trial_setup",
     "experiment_prediction",
+    "SweepSettings",
     "SweepEntry",
     "sweep_trial_config",
     "experiment_behavior_sweep",
     "gamma_sweep_settings",
+    "InvarianceSettings",
     "invariance_trial_setup",
     "experiment_invariance",
+    "AdaptiveSettings",
     "AdaptiveComparison",
     "adaptive_preset_config",
     "experiment_prediction_in_loop",
@@ -56,6 +64,20 @@ COLLISION_TOL = -1e-9
 
 ROUTES = ("main", "ramp", "fixed")
 ROLES = ("ego", "object", "neighbor")
+# Clearance-rate observers: "analytic" rebuilds the one-step rate from the
+# recovered acceleration, "finite_diff" differences the measured clearance.
+OBSERVATION_MODES = ("analytic", "finite_diff")
+
+
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigurationError(f"dt must be > 0, got {dt}")
+
+
+def _check_counts(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -213,16 +235,13 @@ class ScenarioConfig:
 
     geometry: RoadGeometry
     vehicles: Tuple[VehicleSpec, ...]
-    dt: float = 0.01
+    dt: float = DEFAULT_DT
     n_steps: int = 3000
     safety: SafetyConfig = SafetyConfig()
-    seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if self.n_steps < 1:
-            raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
+        _check_dt(self.dt)
+        _check_counts(n_steps=self.n_steps)
         names = [v.name for v in self.vehicles]
         if len(names) != len(set(names)):
             raise ConfigurationError(f"vehicle names must be unique, got {names}")
@@ -416,6 +435,28 @@ def run_trial(cfg: ScenarioConfig) -> TrialRecord:
 # Style-prediction experiment: observe a follower/leader interaction and
 # recover the follower's style coefficients from clearance data alone.
 
+@dataclass(frozen=True)
+class PredictSettings:
+    """Settings of experiment_prediction, the [predict] config section;
+    sample_cap, when set, ends a trial at that many admitted samples."""
+
+    trials: int = 30
+    mode: str = "analytic"
+    dt: float = DEFAULT_DT
+    n_steps: int = 4000
+    closing_range: Tuple[float, float] = (0.5, 0.9)
+    margin_range: Tuple[float, float] = (1.0, 2.5)
+    sample_cap: Optional[int] = None
+
+    def __post_init__(self):
+        _check_dt(self.dt)
+        _check_counts(trials=self.trials, n_steps=self.n_steps)
+        if self.sample_cap is not None:
+            _check_counts(sample_cap=self.sample_cap)
+        if self.mode not in OBSERVATION_MODES:
+            raise ConfigurationError(f"unknown observation mode {self.mode!r}")
+
+
 @dataclass
 class PredictionTrial:
     truth: AlphaVector
@@ -473,22 +514,30 @@ def _activation_clearance(alpha: AlphaVector, closing: float, r_safe: float) -> 
     return hi
 
 
-def _prediction_trial_config(geom: RoadGeometry, safety: SafetyConfig, dt: float,
-                             n_steps: int, truth: AlphaVector,
-                             rng: np.random.Generator,
-                             closing_range: Tuple[float, float],
-                             margin_range: Tuple[float, float]) -> ScenarioConfig:
-    """Follower closing slowly on a constant-speed leader in the same lane.
+def prediction_trial_setup(trial_index: int, seed: int = 0, q: int = DEFAULT_Q,
+                           safety: SafetyConfig = SafetyConfig(),
+                           **settings) -> Tuple[AlphaVector, ScenarioConfig]:
+    """Ground truth and scenario for one identification trial, settings
+    overriding PredictSettings fields: a follower closing slowly on a
+    constant-speed leader in the same lane.
 
     The leader's style dominates the follower's everywhere, so its own filter
     never binds and it genuinely cruises at constant velocity: every braking
     action seen on the follower is its style speaking.  The follower starts
     just outside its own activation clearance, so the episode begins within a
     bounded sim time and the barrier path stays within actuator limits.
+
+    Trials are addressed by index under a parent seed (child seeds depend
+    only on the index), so any single trial can be rebuilt on its own, e.g.
+    to dump its trajectory, without rerunning the batch around it.
     """
+    s = PredictSettings(**settings)
+    child = np.random.SeedSequence(seed).spawn(trial_index + 1)[trial_index]
+    rng = np.random.Generator(np.random.PCG64(child))
+    truth = _sample_truth_alpha(rng, trial_index, q)
     leader_speed = rng.uniform(8.0, 10.0)
-    closing = rng.uniform(*closing_range)
-    h_start = _activation_clearance(truth, closing, safety.r_safe) + rng.uniform(*margin_range)
+    closing = rng.uniform(*s.closing_range)
+    h_start = _activation_clearance(truth, closing, safety.r_safe) + rng.uniform(*s.margin_range)
     gap = math.sqrt(h_start + safety.r_safe ** 2)
     leader_progress = rng.uniform(-40.0, -30.0)
     leader = VehicleSpec(
@@ -503,38 +552,16 @@ def _prediction_trial_config(geom: RoadGeometry, safety: SafetyConfig, dt: float
         desired_speed=leader_speed + closing, gain=0.8,
         alpha=truth,
     )
-    return ScenarioConfig(geometry=geom, vehicles=(follower, leader),
-                          dt=dt, n_steps=n_steps, safety=safety, seed=0)
+    return truth, ScenarioConfig(geometry=default_geometry(), vehicles=(follower, leader),
+                                 dt=s.dt, n_steps=s.n_steps, safety=safety)
 
 
-def prediction_trial_setup(trial_index: int, seed: int = 0, q: int = 2,
-                           safety: SafetyConfig = SafetyConfig(),
-                           dt: float = 0.01, n_steps: int = 4000,
-                           closing_range: Tuple[float, float] = (0.5, 0.9),
-                           margin_range: Tuple[float, float] = (1.0, 2.5),
-                           ) -> Tuple[AlphaVector, ScenarioConfig]:
-    """Ground truth and scenario for one identification trial.
-
-    Trials are addressed by index under a parent seed (child seeds depend
-    only on the index), so any single trial can be rebuilt on its own, e.g.
-    to dump its trajectory, without rerunning the batch around it.
-    """
-    child = np.random.SeedSequence(seed).spawn(trial_index + 1)[trial_index]
-    rng = np.random.Generator(np.random.PCG64(child))
-    truth = _sample_truth_alpha(rng, trial_index, q)
-    cfg = _prediction_trial_config(default_geometry(), safety, dt, n_steps, truth,
-                                   rng, closing_range, margin_range)
-    return truth, cfg
-
-
-def experiment_prediction(n_trials: int = 30, seed: int = 0, mode: str = "analytic",
+def experiment_prediction(n_trials: Optional[int] = None, seed: int = 0,
                           ridge: Optional[RidgeConfig] = None,
                           safety: SafetyConfig = SafetyConfig(),
-                          dt: float = 0.01, n_steps: int = 4000,
-                          closing_range: Tuple[float, float] = (0.5, 0.9),
-                          margin_range: Tuple[float, float] = (1.0, 2.5),
-                          sample_cap: Optional[int] = None) -> PredictionSummary:
-    """Recover randomized ground-truth styles from observed interactions.
+                          **settings) -> PredictionSummary:
+    """Recover randomized ground-truth styles from observed interactions;
+    settings override PredictSettings fields, n_trials its trials.
 
     mode selects the clearance-rate observer: "analytic" rebuilds the exact
     one-step rate from the object's recovered acceleration; "finite_diff"
@@ -550,15 +577,15 @@ def experiment_prediction(n_trials: int = 30, seed: int = 0, mode: str = "analyt
     object's input sits on its actuator limit are rejected too: a saturated
     input reveals the actuator, not the style.
     """
-    if mode not in ("analytic", "finite_diff"):
-        raise ConfigurationError(f"unknown observation mode {mode!r}")
+    if n_trials is not None:
+        settings["trials"] = n_trials
+    s = PredictSettings(**settings)
+    dt, mode, sample_cap = s.dt, s.mode, s.sample_cap
     ridge = ridge if ridge is not None else RidgeConfig(q_hypothesis=safety.q)
     trials: List[PredictionTrial] = []
-    for idx in range(n_trials):
+    for idx in range(s.trials):
         truth, cfg = prediction_trial_setup(idx, seed=seed, q=ridge.q_hypothesis,
-                                            safety=safety, dt=dt, n_steps=n_steps,
-                                            closing_range=closing_range,
-                                            margin_range=margin_range)
+                                            safety=safety, **settings)
         learner = StyleLearner(ridge)
         cruise_v = None
         gain = cfg.vehicles[0].gain
@@ -611,6 +638,27 @@ def experiment_prediction(n_trials: int = 30, seed: int = 0, mode: str = "analyt
 # Behavior sweep: hold the other vehicle's style fixed, sweep the ego's, and
 # compare approach distance and merge order.
 
+@dataclass(frozen=True)
+class SweepSettings:
+    """Settings of experiment_behavior_sweep, the [sweep] config section;
+    both vehicles get the actuator box [-accel_bound, accel_bound]^2."""
+
+    styles: Tuple[AlphaVector, ...]
+    other_alpha: AlphaVector = AlphaVector((0.75, 0.25))
+    dt: float = DEFAULT_DT
+    n_steps: int = 3200
+    ramp_angle_deg: float = 30.0
+    ego_progress: float = -40.0
+    other_progress: float = -40.0
+    ego_speed: float = 3.0
+    other_speed: float = 3.0
+    accel_bound: float = 8.0
+
+    def __post_init__(self):
+        _check_dt(self.dt)
+        _check_counts(n_steps=self.n_steps)
+
+
 @dataclass
 class SweepEntry:
     alpha: AlphaVector
@@ -635,43 +683,32 @@ class SweepEntry:
         return "front" if first else "behind"
 
 
-def sweep_trial_config(alpha: AlphaVector,
-                       other_alpha: AlphaVector = AlphaVector((0.75, 0.25)),
-                       safety: SafetyConfig = SafetyConfig(),
-                       dt: float = 0.01, n_steps: int = 3200,
-                       ramp_angle_deg: float = 30.0,
-                       ego_progress: float = -40.0,
-                       other_progress: float = -40.0,
-                       ego_speed: float = 3.0,
-                       other_speed: float = 3.0,
-                       accel_bound: float = 8.0) -> ScenarioConfig:
+def sweep_trial_config(alpha: AlphaVector, safety: SafetyConfig = SafetyConfig(),
+                       **settings) -> ScenarioConfig:
     """Two-vehicle merge for one point of a style sweep: the ego on the main
-    road with the swept style, the other vehicle on the ramp with a fixed one."""
-    geom = default_geometry(ramp_angle_deg=ramp_angle_deg)
-    limits = ControlLimits((-accel_bound, -accel_bound), (accel_bound, accel_bound))
+    road with the swept style, the other vehicle on the ramp with a fixed one.
+    settings override SweepSettings fields other than styles."""
+    s = SweepSettings(styles=(alpha,), **settings)
+    geom = default_geometry(ramp_angle_deg=s.ramp_angle_deg)
+    bound = s.accel_bound
+    limits = ControlLimits((-bound, -bound), (bound, bound))
     ego = VehicleSpec(name="ego", role="ego", route="main",
-                      start_progress=ego_progress, speed=ego_speed,
-                      desired_speed=ego_speed, gain=0.8, alpha=alpha,
+                      start_progress=s.ego_progress, speed=s.ego_speed,
+                      desired_speed=s.ego_speed, gain=0.8, alpha=alpha,
                       limits=limits)
     other = VehicleSpec(name="other", role="neighbor", route="ramp",
-                        start_progress=other_progress, speed=other_speed,
-                        desired_speed=other_speed, gain=0.8, alpha=other_alpha,
+                        start_progress=s.other_progress, speed=s.other_speed,
+                        desired_speed=s.other_speed, gain=0.8, alpha=s.other_alpha,
                         limits=limits)
-    return ScenarioConfig(geometry=geom, vehicles=(ego, other), dt=dt,
-                          n_steps=n_steps, safety=safety, seed=0)
+    return ScenarioConfig(geometry=geom, vehicles=(ego, other), dt=s.dt,
+                          n_steps=s.n_steps, safety=safety)
 
 
 def experiment_behavior_sweep(styles: Sequence[AlphaVector],
-                              other_alpha: AlphaVector = AlphaVector((0.75, 0.25)),
                               safety: SafetyConfig = SafetyConfig(),
-                              dt: float = 0.01, n_steps: int = 3200,
-                              ramp_angle_deg: float = 30.0,
-                              ego_progress: float = -40.0,
-                              other_progress: float = -40.0,
-                              ego_speed: float = 3.0,
-                              other_speed: float = 3.0,
-                              accel_bound: float = 8.0) -> List[SweepEntry]:
-    """One merge trial per ego style against a fixed other-vehicle style.
+                              **settings) -> List[SweepEntry]:
+    """One merge trial per ego style against a fixed other-vehicle style;
+    settings override SweepSettings fields other than styles.
 
     The default scenario is a steep, slow merge arriving at a dead tie.  The
     steep angle matters: the constraint pushes each vehicle away from the
@@ -684,14 +721,7 @@ def experiment_behavior_sweep(styles: Sequence[AlphaVector],
     """
     entries: List[SweepEntry] = []
     for alpha in styles:
-        cfg = sweep_trial_config(alpha, other_alpha=other_alpha, safety=safety,
-                                 dt=dt, n_steps=n_steps,
-                                 ramp_angle_deg=ramp_angle_deg,
-                                 ego_progress=ego_progress,
-                                 other_progress=other_progress,
-                                 ego_speed=ego_speed, other_speed=other_speed,
-                                 accel_bound=accel_bound)
-        rec = run_trial(cfg)
+        rec = run_trial(sweep_trial_config(alpha, safety=safety, **settings))
         delta = rec.log.states[:, 0, 0:2] - rec.log.states[:, 1, 0:2]
         distance = np.hypot(delta[:, 0], delta[:, 1])
         entries.append(SweepEntry(
@@ -729,50 +759,54 @@ def gamma_sweep_settings() -> dict:
 # ---------------------------------------------------------------------------
 # Randomized two-vehicle invariance trials.
 
-def _invariance_trial_config(geom: RoadGeometry, safety: SafetyConfig, dt: float,
-                             n_steps: int, rng: np.random.Generator,
-                             speed_range: Tuple[float, float],
-                             progress_range: Tuple[float, float]) -> ScenarioConfig:
-    def random_alpha() -> AlphaVector:
-        return AlphaVector(tuple(rng.uniform(0.0, 1.0, size=safety.q)))
+@dataclass(frozen=True)
+class InvarianceSettings:
+    """Settings of experiment_invariance, the [invariance] config section."""
 
-    ego = VehicleSpec(name="ego", role="ego", route="main",
-                      start_progress=rng.uniform(*progress_range),
-                      speed=rng.uniform(*speed_range),
-                      desired_speed=rng.uniform(*speed_range),
-                      gain=0.8, alpha=random_alpha())
-    other = VehicleSpec(name="other", role="neighbor", route="ramp",
-                        start_progress=rng.uniform(*progress_range),
-                        speed=rng.uniform(*speed_range),
-                        desired_speed=rng.uniform(*speed_range),
-                        gain=0.8, alpha=random_alpha())
-    return ScenarioConfig(geometry=geom, vehicles=(ego, other), dt=dt,
-                          n_steps=n_steps, safety=safety, seed=0)
+    trials: int = 100
+    dt: float = DEFAULT_DT
+    n_steps: int = 1200
+    ramp_angle_deg: float = 8.0
+    speed_range: Tuple[float, float] = (9.0, 10.5)
+    progress_range: Tuple[float, float] = (-90.0, -60.0)
+
+    def __post_init__(self):
+        _check_dt(self.dt)
+        _check_counts(trials=self.trials, n_steps=self.n_steps)
 
 
 def invariance_trial_setup(trial_index: int, seed: int = 0,
                            safety: SafetyConfig = SafetyConfig(),
-                           dt: float = 0.01, n_steps: int = 1200,
-                           ramp_angle_deg: float = 8.0,
-                           speed_range: Tuple[float, float] = (9.0, 10.5),
-                           progress_range: Tuple[float, float] = (-90.0, -60.0),
-                           ) -> ScenarioConfig:
-    """Scenario for one randomized invariance trial, addressable by index."""
+                           **settings) -> ScenarioConfig:
+    """Scenario for one randomized invariance trial, addressable by index;
+    settings override InvarianceSettings fields."""
+    s = InvarianceSettings(**settings)
     child = np.random.SeedSequence(seed).spawn(trial_index + 1)[trial_index]
     rng = np.random.Generator(np.random.PCG64(child))
-    return _invariance_trial_config(default_geometry(ramp_angle_deg=ramp_angle_deg),
-                                    safety, dt, n_steps, rng,
-                                    speed_range, progress_range)
+
+    def random_alpha() -> AlphaVector:
+        return AlphaVector(tuple(rng.uniform(0.0, 1.0, size=safety.q)))
+
+    ego = VehicleSpec(name="ego", role="ego", route="main",
+                      start_progress=rng.uniform(*s.progress_range),
+                      speed=rng.uniform(*s.speed_range),
+                      desired_speed=rng.uniform(*s.speed_range),
+                      gain=0.8, alpha=random_alpha())
+    other = VehicleSpec(name="other", role="neighbor", route="ramp",
+                        start_progress=rng.uniform(*s.progress_range),
+                        speed=rng.uniform(*s.speed_range),
+                        desired_speed=rng.uniform(*s.speed_range),
+                        gain=0.8, alpha=random_alpha())
+    return ScenarioConfig(geometry=default_geometry(ramp_angle_deg=s.ramp_angle_deg),
+                          vehicles=(ego, other), dt=s.dt, n_steps=s.n_steps,
+                          safety=safety)
 
 
-def experiment_invariance(n_trials: int = 100, seed: int = 0,
+def experiment_invariance(n_trials: Optional[int] = None, seed: int = 0,
                           safety: SafetyConfig = SafetyConfig(),
-                          dt: float = 0.01, n_steps: int = 1200,
-                          ramp_angle_deg: float = 8.0,
-                          speed_range: Tuple[float, float] = (9.0, 10.5),
-                          progress_range: Tuple[float, float] = (-90.0, -60.0),
-                          ) -> List[TrialMetrics]:
-    """Randomized style pairs merging under their filters; returns per-trial metrics.
+                          **settings) -> List[TrialMetrics]:
+    """Randomized style pairs merging under their filters; returns per-trial
+    metrics.  settings override InvarianceSettings fields, n_trials its trials.
 
     The default ranges keep closing speeds at constraint activation within
     what the actuator box can track for every style pair in the unit square:
@@ -781,20 +815,28 @@ def experiment_invariance(n_trials: int = 100, seed: int = 0,
     and a narrow speed band are what make the no-collision guarantee hold
     all the way down to saturation-free operation.
     """
-    out: List[TrialMetrics] = []
-    for idx in range(n_trials):
-        cfg = invariance_trial_setup(idx, seed=seed, safety=safety, dt=dt,
-                                     n_steps=n_steps,
-                                     ramp_angle_deg=ramp_angle_deg,
-                                     speed_range=speed_range,
-                                     progress_range=progress_range)
-        out.append(run_trial(cfg).metrics)
-    return out
+    if n_trials is not None:
+        settings["trials"] = n_trials
+    return [run_trial(invariance_trial_setup(idx, seed=seed, safety=safety, **settings)).metrics
+            for idx in range(InvarianceSettings(**settings).trials)]
 
 
 # ---------------------------------------------------------------------------
-# Prediction-in-the-loop: the same seeded three-vehicle merge run with the
-# style learner enabled and disabled.
+# Prediction-in-the-loop: the same three-vehicle merge run with the style
+# learner enabled and disabled.
+
+@dataclass(frozen=True)
+class AdaptiveSettings:
+    """Settings of experiment_prediction_in_loop, the [adaptive] config section."""
+
+    phase_budget: int = 300
+    hdot_mode: str = "analytic"
+
+    def __post_init__(self):
+        _check_counts(phase_budget=self.phase_budget)
+        if self.hdot_mode not in OBSERVATION_MODES:
+            raise ConfigurationError(f"unknown hdot_mode {self.hdot_mode!r}")
+
 
 @dataclass
 class AdaptiveComparison:
@@ -814,9 +856,9 @@ class AdaptiveComparison:
         return 100.0 * (self.overall_disabled - self.overall_enabled) / self.overall_disabled
 
 
-def adaptive_preset_config(seed: int = 0, n_steps: int = 3000,
+def adaptive_preset_config(n_steps: int = 3000,
                            safety: SafetyConfig = SafetyConfig(),
-                           dt: float = 0.01,
+                           dt: float = DEFAULT_DT,
                            ego_progress: float = -40.55,
                            object_alpha: AlphaVector = AlphaVector((0.9, 0.1)),
                            ) -> ScenarioConfig:
@@ -844,15 +886,15 @@ def adaptive_preset_config(seed: int = 0, n_steps: int = 3000,
                       start_progress=ego_progress, speed=3.0, desired_speed=3.0,
                       gain=0.8, alpha=AlphaVector((1.0, 0.0)), limits=limits)
     return ScenarioConfig(geometry=geom, vehicles=(lead, obj, ego), dt=dt,
-                          n_steps=n_steps, safety=safety, seed=seed)
+                          n_steps=n_steps, safety=safety)
 
 
-def experiment_prediction_in_loop(seed: int = 0,
-                                  cfg: Optional[ScenarioConfig] = None,
+def experiment_prediction_in_loop(cfg: Optional[ScenarioConfig] = None,
                                   policy=None, ridge: Optional[RidgeConfig] = None,
-                                  phase_budget: int = 300,
-                                  hdot_mode: str = "analytic") -> AdaptiveComparison:
-    """Paired adaptive runs (prediction on/off) on the same configuration.
+                                  **settings) -> AdaptiveComparison:
+    """Paired adaptive runs (prediction on/off) on the same configuration,
+    the canonical roster unless cfg is given; settings override
+    AdaptiveSettings fields.
 
     Observation defaults to the analytic rate (the observer reconstructs the
     object's acceleration from consecutive velocities, which the model makes
@@ -860,14 +902,15 @@ def experiment_prediction_in_loop(seed: int = 0,
     """
     from .adaptive import DEFAULT_POLICY, run_adaptive_merge  # deferred: avoids cycle
 
-    cfg = cfg if cfg is not None else adaptive_preset_config(seed=seed)
+    s = AdaptiveSettings(**settings)
+    cfg = cfg if cfg is not None else adaptive_preset_config()
     policy = policy if policy is not None else DEFAULT_POLICY
     enabled = run_adaptive_merge(cfg, policy=policy, ridge=ridge,
-                                 phase_budget=phase_budget, prediction_enabled=True,
-                                 hdot_mode=hdot_mode)
+                                 phase_budget=s.phase_budget, prediction_enabled=True,
+                                 hdot_mode=s.hdot_mode)
     disabled = run_adaptive_merge(cfg, policy=policy, ridge=ridge,
-                                  phase_budget=phase_budget, prediction_enabled=False,
-                                  hdot_mode=hdot_mode)
+                                  phase_budget=s.phase_budget, prediction_enabled=False,
+                                  hdot_mode=s.hdot_mode)
 
     def completion(record, name):
         s = record.trial.metrics.merge_step[name]

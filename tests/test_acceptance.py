@@ -167,7 +167,7 @@ def test_prediction_shortens_the_preset_merge():
     # conceding lets the ego merge strictly earlier, and the whole roster
     # finishes strictly sooner than the prediction-disabled baseline
     t0 = time.monotonic()
-    cmp = experiment_prediction_in_loop(seed=0)
+    cmp = experiment_prediction_in_loop()
     elapsed = time.monotonic() - t0
     assert cmp.ego_step_enabled < cmp.ego_step_disabled
     assert cmp.overall_enabled < cmp.overall_disabled

@@ -52,6 +52,10 @@ q = 2
 """
 
 
+PREDICT = cli._preset_text("predict")
+ADAPTIVE = cli._preset_text("adaptive")
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -160,8 +164,8 @@ def test_trials_override(tmp_path):
 
 def test_adaptive_preset_matches_library_builder():
     cp = cli._parse_config(cli._preset_text("adaptive"))
-    built = cli._build_scenario(cp, seed=0)
-    assert configs_equal(built, adaptive_preset_config(seed=0))
+    built = cli._build_scenario(cp)
+    assert configs_equal(built, adaptive_preset_config())
 
 
 def test_adaptive_preset_run_reports_speedup(tmp_path, capsys):
@@ -181,6 +185,29 @@ def test_adaptive_preset_run_reports_speedup(tmp_path, capsys):
     assert (exp_dir / "trajectory_disabled.csv").exists()
     assert (exp_dir / "estimates.csv").exists()
     assert "wrote" in captured.out
+
+
+WEIGHT_STYLES = cli._parse_config(cli._preset_text("sweep_weights")).get("sweep", "styles")
+
+
+@pytest.mark.parametrize("experiment,minimal,flags", [
+    ("invariance", "", ["--trials", 2]),
+    ("predict", "", ["--trials", 2]),
+    ("sweep", f"[sweep]\nstyles = {WEIGHT_STYLES}\n", []),
+    ("adaptive", "", []),
+])
+def test_code_defaults_match_shipped_presets(tmp_path, experiment, minimal, flags):
+    # a config that sets nothing it need not runs on the settings
+    # dataclasses' defaults, which must reproduce the shipped preset exactly
+    cfg = write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\n\n{minimal}")
+    out_code, out_preset = tmp_path / "code", tmp_path / "preset"
+    assert run_cli(["run", experiment, "--config", cfg, "--out", out_code] + flags) == 0
+    assert run_cli(["run", experiment, "--out", out_preset] + flags) == 0
+    csvs = sorted(p.name for p in (out_preset / experiment).glob("*.csv"))
+    assert csvs == sorted(p.name for p in (out_code / experiment).glob("*.csv"))
+    for name in csvs:
+        assert (out_code / experiment / name).read_bytes() == \
+            (out_preset / experiment / name).read_bytes(), name
 
 
 # --- validate ----------------------------------------------------------------
@@ -244,6 +271,8 @@ def test_invalid_value_exits_three(tmp_path, capsys):
     ("invariance", None, 0),
     ("invariance", None, -1),
     ("invariance", INVARIANCE_SMALL.replace("trials = 3", "trials = 0"), None),
+    pytest.param("predict", PREDICT.replace("mode = analytic", "mode = analytic\nsample_cap = 0"),
+                 None, id="predict-sample-cap-0"),
 ])
 def test_nonpositive_trials_exit_three(tmp_path, capsys, experiment, config, trials):
     args = ["run", experiment, "--out", tmp_path]
@@ -260,12 +289,30 @@ NEGATIVE_SEED = INVARIANCE_SMALL.replace("experiment = invariance",
                                          "experiment = invariance\nseed = -4")
 
 
+# Bad input from a flag or a config key: run exits 3 before writing anything,
+# and validate reports a FAIL line.
 @pytest.mark.parametrize("argv,config,code,stream,message", [
     (["run", "invariance", "--seed", -1, "--config"], INVARIANCE_SMALL, 3, "err", "config error"),
     (["run", "predict", "--seed", -1], None, 3, "err", "config error"),
     (["run", "invariance", "--config"], NEGATIVE_SEED, 3, "err", "config error"),
     (["validate"], NEGATIVE_SEED, 0, "out", "FAIL seed"),
-], ids=["flag", "flag-preset", "config-key", "validate"])
+    (["validate"], PREDICT.replace("mode = analytic", "mode = bogus"), 0, "out",
+     "FAIL settings: [predict]: unknown observation mode 'bogus'"),
+    (["validate"], ADAPTIVE.replace("hdot_mode = analytic", "hdot_mode = bogus"), 0, "out",
+     "FAIL settings: [adaptive]: unknown hdot_mode 'bogus'"),
+    (["validate"], PREDICT.replace("mode = analytic", "mode = analytic\nsample_cap = 0"), 0,
+     "out", "FAIL settings: [predict]: sample_cap must be >= 1, got 0"),
+    (["run", "predict", "--config"], PREDICT.replace("n_steps = 4000", "n_step = 10"), 3,
+     "err", "[predict] has no key 'n_step'"),
+    (["validate"], PREDICT.replace("n_steps = 4000", "n_step = 10"), 0, "out",
+     "FAIL settings: [predict] has no key 'n_step'"),
+    (["run", "adaptive", "--config"], ADAPTIVE.replace("accel_min = -8.0 -8.0", "accel_mn = -8.0 -8.0", 1),
+     3, "err", "[vehicle.lead] has no key 'accel_mn'"),
+    (["validate"], ADAPTIVE.replace("gain = 0.3", "gain = 0.3\nheadng = 1 0"),
+     0, "out", "FAIL scenario: [vehicle.lead] has no key 'headng'"),
+], ids=["flag", "flag-preset", "config-key", "validate", "validate-mode",
+        "validate-hdot-mode", "validate-sample-cap", "misspelt-key", "validate-misspelt-key",
+        "misspelt-vehicle-key", "validate-misspelt-vehicle-key"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, argv, config, code, stream, message):
     args = list(argv)
     if config is not None:
