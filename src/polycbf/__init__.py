@@ -17,10 +17,9 @@ from .errors import (ConfigurationError, DegenerateConstraintError, DomainError,
 from .learner import (AlphaEstimate, BarrierSample, RidgeConfig, StyleLearner,
                       check_convergence, export_samples, fit, import_samples,
                       observe, observe_analytic)
-from .adaptive import (DEFAULT_POLICY, AdaptiveRecord, CompatibilityRow,
-                       MismatchTrial, StylePolicy, aggressiveness_score,
-                       compatibility_constraint, experiment_assumption_mismatch,
-                       run_adaptive_merge, select_alpha)
+from .adaptive import (DEFAULT_POLICY, AdaptiveRecord, MismatchTrial, StylePolicy,
+                       aggressiveness_score, compatibility_constraint,
+                       experiment_assumption_mismatch, run_adaptive_merge, select_alpha)
 from .scenario import (AdaptiveComparison, AdaptiveSettings, InvarianceSettings,
                        PredictionSummary, PredictionTrial, PredictSettings,
                        RoadGeometry, ScenarioConfig, SweepEntry, SweepSettings,
@@ -45,8 +44,8 @@ __all__ = [
     "AlphaEstimate", "BarrierSample", "RidgeConfig", "StyleLearner",
     "check_convergence", "export_samples", "fit", "import_samples", "observe",
     "observe_analytic",
-    "DEFAULT_POLICY", "AdaptiveRecord", "CompatibilityRow", "MismatchTrial",
-    "StylePolicy", "aggressiveness_score", "compatibility_constraint",
+    "DEFAULT_POLICY", "AdaptiveRecord", "MismatchTrial", "StylePolicy",
+    "aggressiveness_score", "compatibility_constraint",
     "experiment_assumption_mismatch", "run_adaptive_merge", "select_alpha",
     "AdaptiveComparison", "AdaptiveSettings", "InvarianceSettings",
     "PredictSettings", "PredictionSummary", "PredictionTrial", "RoadGeometry",

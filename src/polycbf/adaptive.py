@@ -16,16 +16,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .barrier import AlphaVector, SafetyConfig, basis, kappa, safety_value
+from .barrier import AlphaVector, SafetyConfig, _kappa, kappa, safety_value
 from .controller import ControlLimits, NominalPlan, _solve_scalar, safe_control
-from .dynamics import VehicleState, step
+from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import ConfigurationError, DegenerateConstraintError
-from .learner import AlphaEstimate, RidgeConfig, StyleLearner, observe, observe_analytic
+from .learner import AlphaEstimate, RidgeConfig, StyleLearner
 from .scenario import (OBSERVATION_MODES, AdaptiveSettings, ScenarioConfig, TrialRecord,
-                       simulate)
+                       _observe_rows, simulate)
 
 __all__ = [
-    "CompatibilityRow",
     "compatibility_constraint",
     "aggressiveness_score",
     "StylePolicy",
@@ -37,21 +36,10 @@ __all__ = [
     "experiment_assumption_mismatch",
 ]
 
-@dataclass(frozen=True)
-class CompatibilityRow:
-    """Linear constraint a @ u <= b on the ego's acceleration."""
-
-    a: np.ndarray
-    b: float
-
-    def as_pair(self) -> Tuple[np.ndarray, float]:
-        return (self.a, self.b)
-
-
 def compatibility_constraint(ego: VehicleState, other: VehicleState,
                              alpha_i: AlphaVector, alpha_j: AlphaVector,
-                             cfg: SafetyConfig, dt: float) -> CompatibilityRow:
-    """Row tying the ego's braking authority to the style mismatch.
+                             cfg: SafetyConfig, dt: float) -> Tuple[np.ndarray, float]:
+    """Row (a, b), a @ u <= b, tying the ego's braking authority to the style mismatch.
 
     Against an other vehicle whose filter runs alpha_j, an ego running
     alpha_i must not out-brake the clearance budget the two styles disagree
@@ -63,16 +51,18 @@ def compatibility_constraint(ego: VehicleState, other: VehicleState,
     dx_y = float(ego.position[1]) - float(other.position[1])
     if dx_x == 0.0 and dx_y == 0.0:
         raise DegenerateConstraintError("coincident positions leave the row undefined")
-    h = safety_value(ego.position, other.position, cfg)
+    ax, ay, b = _compat_row(dx_x, dx_y, alpha_i, alpha_j, cfg, dt)
+    return np.array([ax, ay]), b
+
+
+def _compat_row(dx_x, dx_y, alpha_i, alpha_j, cfg, dt):
+    """Scalar kernel of compatibility_constraint, dx being ego minus other: no
+    validation, shared with the adaptive merge's row hook.  The offset is
+    kappa of the coefficient difference.  Returns (ax, ay, b)."""
+    h = dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe
     q = max(alpha_i.q, alpha_j.q)
-    ai = alpha_i.padded(q)
-    aj = alpha_j.padded(q)
-    hb = basis(h, q).values
-    b = 0.0
-    for p in range(q):
-        b += (ai[p] - aj[p]) * hb[p]
-    a = np.array([-2.0 * dx_x * dt, -2.0 * dx_y * dt])
-    return CompatibilityRow(a=a, b=b)
+    diff = tuple(ci - cj for ci, cj in zip(alpha_i.padded(q), alpha_j.padded(q)))
+    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(diff, h)
 
 
 def aggressiveness_score(alpha: AlphaVector, reference_h: float) -> float:
@@ -127,6 +117,16 @@ def select_alpha(alpha_j_hat: AlphaVector, policy: StylePolicy) -> AlphaVector:
     return policy.presets[len(policy.presets) - 1 - best_k]
 
 
+def _roster(cfg: ScenarioConfig) -> Tuple[int, int, int]:
+    """Indices of the ego, the object and the first neighbor of an adaptive
+    roster, which needs exactly one ego, exactly one object and a neighbor."""
+    roles = [v.role for v in cfg.vehicles]
+    if roles.count("ego") != 1 or roles.count("object") != 1 or "neighbor" not in roles:
+        raise ConfigurationError(
+            f"adaptive runs need one ego, one object, and a neighbor; got {roles}")
+    return roles.index("ego"), roles.index("object"), roles.index("neighbor")
+
+
 @dataclass
 class AdaptiveRecord:
     """Everything one adaptive run produced."""
@@ -165,22 +165,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     if phase_budget < 1:
         raise ConfigurationError(f"phase_budget must be >= 1, got {phase_budget}")
     ridge = ridge if ridge is not None else RidgeConfig(q_hypothesis=cfg.safety.q)
-
-    ego_idx = obj_idx = nbr_idx = None
-    for v, spec in enumerate(cfg.vehicles):
-        if spec.role == "ego":
-            if ego_idx is not None:
-                raise ConfigurationError("scenario must have exactly one ego")
-            ego_idx = v
-        elif spec.role == "object":
-            if obj_idx is not None:
-                raise ConfigurationError("scenario must have exactly one object")
-            obj_idx = v
-        elif nbr_idx is None:
-            nbr_idx = v
-    if ego_idx is None or obj_idx is None or nbr_idx is None:
-        raise ConfigurationError("adaptive run needs ego, object, and neighbor roles")
-
+    ego_idx, obj_idx, nbr_idx = _roster(cfg)
     dt = cfg.dt
     safety = cfg.safety
     learner = StyleLearner(ridge)
@@ -195,35 +180,27 @@ def run_adaptive_merge(cfg: ScenarioConfig,
             return state["ego_alpha"]
         return cfg.vehicles[v].alpha
 
-    def on_step(t_next: int, prev: List[VehicleState], cur: List[VehicleState]):
+    def on_step(t_next: int, prev: np.ndarray, cur: np.ndarray):
         if prediction_enabled and t_next <= phase_budget and not learner.converged:
-            u_obs = (cur[obj_idx].velocity - prev[obj_idx].velocity) / dt
+            u_obs = (cur[obj_idx, 2:] - prev[obj_idx, 2:]) / dt
             if learner.admits(u_obs):
-                if hdot_mode == "analytic":
-                    sample = observe_analytic(prev[obj_idx], prev[nbr_idx], u_obs,
-                                              safety, dt, step=t_next - 1)
-                else:
-                    sample = observe(cur[obj_idx], cur[nbr_idx],
-                                     prev[obj_idx], prev[nbr_idx],
-                                     safety, dt, step=t_next)
-                learner.add(sample)
+                learner.add(_observe_rows(hdot_mode, prev, cur, obj_idx, nbr_idx, u_obs,
+                                          safety, dt, t_next))
                 state["sample_steps"].append(t_next)
         if t_next == phase_budget and prediction_enabled and learner.estimate is not None:
             chosen = select_alpha(learner.estimate.alpha_hat, policy)
             state["selected"] = chosen
             state["ego_alpha"] = chosen
 
-    def extra_rows_fn(t: int, v: int, cur: List[VehicleState]):
+    def extra_rows_fn(t: int, v: int, cur: np.ndarray):
         if (v != ego_idx or not enforce_compatibility or not prediction_enabled
                 or t < phase_budget or not learner.converged):
             return ()
-        est = learner.estimate
-        if est is None:
-            return ()
-        row = compatibility_constraint(cur[ego_idx], cur[obj_idx],
-                                       state["ego_alpha"], est.alpha_hat,
-                                       safety, dt)
-        return (row.as_pair(),)
+        # A converged learner has an estimate.
+        dx_x, dx_y = (cur[ego_idx, :2] - cur[obj_idx, :2]).tolist()
+        ax, ay, b = _compat_row(dx_x, dx_y, state["ego_alpha"], learner.estimate.alpha_hat,
+                                safety, dt)
+        return (((ax, ay), b),)
 
     trial = simulate(cfg, alpha_fn=alpha_fn, extra_rows_fn=extra_rows_fn,
                      on_step=on_step)
@@ -261,7 +238,7 @@ class MismatchTrial:
 
 def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0,
                                    safety: SafetyConfig = SafetyConfig(),
-                                   dt: float = 0.01, n_steps: int = 1200,
+                                   dt: float = DEFAULT_DT, n_steps: int = 1200,
                                    ego_accel_bound: float = 2.5,
                                    object_limits: ControlLimits = ControlLimits(
                                        (-80.0, -80.0), (80.0, 80.0)),
@@ -305,12 +282,12 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0,
                                  safety, object_limits, dt)
             if not sol_j.feasible:
                 obj_bad += 1
-            row = compatibility_constraint(ego, obj, alpha_i, alpha_j, safety, dt)
+            a, b = compatibility_constraint(ego, obj, alpha_i, alpha_j, safety, dt)
             raw_x = rng.uniform(-0.3 * bound, bound)
             raw_y = rng.uniform(-0.2, 0.2)
             ux, uy, ok, _, _ = _solve_scalar(
                 raw_x, raw_y, -bound, -bound, bound, bound,
-                ((float(row.a[0]), float(row.a[1]), float(row.b)),))
+                ((float(a[0]), float(a[1]), b),))
             if not ok:
                 ego_bad += 1
             ego = step(ego, (ux, uy), dt)

@@ -15,9 +15,10 @@ row of the step.
 Configs are INI files.  Each section is parsed, by field type, into the
 dataclass that declares its keys and their defaults (the experiment's
 *Settings, SafetyConfig, RidgeConfig, StylePolicy, VehicleSpec, ...), so a
-key left out takes that default and a key that names no field is a config
-error.  `run` builds every object before it writes anything; `validate`
-reports the same construction rule by rule.
+key left out takes that default; a key that names no field, and a section
+the experiment does not read, is a config error.  `run` builds every object
+before it writes anything; `validate` reports the same construction rule by
+rule.
 
 Exit codes: 0 on success, 2 for unknown subcommands or experiments (usage
 error), 3 for a config that cannot be parsed or fails construction, 4 when
@@ -47,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adaptive import StylePolicy
+from .adaptive import StylePolicy, _roster
 from .barrier import AlphaVector, SafetyConfig
 from .controller import ControlLimits
 from .errors import ConfigurationError, DomainError
@@ -87,8 +88,16 @@ def _opt(value: Optional[int]) -> str:
 # the road, the function) that declares its keys and their defaults.  Float
 # lists are whitespace separated, style lists separate entries with "|".
 
-def _parse_config(text: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None)
+class _Config(configparser.ConfigParser):
+    """A parsed config that records each section a builder asks for."""
+
+    def __init__(self):
+        super().__init__(interpolation=None)
+        self.asked: set = set()
+
+
+def _parse_config(text: str) -> _Config:
+    cp = _Config()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -96,7 +105,7 @@ def _parse_config(text: str) -> configparser.ConfigParser:
     return cp
 
 
-def _load_config(path: Path) -> configparser.ConfigParser:
+def _load_config(path: Path) -> _Config:
     return _parse_config(path.read_text(encoding="utf-8"))
 
 
@@ -176,6 +185,7 @@ _PARSERS: Dict[object, Callable[[str, str], object]] = {
 
 
 def _section(cp, section: str) -> Dict[str, str]:
+    cp.asked.add(section)
     return dict(cp.items(section)) if cp.has_section(section) else {}
 
 
@@ -314,29 +324,49 @@ def _build_scenario(cp) -> ScenarioConfig:
                           safety=_build_safety(cp), **steps)
 
 
-def _check_roster(cfg: ScenarioConfig) -> None:
-    roles = [v.role for v in cfg.vehicles]
-    if roles.count("ego") != 1 or roles.count("object") != 1 or "neighbor" not in roles:
-        raise ConfigurationError(
-            f"adaptive runs need one ego, one object, and a neighbor; got {roles}")
+def _build_adaptive_scenario(cp) -> ScenarioConfig:
+    """The adaptive roster from [vehicle.*], [scenario] and [safety], or the
+    built-in one (which reads none of them) when no vehicle is declared."""
+    if not _vehicle_sections(cp):
+        return adaptive_preset_config()
+    cfg = _build_scenario(cp)
+    _roster(cfg)
+    return cfg
+
+
+def _input_steps(cp, experiment: str, trials: Optional[int] = None):
+    """(name, needs, build) for each object the experiment reads from the
+    config, in build order.  build takes the object built by the step named
+    `needs`, or nothing when that is None; `name` is the runner's keyword and
+    the validate rule."""
+    steps = [("settings", None, lambda: _build_settings(cp, experiment, trials))]
+    if experiment == "adaptive":
+        return steps + [("scenario", None, lambda: _build_adaptive_scenario(cp)),
+                        ("ridge", "scenario", lambda cfg: _build_ridge(cp, cfg.safety)),
+                        ("policy", None, lambda: _build_policy(cp))]
+    steps.append(("safety", None, lambda: _build_safety(cp)))
+    if experiment == "predict":
+        steps.append(("ridge", "safety", lambda safety: _build_ridge(cp, safety)))
+    return steps
+
+
+def _check_read(cp, experiment: str) -> None:
+    """Reject a section that no builder asked for (after [run] and every
+    input step were built), so that a misspelt or misplaced section cannot
+    leave its settings silently at their defaults."""
+    unread = [s for s in cp.sections() if s not in cp.asked]
+    if unread:
+        raise ConfigurationError(f"[{unread[0]}] is not read by the {experiment} experiment")
 
 
 def _build_inputs(cp, experiment: str, trials: Optional[int] = None) -> dict:
-    """Every object the experiment reads from the config, built (and so
-    validated) before anything is written."""
-    inputs = {"settings": _build_settings(cp, experiment, trials)}
-    if experiment == "adaptive":
-        if _vehicle_sections(cp):
-            cfg = _build_scenario(cp)
-            _check_roster(cfg)
-        else:
-            cfg = adaptive_preset_config()
-        inputs.update(cfg=cfg, ridge=_build_ridge(cp, cfg.safety), policy=_build_policy(cp))
-    else:
-        inputs["safety"] = _build_safety(cp)
-        if experiment == "predict":
-            inputs["ridge"] = _build_ridge(cp, inputs["safety"])
-    return inputs
+    """Every object the experiment reads from the config, keyed as its runner
+    takes them, built (and so validated) before anything is written."""
+    got = {}
+    for name, needs, build in _input_steps(cp, experiment, trials):
+        got[name] = build(got[needs]) if needs else build()
+    _check_read(cp, experiment)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +559,14 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
 
 
 def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
-                  cfg: ScenarioConfig, ridge: Optional[RidgeConfig],
+                  scenario: ScenarioConfig, ridge: Optional[RidgeConfig],
                   policy: Optional[StylePolicy]):
-    comparison = experiment_prediction_in_loop(cfg=cfg, policy=policy, ridge=ridge,
+    comparison = experiment_prediction_in_loop(cfg=scenario, policy=policy, ridge=ridge,
                                                **vars(settings))
     enabled, disabled = comparison.enabled, comparison.disabled
-    q = cfg.safety.q
+    q = scenario.safety.q
 
-    names = [v.name for v in cfg.vehicles]
+    names = [v.name for v in scenario.vehicles]
     header = (["run", "prediction_enabled", "collision", "infeasible_steps", "min_h"]
               + [f"merge_step:{n}" for n in names]
               + ["ego_merge_step", "overall_step", "converged_at"]
@@ -671,66 +701,57 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # validate: per-rule diagnostics, always exits 0 unless the file is unreadable.
 
-def _rule_experiment(cp) -> str:
-    declared = _build_run(cp).experiment
-    if declared not in EXPERIMENTS:
-        raise ConfigurationError(f"unknown experiment {declared!r}")
-    return f"experiment {declared!r}"
+# What a passing input step reports.
+_DESCRIBE = {
+    "settings": repr,
+    "safety": lambda safety: f"r_safe {safety.r_safe}, order {safety.q}",
+    "scenario": lambda cfg: (
+        f"merge at x={cfg.geometry.merge_point[0]:g}, lookahead {cfg.geometry.lookahead:g}; "
+        f"roster {[v.name for v in cfg.vehicles]} with roles {[v.role for v in cfg.vehicles]}; "
+        f"r_safe {cfg.safety.r_safe}, order {cfg.safety.q}"),
+    "ridge": lambda ridge: "no [ridge] section (defaults apply)" if ridge is None else (
+        f"regularizer {ridge.regularizer:g}, "
+        f"tol {ridge.convergence_tol:g}, window {ridge.convergence_window}"),
+    "policy": lambda policy: "no [policy] section (defaults apply)" if policy is None else (
+        f"{len(policy.presets)} presets, strictly ordered by aggressiveness"),
+}
 
 
-def _rule_seed(cp) -> str:
-    seed = _build_run(cp).seed
-    if seed < 0:
-        raise ConfigurationError(f"[run] seed = {seed} is not >= 0")
-    return f"seed {seed}"
-
-
-def _rule_settings(cp) -> str:
-    return repr(_build_settings(cp, _build_run(cp).experiment))
-
-
-def _rule_safety(cp) -> str:
-    safety = _build_safety(cp)
-    return f"r_safe {safety.r_safe}, order {safety.q}"
-
-
-def _rule_scenario(cp) -> str:
-    geometry, _ = _build_geometry(cp)
-    road = f"merge at x={geometry.merge_point[0]:g}, lookahead {geometry.lookahead:g}"
-    if not _vehicle_sections(cp):
-        return f"{road}; no vehicle sections declared"
-    cfg = _build_scenario(cp)
-    if cp.get("run", "experiment", fallback=None) == "adaptive":
-        _check_roster(cfg)
-    return (f"{road}; roster {[v.name for v in cfg.vehicles]} "
-            f"with roles {[v.role for v in cfg.vehicles]}")
-
-
-def _rule_ridge(cp) -> str:
-    ridge = _build_ridge(cp, _build_safety(cp))
-    if ridge is None:
-        return "no [ridge] section (defaults apply)"
-    return (f"regularizer {ridge.regularizer:g}, "
-            f"tol {ridge.convergence_tol:g}, window {ridge.convergence_window}")
-
-
-def _rule_policy(cp) -> str:
-    policy = _build_policy(cp)
-    if policy is None:
-        return "no [policy] section (defaults apply)"
-    return f"{len(policy.presets)} presets, strictly ordered by aggressiveness"
-
-
-# Each rule builds what `run` builds from the same sections, with the same code.
-_VALIDATE_RULES = (
-    ("experiment", _rule_experiment),
-    ("seed", _rule_seed),
-    ("settings", _rule_settings),
-    ("safety", _rule_safety),
-    ("scenario", _rule_scenario),
-    ("ridge", _rule_ridge),
-    ("policy", _rule_policy),
-)
+def _validate(cp) -> List[Tuple[str, bool, str]]:
+    """(rule, passed, detail) for [run], then for each input step of the
+    declared experiment, built with the code `run` uses, then for sections
+    that no step read."""
+    try:
+        declared = _build_run(cp)
+        if declared.experiment not in EXPERIMENTS:
+            raise ConfigurationError(f"unknown experiment {declared.experiment!r}")
+    except (ConfigurationError, DomainError) as exc:
+        return [("experiment", False, str(exc))]
+    experiment, seed = declared.experiment, declared.seed
+    results = [("experiment", True, repr(experiment)),
+               ("seed", seed >= 0, f"seed {seed}" if seed >= 0 else
+                f"[run] seed = {seed} is not >= 0")]
+    steps = _input_steps(cp, experiment)
+    got = {}
+    for name, needs, build in steps:
+        if needs and needs not in got:
+            results.append((name, False, f"not evaluated: {needs} did not build"))
+            continue
+        try:
+            got[name] = build(got[needs]) if needs else build()
+            results.append((name, True, _DESCRIBE[name](got[name])))
+        except (ConfigurationError, DomainError) as exc:
+            results.append((name, False, str(exc)))
+    # A step that failed may have stopped before asking for all its sections.
+    if len(got) < len(steps):
+        results.append(("sections", False, "not evaluated: an input did not build"))
+        return results
+    try:
+        _check_read(cp, experiment)
+        results.append(("sections", True, f"the {experiment} experiment reads every section"))
+    except ConfigurationError as exc:
+        results.append(("sections", False, str(exc)))
+    return results
 
 
 def _cmd_validate(args) -> int:
@@ -741,22 +762,12 @@ def _cmd_validate(args) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
 
-    results: List[Tuple[str, bool, str]] = []
-    cp = None
     try:
         cp = _parse_config(text)
-        results.append(("parse", True, "well-formed"))
     except ConfigurationError as exc:
-        results.append(("parse", False, str(exc)))
-    for name, rule in _VALIDATE_RULES:
-        if cp is None:
-            results.append((name, False, "not evaluated: config did not parse"))
-            continue
-        try:
-            results.append((name, True, rule(cp)))
-        except (ConfigurationError, DomainError) as exc:
-            results.append((name, False, str(exc)))
-
+        results = [("parse", False, str(exc))]
+    else:
+        results = [("parse", True, "well-formed")] + _validate(cp)
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     n_fail = sum(1 for _, ok, _ in results if not ok)

@@ -105,9 +105,14 @@ def observe(obj: VehicleState, neighbor: VehicleState,
     """Backward-difference clearance rate paired with the current clearance basis."""
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
-    h_cur = safety_value(obj.position, neighbor.position, cfg)
-    h_prev = safety_value(prev_obj.position, prev_neighbor.position, cfg)
-    return BarrierSample((h_cur - h_prev) / dt, basis(h_cur, cfg.q), step)
+    return _observe(safety_value(obj.position, neighbor.position, cfg),
+                    safety_value(prev_obj.position, prev_neighbor.position, cfg),
+                    cfg.q, dt, step)
+
+
+def _observe(h_cur: float, h_prev: float, q: int, dt: float, step: int) -> BarrierSample:
+    """Kernel of observe on the two clearances, shared with the simulation hooks."""
+    return BarrierSample((h_cur - h_prev) / dt, basis(h_cur, q), step)
 
 
 def observe_analytic(obj: VehicleState, neighbor: VehicleState, obj_u,

@@ -3,7 +3,7 @@
 A scenario is a straight main road met by a straight on-ramp at a merge
 point.  Vehicles track a route (main, ramp, or a fixed heading), each running
 its own minimal-deviation safety filter against every other vehicle, and all
-states advance synchronously from the same previous-step snapshot, so trials
+states advance synchronously from the same previous-step states, so trials
 are deterministic functions of their configuration.
 
 Progress along a route is measured as signed arc length to the merge point
@@ -23,11 +23,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barrier import DEFAULT_Q, AlphaVector, SafetyConfig, kappa
+from .barrier import DEFAULT_Q, AlphaVector, SafetyConfig, kappa, safety_value
 from .controller import DEFAULT_LIMITS, ControlLimits, _cruise, _safety_row, _solve_scalar
 from .dynamics import DEFAULT_DT, VehicleState, _step
 from .errors import ConfigurationError
-from .learner import RidgeConfig, StyleLearner, observe, observe_analytic
+from .learner import RidgeConfig, StyleLearner, _observe, observe_analytic
 
 __all__ = [
     "RoadGeometry",
@@ -288,17 +288,18 @@ class TrialRecord:
 
 def simulate(cfg: ScenarioConfig,
              alpha_fn: Optional[Callable[[int, int], AlphaVector]] = None,
-             extra_rows_fn: Optional[Callable[[int, int, List[VehicleState]], Sequence]] = None,
-             on_step: Optional[Callable[[int, List[VehicleState], List[VehicleState]], object]] = None,
+             extra_rows_fn: Optional[Callable[[int, int, np.ndarray], Sequence]] = None,
+             on_step: Optional[Callable[[int, np.ndarray, np.ndarray], object]] = None,
              ) -> TrialRecord:
     """Run one synchronous trial.
 
-    Hooks: alpha_fn(t, v) overrides vehicle v's style at step t; extra_rows_fn
-    appends pre-built QP rows (dropped for the step, and counted, if they make
-    the QP infeasible while the safety rows alone are satisfiable); on_step is
-    called after each advance with the previous and new state snapshots, and
-    may return truthy to end the trial early (the new step is still logged,
-    and all per-step arrays are truncated to the steps actually run).
+    Hooks see states as the read-only (n, 4) rows [x, y, vx, vy] logged as
+    states[t].  alpha_fn(t, v) overrides vehicle v's style at step t;
+    extra_rows_fn(t, v, cur) appends pre-built QP rows (dropped for the step,
+    and counted, if they make the QP infeasible while the safety rows alone
+    are satisfiable); on_step(t_next, prev, cur) gets states[t_next - 1] and
+    states[t_next] after each advance, and may return truthy to end the trial early (the new step is still logged, and
+    all per-step arrays are truncated to the steps actually run).
     """
     geom = cfg.geometry
     vehicles = cfg.vehicles
@@ -308,11 +309,13 @@ def simulate(cfg: ScenarioConfig,
     r2 = cfg.safety.r_safe * cfg.safety.r_safe
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
-    init = [v.initial_state(geom) for v in vehicles]
-    px = [float(s.position[0]) for s in init]
-    py = [float(s.position[1]) for s in init]
-    vx = [float(s.velocity[0]) for s in init]
-    vy = [float(s.velocity[1]) for s in init]
+    states = np.empty((N + 1, n, 4))
+    for v, spec in enumerate(vehicles):
+        init = spec.initial_state(geom)
+        states[0, v] = (*init.position, *init.velocity)
+    px, py, vx, vy = (states[0, :, k].tolist() for k in range(4))
+    rows_ro = states.view()  # the hooks' view; each row is written once
+    rows_ro.flags.writeable = False
     alphas = [v.alpha for v in vehicles]
     gains = [v.gain for v in vehicles]
     desired = [v.desired_speed for v in vehicles]
@@ -325,7 +328,6 @@ def simulate(cfg: ScenarioConfig,
                 for v in vehicles]
     h_of = [[0.0] * n for _ in range(n)]
 
-    states = np.empty((N + 1, n, 4))
     inputs = np.zeros((N + 1, n, 2))
     pair_h = np.empty((N + 1, len(pairs)))
     feasible = np.ones((N + 1, n), dtype=bool)
@@ -333,18 +335,8 @@ def simulate(cfg: ScenarioConfig,
     relaxed = 0
     stop = False
     n_logged = N + 1
-    want_states = extra_rows_fn is not None or on_step is not None
-    carried: Optional[List[VehicleState]] = None
-
-    def snapshot() -> List[VehicleState]:
-        return [VehicleState((px[v], py[v]), (vx[v], vy[v])) for v in range(n)]
 
     for t in range(N + 1):
-        for v in range(n):
-            states[t, v, 0] = px[v]
-            states[t, v, 1] = py[v]
-            states[t, v, 2] = vx[v]
-            states[t, v, 3] = vy[v]
         for p, (i, j) in enumerate(pairs):
             dxx = px[i] - px[j]
             dyy = py[i] - py[j]
@@ -359,10 +351,7 @@ def simulate(cfg: ScenarioConfig,
             n_logged = t + 1
             break
 
-        if want_states:
-            cur_states = carried if carried is not None else snapshot()
-        else:
-            cur_states = None
+        cur = rows_ro[t]
         new_u = []
         for v in range(n):
             alpha = alpha_fn(t, v) if alpha_fn is not None else alphas[v]
@@ -381,7 +370,7 @@ def simulate(cfg: ScenarioConfig,
                     for w in range(n) if w != v]
             n_safety = len(rows)
             if extra_rows_fn is not None:
-                for a, b in extra_rows_fn(t, v, cur_states):
+                for a, b in extra_rows_fn(t, v, cur):
                     rows.append((float(a[0]), float(a[1]), float(b)))
 
             ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x[v], lo_y[v],
@@ -404,9 +393,9 @@ def simulate(cfg: ScenarioConfig,
             ux, uy = new_u[v]
             px[v], vx[v] = _step(px[v], vx[v], ux, dt)
             py[v], vy[v] = _step(py[v], vy[v], uy, dt)
+            states[t + 1, v] = (px[v], py[v], vx[v], vy[v])
         if on_step is not None:
-            carried = snapshot()
-            stop = bool(on_step(t + 1, cur_states, carried))
+            stop = bool(on_step(t + 1, cur, rows_ro[t + 1]))
 
     states = states[:n_logged]
     inputs = inputs[:n_logged]
@@ -424,6 +413,17 @@ def simulate(cfg: ScenarioConfig,
     )
     log = TrajectoryLog(names, pairs, dt, states, inputs, pair_h, feasible)
     return TrialRecord(log, metrics, relaxed)
+
+
+def _observe_rows(mode, prev, cur, obj, nbr, u_obs, safety, dt, t_next):
+    """The learner's sample of vehicle obj against vehicle nbr over the step
+    that ended at t_next, from the state rows an on_step hook receives."""
+    if mode == "analytic":
+        return observe_analytic(VehicleState(prev[obj, :2], prev[obj, 2:]),
+                                VehicleState(prev[nbr, :2], prev[nbr, 2:]),
+                                u_obs, safety, dt, step=t_next - 1)
+    return _observe(safety_value(cur[obj, :2], cur[nbr, :2], safety),
+                    safety_value(prev[obj, :2], prev[nbr, :2], safety), safety.q, dt, t_next)
 
 
 def run_trial(cfg: ScenarioConfig) -> TrialRecord:
@@ -591,14 +591,14 @@ def experiment_prediction(n_trials: Optional[int] = None, seed: int = 0,
         gain = cfg.vehicles[0].gain
         lim = cfg.vehicles[0].limits
 
-        def observe_step(t: int, prev: List[VehicleState], cur: List[VehicleState]):
+        def observe_step(t: int, prev: np.ndarray, cur: np.ndarray):
             nonlocal cruise_v
             if learner.converged:
                 return True
             if cruise_v is None:
-                cruise_v = prev[0].velocity
-            u_obs = (cur[0].velocity - prev[0].velocity) / dt
-            u_nominal_est = gain * (cruise_v - prev[0].velocity)
+                cruise_v = prev[0, 2:]
+            u_obs = (cur[0, 2:] - prev[0, 2:]) / dt
+            u_nominal_est = gain * (cruise_v - prev[0, 2:])
             if not learner.admits(u_obs, u_nominal_est):
                 return False
             saturated = any(
@@ -606,11 +606,7 @@ def experiment_prediction(n_trials: Optional[int] = None, seed: int = 0,
                 for c in range(2))
             if saturated:
                 return False
-            if mode == "analytic":
-                sample = observe_analytic(prev[0], prev[1], u_obs, safety, dt, step=t - 1)
-            else:
-                sample = observe(cur[0], cur[1], prev[0], prev[1], safety, dt, step=t)
-            learner.add(sample)
+            learner.add(_observe_rows(mode, prev, cur, 0, 1, u_obs, safety, dt, t))
             if sample_cap is not None and len(learner.samples) >= sample_cap:
                 return True
             return learner.converged

@@ -31,18 +31,18 @@ def test_compatibility_row_hand_example():
     # arithmetic representable
     ego = VehicleState((6.0, 0.0), (0.0, 0.0))
     other = VehicleState((0.0, 0.0), (0.0, 0.0))
-    row = compatibility_constraint(ego, other, AlphaVector((1.0, 0.0)),
-                                   AlphaVector((0.5, 0.5)), CFG, 0.01)
-    assert row.a == pytest.approx([-0.12, 0.0], rel=1e-15, abs=0.0)
-    assert row.b == 0.5 * 11.0 - 0.5 * 1331.0
+    a, b = compatibility_constraint(ego, other, AlphaVector((1.0, 0.0)),
+                                    AlphaVector((0.5, 0.5)), CFG, 0.01)
+    assert a == pytest.approx([-0.12, 0.0], rel=1e-15, abs=0.0)
+    assert b == 0.5 * 11.0 - 0.5 * 1331.0
 
 
 def test_compatibility_row_pads_mixed_orders():
     ego = VehicleState((6.0, 0.0), (0.0, 0.0))
     other = VehicleState((0.0, 0.0), (0.0, 0.0))
-    row = compatibility_constraint(ego, other, AlphaVector((2.0,)),
-                                   AlphaVector((0.5, 0.25)), CFG, 0.01)
-    assert row.b == pytest.approx(1.5 * 11.0 - 0.25 * 1331.0, rel=1e-12)
+    _, b = compatibility_constraint(ego, other, AlphaVector((2.0,)),
+                                    AlphaVector((0.5, 0.25)), CFG, 0.01)
+    assert b == pytest.approx(1.5 * 11.0 - 0.25 * 1331.0, rel=1e-12)
 
 
 def test_compatibility_row_is_safety_margin_difference():
@@ -56,14 +56,12 @@ def test_compatibility_row_is_safety_margin_difference():
                              rng.uniform(-8, 8, 2))
         ai = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
         aj = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
-        row = compatibility_constraint(ego, other, ai, aj, CFG, dt)
+        a, b = compatibility_constraint(ego, other, ai, aj, CFG, dt)
         a1, b1 = build_safety_constraint(ego, other, (0.0, 0.0), ai, CFG, dt)
         a2, b2 = build_safety_constraint(ego, other, (0.0, 0.0), aj, CFG, dt)
-        assert np.array_equal(np.asarray(row.a), a1)
-        assert np.array_equal(np.asarray(row.a), a2)
-        assert row.b == pytest.approx(b1 - b2, rel=1e-9, abs=1e-9)
-        ax, ay = row.as_pair()[0]
-        assert (ax, ay) == (row.a[0], row.a[1])
+        assert np.array_equal(a, a1)
+        assert np.array_equal(a, a2)
+        assert b == pytest.approx(b1 - b2, rel=1e-9, abs=1e-9)
 
 
 def test_compatibility_rejects_coincident_positions():

@@ -287,10 +287,13 @@ def test_nonpositive_trials_exit_three(tmp_path, capsys, experiment, config, tri
 
 NEGATIVE_SEED = INVARIANCE_SMALL.replace("experiment = invariance",
                                          "experiment = invariance\nseed = -4")
+MISSPELT_SECTION = INVARIANCE_SMALL + "\n[safty]\nr_safe = 50\n"
+# without a roster the adaptive run uses the built-in one, whose safety is fixed
+ADAPTIVE_NO_ROSTER = "[run]\nexperiment = adaptive\n\n[safety]\nr_safe = 7.0\n"
 
 
-# Bad input from a flag or a config key: run exits 3 before writing anything,
-# and validate reports a FAIL line.
+# Bad input from a flag, a config key or a config section: run exits 3 before
+# writing anything, and validate reports a FAIL line.
 @pytest.mark.parametrize("argv,config,code,stream,message", [
     (["run", "invariance", "--seed", -1, "--config"], INVARIANCE_SMALL, 3, "err", "config error"),
     (["run", "predict", "--seed", -1], None, 3, "err", "config error"),
@@ -310,9 +313,22 @@ NEGATIVE_SEED = INVARIANCE_SMALL.replace("experiment = invariance",
      3, "err", "[vehicle.lead] has no key 'accel_mn'"),
     (["validate"], ADAPTIVE.replace("gain = 0.3", "gain = 0.3\nheadng = 1 0"),
      0, "out", "FAIL scenario: [vehicle.lead] has no key 'headng'"),
+    (["run", "invariance", "--config"], MISSPELT_SECTION, 3, "err",
+     "config error: [safty] is not read by the invariance experiment"),
+    (["validate"], MISSPELT_SECTION, 0, "out",
+     "FAIL sections: [safty] is not read by the invariance experiment"),
+    (["run", "adaptive", "--config"], ADAPTIVE_NO_ROSTER, 3, "err",
+     "config error: [safety] is not read by the adaptive experiment"),
+    (["validate"], ADAPTIVE_NO_ROSTER, 0, "out",
+     "FAIL sections: [safety] is not read by the adaptive experiment"),
+    # and validate reports the built-in roster's safety, not the unread r_safe 7.0
+    (["validate"], ADAPTIVE_NO_ROSTER, 0, "out",
+     "roles ['neighbor', 'object', 'ego']; r_safe 5.0, order 2\nPASS ridge"),
 ], ids=["flag", "flag-preset", "config-key", "validate", "validate-mode",
         "validate-hdot-mode", "validate-sample-cap", "misspelt-key", "validate-misspelt-key",
-        "misspelt-vehicle-key", "validate-misspelt-vehicle-key"])
+        "misspelt-vehicle-key", "validate-misspelt-vehicle-key", "misspelt-section",
+        "validate-misspelt-section", "adaptive-unread-section",
+        "validate-adaptive-unread-section", "validate-adaptive-reported-safety"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, argv, config, code, stream, message):
     args = list(argv)
     if config is not None:

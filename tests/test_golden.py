@@ -1,10 +1,12 @@
-"""Golden artifacts: the CSV bytes of two shipped runs, pinned by sha256.
+"""Golden artifacts: the CSV bytes of two shipped runs and the fields of
+one assumption-mismatch batch, pinned by sha256.
 
-The digests were recorded before `simulate` and the per-vehicle API were
-moved onto shared scalar kernels, so a refactor that changes any output bit
-fails here, not only a rerun that disagrees with itself.  Neither run calls
-BLAS or LAPACK, so the digests do not depend on the numpy build's
-linear-algebra kernels.
+The CSV digests were recorded before `simulate` and the per-vehicle API were
+moved onto shared scalar kernels, and the mismatch digest before that
+experiment moved from its own stepping loop onto `simulate`, so a refactor
+that changes any output bit fails here, not only a rerun that disagrees with
+itself.  None of these runs calls BLAS or LAPACK, so the digests do not
+depend on the numpy build's linear-algebra kernels.
 """
 import hashlib
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import polycbf
-from polycbf import cli
+from polycbf import cli, experiment_assumption_mismatch
 
 PRESETS = Path(polycbf.__file__).parent / "presets"
 
@@ -43,3 +45,20 @@ def test_csv_bytes_match_golden_digests(tmp_path, name):
     out = tmp_path / args[1]
     found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert found == digests
+
+
+MISMATCH_DIGEST = "fb2c255f1819c47e2fcf63eae7fa2e1a84717ffa2786b17dda6d8699123aa10b"
+
+
+def _g17(x) -> str:
+    return format(float(x), ".17g")
+
+
+def test_mismatch_fields_match_golden_digest():
+    # one line per trial: both styles, min_h and the two infeasible counts
+    trials = experiment_assumption_mismatch(n_trials=8, seed=5)
+    text = "\n".join(" ".join([*map(_g17, t.alpha_i.coefficients),
+                                *map(_g17, t.alpha_j.coefficients), _g17(t.min_h),
+                                str(t.ego_row_infeasible), str(t.object_infeasible)])
+                      for t in trials)
+    assert hashlib.sha256(text.encode()).hexdigest() == MISMATCH_DIGEST

@@ -303,16 +303,42 @@ def test_on_step_early_stop_truncates_log():
     seen = []
 
     def stop_at_five(t_next, prev_states, new_states):
-        seen.append(t_next)
-        assert len(new_states) == 3
+        seen.append((t_next, prev_states.copy(), new_states.copy()))
+        assert new_states.shape == (3, 4)
+        for rows in (prev_states, new_states):
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
         return t_next >= 5
 
     rec = simulate(cfg, on_step=stop_at_five)
-    assert seen == [1, 2, 3, 4, 5]
+    assert [t for t, _, _ in seen] == [1, 2, 3, 4, 5]
+    # the hook sees exactly the logged rows of the step it follows
+    for t, prev_states, new_states in seen:
+        assert np.array_equal(prev_states, rec.log.states[t - 1])
+        assert np.array_equal(new_states, rec.log.states[t])
     # the stopping step is still logged, nothing after it
     assert rec.log.states.shape[0] == 6
     assert rec.log.inputs.shape[0] == 6
     assert rec.log.pair_h.shape[0] == 6
+
+
+def test_extra_rows_fn_sees_logged_rows_and_empty_rows_change_nothing():
+    cfg = three_vehicle_config(n_steps=300)
+    plain = run_trial(cfg)
+    seen = []
+
+    def no_rows(t, v, cur):
+        seen.append((t, v, cur.copy()))
+        with pytest.raises(ValueError):
+            cur[v, 2] = 0.0
+        return ()
+
+    rec = simulate(cfg, extra_rows_fn=no_rows)
+    assert [(t, v) for t, v, _ in seen] == [(t, v) for t in range(300) for v in range(3)]
+    assert all(np.array_equal(cur, rec.log.states[t]) for t, _, cur in seen)
+    for name in ("states", "inputs", "pair_h", "feasible"):
+        assert getattr(rec.log, name).tobytes() == getattr(plain.log, name).tobytes()
+    assert rec.metrics == plain.metrics
 
 
 def test_alpha_fn_hook_overrides_styles():
