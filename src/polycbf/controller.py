@@ -13,20 +13,29 @@ When the nominal point satisfies every row, which is the common case, it is
 returned at once.  Otherwise the projections and pairwise intersections are
 scored by objective and checked in that order, so only the answer and the
 candidates that undercut it are screened against the rows; ties go to the
-first candidate generated.  Infeasible programs fall back to the box-bounded
-input minimizing the worst violation and are flagged.
+first candidate generated.
+
+Infeasible programs are flagged and fall back to the smallest worst violation
+t* = min over the box of max_i (a_i.u - b_i), found exactly without an LP
+solver.  Each row's minimum over the box lies at a corner, and the largest of
+those minima bounds t* from below.  When it equals the best corner's worst
+row, that corner is optimal, which costs O(m).  Otherwise every vertex of the
+LP in (ux, uy, t) is scored: box corners, box-edge points where two rows are
+equal, and interior points where three rows are equal.  The input is then
+re-solved against the rows relaxed by t*, so ties resolve toward the nominal.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .barrier import AlphaVector, SafetyConfig, _kappa, _kappa_args, safety_value
-from .dynamics import VehicleState
+from .dynamics import DEFAULT_DT, VehicleState
 from .errors import ConfigurationError, DegenerateConstraintError, DomainError
 
 __all__ = [
@@ -244,17 +253,56 @@ def _enumerate_min_deviation(ubar_x, ubar_y, rows):
 
 
 def _minimax_violation(rows, lo_x, lo_y, hi_x, hi_y):
-    """Box-bounded point minimizing the largest row violation, via a small LP."""
-    from scipy.optimize import linprog  # deferred: only the infeasible path needs it
+    """Box point minimizing the worst violation max_i (a_i.u - b_i), exactly.
 
-    a_ub = [[ax, ay, -1.0] for ax, ay, _ in rows]
-    b_ub = [b for _, _, b in rows]
-    res = linprog(c=[0.0, 0.0, 1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(lo_x, hi_x), (lo_y, hi_y), (None, None)],
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"violation-minimizing fallback failed: {res.message}")
-    return float(res.x[0]), float(res.x[1]), float(res.x[2])
+    rows are (ax, ay, b) triples without the box faces.  Returns (ux, uy, t*).
+    Each row's own minimum over the box lies at the corner opposing a, so the
+    largest of those minima bounds t* from below; the best corner bounds it
+    from above.  When the two meet, that corner is optimal.
+    """
+    lower = max(ax * (lo_x if ax > 0.0 else hi_x) + ay * (lo_y if ay > 0.0 else hi_y) - b
+                for ax, ay, b in rows)
+    t_star, cx, cy = min((max(ax * cx + ay * cy - b for ax, ay, b in rows), cx, cy)
+                         for cx, cy in ((lo_x, lo_y), (hi_x, lo_y), (lo_x, hi_y), (hi_x, hi_y)))
+    if t_star == lower:
+        return cx, cy, t_star
+    return _minimax_vertices(rows, lo_x, lo_y, hi_x, hi_y)
+
+
+def _minimax_vertices(rows, lo_x, lo_y, hi_x, hi_y):
+    """Vertex enumeration for _minimax_violation when no corner is certified.
+
+    The optimum of the LP in (ux, uy, t) is a vertex: a box corner, a point on
+    a box edge where two rows are equal, or an interior point where three rows
+    are equal.  Candidates are clipped into the box, so each one bounds t*
+    from above and the best of them attains it.
+    """
+    ax, ay, b = np.array(rows, dtype=np.float64).T
+    xs = [np.array([lo_x, hi_x, lo_x, hi_x])]
+    ys = [np.array([lo_y, lo_y, hi_y, hi_y])]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i, j = np.triu_indices(len(b), 1)
+        dax, day, db = ax[i] - ax[j], ay[i] - ay[j], b[i] - b[j]
+        for c in (lo_x, hi_x):  # edges ux = c
+            xs.append(np.full(len(db), c))
+            ys.append((db - dax * c) / day)
+        for c in (lo_y, hi_y):  # edges uy = c
+            xs.append((db - day * c) / dax)
+            ys.append(np.full(len(db), c))
+        i, j, k = np.array(list(itertools.combinations(range(len(b)), 3)),
+                           dtype=np.intp).reshape(-1, 3).T
+        d1x, d1y, e1 = ax[i] - ax[j], ay[i] - ay[j], b[i] - b[j]
+        d2x, d2y, e2 = ax[i] - ax[k], ay[i] - ay[k], b[i] - b[k]
+        det = d1x * d2y - d1y * d2x
+        xs.append((e1 * d2y - e2 * d1y) / det)
+        ys.append((d1x * e2 - d2x * e1) / det)
+    ux, uy = np.concatenate(xs), np.concatenate(ys)
+    keep = ~(np.isnan(ux) | np.isnan(uy))
+    ux = np.clip(ux[keep], lo_x, hi_x)
+    uy = np.clip(uy[keep], lo_y, hi_y)
+    worst = (ax[:, None] * ux + ay[:, None] * uy - b[:, None]).max(axis=0)
+    best = int(np.argmin(worst))
+    return float(ux[best]), float(uy[best]), float(worst[best])
 
 
 def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
@@ -276,15 +324,7 @@ def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
 
     # No admissible input: take the box point with the smallest worst violation,
     # then resolve ties toward the nominal by re-solving with relaxed rows.
-    if len(rows) == 5:
-        # Single substantive row: the minimizer is the box corner opposing a,
-        # where the box faces add no violation of their own.  Skip the LP.
-        ax, ay, b = rows[0]
-        vx = lo_x if ax > 0.0 else hi_x
-        vy = lo_y if ay > 0.0 else hi_y
-        t_star = ax * vx + ay * vy - b
-    else:
-        vx, vy, t_star = _minimax_violation(rows, lo_x, lo_y, hi_x, hi_y)
+    vx, vy, t_star = _minimax_violation(rows[:-4], lo_x, lo_y, hi_x, hi_y)
     slack = t_star + 1e-9 * max(1.0, abs(t_star))
     relaxed = [(ax, ay, b + slack) for ax, ay, b in rows[:-4]]
     relaxed.extend(rows[-4:])  # box faces stay hard
@@ -312,17 +352,15 @@ def solve_qp(qp: QpProblem) -> QpSolution:
 
 def safe_control(ego: VehicleState, others: Sequence, alpha: AlphaVector,
                  plan: NominalPlan, cfg: SafetyConfig,
-                 limits: ControlLimits = DEFAULT_LIMITS, dt: float = 0.01,
-                 extra_rows: Sequence[Tuple[np.ndarray, float]] = ()) -> QpSolution:
+                 limits: ControlLimits = DEFAULT_LIMITS,
+                 dt: float = DEFAULT_DT) -> QpSolution:
     """Filter the nominal cruise input against every neighbor.
 
     others is a sequence of (VehicleState, assumed acceleration) pairs; pass
-    None for the acceleration to model a constant-velocity neighbor.  Extra
-    pre-built rows (style-compatibility, etc.) are appended verbatim.
+    None for the acceleration to model a constant-velocity neighbor.
     """
     ubar = nominal_control(ego, plan, limits)
     rows = [build_safety_constraint(ego, other, u_assumed, alpha, cfg, dt)
             for other, u_assumed in others]
-    rows.extend(extra_rows)
     qp = QpProblem(ubar, limits.u_min, limits.u_max, tuple(rows))
     return solve_qp(qp)

@@ -84,3 +84,29 @@ def configs_equal(a, b):
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(configs_equal(a[k], b[k]) for k in a)
     return a == b
+
+
+def minimax_oracle(lo, hi, rows, feas_tol=1e-9):
+    """Brute-force min over the box of max_i (a_i.u - b_i).
+
+    The LP min t s.t. a_i.u - t <= b_i and lo <= u <= hi attains its optimum
+    at a vertex of (ux, uy, t): three linearly independent active constraints
+    among the rows and the four box faces.  Every triple is solved, and the
+    feasible vertex with the smallest t wins.  Returns (u, t).
+    """
+    G = [[float(a[0]), float(a[1]), -1.0] for a, _ in rows]
+    h = [float(b) for _, b in rows]
+    G += [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
+    h += [float(hi[0]), -float(lo[0]), float(hi[1]), -float(lo[1])]
+    G = np.array(G)
+    h = np.array(h)
+    tol = feas_tol * np.maximum(1.0, np.abs(h))
+    best = None
+    for triple in itertools.combinations(range(len(h)), 3):
+        M = G[list(triple)]
+        if abs(np.linalg.det(M)) <= 1e-12 * max(1.0, float(np.abs(M).max())) ** 3:
+            continue
+        z = np.linalg.solve(M, h[list(triple)])
+        if np.all(G @ z - h <= tol) and (best is None or z[2] < best[2]):
+            best = z
+    return best[:2], float(best[2])

@@ -1,9 +1,15 @@
 """Safety filter QP: nominal law, constraint rows, exact solve, fallbacks."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import qp_oracle, random_box_qp
+from helpers import minimax_oracle, qp_oracle, random_box_qp
 
+import polycbf
 from polycbf import (
     AlphaVector,
     ConfigurationError,
@@ -233,6 +239,89 @@ def test_solve_qp_infeasible_multi_row_keeps_minimax_violation():
     assert sol.max_violation == pytest.approx(2.0, rel=1e-9)
     # the relaxed re-solve keeps u_x at the nominal and pins u_y to the wall
     assert sol.u == pytest.approx([0.0, -1.0], abs=1e-8)
+
+
+def _check_minimax_fallback(u_nom, lo, hi, rows):
+    """solve_qp's t* equals the oracle's, and its input stays in the box and
+    within the relaxed rows, up to the screening tolerance.  Returns the
+    oracle's minimizer."""
+    sol = solve_qp(QpProblem(u_nom, lo, hi, tuple((np.asarray(a), b) for a, b in rows)))
+    u_star, t_star = minimax_oracle(lo, hi, rows)
+    assert not sol.feasible
+    assert sol.max_violation == pytest.approx(t_star, rel=1e-9)
+    assert np.all(sol.u >= lo - 1e-8) and np.all(sol.u <= hi + 1e-8)
+    worst = max(float(np.asarray(a) @ sol.u) - b for a, b in rows)
+    assert worst <= t_star + 1e-8 * max(1.0, abs(t_star))
+    return u_star
+
+
+def test_solve_qp_infeasible_matches_minimax_oracle():
+    # rows of random direction and length, each offset so that the row is
+    # violated by at least t0 at a point p near the box; the optimum lands
+    # at a corner, on an edge or inside the box
+    rng = np.random.default_rng(23)
+    where = {0: 0, 1: 0, 2: 0}  # box coordinates the optimum sits on
+    checked = 0
+    while checked < 100:
+        lo, hi = -rng.uniform(0.5, 6.0, 2), rng.uniform(0.5, 6.0, 2)
+        m = int(rng.integers(2, 16))
+        angle = rng.uniform(0.0, 2.0 * np.pi, m)
+        a = np.stack([np.cos(angle), np.sin(angle)], 1) * rng.uniform(0.2, 2.0, (m, 1))
+        p = rng.uniform(1.3 * lo, 1.3 * hi)
+        slack = rng.exponential(0.5, m) * (rng.random(m) < 0.7)
+        b = a @ p - rng.uniform(0.1, 2.0) - slack
+        rows = [(a[k], float(b[k])) for k in range(m)]
+        if minimax_oracle(lo, hi, rows)[1] < 1e-3:
+            continue  # feasible, or too close to call
+        u_star = _check_minimax_fallback(rng.uniform(-8.0, 8.0, 2), lo, hi, rows)
+        on_box = np.isclose(u_star, lo, rtol=0.0, atol=1e-9) | np.isclose(u_star, hi, rtol=0.0,
+                                                                          atol=1e-9)
+        where[int(on_box.sum())] += 1
+        checked += 1
+    assert min(where.values()) >= 10, where
+
+
+E_X, E_Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+TRIANGLE = [(np.array([np.cos(th), np.sin(th)]), -1.0)
+            for th in (0.3, 0.3 + 2.0 * np.pi / 3.0, 0.3 + 4.0 * np.pi / 3.0)]
+
+
+@pytest.mark.parametrize("rows, t_star", [
+    # three rows 120 degrees apart, each twice: optimum inside the box
+    (TRIANGLE + TRIANGLE, 1.0),
+    # zero components; the bottom edge holds the optimum at u_x = 0
+    ([(E_Y, -3.0), (E_X, -2.0), (-E_X, -2.0)], 2.0),
+    # two corners tie at 3, yet the optimum is between them at t* = 2
+    ([(E_X, -2.0), (-E_X, -2.0)], 2.0),
+    # the bottom corners tie at 2 and are both optimal
+    ([(E_Y, -3.0), (E_Y, -3.0)], 2.0),
+    # a row with a = 0 is violated by -b everywhere
+    ([(np.zeros(2), -1.0), (E_X, -0.5)], 1.0),
+    # the same two rows, the second far worse than the constant one
+    ([(np.zeros(2), -1.0), (E_X + E_Y, -6.0)], 4.0),
+], ids=["interior-duplicated", "edge-zero-component", "corner-tie-interior",
+        "corner-tie-optimal", "zero-row-dominant", "zero-row-dominated"])
+def test_solve_qp_infeasible_degenerate_rows_match_minimax_oracle(rows, t_star):
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    _check_minimax_fallback(np.array([0.3, 0.4]), lo, hi, rows)
+    assert minimax_oracle(lo, hi, rows)[1] == pytest.approx(t_star, rel=1e-12)
+
+
+def test_package_never_loads_scipy():
+    code = "\n".join([
+        "import sys",
+        "import polycbf",
+        "rows = (((1.0, 0.0), -2.0), ((0.0, 1.0), -3.0), ((-1.0, -1.0), -2.0))",
+        "sol = polycbf.solve_qp(polycbf.QpProblem((0.3, 0.4), (-1.0, -1.0), (1.0, 1.0), rows))",
+        "assert not sol.feasible",
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+    ])
+    src = str(Path(polycbf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_build_safety_constraint_hand_example():

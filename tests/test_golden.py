@@ -1,10 +1,12 @@
-"""Golden artifacts: the CSV bytes of two shipped runs and the fields of
-one assumption-mismatch batch, pinned by sha256.
+"""Golden artifacts: the CSV bytes of two shipped runs, the fields of one
+assumption-mismatch batch and the metrics of one 16-vehicle merge, pinned by
+sha256.
 
 The CSV digests were recorded before `simulate` and the per-vehicle API were
-moved onto shared scalar kernels, and the mismatch digest before that
-experiment moved from its own stepping loop onto `simulate`, so a refactor
-that changes any output bit fails here, not only a rerun that disagrees with
+moved onto shared scalar kernels, the mismatch digest before that experiment
+moved from its own stepping loop onto `simulate`, and the merge digest while
+infeasible multi-row programs still went to an LP solver.  A refactor that
+changes any output bit fails here, not only a rerun that disagrees with
 itself.  None of these runs calls BLAS or LAPACK, so the digests do not
 depend on the numpy build's linear-algebra kernels.
 """
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import polycbf
-from polycbf import cli, experiment_assumption_mismatch
+from polycbf import (AlphaVector, ScenarioConfig, VehicleSpec, cli, default_geometry,
+                     experiment_assumption_mismatch, simulate)
 
 PRESETS = Path(polycbf.__file__).parent / "presets"
 
@@ -62,3 +65,33 @@ def test_mismatch_fields_match_golden_digest():
                                 str(t.ego_row_infeasible), str(t.object_infeasible)])
                       for t in trials)
     assert hashlib.sha256(text.encode()).hexdigest() == MISMATCH_DIGEST
+
+
+MERGE_DIGEST = "0e0b90a218eff66ceb19edfef2deb181bdc84175436826f56508e3a57603134c"
+
+
+def _two_lane_roster():
+    """8 ramp and 8 main-road vehicles on an 8 degree merge, spread in speed,
+    desired speed and style; several filters turn infeasible with many rows."""
+    vehicles = []
+    for lane, lead, phase in (("ramp", -40.0, 0), ("main", -42.5, 1)):
+        progress = lead
+        for k in range(8):
+            j = (3 * k + 5 * phase) % 8
+            vehicles.append(VehicleSpec(
+                name=f"{lane}{k}", route=lane, start_progress=progress,
+                speed=9.0 + 0.2 * j, desired_speed=10.5 - 0.2 * j, gain=0.8,
+                alpha=AlphaVector((0.1 + 0.11 * j, 0.9 - 0.1 * ((j + 3) % 8)))))
+            progress -= 10.0 + 0.5 * ((k + phase) % 5)
+    return ScenarioConfig(geometry=default_geometry(ramp_angle_deg=8.0),
+                          vehicles=tuple(vehicles), dt=0.01, n_steps=90)
+
+
+def test_many_vehicle_merge_matches_golden_digest():
+    rec = simulate(_two_lane_roster())
+    m = rec.metrics
+    assert m.infeasible_step_count > 0
+    lines = [f"{a} {b} {_g17(h)}" for (a, b), h in sorted(m.min_h.items())]
+    lines += [f"{name} {step}" for name, step in sorted(m.merge_step.items())]
+    lines += [str(m.infeasible_step_count), str(rec.relaxed_steps)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MERGE_DIGEST
