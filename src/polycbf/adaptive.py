@@ -149,7 +149,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
                        ridge: Optional[RidgeConfig] = None,
                        phase_budget: int = AdaptiveSettings.phase_budget,
                        prediction_enabled: bool = True,
-                       hdot_mode: str = "finite_diff",
+                       hdot_mode: str = AdaptiveSettings.hdot_mode,
                        enforce_compatibility: bool = True) -> AdaptiveRecord:
     """Two-phase merge: observe and fit for phase_budget steps, then drive
     with the mirrored style (plus the compatibility row once the estimate has
@@ -158,7 +158,8 @@ def run_adaptive_merge(cfg: ScenarioConfig,
 
     The roster must contain exactly one ego, exactly one object (the vehicle
     being identified), and at least one neighbor; the object is observed
-    against the first neighbor.
+    against the first neighbor.  phase_budget and hdot_mode default to
+    AdaptiveSettings, the [adaptive] config section.
     """
     if hdot_mode not in OBSERVATION_MODES:
         raise ConfigurationError(f"unknown hdot_mode {hdot_mode!r}")

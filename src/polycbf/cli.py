@@ -37,6 +37,7 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import io
 import json
 import os
 import sys
@@ -372,21 +373,37 @@ def _build_inputs(cp, experiment: str, trials: Optional[int] = None) -> dict:
 # ---------------------------------------------------------------------------
 # CSV emission and re-parsing.
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer (QUOTE_MINIMAL) writes it as one field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+# One trajectory row: step, quoted name, the six floats, feasible, then the
+# step's clearance suffix.  '%.17g' % x is format(x, ".17g"), as in _g17.
+_TRAJECTORY_ROW = "%d,%s," + ",".join(["%.17g"] * 6) + ",%d%s\n"
+
+
 def write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
-    """One row per (step, vehicle); clearances repeat on each row of a step."""
-    n_rows, n_veh = log.states.shape[0], log.states.shape[1]
+    """One row per (step, vehicle); clearances repeat on each row of a step.
+
+    Streams one step at a time: each step's arrays become Python floats with
+    one tolist() each, its clearance suffix is formatted once, and its rows
+    are written with one call, so the file is never held in memory.  The
+    bytes are those of csv.writer with every float through _g17.
+    """
+    names = [_csv_field(name) for name in log.names]
+    pair_fmt = ",%.17g" * len(log.pairs)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        pair_cols = [f"h:{log.names[i]}:{log.names[j]}" for i, j in log.pairs]
-        w.writerow(list(TRAJECTORY_COLUMNS) + pair_cols)
-        for t in range(n_rows):
-            hvals = [_g17(log.pair_h[t, p]) for p in range(len(log.pairs))]
-            for v in range(n_veh):
-                w.writerow([t, log.names[v],
-                            _g17(log.states[t, v, 0]), _g17(log.states[t, v, 1]),
-                            _g17(log.states[t, v, 2]), _g17(log.states[t, v, 3]),
-                            _g17(log.inputs[t, v, 0]), _g17(log.inputs[t, v, 1]),
-                            int(bool(log.feasible[t, v]))] + hvals)
+        csv.writer(fh, lineterminator="\n").writerow(
+            list(TRAJECTORY_COLUMNS)
+            + [f"h:{log.names[i]}:{log.names[j]}" for i, j in log.pairs])
+        steps = zip(log.states, log.inputs, np.asarray(log.feasible, dtype=bool), log.pair_h)
+        for t, (xs, us, oks, hs) in enumerate(steps):
+            h = pair_fmt % tuple(hs.tolist())
+            fh.write("".join([_TRAJECTORY_ROW % (t, name, *x, *u, ok, h) for name, x, u, ok
+                              in zip(names, xs.tolist(), us.tolist(), oks.tolist())]))
 
 
 def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:

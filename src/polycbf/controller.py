@@ -206,6 +206,14 @@ def _enumerate_min_deviation(ubar_x, ubar_y, rows):
     candidate satisfies every row.  Among candidates with the smallest
     objective, the first one generated wins.
     """
+    # Most programs keep the nominal point: screen it before building the
+    # tolerance list that the candidate scan needs.
+    for ax, ay, b in rows:
+        if ax * ubar_x + ay * ubar_y - b > _FEAS_TOL * max(1.0, abs(b)):
+            break
+    else:
+        return ubar_x, ubar_y, 0.0
+
     checks = [(ax, ay, b, _FEAS_TOL * max(1.0, abs(b))) for ax, ay, b in rows]
 
     def feasible(ux, uy):
@@ -213,9 +221,6 @@ def _enumerate_min_deviation(ubar_x, ubar_y, rows):
             if ax * ux + ay * uy - b > tol:
                 return False
         return True
-
-    if feasible(ubar_x, ubar_y):
-        return ubar_x, ubar_y, 0.0
 
     # The nominal point is cut off: generate the projections onto each line,
     # then the pairwise intersections, and scan them by (objective, index).

@@ -892,9 +892,10 @@ def experiment_prediction_in_loop(cfg: Optional[ScenarioConfig] = None,
     the canonical roster unless cfg is given; settings override
     AdaptiveSettings fields.
 
-    Observation defaults to the analytic rate (the observer reconstructs the
-    object's acceleration from consecutive velocities, which the model makes
-    exact); pass hdot_mode="finite_diff" to difference clearances instead.
+    Like run_adaptive_merge, observation defaults to AdaptiveSettings.hdot_mode,
+    the analytic rate (the observer reconstructs the object's acceleration
+    from consecutive velocities, which the model makes exact); pass
+    hdot_mode="finite_diff" to difference clearances instead.
     """
     from .adaptive import DEFAULT_POLICY, run_adaptive_merge  # deferred: avoids cycle
 

@@ -1,4 +1,6 @@
 """Shared test oracles, implemented independently of the library code paths."""
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -110,3 +112,22 @@ def minimax_oracle(lo, hi, rows, feas_tol=1e-9):
         if np.all(G @ z - h <= tol) and (best is None or z[2] < best[2]):
             best = z
     return best[:2], float(best[2])
+
+
+def trajectory_csv_oracle(log) -> bytes:
+    """A TrajectoryLog's CSV as csv.writer writes it, one row per (step,
+    vehicle), every float through format(float(x), ".17g")."""
+    def g17(x):
+        return format(float(x), ".17g")
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["step", "vehicle", "x", "y", "vx", "vy", "ux", "uy", "feasible"]
+               + [f"h:{log.names[i]}:{log.names[j]}" for i, j in log.pairs])
+    for t in range(log.states.shape[0]):
+        hvals = [g17(log.pair_h[t, p]) for p in range(len(log.pairs))]
+        for v, name in enumerate(log.names):
+            w.writerow([t, name] + [g17(x) for x in log.states[t, v]]
+                       + [g17(u) for u in log.inputs[t, v]]
+                       + [int(bool(log.feasible[t, v]))] + hvals)
+    return buf.getvalue().encode("utf-8")

@@ -1,11 +1,13 @@
 """Style compatibility rows, preset selection, and the adaptive merge loop."""
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from polycbf import (
     DEFAULT_POLICY,
+    AdaptiveSettings,
     AlphaVector,
     ConfigurationError,
     DegenerateConstraintError,
@@ -126,6 +128,12 @@ def test_adaptive_run_argument_validation():
         run_adaptive_merge(cfg, hdot_mode="spectral")
     with pytest.raises(ConfigurationError):
         run_adaptive_merge(cfg, phase_budget=0)
+
+
+def test_adaptive_run_defaults_are_the_settings_defaults():
+    params = inspect.signature(run_adaptive_merge).parameters
+    for field in dataclasses.fields(AdaptiveSettings):
+        assert params[field.name].default == getattr(AdaptiveSettings(), field.name)
 
 
 def test_disabled_prediction_reduces_to_plain_trial():

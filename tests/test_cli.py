@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import configs_equal
+from helpers import configs_equal, trajectory_csv_oracle
 
-from polycbf import adaptive_preset_config, invariance_trial_setup, run_trial
+from polycbf import (TrajectoryLog, adaptive_preset_config, experiment_prediction_in_loop,
+                     invariance_trial_setup, run_trial, simulate)
 from polycbf import cli
 
 
@@ -92,6 +93,48 @@ def test_trajectory_csv_header_names_pairs(tmp_path):
     assert tuple(header[: len(cli.TRAJECTORY_COLUMNS)]) == cli.TRAJECTORY_COLUMNS
     for col, (i, j) in zip(header[len(cli.TRAJECTORY_COLUMNS):], log.pairs):
         assert col == f"h:{log.names[i]}:{log.names[j]}"
+
+
+# Floats whose .17g text is special: signed zero, non-finite values, the
+# smallest subnormal, the largest double, and values that need all 17 digits.
+EDGE_FLOATS = (-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+               1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0e-7, 9007199254740993.0)
+
+
+def _edge_log(names):
+    n, rows = len(names), 7
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    return TrajectoryLog(
+        names=tuple(names), pairs=pairs, dt=0.01,
+        states=np.resize(np.array(EDGE_FLOATS), (rows, n, 4)),
+        inputs=np.resize(np.array(EDGE_FLOATS[::-1]), (rows, n, 2)),
+        pair_h=np.resize(np.array(EDGE_FLOATS[3:]), (rows, len(pairs))),
+        feasible=np.resize(np.array([2, 0, 1]), (rows, n)))  # written as int(bool(x))
+
+
+def _early_stop_log():
+    cfg = invariance_trial_setup(0, seed=3, n_steps=200)
+    log = simulate(cfg, on_step=lambda t_next, prev, cur: t_next >= 37).log
+    assert log.states.shape[0] == 38
+    return log
+
+
+def _adaptive_logs():
+    comparison = experiment_prediction_in_loop()
+    return [comparison.enabled.trial.log, comparison.disabled.trial.log]
+
+
+@pytest.mark.parametrize("make_logs", [
+    lambda: [_edge_log(["plain", "a,b", 'say "hi"'])],
+    lambda: [_edge_log(["solo"])],
+    lambda: [_early_stop_log()],
+    _adaptive_logs,
+], ids=["edge-values-quoted-names", "one-vehicle", "early-stop", "adaptive-preset"])
+def test_trajectory_csv_matches_csv_writer_oracle(tmp_path, make_logs):
+    for k, log in enumerate(make_logs()):
+        path = tmp_path / f"traj{k}.csv"
+        cli.write_trajectory_csv(path, log)
+        assert path.read_bytes() == trajectory_csv_oracle(log)
 
 
 # --- run: artifacts and manifest ---------------------------------------------

@@ -307,6 +307,19 @@ def test_solve_qp_infeasible_degenerate_rows_match_minimax_oracle(rows, t_star):
     assert minimax_oracle(lo, hi, rows)[1] == pytest.approx(t_star, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the relaxed re-solve screens the box faces with the rows' relative "
+    "tolerance 1e-9*max(1, |bound|), so it accepts a candidate just past a face"))
+def test_solve_qp_result_stays_inside_the_box():
+    # the program of invariance_trial_setup(0, seed=8) at its first step
+    # whose result left the box: the relaxed re-solve returns u_y = 5 + 1 ulp
+    lo, hi = np.array([-5.0, -5.0]), np.array([5.0, 5.0])
+    row = (np.array([0.02509599345438389, -0.10519732195659082]), -1.1468220957059856)
+    sol = solve_qp(QpProblem((0.24994105699484095, -0.24406686293342386), lo, hi, (row,)))
+    assert not sol.feasible
+    assert np.all(lo <= sol.u) and np.all(sol.u <= hi), sol.u
+
+
 def test_package_never_loads_scipy():
     code = "\n".join([
         "import sys",
