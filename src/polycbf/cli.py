@@ -430,10 +430,15 @@ def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
     index = {n: i for i, n in enumerate(names)}
     pairs: List[Tuple[int, int]] = []
     for col in header[len(TRAJECTORY_COLUMNS):]:
-        tag, a, b = col.split(":")
-        if tag != "h":
-            raise ConfigurationError(f"{path}: unexpected column {col!r}")
-        pairs.append((index[a], index[b]))
+        # "h:<name>:<name>", where a vehicle name may itself contain ":".
+        tag, _, rest = col.partition(":")
+        cuts = [k for k, c in enumerate(rest) if c == ":"]
+        found = [(index[rest[:k]], index[rest[k + 1:]]) for k in cuts
+                 if rest[:k] in index and rest[k + 1:] in index]
+        if tag != "h" or len(found) != 1:
+            raise ConfigurationError(f"{path}: column {col!r} does not name one "
+                                     f"pair of the vehicles {names}")
+        pairs.append(found[0])
     states = np.zeros((n_rows, n_veh, 4))
     inputs = np.zeros((n_rows, n_veh, 2))
     pair_h = np.zeros((n_rows, len(pairs)))

@@ -9,11 +9,12 @@ within the vehicle's class-K margin.
 The solver is an active-set enumeration specialized to two decision
 variables: the optimum of a strictly convex 2-D projection lies either at the
 nominal point, on a single constraint line, or at the intersection of two.
-When the nominal point satisfies every row, which is the common case, it is
-returned at once.  Otherwise the projections and pairwise intersections are
-scored by objective and checked in that order, so only the answer and the
-candidates that undercut it are screened against the rows; ties go to the
-first candidate generated.
+When the nominal point lies in the box and satisfies every row, which is the
+common case, it is returned before the box faces are even built.  Otherwise
+one pass over the projections and then the pairwise intersections keeps the
+best feasible candidate, the first generated among equal objectives.  Pairs
+on a box face that lies provably farther away than the best projection are
+never formed (the rounding argument is in _enumerate_min_deviation).
 
 Infeasible programs are flagged and fall back to the smallest worst violation
 t* = min over the box of max_i (a_i.u - b_i), found exactly without an LP
@@ -199,62 +200,102 @@ def _safety_row(dx_x, dx_y, dv_x, dv_y, uo_x, uo_y, h, coeffs, dt):
     return -2.0 * dx_x * dt, -2.0 * dx_y * dt, b
 
 
+def _admits(rows, ux, uy):
+    """True when u satisfies every row a.u <= b to within _FEAS_TOL of its scale.
+
+    A row with a.u - b <= 0 passes before its tolerance is formed; the
+    decision is that of the bare tolerance test for every input, NaN included,
+    because the tolerance is always positive.
+    """
+    for ax, ay, b in rows:
+        v = ax * ux + ay * uy - b
+        if v > 0.0 and v > _FEAS_TOL * max(1.0, abs(b)):
+            return False
+    return True
+
+
 def _enumerate_min_deviation(ubar_x, ubar_y, rows):
     """Best feasible candidate for min ||u - ubar||^2 over rows a.u <= b.
 
     rows include the box faces.  Returns (ux, uy, objective) or None when no
-    candidate satisfies every row.  Among candidates with the smallest
-    objective, the first one generated wins.
+    candidate satisfies every row.  The candidates are the nominal point, the
+    projection onto each line, then the intersection of each pair (i, j),
+    i < j; the answer is the feasible one with the smallest finite objective,
+    the first generated among ties.  One pass keeps the running best: a
+    candidate replaces it only when its objective is strictly smaller and it
+    satisfies every row.
+
+    Pairs on a face row, one with coefficients (+-1, 0) or (0, +-1), are not
+    formed when, after the projections, the face line ux = c (c = ax*b,
+    exact) lies farther from ubar than the best candidate by a margin:
+    |c - ubar_x| > sqrt(best)*(1 + 1e-12) + 1e-12*|c| + 1e-140.  Such a pair
+    can never replace the best, which only decreases:
+    - its det is the other row's coefficient a, up to sign, exactly, so its
+      ux is fl(fl(c*a)/a): within 2.3e-16*|c| of c, plus at most 1.3e-148
+      if c*a underflows, since a pair that passes the det/scale test has
+      |a| > 1e-14*scale >= 2e-176;
+    - so |ux - ubar_x| exceeds both sqrt(best)*(1 + 0.99e-12) and 0.99e-140,
+      and the computed objective, which squares ux - ubar_x without underflow
+      and adds a non-negative term, exceeds best (a NaN one never wins).
+    The y faces are the same with the axes swapped.  Pairs of two general
+    rows are always formed: their rounding depends on det, and no cheap bound
+    exists.
     """
-    # Most programs keep the nominal point: screen it before building the
-    # tolerance list that the candidate scan needs.
-    for ax, ay, b in rows:
-        if ax * ubar_x + ay * ubar_y - b > _FEAS_TOL * max(1.0, abs(b)):
-            break
-    else:
+    if _admits(rows, ubar_x, ubar_y):
         return ubar_x, ubar_y, 0.0
 
-    checks = [(ax, ay, b, _FEAS_TOL * max(1.0, abs(b))) for ax, ay, b in rows]
-
-    def feasible(ux, uy):
-        for ax, ay, b, tol in checks:
-            if ax * ux + ay * uy - b > tol:
-                return False
-        return True
-
-    # The nominal point is cut off: generate the projections onto each line,
-    # then the pairwise intersections, and scan them by (objective, index).
-    candidates = []
-    n = len(rows)
-    for i in range(n):
-        ax, ay, b = rows[i]
-        nrm2 = ax * ax + ay * ay
-        if nrm2 <= 0.0:
+    # obj < best_obj also rejects non-finite objectives: never the answer, and
+    # a NaN point would pass _admits.
+    best = None
+    best_obj = math.inf
+    nrms = []
+    for ax, ay, b in rows:
+        nrm = ax * ax + ay * ay
+        nrms.append(nrm)
+        if nrm <= 0.0:
             continue
         # Euclidean projection onto the line a.u = b.
-        t = (ax * ubar_x + ay * ubar_y - b) / nrm2
-        candidates.append((ubar_x - t * ax, ubar_y - t * ay))
-    for i in range(n):
-        ax1, ay1, b1 = rows[i]
-        for j in range(i + 1, n):
-            ax2, ay2, b2 = rows[j]
-            det = ax1 * ay2 - ay1 * ax2
-            scale = math.sqrt((ax1 * ax1 + ay1 * ay1) * (ax2 * ax2 + ay2 * ay2))
-            if scale == 0.0 or abs(det) <= 1e-14 * scale:
-                continue
-            candidates.append(((b1 * ay2 - b2 * ay1) / det, (ax1 * b2 - ax2 * b1) / det))
-    scored = []
-    for index, (ux, uy) in enumerate(candidates):
+        t = (ax * ubar_x + ay * ubar_y - b) / nrm
+        ux = ubar_x - t * ax
+        uy = ubar_y - t * ay
         dxu = ux - ubar_x
         dyu = uy - ubar_y
         obj = dxu * dxu + dyu * dyu
-        if math.isfinite(obj):  # never the answer, and NaN would pass feasible()
-            scored.append((obj, index, ux, uy))
-    scored.sort()
-    for obj, _, ux, uy in scored:
-        if feasible(ux, uy):
-            return ux, uy, obj
-    return None
+        if obj < best_obj and _admits(rows, ux, uy):
+            best, best_obj = (ux, uy), obj
+
+    live = range(len(rows))
+    if best is not None:
+        reach = math.sqrt(best_obj) * (1.0 + 1e-12) + 1e-140
+        live = []
+        for k, (ax, ay, b) in enumerate(rows):
+            if ay == 0.0 and abs(ax) == 1.0:
+                gap = abs(ax * b - ubar_x)
+            elif ax == 0.0 and abs(ay) == 1.0:
+                gap = abs(ay * b - ubar_y)
+            else:
+                gap = 0.0
+            if not gap > reach + 1e-12 * abs(b):
+                live.append(k)
+    for p, i in enumerate(live):
+        ax1, ay1, b1 = rows[i]
+        nrm1 = nrms[i]
+        for j in live[p + 1:]:
+            ax2, ay2, b2 = rows[j]
+            det = ax1 * ay2 - ay1 * ax2
+            scale = math.sqrt(nrm1 * nrms[j])
+            if scale == 0.0 or abs(det) <= 1e-14 * scale:
+                continue
+            ux = (b1 * ay2 - b2 * ay1) / det
+            uy = (ax1 * b2 - ax2 * b1) / det
+            dxu = ux - ubar_x
+            dyu = uy - ubar_y
+            obj = dxu * dxu + dyu * dyu
+            if obj < best_obj and _admits(rows, ux, uy):
+                best, best_obj = (ux, uy), obj
+    if best is None:
+        return None
+    return best[0], best[1], best_obj
 
 
 def _minimax_violation(rows, lo_x, lo_y, hi_x, hi_y):
@@ -313,9 +354,14 @@ def _minimax_vertices(rows, lo_x, lo_y, hi_x, hi_y):
 def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
     """Scalar-core solve shared by solve_qp and the batch simulation loop.
 
-    constraint_rows are (ax, ay, b) triples excluding the box.  Returns
-    (ux, uy, feasible, objective, max_violation).
+    constraint_rows is a sequence of (ax, ay, b) triples excluding the box.
+    Returns (ux, uy, feasible, objective, max_violation).  A nominal inside
+    the box is screened against constraint_rows alone: the face test
+    1.0*ux + 0.0*uy - hi is never positive for lo <= ux <= hi.
     """
+    if (lo_x <= ubar_x <= hi_x and lo_y <= ubar_y <= hi_y
+            and _admits(constraint_rows, ubar_x, ubar_y)):
+        return ubar_x, ubar_y, True, 0.0, 0.0
     rows = list(constraint_rows)
     rows.append((1.0, 0.0, hi_x))
     rows.append((-1.0, 0.0, -lo_x))

@@ -2,6 +2,7 @@
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 
@@ -54,6 +55,49 @@ def qp_oracle(u_nom, lo, hi, rows, feas_tol=1e-9):
     if best is None:
         return None
     return best, best_obj
+
+
+def enumeration_oracle(ubar_x, ubar_y, rows, feas_tol=1e-9):
+    """Frozen reference for the filter's candidate scan, for bit-for-bit checks.
+
+    rows are (ax, ay, b) triples including the box faces.  Generates the
+    projections onto each line, then the intersections of each pair (i, j),
+    i < j, scores them all, sorts by (objective, generation index) and returns
+    the first that satisfies every row as (ux, uy, objective), or None.
+    The nominal point is returned at once when it satisfies every row.
+    """
+    checks = [(ax, ay, b, feas_tol * max(1.0, abs(b))) for ax, ay, b in rows]
+
+    def feasible(ux, uy):
+        return not any(ax * ux + ay * uy - b > tol for ax, ay, b, tol in checks)
+
+    if feasible(ubar_x, ubar_y):
+        return ubar_x, ubar_y, 0.0
+    candidates = []
+    for ax, ay, b in rows:
+        nrm2 = ax * ax + ay * ay
+        if nrm2 <= 0.0:
+            continue
+        t = (ax * ubar_x + ay * ubar_y - b) / nrm2
+        candidates.append((ubar_x - t * ax, ubar_y - t * ay))
+    for (ax1, ay1, b1), (ax2, ay2, b2) in itertools.combinations(rows, 2):
+        det = ax1 * ay2 - ay1 * ax2
+        scale = math.sqrt((ax1 * ax1 + ay1 * ay1) * (ax2 * ax2 + ay2 * ay2))
+        if scale == 0.0 or abs(det) <= 1e-14 * scale:
+            continue
+        candidates.append(((b1 * ay2 - b2 * ay1) / det, (ax1 * b2 - ax2 * b1) / det))
+    scored = []
+    for index, (ux, uy) in enumerate(candidates):
+        dxu = ux - ubar_x
+        dyu = uy - ubar_y
+        obj = dxu * dxu + dyu * dyu
+        if math.isfinite(obj):
+            scored.append((obj, index, ux, uy))
+    scored.sort()
+    for obj, _, ux, uy in scored:
+        if feasible(ux, uy):
+            return ux, uy, obj
+    return None
 
 
 def random_box_qp(rng, n_rows_max=3):

@@ -95,6 +95,43 @@ def test_trajectory_csv_header_names_pairs(tmp_path):
         assert col == f"h:{log.names[i]}:{log.names[j]}"
 
 
+def _small_log(names, pairs, n_rows=3):
+    rng = np.random.default_rng(3)
+    return TrajectoryLog(names=names, pairs=pairs, dt=0.01,
+                         states=rng.normal(size=(n_rows, len(names), 4)),
+                         inputs=rng.normal(size=(n_rows, len(names), 2)),
+                         pair_h=rng.normal(size=(n_rows, len(pairs))),
+                         feasible=rng.random((n_rows, len(names))) < 0.5)
+
+
+def test_trajectory_csv_round_trips_names_with_colons(tmp_path):
+    log = _small_log(("a:1", "b"), ((0, 1), (1, 0)))
+    path = tmp_path / "traj.csv"
+    cli.write_trajectory_csv(path, log)
+    back = cli.read_trajectory_csv(path, dt=log.dt)
+    assert back.names == log.names
+    assert back.pairs == log.pairs
+    assert np.array_equal(back.states, log.states)
+    assert np.array_equal(back.pair_h, log.pair_h)
+    assert np.array_equal(back.feasible, log.feasible)
+
+
+@pytest.mark.parametrize("names, column", [
+    (("a:1", "b"), "h:x:y"),        # names absent from the body
+    (("a", "a:b", "b:c", "c"), "h:a:b:c"),  # splits as a|b:c and as a:b|c
+    (("a", "b"), "g:a:b"),          # not a clearance column
+])
+def test_trajectory_csv_unresolvable_pair_column_is_config_error(tmp_path, names, column):
+    log = _small_log(names, ((0, 1),))
+    path = tmp_path / "traj.csv"
+    cli.write_trajectory_csv(path, log)
+    lines = path.read_text().split("\n")
+    lines[0] = ",".join(lines[0].split(",")[:-1] + [column])
+    path.write_text("\n".join(lines))
+    with pytest.raises(cli.ConfigurationError, match="does not name one pair"):
+        cli.read_trajectory_csv(path, dt=log.dt)
+
+
 # Floats whose .17g text is special: signed zero, non-finite values, the
 # smallest subnormal, the largest double, and values that need all 17 digits.
 EDGE_FLOATS = (-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,

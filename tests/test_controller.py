@@ -1,5 +1,7 @@
 """Safety filter QP: nominal law, constraint rows, exact solve, fallbacks."""
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import minimax_oracle, qp_oracle, random_box_qp
+from helpers import enumeration_oracle, minimax_oracle, qp_oracle, random_box_qp
 
 import polycbf
+from polycbf import controller
 from polycbf import (
     AlphaVector,
     ConfigurationError,
@@ -179,6 +182,118 @@ def test_solve_qp_tie_goes_to_the_first_generated_candidate():
     assert sol.feasible
     assert sol.u.tolist() == [0.3333333333333333, 0.19999999999999987]
     assert sol.objective == 4.7065037670105285
+
+
+def _scan_row(rng, family, s, ux, uy):
+    """One (ax, ay, b) row of the given family near the nominal (ux, uy)."""
+    ax, ay = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+    if family == "axis":
+        ax, ay = rng.choice(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+                             (1.0, -0.0), (-0.0, -1.0), (2.0, 0.0), (0.0, -3.0),
+                             (ax, 1e-170), (1e-170, ay)))
+    elif family == "tiny":
+        ax, ay = ax * 1e-160, ay * 1e-160
+    return ax, ay, ax * ux + ay * uy + s * rng.uniform(-1.0, 3.0)
+
+
+def _scan_program(rng):
+    """One random program for the candidate scan, in the families that stress
+    its ordering and rounding: concurrent lines, duplicated and near-parallel
+    rows, the nominal on a line or outside the box, unit-coefficient rows, box
+    faces at the distance of the best projection, and unit-row pairs that
+    undercut the best projection by an ulp.
+
+    Returns (ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows) with rows
+    excluding the box.
+    """
+    s = 10.0 ** rng.uniform(-2.0, 2.0)
+    lo_x, lo_y = -s * rng.uniform(0.2, 6.0), -s * rng.uniform(0.2, 6.0)
+    hi_x, hi_y = s * rng.uniform(0.2, 6.0), s * rng.uniform(0.2, 6.0)
+    if rng.random() < 0.2:
+        ux, uy = s * rng.uniform(-9.0, 9.0), s * rng.uniform(-9.0, 9.0)
+    else:
+        ux, uy = rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y)
+    family = rng.choice(("general", "concurrent", "duplicated", "near_parallel",
+                         "on_line", "axis", "tiny", "face_at_reach", "face_pair"))
+    n_rows = rng.randint(1, rng.choice((2, 4, 8, 15)))
+    rows = [_scan_row(rng, family, s, ux, uy) for _ in range(n_rows)]
+    if family == "concurrent":
+        qx, qy = ux + s * rng.gauss(0.0, 1.0), uy + s * rng.gauss(0.0, 1.0)
+        rows = [(ax, ay, ax * qx + ay * qy) if rng.random() < 0.8 else (ax, ay, b)
+                for ax, ay, b in rows]
+    elif family == "duplicated":
+        for _ in range(rng.randint(1, 4)):
+            ax, ay, b = rng.choice(rows)
+            k = rng.choice((1.0, 1.0, 2.0, 3.0, 0.1))
+            rows.insert(rng.randrange(len(rows) + 1), (k * ax, k * ay, k * b))
+    elif family == "near_parallel":
+        for _ in range(rng.randint(1, 4)):
+            ax, ay, b = rng.choice(rows)
+            e = 10.0 ** rng.uniform(-16.0, -8.0)
+            rows.append((ax * (1.0 + e), ay, b * (1.0 + rng.choice((-e, 0.0, e)))))
+    elif family == "on_line":
+        for k in range(rng.randint(1, len(rows))):
+            ax, ay, _ = rows[k]
+            rows[k] = (ax, ay, ax * ux + ay * uy)
+    elif family == "face_at_reach":
+        # the first row cuts the nominal; put a box face at its distance
+        ax, ay, b = rows[0]
+        d = abs(ax * ux + ay * uy - b) / math.sqrt(ax * ax + ay * ay)
+        d *= 1.0 + rng.choice((-1, 0, 1, 2, 1e3, 1e4)) * 2.0 ** -52
+        if rng.random() < 0.5:
+            hi_x = max(ux + d, ux)
+        else:
+            lo_y = min(uy - d, uy)
+    elif family == "face_pair":
+        # the unit row ux <= c cuts the nominal, a steep line's projection
+        # lies a few ulp of c nearer, and a second line crosses the unit row
+        # at the nominal's height: a pair on the unit row can undercut the
+        # best projection by an ulp, so it must not be pruned
+        c = s * rng.choice((3.0, 1000.0, 1e5))
+        d = s * rng.uniform(0.1, 1.0)
+        ux = c + d
+        hi_x = max(hi_x, ux)
+        e = 10.0 ** rng.uniform(-4.0, -1.0)
+        n = math.hypot(1.0, e)
+        r = d - rng.uniform(0.0, 4e-16) * c
+        th = rng.uniform(0.2, 1.3) * rng.choice((1.0, -1.0))
+        ax, ay = math.cos(th), math.sin(th)
+        rows = [(1.0 / n, e / n, ux / n + e / n * uy - r), (ax, ay, ax * c + ay * uy),
+                (1.0, 0.0, c)]
+    return ux, uy, lo_x, lo_y, hi_x, hi_y, rows
+
+
+def _box(rows, lo_x, lo_y, hi_x, hi_y):
+    return list(rows) + [(1.0, 0.0, hi_x), (-1.0, 0.0, -lo_x),
+                         (0.0, 1.0, hi_y), (0.0, -1.0, -lo_y)]
+
+
+def _bits(result):
+    """A result tuple with each float as its hex form: NaN and the sign of zero
+    compare exactly."""
+    if result is None:
+        return None
+    return tuple(x.hex() if isinstance(x, float) else x for x in result)
+
+
+def test_candidate_scan_matches_frozen_oracle_bit_for_bit():
+    # The one-pass scan with its face-distance prune, and _solve_scalar's
+    # early return before the box is built, must give exactly the bits of the
+    # list-score-sort scan they replaced.
+    rng = random.Random(20261018)
+    outcomes = {"nominal": 0, "active": 0, "infeasible": 0}
+    for _ in range(20000):
+        ux, uy, lo_x, lo_y, hi_x, hi_y, rows = _scan_program(rng)
+        boxed = _box(rows, lo_x, lo_y, hi_x, hi_y)
+        want = enumeration_oracle(ux, uy, boxed)
+        assert _bits(controller._enumerate_min_deviation(ux, uy, boxed)) == _bits(want)
+        if want is None:
+            outcomes["infeasible"] += 1
+            continue
+        outcomes["nominal" if want[2] == 0.0 else "active"] += 1
+        got = controller._solve_scalar(ux, uy, lo_x, lo_y, hi_x, hi_y, rows)
+        assert _bits(got) == _bits((want[0], want[1], True, want[2], 0.0))
+    assert min(outcomes.values()) > 4000, outcomes
 
 
 def test_solve_qp_single_row_projection():
