@@ -409,7 +409,8 @@ def write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
 def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
     """Rebuild a TrajectoryLog from its CSV; exact because floats are written
     with 17 significant digits.  dt is not stored in the file (the manifest's
-    config carries it), so the caller supplies it."""
+    config carries it), so the caller supplies it.  A malformed header or
+    body row raises ConfigurationError naming its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -418,6 +419,10 @@ def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
     base = list(header[:len(TRAJECTORY_COLUMNS)])
     if base != list(TRAJECTORY_COLUMNS):
         raise ConfigurationError(f"{path}: unexpected columns {base}")
+    for k, row in enumerate(body):
+        if len(row) != len(header):
+            raise ConfigurationError(f"{path}: line {k + 2} has {len(row)} fields, "
+                                     f"the header {len(header)}")
     names: List[str] = []
     for row in body:
         if row[1] in names:
@@ -445,13 +450,21 @@ def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
     feasible = np.ones((n_rows, n_veh), dtype=bool)
     for k, row in enumerate(body):
         t, v = k // n_veh, k % n_veh
-        if int(row[0]) != t or row[1] != names[v]:
+        try:
+            step = int(row[0])
+            values = [float(c) for c in row[2:8] + row[9:]]
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: line {k + 2}: {exc}") from None
+        if step != t or row[1] != names[v]:
             raise ConfigurationError(f"{path}: rows out of order at line {k + 2}")
-        states[t, v] = [float(c) for c in row[2:6]]
-        inputs[t, v] = [float(c) for c in row[6:8]]
-        feasible[t, v] = bool(int(row[8]))
+        if row[8] not in ("0", "1"):
+            raise ConfigurationError(f"{path}: line {k + 2}: feasible must be 0 or 1, "
+                                     f"got {row[8]!r}")
+        states[t, v] = values[0:4]
+        inputs[t, v] = values[4:6]
+        feasible[t, v] = row[8] == "1"
         if v == 0:
-            pair_h[t] = [float(c) for c in row[9:]]
+            pair_h[t] = values[6:]
     return TrajectoryLog(names=tuple(names), pairs=tuple(pairs), dt=dt,
                          states=states, inputs=inputs, pair_h=pair_h,
                          feasible=feasible)

@@ -4,7 +4,11 @@ Each control step solves a tiny quadratic program: stay as close as possible
 to a nominal cruise acceleration while respecting box limits and one linear
 half-plane row per neighbor.  A row (a, b) encodes a.u <= b and is derived
 from the one-step clearance rate, so satisfying it keeps the clearance decay
-within the vehicle's class-K margin.
+within the vehicle's class-K margin.  The two vehicles of a pair share the
+row's terms: their directions a are opposite, the rate term 2 dx.dv is the
+same, and only the margin kappa(alpha, h) is each vehicle's own.  _row_terms
+is the one kernel for a and the rate term; the batch simulator calls it once
+per pair and step and mirrors the result for the second vehicle.
 
 The solver is an active-set enumeration specialized to two decision
 variables: the optimum of a strictly convex 2-D projection lies either at the
@@ -187,17 +191,18 @@ def build_safety_constraint(ego: VehicleState, other: VehicleState, other_u_assu
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     coeffs, h = _kappa_args(alpha, safety_value(ego.position, other.position, cfg))
-    ax, ay, b = _safety_row(dx_x, dx_y, dv_x, dv_y, uo_x, uo_y, h, coeffs, dt)
-    return np.array([ax, ay]), b
+    ax, ay, s = _row_terms(dx_x, dx_y, dv_x, dv_y, dt)
+    return np.array([ax, ay]), s - 2.0 * (dx_x * uo_x + dx_y * uo_y) * dt + _kappa(coeffs, h)
 
 
-def _safety_row(dx_x, dx_y, dv_x, dv_y, uo_x, uo_y, h, coeffs, dt):
+def _row_terms(dx_x, dx_y, dv_x, dv_y, dt):
     """Scalar kernel of build_safety_constraint: no validation, shared with the
-    batch simulator.  dx, dv and h are ego minus other.  Returns (ax, ay, b)."""
-    b = (2.0 * (dx_x * dv_x + dx_y * dv_y)
-         - 2.0 * (dx_x * uo_x + dx_y * uo_y) * dt
-         + _kappa(coeffs, h))
-    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, b
+    batch simulator.  dx and dv are ego minus other.  Returns the row
+    direction (ax, ay) = -2 dx dt and the rate term s = 2 dx.dv; the row's
+    bound is s - 2 dx.u_other dt + kappa(alpha, h).  Swapping ego and other
+    negates dx and dv, so the other vehicle's row of the pair has direction
+    -a and the same s, and only kappa differs between the two."""
+    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, 2.0 * (dx_x * dv_x + dx_y * dv_y)
 
 
 def _admits(rows, ux, uy):
@@ -214,7 +219,7 @@ def _admits(rows, ux, uy):
     return True
 
 
-def _enumerate_min_deviation(ubar_x, ubar_y, rows):
+def _enumerate_min_deviation(ubar_x, ubar_y, rows, nominal_cut=False):
     """Best feasible candidate for min ||u - ubar||^2 over rows a.u <= b.
 
     rows include the box faces.  Returns (ux, uy, objective) or None when no
@@ -223,7 +228,8 @@ def _enumerate_min_deviation(ubar_x, ubar_y, rows):
     i < j; the answer is the feasible one with the smallest finite objective,
     the first generated among ties.  One pass keeps the running best: a
     candidate replaces it only when its objective is strictly smaller and it
-    satisfies every row.
+    satisfies every row.  nominal_cut=True tells it that the caller has already
+    seen a row cut the nominal point off, so that point is not screened again.
 
     Pairs on a face row, one with coefficients (+-1, 0) or (0, +-1), are not
     formed when, after the projections, the face line ux = c (c = ax*b,
@@ -241,7 +247,7 @@ def _enumerate_min_deviation(ubar_x, ubar_y, rows):
     rows are always formed: their rounding depends on det, and no cheap bound
     exists.
     """
-    if _admits(rows, ubar_x, ubar_y):
+    if not nominal_cut and _admits(rows, ubar_x, ubar_y):
         return ubar_x, ubar_y, 0.0
 
     # obj < best_obj also rejects non-finite objectives: never the answer, and
@@ -356,11 +362,11 @@ def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
 
     constraint_rows is a sequence of (ax, ay, b) triples excluding the box.
     Returns (ux, uy, feasible, objective, max_violation).  A nominal inside
-    the box is screened against constraint_rows alone: the face test
+    the box is screened against constraint_rows alone, once: the face test
     1.0*ux + 0.0*uy - hi is never positive for lo <= ux <= hi.
     """
-    if (lo_x <= ubar_x <= hi_x and lo_y <= ubar_y <= hi_y
-            and _admits(constraint_rows, ubar_x, ubar_y)):
+    inside = lo_x <= ubar_x <= hi_x and lo_y <= ubar_y <= hi_y
+    if inside and _admits(constraint_rows, ubar_x, ubar_y):
         return ubar_x, ubar_y, True, 0.0, 0.0
     rows = list(constraint_rows)
     rows.append((1.0, 0.0, hi_x))
@@ -368,7 +374,7 @@ def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
     rows.append((0.0, 1.0, hi_y))
     rows.append((0.0, -1.0, -lo_y))
 
-    found = _enumerate_min_deviation(ubar_x, ubar_y, rows)
+    found = _enumerate_min_deviation(ubar_x, ubar_y, rows, nominal_cut=inside)
     if found is not None:
         ux, uy, obj = found
         return ux, uy, True, obj, 0.0

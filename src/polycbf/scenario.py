@@ -23,8 +23,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barrier import DEFAULT_Q, AlphaVector, SafetyConfig, kappa, safety_value
-from .controller import DEFAULT_LIMITS, ControlLimits, _cruise, _safety_row, _solve_scalar
+from .barrier import DEFAULT_Q, AlphaVector, SafetyConfig, _kappa, kappa, safety_value
+from .controller import DEFAULT_LIMITS, ControlLimits, _cruise, _row_terms, _solve_scalar
 from .dynamics import DEFAULT_DT, VehicleState, _step
 from .errors import ConfigurationError
 from .learner import RidgeConfig, StyleLearner, _observe, observe_analytic
@@ -300,6 +300,12 @@ def simulate(cfg: ScenarioConfig,
     are satisfiable); on_step(t_next, prev, cur) gets states[t_next - 1] and
     states[t_next] after each advance, and may return truthy to end the trial early (the new step is still logged, and
     all per-step arrays are truncated to the steps actually run).
+
+    Each step computes every pair's clearance and row terms (a, s) once, from
+    the first vehicle's side; the second vehicle's row is (-a, s), and each
+    vehicle adds its own kappa(alpha, h) to s.  For finite states every row is
+    bit-identical to build_safety_constraint's for a neighbour assumed not to
+    accelerate.
     """
     geom = cfg.geometry
     vehicles = cfg.vehicles
@@ -326,7 +332,9 @@ def simulate(cfg: ScenarioConfig,
     ramp = [v.route == "ramp" for v in vehicles]
     headings = [(float(v.heading[0]), float(v.heading[1])) if v.route == "fixed" else None
                 for v in vehicles]
-    h_of = [[0.0] * n for _ in range(n)]
+    # terms[v] holds v's (ax, ay, s, h) against each neighbour w in ascending
+    # order (slot w below v, w - 1 above); every slot is rewritten each step.
+    terms = [[None] * (n - 1) for _ in range(n)]
 
     inputs = np.zeros((N + 1, n, 2))
     pair_h = np.empty((N + 1, len(pairs)))
@@ -337,12 +345,23 @@ def simulate(cfg: ScenarioConfig,
     n_logged = N + 1
 
     for t in range(N + 1):
-        for p, (i, j) in enumerate(pairs):
+        hs = []
+        for i, j in pairs:
             dxx = px[i] - px[j]
             dyy = py[i] - py[j]
             h = dxx * dxx + dyy * dyy - r2
-            pair_h[t, p] = h
-            h_of[i][j] = h_of[j][i] = h
+            hs.append(h)
+            ax, ay, s = _row_terms(dxx, dyy, vx[i] - vx[j], vy[i] - vy[j], dt)
+            terms[i][j - 1] = (ax, ay, s, h)
+            if dxx and dyy:
+                # A non-zero fl(b - a) is -fl(a - b): j's row is the exact mirror.
+                terms[j][i] = (-ax, -ay, s, h)
+            else:
+                # a - b and b - a are both +0 when a == b, so a zero difference
+                # does not negate: j's terms come from its own side.
+                terms[j][i] = (*_row_terms(px[j] - px[i], py[j] - py[i],
+                                           vx[j] - vx[i], vy[j] - vy[i], dt), h)
+        pair_h[t] = hs
         for v, spec in enumerate(vehicles):
             if merge_step[spec.name] is None and spec.route != "fixed":
                 if geom._progress(ramp[v], px[v], py[v]) > 0.0:
@@ -364,10 +383,7 @@ def simulate(cfg: ScenarioConfig,
             ub_x, ub_y = _cruise(gains[v], desired[v], dir_x / nn, dir_y / nn,
                                  vx[v], vy[v], lo_x[v], lo_y[v], hi_x[v], hi_y[v])
             coeffs = alpha.coefficients
-            h_v = h_of[v]
-            rows = [_safety_row(px[v] - px[w], py[v] - py[w], vx[v] - vx[w], vy[v] - vy[w],
-                                0.0, 0.0, h_v[w], coeffs, dt)
-                    for w in range(n) if w != v]
+            rows = [(ax, ay, s + _kappa(coeffs, h)) for ax, ay, s, h in terms[v]]
             n_safety = len(rows)
             if extra_rows_fn is not None:
                 for a, b in extra_rows_fn(t, v, cur):
@@ -384,16 +400,15 @@ def simulate(cfg: ScenarioConfig,
                 if ok:
                     relaxed += 1
             new_u.append((ux, uy))
-            inputs[t, v, 0] = ux
-            inputs[t, v, 1] = uy
             if not ok:
                 feasible[t, v] = False
+        inputs[t] = new_u
 
         for v in range(n):
             ux, uy = new_u[v]
             px[v], vx[v] = _step(px[v], vx[v], ux, dt)
             py[v], vy[v] = _step(py[v], vy[v], uy, dt)
-            states[t + 1, v] = (px[v], py[v], vx[v], vy[v])
+        states[t + 1].T[...] = px, py, vx, vy
         if on_step is not None:
             stop = bool(on_step(t + 1, cur, rows_ro[t + 1]))
 

@@ -100,6 +100,23 @@ def enumeration_oracle(ubar_x, ubar_y, rows, feas_tol=1e-9):
     return None
 
 
+def safety_row_oracle(dx_x, dx_y, dv_x, dv_y, uo_x, uo_y, h, coeffs, dt):
+    """Frozen reference for one safety row, for bit-for-bit checks.
+
+    dx, dv and h are ego minus other, uo the neighbour's assumed acceleration.
+    Returns (ax, ay, b) for a.u_ego <= b with a = -2 dx dt and
+    b = 2 dx.dv - 2 dx.uo dt + sum_k coeffs[k] h^(2k+1), in the order the
+    filter evaluated them before each pair's terms were shared.
+    """
+    margin = 0.0
+    term = h
+    for c in coeffs:
+        margin += c * term
+        term *= h * h
+    b = 2.0 * (dx_x * dv_x + dx_y * dv_y) - 2.0 * (dx_x * uo_x + dx_y * uo_y) * dt + margin
+    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, b
+
+
 def random_box_qp(rng, n_rows_max=3):
     """One random 2-var QP in the shape the filter produces: box plus rows."""
     lo = -rng.uniform(0.5, 6.0, 2)

@@ -132,6 +132,24 @@ def test_trajectory_csv_unresolvable_pair_column_is_config_error(tmp_path, names
         cli.read_trajectory_csv(path, dt=log.dt)
 
 
+@pytest.mark.parametrize("row, match", [
+    ("1,a,1,2", "line 4 has 4 fields"),                       # truncated
+    ("1", "line 4 has 1 fields"),                             # one field
+    ("1,a,1,2,3,4,5,6,yes,7", "line 4: feasible must be 0 or 1"),
+    ("1,a,1,2,3,x,5,6,1,7", "line 4: could not convert"),     # not a float
+    ("one,a,1,2,3,4,5,6,1,7", "line 4: invalid literal"),     # not a step
+])
+def test_trajectory_csv_bad_body_row_is_config_error(tmp_path, row, match):
+    log = _small_log(("a", "b"), ((0, 1),))
+    path = tmp_path / "traj.csv"
+    cli.write_trajectory_csv(path, log)
+    lines = path.read_text().split("\n")
+    lines[3] = row  # the second step's first row
+    path.write_text("\n".join(lines))
+    with pytest.raises(cli.ConfigurationError, match=match):
+        cli.read_trajectory_csv(path, dt=log.dt)
+
+
 # Floats whose .17g text is special: signed zero, non-finite values, the
 # smallest subnormal, the largest double, and values that need all 17 digits.
 EDGE_FLOATS = (-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,

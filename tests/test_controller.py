@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import enumeration_oracle, minimax_oracle, qp_oracle, random_box_qp
+from helpers import (enumeration_oracle, minimax_oracle, qp_oracle, random_box_qp,
+                     safety_row_oracle)
 
 import polycbf
 from polycbf import controller
@@ -144,6 +145,23 @@ def test_solve_qp_nominal_on_a_row_line_is_returned_unchanged():
     assert sol.feasible
     assert np.array_equal(sol.u, u_nom)
     assert sol.objective == 0.0
+
+
+def test_in_box_nominal_cut_by_a_row_is_screened_once(monkeypatch):
+    # _solve_scalar's own screen finds the row that cuts the nominal off; the
+    # candidate scan then starts from the projections without screening the
+    # nominal again
+    screened = []
+    admits = controller._admits
+
+    def spy(rows, ux, uy):
+        screened.append((ux, uy))
+        return admits(rows, ux, uy)
+
+    monkeypatch.setattr(controller, "_admits", spy)
+    found = controller._solve_scalar(0.5, 0.25, -1.0, -1.0, 1.0, 1.0, [(1.0, 0.0, 0.0)])
+    assert found == (0.0, 0.25, True, 0.25, 0.0)
+    assert screened.count((0.5, 0.25)) == 1
 
 
 def test_solve_qp_duplicated_rows_match_a_single_copy():
@@ -473,6 +491,46 @@ def test_build_safety_constraint_constant_velocity_assumption():
     a0, b0 = build_safety_constraint(ego, other, None, alpha, cfg, 0.02)
     a1, b1 = build_safety_constraint(ego, other, (0.0, 0.0), alpha, cfg, 0.02)
     assert np.array_equal(a0, a1) and b0 == b1
+
+
+# Row components whose rounding is special: signed zeros, the smallest
+# subnormal, tiny and huge magnitudes, and a sum that needs all 17 digits.
+ROW_EDGES = (0.0, -0.0, 5e-324, -1e-300, 0.1 + 0.2, -7.25, 1e150, -1e150)
+
+
+def _hex_row(row):
+    return tuple(float(x).hex() for x in row)
+
+
+def test_build_safety_constraint_matches_row_oracle_bit_for_bit():
+    # Both directions of each pair, against the row formula as it stood
+    # before the pair terms were shared; q = 1, 2 and 3, with and without an
+    # assumed neighbour acceleration.
+    rng = random.Random(11)
+    cfg = SafetyConfig(r_safe=5.0)
+    r2 = cfg.r_safe * cfg.r_safe
+    checked = 0
+    while checked < 4000:
+        pi, pj, vi, vj = ([rng.choice(ROW_EDGES), rng.choice(ROW_EDGES)] for _ in range(4))
+        if rng.random() < 0.3:
+            pj[1] = pi[1]  # same lane: dy = 0
+        if rng.random() < 0.3:
+            vj = list(vi)  # dv = 0
+        if pi[0] - pj[0] == 0.0 and pi[1] - pj[1] == 0.0:
+            continue  # coincident positions are rejected
+        uo = rng.choice([None, (0.0, -0.0), (1.5, -2.5), (1e200, 5e-324)])
+        alpha = AlphaVector(tuple(rng.choice((0.0, 0.3, 2.0)) for _ in range(rng.randint(1, 3))))
+        dt = rng.choice((0.01, 0.1))
+        uo_x, uo_y = (0.0, 0.0) if uo is None else uo
+        for (pe, ve), (po, vo) in (((pi, vi), (pj, vj)), ((pj, vj), (pi, vi))):
+            a, b = build_safety_constraint(VehicleState(pe, ve), VehicleState(po, vo),
+                                           uo, alpha, cfg, dt)
+            dx_x, dx_y = pe[0] - po[0], pe[1] - po[1]
+            h = dx_x * dx_x + dx_y * dx_y - r2
+            expect = safety_row_oracle(dx_x, dx_y, ve[0] - vo[0], ve[1] - vo[1],
+                                       uo_x, uo_y, h, alpha.coefficients, dt)
+            assert _hex_row((a[0], a[1], b)) == _hex_row(expect), (pe, ve, po, vo, uo)
+            checked += 1
 
 
 def test_build_safety_constraint_rejects_coincident_positions():

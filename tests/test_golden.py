@@ -1,14 +1,15 @@
 """Golden artifacts: the CSV bytes of four shipped runs, the fields of one
-assumption-mismatch batch and the metrics of one 16-vehicle merge, pinned by
-sha256.
+assumption-mismatch batch and the metrics and full log of one 16-vehicle
+merge, pinned by sha256.
 
 The CSV digests were recorded before `simulate` and the per-vehicle API were
 moved onto shared scalar kernels, the mismatch digest before that experiment
 moved from its own stepping loop onto `simulate`, and the merge digest while
 infeasible multi-row programs still went to an LP solver; the weight sweep
 and the adaptive run were added before the filter's candidate scan became a
-single pass.  A refactor that changes any output bit fails here, not only a
-rerun that disagrees with itself.  No pinned output depends on BLAS or
+single pass, and the merge's full log before the two vehicles of a pair
+shared one computation of their safety-row terms.  A refactor that changes
+any output bit fails here, not only a rerun that disagrees with itself.  No pinned output depends on BLAS or
 LAPACK, so the digests do not depend on the numpy build's linear-algebra
 kernels: the adaptive run's learner does call LAPACK, and its files are the
 ones left unpinned.
@@ -16,6 +17,7 @@ ones left unpinned.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polycbf
@@ -122,3 +124,15 @@ def test_many_vehicle_merge_matches_golden_digest():
     lines += [f"{name} {step}" for name, step in sorted(m.merge_step.items())]
     lines += [str(m.infeasible_step_count), str(rec.relaxed_steps)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MERGE_DIGEST
+
+
+MERGE_LOG_DIGEST = "de9d4f3acec2663863d5b45b78a496390eb1a312267675cf91a3f9f8d23f79b1"
+
+
+def test_many_vehicle_merge_log_matches_golden_digest():
+    # every logged bit of the merge: states, inputs, pair_h (float64) and
+    # feasible (one byte per flag), little-endian, in that order
+    log = simulate(_two_lane_roster()).log
+    data = b"".join(np.ascontiguousarray(a, dtype=dt).tobytes() for a, dt in (
+        (log.states, "<f8"), (log.inputs, "<f8"), (log.pair_h, "<f8"), (log.feasible, "?")))
+    assert hashlib.sha256(data).hexdigest() == MERGE_LOG_DIGEST

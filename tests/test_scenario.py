@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import configs_equal
+from helpers import configs_equal, safety_row_oracle
 
+from polycbf import scenario
 from polycbf import (
     AlphaVector,
     ConfigurationError,
@@ -175,6 +176,51 @@ def test_simulation_loop_matches_library_calls_exactly():
         dx = states[:, i, :2] - states[:, j, :2]
         h = (dx * dx).sum(axis=1) - cfg.safety.r_safe ** 2
         assert np.array_equal(rec.log.pair_h[:, p], h)
+
+
+def test_simulate_rows_match_row_oracle_both_ways_bit_for_bit(monkeypatch):
+    # simulate builds each pair's row terms once and mirrors them; every row
+    # handed to the QP must still be the row formula's, bit for bit, from each
+    # vehicle's own side.  Fixed-heading vehicles share a lane (dy = 0), match
+    # velocities (dv = 0), sit on zeros of opposite sign in x, y and vy,
+    # differ by a subnormal and by 1e150, and mix styles of order 1, 2 and 3.
+    roster = [
+        ("a", (0.0, 0.0), (1.0, 0.0), 2.0, (0.7,)),
+        ("b", (-0.0, 30.0), (1.0, -0.0), 2.0, (0.2, 0.05)),
+        ("c", (40.0, 0.0), (1.0, 0.0), 2.0, (0.4, 0.0, 0.01)),
+        ("d", (5e-324, -40.0), (0.0, 1.0), 1e-300, (1.1, 0.3)),
+        ("e", (1e150, -0.0), (-1.0, 0.0), 3.0, (0.5, 0.0, 0.2)),
+    ]
+    vehicles = tuple(VehicleSpec(name=name, route="fixed", start_position=start, heading=head,
+                                 speed=speed, alpha=AlphaVector(coeffs))
+                     for name, start, head, speed, coeffs in roster)
+    cfg = ScenarioConfig(geometry=default_geometry(), vehicles=vehicles, dt=0.01, n_steps=4)
+    seen = []
+    solve = scenario._solve_scalar
+
+    def spy(*args):
+        seen.append(list(args[6]))
+        return solve(*args)
+
+    monkeypatch.setattr(scenario, "_solve_scalar", spy)
+    log = simulate(cfg).log
+    n = len(vehicles)
+    r2 = cfg.safety.r_safe * cfg.safety.r_safe
+    assert len(seen) == cfg.n_steps * n
+    for t in range(cfg.n_steps):
+        st = log.states[t].tolist()
+        for v in range(n):
+            expect = []
+            for w in range(n):
+                if w == v:
+                    continue
+                dx_x, dx_y = st[v][0] - st[w][0], st[v][1] - st[w][1]
+                h = dx_x * dx_x + dx_y * dx_y - r2
+                expect.append(safety_row_oracle(dx_x, dx_y, st[v][2] - st[w][2],
+                                                st[v][3] - st[w][3], 0.0, 0.0, h,
+                                                vehicles[v].alpha.coefficients, cfg.dt))
+            got = [tuple(map(float.hex, row)) for row in seen[t * n + v]]
+            assert got == [tuple(map(float.hex, row)) for row in expect], (t, v)
 
 
 def test_simulation_is_deterministic():
