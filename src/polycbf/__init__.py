@@ -15,21 +15,20 @@ from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import (ConfigurationError, DegenerateConstraintError, DomainError,
                      InsufficientDataError, RankDeficiencyError)
 from .learner import (AlphaEstimate, BarrierSample, RidgeConfig, StyleLearner,
-                      check_convergence, export_samples, fit, import_samples,
-                      observe, observe_analytic)
-from .adaptive import (DEFAULT_POLICY, AdaptiveRecord, MismatchTrial, StylePolicy,
-                       aggressiveness_score, compatibility_constraint,
-                       experiment_assumption_mismatch, run_adaptive_merge, select_alpha)
-from .scenario import (AdaptiveComparison, AdaptiveSettings, InvarianceSettings,
-                       PredictionSummary, PredictionTrial, PredictSettings,
-                       RoadGeometry, ScenarioConfig, SweepEntry, SweepSettings,
-                       TrajectoryLog, TrialMetrics, TrialRecord, VehicleSpec,
-                       adaptive_preset_config, default_geometry,
-                       experiment_behavior_sweep, experiment_invariance,
-                       experiment_prediction, experiment_prediction_in_loop,
+                      check_convergence, fit, observe, observe_analytic)
+from .scenario import (InvarianceSettings, PredictionSummary, PredictionTrial,
+                       PredictSettings, RoadGeometry, ScenarioConfig, SweepEntry,
+                       SweepSettings, TrajectoryLog, TrialMetrics, TrialRecord,
+                       VehicleSpec, default_geometry, experiment_behavior_sweep,
+                       experiment_invariance, experiment_prediction,
                        gamma_sweep_settings, invariance_trial_setup,
                        prediction_trial_setup, run_trial, simulate,
                        sweep_trial_config)
+from .adaptive import (DEFAULT_POLICY, AdaptiveComparison, AdaptiveRecord,
+                       AdaptiveSettings, MismatchTrial, StylePolicy,
+                       adaptive_preset_config, aggressiveness_score,
+                       compatibility_constraint, experiment_assumption_mismatch,
+                       experiment_prediction_in_loop, run_adaptive_merge, select_alpha)
 
 __version__ = "0.1.0"
 
@@ -42,18 +41,16 @@ __all__ = [
     "ConfigurationError", "DegenerateConstraintError", "DomainError",
     "InsufficientDataError", "RankDeficiencyError",
     "AlphaEstimate", "BarrierSample", "RidgeConfig", "StyleLearner",
-    "check_convergence", "export_samples", "fit", "import_samples", "observe",
-    "observe_analytic",
-    "DEFAULT_POLICY", "AdaptiveRecord", "MismatchTrial", "StylePolicy",
-    "aggressiveness_score", "compatibility_constraint",
-    "experiment_assumption_mismatch", "run_adaptive_merge", "select_alpha",
-    "AdaptiveComparison", "AdaptiveSettings", "InvarianceSettings",
-    "PredictSettings", "PredictionSummary", "PredictionTrial", "RoadGeometry",
-    "ScenarioConfig", "SweepEntry", "SweepSettings", "TrajectoryLog", "TrialMetrics",
-    "TrialRecord", "VehicleSpec", "adaptive_preset_config", "default_geometry",
+    "check_convergence", "fit", "observe", "observe_analytic",
+    "InvarianceSettings", "PredictSettings", "PredictionSummary", "PredictionTrial",
+    "RoadGeometry", "ScenarioConfig", "SweepEntry", "SweepSettings", "TrajectoryLog",
+    "TrialMetrics", "TrialRecord", "VehicleSpec", "default_geometry",
     "experiment_behavior_sweep", "experiment_invariance", "experiment_prediction",
-    "experiment_prediction_in_loop", "gamma_sweep_settings",
-    "invariance_trial_setup", "prediction_trial_setup", "run_trial", "simulate",
-    "sweep_trial_config",
+    "gamma_sweep_settings", "invariance_trial_setup", "prediction_trial_setup",
+    "run_trial", "simulate", "sweep_trial_config",
+    "DEFAULT_POLICY", "AdaptiveComparison", "AdaptiveRecord", "AdaptiveSettings",
+    "MismatchTrial", "StylePolicy", "adaptive_preset_config", "aggressiveness_score",
+    "compatibility_constraint", "experiment_assumption_mismatch",
+    "experiment_prediction_in_loop", "run_adaptive_merge", "select_alpha",
     "__version__",
 ]

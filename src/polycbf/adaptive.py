@@ -4,8 +4,13 @@ Phase one of the loop watches an interacting pair and fits the observed
 vehicle's barrier coefficients from clearance data.  At a fixed step budget
 the ego mirrors the estimate through a preset table (the more aggressive the
 other driver scores, the more conservative the ego's pick) and, for the rest
-of the run, filters its control against every neighbor plus an optional
+of the run, filters its control against every neighbor plus a
 compatibility row that keeps its chosen style consistent with the estimate.
+
+The module also declares the adaptive experiment: its settings (the
+[adaptive] config section), its canonical three-vehicle roster and the
+paired driver that runs the loop with prediction on and off; and the
+assumption-mismatch stress test of the compatibility row.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from .controller import ControlLimits, NominalPlan, _solve_scalar, safe_control
 from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import ConfigurationError, DegenerateConstraintError
 from .learner import AlphaEstimate, RidgeConfig, StyleLearner
-from .scenario import (OBSERVATION_MODES, AdaptiveSettings, ScenarioConfig, TrialRecord,
-                       _observe_rows, simulate)
+from .scenario import (OBSERVATION_MODES, ScenarioConfig, TrialRecord, VehicleSpec,
+                       _check_counts, _observe_rows, default_geometry, simulate)
 
 __all__ = [
     "compatibility_constraint",
@@ -30,8 +35,12 @@ __all__ = [
     "StylePolicy",
     "DEFAULT_POLICY",
     "select_alpha",
+    "AdaptiveSettings",
     "AdaptiveRecord",
     "run_adaptive_merge",
+    "AdaptiveComparison",
+    "adaptive_preset_config",
+    "experiment_prediction_in_loop",
     "MismatchTrial",
     "experiment_assumption_mismatch",
 ]
@@ -117,6 +126,19 @@ def select_alpha(alpha_j_hat: AlphaVector, policy: StylePolicy) -> AlphaVector:
     return policy.presets[len(policy.presets) - 1 - best_k]
 
 
+@dataclass(frozen=True)
+class AdaptiveSettings:
+    """Settings of experiment_prediction_in_loop, the [adaptive] config section."""
+
+    phase_budget: int = 300
+    hdot_mode: str = "analytic"
+
+    def __post_init__(self):
+        _check_counts(phase_budget=self.phase_budget)
+        if self.hdot_mode not in OBSERVATION_MODES:
+            raise ConfigurationError(f"unknown hdot_mode {self.hdot_mode!r}")
+
+
 def _roster(cfg: ScenarioConfig) -> Tuple[int, int, int]:
     """Indices of the ego, the object and the first neighbor of an adaptive
     roster, which needs exactly one ego, exactly one object and a neighbor."""
@@ -135,7 +157,6 @@ class AdaptiveRecord:
     prediction_enabled: bool
     phase_budget: int
     hdot_mode: str
-    enforce_compatibility: bool
     estimate_history: Tuple[AlphaEstimate, ...] = ()
     sample_steps: Tuple[int, ...] = ()
     selected_alpha: Optional[AlphaVector] = None
@@ -149,8 +170,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
                        ridge: Optional[RidgeConfig] = None,
                        phase_budget: int = AdaptiveSettings.phase_budget,
                        prediction_enabled: bool = True,
-                       hdot_mode: str = AdaptiveSettings.hdot_mode,
-                       enforce_compatibility: bool = True) -> AdaptiveRecord:
+                       hdot_mode: str = AdaptiveSettings.hdot_mode) -> AdaptiveRecord:
     """Two-phase merge: observe and fit for phase_budget steps, then drive
     with the mirrored style (plus the compatibility row once the estimate has
     converged).  With prediction disabled the ego just keeps its configured
@@ -161,10 +181,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     against the first neighbor.  phase_budget and hdot_mode default to
     AdaptiveSettings, the [adaptive] config section.
     """
-    if hdot_mode not in OBSERVATION_MODES:
-        raise ConfigurationError(f"unknown hdot_mode {hdot_mode!r}")
-    if phase_budget < 1:
-        raise ConfigurationError(f"phase_budget must be >= 1, got {phase_budget}")
+    AdaptiveSettings(phase_budget, hdot_mode)  # checks both
     ridge = ridge if ridge is not None else RidgeConfig(q_hypothesis=cfg.safety.q)
     ego_idx, obj_idx, nbr_idx = _roster(cfg)
     dt = cfg.dt
@@ -194,8 +211,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
             state["ego_alpha"] = chosen
 
     def extra_rows_fn(t: int, v: int, cur: np.ndarray):
-        if (v != ego_idx or not enforce_compatibility or not prediction_enabled
-                or t < phase_budget or not learner.converged):
+        if v != ego_idx or not prediction_enabled or t < phase_budget or not learner.converged:
             return ()
         # A converged learner has an estimate.
         dx_x, dx_y = (cur[ego_idx, :2] - cur[obj_idx, :2]).tolist()
@@ -212,13 +228,102 @@ def run_adaptive_merge(cfg: ScenarioConfig,
         prediction_enabled=prediction_enabled,
         phase_budget=phase_budget,
         hdot_mode=hdot_mode,
-        enforce_compatibility=enforce_compatibility,
         estimate_history=tuple(learner.history),
         sample_steps=tuple(state["sample_steps"]),
         selected_alpha=state["selected"],
         final_estimate=est,
         converged_at=learner.converged_at,
         converged_within_budget=learner.converged,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Prediction-in-the-loop: the same three-vehicle merge run with the style
+# learner enabled and disabled.
+
+@dataclass
+class AdaptiveComparison:
+    enabled: AdaptiveRecord
+    disabled: AdaptiveRecord
+    ego_step_enabled: int
+    ego_step_disabled: int
+    overall_enabled: int
+    overall_disabled: int
+
+    @property
+    def ego_delta_pct(self) -> float:
+        return 100.0 * (self.ego_step_disabled - self.ego_step_enabled) / self.ego_step_disabled
+
+    @property
+    def overall_delta_pct(self) -> float:
+        return 100.0 * (self.overall_disabled - self.overall_enabled) / self.overall_disabled
+
+
+def adaptive_preset_config(n_steps: int = 3000) -> ScenarioConfig:
+    """Canonical three-vehicle roster on the steep slow merge.
+
+    The lead starts just ahead of the object on the ramp, below its own
+    desired speed, so the object has to brake into its clearance bubble
+    right away; that braking episode is what the ego observes.  The lead
+    then accelerates away, ending the interaction and leaving the merge
+    mouth open, and the ego meets the object there at a near tie, where
+    whoever's filter activates farther out concedes the slot.
+    """
+    geom = default_geometry(ramp_angle_deg=30.0)
+    limits = ControlLimits((-8.0, -8.0), (8.0, 8.0))
+    # The lead's low gain stretches its climb to desired speed, which keeps
+    # the object pressed against its clearance bubble (and braking, hence
+    # observable) through the observation phase instead of a brief graze.
+    lead = VehicleSpec(name="lead", role="neighbor", route="ramp",
+                       start_progress=-33.6, speed=1.6, desired_speed=4.2,
+                       gain=0.3, alpha=AlphaVector((0.75, 0.25)), limits=limits)
+    obj = VehicleSpec(name="object", role="object", route="ramp",
+                      start_progress=-40.0, speed=3.0, desired_speed=3.0,
+                      gain=0.8, alpha=AlphaVector((0.9, 0.1)), limits=limits)
+    ego = VehicleSpec(name="ego", role="ego", route="main",
+                      start_progress=-40.55, speed=3.0, desired_speed=3.0,
+                      gain=0.8, alpha=AlphaVector((1.0, 0.0)), limits=limits)
+    return ScenarioConfig(geometry=geom, vehicles=(lead, obj, ego), n_steps=n_steps)
+
+
+def experiment_prediction_in_loop(cfg: Optional[ScenarioConfig] = None,
+                                  policy: Optional[StylePolicy] = None,
+                                  ridge: Optional[RidgeConfig] = None,
+                                  **settings) -> AdaptiveComparison:
+    """Paired adaptive runs (prediction on/off) on the same configuration,
+    the canonical roster unless cfg is given; settings override
+    AdaptiveSettings fields.
+
+    Like run_adaptive_merge, observation defaults to AdaptiveSettings.hdot_mode,
+    the analytic rate (the observer reconstructs the object's acceleration
+    from consecutive velocities, which the model makes exact); pass
+    hdot_mode="finite_diff" to difference clearances instead.
+    """
+    s = AdaptiveSettings(**settings)
+    cfg = cfg if cfg is not None else adaptive_preset_config()
+    policy = policy if policy is not None else DEFAULT_POLICY
+    enabled = run_adaptive_merge(cfg, policy=policy, ridge=ridge,
+                                 phase_budget=s.phase_budget, prediction_enabled=True,
+                                 hdot_mode=s.hdot_mode)
+    disabled = run_adaptive_merge(cfg, policy=policy, ridge=ridge,
+                                  phase_budget=s.phase_budget, prediction_enabled=False,
+                                  hdot_mode=s.hdot_mode)
+    # run_adaptive_merge has checked the roster, so it has exactly one ego.
+    ego_name = cfg.vehicles[_roster(cfg)[0]].name
+
+    def completion(record, name):
+        s = record.trial.metrics.merge_step[name]
+        return s if s is not None else cfg.n_steps + 1
+
+    def overall(record):
+        return max(completion(record, v.name) for v in cfg.vehicles)
+
+    return AdaptiveComparison(
+        enabled=enabled, disabled=disabled,
+        ego_step_enabled=completion(enabled, ego_name),
+        ego_step_disabled=completion(disabled, ego_name),
+        overall_enabled=overall(enabled),
+        overall_disabled=overall(disabled),
     )
 
 
@@ -237,13 +342,7 @@ class MismatchTrial:
     object_infeasible: int
 
 
-def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0,
-                                   safety: SafetyConfig = SafetyConfig(),
-                                   dt: float = DEFAULT_DT, n_steps: int = 1200,
-                                   ego_accel_bound: float = 2.5,
-                                   object_limits: ControlLimits = ControlLimits(
-                                       (-80.0, -80.0), (80.0, 80.0)),
-                                   ) -> List[MismatchTrial]:
+def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[MismatchTrial]:
     """Pairwise safety when the object's model of the ego is plain wrong.
 
     The object runs the ordinary safety filter assuming the ego holds
@@ -258,9 +357,15 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0,
     the object gets actuator limits wide enough that its filter never
     saturates against the pressing ego; each trial reports residual
     infeasible steps on either side so that presumption is checkable.
+
+    The setup is fixed: each trial runs 1200 steps of DEFAULT_DT under the
+    default SafetyConfig, the ego's acceleration box is [-2.5, 2.5]^2 and
+    the object's is [-80, 80]^2.
     """
+    _check_counts(n_trials=n_trials)
+    safety, dt, n_steps, bound = SafetyConfig(), DEFAULT_DT, 1200, 2.5
+    object_limits = ControlLimits((-80.0, -80.0), (80.0, 80.0))
     seeds = np.random.SeedSequence(seed).spawn(n_trials)
-    bound = float(ego_accel_bound)
     trials: List[MismatchTrial] = []
     for idx in range(n_trials):
         rng = np.random.Generator(np.random.PCG64(seeds[idx]))

@@ -17,7 +17,7 @@ reducing to the familiar linear margin gamma * h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -49,18 +49,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adaptive import StylePolicy, _roster
+from .adaptive import (AdaptiveSettings, StylePolicy, _roster, adaptive_preset_config,
+                       experiment_prediction_in_loop)
 from .barrier import AlphaVector, SafetyConfig
 from .controller import ControlLimits
 from .errors import ConfigurationError, DomainError
 from .learner import RidgeConfig
-from .scenario import (COLLISION_TOL, AdaptiveSettings, InvarianceSettings,
-                       PredictSettings, RoadGeometry, ScenarioConfig, SweepSettings,
-                       TrajectoryLog, VehicleSpec, adaptive_preset_config,
+from .scenario import (COLLISION_TOL, InvarianceSettings, PredictSettings, RoadGeometry,
+                       ScenarioConfig, SweepSettings, TrajectoryLog, VehicleSpec,
                        default_geometry, experiment_behavior_sweep,
                        experiment_invariance, experiment_prediction,
-                       experiment_prediction_in_loop, invariance_trial_setup,
-                       prediction_trial_setup, run_trial, sweep_trial_config)
+                       invariance_trial_setup, prediction_trial_setup, run_trial,
+                       sweep_trial_config)
 
 __all__ = [
     "main",
@@ -240,11 +240,6 @@ class _Run:
     seed: int = 0
 
 
-_SETTINGS = {"predict": PredictSettings, "sweep": SweepSettings,
-             "adaptive": AdaptiveSettings, "invariance": InvarianceSettings}
-EXPERIMENTS = tuple(_SETTINGS)
-
-
 def _build_run(cp, experiment: Optional[str] = None) -> _Run:
     """[run]; `experiment`, when given, is the default of its experiment key."""
     raw = _section(cp, "run")
@@ -255,9 +250,10 @@ def _build_run(cp, experiment: Optional[str] = None) -> _Run:
 
 def _build_settings(cp, experiment: str, trials: Optional[int] = None):
     """The experiment's own section; trials, when given, replaces its trial count."""
-    if experiment not in _SETTINGS:
+    if experiment not in _EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
-    settings = _build(_SETTINGS[experiment], f"[{experiment}]", _section(cp, experiment))
+    settings = _build(_EXPERIMENTS[experiment].settings, f"[{experiment}]",
+                      _section(cp, experiment))
     if trials is not None and hasattr(settings, "trials"):
         settings = dataclasses.replace(settings, trials=trials)
     return settings
@@ -270,10 +266,9 @@ def _build_safety(cp) -> SafetyConfig:
 def _build_ridge(cp, safety: SafetyConfig) -> Optional[RidgeConfig]:
     if not cp.has_section("ridge"):
         return None
-    # The hypothesis order follows [safety] q unless the section sets it;
-    # the regression's sign convention is not a config key.
+    # The hypothesis order follows [safety] q unless the section sets it.
     raw = {"q_hypothesis": str(safety.q), **_section(cp, "ridge")}
-    return _build(RidgeConfig, "[ridge]", raw, rate_sign=RidgeConfig.rate_sign)
+    return _build(RidgeConfig, "[ridge]", raw)
 
 
 def _build_policy(cp) -> Optional[StylePolicy]:
@@ -690,16 +685,31 @@ def _run_invariance(out_dir: Path, seed: int, settings: InvarianceSettings,
     return lines, [metrics, trajectory], diag
 
 
+class _Experiment(typing.NamedTuple):
+    settings: type    # its config section's dataclass
+    preset: str       # the shipped preset `run` reads without --config
+    run: Callable     # the runner: (out_dir, seed, **inputs) -> (lines, files, diag)
+
+
+_EXPERIMENTS = {
+    "predict": _Experiment(PredictSettings, "predict", _run_predict),
+    "sweep": _Experiment(SweepSettings, "sweep_weights", _run_sweep),
+    "adaptive": _Experiment(AdaptiveSettings, "adaptive", _run_adaptive),
+    "invariance": _Experiment(InvarianceSettings, "invariance", _run_invariance),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
 def _cmd_run(args) -> int:
     experiment = args.experiment
+    spec = _EXPERIMENTS[experiment]
     if args.config is not None:
         config_path = Path(args.config)
         cp = _load_config(config_path)
         config_label = str(args.config)
     else:
-        preset = "sweep_weights" if experiment == "sweep" else experiment
-        cp = _parse_config(_preset_text(preset))
-        config_label = f"preset:{preset}"
+        cp = _parse_config(_preset_text(spec.preset))
+        config_label = f"preset:{spec.preset}"
 
     declared = _build_run(cp, experiment)
     if declared.experiment != experiment:
@@ -711,7 +721,7 @@ def _cmd_run(args) -> int:
     if args.trials is not None and args.trials < 1:
         raise ConfigurationError(f"--trials = {args.trials} is not >= 1")
     inputs = _build_inputs(cp, experiment, args.trials)
-    if args.trials is not None and experiment in ("sweep", "adaptive"):
+    if args.trials is not None and not hasattr(inputs["settings"], "trials"):
         print(f"note: --trials has no effect on {experiment}", file=sys.stderr)
 
     base = Path(args.out) if args.out is not None else \
@@ -719,9 +729,7 @@ def _cmd_run(args) -> int:
     out_dir = base / experiment
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    runner = {"predict": _run_predict, "sweep": _run_sweep,
-              "adaptive": _run_adaptive, "invariance": _run_invariance}[experiment]
-    lines, files, diag = runner(out_dir, seed, **inputs)
+    lines, files, diag = spec.run(out_dir, seed, **inputs)
 
     manifest = _write_manifest(out_dir, experiment, config_label, seed, files)
     for line in lines:

@@ -16,8 +16,6 @@ by oracle tests.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
@@ -38,8 +36,6 @@ __all__ = [
     "fit",
     "check_convergence",
     "StyleLearner",
-    "export_samples",
-    "import_samples",
 ]
 
 
@@ -56,10 +52,8 @@ class BarrierSample:
 class RidgeConfig:
     """Regression and convergence-detection settings.
 
-    rate_sign is the sign applied to the observed rate before regression.
-    Active constraints satisfy hdot = -kappa(alpha, h), so the default -1
-    recovers +alpha; +1 fits the raw rate instead (recovering the negated
-    coefficients on such data).
+    The regression target is the negated observed rate: active constraints
+    satisfy hdot = -kappa(alpha, h), so regressing -hdot recovers +alpha.
 
     admission_threshold gates samples on the object's acceleration deviating
     from its estimated nominal (cruise ~ zero) by more than the threshold, a
@@ -71,7 +65,6 @@ class RidgeConfig:
     q_hypothesis: int = DEFAULT_Q
     convergence_tol: float = 1e-6
     convergence_window: int = 5
-    rate_sign: float = -1.0
     admission_threshold: Optional[float] = 0.01
 
     def __post_init__(self):
@@ -83,8 +76,6 @@ class RidgeConfig:
             raise ConfigurationError(f"convergence_tol must be > 0, got {self.convergence_tol}")
         if self.convergence_window < 2:
             raise ConfigurationError(f"convergence_window must be >= 2, got {self.convergence_window}")
-        if self.rate_sign not in (-1.0, 1.0):
-            raise ConfigurationError(f"rate_sign must be -1 or +1, got {self.rate_sign}")
         if self.admission_threshold is not None and self.admission_threshold < 0.0:
             raise ConfigurationError("admission_threshold must be >= 0 or None")
 
@@ -129,7 +120,7 @@ def observe_analytic(obj: VehicleState, neighbor: VehicleState, obj_u,
 
 
 def fit(samples: Sequence[BarrierSample], cfg: RidgeConfig) -> AlphaEstimate:
-    """Ridge solution of (H^T H + r I) alpha = H^T (rate_sign * hdot).
+    """Ridge solution of (H^T H + r I) alpha = H^T (-hdot).
 
     The raw solution is kept verbatim; alpha_hat clamps it to the valid
     non-negative cone componentwise.
@@ -142,7 +133,7 @@ def fit(samples: Sequence[BarrierSample], cfg: RidgeConfig) -> AlphaEstimate:
             raise ConfigurationError(
                 f"sample basis order {s.basis.q} does not match q_hypothesis {q}")
     H = np.array([s.basis.values for s in samples], dtype=np.float64)
-    y = np.array([cfg.rate_sign * s.hdot_obs for s in samples], dtype=np.float64)
+    y = np.array([-s.hdot_obs for s in samples], dtype=np.float64)
     G = H.T @ H + cfg.regularizer * np.eye(q)
     return _ridge_solve(G, H.T @ y, cfg.regularizer, len(samples))
 
@@ -225,7 +216,7 @@ class StyleLearner:
                 f"sample basis order {sample.basis.q} does not match q_hypothesis {q}")
         phi = np.asarray(sample.basis.values, dtype=np.float64)
         self._gram += np.outer(phi, phi)
-        self._moment += (self.ridge.rate_sign * sample.hdot_obs) * phi
+        self._moment += (-sample.hdot_obs) * phi
         self.samples.append(sample)
         est = _ridge_solve(self._gram + self._ridge_eye, self._moment,
                            self.ridge.regularizer, len(self.samples))
@@ -236,38 +227,3 @@ class StyleLearner:
             est = replace(est, converged=True)
             self.history[-1] = est
         return est
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def export_samples(samples: Sequence[BarrierSample], path) -> None:
-    """Write a dataset as CSV rows: step, h, hdot, basis_0..basis_{q-1}."""
-    if len(samples) == 0:
-        raise InsufficientDataError("refusing to export an empty dataset")
-    q = samples[0].basis.q
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "h", "hdot"] + [f"basis_{p}" for p in range(q)])
-        for s in samples:
-            row = [str(s.timestamp), _fmt(s.basis.values[0]), _fmt(s.hdot_obs)]
-            row.extend(_fmt(v) for v in s.basis.values)
-            writer.writerow(row)
-
-
-def import_samples(path) -> List[BarrierSample]:
-    """Read a dataset written by export_samples; floats round-trip exactly."""
-    samples: List[BarrierSample] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        q = len(header) - 3
-        if q < 1:
-            raise ConfigurationError(f"malformed dataset header: {header}")
-        for row in reader:
-            step = int(row[0])
-            hdot_obs = float(row[2])
-            values = tuple(float(v) for v in row[3:3 + q])
-            samples.append(BarrierSample(hdot_obs, BarrierBasis(values), step))
-    return samples

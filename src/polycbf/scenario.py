@@ -1,4 +1,5 @@
-"""Ramp-merge world: road geometry, trial engine, and experiment drivers.
+"""Ramp-merge world: road geometry, trial engine, and the prediction, sweep
+and invariance experiments (the adaptive experiment lives in adaptive).
 
 A scenario is a straight main road met by a straight on-ramp at a merge
 point.  Vehicles track a route (main, ramp, or a fixed heading), each running
@@ -18,7 +19,7 @@ keyword overrides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,10 +53,6 @@ __all__ = [
     "InvarianceSettings",
     "invariance_trial_setup",
     "experiment_invariance",
-    "AdaptiveSettings",
-    "AdaptiveComparison",
-    "adaptive_preset_config",
-    "experiment_prediction_in_loop",
     "COLLISION_TOL",
 ]
 
@@ -830,118 +827,3 @@ def experiment_invariance(n_trials: Optional[int] = None, seed: int = 0,
         settings["trials"] = n_trials
     return [run_trial(invariance_trial_setup(idx, seed=seed, safety=safety, **settings)).metrics
             for idx in range(InvarianceSettings(**settings).trials)]
-
-
-# ---------------------------------------------------------------------------
-# Prediction-in-the-loop: the same three-vehicle merge run with the style
-# learner enabled and disabled.
-
-@dataclass(frozen=True)
-class AdaptiveSettings:
-    """Settings of experiment_prediction_in_loop, the [adaptive] config section."""
-
-    phase_budget: int = 300
-    hdot_mode: str = "analytic"
-
-    def __post_init__(self):
-        _check_counts(phase_budget=self.phase_budget)
-        if self.hdot_mode not in OBSERVATION_MODES:
-            raise ConfigurationError(f"unknown hdot_mode {self.hdot_mode!r}")
-
-
-@dataclass
-class AdaptiveComparison:
-    enabled: "object"
-    disabled: "object"
-    ego_step_enabled: int
-    ego_step_disabled: int
-    overall_enabled: int
-    overall_disabled: int
-
-    @property
-    def ego_delta_pct(self) -> float:
-        return 100.0 * (self.ego_step_disabled - self.ego_step_enabled) / self.ego_step_disabled
-
-    @property
-    def overall_delta_pct(self) -> float:
-        return 100.0 * (self.overall_disabled - self.overall_enabled) / self.overall_disabled
-
-
-def adaptive_preset_config(n_steps: int = 3000,
-                           safety: SafetyConfig = SafetyConfig(),
-                           dt: float = DEFAULT_DT,
-                           ego_progress: float = -40.55,
-                           object_alpha: AlphaVector = AlphaVector((0.9, 0.1)),
-                           ) -> ScenarioConfig:
-    """Canonical three-vehicle roster on the steep slow merge.
-
-    The lead starts just ahead of the object on the ramp, below its own
-    desired speed, so the object has to brake into its clearance bubble
-    right away; that braking episode is what the ego observes.  The lead
-    then accelerates away, ending the interaction and leaving the merge
-    mouth open, and the ego meets the object there at a near tie, where
-    whoever's filter activates farther out concedes the slot.
-    """
-    geom = default_geometry(ramp_angle_deg=30.0)
-    limits = ControlLimits((-8.0, -8.0), (8.0, 8.0))
-    # The lead's low gain stretches its climb to desired speed, which keeps
-    # the object pressed against its clearance bubble (and braking, hence
-    # observable) through the observation phase instead of a brief graze.
-    lead = VehicleSpec(name="lead", role="neighbor", route="ramp",
-                       start_progress=-33.6, speed=1.6, desired_speed=4.2,
-                       gain=0.3, alpha=AlphaVector((0.75, 0.25)), limits=limits)
-    obj = VehicleSpec(name="object", role="object", route="ramp",
-                      start_progress=-40.0, speed=3.0, desired_speed=3.0,
-                      gain=0.8, alpha=object_alpha, limits=limits)
-    ego = VehicleSpec(name="ego", role="ego", route="main",
-                      start_progress=ego_progress, speed=3.0, desired_speed=3.0,
-                      gain=0.8, alpha=AlphaVector((1.0, 0.0)), limits=limits)
-    return ScenarioConfig(geometry=geom, vehicles=(lead, obj, ego), dt=dt,
-                          n_steps=n_steps, safety=safety)
-
-
-def experiment_prediction_in_loop(cfg: Optional[ScenarioConfig] = None,
-                                  policy=None, ridge: Optional[RidgeConfig] = None,
-                                  **settings) -> AdaptiveComparison:
-    """Paired adaptive runs (prediction on/off) on the same configuration,
-    the canonical roster unless cfg is given; settings override
-    AdaptiveSettings fields.
-
-    Like run_adaptive_merge, observation defaults to AdaptiveSettings.hdot_mode,
-    the analytic rate (the observer reconstructs the object's acceleration
-    from consecutive velocities, which the model makes exact); pass
-    hdot_mode="finite_diff" to difference clearances instead.
-    """
-    from .adaptive import DEFAULT_POLICY, run_adaptive_merge  # deferred: avoids cycle
-
-    s = AdaptiveSettings(**settings)
-    cfg = cfg if cfg is not None else adaptive_preset_config()
-    policy = policy if policy is not None else DEFAULT_POLICY
-    enabled = run_adaptive_merge(cfg, policy=policy, ridge=ridge,
-                                 phase_budget=s.phase_budget, prediction_enabled=True,
-                                 hdot_mode=s.hdot_mode)
-    disabled = run_adaptive_merge(cfg, policy=policy, ridge=ridge,
-                                  phase_budget=s.phase_budget, prediction_enabled=False,
-                                  hdot_mode=s.hdot_mode)
-
-    def completion(record, name):
-        s = record.trial.metrics.merge_step[name]
-        return s if s is not None else cfg.n_steps + 1
-
-    def overall(record):
-        return max(completion(record, v.name) for v in cfg.vehicles)
-
-    return AdaptiveComparison(
-        enabled=enabled, disabled=disabled,
-        ego_step_enabled=completion(enabled, _ego_name(cfg)),
-        ego_step_disabled=completion(disabled, _ego_name(cfg)),
-        overall_enabled=overall(enabled),
-        overall_disabled=overall(disabled),
-    )
-
-
-def _ego_name(cfg: ScenarioConfig) -> str:
-    for v in cfg.vehicles:
-        if v.role == "ego":
-            return v.name
-    raise ConfigurationError("scenario has no ego vehicle")

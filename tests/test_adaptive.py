@@ -173,3 +173,9 @@ def test_assumption_mismatch_trials_stay_safe():
         assert t.min_h >= -1e-9
         assert t.alpha_i.q == t.alpha_j.q
         assert t.object_infeasible >= 0
+
+
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_assumption_mismatch_rejects_nonpositive_trials(n_trials):
+    with pytest.raises(ConfigurationError, match="n_trials must be >= 1"):
+        experiment_assumption_mismatch(n_trials=n_trials)

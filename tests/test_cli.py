@@ -258,6 +258,21 @@ def test_trials_override(tmp_path):
     assert len(rows) == 1 + 2
 
 
+@pytest.mark.parametrize("experiment,config,noted", [
+    ("sweep", SWEEP_HOT.replace("n_steps = 2200", "n_steps = 100"), True),
+    ("adaptive", ADAPTIVE.replace("n_steps = 3000", "n_steps = 100"), True),
+    ("predict", PREDICT.replace("n_steps = 4000", "n_steps = 100"), False),
+    ("invariance", INVARIANCE_SMALL, False),
+])
+def test_trials_note_names_experiments_without_trials(tmp_path, capsys, experiment,
+                                                      config, noted):
+    cfg = write_cfg(tmp_path, config)
+    assert run_cli(["run", experiment, "--config", cfg, "--trials", 1,
+                    "--out", tmp_path / "out"]) == 0
+    note = f"note: --trials has no effect on {experiment}"
+    assert (note in capsys.readouterr().err) == noted
+
+
 # --- run: the shipped adaptive preset ----------------------------------------
 
 def test_adaptive_preset_matches_library_builder():

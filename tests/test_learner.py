@@ -15,10 +15,8 @@ from polycbf import (
     VehicleState,
     basis,
     check_convergence,
-    export_samples,
     fit,
     hdot,
-    import_samples,
     kappa,
     observe,
     observe_analytic,
@@ -180,22 +178,3 @@ def test_style_learner_admission_gate():
     assert learner.admits((1.0, 0.2), obj_u_nominal_est=(1.0, 0.3))
     open_gate = StyleLearner(RidgeConfig(admission_threshold=None))
     assert open_gate.admits((0.0, 0.0))
-
-
-def test_export_import_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    samples = [BarrierSample(float(rng.normal()), basis(float(rng.uniform(0.5, 9)), 2), t)
-               for t in range(8)]
-    path = tmp_path / "samples.csv"
-    export_samples(samples, path)
-    back = import_samples(path)
-    assert len(back) == len(samples)
-    for a, b in zip(samples, back):
-        assert a.hdot_obs == b.hdot_obs
-        assert a.basis.values == b.basis.values
-        assert a.timestamp == b.timestamp
-
-
-def test_export_rejects_empty(tmp_path):
-    with pytest.raises(InsufficientDataError):
-        export_samples([], tmp_path / "none.csv")
