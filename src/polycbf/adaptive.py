@@ -27,7 +27,8 @@ from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import ConfigurationError, DegenerateConstraintError
 from .learner import AlphaEstimate, RidgeConfig, StyleLearner
 from .scenario import (OBSERVATION_MODES, ScenarioConfig, TrialRecord, VehicleSpec,
-                       _check_counts, _observe_rows, default_geometry, simulate)
+                       _check_counts, _observe_rows, _trial_rng, default_geometry,
+                       simulate)
 
 __all__ = [
     "compatibility_constraint",
@@ -365,10 +366,9 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
     _check_counts(n_trials=n_trials)
     safety, dt, n_steps, bound = SafetyConfig(), DEFAULT_DT, 1200, 2.5
     object_limits = ControlLimits((-80.0, -80.0), (80.0, 80.0))
-    seeds = np.random.SeedSequence(seed).spawn(n_trials)
     trials: List[MismatchTrial] = []
     for idx in range(n_trials):
-        rng = np.random.Generator(np.random.PCG64(seeds[idx]))
+        rng = _trial_rng(seed, idx)
         alpha_j = AlphaVector(tuple(rng.uniform(0.0, 1.0, size=safety.q)))
         alpha_i = AlphaVector(tuple(c + e for c, e in
                                     zip(alpha_j.coefficients,

@@ -57,10 +57,8 @@ from .errors import ConfigurationError, DomainError
 from .learner import RidgeConfig
 from .scenario import (COLLISION_TOL, InvarianceSettings, PredictSettings, RoadGeometry,
                        ScenarioConfig, SweepSettings, TrajectoryLog, VehicleSpec,
-                       default_geometry, experiment_behavior_sweep,
-                       experiment_invariance, experiment_prediction,
-                       invariance_trial_setup, prediction_trial_setup, run_trial,
-                       sweep_trial_config)
+                       _invariance_records, _sweep_records, default_geometry,
+                       experiment_prediction, prediction_trial_setup, run_trial)
 
 __all__ = [
     "main",
@@ -502,6 +500,13 @@ def _write_manifest(out_dir: Path, experiment: str, config_label: str,
 # Experiment runners.  Each returns (stdout lines, emitted files, collision
 # diagnostic or None).
 
+def _tighter(worst, index: int, key: float, record):
+    """worst, or (index, key, record) when key is strictly smaller: the rule
+    of min(), so the first of equal keys stays and a NaN key neither
+    replaces nor, once first, is replaced."""
+    return (index, key, record) if worst is None or key < worst[1] else worst
+
+
 def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
                  safety: SafetyConfig, ridge: Optional[RidgeConfig]):
     q = ridge.q_hypothesis if ridge is not None else safety.q
@@ -524,7 +529,8 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
     _write_csv(estimates, ["trial", "sample_index"] + [f"alpha_{k}" for k in range(q)],
                est_rows)
 
-    # Trajectory of the hardest trial (largest estimation error).
+    # Trajectory of the hardest trial (largest estimation error).  It is run
+    # again because its experiment run stopped once the learner converged.
     worst = max(range(settings.trials), key=lambda k: summary.trials[k].rmse)
     _, cfg = prediction_trial_setup(worst, seed=seed, q=q, safety=safety, **vars(settings))
     rec = run_trial(cfg)
@@ -545,9 +551,13 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
 
 
 def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: SafetyConfig):
-    kwargs = dict(vars(settings), safety=safety)
+    kwargs = vars(settings).copy()
     styles = kwargs.pop("styles")
-    entries = experiment_behavior_sweep(styles, **kwargs)
+    entries = []
+    tightest = None  # (style, min_h, record)
+    for idx, (entry, rec) in enumerate(_sweep_records(styles, safety, **kwargs)):
+        entries.append(entry)
+        tightest = _tighter(tightest, idx, entry.min_h, rec)
 
     q = max(len(s.coefficients) for s in styles)
     header = (["style_index"] + [f"alpha_{k}" for k in range(q)]
@@ -570,8 +580,7 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
     _write_csv(metrics, header, rows)
 
     # Trajectory of the tightest style (smallest clearance margin).
-    worst = min(range(len(entries)), key=lambda k: entries[k].min_h)
-    rec = run_trial(sweep_trial_config(styles[worst], **kwargs))
+    worst, worst_h, rec = tightest
     trajectory = out_dir / "trajectory.csv"
     write_trajectory_csv(trajectory, rec.log)
 
@@ -579,7 +588,7 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
     lines = [
         f"sweep: {len(entries)} styles, merge orders {orders}",
         "min distance per style: " + ", ".join("%.3f" % e.min_distance for e in entries),
-        f"tightest clearance {min(e.min_h for e in entries):.6f} (style {worst})",
+        f"tightest clearance {worst_h:.6f} (style {worst})",
     ]
     diag = None
     if any(e.min_h < COLLISION_TOL for e in entries):
@@ -654,24 +663,25 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
 
 def _run_invariance(out_dir: Path, seed: int, settings: InvarianceSettings,
                     safety: SafetyConfig):
-    metrics_list = experiment_invariance(seed=seed, safety=safety, **vars(settings))
-
+    metrics_list = []
     rows = []
-    for idx, m in enumerate(metrics_list):
-        rows.append([idx, int(m.collision), m.infeasible_step_count,
-                     _g17(min(m.min_h.values())),
+    tightest = None  # (trial, min_h, record)
+    for idx, rec in enumerate(_invariance_records(seed, safety, **vars(settings))):
+        m = rec.metrics
+        metrics_list.append(m)
+        h = min(m.min_h.values())
+        tightest = _tighter(tightest, idx, h, rec)
+        rows.append([idx, int(m.collision), m.infeasible_step_count, _g17(h),
                      _opt(m.merge_step.get("ego")), _opt(m.merge_step.get("other"))])
     metrics = out_dir / "metrics.csv"
     _write_csv(metrics, ["trial", "collision", "infeasible_steps", "min_h",
                          "merge_step:ego", "merge_step:other"], rows)
 
-    worst = min(range(settings.trials), key=lambda k: min(metrics_list[k].min_h.values()))
-    rec = run_trial(invariance_trial_setup(worst, seed=seed, safety=safety, **vars(settings)))
+    worst, worst_h, rec = tightest
     trajectory = out_dir / "trajectory.csv"
     write_trajectory_csv(trajectory, rec.log)
 
     n_collisions = sum(m.collision for m in metrics_list)
-    worst_h = min(min(m.min_h.values()) for m in metrics_list)
     total_inf = sum(m.infeasible_step_count for m in metrics_list)
     lines = [
         f"invariance: {settings.trials} randomized trials, {n_collisions} collisions",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +75,16 @@ def _check_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
+
+def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    """Trial trial_index's generator under a parent seed: the child that
+    SeedSequence(seed).spawn(trial_index + 1) ends with, built directly."""
+    for name, value in (("seed", seed), ("trial_index", trial_index)):
+        if value < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(trial_index,))))
 
 
 @dataclass(frozen=True)
@@ -544,8 +554,7 @@ def prediction_trial_setup(trial_index: int, seed: int = 0, q: int = DEFAULT_Q,
     to dump its trajectory, without rerunning the batch around it.
     """
     s = PredictSettings(**settings)
-    child = np.random.SeedSequence(seed).spawn(trial_index + 1)[trial_index]
-    rng = np.random.Generator(np.random.PCG64(child))
+    rng = _trial_rng(seed, trial_index)
     truth = _sample_truth_alpha(rng, trial_index, q)
     leader_speed = rng.uniform(8.0, 10.0)
     closing = rng.uniform(*s.closing_range)
@@ -727,12 +736,18 @@ def experiment_behavior_sweep(styles: Sequence[AlphaVector],
     styles that activate closer in keep the nominal plan longer, the other
     vehicle concedes first, and the ego merges in front.
     """
-    entries: List[SweepEntry] = []
+    return [entry for entry, _ in _sweep_records(styles, safety, **settings)]
+
+
+def _sweep_records(styles: Sequence[AlphaVector], safety: SafetyConfig,
+                   **settings) -> Iterator[Tuple[SweepEntry, TrialRecord]]:
+    """experiment_behavior_sweep's trials in style order, each entry with
+    its record, so that a caller keeps only the logs it wants."""
     for alpha in styles:
         rec = run_trial(sweep_trial_config(alpha, safety=safety, **settings))
         delta = rec.log.states[:, 0, 0:2] - rec.log.states[:, 1, 0:2]
         distance = np.hypot(delta[:, 0], delta[:, 1])
-        entries.append(SweepEntry(
+        yield SweepEntry(
             alpha=alpha,
             distance=distance,
             min_distance=float(distance.min()),
@@ -740,8 +755,7 @@ def experiment_behavior_sweep(styles: Sequence[AlphaVector],
             ego_merge_step=rec.metrics.merge_step["ego"],
             other_merge_step=rec.metrics.merge_step["other"],
             infeasible_step_count=rec.metrics.infeasible_step_count,
-        ))
-    return entries
+        ), rec
 
 
 def gamma_sweep_settings() -> dict:
@@ -789,8 +803,7 @@ def invariance_trial_setup(trial_index: int, seed: int = 0,
     """Scenario for one randomized invariance trial, addressable by index;
     settings override InvarianceSettings fields."""
     s = InvarianceSettings(**settings)
-    child = np.random.SeedSequence(seed).spawn(trial_index + 1)[trial_index]
-    rng = np.random.Generator(np.random.PCG64(child))
+    rng = _trial_rng(seed, trial_index)
 
     def random_alpha() -> AlphaVector:
         return AlphaVector(tuple(rng.uniform(0.0, 1.0, size=safety.q)))
@@ -825,5 +838,11 @@ def experiment_invariance(n_trials: Optional[int] = None, seed: int = 0,
     """
     if n_trials is not None:
         settings["trials"] = n_trials
-    return [run_trial(invariance_trial_setup(idx, seed=seed, safety=safety, **settings)).metrics
-            for idx in range(InvarianceSettings(**settings).trials)]
+    return [rec.metrics for rec in _invariance_records(seed, safety, **settings)]
+
+
+def _invariance_records(seed: int, safety: SafetyConfig, **settings) -> Iterator[TrialRecord]:
+    """experiment_invariance's trials in index order, one record at a time,
+    so that a caller keeps only the logs it wants."""
+    for idx in range(InvarianceSettings(**settings).trials):
+        yield run_trial(invariance_trial_setup(idx, seed=seed, safety=safety, **settings))

@@ -9,9 +9,10 @@ import pytest
 
 from helpers import configs_equal, trajectory_csv_oracle
 
-from polycbf import (TrajectoryLog, adaptive_preset_config, experiment_prediction_in_loop,
+from polycbf import (InvarianceSettings, SafetyConfig, TrajectoryLog, TrialMetrics,
+                     TrialRecord, adaptive_preset_config, experiment_prediction_in_loop,
                      invariance_trial_setup, run_trial, simulate)
-from polycbf import cli
+from polycbf import cli, scenario
 
 
 INVARIANCE_SMALL = """\
@@ -271,6 +272,57 @@ def test_trials_note_names_experiments_without_trials(tmp_path, capsys, experime
                     "--out", tmp_path / "out"]) == 0
     note = f"note: --trials has no effect on {experiment}"
     assert (note in capsys.readouterr().err) == noted
+
+
+# --- run: each trial simulated once -------------------------------------------
+
+# predict runs its worst trial a second time: the experiment's run stops once
+# the learner converges, and trajectory.csv holds the full-length run.
+@pytest.mark.parametrize("experiment,config,trials,calls", [
+    ("invariance", INVARIANCE_SMALL, 3, 3),
+    ("sweep", SWEEP_HOT.replace("styles = 8.0", "styles = 0.4 | 8.0 | 2.2")
+                       .replace("n_steps = 2200", "n_steps = 300"), None, 3),
+    ("predict", PREDICT.replace("n_steps = 4000", "n_steps = 300"), 2, 2 + 1),
+], ids=["invariance", "sweep", "predict"])
+def test_run_simulates_each_trial_once(tmp_path, monkeypatch, experiment, config,
+                                       trials, calls):
+    seen = []
+    original = scenario.simulate
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "simulate", counting)
+    argv = ["run", experiment, "--config", write_cfg(tmp_path, config),
+            "--out", tmp_path / "out"]
+    assert run_cli(argv + (["--trials", trials] if trials else [])) == 0
+    assert len(seen) == calls
+
+
+def _stub_record(k: int, min_h: float) -> TrialRecord:
+    # two steps of two vehicles, every state set to the trial index
+    log = TrajectoryLog(("ego", "other"), ((0, 1),), 0.01, np.full((2, 2, 4), float(k)),
+                        np.zeros((2, 2, 2)), np.full((2, 1), min_h), np.ones((2, 2), bool))
+    return TrialRecord(log, TrialMetrics({("ego", "other"): min_h},
+                                         {"ego": None, "other": None}, 0, False))
+
+
+@pytest.mark.parametrize("keys", [
+    (2.0, 0.5, 0.5),
+    (1.0, float("nan"), 0.5, 0.5),
+    (float("nan"), 0.5, 0.1),
+])
+def test_invariance_writes_the_trial_min_picks(tmp_path, monkeypatch, keys):
+    records = [_stub_record(k, h) for k, h in enumerate(keys)]
+    monkeypatch.setattr(cli, "_invariance_records", lambda *a, **kw: iter(records))
+    lines, _, _ = cli._run_invariance(tmp_path, 0, InvarianceSettings(trials=len(keys)),
+                                      SafetyConfig())
+    worst = min(range(len(keys)), key=keys.__getitem__)
+    cli.write_trajectory_csv(tmp_path / "expected.csv", records[worst].log)
+    assert (tmp_path / "trajectory.csv").read_bytes() == \
+        (tmp_path / "expected.csv").read_bytes()
+    assert f"(trial {worst})" in lines[1]
 
 
 # --- run: the shipped adaptive preset ----------------------------------------

@@ -19,6 +19,7 @@ from polycbf import (
     VehicleSpec,
     VehicleState,
     default_geometry,
+    experiment_assumption_mismatch,
     experiment_behavior_sweep,
     experiment_invariance,
     experiment_prediction,
@@ -424,6 +425,28 @@ def test_trial_setups_depend_only_on_index():
     tb, cb = prediction_trial_setup(2, seed=3)
     assert ta == tb
     assert configs_equal(ca, cb)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789])
+def test_trial_rng_is_the_spawned_child(seed):
+    for k in (0, 1, 5, 99):
+        child = np.random.SeedSequence(seed).spawn(k + 1)[k]
+        want = np.random.Generator(np.random.PCG64(child)).uniform(size=4)
+        assert np.array_equal(scenario._trial_rng(seed, k).uniform(size=4), want)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: experiment_invariance(n_trials=1, seed=-1, n_steps=10), "seed"),
+    (lambda: experiment_prediction(n_trials=1, seed=-1, n_steps=10), "seed"),
+    (lambda: experiment_assumption_mismatch(n_trials=1, seed=-1), "seed"),
+    (lambda: invariance_trial_setup(0, seed=-1), "seed"),
+    (lambda: prediction_trial_setup(0, seed=-1), "seed"),
+    (lambda: invariance_trial_setup(-1), "trial_index"),
+    (lambda: prediction_trial_setup(-1), "trial_index"),
+])
+def test_negative_seed_or_trial_index_is_a_config_error(call, name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be >= 0, got -1"):
+        call()
 
 
 def test_prediction_trials_recover_styles():
