@@ -6,24 +6,23 @@ approach.  Second, shifting weight from the linear to the cubic term against a
 fixed mid-pack neighbor: the cubic style ignores far-off traffic but reacts
 hard up close, which is enough to flip who merges first.
 """
-from polycbf import AlphaVector, experiment_behavior_sweep, gamma_sweep_settings
+from polycbf import experiment_behavior_sweep
+from polycbf.cli import load_preset
 
 print("sweep 1: linear weight vs closest approach (unyielding neighbor)")
-gammas = (0.2, 0.4, 0.7, 1.0, 1.5, 2.2, 3.0)
-entries = experiment_behavior_sweep([AlphaVector((g,)) for g in gammas],
-                                    **gamma_sweep_settings())
+entries = experiment_behavior_sweep(**vars(load_preset("sweep_gamma")["settings"]))
 print("  gamma   min distance   min h")
-for g, e in zip(gammas, entries):
-    print(f"  {g:5.1f}   {e.min_distance:12.3f}   {e.min_h:7.4f}")
+for e in entries:
+    print(f"  {e.alpha.coefficients[0]:5.1f}   {e.min_distance:12.3f}   {e.min_h:7.4f}")
 
 print()
 print("sweep 2: linear-to-cubic weight vs merge order (neighbor at 0.75/0.25)")
-weights = (1.0, 0.8, 0.6, 0.5, 0.4, 0.2, 0.0)
-entries = experiment_behavior_sweep([AlphaVector((w, 1.0 - w)) for w in weights])
+entries = experiment_behavior_sweep(**vars(load_preset("sweep_weights")["settings"]))
 print("  weights        ego merges   neighbor merges   order    margin")
-for w, e in zip(weights, entries):
+for e in entries:
+    w_lin, w_cub = e.alpha.coefficients
     margin = e.other_merge_step - e.ego_merge_step
-    print(f"  ({w:3.1f}, {1.0 - w:3.1f})   {e.ego_merge_step:10d}   "
+    print(f"  ({w_lin:3.1f}, {w_cub:3.1f})   {e.ego_merge_step:10d}   "
           f"{e.other_merge_step:15d}   {e.merge_order:6s}   {margin:+5d} steps")
 
 print()

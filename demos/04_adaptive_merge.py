@@ -10,8 +10,10 @@ honest about what the object will tolerate.  The ego merges earlier and the
 whole roster finishes sooner.
 """
 from polycbf import experiment_prediction_in_loop
+from polycbf.cli import load_preset
 
-cmp = experiment_prediction_in_loop()
+preset = load_preset("adaptive")
+cmp = experiment_prediction_in_loop(preset["scenario"], **vars(preset["settings"]))
 enabled, disabled = cmp.enabled, cmp.disabled
 
 est = enabled.final_estimate

@@ -21,12 +21,10 @@ from .scenario import (InvarianceSettings, PredictionSummary, PredictionTrial,
                        SweepSettings, TrajectoryLog, TrialMetrics, TrialRecord,
                        VehicleSpec, default_geometry, experiment_behavior_sweep,
                        experiment_invariance, experiment_prediction,
-                       gamma_sweep_settings, invariance_trial_setup,
-                       prediction_trial_setup, run_trial, simulate,
-                       sweep_trial_config)
+                       invariance_trial_setup, prediction_trial_setup, run_trial,
+                       simulate, sweep_trial_config)
 from .adaptive import (DEFAULT_POLICY, AdaptiveComparison, AdaptiveRecord,
-                       AdaptiveSettings, MismatchTrial, StylePolicy,
-                       adaptive_preset_config, aggressiveness_score,
+                       AdaptiveSettings, MismatchTrial, StylePolicy, aggressiveness_score,
                        compatibility_constraint, experiment_assumption_mismatch,
                        experiment_prediction_in_loop, run_adaptive_merge, select_alpha)
 
@@ -46,10 +44,10 @@ __all__ = [
     "RoadGeometry", "ScenarioConfig", "SweepEntry", "SweepSettings", "TrajectoryLog",
     "TrialMetrics", "TrialRecord", "VehicleSpec", "default_geometry",
     "experiment_behavior_sweep", "experiment_invariance", "experiment_prediction",
-    "gamma_sweep_settings", "invariance_trial_setup", "prediction_trial_setup",
-    "run_trial", "simulate", "sweep_trial_config",
+    "invariance_trial_setup", "prediction_trial_setup", "run_trial", "simulate",
+    "sweep_trial_config",
     "DEFAULT_POLICY", "AdaptiveComparison", "AdaptiveRecord", "AdaptiveSettings",
-    "MismatchTrial", "StylePolicy", "adaptive_preset_config", "aggressiveness_score",
+    "MismatchTrial", "StylePolicy", "aggressiveness_score",
     "compatibility_constraint", "experiment_assumption_mismatch",
     "experiment_prediction_in_loop", "run_adaptive_merge", "select_alpha",
     "__version__",

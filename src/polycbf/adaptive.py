@@ -8,9 +8,10 @@ of the run, filters its control against every neighbor plus a
 compatibility row that keeps its chosen style consistent with the estimate.
 
 The module also declares the adaptive experiment: its settings (the
-[adaptive] config section), its canonical three-vehicle roster and the
-paired driver that runs the loop with prediction on and off; and the
-assumption-mismatch stress test of the compatibility row.
+[adaptive] config section) and the paired driver that runs the loop with
+prediction on and off; and the assumption-mismatch stress test of the
+compatibility row.  The shipped three-vehicle roster is the adaptive preset
+file, read by polycbf.cli.load_preset.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .controller import ControlLimits, NominalPlan, _solve_scalar, safe_control
 from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import ConfigurationError, DegenerateConstraintError
 from .learner import AlphaEstimate, RidgeConfig, StyleLearner
-from .scenario import (OBSERVATION_MODES, ScenarioConfig, TrialRecord, VehicleSpec,
-                       _check_counts, _observe_rows, _trial_rng, default_geometry,
-                       simulate)
+from .scenario import (OBSERVATION_MODES, ScenarioConfig, TrialRecord, _check_counts,
+                       _observe_rows, _trial_rng, simulate)
 
 __all__ = [
     "compatibility_constraint",
@@ -40,7 +40,6 @@ __all__ = [
     "AdaptiveRecord",
     "run_adaptive_merge",
     "AdaptiveComparison",
-    "adaptive_preset_config",
     "experiment_prediction_in_loop",
     "MismatchTrial",
     "experiment_assumption_mismatch",
@@ -260,40 +259,12 @@ class AdaptiveComparison:
         return 100.0 * (self.overall_disabled - self.overall_enabled) / self.overall_disabled
 
 
-def adaptive_preset_config(n_steps: int = 3000) -> ScenarioConfig:
-    """Canonical three-vehicle roster on the steep slow merge.
-
-    The lead starts just ahead of the object on the ramp, below its own
-    desired speed, so the object has to brake into its clearance bubble
-    right away; that braking episode is what the ego observes.  The lead
-    then accelerates away, ending the interaction and leaving the merge
-    mouth open, and the ego meets the object there at a near tie, where
-    whoever's filter activates farther out concedes the slot.
-    """
-    geom = default_geometry(ramp_angle_deg=30.0)
-    limits = ControlLimits((-8.0, -8.0), (8.0, 8.0))
-    # The lead's low gain stretches its climb to desired speed, which keeps
-    # the object pressed against its clearance bubble (and braking, hence
-    # observable) through the observation phase instead of a brief graze.
-    lead = VehicleSpec(name="lead", role="neighbor", route="ramp",
-                       start_progress=-33.6, speed=1.6, desired_speed=4.2,
-                       gain=0.3, alpha=AlphaVector((0.75, 0.25)), limits=limits)
-    obj = VehicleSpec(name="object", role="object", route="ramp",
-                      start_progress=-40.0, speed=3.0, desired_speed=3.0,
-                      gain=0.8, alpha=AlphaVector((0.9, 0.1)), limits=limits)
-    ego = VehicleSpec(name="ego", role="ego", route="main",
-                      start_progress=-40.55, speed=3.0, desired_speed=3.0,
-                      gain=0.8, alpha=AlphaVector((1.0, 0.0)), limits=limits)
-    return ScenarioConfig(geometry=geom, vehicles=(lead, obj, ego), n_steps=n_steps)
-
-
-def experiment_prediction_in_loop(cfg: Optional[ScenarioConfig] = None,
+def experiment_prediction_in_loop(cfg: ScenarioConfig,
                                   policy: Optional[StylePolicy] = None,
                                   ridge: Optional[RidgeConfig] = None,
                                   **settings) -> AdaptiveComparison:
-    """Paired adaptive runs (prediction on/off) on the same configuration,
-    the canonical roster unless cfg is given; settings override
-    AdaptiveSettings fields.
+    """Paired adaptive runs (prediction on/off) on the same configuration;
+    settings override AdaptiveSettings fields.
 
     Like run_adaptive_merge, observation defaults to AdaptiveSettings.hdot_mode,
     the analytic rate (the observer reconstructs the object's acceleration
@@ -301,7 +272,6 @@ def experiment_prediction_in_loop(cfg: Optional[ScenarioConfig] = None,
     hdot_mode="finite_diff" to difference clearances instead.
     """
     s = AdaptiveSettings(**settings)
-    cfg = cfg if cfg is not None else adaptive_preset_config()
     policy = policy if policy is not None else DEFAULT_POLICY
     enabled = run_adaptive_merge(cfg, policy=policy, ridge=ridge,
                                  phase_budget=s.phase_budget, prediction_enabled=True,

@@ -49,8 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adaptive import (AdaptiveSettings, StylePolicy, _roster, adaptive_preset_config,
-                       experiment_prediction_in_loop)
+from .adaptive import AdaptiveSettings, StylePolicy, _roster, experiment_prediction_in_loop
 from .barrier import AlphaVector, SafetyConfig
 from .controller import ControlLimits
 from .errors import ConfigurationError, DomainError
@@ -62,6 +61,7 @@ from .scenario import (COLLISION_TOL, InvarianceSettings, PredictSettings, RoadG
 
 __all__ = [
     "main",
+    "load_preset",
     "read_trajectory_csv",
     "write_trajectory_csv",
     "EXPERIMENTS",
@@ -320,9 +320,10 @@ def _build_scenario(cp) -> ScenarioConfig:
 
 def _build_adaptive_scenario(cp) -> ScenarioConfig:
     """The adaptive roster from [vehicle.*], [scenario] and [safety], or the
-    built-in one (which reads none of them) when no vehicle is declared."""
+    shipped adaptive preset's (which reads none of them) when no vehicle is
+    declared."""
     if not _vehicle_sections(cp):
-        return adaptive_preset_config()
+        return load_preset("adaptive")["scenario"]
     cfg = _build_scenario(cp)
     _roster(cfg)
     return cfg
@@ -361,6 +362,15 @@ def _build_inputs(cp, experiment: str, trials: Optional[int] = None) -> dict:
         got[name] = build(got[needs]) if needs else build()
     _check_read(cp, experiment)
     return got
+
+
+def load_preset(name: str) -> dict:
+    """The objects `polycbf run` builds from the shipped preset `name`
+    (predict, sweep_weights, sweep_gamma, adaptive or invariance), keyed as
+    the experiment's runner takes them: settings, then safety, scenario,
+    ridge or policy as the experiment reads them."""
+    cp = _parse_config(_preset_text(name))
+    return _build_inputs(cp, _build_run(cp).experiment)
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +709,14 @@ class _Experiment(typing.NamedTuple):
     settings: type    # its config section's dataclass
     preset: str       # the shipped preset `run` reads without --config
     run: Callable     # the runner: (out_dir, seed, **inputs) -> (lines, files, diag)
+    seeded: bool      # whether the runner draws from the seed
 
 
 _EXPERIMENTS = {
-    "predict": _Experiment(PredictSettings, "predict", _run_predict),
-    "sweep": _Experiment(SweepSettings, "sweep_weights", _run_sweep),
-    "adaptive": _Experiment(AdaptiveSettings, "adaptive", _run_adaptive),
-    "invariance": _Experiment(InvarianceSettings, "invariance", _run_invariance),
+    "predict": _Experiment(PredictSettings, "predict", _run_predict, True),
+    "sweep": _Experiment(SweepSettings, "sweep_weights", _run_sweep, False),
+    "adaptive": _Experiment(AdaptiveSettings, "adaptive", _run_adaptive, False),
+    "invariance": _Experiment(InvarianceSettings, "invariance", _run_invariance, True),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -733,6 +744,8 @@ def _cmd_run(args) -> int:
     inputs = _build_inputs(cp, experiment, args.trials)
     if args.trials is not None and not hasattr(inputs["settings"], "trials"):
         print(f"note: --trials has no effect on {experiment}", file=sys.stderr)
+    if args.seed is not None and not spec.seeded:
+        print(f"note: --seed has no effect on {experiment}", file=sys.stderr)
 
     base = Path(args.out) if args.out is not None else \
         Path(os.environ.get(OUT_ENV, "polycbf-out"))
@@ -843,7 +856,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", choices=EXPERIMENTS,
                      help="which experiment to run")
     run.add_argument("--config", help="config file (defaults to the shipped preset)")
-    run.add_argument("--seed", type=int, help="override the config's seed")
+    run.add_argument("--seed", type=int,
+                     help="override the config's seed (predict and invariance)")
     run.add_argument("--trials", type=int,
                      help="override the trial count (predict and invariance)")
     run.add_argument("--out", help="output directory root")

@@ -208,13 +208,14 @@ def _row_terms(dx_x, dx_y, dv_x, dv_y, dt):
 def _admits(rows, ux, uy):
     """True when u satisfies every row a.u <= b to within _FEAS_TOL of its scale.
 
-    A row with a.u - b <= 0 passes before its tolerance is formed; the
-    decision is that of the bare tolerance test for every input, NaN included,
-    because the tolerance is always positive.
+    A row with a.u - b <= 0 passes before its tolerance is formed.  Both tests
+    are written as the row holding, so a NaN violation (from a NaN bound,
+    coefficient or input) fails both: a row that cannot be evaluated is never
+    satisfied.
     """
     for ax, ay, b in rows:
         v = ax * ux + ay * uy - b
-        if v > 0.0 and v > _FEAS_TOL * max(1.0, abs(b)):
+        if not v <= 0.0 and not v <= _FEAS_TOL * max(1.0, abs(b)):
             return False
     return True
 
@@ -250,8 +251,8 @@ def _enumerate_min_deviation(ubar_x, ubar_y, rows, nominal_cut=False):
     if not nominal_cut and _admits(rows, ubar_x, ubar_y):
         return ubar_x, ubar_y, 0.0
 
-    # obj < best_obj also rejects non-finite objectives: never the answer, and
-    # a NaN point would pass _admits.
+    # obj < best_obj also rejects non-finite objectives, which are never the
+    # answer.
     best = None
     best_obj = math.inf
     nrms = []

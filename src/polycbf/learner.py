@@ -128,14 +128,23 @@ def fit(samples: Sequence[BarrierSample], cfg: RidgeConfig) -> AlphaEstimate:
     if len(samples) == 0:
         raise InsufficientDataError("cannot fit a style with no samples")
     q = cfg.q_hypothesis
+    gram, moment = np.zeros((q, q)), np.zeros(q)
     for s in samples:
-        if s.basis.q != q:
-            raise ConfigurationError(
-                f"sample basis order {s.basis.q} does not match q_hypothesis {q}")
-    H = np.array([s.basis.values for s in samples], dtype=np.float64)
-    y = np.array([-s.hdot_obs for s in samples], dtype=np.float64)
-    G = H.T @ H + cfg.regularizer * np.eye(q)
-    return _ridge_solve(G, H.T @ y, cfg.regularizer, len(samples))
+        _accumulate(gram, moment, s, q)
+    return _ridge_solve(gram + cfg.regularizer * np.eye(q), moment, cfg.regularizer,
+                        len(samples))
+
+
+def _accumulate(gram: np.ndarray, moment: np.ndarray, sample: BarrierSample, q: int) -> None:
+    """Add one sample to the sums H^T H and H^T (-hdot), in place.  fit and
+    StyleLearner both sum in sample order through this, so they agree bit for
+    bit."""
+    if sample.basis.q != q:
+        raise ConfigurationError(
+            f"sample basis order {sample.basis.q} does not match q_hypothesis {q}")
+    phi = np.asarray(sample.basis.values, dtype=np.float64)
+    gram += np.outer(phi, phi)
+    moment += (-sample.hdot_obs) * phi
 
 
 def _ridge_solve(G: np.ndarray, rhs: np.ndarray, regularizer: float,
@@ -178,7 +187,7 @@ class StyleLearner:
 
     The normal equations are accumulated incrementally, so each admission
     costs O(q^2) regardless of how many samples came before; a batch refit
-    via fit() agrees up to floating-point accumulation order.
+    via fit() on the same samples gives the same estimate, bit for bit.
     """
 
     def __init__(self, ridge: RidgeConfig):
@@ -210,13 +219,7 @@ class StyleLearner:
 
     def add(self, sample: BarrierSample) -> AlphaEstimate:
         """Admit a sample, refit, and update the convergence flag."""
-        q = self.ridge.q_hypothesis
-        if sample.basis.q != q:
-            raise ConfigurationError(
-                f"sample basis order {sample.basis.q} does not match q_hypothesis {q}")
-        phi = np.asarray(sample.basis.values, dtype=np.float64)
-        self._gram += np.outer(phi, phi)
-        self._moment += (-sample.hdot_obs) * phi
+        _accumulate(self._gram, self._moment, sample, self.ridge.q_hypothesis)
         self.samples.append(sample)
         est = _ridge_solve(self._gram + self._ridge_eye, self._moment,
                            self.ridge.regularizer, len(self.samples))

@@ -49,7 +49,6 @@ __all__ = [
     "SweepEntry",
     "sweep_trial_config",
     "experiment_behavior_sweep",
-    "gamma_sweep_settings",
     "InvarianceSettings",
     "invariance_trial_setup",
     "experiment_invariance",
@@ -756,26 +755,6 @@ def _sweep_records(styles: Sequence[AlphaVector], safety: SafetyConfig,
             other_merge_step=rec.metrics.merge_step["other"],
             infeasible_step_count=rec.metrics.infeasible_step_count,
         ), rec
-
-
-def gamma_sweep_settings() -> dict:
-    """Scenario overrides for the one-parameter (q=1) sweep.
-
-    A faster, shallower approach than the weight-sweep default: with the
-    other vehicle nearly unyielding, the minimum approach distance is set by
-    how far out the ego's own filter activates, which shrinks monotonically
-    as the single gain grows, giving a well-separated distance ordering.
-    """
-    return dict(
-        other_alpha=AlphaVector((5.0, 5.0)),
-        ramp_angle_deg=8.0,
-        ego_progress=-75.0,
-        other_progress=-75.0,
-        ego_speed=9.75,
-        other_speed=9.75,
-        accel_bound=5.0,
-        n_steps=2200,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from polycbf import (
     experiment_invariance,
     experiment_prediction,
     experiment_prediction_in_loop,
-    gamma_sweep_settings,
     kappa,
     solve_qp,
 )
@@ -135,19 +134,20 @@ def test_style_weights_steer_spacing_and_merge_order():
     # (a) hotter linear weights against an unyielding neighbor shrink the
     # closest approach monotonically; (b) shifting weight from the linear to
     # the cubic term flips the merge order from behind to in front
+    gamma_sweep = cli.load_preset("sweep_gamma")
+    weight_sweep = cli.load_preset("sweep_weights")
+    assert all(s.q == 1 for s in gamma_sweep["settings"].styles)
     t0 = time.monotonic()
-    gammas = (0.2, 0.4, 0.7, 1.0, 1.5, 2.2, 3.0)
-    entries = experiment_behavior_sweep(
-        [AlphaVector((g,)) for g in gammas], **gamma_sweep_settings())
+    entries = experiment_behavior_sweep(safety=gamma_sweep["safety"],
+                                        **vars(gamma_sweep["settings"]))
     mins = [e.min_distance for e in entries]
     for a, b in zip(mins, mins[1:]):
         assert b <= a + 1e-9
     assert mins[-1] < mins[0]
     assert all(e.min_h >= -1e-9 for e in entries)
 
-    weights = (1.0, 0.8, 0.6, 0.5, 0.4, 0.2, 0.0)
-    entries_w = experiment_behavior_sweep(
-        [AlphaVector((w, 1.0 - w)) for w in weights])
+    entries_w = experiment_behavior_sweep(safety=weight_sweep["safety"],
+                                          **vars(weight_sweep["settings"]))
     orders = [e.merge_order for e in entries_w]
     assert orders[0] == "behind"
     assert orders[-1] == "front"
@@ -158,7 +158,8 @@ def test_style_weights_steer_spacing_and_merge_order():
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     print(f"PASS style sweeps: closest approach {mins[0]:.3f} down to "
-          f"{mins[-1]:.3f}, merge order flips at weight {weights[flip]} "
+          f"{mins[-1]:.3f}, merge order flips at weight "
+          f"{entries_w[flip].alpha.coefficients[0]} "
           f"in {elapsed:.2f}s")
 
 
@@ -166,8 +167,9 @@ def test_prediction_shortens_the_preset_merge():
     # the shipped three-vehicle merge: identifying the object's style and
     # conceding lets the ego merge strictly earlier, and the whole roster
     # finishes strictly sooner than the prediction-disabled baseline
+    preset = cli.load_preset("adaptive")
     t0 = time.monotonic()
-    cmp = experiment_prediction_in_loop()
+    cmp = experiment_prediction_in_loop(preset["scenario"], **vars(preset["settings"]))
     elapsed = time.monotonic() - t0
     assert cmp.ego_step_enabled < cmp.ego_step_disabled
     assert cmp.overall_enabled < cmp.overall_disabled

@@ -14,7 +14,6 @@ from polycbf import (
     SafetyConfig,
     StylePolicy,
     VehicleState,
-    adaptive_preset_config,
     aggressiveness_score,
     build_safety_constraint,
     compatibility_constraint,
@@ -24,8 +23,14 @@ from polycbf import (
     run_trial,
     select_alpha,
 )
+from polycbf.cli import load_preset
 
 CFG = SafetyConfig(r_safe=5.0, q=2)
+
+
+def preset_config(n_steps):
+    """The shipped adaptive roster, cut to n_steps."""
+    return dataclasses.replace(load_preset("adaptive")["scenario"], n_steps=n_steps)
 
 
 def test_compatibility_row_hand_example():
@@ -107,7 +112,7 @@ def test_select_alpha_nearest_score_and_tie_rule():
 
 
 def test_adaptive_roster_validation():
-    cfg = adaptive_preset_config(n_steps=10)
+    cfg = preset_config(n_steps=10)
     no_object = dataclasses.replace(
         cfg,
         vehicles=tuple(dataclasses.replace(v, role="neighbor" if v.role == "object" else v.role)
@@ -123,7 +128,7 @@ def test_adaptive_roster_validation():
 
 
 def test_adaptive_run_argument_validation():
-    cfg = adaptive_preset_config(n_steps=10)
+    cfg = preset_config(n_steps=10)
     with pytest.raises(ConfigurationError):
         run_adaptive_merge(cfg, hdot_mode="spectral")
     with pytest.raises(ConfigurationError):
@@ -137,7 +142,7 @@ def test_adaptive_run_defaults_are_the_settings_defaults():
 
 
 def test_disabled_prediction_reduces_to_plain_trial():
-    cfg = adaptive_preset_config(n_steps=400)
+    cfg = preset_config(n_steps=400)
     rec = run_adaptive_merge(cfg, prediction_enabled=False, hdot_mode="analytic")
     plain = run_trial(cfg)
     assert not rec.prediction_enabled
@@ -150,7 +155,7 @@ def test_disabled_prediction_reduces_to_plain_trial():
 
 
 def test_adaptive_run_identifies_and_concedes():
-    cfg = adaptive_preset_config(n_steps=700)
+    cfg = preset_config(n_steps=700)
     rec = run_adaptive_merge(cfg, phase_budget=300, hdot_mode="analytic")
     assert rec.converged_within_budget
     assert rec.converged_at is not None and rec.converged_at <= 300

@@ -3,15 +3,17 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import configs_equal, trajectory_csv_oracle
 
+import polycbf
 from polycbf import (InvarianceSettings, SafetyConfig, TrajectoryLog, TrialMetrics,
-                     TrialRecord, adaptive_preset_config, experiment_prediction_in_loop,
-                     invariance_trial_setup, run_trial, simulate)
+                     TrialRecord, experiment_prediction_in_loop, invariance_trial_setup,
+                     run_trial, simulate)
 from polycbf import cli, scenario
 
 
@@ -56,6 +58,7 @@ q = 2
 
 PREDICT = cli._preset_text("predict")
 ADAPTIVE = cli._preset_text("adaptive")
+PRESETS = Path(polycbf.__file__).parent / "presets"
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -176,7 +179,7 @@ def _early_stop_log():
 
 
 def _adaptive_logs():
-    comparison = experiment_prediction_in_loop()
+    comparison = experiment_prediction_in_loop(cli.load_preset("adaptive")["scenario"])
     return [comparison.enabled.trial.log, comparison.disabled.trial.log]
 
 
@@ -259,18 +262,33 @@ def test_trials_override(tmp_path):
     assert len(rows) == 1 + 2
 
 
-@pytest.mark.parametrize("experiment,config,noted", [
+# Short runs of each experiment, and whether it is one that ignores --trials
+# and --seed (it has no trial count and draws nothing at random).
+SHORT_RUNS = [
     ("sweep", SWEEP_HOT.replace("n_steps = 2200", "n_steps = 100"), True),
     ("adaptive", ADAPTIVE.replace("n_steps = 3000", "n_steps = 100"), True),
     ("predict", PREDICT.replace("n_steps = 4000", "n_steps = 100"), False),
     ("invariance", INVARIANCE_SMALL, False),
-])
+]
+
+
+@pytest.mark.parametrize("experiment,config,noted", SHORT_RUNS)
 def test_trials_note_names_experiments_without_trials(tmp_path, capsys, experiment,
                                                       config, noted):
     cfg = write_cfg(tmp_path, config)
     assert run_cli(["run", experiment, "--config", cfg, "--trials", 1,
                     "--out", tmp_path / "out"]) == 0
     note = f"note: --trials has no effect on {experiment}"
+    assert (note in capsys.readouterr().err) == noted
+
+
+@pytest.mark.parametrize("experiment,config,noted", SHORT_RUNS)
+def test_seed_note_names_experiments_without_a_seed(tmp_path, capsys, experiment,
+                                                    config, noted):
+    cfg = write_cfg(tmp_path, config)
+    assert run_cli(["run", experiment, "--config", cfg, "--seed", 3, "--trials", 1,
+                    "--out", tmp_path / "out"]) == 0
+    note = f"note: --seed has no effect on {experiment}"
     assert (note in capsys.readouterr().err) == noted
 
 
@@ -325,12 +343,37 @@ def test_invariance_writes_the_trial_min_picks(tmp_path, monkeypatch, keys):
     assert f"(trial {worst})" in lines[1]
 
 
-# --- run: the shipped adaptive preset ----------------------------------------
+# --- load_preset and the shipped adaptive preset ------------------------------
 
-def test_adaptive_preset_matches_library_builder():
-    cp = cli._parse_config(cli._preset_text("adaptive"))
-    built = cli._build_scenario(cp)
-    assert configs_equal(built, adaptive_preset_config())
+def built_by_run(tmp_path, monkeypatch, experiment, config):
+    """The inputs `run` hands the experiment's runner for a config file."""
+    seen = {}
+
+    def capture(out_dir, seed, **inputs):
+        seen.update(inputs)
+        return [], [], None
+
+    spec = cli._EXPERIMENTS[experiment]
+    monkeypatch.setitem(cli._EXPERIMENTS, experiment, spec._replace(run=capture))
+    assert run_cli(["run", experiment, "--config", config, "--out", tmp_path]) == 0
+    assert seen
+    return seen
+
+
+@pytest.mark.parametrize("name,experiment", [
+    ("predict", "predict"), ("sweep_weights", "sweep"), ("sweep_gamma", "sweep"),
+    ("adaptive", "adaptive"), ("invariance", "invariance"),
+])
+def test_load_preset_is_what_run_builds(tmp_path, monkeypatch, name, experiment):
+    built = built_by_run(tmp_path, monkeypatch, experiment, PRESETS / f"{name}.cfg")
+    assert configs_equal(cli.load_preset(name), built)
+
+
+def test_rosterless_adaptive_config_runs_the_preset_roster(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, "[run]\nexperiment = adaptive\n\n[adaptive]\nphase_budget = 200\n")
+    built = built_by_run(tmp_path, monkeypatch, "adaptive", cfg)
+    assert built["settings"].phase_budget == 200
+    assert configs_equal(built["scenario"], cli.load_preset("adaptive")["scenario"])
 
 
 def test_adaptive_preset_run_reports_speedup(tmp_path, capsys):
@@ -453,7 +496,7 @@ def test_nonpositive_trials_exit_three(tmp_path, capsys, experiment, config, tri
 NEGATIVE_SEED = INVARIANCE_SMALL.replace("experiment = invariance",
                                          "experiment = invariance\nseed = -4")
 MISSPELT_SECTION = INVARIANCE_SMALL + "\n[safty]\nr_safe = 50\n"
-# without a roster the adaptive run uses the built-in one, whose safety is fixed
+# without a roster the adaptive run uses the shipped preset's, safety included
 ADAPTIVE_NO_ROSTER = "[run]\nexperiment = adaptive\n\n[safety]\nr_safe = 7.0\n"
 
 
@@ -486,7 +529,7 @@ ADAPTIVE_NO_ROSTER = "[run]\nexperiment = adaptive\n\n[safety]\nr_safe = 7.0\n"
      "config error: [safety] is not read by the adaptive experiment"),
     (["validate"], ADAPTIVE_NO_ROSTER, 0, "out",
      "FAIL sections: [safety] is not read by the adaptive experiment"),
-    # and validate reports the built-in roster's safety, not the unread r_safe 7.0
+    # and validate reports the preset roster's safety, not the unread r_safe 7.0
     (["validate"], ADAPTIVE_NO_ROSTER, 0, "out",
      "roles ['neighbor', 'object', 'ego']; r_safe 5.0, order 2\nPASS ridge"),
 ], ids=["flag", "flag-preset", "config-key", "validate", "validate-mode",

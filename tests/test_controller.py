@@ -164,6 +164,17 @@ def test_in_box_nominal_cut_by_a_row_is_screened_once(monkeypatch):
     assert screened.count((0.5, 0.25)) == 1
 
 
+def test_nan_row_is_never_satisfied():
+    # a row whose bound is NaN cannot be evaluated: the nominal does not pass
+    # it, no candidate does, and the program is flagged infeasible with a
+    # box point
+    nan = float("nan")
+    ux, uy, ok, _, _ = controller._solve_scalar(1.0, 0.0, -5.0, -5.0, 5.0, 5.0,
+                                                [(1.0, 0.0, nan)])
+    assert not ok
+    assert (ux, uy) == (-5.0, -5.0)
+
+
 def test_solve_qp_duplicated_rows_match_a_single_copy():
     lo, hi = np.array([-4.0, -4.0]), np.array([4.0, 4.0])
     u_nom = np.array([2.0, 1.5])

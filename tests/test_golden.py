@@ -3,8 +3,9 @@ assumption-mismatch batch and the metrics and full log of one 16-vehicle
 merge, pinned by sha256.
 
 The CSV digests were recorded before `simulate` and the per-vehicle API were
-moved onto shared scalar kernels, the mismatch digest before that experiment
-moved from its own stepping loop onto `simulate`, and the merge digest while
+moved onto shared scalar kernels, the mismatch digest on a trial that steps
+the per-vehicle API in a loop of its own (it never moved onto `simulate`),
+and the merge digest while
 infeasible multi-row programs still went to an LP solver; the weight sweep
 and the adaptive run were added before the filter's candidate scan became a
 single pass, and the merge's full log before the two vehicles of a pair

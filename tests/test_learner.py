@@ -145,9 +145,9 @@ def test_style_learner_matches_batch_fit():
     for k, s in enumerate(samples):
         est_inc = learner.add(s)
         est_batch = fit(samples[: k + 1], ridge)
-        # incremental normal equations agree with the batch solve
-        assert est_inc.alpha_hat.coefficients == pytest.approx(
-            est_batch.alpha_hat.coefficients, rel=1e-9, abs=1e-9)
+        # incremental normal equations agree with the batch solve, bit for bit
+        assert est_inc.alpha_hat == est_batch.alpha_hat
+        assert est_inc.raw == est_batch.raw
     assert learner.estimate.alpha_hat.coefficients == pytest.approx(
         (0.6, 0.35), abs=1e-6)
 

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import configs_equal, safety_row_oracle
 
-from polycbf import scenario
+from polycbf import cli, scenario
 from polycbf import (
     AlphaVector,
     ConfigurationError,
@@ -23,7 +23,6 @@ from polycbf import (
     experiment_behavior_sweep,
     experiment_invariance,
     experiment_prediction,
-    gamma_sweep_settings,
     invariance_trial_setup,
     nominal_control,
     prediction_trial_setup,
@@ -388,6 +387,21 @@ def test_extra_rows_fn_sees_logged_rows_and_empty_rows_change_nothing():
     assert rec.metrics == plain.metrics
 
 
+def test_nan_extra_row_is_dropped_and_counted():
+    # a NaN extra row makes every step's QP infeasible, so simulate drops it
+    # and counts the step, and the run is the plain one
+    cfg = three_vehicle_config(n_steps=50)
+    plain = run_trial(cfg)
+
+    def nan_row(t, v, cur):
+        return (((1.0, 0.0), float("nan")),) if v == 0 else ()
+
+    rec = simulate(cfg, extra_rows_fn=nan_row)
+    assert rec.relaxed_steps == 50
+    for name in ("states", "inputs", "pair_h", "feasible"):
+        assert getattr(rec.log, name).tobytes() == getattr(plain.log, name).tobytes()
+
+
 def test_alpha_fn_hook_overrides_styles():
     # forcing a huge linear gain on the ego reproduces the config with that gain
     cfg = three_vehicle_config(n_steps=300)
@@ -459,8 +473,15 @@ def test_prediction_trials_recover_styles():
         assert t.n_admitted >= t.converged_at
 
 
+def gamma_sweep_kwargs():
+    """The sweep_gamma preset's settings other than its styles."""
+    kw = vars(cli.load_preset("sweep_gamma")["settings"]).copy()
+    del kw["styles"]
+    return kw
+
+
 def test_gamma_sweep_settings_feed_the_sweep():
-    kw = gamma_sweep_settings()
+    kw = gamma_sweep_kwargs()
     entries = experiment_behavior_sweep([AlphaVector((0.4,)), AlphaVector((2.2,))], **kw)
     assert len(entries) == 2
     # a hotter gamma tolerates a smaller closest approach
@@ -472,7 +493,7 @@ def test_gamma_sweep_settings_feed_the_sweep():
 
 
 def test_sweep_trial_config_reproduces_sweep_entries():
-    kw = gamma_sweep_settings()
+    kw = gamma_sweep_kwargs()
     alpha = AlphaVector((1.0,))
     entries = experiment_behavior_sweep([alpha], **kw)
     cfg = sweep_trial_config(
