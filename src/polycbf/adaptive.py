@@ -60,18 +60,23 @@ def compatibility_constraint(ego: VehicleState, other: VehicleState,
     dx_y = float(ego.position[1]) - float(other.position[1])
     if dx_x == 0.0 and dx_y == 0.0:
         raise DegenerateConstraintError("coincident positions leave the row undefined")
-    ax, ay, b = _compat_row(dx_x, dx_y, alpha_i, alpha_j, cfg, dt)
+    ax, ay, b = _compat_row(dx_x, dx_y, _style_gap(alpha_i, alpha_j), cfg, dt)
     return np.array([ax, ay]), b
 
 
-def _compat_row(dx_x, dx_y, alpha_i, alpha_j, cfg, dt):
-    """Scalar kernel of compatibility_constraint, dx being ego minus other: no
-    validation, shared with the adaptive merge's row hook.  The offset is
-    kappa of the coefficient difference.  Returns (ax, ay, b)."""
-    h = dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe
+def _style_gap(alpha_i, alpha_j):
+    """Coefficient difference alpha_i - alpha_j, both padded to the longer order."""
     q = max(alpha_i.q, alpha_j.q)
-    diff = tuple(ci - cj for ci, cj in zip(alpha_i.padded(q), alpha_j.padded(q)))
-    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(diff, h)
+    return tuple(ci - cj for ci, cj in zip(alpha_i.padded(q), alpha_j.padded(q)))
+
+
+def _compat_row(dx_x, dx_y, gap, cfg, dt):
+    """Scalar kernel of compatibility_constraint, dx being ego minus other and
+    gap the _style_gap of the two styles: no validation, shared with the
+    adaptive merge's row hook and the mismatch trial.  The offset is kappa of
+    the gap.  Returns (ax, ay, b)."""
+    h = dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe
+    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(gap, h)
 
 
 def aggressiveness_score(alpha: AlphaVector, reference_h: float) -> float:
@@ -190,6 +195,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     state: Dict[str, object] = {
         "ego_alpha": cfg.vehicles[ego_idx].alpha,
         "selected": None,
+        "gap": None,
         "sample_steps": [],
     }
 
@@ -209,14 +215,17 @@ def run_adaptive_merge(cfg: ScenarioConfig,
             chosen = select_alpha(learner.estimate.alpha_hat, policy)
             state["selected"] = chosen
             state["ego_alpha"] = chosen
+            # The learner takes no sample after the budget, so the estimate
+            # and the ego's style, and their gap, are final from here on.
+            state["gap"] = _style_gap(chosen, learner.estimate.alpha_hat)
 
     def extra_rows_fn(t: int, v: int, cur: np.ndarray):
         if v != ego_idx or not prediction_enabled or t < phase_budget or not learner.converged:
             return ()
-        # A converged learner has an estimate.
+        # A learner converged by the budget had an estimate when the ego
+        # selected its style, so the gap is set.
         dx_x, dx_y = (cur[ego_idx, :2] - cur[obj_idx, :2]).tolist()
-        ax, ay, b = _compat_row(dx_x, dx_y, state["ego_alpha"], learner.estimate.alpha_hat,
-                                safety, dt)
+        ax, ay, b = _compat_row(dx_x, dx_y, state["gap"], safety, dt)
         return (((ax, ay), b),)
 
     trial = simulate(cfg, alpha_fn=alpha_fn, extra_rows_fn=extra_rows_fn,
@@ -351,19 +360,22 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
         obj = VehicleState((d0, 0.0), (v_obj, 0.0))
         plan_obj = NominalPlan(v_obj, (1.0, 0.0), 0.8)
 
+        gap = _style_gap(alpha_i, alpha_j)
         min_h = safety_value(ego.position, obj.position, safety)
         ego_bad = obj_bad = 0
         for _ in range(n_steps):
+            # safe_control rejects coincident positions before the ego's row.
             sol_j = safe_control(obj, [(ego, None)], alpha_j, plan_obj,
                                  safety, object_limits, dt)
             if not sol_j.feasible:
                 obj_bad += 1
-            a, b = compatibility_constraint(ego, obj, alpha_i, alpha_j, safety, dt)
+            ex, ey = ego.position.tolist()
+            ox, oy = obj.position.tolist()
+            row = _compat_row(ex - ox, ey - oy, gap, safety, dt)
             raw_x = rng.uniform(-0.3 * bound, bound)
             raw_y = rng.uniform(-0.2, 0.2)
             ux, uy, ok, _, _ = _solve_scalar(
-                raw_x, raw_y, -bound, -bound, bound, bound,
-                ((float(a[0]), float(a[1]), b),))
+                raw_x, raw_y, -bound, -bound, bound, bound, (row,))
             if not ok:
                 ego_bad += 1
             ego = step(ego, (ux, uy), dt)

@@ -149,12 +149,19 @@ def _kappa_args(alpha: AlphaVector | Sequence[float],
 
 
 def _kappa(coeffs: tuple[float, ...], h: float) -> float:
-    """Scalar kernel of kappa: no validation, shared with the batch simulator."""
+    """Scalar kernel of kappa: no validation, shared with the batch simulator.
+
+    A zero coefficient adds nothing, not 0 * h^(2p+1): that product is NaN
+    once the power overflows.  Skipping it leaves every finite result as it
+    was, because the running total never holds -0.0 and adding +-0.0 to any
+    other value returns it unchanged.
+    """
     total = 0.0
     term = h
     h2 = h * h
     for c in coeffs:
-        total += c * term
+        if c:
+            total += c * term
         term *= h2
     return total
 

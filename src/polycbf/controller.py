@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barrier import AlphaVector, SafetyConfig, _kappa, _kappa_args, safety_value
+from .barrier import AlphaVector, SafetyConfig, _kappa, _kappa_args
 from .dynamics import DEFAULT_DT, VehicleState
 from .errors import ConfigurationError, DegenerateConstraintError, DomainError
 
@@ -119,21 +119,32 @@ class QpProblem:
         ubar = np.asarray(self.u_nominal, dtype=np.float64).reshape(2)
         lo = np.asarray(self.u_min, dtype=np.float64).reshape(2)
         hi = np.asarray(self.u_max, dtype=np.float64).reshape(2)
-        if not (np.isfinite(ubar).all() and np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise DomainError("QP data must be finite")
-        if not (lo[0] <= hi[0] and lo[1] <= hi[1]):
-            raise ConfigurationError(f"u_min must be <= u_max, got {lo} vs {hi}")
-        rows = []
-        for a, b in self.constraints:
-            av = np.asarray(a, dtype=np.float64).reshape(2)
-            bf = float(b)
-            if not (np.isfinite(av).all() and math.isfinite(bf)):
-                raise DomainError("constraint row must be finite")
-            rows.append((av, bf))
+        rows = tuple((np.asarray(a, dtype=np.float64).reshape(2), float(b))
+                     for a, b in self.constraints)
+        ubar_x, ubar_y = ubar.tolist()
+        lo_x, lo_y = lo.tolist()
+        hi_x, hi_y = hi.tolist()
+        _check_qp_data(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y,
+                       [(*a.tolist(), b) for a, b in rows])
         object.__setattr__(self, "u_nominal", ubar)
         object.__setattr__(self, "u_min", lo)
         object.__setattr__(self, "u_max", hi)
-        object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "constraints", rows)
+
+
+def _check_qp_data(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows):
+    """The checks of QpProblem on float data, rows being (ax, ay, b) triples;
+    safe_control runs them on its program without building a QpProblem."""
+    isfinite = math.isfinite
+    if not (isfinite(ubar_x) and isfinite(ubar_y) and isfinite(lo_x) and isfinite(lo_y)
+            and isfinite(hi_x) and isfinite(hi_y)):
+        raise DomainError("QP data must be finite")
+    if not (lo_x <= hi_x and lo_y <= hi_y):
+        raise ConfigurationError(
+            f"u_min must be <= u_max, got ({lo_x}, {lo_y}) vs ({hi_x}, {hi_y})")
+    for ax, ay, b in rows:
+        if not (isfinite(ax) and isfinite(ay) and isfinite(b)):
+            raise DomainError("constraint row must be finite")
 
 
 @dataclass(frozen=True)
@@ -174,25 +185,32 @@ def build_safety_constraint(ego: VehicleState, other: VehicleState, other_u_assu
     is whatever the caller assumes for it (zero models a constant-velocity
     neighbor).
     """
-    ex, ey = float(ego.position[0]), float(ego.position[1])
-    ox, oy = float(other.position[0]), float(other.position[1])
+    ax, ay, b = _safety_row(ego, other, other_u_assumed, alpha, cfg, dt)
+    return np.array([ax, ay]), b
+
+
+def _safety_row(ego, other, other_u_assumed, alpha, cfg, dt):
+    """build_safety_constraint on floats, with all its checks: returns
+    (ax, ay, b).  h is safety_value's arithmetic on positions that
+    VehicleState has already checked."""
+    ex, ey = ego.position.tolist()
+    ox, oy = other.position.tolist()
     dx_x = ex - ox
     dx_y = ey - oy
     if dx_x == 0.0 and dx_y == 0.0:
         raise DegenerateConstraintError("coincident positions admit no separating row")
-    dv_x = float(ego.velocity[0]) - float(other.velocity[0])
-    dv_y = float(ego.velocity[1]) - float(other.velocity[1])
+    ev_x, ev_y = ego.velocity.tolist()
+    ov_x, ov_y = other.velocity.tolist()
     if other_u_assumed is None:
         uo_x = uo_y = 0.0
     else:
-        uo = np.asarray(other_u_assumed, dtype=np.float64).reshape(2)
-        uo_x, uo_y = float(uo[0]), float(uo[1])
+        uo_x, uo_y = np.asarray(other_u_assumed, dtype=np.float64).reshape(2).tolist()
     dt = float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    coeffs, h = _kappa_args(alpha, safety_value(ego.position, other.position, cfg))
-    ax, ay, s = _row_terms(dx_x, dx_y, dv_x, dv_y, dt)
-    return np.array([ax, ay]), s - 2.0 * (dx_x * uo_x + dx_y * uo_y) * dt + _kappa(coeffs, h)
+    coeffs, h = _kappa_args(alpha, dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe)
+    ax, ay, s = _row_terms(dx_x, dx_y, ev_x - ov_x, ev_y - ov_y, dt)
+    return ax, ay, s - 2.0 * (dx_x * uo_x + dx_y * uo_y) * dt + _kappa(coeffs, h)
 
 
 def _row_terms(dx_x, dx_y, dv_x, dv_y, dt):
@@ -389,8 +407,10 @@ def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
     found = _enumerate_min_deviation(ubar_x, ubar_y, relaxed)
     if found is not None:
         ux, uy, _ = found
-    else:  # pragma: no cover - relaxation is feasible by construction
-        ux, uy = vx, vy
+    else:
+        # The minimax point satisfies the relaxed rows unless a NaN row made
+        # t* NaN: no input satisfies that row, so its violation is unbounded.
+        ux, uy, t_star = vx, vy, math.inf
     dxu = ux - ubar_x
     dyu = uy - ubar_y
     return ux, uy, False, dxu * dxu + dyu * dyu, t_star
@@ -416,9 +436,22 @@ def safe_control(ego: VehicleState, others: Sequence, alpha: AlphaVector,
 
     others is a sequence of (VehicleState, assumed acceleration) pairs; pass
     None for the acceleration to model a constant-velocity neighbor.
+
+    The program is formed and checked on floats and handed to the scalar
+    solver directly, without building a QpProblem.  Results and errors equal
+    those of solve_qp(QpProblem(nominal_control(ego, plan, limits),
+    limits.u_min, limits.u_max, rows)), rows being build_safety_constraint
+    for each neighbor.
     """
-    ubar = nominal_control(ego, plan, limits)
-    rows = [build_safety_constraint(ego, other, u_assumed, alpha, cfg, dt)
+    lo_x, lo_y = limits.u_min.tolist()
+    hi_x, hi_y = limits.u_max.tolist()
+    d_x, d_y = plan.lane_direction.tolist()
+    v_x, v_y = ego.velocity.tolist()
+    ubar_x, ubar_y = _cruise(plan.gain, plan.desired_speed, d_x, d_y, v_x, v_y,
+                             lo_x, lo_y, hi_x, hi_y)
+    rows = [_safety_row(ego, other, u_assumed, alpha, cfg, dt)
             for other, u_assumed in others]
-    qp = QpProblem(ubar, limits.u_min, limits.u_max, tuple(rows))
-    return solve_qp(qp)
+    _check_qp_data(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows)
+    ux, uy, feasible, obj, t_star = _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y,
+                                                  rows)
+    return QpSolution(np.array([ux, uy]), feasible, obj, t_star)

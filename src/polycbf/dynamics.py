@@ -29,9 +29,17 @@ class VehicleState:
     velocity: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64).reshape(2).copy()
-        vel = np.asarray(self.velocity, dtype=np.float64).reshape(2).copy()
-        if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
+        # np.array copies, so each state owns its arrays.
+        pos = np.array(self.position, dtype=np.float64)
+        vel = np.array(self.velocity, dtype=np.float64)
+        if pos.shape != (2,):
+            pos = pos.reshape(2).copy()
+        if vel.shape != (2,):
+            vel = vel.reshape(2).copy()
+        x_x, x_y = pos.tolist()
+        v_x, v_y = vel.tolist()
+        if not (math.isfinite(x_x) and math.isfinite(x_y)
+                and math.isfinite(v_x) and math.isfinite(v_y)):
             raise DomainError("vehicle state has non-finite components")
         pos.flags.writeable = False
         vel.flags.writeable = False
@@ -44,10 +52,14 @@ def step(state: VehicleState, u, dt: float = DEFAULT_DT) -> VehicleState:
     dt = float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    u = np.asarray(u, dtype=np.float64).reshape(2)
-    if not np.isfinite(u).all():
+    u_x, u_y = np.asarray(u, dtype=np.float64).reshape(2).tolist()
+    if not (math.isfinite(u_x) and math.isfinite(u_y)):
         raise DomainError("acceleration has non-finite components")
-    return VehicleState(*_step(state.position, state.velocity, u, dt))
+    x_x, x_y = state.position.tolist()
+    v_x, v_y = state.velocity.tolist()
+    x_x, v_x = _step(x_x, v_x, u_x, dt)
+    x_y, v_y = _step(x_y, v_y, u_y, dt)
+    return VehicleState((x_x, x_y), (v_x, v_y))
 
 
 def _step(x, v, u, dt):

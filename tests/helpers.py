@@ -106,12 +106,15 @@ def safety_row_oracle(dx_x, dx_y, dv_x, dv_y, uo_x, uo_y, h, coeffs, dt):
     dx, dv and h are ego minus other, uo the neighbour's assumed acceleration.
     Returns (ax, ay, b) for a.u_ego <= b with a = -2 dx dt and
     b = 2 dx.dv - 2 dx.uo dt + sum_k coeffs[k] h^(2k+1), in the order the
-    filter evaluated them before each pair's terms were shared.
+    filter evaluated them before each pair's terms were shared.  A zero
+    coefficient adds nothing to the margin, so an overflowed power of h
+    contributes no 0 * inf = NaN.
     """
     margin = 0.0
     term = h
     for c in coeffs:
-        margin += c * term
+        if c != 0.0:
+            margin += c * term
         term *= h * h
     b = 2.0 * (dx_x * dv_x + dx_y * dv_y) - 2.0 * (dx_x * uo_x + dx_y * uo_y) * dt + margin
     return -2.0 * dx_x * dt, -2.0 * dx_y * dt, b

@@ -1,8 +1,11 @@
 """Barrier algebra: coefficient vectors, odd-power basis, kappa, clearance rate."""
 import math
+import random
 
 import numpy as np
 import pytest
+
+from polycbf import barrier
 
 from polycbf import (
     AlphaVector,
@@ -38,6 +41,40 @@ def test_kappa_matches_naive_power_sum():
         expect = naive_kappa(coeffs, h)
         got = kappa(AlphaVector(coeffs), h)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def _kappa_every_term(coeffs, h):
+    # the kappa kernel as it was before zero coefficients were skipped
+    total = 0.0
+    term = h
+    h2 = h * h
+    for c in coeffs:
+        total += c * term
+        term *= h2
+    return total
+
+
+def test_kappa_skipping_zero_coefficients_keeps_every_finite_result():
+    # signed coefficients cover the style gaps of compatibility rows
+    rng = random.Random(5)
+    coeff_pool = (0.0, -0.0, 5e-324, 0.3, -0.3, 2.0, 1e-200, -1e200)
+    h_pool = (0.0, -0.0, 5e-324, 1e-100, 24.0, -7.5, 1e100, -1e100, 1e300)
+    finite = 0
+    for _ in range(20000):
+        coeffs = tuple(rng.choice((rng.choice(coeff_pool), rng.uniform(-3.0, 3.0)))
+                       for _ in range(rng.randint(1, 4)))
+        h = rng.choice((rng.choice(h_pool), rng.uniform(-100.0, 100.0)))
+        before = _kappa_every_term(coeffs, h)
+        if math.isfinite(before):
+            assert barrier._kappa(coeffs, h).hex() == before.hex(), (coeffs, h)
+            finite += 1
+    assert finite > 15000
+
+
+def test_kappa_zero_coefficient_ignores_an_overflowed_power():
+    # 0 * (1e300)^3 was 0 * inf = NaN
+    assert kappa(AlphaVector((0.5, 0.0, 0.2)), 1e300) == math.inf
+    assert kappa(AlphaVector((0.5, 0.0)), 1e300) == 0.5e300
 
 
 def test_kappa_accepts_plain_sequences():

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from polycbf import dynamics
+
 from polycbf import (
     ConfigurationError,
     DomainError,
@@ -65,3 +67,23 @@ def test_step_validates_dt():
         step(s, (0.0, 0.0), 0.0)
     with pytest.raises(ConfigurationError):
         step(s, (0.0, 0.0), -0.01)
+
+
+def test_step_rejects_nonfinite_input():
+    s = VehicleState((0.0, 0.0), (1.0, 0.0))
+    for u in ((float("inf"), 0.0), (0.0, float("nan"))):
+        with pytest.raises(DomainError):
+            step(s, u, 0.01)
+
+
+def test_step_matches_the_array_kernel_bit_for_bit():
+    # step works on floats; the kernel on numpy arrays is how it stepped before
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        s = VehicleState(rng.uniform(-1e3, 1e3, 2), rng.uniform(-30, 30, 2))
+        u = rng.uniform(-80, 80, 2)
+        dt = float(rng.choice((0.01, 0.05, float(rng.uniform(1e-4, 0.1)))))
+        nxt = step(s, tuple(u) if rng.random() < 0.5 else u, dt)
+        x, v = dynamics._step(s.position, s.velocity, u, dt)
+        assert [c.hex() for c in nxt.position.tolist() + nxt.velocity.tolist()] \
+            == [c.hex() for c in x.tolist() + v.tolist()]
