@@ -363,7 +363,10 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
         gap = _style_gap(alpha_i, alpha_j)
         min_h = safety_value(ego.position, obj.position, safety)
         ego_bad = obj_bad = 0
-        for _ in range(n_steps):
+        # The ego's raw inputs, drawn at once: the same numbers, in the same
+        # order, as one (x, y) draw per step.
+        raw = rng.uniform((-0.3 * bound, -0.2), (bound, 0.2), size=(n_steps, 2)).tolist()
+        for raw_x, raw_y in raw:
             # safe_control rejects coincident positions before the ego's row.
             sol_j = safe_control(obj, [(ego, None)], alpha_j, plan_obj,
                                  safety, object_limits, dt)
@@ -372,8 +375,6 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
             ex, ey = ego.position.tolist()
             ox, oy = obj.position.tolist()
             row = _compat_row(ex - ox, ey - oy, gap, safety, dt)
-            raw_x = rng.uniform(-0.3 * bound, bound)
-            raw_y = rng.uniform(-0.2, 0.2)
             ux, uy, ok, _, _ = _solve_scalar(
                 raw_x, raw_y, -bound, -bound, bound, bound, (row,))
             if not ok:

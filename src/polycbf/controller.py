@@ -16,7 +16,10 @@ nominal point, on a single constraint line, or at the intersection of two.
 When the nominal point lies in the box and satisfies every row, which is the
 common case, it is returned before the box faces are even built.  Otherwise
 one pass over the projections and then the pairwise intersections keeps the
-best feasible candidate, the first generated among equal objectives.  Pairs
+best feasible candidate, the first generated among equal objectives.  Rows
+whose bound clears their maximum over the box by a proven margin cannot
+change that answer, so they are left out of the pass (_live_rows): of a
+16-vehicle platoon's 15 neighbour rows, typically one remains.  Pairs
 on a box face that lies provably farther away than the best projection are
 never formed (the rounding argument is in _enumerate_min_deviation).
 
@@ -351,7 +354,7 @@ def _minimax_vertices(rows, lo_x, lo_y, hi_x, hi_y):
     ax, ay, b = np.array(rows, dtype=np.float64).T
     xs = [np.array([lo_x, hi_x, lo_x, hi_x])]
     ys = [np.array([lo_y, lo_y, hi_y, hi_y])]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         i, j = np.triu_indices(len(b), 1)
         dax, day, db = ax[i] - ax[j], ay[i] - ay[j], b[i] - b[j]
         for c in (lo_x, hi_x):  # edges ux = c
@@ -376,23 +379,66 @@ def _minimax_vertices(rows, lo_x, lo_y, hi_x, hi_y):
     return float(ux[best]), float(uy[best]), float(worst[best])
 
 
+def _live_rows(rows, ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y):
+    """The rows that can bind in the candidate scan, as a new list.
+
+    A row a.u <= b leaves when its bound clears the row's maximum over the box,
+    top = ax*(hi_x if ax > 0 else lo_x) + ay*(hi_y if ay > 0 else lo_y), by
+    the margin |ax|*e_x + |ay|*e_y + |b|/4, where
+    e_x = _FEAS_TOL*max(1, X) + 2^-40*(1 + X + |ubar_x|), X = max(|lo_x|, |hi_x|),
+    and e_y likewise.  The scan returns the same bits without such a row:
+    - An admitted candidate passes the face rows, so it lies in the box
+      widened by the faces' tolerance, _FEAS_TOL*max(1, X)*(1 + 2^-52) on
+      each side in x.  There a.u - b is below -|b|/4 even after rounding, so
+      the row admits every admitted candidate and rejects none.
+    - The row's own candidates lie near its line a.u = b, which misses that
+      widened box by more than their rounding error, so none is admitted and
+      none becomes the running best.  A projection is off its line by a few
+      ulps of |ax*ubar_x| + |ay*ubar_y| + |b| + |a|*X.  For a pair point in
+      the widened box, Cramer's rule is off by at most 3*2^-53*|b|*P/|det|
+      plus ulps of |b| and |a|*X, with P = |ax1*ay2| + |ay1*ax2| <= |a1||a2|;
+      the pair test |det| > 1e-14*scale bounds P/|det| by 2e14 (twice 1e14
+      for subnormal norms), so the error is under 0.07*|b|.  A projection
+      whose norm overflows is the nominal point, which the scan rejects.
+    The 2^-40 term also covers the rounding of top and of the test itself.
+    So the running best moves at the same candidates in the same order, and
+    the first generated among ties still wins.  A row with a NaN or an
+    infinity fails the test and is kept.  A lone row is kept untested: when
+    the nominal lies in the box, the scan runs only after that row cut it,
+    so it can bind.
+    """
+    if len(rows) < 2:
+        return list(rows)
+    ext_x = max(abs(lo_x), abs(hi_x))
+    ext_y = max(abs(lo_y), abs(hi_y))
+    e_x = _FEAS_TOL * max(1.0, ext_x) + 2.0 ** -40 * (1.0 + ext_x + abs(ubar_x))
+    e_y = _FEAS_TOL * max(1.0, ext_y) + 2.0 ** -40 * (1.0 + ext_y + abs(ubar_y))
+    live = []
+    for row in rows:
+        ax, ay, b = row
+        top = ax * (hi_x if ax > 0.0 else lo_x) + ay * (hi_y if ay > 0.0 else lo_y)
+        if not b - top > abs(ax) * e_x + abs(ay) * e_y + 0.25 * abs(b):
+            live.append(row)
+    return live
+
+
 def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
     """Scalar-core solve shared by solve_qp and the batch simulation loop.
 
     constraint_rows is a sequence of (ax, ay, b) triples excluding the box.
     Returns (ux, uy, feasible, objective, max_violation).  A nominal inside
     the box is screened against constraint_rows alone, once: the face test
-    1.0*ux + 0.0*uy - hi is never positive for lo <= ux <= hi.
+    1.0*ux + 0.0*uy - hi is never positive for lo <= ux <= hi.  Both candidate
+    scans, the feasible one and the relaxed re-solve, see only the rows that
+    can bind (_live_rows) plus the box faces; the minimax fallback sees every
+    row.
     """
     inside = lo_x <= ubar_x <= hi_x and lo_y <= ubar_y <= hi_y
     if inside and _admits(constraint_rows, ubar_x, ubar_y):
         return ubar_x, ubar_y, True, 0.0, 0.0
-    rows = list(constraint_rows)
-    rows.append((1.0, 0.0, hi_x))
-    rows.append((-1.0, 0.0, -lo_x))
-    rows.append((0.0, 1.0, hi_y))
-    rows.append((0.0, -1.0, -lo_y))
-
+    faces = ((1.0, 0.0, hi_x), (-1.0, 0.0, -lo_x), (0.0, 1.0, hi_y), (0.0, -1.0, -lo_y))
+    rows = _live_rows(constraint_rows, ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y)
+    rows.extend(faces)
     found = _enumerate_min_deviation(ubar_x, ubar_y, rows, nominal_cut=inside)
     if found is not None:
         ux, uy, obj = found
@@ -400,10 +446,11 @@ def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
 
     # No admissible input: take the box point with the smallest worst violation,
     # then resolve ties toward the nominal by re-solving with relaxed rows.
-    vx, vy, t_star = _minimax_violation(rows[:-4], lo_x, lo_y, hi_x, hi_y)
+    vx, vy, t_star = _minimax_violation(constraint_rows, lo_x, lo_y, hi_x, hi_y)
     slack = t_star + 1e-9 * max(1.0, abs(t_star))
-    relaxed = [(ax, ay, b + slack) for ax, ay, b in rows[:-4]]
-    relaxed.extend(rows[-4:])  # box faces stay hard
+    relaxed = _live_rows([(ax, ay, b + slack) for ax, ay, b in constraint_rows],
+                         ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y)
+    relaxed.extend(faces)  # box faces stay hard
     found = _enumerate_min_deviation(ubar_x, ubar_y, relaxed)
     if found is not None:
         ux, uy, _ = found

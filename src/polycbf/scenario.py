@@ -304,14 +304,17 @@ def simulate(cfg: ScenarioConfig,
     extra_rows_fn(t, v, cur) appends pre-built QP rows (dropped for the step,
     and counted, if they make the QP infeasible while the safety rows alone
     are satisfiable); on_step(t_next, prev, cur) gets states[t_next - 1] and
-    states[t_next] after each advance, and may return truthy to end the trial early (the new step is still logged, and
-    all per-step arrays are truncated to the steps actually run).
+    states[t_next] after each advance, and may return truthy to end the trial
+    early (the new step is still logged, and all per-step arrays are
+    truncated to the steps actually run).  Within a step the hooks run in
+    this order: alpha_fn(t, v) for every v, then extra_rows_fn(t, v, cur) for
+    every v, then on_step(t + 1, ...).  No hook runs at the last logged step.
 
     Each step computes every pair's clearance and row terms (a, s) once, from
     the first vehicle's side; the second vehicle's row is (-a, s), and each
-    vehicle adds its own kappa(alpha, h) to s.  For finite states every row is
-    bit-identical to build_safety_constraint's for a neighbour assumed not to
-    accelerate.
+    vehicle's bound is s plus its own kappa(alpha, h).  For finite states
+    every row is bit-identical to build_safety_constraint's for a neighbour
+    assumed not to accelerate.
     """
     geom = cfg.geometry
     vehicles = cfg.vehicles
@@ -328,7 +331,6 @@ def simulate(cfg: ScenarioConfig,
     px, py, vx, vy = (states[0, :, k].tolist() for k in range(4))
     rows_ro = states.view()  # the hooks' view; each row is written once
     rows_ro.flags.writeable = False
-    alphas = [v.alpha for v in vehicles]
     gains = [v.gain for v in vehicles]
     desired = [v.desired_speed for v in vehicles]
     lo_x = [float(v.limits.u_min[0]) for v in vehicles]
@@ -338,9 +340,11 @@ def simulate(cfg: ScenarioConfig,
     ramp = [v.route == "ramp" for v in vehicles]
     headings = [(float(v.heading[0]), float(v.heading[1])) if v.route == "fixed" else None
                 for v in vehicles]
-    # terms[v] holds v's (ax, ay, s, h) against each neighbour w in ascending
-    # order (slot w below v, w - 1 above); every slot is rewritten each step.
-    terms = [[None] * (n - 1) for _ in range(n)]
+    coeffs = [v.alpha.coefficients for v in vehicles]
+    # safety[v] holds v's rows (ax, ay, b) against each neighbour w in
+    # ascending order (slot w below v, w - 1 above); every slot is rewritten
+    # at each step that runs the filters.
+    safety = [[None] * (n - 1) for _ in range(n)]
 
     inputs = np.zeros((N + 1, n, 2))
     pair_h = np.empty((N + 1, len(pairs)))
@@ -351,35 +355,40 @@ def simulate(cfg: ScenarioConfig,
     n_logged = N + 1
 
     for t in range(N + 1):
+        last = t == N or stop
+        if not last and alpha_fn is not None:
+            coeffs = [alpha_fn(t, v).coefficients for v in range(n)]
         hs = []
         for i, j in pairs:
             dxx = px[i] - px[j]
             dyy = py[i] - py[j]
             h = dxx * dxx + dyy * dyy - r2
             hs.append(h)
+            if last:
+                continue
             ax, ay, s = _row_terms(dxx, dyy, vx[i] - vx[j], vy[i] - vy[j], dt)
-            terms[i][j - 1] = (ax, ay, s, h)
+            safety[i][j - 1] = (ax, ay, s + _kappa(coeffs[i], h))
             if dxx and dyy:
                 # A non-zero fl(b - a) is -fl(a - b): j's row is the exact mirror.
-                terms[j][i] = (-ax, -ay, s, h)
+                safety[j][i] = (-ax, -ay, s + _kappa(coeffs[j], h))
             else:
                 # a - b and b - a are both +0 when a == b, so a zero difference
                 # does not negate: j's terms come from its own side.
-                terms[j][i] = (*_row_terms(px[j] - px[i], py[j] - py[i],
-                                           vx[j] - vx[i], vy[j] - vy[i], dt), h)
+                ax, ay, s = _row_terms(px[j] - px[i], py[j] - py[i],
+                                       vx[j] - vx[i], vy[j] - vy[i], dt)
+                safety[j][i] = (ax, ay, s + _kappa(coeffs[j], h))
         pair_h[t] = hs
         for v, spec in enumerate(vehicles):
             if merge_step[spec.name] is None and spec.route != "fixed":
                 if geom._progress(ramp[v], px[v], py[v]) > 0.0:
                     merge_step[spec.name] = t
-        if t == N or stop:
+        if last:
             n_logged = t + 1
             break
 
         cur = rows_ro[t]
         new_u = []
         for v in range(n):
-            alpha = alpha_fn(t, v) if alpha_fn is not None else alphas[v]
             if headings[v] is None:
                 dir_x, dir_y = geom._pursuit(ramp[v], px[v], py[v])
             else:
@@ -388,21 +397,21 @@ def simulate(cfg: ScenarioConfig,
             nn = math.hypot(dir_x, dir_y)
             ub_x, ub_y = _cruise(gains[v], desired[v], dir_x / nn, dir_y / nn,
                                  vx[v], vy[v], lo_x[v], lo_y[v], hi_x[v], hi_y[v])
-            coeffs = alpha.coefficients
-            rows = [(ax, ay, s + _kappa(coeffs, h)) for ax, ay, s, h in terms[v]]
-            n_safety = len(rows)
+            rows = safety[v]
+            extra = None
             if extra_rows_fn is not None:
-                for a, b in extra_rows_fn(t, v, cur):
-                    rows.append((float(a[0]), float(a[1]), float(b)))
+                extra = [(float(a[0]), float(a[1]), float(b))
+                         for a, b in extra_rows_fn(t, v, cur)]
+                rows = rows + extra
 
             ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x[v], lo_y[v],
                                              hi_x[v], hi_y[v], rows)
-            if len(rows) > n_safety and not ok:
+            if extra and not ok:
                 # The appended rows are advisory relative to the safety rows:
                 # rather than let the fallback trade safety slack for them,
                 # drop them for this step and record that we did.
                 ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x[v], lo_y[v],
-                                                 hi_x[v], hi_y[v], rows[:n_safety])
+                                                 hi_x[v], hi_y[v], safety[v])
                 if ok:
                     relaxed += 1
             new_u.append((ux, uy))

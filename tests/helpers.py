@@ -195,3 +195,127 @@ def trajectory_csv_oracle(log) -> bytes:
                        + [g17(u) for u in log.inputs[t, v]]
                        + [int(bool(log.feasible[t, v]))] + hvals)
     return buf.getvalue().encode("utf-8")
+
+
+def result_bits(result):
+    """A result tuple with each float as its hex form, so NaN and the sign of
+    zero compare exactly; None stays None."""
+    if result is None:
+        return None
+    return tuple(x.hex() if isinstance(x, float) else x for x in result)
+
+
+def frozen_solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows, feas_tol=1e-9):
+    """Frozen copy of the filter's scalar solve as it was before rows that
+    cannot bind left the candidate scan, for bit-for-bit checks.
+
+    rows are (ax, ay, b) triples excluding the box.  Every scan sees every
+    row; the arithmetic and the order of every candidate are the filter's.
+    Returns (ux, uy, feasible, objective, max_violation).
+    """
+    def admits(rows, ux, uy):
+        for ax, ay, b in rows:
+            v = ax * ux + ay * uy - b
+            if not v <= 0.0 and not v <= feas_tol * max(1.0, abs(b)):
+                return False
+        return True
+
+    def scan(rows, nominal_cut=False):
+        if not nominal_cut and admits(rows, ubar_x, ubar_y):
+            return ubar_x, ubar_y, 0.0
+        best, best_obj, nrms = None, math.inf, []
+        for ax, ay, b in rows:
+            nrm = ax * ax + ay * ay
+            nrms.append(nrm)
+            if nrm <= 0.0:
+                continue
+            t = (ax * ubar_x + ay * ubar_y - b) / nrm
+            ux = ubar_x - t * ax
+            uy = ubar_y - t * ay
+            dxu = ux - ubar_x
+            dyu = uy - ubar_y
+            obj = dxu * dxu + dyu * dyu
+            if obj < best_obj and admits(rows, ux, uy):
+                best, best_obj = (ux, uy), obj
+        live = range(len(rows))
+        if best is not None:
+            reach = math.sqrt(best_obj) * (1.0 + 1e-12) + 1e-140
+            live = []
+            for k, (ax, ay, b) in enumerate(rows):
+                if ay == 0.0 and abs(ax) == 1.0:
+                    gap = abs(ax * b - ubar_x)
+                elif ax == 0.0 and abs(ay) == 1.0:
+                    gap = abs(ay * b - ubar_y)
+                else:
+                    gap = 0.0
+                if not gap > reach + 1e-12 * abs(b):
+                    live.append(k)
+        for p, i in enumerate(live):
+            ax1, ay1, b1 = rows[i]
+            for j in live[p + 1:]:
+                ax2, ay2, b2 = rows[j]
+                det = ax1 * ay2 - ay1 * ax2
+                scale = math.sqrt(nrms[i] * nrms[j])
+                if scale == 0.0 or abs(det) <= 1e-14 * scale:
+                    continue
+                ux = (b1 * ay2 - b2 * ay1) / det
+                uy = (ax1 * b2 - ax2 * b1) / det
+                dxu = ux - ubar_x
+                dyu = uy - ubar_y
+                obj = dxu * dxu + dyu * dyu
+                if obj < best_obj and admits(rows, ux, uy):
+                    best, best_obj = (ux, uy), obj
+        return None if best is None else (best[0], best[1], best_obj)
+
+    def minimax(rows):
+        lower = max(ax * (lo_x if ax > 0.0 else hi_x) + ay * (lo_y if ay > 0.0 else hi_y) - b
+                    for ax, ay, b in rows)
+        t_star, cx, cy = min((max(ax * cx + ay * cy - b for ax, ay, b in rows), cx, cy)
+                             for cx, cy in ((lo_x, lo_y), (hi_x, lo_y), (lo_x, hi_y),
+                                            (hi_x, hi_y)))
+        if t_star == lower:
+            return cx, cy, t_star
+        ax, ay, b = np.array(rows, dtype=np.float64).T
+        xs = [np.array([lo_x, hi_x, lo_x, hi_x])]
+        ys = [np.array([lo_y, lo_y, hi_y, hi_y])]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            i, j = np.triu_indices(len(b), 1)
+            dax, day, db = ax[i] - ax[j], ay[i] - ay[j], b[i] - b[j]
+            for c in (lo_x, hi_x):
+                xs.append(np.full(len(db), c))
+                ys.append((db - dax * c) / day)
+            for c in (lo_y, hi_y):
+                xs.append((db - day * c) / dax)
+                ys.append(np.full(len(db), c))
+            i, j, k = np.array(list(itertools.combinations(range(len(b)), 3)),
+                               dtype=np.intp).reshape(-1, 3).T
+            d1x, d1y, e1 = ax[i] - ax[j], ay[i] - ay[j], b[i] - b[j]
+            d2x, d2y, e2 = ax[i] - ax[k], ay[i] - ay[k], b[i] - b[k]
+            det = d1x * d2y - d1y * d2x
+            xs.append((e1 * d2y - e2 * d1y) / det)
+            ys.append((d1x * e2 - d2x * e1) / det)
+        ux, uy = np.concatenate(xs), np.concatenate(ys)
+        keep = ~(np.isnan(ux) | np.isnan(uy))
+        ux = np.clip(ux[keep], lo_x, hi_x)
+        uy = np.clip(uy[keep], lo_y, hi_y)
+        worst = (ax[:, None] * ux + ay[:, None] * uy - b[:, None]).max(axis=0)
+        best = int(np.argmin(worst))
+        return float(ux[best]), float(uy[best]), float(worst[best])
+
+    inside = lo_x <= ubar_x <= hi_x and lo_y <= ubar_y <= hi_y
+    if inside and admits(rows, ubar_x, ubar_y):
+        return ubar_x, ubar_y, True, 0.0, 0.0
+    faces = [(1.0, 0.0, hi_x), (-1.0, 0.0, -lo_x), (0.0, 1.0, hi_y), (0.0, -1.0, -lo_y)]
+    found = scan(list(rows) + faces, nominal_cut=inside)
+    if found is not None:
+        return found[0], found[1], True, found[2], 0.0
+    vx, vy, t_star = minimax(list(rows))
+    slack = t_star + 1e-9 * max(1.0, abs(t_star))
+    found = scan([(ax, ay, b + slack) for ax, ay, b in rows] + faces)
+    if found is not None:
+        ux, uy = found[0], found[1]
+    else:
+        ux, uy, t_star = vx, vy, math.inf
+    dxu = ux - ubar_x
+    dyu = uy - ubar_y
+    return ux, uy, False, dxu * dxu + dyu * dyu, t_star

@@ -8,6 +8,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import frozen_solve_scalar, result_bits
+
 from polycbf import controller
 
 _rows = st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
@@ -35,3 +37,20 @@ def test_solve_scalar_result_is_in_the_box_and_flagged_by_the_rows(ubar, lo, hi,
     assert feasible == controller._admits(rows, ux, uy)
     assert math.isfinite(objective) and math.isfinite(t_star)
     assert (t_star == 0.0) if feasible else (t_star > 0.0)
+
+
+# Rows near the box and rows far beyond it, which the candidate scans drop.
+_mixed_rows = st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                                 st.one_of(st.floats(-50.0, 50.0), st.floats(50.0, 1e6))),
+                       max_size=8)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(ubar=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+       lo=st.tuples(st.floats(-6.0, 0.0), st.floats(-6.0, 0.0)),
+       hi=st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)),
+       rows=_mixed_rows)
+def test_solve_scalar_equals_the_frozen_unscreened_solver(ubar, lo, hi, rows):
+    program = (*ubar, *lo, *hi, rows)
+    want = frozen_solve_scalar(*program)
+    assert result_bits(controller._solve_scalar(*program)) == result_bits(want)

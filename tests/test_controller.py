@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (enumeration_oracle, minimax_oracle, qp_oracle, random_box_qp,
-                     safety_row_oracle)
+from helpers import (enumeration_oracle, frozen_solve_scalar, minimax_oracle, qp_oracle,
+                     random_box_qp, result_bits, safety_row_oracle)
 
 import polycbf
 from polycbf import controller
@@ -299,14 +299,6 @@ def _box(rows, lo_x, lo_y, hi_x, hi_y):
                          (0.0, 1.0, hi_y), (0.0, -1.0, -lo_y)]
 
 
-def _bits(result):
-    """A result tuple with each float as its hex form: NaN and the sign of zero
-    compare exactly."""
-    if result is None:
-        return None
-    return tuple(x.hex() if isinstance(x, float) else x for x in result)
-
-
 def test_candidate_scan_matches_frozen_oracle_bit_for_bit():
     # The one-pass scan with its face-distance prune, and _solve_scalar's
     # early return before the box is built, must give exactly the bits of the
@@ -317,14 +309,128 @@ def test_candidate_scan_matches_frozen_oracle_bit_for_bit():
         ux, uy, lo_x, lo_y, hi_x, hi_y, rows = _scan_program(rng)
         boxed = _box(rows, lo_x, lo_y, hi_x, hi_y)
         want = enumeration_oracle(ux, uy, boxed)
-        assert _bits(controller._enumerate_min_deviation(ux, uy, boxed)) == _bits(want)
+        assert result_bits(controller._enumerate_min_deviation(ux, uy, boxed)) == result_bits(want)
         if want is None:
             outcomes["infeasible"] += 1
             continue
         outcomes["nominal" if want[2] == 0.0 else "active"] += 1
         got = controller._solve_scalar(ux, uy, lo_x, lo_y, hi_x, hi_y, rows)
-        assert _bits(got) == _bits((want[0], want[1], True, want[2], 0.0))
+        assert result_bits(got) == result_bits((want[0], want[1], True, want[2], 0.0))
     assert min(outcomes.values()) > 4000, outcomes
+
+
+def _top(ax, ay, lo_x, lo_y, hi_x, hi_y):
+    """The row's maximum a.u over the box."""
+    return ax * (hi_x if ax > 0.0 else lo_x) + ay * (hi_y if ay > 0.0 else lo_y)
+
+
+def _margin_bound(ax, ay, ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y):
+    """The bound b at which the row's gap over the box equals the screen's
+    documented margin |ax|*e_x + |ay|*e_y + |b|/4 (see _live_rows)."""
+    ext_x, ext_y = max(abs(lo_x), abs(hi_x)), max(abs(lo_y), abs(hi_y))
+    e_x = 1e-9 * max(1.0, ext_x) + 2.0 ** -40 * (1.0 + ext_x + abs(ubar_x))
+    e_y = 1e-9 * max(1.0, ext_y) + 2.0 ** -40 * (1.0 + ext_y + abs(ubar_y))
+    c = _top(ax, ay, lo_x, lo_y, hi_x, hi_y) + abs(ax) * e_x + abs(ay) * e_y
+    return c / 0.75 if c > 0.0 else c / 1.25
+
+
+def _far_row(rng, s, lo_x, lo_y, hi_x, hi_y):
+    """A row that clears the box by anything from a hair to a mile, as a
+    platoon's distant neighbours do."""
+    ax, ay = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+    k = 10.0 ** rng.uniform(-3.0, 3.0)
+    ax, ay = k * ax, k * ay
+    gap = (abs(ax) + abs(ay)) * s * 10.0 ** rng.uniform(-12.0, 6.0)
+    return ax, ay, _top(ax, ay, lo_x, lo_y, hi_x, hi_y) + gap
+
+
+def _screen_program(rng):
+    """One random program for the row screen, in three families:
+    - far: a candidate-scan program with many rows that clear the box;
+    - near_margin: rows whose bound lies within a few ulps of the screen's
+      margin, on both sides, among far rows;
+    - face_tolerance: a box with a corner at the origin and a row whose line
+      passes just past that corner, inside the faces' tolerance, with the
+      nominal beyond it: the row's own projection is admitted and wins, so
+      any smaller margin that drops the row changes the answer.
+    Returns (ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows) with rows
+    excluding the box.
+    """
+    family = rng.choice(("far", "near_margin", "face_tolerance"))
+    if family == "face_tolerance":
+        s = 10.0 ** rng.uniform(-1.0, 3.0)
+        ax, ay = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        lo_x, hi_x = (-s * rng.uniform(0.5, 2.0), 0.0) if ax > 0.0 else (0.0, s)
+        lo_y, hi_y = (-s * rng.uniform(0.5, 2.0), 0.0) if ay > 0.0 else (0.0, s)
+        f = rng.uniform(0.0, 1.0)
+        px = math.copysign(f * 1e-9 * max(1.0, abs(lo_x), abs(hi_x)), ax)
+        py = math.copysign(f * 1e-9 * max(1.0, abs(lo_y), abs(hi_y)), ay)
+        d = s * rng.uniform(0.1, 3.0) / math.hypot(ax, ay)
+        ux, uy = px + d * ax, py + d * ay
+        rows = [(ax, ay, ax * px + ay * py)]
+        rows += [_far_row(rng, s, lo_x, lo_y, hi_x, hi_y) for _ in range(rng.randint(1, 6))]
+        rng.shuffle(rows)
+        return ux, uy, lo_x, lo_y, hi_x, hi_y, rows
+    ux, uy, lo_x, lo_y, hi_x, hi_y, rows = _scan_program(rng)
+    s = max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
+    extra = [_far_row(rng, s, lo_x, lo_y, hi_x, hi_y) for _ in range(rng.randint(1, 14))]
+    if family == "near_margin":
+        for k in range(rng.randint(1, 4)):
+            ax, ay, _ = extra[k % len(extra)]
+            b = _margin_bound(ax, ay, ux, uy, lo_x, lo_y, hi_x, hi_y)
+            for _ in range(rng.randint(0, 4)):
+                b = math.nextafter(b, rng.choice((-math.inf, math.inf)))
+            extra.append((ax, ay, b))
+    for row in extra:
+        rows.insert(rng.randrange(len(rows) + 1), row)
+    return ux, uy, lo_x, lo_y, hi_x, hi_y, rows
+
+
+def test_solve_scalar_matches_the_frozen_unscreened_solver_bit_for_bit():
+    # Dropping the rows that cannot bind must leave every result bit the
+    # same on all three paths, ties included, against a copy of the solver
+    # in which every scan sees every row.
+    rng = random.Random(20261019)
+    paths = {"nominal": 0, "active": 0, "infeasible": 0}
+    screened = 0
+    for _ in range(12000):
+        program = _screen_program(rng)
+        ux, uy, lo_x, lo_y, hi_x, hi_y, rows = program
+        want = frozen_solve_scalar(*program)
+        assert result_bits(controller._solve_scalar(*program)) == result_bits(want), program
+        paths["infeasible" if not want[2] else "nominal" if want[3] == 0.0 else "active"] += 1
+        screened += len(controller._live_rows(rows, ux, uy, lo_x, lo_y, hi_x, hi_y)) < len(rows)
+    assert min(paths.values()) > 1000, paths
+    assert screened > 6000, screened
+
+
+@pytest.mark.parametrize("rows", [
+    [(1.0, 0.0, math.nan), (0.3, 0.4, 1e6)],
+    [(0.3, 0.4, 1e6), (math.nan, 1.0, 0.0), (-2.0, 1.0, 1e4)],
+    [(0.3, 0.4, 1e6), (1.0, math.nan, -1.0)],
+    [(0.0, 1.0, -2.0), (0.3, 0.4, 1e6), (1.0, 0.0, math.nan), (-0.5, 0.1, 3e2)],
+    [(math.nan, math.nan, math.nan), (1.0, 1.0, 0.5)],
+])
+@pytest.mark.parametrize("ubar", [(1.0, 0.0), (0.5, 4.0), (9.0, -7.0)])
+def test_nan_row_survives_the_screen_bit_for_bit(rows, ubar):
+    # a NaN row is never dropped as clear of the box: the program stays
+    # infeasible exactly as the unscreened solver reports it
+    program = (*ubar, -5.0, -5.0, 5.0, 5.0, rows)
+    nan_rows = [r for r in rows if any(math.isnan(c) for c in r)]
+    assert all(r in controller._live_rows(rows, *ubar, -5.0, -5.0, 5.0, 5.0)
+               for r in nan_rows)
+    got = controller._solve_scalar(*program)
+    assert result_bits(got) == result_bits(frozen_solve_scalar(*program))
+    assert not got[2] and got[4] == math.inf
+
+
+def test_solve_scalar_screen_keeps_a_lone_row_and_drops_far_ones():
+    # a lone row is never screened; of many, only the rows that can bind stay
+    far = [(0.2, 0.0, 50.0), (0.0, -0.2, 1e3)]
+    assert controller._live_rows([far[0]], 0.0, 0.0, -5.0, -5.0, 5.0, 5.0) == [far[0]]
+    near = (1.0, 1.0, 0.5)
+    assert controller._live_rows([far[0], near, far[1]], 0.0, 0.0,
+                                 -5.0, -5.0, 5.0, 5.0) == [near]
 
 
 def test_solve_qp_single_row_projection():

@@ -1,19 +1,20 @@
 """Golden artifacts: the CSV bytes of four shipped runs, the fields of one
-assumption-mismatch batch and the metrics and full log of one 16-vehicle
-merge, pinned by sha256.
+assumption-mismatch batch, the metrics and full log of one 16-vehicle merge
+and the full log of one 32-vehicle merge, pinned by sha256.
 
 The CSV digests were recorded before `simulate` and the per-vehicle API were
 moved onto shared scalar kernels, the mismatch digest on a trial that steps
 the per-vehicle API in a loop of its own (it never moved onto `simulate`),
-and the merge digest while
-infeasible multi-row programs still went to an LP solver; the weight sweep
-and the adaptive run were added before the filter's candidate scan became a
-single pass, and the merge's full log before the two vehicles of a pair
-shared one computation of their safety-row terms.  A refactor that changes
-any output bit fails here, not only a rerun that disagrees with itself.  No pinned output depends on BLAS or
-LAPACK, so the digests do not depend on the numpy build's linear-algebra
-kernels: the adaptive run's learner does call LAPACK, and its files are the
-ones left unpinned.
+and the merge digest while infeasible multi-row programs still went to an LP
+solver; the weight sweep and the adaptive run were added before the
+filter's candidate scan became a single pass, the 16-vehicle merge's full
+log before the two vehicles of a pair shared one computation of their
+safety-row terms, and the 32-vehicle merge's full log before rows that
+cannot bind left the filter's candidate scans.  A refactor that changes any
+output bit fails here, not only a rerun that disagrees with itself.  No
+pinned output depends on BLAS or LAPACK, so the digests do not depend on the
+numpy build's linear-algebra kernels: the adaptive run's learner does call
+LAPACK, and its files are the ones left unpinned.
 """
 import hashlib
 from pathlib import Path
@@ -100,13 +101,14 @@ def test_mismatch_fields_match_golden_digest():
 MERGE_DIGEST = "0e0b90a218eff66ceb19edfef2deb181bdc84175436826f56508e3a57603134c"
 
 
-def _two_lane_roster():
-    """8 ramp and 8 main-road vehicles on an 8 degree merge, spread in speed,
-    desired speed and style; several filters turn infeasible with many rows."""
+def _two_lane_roster(per_lane=8):
+    """per_lane ramp and per_lane main-road vehicles on an 8 degree merge,
+    spread in speed, desired speed and style; several filters turn
+    infeasible with many rows."""
     vehicles = []
     for lane, lead, phase in (("ramp", -40.0, 0), ("main", -42.5, 1)):
         progress = lead
-        for k in range(8):
+        for k in range(per_lane):
             j = (3 * k + 5 * phase) % 8
             vehicles.append(VehicleSpec(
                 name=f"{lane}{k}", route=lane, start_progress=progress,
@@ -130,10 +132,24 @@ def test_many_vehicle_merge_matches_golden_digest():
 MERGE_LOG_DIGEST = "de9d4f3acec2663863d5b45b78a496390eb1a312267675cf91a3f9f8d23f79b1"
 
 
-def test_many_vehicle_merge_log_matches_golden_digest():
-    # every logged bit of the merge: states, inputs, pair_h (float64) and
-    # feasible (one byte per flag), little-endian, in that order
-    log = simulate(_two_lane_roster()).log
+def _log_digest(log):
+    # every logged bit: states, inputs, pair_h (float64) and feasible (one
+    # byte per flag), little-endian, in that order
     data = b"".join(np.ascontiguousarray(a, dtype=dt).tobytes() for a, dt in (
         (log.states, "<f8"), (log.inputs, "<f8"), (log.pair_h, "<f8"), (log.feasible, "?")))
-    assert hashlib.sha256(data).hexdigest() == MERGE_LOG_DIGEST
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_many_vehicle_merge_log_matches_golden_digest():
+    assert _log_digest(simulate(_two_lane_roster()).log) == MERGE_LOG_DIGEST
+
+
+# Recorded while every candidate scan still saw every row: at 32 vehicles
+# the filters drop more rows that cannot bind than at 16.
+MERGE_32_LOG_DIGEST = "393118ad8ac4f8d803c1dfdf1d6653fdd5de7db1240899563cf8b03ccebd2737"
+
+
+def test_32_vehicle_merge_log_matches_golden_digest():
+    rec = simulate(_two_lane_roster(per_lane=16))
+    assert rec.metrics.infeasible_step_count > 0
+    assert _log_digest(rec.log) == MERGE_32_LOG_DIGEST

@@ -368,6 +368,34 @@ def test_on_step_early_stop_truncates_log():
     assert rec.log.pair_h.shape[0] == 6
 
 
+def test_hooks_run_in_their_documented_order_and_not_at_the_last_step():
+    # within a step: every alpha_fn, then every extra_rows_fn, then on_step;
+    # the step logged after the early stop runs no hook
+    cfg = three_vehicle_config(n_steps=50)
+    calls = []
+
+    def alpha_fn(t, v):
+        calls.append(("alpha", t, v))
+        return cfg.vehicles[v].alpha
+
+    def extra_rows_fn(t, v, cur):
+        calls.append(("extra", t, v))
+        return ()
+
+    def on_step(t_next, prev, cur):
+        calls.append(("on_step", t_next))
+        return t_next == 2
+
+    rec = simulate(cfg, alpha_fn=alpha_fn, extra_rows_fn=extra_rows_fn, on_step=on_step)
+    assert calls == [call for t in (0, 1) for call in (
+        [("alpha", t, v) for v in range(3)] + [("extra", t, v) for v in range(3)]
+        + [("on_step", t + 1)])]
+    # the hooks changed nothing: the log is a plain two-step run's
+    plain = simulate(dataclasses.replace(cfg, n_steps=2)).log
+    for name in ("states", "inputs", "pair_h", "feasible"):
+        assert np.array_equal(getattr(rec.log, name), getattr(plain, name))
+
+
 def test_extra_rows_fn_sees_logged_rows_and_empty_rows_change_nothing():
     cfg = three_vehicle_config(n_steps=300)
     plain = run_trial(cfg)
