@@ -10,14 +10,14 @@ from polycbf import experiment_behavior_sweep
 from polycbf.cli import load_preset
 
 print("sweep 1: linear weight vs closest approach (unyielding neighbor)")
-entries = experiment_behavior_sweep(**vars(load_preset("sweep_gamma")["settings"]))
+entries = experiment_behavior_sweep(**load_preset("sweep_gamma"))
 print("  gamma   min distance   min h")
 for e in entries:
     print(f"  {e.alpha.coefficients[0]:5.1f}   {e.min_distance:12.3f}   {e.min_h:7.4f}")
 
 print()
 print("sweep 2: linear-to-cubic weight vs merge order (neighbor at 0.75/0.25)")
-entries = experiment_behavior_sweep(**vars(load_preset("sweep_weights")["settings"]))
+entries = experiment_behavior_sweep(**load_preset("sweep_weights"))
 print("  weights        ego merges   neighbor merges   order    margin")
 for e in entries:
     w_lin, w_cub = e.alpha.coefficients

@@ -6,9 +6,15 @@ admitted sample: the clearance rate pinned against the barrier basis.  A tiny
 ridge regression over those samples recovers the hidden weights to numerical
 precision in a handful of samples.
 """
-from polycbf import experiment_prediction, prediction_trial_setup, run_trial
+import dataclasses
 
-summary = experiment_prediction(n_trials=6, seed=0)
+from polycbf import experiment_prediction, prediction_trial_setup, run_trial
+from polycbf.cli import load_preset
+
+# The shipped predict preset, cut to six trials.
+preset = load_preset("predict")
+preset["settings"] = dataclasses.replace(preset["settings"], trials=6)
+summary = experiment_prediction(**preset)
 
 print("trial   hidden style        recovered style               rmse   converged at")
 for k, t in enumerate(summary.trials):
@@ -24,7 +30,8 @@ for i, est in enumerate(t.estimate_series):
     vals = ", ".join(f"{c:12.9f}" for c in est)
     print(f"  after sample {i + 1:2d}: ({vals})")
 
-truth, cfg = prediction_trial_setup(worst, seed=0)
+truth, cfg = prediction_trial_setup(worst, preset["settings"], preset["safety"],
+                                    q=preset["ridge"].q_hypothesis)
 rec = run_trial(cfg)
 print()
 print(f"that trial replayed: {rec.log.states.shape[0] - 1} steps, "

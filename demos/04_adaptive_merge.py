@@ -13,7 +13,7 @@ from polycbf import experiment_prediction_in_loop
 from polycbf.cli import load_preset
 
 preset = load_preset("adaptive")
-cmp = experiment_prediction_in_loop(preset["scenario"], **vars(preset["settings"]))
+cmp = experiment_prediction_in_loop(**preset)
 enabled, disabled = cmp.enabled, cmp.disabled
 
 est = enabled.final_estimate

@@ -25,7 +25,7 @@ import numpy as np
 from .barrier import AlphaVector, SafetyConfig, _kappa, kappa, safety_value
 from .controller import ControlLimits, NominalPlan, _solve_scalar, safe_control
 from .dynamics import DEFAULT_DT, VehicleState, step
-from .errors import ConfigurationError, DegenerateConstraintError
+from .errors import ConfigurationError, DegenerateConstraintError, _check_dt
 from .learner import AlphaEstimate, RidgeConfig, StyleLearner
 from .scenario import (OBSERVATION_MODES, ScenarioConfig, TrialRecord, _check_counts,
                        _observe_rows, _trial_rng, simulate)
@@ -60,6 +60,7 @@ def compatibility_constraint(ego: VehicleState, other: VehicleState,
     dx_y = float(ego.position[1]) - float(other.position[1])
     if dx_x == 0.0 and dx_y == 0.0:
         raise DegenerateConstraintError("coincident positions leave the row undefined")
+    dt = _check_dt(dt)
     ax, ay, b = _compat_row(dx_x, dx_y, _style_gap(alpha_i, alpha_j), cfg, dt)
     return np.array([ax, ay]), b
 
@@ -160,8 +161,6 @@ class AdaptiveRecord:
 
     trial: TrialRecord
     prediction_enabled: bool
-    phase_budget: int
-    hdot_mode: str
     estimate_history: Tuple[AlphaEstimate, ...] = ()
     sample_steps: Tuple[int, ...] = ()
     selected_alpha: Optional[AlphaVector] = None
@@ -171,22 +170,20 @@ class AdaptiveRecord:
 
 
 def run_adaptive_merge(cfg: ScenarioConfig,
+                       settings: AdaptiveSettings = AdaptiveSettings(),
                        policy: StylePolicy = DEFAULT_POLICY,
                        ridge: Optional[RidgeConfig] = None,
-                       phase_budget: int = AdaptiveSettings.phase_budget,
-                       prediction_enabled: bool = True,
-                       hdot_mode: str = AdaptiveSettings.hdot_mode) -> AdaptiveRecord:
-    """Two-phase merge: observe and fit for phase_budget steps, then drive
-    with the mirrored style (plus the compatibility row once the estimate has
-    converged).  With prediction disabled the ego just keeps its configured
-    style, which makes paired runs directly comparable.
+                       prediction_enabled: bool = True) -> AdaptiveRecord:
+    """Two-phase merge: observe and fit for settings.phase_budget steps, then
+    drive with the mirrored style (plus the compatibility row once the
+    estimate has converged).  With prediction disabled the ego just keeps its
+    configured style, which makes paired runs directly comparable.
 
     The roster must contain exactly one ego, exactly one object (the vehicle
     being identified), and at least one neighbor; the object is observed
-    against the first neighbor.  phase_budget and hdot_mode default to
-    AdaptiveSettings, the [adaptive] config section.
+    against the first neighbor.
     """
-    AdaptiveSettings(phase_budget, hdot_mode)  # checks both
+    phase_budget, hdot_mode = settings.phase_budget, settings.hdot_mode
     ridge = ridge if ridge is not None else RidgeConfig(q_hypothesis=cfg.safety.q)
     ego_idx, obj_idx, nbr_idx = _roster(cfg)
     dt = cfg.dt
@@ -235,8 +232,6 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     return AdaptiveRecord(
         trial=trial,
         prediction_enabled=prediction_enabled,
-        phase_budget=phase_budget,
-        hdot_mode=hdot_mode,
         estimate_history=tuple(learner.history),
         sample_steps=tuple(state["sample_steps"]),
         selected_alpha=state["selected"],
@@ -268,35 +263,29 @@ class AdaptiveComparison:
         return 100.0 * (self.overall_disabled - self.overall_enabled) / self.overall_disabled
 
 
-def experiment_prediction_in_loop(cfg: ScenarioConfig,
-                                  policy: Optional[StylePolicy] = None,
+def experiment_prediction_in_loop(scenario: ScenarioConfig,
+                                  settings: AdaptiveSettings = AdaptiveSettings(),
                                   ridge: Optional[RidgeConfig] = None,
-                                  **settings) -> AdaptiveComparison:
-    """Paired adaptive runs (prediction on/off) on the same configuration;
-    settings override AdaptiveSettings fields.
+                                  policy: Optional[StylePolicy] = None) -> AdaptiveComparison:
+    """Paired adaptive runs (prediction on/off) on the same scenario.
 
-    Like run_adaptive_merge, observation defaults to AdaptiveSettings.hdot_mode,
-    the analytic rate (the observer reconstructs the object's acceleration
-    from consecutive velocities, which the model makes exact); pass
-    hdot_mode="finite_diff" to difference clearances instead.
+    Observation defaults to AdaptiveSettings.hdot_mode, the analytic rate
+    (the observer reconstructs the object's acceleration from consecutive
+    velocities, which the model makes exact); settings with
+    hdot_mode="finite_diff" difference clearances instead.
     """
-    s = AdaptiveSettings(**settings)
     policy = policy if policy is not None else DEFAULT_POLICY
-    enabled = run_adaptive_merge(cfg, policy=policy, ridge=ridge,
-                                 phase_budget=s.phase_budget, prediction_enabled=True,
-                                 hdot_mode=s.hdot_mode)
-    disabled = run_adaptive_merge(cfg, policy=policy, ridge=ridge,
-                                  phase_budget=s.phase_budget, prediction_enabled=False,
-                                  hdot_mode=s.hdot_mode)
+    enabled = run_adaptive_merge(scenario, settings, policy, ridge, prediction_enabled=True)
+    disabled = run_adaptive_merge(scenario, settings, policy, ridge, prediction_enabled=False)
     # run_adaptive_merge has checked the roster, so it has exactly one ego.
-    ego_name = cfg.vehicles[_roster(cfg)[0]].name
+    ego_name = scenario.vehicles[_roster(scenario)[0]].name
 
     def completion(record, name):
         s = record.trial.metrics.merge_step[name]
-        return s if s is not None else cfg.n_steps + 1
+        return s if s is not None else scenario.n_steps + 1
 
     def overall(record):
-        return max(completion(record, v.name) for v in cfg.vehicles)
+        return max(completion(record, v.name) for v in scenario.vehicles)
 
     return AdaptiveComparison(
         enabled=enabled, disabled=disabled,

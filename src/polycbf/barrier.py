@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _check_dt
 
 __all__ = [
     "AlphaVector",
@@ -182,9 +182,7 @@ def hdot(xi, xj, vi, vj, ui, uj, dt: float) -> float:
     vj_x, vj_y = _as_xy(vj, "vj")
     ui_x, ui_y = _as_xy(ui, "ui")
     uj_x, uj_y = _as_xy(uj, "uj")
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    dt = _check_dt(dt)
     dx_x = xi_x - xj_x
     dx_y = xi_y - xj_y
     dv_x = vi_x - vj_x

@@ -367,8 +367,11 @@ def _build_inputs(cp, experiment: str, trials: Optional[int] = None) -> dict:
 def load_preset(name: str) -> dict:
     """The objects `polycbf run` builds from the shipped preset `name`
     (predict, sweep_weights, sweep_gamma, adaptive or invariance), keyed as
-    the experiment's runner takes them: settings, then safety, scenario,
-    ridge or policy as the experiment reads them."""
+    the experiment's runner and its library entry point take them: settings,
+    then safety, scenario, ridge or policy as the experiment reads them.  So
+    experiment_prediction, experiment_behavior_sweep,
+    experiment_prediction_in_loop and experiment_invariance each run
+    **load_preset(name) as `polycbf run` does (the seed aside)."""
     cp = _parse_config(_preset_text(name))
     return _build_inputs(cp, _build_run(cp).experiment)
 
@@ -520,7 +523,7 @@ def _tighter(worst, index: int, key: float, record):
 def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
                  safety: SafetyConfig, ridge: Optional[RidgeConfig]):
     q = ridge.q_hypothesis if ridge is not None else safety.q
-    summary = experiment_prediction(seed=seed, ridge=ridge, safety=safety, **vars(settings))
+    summary = experiment_prediction(settings, safety, ridge, seed)
 
     header = (["trial"] + [f"truth_{k}" for k in range(q)]
               + [f"estimate_{k}" for k in range(q)]
@@ -542,7 +545,7 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
     # Trajectory of the hardest trial (largest estimation error).  It is run
     # again because its experiment run stopped once the learner converged.
     worst = max(range(settings.trials), key=lambda k: summary.trials[k].rmse)
-    _, cfg = prediction_trial_setup(worst, seed=seed, q=q, safety=safety, **vars(settings))
+    _, cfg = prediction_trial_setup(worst, settings, safety, q=q, seed=seed)
     rec = run_trial(cfg)
     trajectory = out_dir / "trajectory.csv"
     write_trajectory_csv(trajectory, rec.log)
@@ -561,15 +564,13 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
 
 
 def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: SafetyConfig):
-    kwargs = vars(settings).copy()
-    styles = kwargs.pop("styles")
     entries = []
     tightest = None  # (style, min_h, record)
-    for idx, (entry, rec) in enumerate(_sweep_records(styles, safety, **kwargs)):
+    for idx, (entry, rec) in enumerate(_sweep_records(settings, safety)):
         entries.append(entry)
         tightest = _tighter(tightest, idx, entry.min_h, rec)
 
-    q = max(len(s.coefficients) for s in styles)
+    q = max(len(s.coefficients) for s in settings.styles)
     header = (["style_index"] + [f"alpha_{k}" for k in range(q)]
               + ["min_distance", "min_h", "ego_merge_step", "other_merge_step",
                  "merge_order", "infeasible_steps"])
@@ -610,8 +611,7 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
 def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
                   scenario: ScenarioConfig, ridge: Optional[RidgeConfig],
                   policy: Optional[StylePolicy]):
-    comparison = experiment_prediction_in_loop(cfg=scenario, policy=policy, ridge=ridge,
-                                               **vars(settings))
+    comparison = experiment_prediction_in_loop(scenario, settings, ridge, policy)
     enabled, disabled = comparison.enabled, comparison.disabled
     q = scenario.safety.q
 
@@ -676,7 +676,7 @@ def _run_invariance(out_dir: Path, seed: int, settings: InvarianceSettings,
     metrics_list = []
     rows = []
     tightest = None  # (trial, min_h, record)
-    for idx, rec in enumerate(_invariance_records(seed, safety, **vars(settings))):
+    for idx, rec in enumerate(_invariance_records(settings, safety, seed)):
         m = rec.metrics
         metrics_list.append(m)
         h = min(m.min_h.values())

@@ -44,7 +44,7 @@ import numpy as np
 
 from .barrier import AlphaVector, SafetyConfig, _kappa, _kappa_args
 from .dynamics import DEFAULT_DT, VehicleState
-from .errors import ConfigurationError, DegenerateConstraintError, DomainError
+from .errors import ConfigurationError, DegenerateConstraintError, DomainError, _check_dt
 
 __all__ = [
     "ControlLimits",
@@ -94,19 +94,29 @@ class NominalPlan:
     gain: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.desired_speed) and self.desired_speed >= 0.0):
-            raise ConfigurationError(f"desired_speed must be >= 0, got {self.desired_speed}")
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ConfigurationError(f"gain must be > 0, got {self.gain}")
+        _check_cruise(self.desired_speed, self.gain)
         d = np.asarray(self.lane_direction, dtype=np.float64).reshape(2).copy()
-        if not np.isfinite(d).all():
-            raise DomainError("lane_direction has non-finite components")
-        norm = math.hypot(d[0], d[1])
-        if norm == 0.0:
-            raise ConfigurationError("lane_direction must be non-zero")
-        d /= norm
+        d /= _check_direction("lane_direction", *d.tolist())
         d.flags.writeable = False
         object.__setattr__(self, "lane_direction", d)
+
+
+def _check_cruise(desired_speed, gain):
+    """NominalPlan's rules on its speed and gain, shared with VehicleSpec."""
+    if not (math.isfinite(desired_speed) and desired_speed >= 0.0):
+        raise ConfigurationError(f"desired_speed must be >= 0, got {desired_speed}")
+    if not (math.isfinite(gain) and gain > 0.0):
+        raise ConfigurationError(f"gain must be > 0, got {gain}")
+
+
+def _check_direction(name, d_x, d_y):
+    """The norm of a lane direction or fixed heading: finite and non-zero."""
+    if not (math.isfinite(d_x) and math.isfinite(d_y)):
+        raise DomainError(f"{name} has non-finite components")
+    norm = math.hypot(d_x, d_y)
+    if norm == 0.0:
+        raise ConfigurationError(f"{name} must be non-zero")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -208,9 +218,7 @@ def _safety_row(ego, other, other_u_assumed, alpha, cfg, dt):
         uo_x = uo_y = 0.0
     else:
         uo_x, uo_y = np.asarray(other_u_assumed, dtype=np.float64).reshape(2).tolist()
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    dt = _check_dt(dt)
     coeffs, h = _kappa_args(alpha, dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe)
     ax, ay, s = _row_terms(dx_x, dx_y, ev_x - ov_x, ev_y - ov_y, dt)
     return ax, ay, s - 2.0 * (dx_x * uo_x + dx_y * uo_y) * dt + _kappa(coeffs, h)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError, _check_dt
 
 __all__ = ["VehicleState", "step", "DEFAULT_DT"]
 
@@ -49,9 +49,7 @@ class VehicleState:
 
 def step(state: VehicleState, u, dt: float = DEFAULT_DT) -> VehicleState:
     """Advance one step: v' = v + u dt, then x' = x + v' dt."""
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    dt = _check_dt(dt)
     u_x, u_y = np.asarray(u, dtype=np.float64).reshape(2).tolist()
     if not (math.isfinite(u_x) and math.isfinite(u_y)):
         raise DomainError("acceleration has non-finite components")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one step-length check."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -19,3 +21,11 @@ class InsufficientDataError(ValueError):
 
 class RankDeficiencyError(ValueError):
     """The unregularized normal equations are singular; a positive ridge is needed."""
+
+
+def _check_dt(dt) -> float:
+    """dt as a float, once it is checked to be positive and finite."""
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    return dt

@@ -25,7 +25,8 @@ import numpy as np
 from .barrier import (DEFAULT_Q, AlphaVector, BarrierBasis, SafetyConfig, basis, hdot,
                       safety_value)
 from .dynamics import VehicleState
-from .errors import ConfigurationError, InsufficientDataError, RankDeficiencyError
+from .errors import (ConfigurationError, InsufficientDataError, RankDeficiencyError,
+                     _check_dt)
 
 __all__ = [
     "BarrierSample",
@@ -94,8 +95,7 @@ def observe(obj: VehicleState, neighbor: VehicleState,
             prev_obj: VehicleState, prev_neighbor: VehicleState,
             cfg: SafetyConfig, dt: float, step: int = 0) -> BarrierSample:
     """Backward-difference clearance rate paired with the current clearance basis."""
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be > 0, got {dt}")
+    dt = _check_dt(dt)
     return _observe(safety_value(obj.position, neighbor.position, cfg),
                     safety_value(prev_obj.position, prev_neighbor.position, cfg),
                     cfg.q, dt, step)

@@ -12,8 +12,8 @@ Progress along a route is measured as signed arc length to the merge point
 turns positive.
 
 Each experiment declares its settings and their defaults once, in a frozen
-*Settings dataclass whose fields its experiment and trial builders take as
-keyword overrides.
+*Settings dataclass that its experiment and trial builders take whole, as the
+`settings` that polycbf.cli.load_preset returns.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .barrier import DEFAULT_Q, AlphaVector, SafetyConfig, _kappa, kappa, safety_value
-from .controller import DEFAULT_LIMITS, ControlLimits, _cruise, _row_terms, _solve_scalar
+from .controller import (DEFAULT_LIMITS, ControlLimits, _check_cruise, _check_direction,
+                         _cruise, _row_terms, _solve_scalar)
 from .dynamics import DEFAULT_DT, VehicleState, _step
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError, _check_dt
 from .learner import RidgeConfig, StyleLearner, _observe, observe_analytic
 
 __all__ = [
@@ -63,11 +64,6 @@ ROLES = ("ego", "object", "neighbor")
 # Clearance-rate observers: "analytic" rebuilds the one-step rate from the
 # recovered acceleration, "finite_diff" differences the measured clearance.
 OBSERVATION_MODES = ("analytic", "finite_diff")
-
-
-def _check_dt(dt: float) -> None:
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ConfigurationError(f"dt must be > 0, got {dt}")
 
 
 def _check_counts(**counts: int) -> None:
@@ -221,8 +217,16 @@ class VehicleSpec:
             raise ConfigurationError(f"unknown role {self.role!r}")
         if self.route not in ROUTES:
             raise ConfigurationError(f"unknown route {self.route!r}")
-        if self.route == "fixed" and (self.start_position is None or self.heading is None):
-            raise ConfigurationError("fixed-route vehicles need start_position and heading")
+        _check_cruise(self.desired_speed, self.gain)
+        for name in ("speed", "start_progress"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.route == "fixed":
+            if self.start_position is None or self.heading is None:
+                raise ConfigurationError("fixed-route vehicles need start_position and heading")
+            _check_direction("heading", *self.heading)
+            if not all(math.isfinite(c) for c in self.start_position):
+                raise DomainError("start_position has non-finite components")
 
     def initial_state(self, geom: RoadGeometry) -> VehicleState:
         if self.route == "fixed":
@@ -544,12 +548,11 @@ def _activation_clearance(alpha: AlphaVector, closing: float, r_safe: float) -> 
     return hi
 
 
-def prediction_trial_setup(trial_index: int, seed: int = 0, q: int = DEFAULT_Q,
-                           safety: SafetyConfig = SafetyConfig(),
-                           **settings) -> Tuple[AlphaVector, ScenarioConfig]:
-    """Ground truth and scenario for one identification trial, settings
-    overriding PredictSettings fields: a follower closing slowly on a
-    constant-speed leader in the same lane.
+def prediction_trial_setup(trial_index: int, settings: PredictSettings = PredictSettings(),
+                           safety: SafetyConfig = SafetyConfig(), q: int = DEFAULT_Q,
+                           seed: int = 0) -> Tuple[AlphaVector, ScenarioConfig]:
+    """Ground truth and scenario for one identification trial: a follower
+    closing slowly on a constant-speed leader in the same lane.
 
     The leader's style dominates the follower's everywhere, so its own filter
     never binds and it genuinely cruises at constant velocity: every braking
@@ -561,12 +564,12 @@ def prediction_trial_setup(trial_index: int, seed: int = 0, q: int = DEFAULT_Q,
     only on the index), so any single trial can be rebuilt on its own, e.g.
     to dump its trajectory, without rerunning the batch around it.
     """
-    s = PredictSettings(**settings)
     rng = _trial_rng(seed, trial_index)
     truth = _sample_truth_alpha(rng, trial_index, q)
     leader_speed = rng.uniform(8.0, 10.0)
-    closing = rng.uniform(*s.closing_range)
-    h_start = _activation_clearance(truth, closing, safety.r_safe) + rng.uniform(*s.margin_range)
+    closing = rng.uniform(*settings.closing_range)
+    h_start = (_activation_clearance(truth, closing, safety.r_safe)
+               + rng.uniform(*settings.margin_range))
     gap = math.sqrt(h_start + safety.r_safe ** 2)
     leader_progress = rng.uniform(-40.0, -30.0)
     leader = VehicleSpec(
@@ -582,21 +585,20 @@ def prediction_trial_setup(trial_index: int, seed: int = 0, q: int = DEFAULT_Q,
         alpha=truth,
     )
     return truth, ScenarioConfig(geometry=default_geometry(), vehicles=(follower, leader),
-                                 dt=s.dt, n_steps=s.n_steps, safety=safety)
+                                 dt=settings.dt, n_steps=settings.n_steps, safety=safety)
 
 
-def experiment_prediction(n_trials: Optional[int] = None, seed: int = 0,
-                          ridge: Optional[RidgeConfig] = None,
+def experiment_prediction(settings: PredictSettings = PredictSettings(),
                           safety: SafetyConfig = SafetyConfig(),
-                          **settings) -> PredictionSummary:
-    """Recover randomized ground-truth styles from observed interactions;
-    settings override PredictSettings fields, n_trials its trials.
+                          ridge: Optional[RidgeConfig] = None,
+                          seed: int = 0) -> PredictionSummary:
+    """Recover randomized ground-truth styles from observed interactions.
 
-    mode selects the clearance-rate observer: "analytic" rebuilds the exact
-    one-step rate from the object's recovered acceleration; "finite_diff"
-    differentiates the measured clearance itself and inherits an O(dt) bias,
-    so it is best run at a finer dt than the control-rate default (pass
-    sample_cap to bound how long each trial keeps collecting).
+    settings.mode selects the clearance-rate observer: "analytic" rebuilds
+    the exact one-step rate from the object's recovered acceleration;
+    "finite_diff" differentiates the measured clearance itself and inherits
+    an O(dt) bias, so it is best run at a finer dt than the control-rate
+    default (with a sample_cap to bound how long each trial keeps collecting).
 
     Admission mirrors what an outside observer can do: the object cruises at
     its initial velocity until the interaction starts, so its task input is
@@ -606,15 +608,12 @@ def experiment_prediction(n_trials: Optional[int] = None, seed: int = 0,
     object's input sits on its actuator limit are rejected too: a saturated
     input reveals the actuator, not the style.
     """
-    if n_trials is not None:
-        settings["trials"] = n_trials
-    s = PredictSettings(**settings)
-    dt, mode, sample_cap = s.dt, s.mode, s.sample_cap
+    dt, mode, sample_cap = settings.dt, settings.mode, settings.sample_cap
     ridge = ridge if ridge is not None else RidgeConfig(q_hypothesis=safety.q)
     trials: List[PredictionTrial] = []
-    for idx in range(s.trials):
-        truth, cfg = prediction_trial_setup(idx, seed=seed, q=ridge.q_hypothesis,
-                                            safety=safety, **settings)
+    for idx in range(settings.trials):
+        truth, cfg = prediction_trial_setup(idx, settings, safety, q=ridge.q_hypothesis,
+                                            seed=seed)
         learner = StyleLearner(ridge)
         cruise_v = None
         gain = cfg.vehicles[0].gain
@@ -708,32 +707,30 @@ class SweepEntry:
         return "front" if first else "behind"
 
 
-def sweep_trial_config(alpha: AlphaVector, safety: SafetyConfig = SafetyConfig(),
-                       **settings) -> ScenarioConfig:
+def sweep_trial_config(alpha: AlphaVector, settings: SweepSettings,
+                       safety: SafetyConfig = SafetyConfig()) -> ScenarioConfig:
     """Two-vehicle merge for one point of a style sweep: the ego on the main
-    road with the swept style, the other vehicle on the ramp with a fixed one.
-    settings override SweepSettings fields other than styles."""
-    s = SweepSettings(styles=(alpha,), **settings)
-    geom = default_geometry(ramp_angle_deg=s.ramp_angle_deg)
-    bound = s.accel_bound
+    road with the swept style alpha, the other vehicle on the ramp with a
+    fixed one.  Reads every field of settings except styles."""
+    geom = default_geometry(ramp_angle_deg=settings.ramp_angle_deg)
+    bound = settings.accel_bound
     limits = ControlLimits((-bound, -bound), (bound, bound))
     ego = VehicleSpec(name="ego", role="ego", route="main",
-                      start_progress=s.ego_progress, speed=s.ego_speed,
-                      desired_speed=s.ego_speed, gain=0.8, alpha=alpha,
+                      start_progress=settings.ego_progress, speed=settings.ego_speed,
+                      desired_speed=settings.ego_speed, gain=0.8, alpha=alpha,
                       limits=limits)
     other = VehicleSpec(name="other", role="neighbor", route="ramp",
-                        start_progress=s.other_progress, speed=s.other_speed,
-                        desired_speed=s.other_speed, gain=0.8, alpha=s.other_alpha,
-                        limits=limits)
-    return ScenarioConfig(geometry=geom, vehicles=(ego, other), dt=s.dt,
-                          n_steps=s.n_steps, safety=safety)
+                        start_progress=settings.other_progress, speed=settings.other_speed,
+                        desired_speed=settings.other_speed, gain=0.8,
+                        alpha=settings.other_alpha, limits=limits)
+    return ScenarioConfig(geometry=geom, vehicles=(ego, other), dt=settings.dt,
+                          n_steps=settings.n_steps, safety=safety)
 
 
-def experiment_behavior_sweep(styles: Sequence[AlphaVector],
-                              safety: SafetyConfig = SafetyConfig(),
-                              **settings) -> List[SweepEntry]:
-    """One merge trial per ego style against a fixed other-vehicle style;
-    settings override SweepSettings fields other than styles.
+def experiment_behavior_sweep(settings: SweepSettings,
+                              safety: SafetyConfig = SafetyConfig()) -> List[SweepEntry]:
+    """One merge trial per ego style of settings.styles against a fixed
+    other-vehicle style.
 
     The default scenario is a steep, slow merge arriving at a dead tie.  The
     steep angle matters: the constraint pushes each vehicle away from the
@@ -744,15 +741,15 @@ def experiment_behavior_sweep(styles: Sequence[AlphaVector],
     styles that activate closer in keep the nominal plan longer, the other
     vehicle concedes first, and the ego merges in front.
     """
-    return [entry for entry, _ in _sweep_records(styles, safety, **settings)]
+    return [entry for entry, _ in _sweep_records(settings, safety)]
 
 
-def _sweep_records(styles: Sequence[AlphaVector], safety: SafetyConfig,
-                   **settings) -> Iterator[Tuple[SweepEntry, TrialRecord]]:
+def _sweep_records(settings: SweepSettings,
+                   safety: SafetyConfig) -> Iterator[Tuple[SweepEntry, TrialRecord]]:
     """experiment_behavior_sweep's trials in style order, each entry with
     its record, so that a caller keeps only the logs it wants."""
-    for alpha in styles:
-        rec = run_trial(sweep_trial_config(alpha, safety=safety, **settings))
+    for alpha in settings.styles:
+        rec = run_trial(sweep_trial_config(alpha, settings, safety))
         delta = rec.log.states[:, 0, 0:2] - rec.log.states[:, 1, 0:2]
         distance = np.hypot(delta[:, 0], delta[:, 1])
         yield SweepEntry(
@@ -785,37 +782,36 @@ class InvarianceSettings:
         _check_counts(trials=self.trials, n_steps=self.n_steps)
 
 
-def invariance_trial_setup(trial_index: int, seed: int = 0,
+def invariance_trial_setup(trial_index: int,
+                           settings: InvarianceSettings = InvarianceSettings(),
                            safety: SafetyConfig = SafetyConfig(),
-                           **settings) -> ScenarioConfig:
-    """Scenario for one randomized invariance trial, addressable by index;
-    settings override InvarianceSettings fields."""
-    s = InvarianceSettings(**settings)
+                           seed: int = 0) -> ScenarioConfig:
+    """Scenario for one randomized invariance trial, addressable by index."""
     rng = _trial_rng(seed, trial_index)
 
     def random_alpha() -> AlphaVector:
         return AlphaVector(tuple(rng.uniform(0.0, 1.0, size=safety.q)))
 
     ego = VehicleSpec(name="ego", role="ego", route="main",
-                      start_progress=rng.uniform(*s.progress_range),
-                      speed=rng.uniform(*s.speed_range),
-                      desired_speed=rng.uniform(*s.speed_range),
+                      start_progress=rng.uniform(*settings.progress_range),
+                      speed=rng.uniform(*settings.speed_range),
+                      desired_speed=rng.uniform(*settings.speed_range),
                       gain=0.8, alpha=random_alpha())
     other = VehicleSpec(name="other", role="neighbor", route="ramp",
-                        start_progress=rng.uniform(*s.progress_range),
-                        speed=rng.uniform(*s.speed_range),
-                        desired_speed=rng.uniform(*s.speed_range),
+                        start_progress=rng.uniform(*settings.progress_range),
+                        speed=rng.uniform(*settings.speed_range),
+                        desired_speed=rng.uniform(*settings.speed_range),
                         gain=0.8, alpha=random_alpha())
-    return ScenarioConfig(geometry=default_geometry(ramp_angle_deg=s.ramp_angle_deg),
-                          vehicles=(ego, other), dt=s.dt, n_steps=s.n_steps,
+    return ScenarioConfig(geometry=default_geometry(ramp_angle_deg=settings.ramp_angle_deg),
+                          vehicles=(ego, other), dt=settings.dt, n_steps=settings.n_steps,
                           safety=safety)
 
 
-def experiment_invariance(n_trials: Optional[int] = None, seed: int = 0,
+def experiment_invariance(settings: InvarianceSettings = InvarianceSettings(),
                           safety: SafetyConfig = SafetyConfig(),
-                          **settings) -> List[TrialMetrics]:
+                          seed: int = 0) -> List[TrialMetrics]:
     """Randomized style pairs merging under their filters; returns per-trial
-    metrics.  settings override InvarianceSettings fields, n_trials its trials.
+    metrics.
 
     The default ranges keep closing speeds at constraint activation within
     what the actuator box can track for every style pair in the unit square:
@@ -824,13 +820,12 @@ def experiment_invariance(n_trials: Optional[int] = None, seed: int = 0,
     and a narrow speed band are what make the no-collision guarantee hold
     all the way down to saturation-free operation.
     """
-    if n_trials is not None:
-        settings["trials"] = n_trials
-    return [rec.metrics for rec in _invariance_records(seed, safety, **settings)]
+    return [rec.metrics for rec in _invariance_records(settings, safety, seed)]
 
 
-def _invariance_records(seed: int, safety: SafetyConfig, **settings) -> Iterator[TrialRecord]:
+def _invariance_records(settings: InvarianceSettings, safety: SafetyConfig,
+                        seed: int) -> Iterator[TrialRecord]:
     """experiment_invariance's trials in index order, one record at a time,
     so that a caller keeps only the logs it wants."""
-    for idx in range(InvarianceSettings(**settings).trials):
-        yield run_trial(invariance_trial_setup(idx, seed=seed, safety=safety, **settings))
+    for idx in range(settings.trials):
+        yield run_trial(invariance_trial_setup(idx, settings, safety, seed))

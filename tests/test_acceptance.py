@@ -13,6 +13,8 @@ from helpers import qp_oracle, random_box_qp
 
 from polycbf import (
     AlphaVector,
+    InvarianceSettings,
+    PredictSettings,
     QpProblem,
     experiment_assumption_mismatch,
     experiment_behavior_sweep,
@@ -78,7 +80,8 @@ def test_random_merge_trials_stay_safe_and_feasible():
     # no collision flag and at most 1% of vehicle steps flagged infeasible
     n_trials, n_steps = 100, 1200
     t0 = time.monotonic()
-    metrics = experiment_invariance(n_trials=n_trials, seed=0, n_steps=n_steps)
+    metrics = experiment_invariance(InvarianceSettings(trials=n_trials, n_steps=n_steps),
+                                    seed=0)
     elapsed = time.monotonic() - t0
     assert len(metrics) == n_trials
     worst = min(min(m.min_h.values()) for m in metrics)
@@ -97,10 +100,11 @@ def test_style_recovery_meets_error_budget():
     # analytic rates recover weights to 1e-6 mean RMSE within 10 admitted
     # samples; finite-difference rates stay under 1e-3
     t0 = time.monotonic()
-    analytic = experiment_prediction(n_trials=30, seed=0, mode="analytic")
-    fd = experiment_prediction(n_trials=30, seed=0, mode="finite_diff",
-                               dt=2.5e-4, n_steps=40000,
-                               closing_range=(0.8, 1.2), sample_cap=8000)
+    analytic = experiment_prediction(PredictSettings(trials=30, mode="analytic"), seed=0)
+    fd = experiment_prediction(PredictSettings(trials=30, mode="finite_diff",
+                                               dt=2.5e-4, n_steps=40000,
+                                               closing_range=(0.8, 1.2), sample_cap=8000),
+                               seed=0)
     elapsed = time.monotonic() - t0
     truths = [t.truth.coefficients for t in analytic.trials]
     assert any(c[0] == 0.0 for c in truths)
@@ -138,16 +142,14 @@ def test_style_weights_steer_spacing_and_merge_order():
     weight_sweep = cli.load_preset("sweep_weights")
     assert all(s.q == 1 for s in gamma_sweep["settings"].styles)
     t0 = time.monotonic()
-    entries = experiment_behavior_sweep(safety=gamma_sweep["safety"],
-                                        **vars(gamma_sweep["settings"]))
+    entries = experiment_behavior_sweep(**gamma_sweep)
     mins = [e.min_distance for e in entries]
     for a, b in zip(mins, mins[1:]):
         assert b <= a + 1e-9
     assert mins[-1] < mins[0]
     assert all(e.min_h >= -1e-9 for e in entries)
 
-    entries_w = experiment_behavior_sweep(safety=weight_sweep["safety"],
-                                          **vars(weight_sweep["settings"]))
+    entries_w = experiment_behavior_sweep(**weight_sweep)
     orders = [e.merge_order for e in entries_w]
     assert orders[0] == "behind"
     assert orders[-1] == "front"
@@ -169,7 +171,7 @@ def test_prediction_shortens_the_preset_merge():
     # finishes strictly sooner than the prediction-disabled baseline
     preset = cli.load_preset("adaptive")
     t0 = time.monotonic()
-    cmp = experiment_prediction_in_loop(preset["scenario"], **vars(preset["settings"]))
+    cmp = experiment_prediction_in_loop(**preset)
     elapsed = time.monotonic() - t0
     assert cmp.ego_step_enabled < cmp.ego_step_disabled
     assert cmp.overall_enabled < cmp.overall_disabled

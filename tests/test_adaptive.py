@@ -1,6 +1,5 @@
 """Style compatibility rows, preset selection, and the adaptive merge loop."""
 import dataclasses
-import inspect
 
 import numpy as np
 import pytest
@@ -71,6 +70,14 @@ def test_compatibility_row_is_safety_margin_difference():
         assert b == pytest.approx(b1 - b2, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_compatibility_rejects_a_bad_dt(dt):
+    ego = VehicleState((6.0, 0.0), (0.0, 0.0))
+    other = VehicleState((0.0, 0.0), (0.0, 0.0))
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+        compatibility_constraint(ego, other, AlphaVector((1.0,)), AlphaVector((0.5,)), CFG, dt)
+
+
 def test_compatibility_rejects_coincident_positions():
     s = VehicleState((1.0, 2.0), (0.0, 0.0))
     with pytest.raises(DegenerateConstraintError):
@@ -128,22 +135,16 @@ def test_adaptive_roster_validation():
 
 
 def test_adaptive_run_argument_validation():
-    cfg = preset_config(n_steps=10)
     with pytest.raises(ConfigurationError):
-        run_adaptive_merge(cfg, hdot_mode="spectral")
+        AdaptiveSettings(hdot_mode="spectral")
     with pytest.raises(ConfigurationError):
-        run_adaptive_merge(cfg, phase_budget=0)
-
-
-def test_adaptive_run_defaults_are_the_settings_defaults():
-    params = inspect.signature(run_adaptive_merge).parameters
-    for field in dataclasses.fields(AdaptiveSettings):
-        assert params[field.name].default == getattr(AdaptiveSettings(), field.name)
+        AdaptiveSettings(phase_budget=0)
 
 
 def test_disabled_prediction_reduces_to_plain_trial():
     cfg = preset_config(n_steps=400)
-    rec = run_adaptive_merge(cfg, prediction_enabled=False, hdot_mode="analytic")
+    rec = run_adaptive_merge(cfg, AdaptiveSettings(hdot_mode="analytic"),
+                             prediction_enabled=False)
     plain = run_trial(cfg)
     assert not rec.prediction_enabled
     assert rec.selected_alpha is None
@@ -156,7 +157,7 @@ def test_disabled_prediction_reduces_to_plain_trial():
 
 def test_adaptive_run_identifies_and_concedes():
     cfg = preset_config(n_steps=700)
-    rec = run_adaptive_merge(cfg, phase_budget=300, hdot_mode="analytic")
+    rec = run_adaptive_merge(cfg, AdaptiveSettings(phase_budget=300, hdot_mode="analytic"))
     assert rec.converged_within_budget
     assert rec.converged_at is not None and rec.converged_at <= 300
     est = rec.final_estimate

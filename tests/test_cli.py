@@ -1,5 +1,8 @@
 """Command-line surface: config parsing, artifacts, manifests, exit codes."""
+import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -12,9 +15,10 @@ from helpers import configs_equal, trajectory_csv_oracle
 
 import polycbf
 from polycbf import (InvarianceSettings, SafetyConfig, TrajectoryLog, TrialMetrics,
-                     TrialRecord, experiment_prediction_in_loop, invariance_trial_setup,
-                     run_trial, simulate)
-from polycbf import cli, scenario
+                     TrialRecord, experiment_behavior_sweep, experiment_invariance,
+                     experiment_prediction, experiment_prediction_in_loop,
+                     invariance_trial_setup, run_trial, simulate)
+from polycbf import adaptive, cli, scenario
 
 
 INVARIANCE_SMALL = """\
@@ -74,7 +78,7 @@ def run_cli(args):
 # --- trajectory CSV ----------------------------------------------------------
 
 def test_trajectory_csv_round_trip(tmp_path):
-    cfg = invariance_trial_setup(0, seed=7, n_steps=200)
+    cfg = invariance_trial_setup(0, InvarianceSettings(n_steps=200), seed=7)
     log = run_trial(cfg).log
     path = tmp_path / "traj.csv"
     cli.write_trajectory_csv(path, log)
@@ -89,7 +93,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 
 def test_trajectory_csv_header_names_pairs(tmp_path):
-    cfg = invariance_trial_setup(0, seed=7, n_steps=50)
+    cfg = invariance_trial_setup(0, InvarianceSettings(n_steps=50), seed=7)
     log = run_trial(cfg).log
     path = tmp_path / "traj.csv"
     cli.write_trajectory_csv(path, log)
@@ -172,7 +176,7 @@ def _edge_log(names):
 
 
 def _early_stop_log():
-    cfg = invariance_trial_setup(0, seed=3, n_steps=200)
+    cfg = invariance_trial_setup(0, InvarianceSettings(n_steps=200), seed=3)
     log = simulate(cfg, on_step=lambda t_next, prev, cur: t_next >= 37).log
     assert log.states.shape[0] == 38
     return log
@@ -369,6 +373,43 @@ def test_load_preset_is_what_run_builds(tmp_path, monkeypatch, name, experiment)
     assert configs_equal(cli.load_preset(name), built)
 
 
+# The library entry point of each shipped preset's experiment.
+ENTRY_POINTS = {
+    "predict": experiment_prediction,
+    "sweep_weights": experiment_behavior_sweep,
+    "sweep_gamma": experiment_behavior_sweep,
+    "adaptive": experiment_prediction_in_loop,
+    "invariance": experiment_invariance,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_load_preset_binds_to_the_library_entry_point(name):
+    inspect.signature(ENTRY_POINTS[name]).bind(**cli.load_preset(name))
+
+
+@pytest.mark.parametrize("module", [scenario, adaptive], ids=["scenario", "adaptive"])
+def test_public_functions_take_no_keyword_overrides(module):
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            kinds = [p.kind for p in inspect.signature(obj).parameters.values()]
+            assert inspect.Parameter.VAR_KEYWORD not in kinds, name
+
+
+def test_library_invariance_is_what_run_writes(tmp_path):
+    preset = cli.load_preset("invariance")
+    preset["settings"] = dataclasses.replace(preset["settings"], trials=2)
+    metrics = experiment_invariance(**preset)
+    assert run_cli(["run", "invariance", "--trials", 2, "--out", tmp_path]) == 0
+    with open(tmp_path / "invariance" / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["min_h"] for row in rows] == \
+        [cli._g17(min(m.min_h.values())) for m in metrics]
+    assert [int(row["infeasible_steps"]) for row in rows] == \
+        [m.infeasible_step_count for m in metrics]
+
+
 def test_rosterless_adaptive_config_runs_the_preset_roster(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "[run]\nexperiment = adaptive\n\n[adaptive]\nphase_budget = 200\n")
     built = built_by_run(tmp_path, monkeypatch, "adaptive", cfg)
@@ -498,10 +539,12 @@ NEGATIVE_SEED = INVARIANCE_SMALL.replace("experiment = invariance",
 MISSPELT_SECTION = INVARIANCE_SMALL + "\n[safty]\nr_safe = 50\n"
 # without a roster the adaptive run uses the shipped preset's, safety included
 ADAPTIVE_NO_ROSTER = "[run]\nexperiment = adaptive\n\n[safety]\nr_safe = 7.0\n"
+NAN_DESIRED_SPEED = ADAPTIVE.replace("desired_speed = 3.0", "desired_speed = nan")
 
 
-# Bad input from a flag, a config key or a config section: run exits 3 before
-# writing anything, and validate reports a FAIL line.
+# Bad input from a flag, a config key, a config section or a vehicle's
+# number: run exits 3 before writing anything, and validate reports a FAIL
+# line.
 @pytest.mark.parametrize("argv,config,code,stream,message", [
     (["run", "invariance", "--seed", -1, "--config"], INVARIANCE_SMALL, 3, "err", "config error"),
     (["run", "predict", "--seed", -1], None, 3, "err", "config error"),
@@ -532,11 +575,23 @@ ADAPTIVE_NO_ROSTER = "[run]\nexperiment = adaptive\n\n[safety]\nr_safe = 7.0\n"
     # and validate reports the preset roster's safety, not the unread r_safe 7.0
     (["validate"], ADAPTIVE_NO_ROSTER, 0, "out",
      "roles ['neighbor', 'object', 'ego']; r_safe 5.0, order 2\nPASS ridge"),
+    (["run", "adaptive", "--config"], NAN_DESIRED_SPEED, 3, "err",
+     "config error: [vehicle.object]: desired_speed must be >= 0, got nan"),
+    (["validate"], NAN_DESIRED_SPEED, 0, "out",
+     "FAIL scenario: [vehicle.object]: desired_speed must be >= 0, got nan"),
+    (["validate"], ADAPTIVE.replace("gain = 0.3", "gain = 0"), 0, "out",
+     "FAIL scenario: [vehicle.lead]: gain must be > 0, got 0.0"),
+    (["validate"], ADAPTIVE.replace("gain = 0.3", "gain = -0.8"), 0, "out",
+     "FAIL scenario: [vehicle.lead]: gain must be > 0, got -0.8"),
+    (["run", "adaptive", "--config"], ADAPTIVE.replace("speed = 1.6", "speed = nan"), 3, "err",
+     "config error: [vehicle.lead]: speed must be finite, got nan"),
 ], ids=["flag", "flag-preset", "config-key", "validate", "validate-mode",
         "validate-hdot-mode", "validate-sample-cap", "misspelt-key", "validate-misspelt-key",
         "misspelt-vehicle-key", "validate-misspelt-vehicle-key", "misspelt-section",
         "validate-misspelt-section", "adaptive-unread-section",
-        "validate-adaptive-unread-section", "validate-adaptive-reported-safety"])
+        "validate-adaptive-unread-section", "validate-adaptive-reported-safety",
+        "desired-speed-nan", "validate-desired-speed-nan", "validate-gain-0",
+        "validate-gain-negative", "speed-nan"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, argv, config, code, stream, message):
     args = list(argv)
     if config is not None:

@@ -50,6 +50,14 @@ def test_observe_is_backward_difference_with_current_basis():
         assert s.timestamp == 3
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_observe_rejects_a_bad_dt(dt):
+    prev_o = VehicleState((0.0, 0.0), (1.0, 0.0))
+    prev_n = VehicleState((10.0, 0.0), (0.0, 0.0))
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+        observe(prev_o, prev_n, prev_o, prev_n, CFG, dt)
+
+
 def test_observe_analytic_matches_kinematics():
     # against the one-step identity: h' - h = rate dt + ||dv'||^2 dt^2,
     # with the neighbor held at constant velocity

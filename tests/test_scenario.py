@@ -12,7 +12,10 @@ from polycbf import (
     AlphaVector,
     ConfigurationError,
     ControlLimits,
+    DomainError,
+    InvarianceSettings,
     NominalPlan,
+    PredictSettings,
     RoadGeometry,
     SafetyConfig,
     ScenarioConfig,
@@ -102,6 +105,39 @@ def test_vehicle_spec_initial_state():
     assert np.hypot(*s.velocity) == pytest.approx(7.0, rel=1e-12)
     with pytest.raises(ConfigurationError):
         VehicleSpec(name="b", route="fixed", alpha=AlphaVector((1.0,)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("desired_speed", math.nan), ("desired_speed", -1.0), ("gain", 0.0), ("gain", -0.8),
+    ("gain", math.inf)])
+def test_vehicle_spec_applies_the_nominal_plan_rules(field, value):
+    # the cruise law a spec declares obeys the rules NominalPlan enforces,
+    # with NominalPlan's own message
+    plan = {"desired_speed": 10.0, "lane_direction": (1.0, 0.0), "gain": 0.8, field: value}
+    with pytest.raises(ConfigurationError) as from_plan:
+        NominalPlan(**plan)
+    with pytest.raises(ConfigurationError, match=field) as from_spec:
+        VehicleSpec(name="a", **{field: value})
+    assert str(from_spec.value) == str(from_plan.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("speed", math.nan), ("speed", math.inf), ("start_progress", -math.inf),
+    ("start_progress", math.nan)])
+def test_vehicle_spec_rejects_non_finite_placement(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        VehicleSpec(name="a", **{field: value})
+
+
+@pytest.mark.parametrize("heading, start, error", [
+    ((0.0, 0.0), (0.0, 0.0), ConfigurationError),
+    ((math.nan, 1.0), (0.0, 0.0), DomainError),
+    ((1.0, math.inf), (0.0, 0.0), DomainError),
+    ((1.0, 0.0), (math.nan, 0.0), DomainError),
+])
+def test_fixed_route_needs_a_finite_heading_and_start(heading, start, error):
+    with pytest.raises(error):
+        VehicleSpec(name="a", route="fixed", heading=heading, start_position=start)
 
 
 def test_scenario_config_validation():
@@ -449,19 +485,21 @@ def test_alpha_fn_hook_overrides_styles():
 # --- canned experiments ------------------------------------------------------
 
 def test_invariance_trials_replay_from_their_setups():
-    metrics = experiment_invariance(n_trials=3, seed=11, n_steps=300)
+    settings = InvarianceSettings(trials=3, n_steps=300)
+    metrics = experiment_invariance(settings, seed=11)
     assert len(metrics) == 3
     for k, m in enumerate(metrics):
-        cfg = invariance_trial_setup(k, seed=11, n_steps=300)
+        cfg = invariance_trial_setup(k, settings, seed=11)
         again = run_trial(cfg).metrics
         assert again == m
 
 
 def test_trial_setups_depend_only_on_index():
-    a = invariance_trial_setup(4, seed=11, n_steps=300)
-    b = invariance_trial_setup(4, seed=11, n_steps=300)
+    settings = InvarianceSettings(n_steps=300)
+    a = invariance_trial_setup(4, settings, seed=11)
+    b = invariance_trial_setup(4, settings, seed=11)
     assert configs_equal(a, b)
-    c = invariance_trial_setup(5, seed=11, n_steps=300)
+    c = invariance_trial_setup(5, settings, seed=11)
     assert not configs_equal(a, c)
     ta, ca = prediction_trial_setup(2, seed=3)
     tb, cb = prediction_trial_setup(2, seed=3)
@@ -478,8 +516,8 @@ def test_trial_rng_is_the_spawned_child(seed):
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: experiment_invariance(n_trials=1, seed=-1, n_steps=10), "seed"),
-    (lambda: experiment_prediction(n_trials=1, seed=-1, n_steps=10), "seed"),
+    (lambda: experiment_invariance(InvarianceSettings(trials=1, n_steps=10), seed=-1), "seed"),
+    (lambda: experiment_prediction(PredictSettings(trials=1, n_steps=10), seed=-1), "seed"),
     (lambda: experiment_assumption_mismatch(n_trials=1, seed=-1), "seed"),
     (lambda: invariance_trial_setup(0, seed=-1), "seed"),
     (lambda: prediction_trial_setup(0, seed=-1), "seed"),
@@ -492,7 +530,7 @@ def test_negative_seed_or_trial_index_is_a_config_error(call, name):
 
 
 def test_prediction_trials_recover_styles():
-    summary = experiment_prediction(n_trials=3, seed=0)
+    summary = experiment_prediction(PredictSettings(trials=3), seed=0)
     assert summary.mode == "analytic"
     assert len(summary.trials) == 3
     for t in summary.trials:
@@ -501,16 +539,14 @@ def test_prediction_trials_recover_styles():
         assert t.n_admitted >= t.converged_at
 
 
-def gamma_sweep_kwargs():
-    """The sweep_gamma preset's settings other than its styles."""
-    kw = vars(cli.load_preset("sweep_gamma")["settings"]).copy()
-    del kw["styles"]
-    return kw
+def gamma_sweep_settings(*styles):
+    """The sweep_gamma preset's settings with the given styles."""
+    return dataclasses.replace(cli.load_preset("sweep_gamma")["settings"], styles=styles)
 
 
 def test_gamma_sweep_settings_feed_the_sweep():
-    kw = gamma_sweep_kwargs()
-    entries = experiment_behavior_sweep([AlphaVector((0.4,)), AlphaVector((2.2,))], **kw)
+    entries = experiment_behavior_sweep(
+        gamma_sweep_settings(AlphaVector((0.4,)), AlphaVector((2.2,))))
     assert len(entries) == 2
     # a hotter gamma tolerates a smaller closest approach
     assert entries[1].min_distance <= entries[0].min_distance
@@ -521,14 +557,11 @@ def test_gamma_sweep_settings_feed_the_sweep():
 
 
 def test_sweep_trial_config_reproduces_sweep_entries():
-    kw = gamma_sweep_kwargs()
     alpha = AlphaVector((1.0,))
-    entries = experiment_behavior_sweep([alpha], **kw)
-    cfg = sweep_trial_config(
-        alpha, other_alpha=kw["other_alpha"], n_steps=kw["n_steps"],
-        ramp_angle_deg=kw["ramp_angle_deg"], ego_progress=kw["ego_progress"],
-        other_progress=kw["other_progress"], ego_speed=kw["ego_speed"],
-        other_speed=kw["other_speed"], accel_bound=kw["accel_bound"])
+    settings = gamma_sweep_settings(alpha)
+    entries = experiment_behavior_sweep(settings)
+    # sweep_trial_config reads every field but styles
+    cfg = sweep_trial_config(alpha, dataclasses.replace(settings, styles=()))
     rec = run_trial(cfg)
     assert min(rec.metrics.min_h.values()) == entries[0].min_h
     assert rec.metrics.merge_step["ego"] == entries[0].ego_merge_step
