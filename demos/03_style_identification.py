@@ -8,7 +8,7 @@ precision in a handful of samples.
 """
 import dataclasses
 
-from polycbf import experiment_prediction, prediction_trial_setup, run_trial
+from polycbf import experiment_prediction, prediction_trial_setup, simulate
 from polycbf.cli import load_preset
 
 # The shipped predict preset, cut to six trials.
@@ -32,7 +32,7 @@ for i, est in enumerate(t.estimate_series):
 
 truth, cfg = prediction_trial_setup(worst, preset["settings"], preset["safety"],
                                     q=preset["ridge"].q_hypothesis)
-rec = run_trial(cfg)
+rec = simulate(cfg)
 print()
 print(f"that trial replayed: {rec.log.states.shape[0] - 1} steps, "
       f"min clearance {min(rec.metrics.min_h.values()):.2e}, "

@@ -8,47 +8,46 @@ ramp-merge loop that couples the two.
 
 from .barrier import (AlphaVector, BarrierBasis, SafetyConfig, basis, hdot,
                       kappa, safety_value)
-from .controller import (DEFAULT_LIMITS, ControlLimits, NominalPlan, QpProblem,
-                         QpSolution, build_safety_constraint, nominal_control,
-                         safe_control, solve_qp)
+from .controller import (DEFAULT_LIMITS, ControlLimits, NominalPlan, QpSolution,
+                         build_safety_constraint, nominal_control, safe_control)
 from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import (ConfigurationError, DegenerateConstraintError, DomainError,
                      InsufficientDataError, RankDeficiencyError)
 from .learner import (AlphaEstimate, BarrierSample, RidgeConfig, StyleLearner,
-                      check_convergence, fit, observe, observe_analytic)
+                      check_convergence, fit)
 from .scenario import (InvarianceSettings, PredictionSummary, PredictionTrial,
                        PredictSettings, RoadGeometry, ScenarioConfig, SweepEntry,
                        SweepSettings, TrajectoryLog, TrialMetrics, TrialRecord,
                        VehicleSpec, default_geometry, experiment_behavior_sweep,
                        experiment_invariance, experiment_prediction,
-                       invariance_trial_setup, prediction_trial_setup, run_trial,
-                       simulate, sweep_trial_config)
+                       invariance_trial_setup, prediction_trial_setup, simulate,
+                       sweep_trial_config)
 from .adaptive import (DEFAULT_POLICY, AdaptiveComparison, AdaptiveRecord,
                        AdaptiveSettings, MismatchTrial, StylePolicy, aggressiveness_score,
-                       compatibility_constraint, experiment_assumption_mismatch,
-                       experiment_prediction_in_loop, run_adaptive_merge, select_alpha)
+                       experiment_assumption_mismatch, experiment_prediction_in_loop,
+                       run_adaptive_merge, select_alpha)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlphaVector", "BarrierBasis", "SafetyConfig", "basis", "hdot", "kappa",
     "safety_value",
-    "ControlLimits", "DEFAULT_LIMITS", "NominalPlan", "QpProblem", "QpSolution",
-    "build_safety_constraint", "nominal_control", "safe_control", "solve_qp",
+    "ControlLimits", "DEFAULT_LIMITS", "NominalPlan", "QpSolution",
+    "build_safety_constraint", "nominal_control", "safe_control",
     "DEFAULT_DT", "VehicleState", "step",
     "ConfigurationError", "DegenerateConstraintError", "DomainError",
     "InsufficientDataError", "RankDeficiencyError",
     "AlphaEstimate", "BarrierSample", "RidgeConfig", "StyleLearner",
-    "check_convergence", "fit", "observe", "observe_analytic",
+    "check_convergence", "fit",
     "InvarianceSettings", "PredictSettings", "PredictionSummary", "PredictionTrial",
     "RoadGeometry", "ScenarioConfig", "SweepEntry", "SweepSettings", "TrajectoryLog",
     "TrialMetrics", "TrialRecord", "VehicleSpec", "default_geometry",
     "experiment_behavior_sweep", "experiment_invariance", "experiment_prediction",
-    "invariance_trial_setup", "prediction_trial_setup", "run_trial", "simulate",
+    "invariance_trial_setup", "prediction_trial_setup", "simulate",
     "sweep_trial_config",
     "DEFAULT_POLICY", "AdaptiveComparison", "AdaptiveRecord", "AdaptiveSettings",
     "MismatchTrial", "StylePolicy", "aggressiveness_score",
-    "compatibility_constraint", "experiment_assumption_mismatch",
+    "experiment_assumption_mismatch",
     "experiment_prediction_in_loop", "run_adaptive_merge", "select_alpha",
     "__version__",
 ]

@@ -25,13 +25,12 @@ import numpy as np
 from .barrier import AlphaVector, SafetyConfig, _kappa, kappa, safety_value
 from .controller import ControlLimits, NominalPlan, _solve_scalar, safe_control
 from .dynamics import DEFAULT_DT, VehicleState, step
-from .errors import ConfigurationError, DegenerateConstraintError, _check_dt
+from .errors import ConfigurationError
 from .learner import AlphaEstimate, RidgeConfig, StyleLearner
 from .scenario import (OBSERVATION_MODES, ScenarioConfig, TrialRecord, _check_counts,
                        _observe_rows, _trial_rng, simulate)
 
 __all__ = [
-    "compatibility_constraint",
     "aggressiveness_score",
     "StylePolicy",
     "DEFAULT_POLICY",
@@ -45,25 +44,6 @@ __all__ = [
     "experiment_assumption_mismatch",
 ]
 
-def compatibility_constraint(ego: VehicleState, other: VehicleState,
-                             alpha_i: AlphaVector, alpha_j: AlphaVector,
-                             cfg: SafetyConfig, dt: float) -> Tuple[np.ndarray, float]:
-    """Row (a, b), a @ u <= b, tying the ego's braking authority to the style mismatch.
-
-    Against an other vehicle whose filter runs alpha_j, an ego running
-    alpha_i must not out-brake the clearance budget the two styles disagree
-    by: -2 dx . u * dt <= (alpha_i - alpha_j) . basis(h).  Equal styles give
-    the zero row, and a strictly more conservative ego (componentwise) keeps
-    the bound nonnegative, so the row only ever bites on approach.
-    """
-    dx_x = float(ego.position[0]) - float(other.position[0])
-    dx_y = float(ego.position[1]) - float(other.position[1])
-    if dx_x == 0.0 and dx_y == 0.0:
-        raise DegenerateConstraintError("coincident positions leave the row undefined")
-    dt = _check_dt(dt)
-    ax, ay, b = _compat_row(dx_x, dx_y, _style_gap(alpha_i, alpha_j), cfg, dt)
-    return np.array([ax, ay]), b
-
 
 def _style_gap(alpha_i, alpha_j):
     """Coefficient difference alpha_i - alpha_j, both padded to the longer order."""
@@ -72,10 +52,18 @@ def _style_gap(alpha_i, alpha_j):
 
 
 def _compat_row(dx_x, dx_y, gap, cfg, dt):
-    """Scalar kernel of compatibility_constraint, dx being ego minus other and
-    gap the _style_gap of the two styles: no validation, shared with the
-    adaptive merge's row hook and the mismatch trial.  The offset is kappa of
-    the gap.  Returns (ax, ay, b)."""
+    """Row (ax, ay, b), a.u <= b, tying the ego's braking authority to the
+    style mismatch, dx being ego minus other and gap the _style_gap of the
+    two styles (ego's first): no validation, shared by the adaptive merge's
+    row hook and the mismatch trial.
+
+    Against an other vehicle whose filter runs alpha_j, an ego running
+    alpha_i must not out-brake the clearance budget the two styles disagree
+    by: -2 dx . u * dt <= kappa(alpha_i - alpha_j, h).  Equal styles give
+    the bound 0, and an ego whose coefficients are componentwise at least the
+    other's keeps it non-negative at h >= 0, so the row only ever bites on
+    approach.
+    """
     h = dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe
     return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(gap, h)
 

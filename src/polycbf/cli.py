@@ -57,7 +57,7 @@ from .learner import RidgeConfig
 from .scenario import (COLLISION_TOL, InvarianceSettings, PredictSettings, RoadGeometry,
                        ScenarioConfig, SweepSettings, TrajectoryLog, VehicleSpec,
                        _invariance_records, _sweep_records, default_geometry,
-                       experiment_prediction, prediction_trial_setup, run_trial)
+                       experiment_prediction, prediction_trial_setup, simulate)
 
 __all__ = [
     "main",
@@ -546,7 +546,7 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
     # again because its experiment run stopped once the learner converged.
     worst = max(range(settings.trials), key=lambda k: summary.trials[k].rmse)
     _, cfg = prediction_trial_setup(worst, settings, safety, q=q, seed=seed)
-    rec = run_trial(cfg)
+    rec = simulate(cfg)
     trajectory = out_dir / "trajectory.csv"
     write_trajectory_csv(trajectory, rec.log)
 

@@ -49,11 +49,9 @@ from .errors import ConfigurationError, DegenerateConstraintError, DomainError, 
 __all__ = [
     "ControlLimits",
     "NominalPlan",
-    "QpProblem",
     "QpSolution",
     "nominal_control",
     "build_safety_constraint",
-    "solve_qp",
     "safe_control",
     "DEFAULT_LIMITS",
 ]
@@ -119,35 +117,9 @@ def _check_direction(name, d_x, d_y):
     return norm
 
 
-@dataclass(frozen=True)
-class QpProblem:
-    """min ||u - u_nominal||^2 over the box, subject to rows a.u <= b."""
-
-    u_nominal: np.ndarray
-    u_min: np.ndarray
-    u_max: np.ndarray
-    constraints: Tuple[Tuple[np.ndarray, float], ...] = ()
-
-    def __post_init__(self):
-        ubar = np.asarray(self.u_nominal, dtype=np.float64).reshape(2)
-        lo = np.asarray(self.u_min, dtype=np.float64).reshape(2)
-        hi = np.asarray(self.u_max, dtype=np.float64).reshape(2)
-        rows = tuple((np.asarray(a, dtype=np.float64).reshape(2), float(b))
-                     for a, b in self.constraints)
-        ubar_x, ubar_y = ubar.tolist()
-        lo_x, lo_y = lo.tolist()
-        hi_x, hi_y = hi.tolist()
-        _check_qp_data(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y,
-                       [(*a.tolist(), b) for a, b in rows])
-        object.__setattr__(self, "u_nominal", ubar)
-        object.__setattr__(self, "u_min", lo)
-        object.__setattr__(self, "u_max", hi)
-        object.__setattr__(self, "constraints", rows)
-
-
 def _check_qp_data(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows):
-    """The checks of QpProblem on float data, rows being (ax, ay, b) triples;
-    safe_control runs them on its program without building a QpProblem."""
+    """safe_control's checks of its program on float data, rows being
+    (ax, ay, b) triples, before it hands the program to _solve_scalar."""
     isfinite = math.isfinite
     if not (isfinite(ubar_x) and isfinite(ubar_y) and isfinite(lo_x) and isfinite(lo_y)
             and isfinite(hi_x) and isfinite(hi_y)):
@@ -431,7 +403,8 @@ def _live_rows(rows, ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y):
 
 
 def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
-    """Scalar-core solve shared by solve_qp and the batch simulation loop.
+    """Scalar-core solve shared by safe_control and the batch simulation loop;
+    no validation.
 
     constraint_rows is a sequence of (ax, ay, b) triples excluding the box.
     Returns (ux, uy, feasible, objective, max_violation).  A nominal inside
@@ -471,18 +444,6 @@ def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
     return ux, uy, False, dxu * dxu + dyu * dyu, t_star
 
 
-def solve_qp(qp: QpProblem) -> QpSolution:
-    """Solve the filter QP exactly; infeasible programs return a flagged fallback."""
-    rows = [(float(a[0]), float(a[1]), float(b)) for a, b in qp.constraints]
-    ux, uy, feasible, obj, t_star = _solve_scalar(
-        float(qp.u_nominal[0]), float(qp.u_nominal[1]),
-        float(qp.u_min[0]), float(qp.u_min[1]),
-        float(qp.u_max[0]), float(qp.u_max[1]),
-        rows,
-    )
-    return QpSolution(np.array([ux, uy]), feasible, obj, t_star)
-
-
 def safe_control(ego: VehicleState, others: Sequence, alpha: AlphaVector,
                  plan: NominalPlan, cfg: SafetyConfig,
                  limits: ControlLimits = DEFAULT_LIMITS,
@@ -492,11 +453,10 @@ def safe_control(ego: VehicleState, others: Sequence, alpha: AlphaVector,
     others is a sequence of (VehicleState, assumed acceleration) pairs; pass
     None for the acceleration to model a constant-velocity neighbor.
 
-    The program is formed and checked on floats and handed to the scalar
-    solver directly, without building a QpProblem.  Results and errors equal
-    those of solve_qp(QpProblem(nominal_control(ego, plan, limits),
-    limits.u_min, limits.u_max, rows)), rows being build_safety_constraint
-    for each neighbor.
+    This is the one validated route into the filter QP.  Its program is
+    nominal_control(ego, plan, limits) and the build_safety_constraint row of
+    each neighbor, formed on floats; _check_qp_data rejects non-finite data
+    before _solve_scalar solves it.
     """
     lo_x, lo_y = limits.u_min.tolist()
     hi_x, hi_y = limits.u_max.tolist()

@@ -6,12 +6,13 @@ hdot) pairs during such episodes can therefore recover alpha by regressing
 -hdot on the odd-power basis of h.  Ridge-regularized normal equations keep
 the fit defined before enough distinct clearances have been seen.
 
-Two observation routes are provided.  `observe` differentiates the measured
-clearance itself (no knowledge of the neighbor's input needed, O(dt)
-discretization error).  `observe_analytic` rebuilds the one-step rate from
-the object's acceleration, recovered exactly from consecutive velocity
-samples under the semi-implicit integrator, and is the noise-free route used
-by oracle tests.
+A sample is a BarrierSample: an observed clearance rate and the clearance
+basis it is regressed on.  The simulation hooks (scenario._observe_rows) make
+samples in one of two modes.  "finite_diff" differentiates the measured
+clearance itself through _observe (no knowledge of the neighbor's input
+needed, O(dt) discretization error).  "analytic" rebuilds the one-step rate
+from the object's acceleration, recovered exactly from consecutive velocity
+samples under the semi-implicit integrator.
 """
 
 from __future__ import annotations
@@ -22,18 +23,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .barrier import (DEFAULT_Q, AlphaVector, BarrierBasis, SafetyConfig, basis, hdot,
-                      safety_value)
-from .dynamics import VehicleState
-from .errors import (ConfigurationError, InsufficientDataError, RankDeficiencyError,
-                     _check_dt)
+from .barrier import DEFAULT_Q, AlphaVector, BarrierBasis, basis
+from .errors import ConfigurationError, InsufficientDataError, RankDeficiencyError
 
 __all__ = [
     "BarrierSample",
     "RidgeConfig",
     "AlphaEstimate",
-    "observe",
-    "observe_analytic",
     "fit",
     "check_convergence",
     "StyleLearner",
@@ -91,32 +87,10 @@ class AlphaEstimate:
     converged: bool = False
 
 
-def observe(obj: VehicleState, neighbor: VehicleState,
-            prev_obj: VehicleState, prev_neighbor: VehicleState,
-            cfg: SafetyConfig, dt: float, step: int = 0) -> BarrierSample:
-    """Backward-difference clearance rate paired with the current clearance basis."""
-    dt = _check_dt(dt)
-    return _observe(safety_value(obj.position, neighbor.position, cfg),
-                    safety_value(prev_obj.position, prev_neighbor.position, cfg),
-                    cfg.q, dt, step)
-
-
 def _observe(h_cur: float, h_prev: float, q: int, dt: float, step: int) -> BarrierSample:
-    """Kernel of observe on the two clearances, shared with the simulation hooks."""
+    """Backward-difference clearance rate over one step of length dt, paired
+    with the current clearance's basis: the finite_diff sample."""
     return BarrierSample((h_cur - h_prev) / dt, basis(h_cur, q), step)
-
-
-def observe_analytic(obj: VehicleState, neighbor: VehicleState, obj_u,
-                     cfg: SafetyConfig, dt: float, step: int = 0) -> BarrierSample:
-    """Exact one-step rate from the object's acceleration, constant-velocity neighbor.
-
-    States are those at which the object's control was applied; obj_u is that
-    control, recoverable by an observer as (v_next - v) / dt.
-    """
-    rate = hdot(obj.position, neighbor.position, obj.velocity, neighbor.velocity,
-                obj_u, (0.0, 0.0), dt)
-    h = safety_value(obj.position, neighbor.position, cfg)
-    return BarrierSample(rate, basis(h, cfg.q), step)
 
 
 def fit(samples: Sequence[BarrierSample], cfg: RidgeConfig) -> AlphaEstimate:

@@ -24,12 +24,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barrier import DEFAULT_Q, AlphaVector, SafetyConfig, _kappa, kappa, safety_value
+from .barrier import (DEFAULT_Q, AlphaVector, SafetyConfig, _kappa, basis, hdot, kappa,
+                      safety_value)
 from .controller import (DEFAULT_LIMITS, ControlLimits, _check_cruise, _check_direction,
                          _cruise, _row_terms, _solve_scalar)
 from .dynamics import DEFAULT_DT, VehicleState, _step
 from .errors import ConfigurationError, DomainError, _check_dt
-from .learner import RidgeConfig, StyleLearner, _observe, observe_analytic
+from .learner import BarrierSample, RidgeConfig, StyleLearner, _observe
 
 __all__ = [
     "RoadGeometry",
@@ -39,7 +40,6 @@ __all__ = [
     "TrialMetrics",
     "TrialRecord",
     "default_geometry",
-    "run_trial",
     "simulate",
     "PredictSettings",
     "PredictionTrial",
@@ -227,6 +227,13 @@ class VehicleSpec:
             _check_direction("heading", *self.heading)
             if not all(math.isfinite(c) for c in self.start_position):
                 raise DomainError("start_position has non-finite components")
+        else:
+            # A route vehicle is placed by start_progress and steered by its
+            # route, so these keys would be silently ignored.
+            for name in ("heading", "start_position"):
+                if getattr(self, name) is not None:
+                    raise ConfigurationError(
+                        f"{name} is only read on a fixed route, not on {self.route!r}")
 
     def initial_state(self, geom: RoadGeometry) -> VehicleState:
         if self.route == "fixed":
@@ -235,7 +242,7 @@ class VehicleSpec:
             return VehicleState(np.asarray(self.start_position, dtype=np.float64),
                                 self.speed * d)
         pos = geom.place(self.route, self.start_progress)
-        d = geom.direction(self.route, pos, self.heading)
+        d = geom.direction(self.route, pos)
         return VehicleState(pos, self.speed * d)
 
 
@@ -453,16 +460,14 @@ def _observe_rows(mode, prev, cur, obj, nbr, u_obs, safety, dt, t_next):
     """The learner's sample of vehicle obj against vehicle nbr over the step
     that ended at t_next, from the state rows an on_step hook receives."""
     if mode == "analytic":
-        return observe_analytic(VehicleState(prev[obj, :2], prev[obj, 2:]),
-                                VehicleState(prev[nbr, :2], prev[nbr, 2:]),
-                                u_obs, safety, dt, step=t_next - 1)
+        # The exact one-step rate at the states where the object's input
+        # u_obs was applied, the neighbour held at constant velocity.
+        rate = hdot(prev[obj, :2], prev[nbr, :2], prev[obj, 2:], prev[nbr, 2:],
+                    u_obs, (0.0, 0.0), dt)
+        h = safety_value(prev[obj, :2], prev[nbr, :2], safety)
+        return BarrierSample(rate, basis(h, safety.q), t_next - 1)
     return _observe(safety_value(cur[obj, :2], cur[nbr, :2], safety),
                     safety_value(prev[obj, :2], prev[nbr, :2], safety), safety.q, dt, t_next)
-
-
-def run_trial(cfg: ScenarioConfig) -> TrialRecord:
-    """Simulate the scenario as configured, every vehicle using its own style."""
-    return simulate(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +754,7 @@ def _sweep_records(settings: SweepSettings,
     """experiment_behavior_sweep's trials in style order, each entry with
     its record, so that a caller keeps only the logs it wants."""
     for alpha in settings.styles:
-        rec = run_trial(sweep_trial_config(alpha, settings, safety))
+        rec = simulate(sweep_trial_config(alpha, settings, safety))
         delta = rec.log.states[:, 0, 0:2] - rec.log.states[:, 1, 0:2]
         distance = np.hypot(delta[:, 0], delta[:, 1])
         yield SweepEntry(
@@ -828,4 +833,4 @@ def _invariance_records(settings: InvarianceSettings, safety: SafetyConfig,
     """experiment_invariance's trials in index order, one record at a time,
     so that a caller keeps only the logs it wants."""
     for idx in range(settings.trials):
-        yield run_trial(invariance_trial_setup(idx, settings, safety, seed))
+        yield simulate(invariance_trial_setup(idx, settings, safety, seed))

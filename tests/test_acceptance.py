@@ -15,16 +15,15 @@ from polycbf import (
     AlphaVector,
     InvarianceSettings,
     PredictSettings,
-    QpProblem,
     experiment_assumption_mismatch,
     experiment_behavior_sweep,
     experiment_invariance,
     experiment_prediction,
     experiment_prediction_in_loop,
     kappa,
-    solve_qp,
 )
 from polycbf import cli
+from polycbf.controller import _solve_scalar
 
 
 def test_barrier_scale_monotone_for_admissible_weights():
@@ -58,17 +57,17 @@ def test_filter_qp_matches_exhaustive_enumeration():
     n_infeasible = 0
     for _ in range(1000):
         u_nom, lo, hi, rows = random_box_qp(rng)
-        sol = solve_qp(QpProblem(u_nom, lo, hi,
-                                 tuple((np.asarray(a), b) for a, b in rows)))
+        ux, uy, feasible, objective, _ = _solve_scalar(
+            *u_nom.tolist(), *lo.tolist(), *hi.tolist(), [(*a.tolist(), b) for a, b in rows])
         expect = qp_oracle(u_nom, lo, hi, rows)
         if expect is None:
             n_infeasible += 1
-            assert not sol.feasible
+            assert not feasible
         else:
             u_star, obj_star = expect
-            assert sol.feasible
-            assert float(np.linalg.norm(sol.u - u_star)) <= 1e-6
-            assert abs(sol.objective - obj_star) <= 1e-6
+            assert feasible
+            assert float(np.linalg.norm(np.array([ux, uy]) - u_star)) <= 1e-6
+            assert abs(objective - obj_star) <= 1e-6
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     print(f"PASS filter QP: 1000 programs matched the enumeration oracle "

@@ -1,5 +1,6 @@
 """Style compatibility rows, preset selection, and the adaptive merge loop."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,19 +10,18 @@ from polycbf import (
     AdaptiveSettings,
     AlphaVector,
     ConfigurationError,
-    DegenerateConstraintError,
     SafetyConfig,
     StylePolicy,
     VehicleState,
     aggressiveness_score,
     build_safety_constraint,
-    compatibility_constraint,
     experiment_assumption_mismatch,
     kappa,
     run_adaptive_merge,
-    run_trial,
     select_alpha,
+    simulate,
 )
+from polycbf.adaptive import _compat_row, _style_gap
 from polycbf.cli import load_preset
 
 CFG = SafetyConfig(r_safe=5.0, q=2)
@@ -35,19 +35,16 @@ def preset_config(n_steps):
 def test_compatibility_row_hand_example():
     # distance 6 gives h = 11 with basis (11, 1331); exact halves keep the
     # arithmetic representable
-    ego = VehicleState((6.0, 0.0), (0.0, 0.0))
-    other = VehicleState((0.0, 0.0), (0.0, 0.0))
-    a, b = compatibility_constraint(ego, other, AlphaVector((1.0, 0.0)),
-                                    AlphaVector((0.5, 0.5)), CFG, 0.01)
-    assert a == pytest.approx([-0.12, 0.0], rel=1e-15, abs=0.0)
+    ax, ay, b = _compat_row(6.0, 0.0, _style_gap(AlphaVector((1.0, 0.0)),
+                                                 AlphaVector((0.5, 0.5))), CFG, 0.01)
+    assert (ax, ay) == pytest.approx((-0.12, 0.0), rel=1e-15, abs=0.0)
     assert b == 0.5 * 11.0 - 0.5 * 1331.0
 
 
 def test_compatibility_row_pads_mixed_orders():
-    ego = VehicleState((6.0, 0.0), (0.0, 0.0))
-    other = VehicleState((0.0, 0.0), (0.0, 0.0))
-    _, b = compatibility_constraint(ego, other, AlphaVector((2.0,)),
-                                    AlphaVector((0.5, 0.25)), CFG, 0.01)
+    gap = _style_gap(AlphaVector((2.0,)), AlphaVector((0.5, 0.25)))
+    assert gap == (1.5, -0.25)
+    _, _, b = _compat_row(6.0, 0.0, gap, CFG, 0.01)
     assert b == pytest.approx(1.5 * 11.0 - 0.25 * 1331.0, rel=1e-12)
 
 
@@ -62,27 +59,30 @@ def test_compatibility_row_is_safety_margin_difference():
                              rng.uniform(-8, 8, 2))
         ai = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
         aj = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
-        a, b = compatibility_constraint(ego, other, ai, aj, CFG, dt)
+        dx_x, dx_y = (ego.position - other.position).tolist()
+        ax, ay, b = _compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, dt)
         a1, b1 = build_safety_constraint(ego, other, (0.0, 0.0), ai, CFG, dt)
         a2, b2 = build_safety_constraint(ego, other, (0.0, 0.0), aj, CFG, dt)
-        assert np.array_equal(a, a1)
-        assert np.array_equal(a, a2)
+        assert np.array_equal((ax, ay), a1)
+        assert np.array_equal((ax, ay), a2)
         assert b == pytest.approx(b1 - b2, rel=1e-9, abs=1e-9)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
-def test_compatibility_rejects_a_bad_dt(dt):
-    ego = VehicleState((6.0, 0.0), (0.0, 0.0))
-    other = VehicleState((0.0, 0.0), (0.0, 0.0))
-    with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
-        compatibility_constraint(ego, other, AlphaVector((1.0,)), AlphaVector((0.5,)), CFG, dt)
-
-
-def test_compatibility_rejects_coincident_positions():
-    s = VehicleState((1.0, 2.0), (0.0, 0.0))
-    with pytest.raises(DegenerateConstraintError):
-        compatibility_constraint(s, VehicleState((1.0, 2.0), (1.0, 0.0)),
-                                 AlphaVector((1.0,)), AlphaVector((2.0,)), CFG, 0.01)
+def test_compatibility_bound_is_zero_for_equal_styles_and_nonnegative_under_dominance():
+    # equal styles leave the ego no braking budget to spend (bound 0), and an
+    # ego whose coefficients are componentwise at least the other's keeps a
+    # non-negative bound at every non-negative clearance
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        aj = AlphaVector(tuple(rng.uniform(0.0, 2.0, int(rng.integers(1, 4)))))
+        ai = AlphaVector(tuple(c + e for c, e in
+                               zip(aj.padded(3), rng.uniform(0.0, 1.0, 3)
+                                   * (rng.random(3) < 0.7))))
+        d = rng.uniform(5.0, 60.0)  # h = d^2 - 25 >= 0
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        dx_x, dx_y = d * math.cos(th), d * math.sin(th)
+        assert _compat_row(dx_x, dx_y, _style_gap(aj, aj), CFG, 0.01)[2] == 0.0
+        assert _compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, 0.01)[2] >= 0.0
 
 
 def test_aggressiveness_score_is_kappa_at_reference():
@@ -145,7 +145,7 @@ def test_disabled_prediction_reduces_to_plain_trial():
     cfg = preset_config(n_steps=400)
     rec = run_adaptive_merge(cfg, AdaptiveSettings(hdot_mode="analytic"),
                              prediction_enabled=False)
-    plain = run_trial(cfg)
+    plain = simulate(cfg)
     assert not rec.prediction_enabled
     assert rec.selected_alpha is None
     assert rec.final_estimate is None

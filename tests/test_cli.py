@@ -17,7 +17,7 @@ import polycbf
 from polycbf import (InvarianceSettings, SafetyConfig, TrajectoryLog, TrialMetrics,
                      TrialRecord, experiment_behavior_sweep, experiment_invariance,
                      experiment_prediction, experiment_prediction_in_loop,
-                     invariance_trial_setup, run_trial, simulate)
+                     invariance_trial_setup, simulate)
 from polycbf import adaptive, cli, scenario
 
 
@@ -79,7 +79,7 @@ def run_cli(args):
 
 def test_trajectory_csv_round_trip(tmp_path):
     cfg = invariance_trial_setup(0, InvarianceSettings(n_steps=200), seed=7)
-    log = run_trial(cfg).log
+    log = simulate(cfg).log
     path = tmp_path / "traj.csv"
     cli.write_trajectory_csv(path, log)
     back = cli.read_trajectory_csv(path, dt=cfg.dt)
@@ -94,7 +94,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 def test_trajectory_csv_header_names_pairs(tmp_path):
     cfg = invariance_trial_setup(0, InvarianceSettings(n_steps=50), seed=7)
-    log = run_trial(cfg).log
+    log = simulate(cfg).log
     path = tmp_path / "traj.csv"
     cli.write_trajectory_csv(path, log)
     header = path.read_text().splitlines()[0].split(",")
@@ -316,6 +316,7 @@ def test_run_simulates_each_trial_once(tmp_path, monkeypatch, experiment, config
         return original(*args, **kwargs)
 
     monkeypatch.setattr(scenario, "simulate", counting)
+    monkeypatch.setattr(cli, "simulate", counting)  # predict's rerun of its worst trial
     argv = ["run", experiment, "--config", write_cfg(tmp_path, config),
             "--out", tmp_path / "out"]
     assert run_cli(argv + (["--trials", trials] if trials else [])) == 0
@@ -540,6 +541,8 @@ MISSPELT_SECTION = INVARIANCE_SMALL + "\n[safty]\nr_safe = 50\n"
 # without a roster the adaptive run uses the shipped preset's, safety included
 ADAPTIVE_NO_ROSTER = "[run]\nexperiment = adaptive\n\n[safety]\nr_safe = 7.0\n"
 NAN_DESIRED_SPEED = ADAPTIVE.replace("desired_speed = 3.0", "desired_speed = nan")
+# fixed-route placement keys on a ramp vehicle, which nothing would read
+RAMP_HEADING = ADAPTIVE.replace("gain = 0.3", "gain = 0.3\nheading = 0 0\nstart_position = nan nan")
 
 
 # Bad input from a flag, a config key, a config section or a vehicle's
@@ -585,13 +588,17 @@ NAN_DESIRED_SPEED = ADAPTIVE.replace("desired_speed = 3.0", "desired_speed = nan
      "FAIL scenario: [vehicle.lead]: gain must be > 0, got -0.8"),
     (["run", "adaptive", "--config"], ADAPTIVE.replace("speed = 1.6", "speed = nan"), 3, "err",
      "config error: [vehicle.lead]: speed must be finite, got nan"),
+    (["run", "adaptive", "--config"], RAMP_HEADING, 3, "err",
+     "config error: [vehicle.lead]: heading is only read on a fixed route, not on 'ramp'"),
+    (["validate"], RAMP_HEADING, 0, "out",
+     "FAIL scenario: [vehicle.lead]: heading is only read on a fixed route, not on 'ramp'"),
 ], ids=["flag", "flag-preset", "config-key", "validate", "validate-mode",
         "validate-hdot-mode", "validate-sample-cap", "misspelt-key", "validate-misspelt-key",
         "misspelt-vehicle-key", "validate-misspelt-vehicle-key", "misspelt-section",
         "validate-misspelt-section", "adaptive-unread-section",
         "validate-adaptive-unread-section", "validate-adaptive-reported-safety",
         "desired-speed-nan", "validate-desired-speed-nan", "validate-gain-0",
-        "validate-gain-negative", "speed-nan"])
+        "validate-gain-negative", "speed-nan", "ramp-heading", "validate-ramp-heading"])
 def test_negative_seed_is_a_config_error(tmp_path, capsys, argv, config, code, stream, message):
     args = list(argv)
     if config is not None:

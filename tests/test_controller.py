@@ -23,15 +23,23 @@ from polycbf import (
     DegenerateConstraintError,
     DomainError,
     NominalPlan,
-    QpProblem,
+    QpSolution,
     SafetyConfig,
     VehicleState,
     build_safety_constraint,
     kappa,
     nominal_control,
     safe_control,
-    solve_qp,
 )
+
+
+def _solve(u_nom, lo, hi, rows):
+    """The filter QP through _solve_scalar, rows being (a, b) pairs that mean
+    a.u <= b; the result as a QpSolution."""
+    ux, uy, feasible, objective, t_star = controller._solve_scalar(
+        float(u_nom[0]), float(u_nom[1]), float(lo[0]), float(lo[1]),
+        float(hi[0]), float(hi[1]), [(float(a[0]), float(a[1]), float(b)) for a, b in rows])
+    return QpSolution(np.array([ux, uy]), feasible, objective, t_star)
 
 
 def test_nominal_control_proportional_law():
@@ -70,8 +78,7 @@ def test_solve_qp_matches_kkt_oracle():
     rng = np.random.default_rng(7)
     for _ in range(300):
         u_nom, lo, hi, rows = random_box_qp(rng)
-        sol = solve_qp(QpProblem(u_nom, lo, hi,
-                                 tuple((np.asarray(a), b) for a, b in rows)))
+        sol = _solve(u_nom, lo, hi, rows)
         expect = qp_oracle(u_nom, lo, hi, rows)
         if expect is None:
             assert not sol.feasible
@@ -95,8 +102,7 @@ def test_solve_qp_matches_kkt_oracle_with_many_rows():
     for _ in range(100):
         u_nom, lo, hi, drawn = random_box_qp(rng, n_rows_max=15)
         for rows in (drawn, [(a, abs(b)) for a, b in drawn]):
-            sol = solve_qp(QpProblem(u_nom, lo, hi,
-                                     tuple((np.asarray(a), b) for a, b in rows)))
+            sol = _solve(u_nom, lo, hi, rows)
             expect = qp_oracle(u_nom, lo, hi, rows)
             if expect is None:
                 assert not sol.feasible
@@ -116,8 +122,8 @@ def test_solve_qp_matches_kkt_oracle_with_many_rows():
 
 def test_solve_qp_returns_nominal_when_slack():
     u_nom = np.array([0.5, -0.25])
-    sol = solve_qp(QpProblem(u_nom, np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
-                             ((np.array([1.0, 0.0]), 100.0),)))
+    sol = _solve(u_nom, np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
+                 ((np.array([1.0, 0.0]), 100.0),))
     assert sol.feasible
     assert np.array_equal(sol.u, u_nom)
     assert sol.objective == 0.0
@@ -128,8 +134,7 @@ def test_solve_qp_residuals_nonnegative_within_tolerance():
     checked = 0
     for _ in range(300):
         u_nom, lo, hi, rows = random_box_qp(rng)
-        sol = solve_qp(QpProblem(u_nom, lo, hi,
-                                 tuple((np.asarray(a), b) for a, b in rows)))
+        sol = _solve(u_nom, lo, hi, rows)
         if not sol.feasible:
             continue
         checked += 1
@@ -142,9 +147,9 @@ def test_solve_qp_nominal_on_a_row_line_is_returned_unchanged():
     # the nominal point satisfies a.u = b exactly; its own projection ties at
     # objective 0, and the nominal itself must come back
     u_nom = np.array([0.25, 0.75])
-    sol = solve_qp(QpProblem(u_nom, np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
-                             ((np.array([1.0, 1.0]), 1.0),
-                              (np.array([-1.0, 1.0]), 0.5))))
+    sol = _solve(u_nom, np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
+                 ((np.array([1.0, 1.0]), 1.0),
+                  (np.array([-1.0, 1.0]), 0.5)))
     assert sol.feasible
     assert np.array_equal(sol.u, u_nom)
     assert sol.objective == 0.0
@@ -181,8 +186,8 @@ def test_solve_qp_duplicated_rows_match_a_single_copy():
     lo, hi = np.array([-4.0, -4.0]), np.array([4.0, 4.0])
     u_nom = np.array([2.0, 1.5])
     row = (np.array([0.6, 0.8]), 0.5)
-    single = solve_qp(QpProblem(u_nom, lo, hi, (row,)))
-    tripled = solve_qp(QpProblem(u_nom, lo, hi, (row, row, row)))
+    single = _solve(u_nom, lo, hi, (row,))
+    tripled = _solve(u_nom, lo, hi, (row, row, row))
     assert tripled.feasible and single.feasible
     assert np.array_equal(tripled.u, single.u)
     assert tripled.objective == single.objective
@@ -195,8 +200,8 @@ def test_solve_qp_row_through_a_box_corner():
     # u_x + u_y <= -2 meets the box [-1, 1]^2 only at the corner (-1, -1):
     # the row/face intersections and the face/face corner tie there
     u_nom = np.array([0.5, 0.2])
-    sol = solve_qp(QpProblem(u_nom, np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
-                             ((np.array([1.0, 1.0]), -2.0),)))
+    sol = _solve(u_nom, np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
+                 ((np.array([1.0, 1.0]), -2.0),))
     assert sol.feasible
     assert np.array_equal(sol.u, [-1.0, -1.0])
     assert sol.objective == 1.5 ** 2 + 1.2 ** 2
@@ -208,8 +213,8 @@ def test_solve_qp_tie_goes_to_the_first_generated_candidate():
     rows = ((np.array([-0.8604435054687407, 0.5095458506323697]), -0.18490533169643963),
             (np.array([0.9197211920964997, -0.3925721956641776]), 0.2280592915659977),
             (np.array([-0.08667408168209619, 0.9962367206465366]), 0.1703559835686086))
-    sol = solve_qp(QpProblem(np.array([-1.008873076676171, 1.9044018657405672]),
-                             np.array([-2.0, -2.0]), np.array([2.0, 2.0]), rows))
+    sol = _solve(np.array([-1.008873076676171, 1.9044018657405672]),
+                 np.array([-2.0, -2.0]), np.array([2.0, 2.0]), rows)
     assert sol.feasible
     assert sol.u.tolist() == [0.3333333333333333, 0.19999999999999987]
     assert sol.objective == 4.7065037670105285
@@ -438,8 +443,8 @@ def test_solve_qp_single_row_projection():
     a = np.array([1.0, 1.0])
     b = 1.0
     u_nom = np.array([2.0, 2.0])
-    sol = solve_qp(QpProblem(u_nom, np.array([-10.0, -10.0]), np.array([10.0, 10.0]),
-                             ((a, b),)))
+    sol = _solve(u_nom, np.array([-10.0, -10.0]), np.array([10.0, 10.0]),
+                 ((a, b),))
     t = (float(a @ u_nom) - b) / float(a @ a)
     assert sol.feasible
     assert sol.u == pytest.approx(u_nom - t * a, rel=1e-12)
@@ -448,8 +453,8 @@ def test_solve_qp_single_row_projection():
 def test_solve_qp_infeasible_single_row_box_corner():
     # u_x <= -2 cannot hold inside [-1, 1]^2; violation minimized at x = -1
     u_nom = np.array([0.2, 0.3])
-    sol = solve_qp(QpProblem(u_nom, np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
-                             ((np.array([1.0, 0.0]), -2.0),)))
+    sol = _solve(u_nom, np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
+                 ((np.array([1.0, 0.0]), -2.0),))
     assert not sol.feasible
     assert sol.max_violation == pytest.approx(1.0, rel=1e-9)
     # relaxed re-solve pins x at the wall and leaves y at the nominal
@@ -460,9 +465,9 @@ def test_solve_qp_infeasible_single_row_box_corner():
 def test_solve_qp_infeasible_contradictory_rows():
     # u_x <= -1 and u_x >= 1 together: best worst violation is 1 at u_x = 0
     u_nom = np.array([0.0, 0.4])
-    sol = solve_qp(QpProblem(u_nom, np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
-                             ((np.array([1.0, 0.0]), -1.0),
-                              (np.array([-1.0, 0.0]), -1.0))))
+    sol = _solve(u_nom, np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
+                 ((np.array([1.0, 0.0]), -1.0),
+                  (np.array([-1.0, 0.0]), -1.0)))
     assert not sol.feasible
     assert sol.max_violation == pytest.approx(1.0, rel=1e-9)
     assert sol.u[0] == pytest.approx(0.0, abs=1e-8)
@@ -473,8 +478,8 @@ def test_solve_qp_infeasible_contradictory_rows():
 def test_solve_qp_infeasible_single_row_keeps_corner_violation():
     # u_x + 2 u_y <= -4 cannot hold in [-1, 1]^2; the corner (-1, -1) leaves
     # the smallest violation, t* = -1 - 2 + 4 = 1
-    sol = solve_qp(QpProblem(np.array([0.3, -0.2]), np.array([-1.0, -1.0]),
-                             np.array([1.0, 1.0]), ((np.array([1.0, 2.0]), -4.0),)))
+    sol = _solve(np.array([0.3, -0.2]), np.array([-1.0, -1.0]),
+                 np.array([1.0, 1.0]), ((np.array([1.0, 2.0]), -4.0),))
     assert not sol.feasible
     assert sol.max_violation == 1.0
     assert sol.u == pytest.approx([-1.0, -1.0], abs=1e-8)
@@ -484,9 +489,9 @@ def test_solve_qp_infeasible_multi_row_keeps_minimax_violation():
     # u_x <= -2 and u_y <= -3 in [-1, 1]^2: the LP fallback minimizes the
     # worst violation, max(u_x + 2, u_y + 3) >= 2 at u_y = -1, u_x <= 0
     u_nom = np.array([0.3, 0.4])
-    sol = solve_qp(QpProblem(u_nom, np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
-                             ((np.array([1.0, 0.0]), -2.0),
-                              (np.array([0.0, 1.0]), -3.0))))
+    sol = _solve(u_nom, np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
+                 ((np.array([1.0, 0.0]), -2.0),
+                  (np.array([0.0, 1.0]), -3.0)))
     assert not sol.feasible
     assert sol.max_violation == pytest.approx(2.0, rel=1e-9)
     # the relaxed re-solve keeps u_x at the nominal and pins u_y to the wall
@@ -494,10 +499,10 @@ def test_solve_qp_infeasible_multi_row_keeps_minimax_violation():
 
 
 def _check_minimax_fallback(u_nom, lo, hi, rows):
-    """solve_qp's t* equals the oracle's, and its input stays in the box and
+    """The solver's t* equals the oracle's, and its input stays in the box and
     within the relaxed rows, up to the screening tolerance.  Returns the
     oracle's minimizer."""
-    sol = solve_qp(QpProblem(u_nom, lo, hi, tuple((np.asarray(a), b) for a, b in rows)))
+    sol = _solve(u_nom, lo, hi, rows)
     u_star, t_star = minimax_oracle(lo, hi, rows)
     assert not sol.feasible
     assert sol.max_violation == pytest.approx(t_star, rel=1e-9)
@@ -562,12 +567,12 @@ def test_solve_qp_infeasible_degenerate_rows_match_minimax_oracle(rows, t_star):
 @pytest.mark.xfail(strict=True, reason=(
     "the relaxed re-solve screens the box faces with the rows' relative "
     "tolerance 1e-9*max(1, |bound|), so it accepts a candidate just past a face"))
-def test_solve_qp_result_stays_inside_the_box():
+def test_solve_scalar_result_stays_inside_the_box():
     # the program of invariance_trial_setup(0, seed=8) at its first step
     # whose result left the box: the relaxed re-solve returns u_y = 5 + 1 ulp
     lo, hi = np.array([-5.0, -5.0]), np.array([5.0, 5.0])
     row = (np.array([0.02509599345438389, -0.10519732195659082]), -1.1468220957059856)
-    sol = solve_qp(QpProblem((0.24994105699484095, -0.24406686293342386), lo, hi, (row,)))
+    sol = _solve((0.24994105699484095, -0.24406686293342386), lo, hi, (row,))
     assert not sol.feasible
     assert np.all(lo <= sol.u) and np.all(sol.u <= hi), sol.u
 
@@ -575,7 +580,7 @@ def test_solve_qp_result_stays_inside_the_box():
 @pytest.mark.xfail(strict=True, reason=(
     "the box faces are screened with the rows' relative tolerance "
     "1e-9*max(1, |bound|), so a nominal that far past a face passes as feasible"))
-def test_solve_qp_nominal_past_a_face_is_kept_outside_the_box():
+def test_solve_scalar_nominal_past_a_face_is_kept_outside_the_box():
     # found by the _solve_scalar contract in test_contracts.py: the
     # projection onto the face ux = 0 is the nominal itself
     ux, uy, ok, _, _ = controller._solve_scalar(0.0, 1.2297730877117528e-223,
@@ -587,9 +592,8 @@ def test_package_never_loads_scipy():
     code = "\n".join([
         "import sys",
         "import polycbf",
-        "rows = (((1.0, 0.0), -2.0), ((0.0, 1.0), -3.0), ((-1.0, -1.0), -2.0))",
-        "sol = polycbf.solve_qp(polycbf.QpProblem((0.3, 0.4), (-1.0, -1.0), (1.0, 1.0), rows))",
-        "assert not sol.feasible",
+        "rows = [(1.0, 0.0, -2.0), (0.0, 1.0, -3.0), (-1.0, -1.0, -2.0)]",
+        "assert not polycbf.controller._solve_scalar(0.3, 0.4, -1.0, -1.0, 1.0, 1.0, rows)[2]",
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
     ])
     src = str(Path(polycbf.__file__).resolve().parents[1])
@@ -707,8 +711,8 @@ def test_safe_control_matches_manual_problem():
     lim = ControlLimits((-5.0, -5.0), (5.0, 5.0))
     sol = safe_control(ego, [(lead, None)], alpha, plan, cfg, lim, dt=0.01)
     row = build_safety_constraint(ego, lead, None, alpha, cfg, 0.01)
-    manual = solve_qp(QpProblem(nominal_control(ego, plan, lim),
-                                lim.u_min, lim.u_max, (row,)))
+    manual = _solve(nominal_control(ego, plan, lim),
+                    lim.u_min, lim.u_max, (row,))
     assert np.array_equal(sol.u, manual.u)
     assert sol.feasible == manual.feasible
     assert sol.objective == manual.objective
@@ -728,11 +732,12 @@ def test_safe_control_brakes_for_slower_lead():
 
 
 def _old_safe_control(ego, others, alpha, plan, cfg, limits, dt):
-    # safe_control as it was composed before it ran on floats
+    # safe_control composed of the public nominal law and safety rows and the
+    # scalar solver, as it was before it ran on floats
     rows = tuple(build_safety_constraint(ego, other, u_assumed, alpha, cfg, dt)
                  for other, u_assumed in others)
-    return solve_qp(QpProblem(nominal_control(ego, plan, limits),
-                              limits.u_min, limits.u_max, rows))
+    return _solve(nominal_control(ego, plan, limits),
+                  limits.u_min, limits.u_max, rows)
 
 
 def _hex_solution(sol):
@@ -780,25 +785,30 @@ UNBOUNDED = SimpleNamespace(u_min=np.array([-math.inf, -math.inf]),
                             u_max=np.array([math.inf, math.inf]))
 
 
-@pytest.mark.parametrize("changes, error", [
-    ({"dt": -0.01}, ConfigurationError),
-    ({"dt": 0.0}, ConfigurationError),
-    ({"others": [(VehicleState((0.0, 0.0), (1.0, 0.0)), None)]}, DegenerateConstraintError),
-    ({"plan": NominalPlan(1e10, (1.0, 0.0), 1e300), "limits": UNBOUNDED}, DomainError),
-    ({"others": [(VehicleState((12.0, 0.0), (8.0, 0.0)), (-1e308, 0.0))]}, DomainError),
+# Each case's class and exact message; the last two are _check_qp_data's.
+@pytest.mark.parametrize("changes, error, message", [
+    ({"dt": -0.01}, ConfigurationError, "dt must be positive and finite, got -0.01"),
+    ({"dt": 0.0}, ConfigurationError, "dt must be positive and finite, got 0.0"),
+    ({"others": [(VehicleState((0.0, 0.0), (1.0, 0.0)), None)]}, DegenerateConstraintError,
+     "coincident positions admit no separating row"),
+    ({"plan": NominalPlan(1e10, (1.0, 0.0), 1e300), "limits": UNBOUNDED}, DomainError,
+     "QP data must be finite"),
+    ({"others": [(VehicleState((12.0, 0.0), (8.0, 0.0)), (-1e308, 0.0))]}, DomainError,
+     "constraint row must be finite"),
 ], ids=["dt<0", "dt=0", "coincident", "nominal-inf", "row-bound-inf"])
-def test_safe_control_raises_what_the_qp_problem_composition_raised(changes, error):
-    args = _filter_args(**changes)
-    with pytest.raises(error) as new:
-        safe_control(**args)
-    with pytest.raises(error) as old:
-        _old_safe_control(**args)
-    assert str(new.value) == str(old.value)
+def test_safe_control_raises_what_the_qp_problem_composition_raised(changes, error, message):
+    with pytest.raises(error) as raised:
+        safe_control(**_filter_args(**changes))
+    assert str(raised.value) == message
 
 
 def test_qp_problem_keeps_its_finiteness_messages():
-    lo, hi = (-5.0, -5.0), (5.0, 5.0)
+    # _check_qp_data, safe_control's checks, keeps the messages QpProblem had
+    lo_hi = (-5.0, -5.0, 5.0, 5.0)
     with pytest.raises(DomainError, match="^QP data must be finite$"):
-        QpProblem((math.inf, 0.0), lo, hi)
+        controller._check_qp_data(math.inf, 0.0, *lo_hi, [])
     with pytest.raises(DomainError, match="^constraint row must be finite$"):
-        QpProblem((0.0, 0.0), lo, hi, (((1.0, 0.0), 1.0), ((1.0, math.nan), 1.0)))
+        controller._check_qp_data(0.0, 0.0, *lo_hi, [(1.0, 0.0, 1.0), (1.0, math.nan, 1.0)])
+    with pytest.raises(ConfigurationError,
+                       match=r"^u_min must be <= u_max, got \(1\.0, 0\.0\) vs \(0\.0, 1\.0\)$"):
+        controller._check_qp_data(0.0, 0.0, 1.0, 0.0, 0.0, 1.0, [])

@@ -18,11 +18,10 @@ from polycbf import (
     fit,
     hdot,
     kappa,
-    observe,
-    observe_analytic,
     safety_value,
     step,
 )
+from polycbf.scenario import _observe_rows
 
 CFG = SafetyConfig(r_safe=5.0, q=2)
 
@@ -31,6 +30,11 @@ def synthetic_samples(truth, hs, q):
     # a style that rides its constraint produces hdot = -kappa(alpha, h)
     return [BarrierSample(-kappa(truth, h), basis(h, q), t)
             for t, h in enumerate(hs)]
+
+
+def _rows(*states):
+    """States as the (n, 4) rows [x, y, vx, vy] that simulate's hooks see."""
+    return np.array([[*s.position, *s.velocity] for s in states])
 
 
 def test_observe_is_backward_difference_with_current_basis():
@@ -42,20 +46,13 @@ def test_observe_is_backward_difference_with_current_basis():
                               rng.uniform(-10, 10, 2))
         o = step(prev_o, rng.uniform(-4, 4, 2), dt)
         nb = step(prev_n, rng.uniform(-4, 4, 2), dt)
-        s = observe(o, nb, prev_o, prev_n, CFG, dt, step=3)
+        s = _observe_rows("finite_diff", _rows(prev_o, prev_n), _rows(o, nb), 0, 1, None,
+                          CFG, dt, 3)
         h_cur = safety_value(o.position, nb.position, CFG)
         h_prev = safety_value(prev_o.position, prev_n.position, CFG)
-        assert s.hdot_obs == pytest.approx((h_cur - h_prev) / dt, rel=1e-12)
+        assert s.hdot_obs == (h_cur - h_prev) / dt
         assert s.basis.values == basis(h_cur, CFG.q).values
         assert s.timestamp == 3
-
-
-@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
-def test_observe_rejects_a_bad_dt(dt):
-    prev_o = VehicleState((0.0, 0.0), (1.0, 0.0))
-    prev_n = VehicleState((10.0, 0.0), (0.0, 0.0))
-    with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
-        observe(prev_o, prev_n, prev_o, prev_n, CFG, dt)
 
 
 def test_observe_analytic_matches_kinematics():
@@ -67,10 +64,14 @@ def test_observe_analytic_matches_kinematics():
         o = VehicleState(rng.uniform(-20, 20, 2), rng.uniform(-10, 10, 2))
         nb = VehicleState(o.position + rng.uniform(6, 25, 2), rng.uniform(-10, 10, 2))
         u = rng.uniform(-4, 4, 2)
-        s = observe_analytic(o, nb, u, CFG, dt, step=7)
+        # the sample of the step that ended at t_next = 8 is stamped 7, the
+        # step at which u was applied
+        s = _observe_rows("analytic", _rows(nb, o), _rows(nb, step(o, u, dt)), 1, 0, u,
+                          CFG, dt, 8)
         expect = hdot(o.position, nb.position, o.velocity, nb.velocity,
                       u, (0.0, 0.0), dt)
-        assert s.hdot_obs == pytest.approx(expect, rel=1e-12)
+        assert s.hdot_obs == expect
+        assert s.timestamp == 7
         h0 = safety_value(o.position, nb.position, CFG)
         h1 = safety_value(step(o, u, dt).position,
                           (nb.position + nb.velocity * dt), CFG)

@@ -29,7 +29,6 @@ from polycbf import (
     invariance_trial_setup,
     nominal_control,
     prediction_trial_setup,
-    run_trial,
     safe_control,
     simulate,
     sweep_trial_config,
@@ -140,6 +139,18 @@ def test_fixed_route_needs_a_finite_heading_and_start(heading, start, error):
         VehicleSpec(name="a", route="fixed", heading=heading, start_position=start)
 
 
+@pytest.mark.parametrize("route", ["main", "ramp"])
+@pytest.mark.parametrize("field, value", [
+    ("heading", (1.0, 0.0)), ("heading", (0.0, 0.0)), ("start_position", (0.0, 0.0)),
+    ("start_position", (math.nan, math.nan))])
+def test_route_vehicle_rejects_fixed_route_placement(route, field, value):
+    # a route vehicle is placed by start_progress and steered by its route,
+    # so a heading or start_position would be read by nothing
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field} is only read on a fixed route, not on '{route}'$"):
+        VehicleSpec(name="a", route=route, **{field: value})
+
+
 def test_scenario_config_validation():
     g = default_geometry()
     v = VehicleSpec(name="a", alpha=AlphaVector((1.0,)))
@@ -202,7 +213,7 @@ def reference_run(cfg):
 
 def test_simulation_loop_matches_library_calls_exactly():
     cfg = three_vehicle_config()
-    rec = run_trial(cfg)
+    rec = simulate(cfg)
     states, inputs, feas = reference_run(cfg)
     assert np.array_equal(rec.log.states, states)
     assert np.array_equal(rec.log.inputs[:-1], inputs)
@@ -261,15 +272,10 @@ def test_simulate_rows_match_row_oracle_both_ways_bit_for_bit(monkeypatch):
 
 def test_simulation_is_deterministic():
     cfg = three_vehicle_config(n_steps=400)
-    a, b = run_trial(cfg), run_trial(cfg)
+    a, b = simulate(cfg), simulate(cfg)
     assert np.array_equal(a.log.states, b.log.states)
     assert np.array_equal(a.log.inputs, b.log.inputs)
     assert a.metrics == b.metrics
-
-
-def test_run_trial_is_simulate():
-    cfg = three_vehicle_config(n_steps=50)
-    assert np.array_equal(run_trial(cfg).log.states, simulate(cfg).log.states)
 
 
 def test_single_vehicle_follows_nominal_exactly():
@@ -278,7 +284,7 @@ def test_single_vehicle_follows_nominal_exactly():
                        speed=6.0, desired_speed=9.0, gain=0.5,
                        alpha=AlphaVector((1.0, 0.0)))
     cfg = ScenarioConfig(geometry=geom, vehicles=(spec,), dt=0.01, n_steps=2000)
-    rec = run_trial(cfg)
+    rec = simulate(cfg)
     for t in range(0, 2000, 97):
         s = rec.log.states[t]
         state = VehicleState(s[0, :2], s[0, 2:])
@@ -306,7 +312,7 @@ def test_mirrored_head_on_pair_is_symmetric_and_safe():
                         heading=(-1.0, 0.0), **base),
         ),
         dt=0.01, n_steps=1500)
-    rec = run_trial(cfg)
+    rec = simulate(cfg)
     S = rec.log.states
     assert np.array_equal(S[:, 0, 0], -S[:, 1, 0])
     assert np.array_equal(S[:, 0, 2], -S[:, 1, 2])
@@ -337,7 +343,7 @@ def test_unfiltered_head_on_pair_collides():
                         heading=(-1.0, 0.0), **base),
         ),
         dt=0.01, n_steps=200)
-    rec = run_trial(cfg)
+    rec = simulate(cfg)
     assert rec.metrics.collision
     assert min(rec.metrics.min_h.values()) < 0.0
 
@@ -362,14 +368,14 @@ def test_rear_end_approach_with_feasible_filters_does_not_collide():
                         desired_speed=0.0, **base),
         ),
         dt=0.01, n_steps=800)
-    rec = run_trial(cfg)
+    rec = simulate(cfg)
     assert rec.metrics.infeasible_step_count == 0
     assert not rec.metrics.collision
 
 
 def test_merge_step_matches_logged_positions():
     cfg = three_vehicle_config(n_steps=1200)
-    rec = run_trial(cfg)
+    rec = simulate(cfg)
     g = cfg.geometry
     for v, spec in enumerate(cfg.vehicles):
         expect = None
@@ -434,7 +440,7 @@ def test_hooks_run_in_their_documented_order_and_not_at_the_last_step():
 
 def test_extra_rows_fn_sees_logged_rows_and_empty_rows_change_nothing():
     cfg = three_vehicle_config(n_steps=300)
-    plain = run_trial(cfg)
+    plain = simulate(cfg)
     seen = []
 
     def no_rows(t, v, cur):
@@ -455,7 +461,7 @@ def test_nan_extra_row_is_dropped_and_counted():
     # a NaN extra row makes every step's QP infeasible, so simulate drops it
     # and counts the step, and the run is the plain one
     cfg = three_vehicle_config(n_steps=50)
-    plain = run_trial(cfg)
+    plain = simulate(cfg)
 
     def nan_row(t, v, cur):
         return (((1.0, 0.0), float("nan")),) if v == 0 else ()
@@ -478,7 +484,7 @@ def test_alpha_fn_hook_overrides_styles():
     swapped = dataclasses.replace(
         cfg, vehicles=tuple(dataclasses.replace(v, alpha=hot) if k == 2 else v
                             for k, v in enumerate(cfg.vehicles)))
-    direct = run_trial(swapped)
+    direct = simulate(swapped)
     assert np.array_equal(rec.log.states, direct.log.states)
 
 
@@ -490,7 +496,7 @@ def test_invariance_trials_replay_from_their_setups():
     assert len(metrics) == 3
     for k, m in enumerate(metrics):
         cfg = invariance_trial_setup(k, settings, seed=11)
-        again = run_trial(cfg).metrics
+        again = simulate(cfg).metrics
         assert again == m
 
 
@@ -562,6 +568,6 @@ def test_sweep_trial_config_reproduces_sweep_entries():
     entries = experiment_behavior_sweep(settings)
     # sweep_trial_config reads every field but styles
     cfg = sweep_trial_config(alpha, dataclasses.replace(settings, styles=()))
-    rec = run_trial(cfg)
+    rec = simulate(cfg)
     assert min(rec.metrics.min_h.values()) == entries[0].min_h
     assert rec.metrics.merge_step["ego"] == entries[0].ego_merge_step
