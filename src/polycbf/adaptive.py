@@ -54,8 +54,7 @@ def _style_gap(alpha_i, alpha_j):
 def _compat_row(dx_x, dx_y, gap, cfg, dt):
     """Row (ax, ay, b), a.u <= b, tying the ego's braking authority to the
     style mismatch, dx being ego minus other and gap the _style_gap of the
-    two styles (ego's first): no validation, shared by the adaptive merge's
-    row hook and the mismatch trial.
+    two styles (ego's first): no validation, the adaptive merge's row hook.
 
     Against an other vehicle whose filter runs alpha_j, an ego running
     alpha_i must not out-brake the clearance budget the two styles disagree
@@ -64,8 +63,18 @@ def _compat_row(dx_x, dx_y, gap, cfg, dt):
     other's keeps it non-negative at h >= 0, so the row only ever bites on
     approach.
     """
+    return _compat_row_and_clearance(dx_x, dx_y, gap, cfg, dt)[:3]
+
+
+def _compat_row_and_clearance(dx_x, dx_y, gap, cfg, dt):
+    """_compat_row's row and the clearance it is formed at, as (ax, ay, b, h).
+
+    h = |dx|^2 - r_safe^2 is safety_value's arithmetic on the same offset, so
+    the mismatch trial folds it into its closest approach instead of
+    measuring the clearance of each state a second time.
+    """
     h = dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe
-    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(gap, h)
+    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(gap, h), h
 
 
 def aggressiveness_score(alpha: AlphaVector, reference_h: float) -> float:
@@ -338,7 +347,7 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
         plan_obj = NominalPlan(v_obj, (1.0, 0.0), 0.8)
 
         gap = _style_gap(alpha_i, alpha_j)
-        min_h = safety_value(ego.position, obj.position, safety)
+        min_h = math.inf
         ego_bad = obj_bad = 0
         # The ego's raw inputs, drawn at once: the same numbers, in the same
         # order, as one (x, y) draw per step.
@@ -351,16 +360,19 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
                 obj_bad += 1
             ex, ey = ego.position.tolist()
             ox, oy = obj.position.tolist()
-            row = _compat_row(ex - ox, ey - oy, gap, safety, dt)
+            # h is the clearance of the states this step starts from.
+            ax, ay, b, h = _compat_row_and_clearance(ex - ox, ey - oy, gap, safety, dt)
+            if h < min_h:
+                min_h = h
             ux, uy, ok, _, _ = _solve_scalar(
-                raw_x, raw_y, -bound, -bound, bound, bound, (row,))
+                raw_x, raw_y, -bound, -bound, bound, bound, ((ax, ay, b),))
             if not ok:
                 ego_bad += 1
             ego = step(ego, (ux, uy), dt)
             obj = step(obj, sol_j.u, dt)
-            h = safety_value(ego.position, obj.position, safety)
-            if h < min_h:
-                min_h = h
+        h = safety_value(ego.position, obj.position, safety)
+        if h < min_h:
+            min_h = h
         trials.append(MismatchTrial(alpha_i, alpha_j, float(min_h),
                                     ego_bad, obj_bad))
     return trials

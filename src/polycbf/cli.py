@@ -439,17 +439,23 @@ def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
         raise ConfigurationError(f"{path}: ragged trajectory body")
     n_rows = len(body) // n_veh
     index = {n: i for i, n in enumerate(names)}
-    pairs: List[Tuple[int, int]] = []
-    for col in header[len(TRAJECTORY_COLUMNS):]:
-        # "h:<name>:<name>", where a vehicle name may itself contain ":".
-        tag, _, rest = col.partition(":")
-        cuts = [k for k, c in enumerate(rest) if c == ":"]
-        found = [(index[rest[:k]], index[rest[k + 1:]]) for k in cuts
-                 if rest[:k] in index and rest[k + 1:] in index]
-        if tag != "h" or len(found) != 1:
-            raise ConfigurationError(f"{path}: column {col!r} does not name one "
-                                     f"pair of the vehicles {names}")
-        pairs.append(found[0])
+    columns = header[len(TRAJECTORY_COLUMNS):]
+    # simulate writes every pair i < j in roster order.  Those columns are
+    # taken by position, because names with ":" can make two of them read
+    # alike; any other columns are parsed one by one.
+    pairs = [(i, j) for i in range(n_veh) for j in range(i + 1, n_veh)]
+    if columns != [f"h:{names[i]}:{names[j]}" for i, j in pairs]:
+        pairs = []
+        for col in columns:
+            # "h:<name>:<name>", where a vehicle name may itself contain ":".
+            tag, _, rest = col.partition(":")
+            cuts = [k for k, c in enumerate(rest) if c == ":"]
+            found = [(index[rest[:k]], index[rest[k + 1:]]) for k in cuts
+                     if rest[:k] in index and rest[k + 1:] in index]
+            if tag != "h" or len(found) != 1:
+                raise ConfigurationError(f"{path}: column {col!r} does not name one "
+                                         f"pair of the vehicles {names}")
+            pairs.append(found[0])
     states = np.zeros((n_rows, n_veh, 4))
     inputs = np.zeros((n_rows, n_veh, 2))
     pair_h = np.zeros((n_rows, len(pairs)))

@@ -23,6 +23,14 @@ change that answer, so they are left out of the pass (_live_rows): of a
 on a box face that lies provably farther away than the best projection are
 never formed (the rounding argument is in _enumerate_min_deviation).
 
+Most programs that reach the scan with the nominal in the box keep one live
+row, and then the answer is usually that row's projection: the closed-form
+step of dual active-set QP methods with one active constraint.  _solve_scalar
+returns it before the box faces are built when the scan's own face-distance
+prune would leave no face near enough to matter and the row admits the
+point; the result is then the scan's, bit for bit.  Anything else, a face
+within reach, a degenerate or non-finite row, goes through the scan.
+
 Infeasible programs are flagged and fall back to the smallest worst violation
 t* = min over the box of max_i (a_i.u - b_i), found exactly without an LP
 solver.  Each row's minimum over the box lies at a corner, and the largest of
@@ -354,7 +362,9 @@ def _minimax_vertices(rows, lo_x, lo_y, hi_x, hi_y):
     keep = ~(np.isnan(ux) | np.isnan(uy))
     ux = np.clip(ux[keep], lo_x, hi_x)
     uy = np.clip(uy[keep], lo_y, hi_y)
-    worst = (ax[:, None] * ux + ay[:, None] * uy - b[:, None]).max(axis=0)
+    # An infinite coefficient times a zero coordinate scores NaN, silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = (ax[:, None] * ux + ay[:, None] * uy - b[:, None]).max(axis=0)
     best = int(np.argmin(worst))
     return float(ux[best]), float(uy[best]), float(worst[best])
 
@@ -413,12 +423,54 @@ def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
     scans, the feasible one and the relaxed re-solve, see only the rows that
     can bind (_live_rows) plus the box faces; the minimax fallback sees every
     row.
+
+    When the nominal lies in the box and one row is live, that row's
+    projection is returned before the box faces are built, if its objective
+    obj is finite, every face passes the scan's prune test
+    |c - ubar| > reach + 1e-12*|c| with reach = sqrt(obj)*(1 + 1e-12) + 1e-140
+    (c being hi_x, lo_x, hi_y or lo_y, and ubar the matching coordinate), and
+    the row admits the point.  The scan returns the same bits:
+    - The row is candidate 0, since the nominal was cut off and is not
+      screened again.  Its projection is formed by the scan's expressions, so
+      it is finite, admitted (shown below for the faces) and becomes the
+      running best with objective obj.
+    - A pruned face's projection keeps ubar_y and moves ubar_x to
+      ux' = fl(ubar_x + fl(c - ubar_x)) for a face ux = c, which is within
+      2.3e-16*(|c| + |c - ubar_x|) of c, so
+      |ux' - ubar_x| > sqrt(obj)*(1 + 0.99e-12) and > 0.99e-140, and its
+      objective, which squares that without underflow and adds 0, exceeds
+      obj (or is infinite): the rounding argument of the face pairs in
+      _enumerate_min_deviation.  No face projection replaces the best.
+    - With the best unchanged, every face is pruned again by the same test,
+      so at most the row stays live and no pair is formed.
+    - The point is within |dxu|*(1 + 2^-52) < sqrt(obj)*(1 + 1e-12) + 1e-140
+      of the nominal in x (the 1e-140 covering a dxu*dxu that underflows),
+      and the same in y, so it lies strictly inside the box and every face
+      row gives a negative violation: the faces admit it.
     """
     inside = lo_x <= ubar_x <= hi_x and lo_y <= ubar_y <= hi_y
     if inside and _admits(constraint_rows, ubar_x, ubar_y):
         return ubar_x, ubar_y, True, 0.0, 0.0
-    faces = ((1.0, 0.0, hi_x), (-1.0, 0.0, -lo_x), (0.0, 1.0, hi_y), (0.0, -1.0, -lo_y))
     rows = _live_rows(constraint_rows, ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y)
+    if inside and len(rows) == 1:
+        ax, ay, b = rows[0]
+        nrm = ax * ax + ay * ay
+        if nrm > 0.0:
+            t = (ax * ubar_x + ay * ubar_y - b) / nrm
+            ux = ubar_x - t * ax
+            uy = ubar_y - t * ay
+            dxu = ux - ubar_x
+            dyu = uy - ubar_y
+            obj = dxu * dxu + dyu * dyu
+            if obj < math.inf:
+                reach = math.sqrt(obj) * (1.0 + 1e-12) + 1e-140
+                if (abs(hi_x - ubar_x) > reach + 1e-12 * abs(hi_x)
+                        and abs(lo_x - ubar_x) > reach + 1e-12 * abs(lo_x)
+                        and abs(hi_y - ubar_y) > reach + 1e-12 * abs(hi_y)
+                        and abs(lo_y - ubar_y) > reach + 1e-12 * abs(lo_y)
+                        and _admits(rows, ux, uy)):
+                    return ux, uy, True, obj, 0.0
+    faces = ((1.0, 0.0, hi_x), (-1.0, 0.0, -lo_x), (0.0, 1.0, hi_y), (0.0, -1.0, -lo_y))
     rows.extend(faces)
     found = _enumerate_min_deviation(ubar_x, ubar_y, rows, nominal_cut=inside)
     if found is not None:

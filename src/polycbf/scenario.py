@@ -213,6 +213,10 @@ class VehicleSpec:
     heading: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
+        # csv.writer leaves a "\r" unquoted when rows end in "\n", so such a
+        # name would split its trajectory rows.
+        if "\r" in self.name or "\n" in self.name:
+            raise ConfigurationError(f"vehicle name {self.name!r} contains a line break")
         if self.role not in ROLES:
             raise ConfigurationError(f"unknown role {self.role!r}")
         if self.route not in ROUTES:

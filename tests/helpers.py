@@ -298,7 +298,8 @@ def frozen_solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows, feas_tol=1
         keep = ~(np.isnan(ux) | np.isnan(uy))
         ux = np.clip(ux[keep], lo_x, hi_x)
         uy = np.clip(uy[keep], lo_y, hi_y)
-        worst = (ax[:, None] * ux + ay[:, None] * uy - b[:, None]).max(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = (ax[:, None] * ux + ay[:, None] * uy - b[:, None]).max(axis=0)
         best = int(np.argmin(worst))
         return float(ux[best]), float(uy[best]), float(worst[best])
 

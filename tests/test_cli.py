@@ -14,10 +14,10 @@ import pytest
 from helpers import configs_equal, trajectory_csv_oracle
 
 import polycbf
-from polycbf import (InvarianceSettings, SafetyConfig, TrajectoryLog, TrialMetrics,
-                     TrialRecord, experiment_behavior_sweep, experiment_invariance,
-                     experiment_prediction, experiment_prediction_in_loop,
-                     invariance_trial_setup, simulate)
+from polycbf import (InvarianceSettings, SafetyConfig, ScenarioConfig, TrajectoryLog,
+                     TrialMetrics, TrialRecord, experiment_behavior_sweep,
+                     experiment_invariance, experiment_prediction,
+                     experiment_prediction_in_loop, invariance_trial_setup, simulate)
 from polycbf import adaptive, cli, scenario
 
 
@@ -122,6 +122,23 @@ def test_trajectory_csv_round_trips_names_with_colons(tmp_path):
     assert np.array_equal(back.states, log.states)
     assert np.array_equal(back.pair_h, log.pair_h)
     assert np.array_equal(back.feasible, log.feasible)
+
+
+def test_trajectory_csv_reads_back_pair_columns_that_read_alike(tmp_path):
+    # with these names the columns of pairs (a, b:c) and (a:b, c) are both
+    # "h:a:b:c"; simulate's columns are taken by position
+    names = ("a", "b:c", "a:b", "c")
+    cfg = ScenarioConfig(geometry=scenario.default_geometry(), n_steps=5, vehicles=tuple(
+        scenario.VehicleSpec(name=name, start_progress=-80.0 + 15.0 * k)
+        for k, name in enumerate(names)))
+    log = simulate(cfg).log
+    path = tmp_path / "traj.csv"
+    cli.write_trajectory_csv(path, log)
+    assert path.read_text().splitlines()[0].count("h:a:b:c") == 2
+    back = cli.read_trajectory_csv(path, dt=log.dt)
+    assert back.names == names
+    assert back.pairs == log.pairs
+    assert np.array_equal(back.pair_h, log.pair_h)
 
 
 @pytest.mark.parametrize("names, column", [

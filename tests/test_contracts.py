@@ -4,14 +4,18 @@ derandomize=True makes each run draw the same examples, so a failure here
 reproduces on every machine.
 """
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import frozen_solve_scalar, minimax_oracle, qp_oracle, result_bits
 
-from polycbf import (AlphaVector, SafetyConfig, ScenarioConfig, VehicleSpec, controller,
-                     default_geometry, simulate)
+from polycbf import (AlphaVector, SafetyConfig, ScenarioConfig, TrajectoryLog, VehicleSpec,
+                     cli, controller, default_geometry, simulate)
 
 _rows = st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
                            st.floats(-50.0, 50.0)), max_size=4)
@@ -112,3 +116,42 @@ def test_simulate_pair_h_is_the_clearance_of_the_logged_states(roster, r_safe, n
             dy = row[i][1] - row[j][1]
             h = dx * dx + dy * dy - r_safe * r_safe
             assert float(log.pair_h[t, p]).hex() == h.hex(), (t, i, j)
+
+
+def _same_floats(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN: '%.17g'
+    writes every NaN as 'nan'."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan]))
+
+
+# Names built from the characters the CSV quotes or splits on.
+_names = st.lists(st.text(alphabet="ab:,\" \t", max_size=5), min_size=1, max_size=4,
+                  unique=True)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(names=_names, n_rows=st.integers(1, 3), data=st.data())
+def test_trajectory_csv_round_trips_any_accepted_names(names, n_rows, data):
+    # simulate's pairs, every i < j, under any names VehicleSpec accepts,
+    # with any floats
+    for name in names:
+        VehicleSpec(name=name)
+    n = len(names)
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    log = TrajectoryLog(
+        names=tuple(names), pairs=pairs, dt=0.01,
+        states=data.draw(arrays(np.float64, (n_rows, n, 4), elements=st.floats())),
+        inputs=data.draw(arrays(np.float64, (n_rows, n, 2), elements=st.floats())),
+        pair_h=data.draw(arrays(np.float64, (n_rows, len(pairs)), elements=st.floats())),
+        feasible=data.draw(arrays(np.bool_, (n_rows, n))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        cli.write_trajectory_csv(path, log)
+        back = cli.read_trajectory_csv(path, dt=log.dt)
+    assert back.names == log.names
+    assert back.pairs == log.pairs
+    for field in ("states", "inputs", "pair_h"):
+        assert _same_floats(getattr(back, field), getattr(log, field)), field
+    assert np.array_equal(back.feasible, log.feasible)

@@ -438,6 +438,205 @@ def test_solve_scalar_screen_keeps_a_lone_row_and_drops_far_ones():
                                  -5.0, -5.0, 5.0, 5.0) == [near]
 
 
+def _projection(ubar_x, ubar_y, ax, ay, b):
+    """A row's projection of the nominal and its objective, by the scan's
+    expressions in the scan's order."""
+    nrm = ax * ax + ay * ay
+    t = (ax * ubar_x + ay * ubar_y - b) / nrm
+    ux = ubar_x - t * ax
+    uy = ubar_y - t * ay
+    dxu = ux - ubar_x
+    dyu = uy - ubar_y
+    return ux, uy, dxu * dxu + dyu * dyu
+
+
+def _nudge(x, rng, ulps=3):
+    for _ in range(rng.randint(0, ulps)):
+        x = math.nextafter(x, rng.choice((-math.inf, math.inf)))
+    return x
+
+
+def _crossing_at_reach(rng, s):
+    """The face ux = hi_x just past the projection's reach, which the row
+    crosses about as near the nominal as it projects it (see
+    _one_row_program)."""
+    c = s * rng.uniform(0.2, 6.0)
+    d = c * 10.0 ** rng.uniform(-8.0, -4.0)
+    ux, uy = c - d, rng.uniform(-s, s)
+    hi_x = _nudge(ux + d, rng, 2)
+    # A line tilted by th from the face's normal, through the point d from
+    # the nominal, crosses the face at the nominal's height when
+    # th^2/2 = (hi_x - ux - d)/d.
+    delta = max(hi_x - ux - d, 1e-300) / d
+    th = math.sqrt(2.0 * delta) * rng.uniform(0.5, 1.6) * rng.choice((1.0, -1.0))
+    k = 10.0 ** rng.uniform(-3.0, 3.0)
+    ax, ay = -k * math.cos(th), -k * math.sin(th)
+    b = ax * (ux + d * math.cos(th)) + ay * (uy + d * math.sin(th))
+    return ux, uy, -6.0 * s, -6.0 * s, hi_x, 6.0 * s, [(ax, ay, b)]
+
+
+def _mirrored(program, face):
+    """program with its hi_x face moved to face 0-3 (hi_x, lo_x, hi_y, lo_y)
+    by exact negations and swaps of the axes."""
+    ux, uy, lo_x, lo_y, hi_x, hi_y, rows = program
+    if face in (1, 3):
+        ux, lo_x, hi_x = -ux, -hi_x, -lo_x
+        rows = [(-ax, ay, b) for ax, ay, b in rows]
+    if face in (2, 3):
+        ux, uy, lo_x, lo_y, hi_x, hi_y = uy, ux, lo_y, lo_x, hi_y, hi_x
+        rows = [(ay, ax, b) for ax, ay, b in rows]
+    return ux, uy, lo_x, lo_y, hi_x, hi_y, rows
+
+
+def _one_row_program(rng, family):
+    """A program whose nominal lies in (or on) the box and is cut off by one
+    row that _live_rows keeps, at the edge of _solve_scalar's one-row
+    shortcut:
+    - face_reach: a box face at the prune threshold, |c - ubar| = reach or
+      reach + 1e-12*|c|, give or take a few ulps, the row tilted toward it;
+      or a face 0-2 ulps past reach, far from the origin, and a row tilted
+      so that it crosses the face about as near the nominal as its own
+      projection: that pair is then within rounding of the best, which the
+      prune's 1e-12*|c| term covers;
+    - projection_at_face: the projection on a face line, a few ulps or a
+      small fraction of the distance inside, or just past it;
+    - nominal_on_face: the nominal on a face, a few ulps or a small fraction
+      of the box inside it, or just outside;
+    - degenerate: zero, NaN and infinite rows, alone or beside the row, and
+      rows whose norm overflows;
+    - scales: box, nominal and row scaled by 1e-150 to 1e150, the row's
+      coefficients by another 1e-8 to 1e12; half the rows pass through the
+      origin, where the projection's rounding can exceed the absolute
+      tolerance _admits grants small bounds;
+    - far_rows: the row among rows that clear the box.
+    Returns (ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows), rows excluding
+    the box.
+    """
+    s = 10.0 ** rng.uniform(-150.0, 150.0) if family == "scales" else \
+        10.0 ** rng.uniform(-2.0, 3.0)
+    if family == "face_reach" and rng.random() < 0.5:
+        return _mirrored(_crossing_at_reach(rng, s), rng.randrange(4))
+    lo_x, lo_y = -s * rng.uniform(0.2, 6.0), -s * rng.uniform(0.2, 6.0)
+    hi_x, hi_y = s * rng.uniform(0.2, 6.0), s * rng.uniform(0.2, 6.0)
+    ux, uy = rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y)
+    # The projection moves the nominal by d along (cos th, sin th).
+    th = rng.uniform(-math.pi, math.pi)
+    d = s * 10.0 ** rng.uniform(-8.0, 0.0)
+    face = rng.randrange(4)  # hi_x, lo_x, hi_y, lo_y
+    if family in ("face_reach", "projection_at_face", "nominal_on_face"):
+        # Head toward the chosen face, tilted by anything from 0 to 1 rad.
+        tilt = rng.choice((0.0, 10.0 ** rng.uniform(-9.0, 0.0))) * rng.choice((1, -1))
+        th = (0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi)[face] + tilt
+    if family == "nominal_on_face":
+        c = (hi_x, lo_x, hi_y, lo_y)[face]
+        inward = -1.0 if face in (0, 2) else 1.0
+        offset = rng.choice((0.0, s * 10.0 ** rng.uniform(-13.0, -2.0)))
+        p = _nudge(c + inward * offset, rng)
+        if face < 2:
+            ux = p
+        else:
+            uy = p
+        # Mostly away from the face, and mostly by less than the offset, so
+        # that the projection can stay inside.
+        if rng.random() < 0.7:
+            th += math.pi
+        d = max(offset, s * 1e-9) * 10.0 ** rng.uniform(-3.0, 1.0)
+    cos_th, sin_th = math.cos(th), math.sin(th)
+    if family == "projection_at_face":
+        c = (hi_x, lo_x, hi_y, lo_y)[face]
+        step = cos_th if face < 2 else sin_th
+        if abs(step) < 1e-3:
+            step = math.copysign(1e-3, step)
+        u = ux if face < 2 else uy
+        inside = rng.choice((0.0, 0.0, abs(c - u) * 10.0 ** rng.uniform(-14.0, -1.0)))
+        d = (c - u) / step * (1.0 - inside / max(abs(c - u), 1e-300))
+        d = _nudge(abs(d), rng)
+    px, py = ux + d * cos_th, uy + d * sin_th
+    k = 10.0 ** rng.uniform(-8.0, 12.0) / s if family == "scales" else \
+        10.0 ** rng.uniform(-3.0, 3.0)
+    ax, ay = -k * cos_th, -k * sin_th
+    if family == "scales" and rng.random() < 0.5:
+        b = 0.0  # through the origin
+        # keep the nominal on the cut side
+        if ax * ux + ay * uy <= 0.0:
+            ax, ay = -ax, -ay
+    else:
+        b = ax * px + ay * py
+    rows = [(ax, ay, b)]
+    if family == "face_reach":
+        _, _, obj = _projection(ux, uy, ax, ay, b)
+        if obj < math.inf:
+            reach = math.sqrt(obj) * (1.0 + 1e-12) + 1e-140
+            u = ux if face < 2 else uy
+            sign = 1.0 if face in (0, 2) else -1.0
+            c0 = u + sign * reach
+            c = c0 + sign * rng.choice((0.0, 1.0, rng.uniform(-0.5, 1.5))) * 1e-12 * abs(c0)
+            c = _nudge(c, rng, 4)
+            if face == 0:
+                hi_x = max(c, ux)
+            elif face == 1:
+                lo_x = min(c, ux)
+            elif face == 2:
+                hi_y = max(c, uy)
+            else:
+                lo_y = min(c, uy)
+    elif family == "degenerate":
+        bad = rng.choice(((0.0, 0.0, -1.0), (0.0, -0.0, s), (0.0, 0.0, 0.0),
+                          (math.nan, ay, b), (ax, math.nan, b), (ax, ay, math.nan),
+                          (math.inf, ay, b), (ax, -math.inf, b), (ax, ay, math.inf),
+                          (ax * 1e300, ay * 1e300, b * 1e300)))
+        choice = rng.randrange(3)
+        if choice == 0:
+            rows = [bad]
+        elif choice == 1:
+            rows.insert(rng.randrange(2), bad)
+        # A zero row with a positive bound clears the box and is dropped.
+        # The scan pairs a zero row with an overflowing one and divides by
+        # their zero det, so the unscreened solver cannot take both.
+        if not any(abs(ax) > 1e250 for ax, _, _ in rows):
+            for _ in range(rng.randint(0, 2)):
+                rows.insert(rng.randrange(len(rows) + 1),
+                            (0.0, 0.0, s * rng.uniform(0.1, 9.0)))
+    elif family == "far_rows":
+        for _ in range(rng.randint(1, 8)):
+            rows.insert(rng.randrange(len(rows) + 1), _far_row(rng, s, lo_x, lo_y, hi_x, hi_y))
+    return ux, uy, lo_x, lo_y, hi_x, hi_y, rows
+
+
+@pytest.mark.parametrize("family, n_programs", [
+    ("face_reach", 10000), ("projection_at_face", 3000), ("nominal_on_face", 3000),
+    ("degenerate", 3000), ("scales", 3000), ("far_rows", 3000)])
+def test_one_live_row_shortcut_matches_the_frozen_solver_bit_for_bit(monkeypatch, family,
+                                                                     n_programs):
+    # The projection _solve_scalar returns for one live row, before the box
+    # is built, must be the bits the full scan returns; in every family the
+    # shortcut must both fire and fall back to the scan.  A face crossing
+    # within rounding of the best, the case the prune's 1e-12*|c| term
+    # covers, turns up in under 1% of face_reach's crossing programs, hence
+    # its larger count.
+    scans = []
+    scan = controller._enumerate_min_deviation
+
+    def spy(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "_enumerate_min_deviation", spy)
+    rng = random.Random(f"one live row: {family}")
+    fired = fell_back = 0
+    for _ in range(n_programs):
+        program = _one_row_program(rng, family)
+        want = frozen_solve_scalar(*program)
+        del scans[:]
+        got = controller._solve_scalar(*program)
+        assert result_bits(got) == result_bits(want), program
+        if scans:
+            fell_back += 1
+        elif got[:2] != program[:2]:  # not the nominal
+            fired += 1
+    assert fired > 100 and fell_back > 100, (fired, fell_back)
+
+
 def test_solve_qp_single_row_projection():
     # nominal outside one half-plane: answer is the Euclidean projection
     a = np.array([1.0, 1.0])

@@ -151,6 +151,13 @@ def test_route_vehicle_rejects_fixed_route_placement(route, field, value):
         VehicleSpec(name="a", route=route, **{field: value})
 
 
+@pytest.mark.parametrize("name", ["a\rb", "a\nb", "\r\n"])
+def test_vehicle_name_with_a_line_break_is_rejected(name):
+    # csv.writer leaves "\r" unquoted in a trajectory row ending in "\n"
+    with pytest.raises(ConfigurationError, match="contains a line break"):
+        VehicleSpec(name=name)
+
+
 def test_scenario_config_validation():
     g = default_geometry()
     v = VehicleSpec(name="a", alpha=AlphaVector((1.0,)))
