@@ -8,17 +8,18 @@ of the run, filters its control against every neighbor plus a
 compatibility row that keeps its chosen style consistent with the estimate.
 
 The module also declares the adaptive experiment: its settings (the
-[adaptive] config section) and the paired driver that runs the loop with
-prediction on and off; and the assumption-mismatch stress test of the
-compatibility row.  The shipped three-vehicle roster is the adaptive preset
-file, read by polycbf.cli.load_preset.
+[adaptive] config section) and the paired driver that sets the loop against
+its prediction-off baseline, a plain simulate run; and the
+assumption-mismatch stress test of the compatibility row.  The shipped
+three-vehicle roster is the adaptive preset file, read by
+polycbf.cli.load_preset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -53,25 +54,18 @@ def _style_gap(alpha_i, alpha_j):
 
 def _compat_row(dx_x, dx_y, gap, cfg, dt):
     """Row (ax, ay, b), a.u <= b, tying the ego's braking authority to the
-    style mismatch, dx being ego minus other and gap the _style_gap of the
-    two styles (ego's first): no validation, the adaptive merge's row hook.
+    style mismatch, and the clearance h it is formed at, as (ax, ay, b, h);
+    dx is ego minus other and gap the _style_gap of the two styles (ego's
+    first): no validation, the adaptive merge's row hook.
 
     Against an other vehicle whose filter runs alpha_j, an ego running
     alpha_i must not out-brake the clearance budget the two styles disagree
     by: -2 dx . u * dt <= kappa(alpha_i - alpha_j, h).  Equal styles give
     the bound 0, and an ego whose coefficients are componentwise at least the
     other's keeps it non-negative at h >= 0, so the row only ever bites on
-    approach.
-    """
-    return _compat_row_and_clearance(dx_x, dx_y, gap, cfg, dt)[:3]
-
-
-def _compat_row_and_clearance(dx_x, dx_y, gap, cfg, dt):
-    """_compat_row's row and the clearance it is formed at, as (ax, ay, b, h).
-
-    h = |dx|^2 - r_safe^2 is safety_value's arithmetic on the same offset, so
-    the mismatch trial folds it into its closest approach instead of
-    measuring the clearance of each state a second time.
+    approach.  h = |dx|^2 - r_safe^2 is safety_value's arithmetic on the same
+    offset, so the mismatch trial folds it into its closest approach instead
+    of measuring the clearance of each state a second time.
     """
     h = dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe
     return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(gap, h), h
@@ -154,7 +148,8 @@ def _roster(cfg: ScenarioConfig) -> Tuple[int, int, int]:
 
 @dataclass
 class AdaptiveRecord:
-    """Everything one adaptive run produced."""
+    """Everything one adaptive run produced.  The prediction-off baseline is
+    a plain simulate trial, and its learner fields keep their defaults."""
 
     trial: TrialRecord
     prediction_enabled: bool
@@ -169,16 +164,16 @@ class AdaptiveRecord:
 def run_adaptive_merge(cfg: ScenarioConfig,
                        settings: AdaptiveSettings = AdaptiveSettings(),
                        policy: StylePolicy = DEFAULT_POLICY,
-                       ridge: Optional[RidgeConfig] = None,
-                       prediction_enabled: bool = True) -> AdaptiveRecord:
+                       ridge: Optional[RidgeConfig] = None) -> AdaptiveRecord:
     """Two-phase merge: observe and fit for settings.phase_budget steps, then
     drive with the mirrored style (plus the compatibility row once the
-    estimate has converged).  With prediction disabled the ego just keeps its
-    configured style, which makes paired runs directly comparable.
+    estimate has converged).  Its baseline, the ego keeping its configured
+    style, is simulate(cfg) itself.
 
     The roster must contain exactly one ego, exactly one object (the vehicle
     being identified), and at least one neighbor; the object is observed
-    against the first neighbor.
+    against the first neighbor.  The hooks hand simulate the compatibility
+    row as the (ax, ay, b) triple _compat_row forms.
     """
     phase_budget, hdot_mode = settings.phase_budget, settings.hdot_mode
     ridge = ridge if ridge is not None else RidgeConfig(q_hypothesis=cfg.safety.q)
@@ -186,53 +181,48 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     dt = cfg.dt
     safety = cfg.safety
     learner = StyleLearner(ridge)
-    state: Dict[str, object] = {
-        "ego_alpha": cfg.vehicles[ego_idx].alpha,
-        "selected": None,
-        "gap": None,
-        "sample_steps": [],
-    }
+    ego_alpha = cfg.vehicles[ego_idx].alpha
+    selected: Optional[AlphaVector] = None
+    gap = None
+    sample_steps: List[int] = []
 
     def alpha_fn(t: int, v: int) -> AlphaVector:
         if v == ego_idx:
-            return state["ego_alpha"]
+            return ego_alpha
         return cfg.vehicles[v].alpha
 
     def on_step(t_next: int, prev: np.ndarray, cur: np.ndarray):
-        if prediction_enabled and t_next <= phase_budget and not learner.converged:
+        nonlocal ego_alpha, selected, gap
+        if t_next <= phase_budget and not learner.converged:
             u_obs = (cur[obj_idx, 2:] - prev[obj_idx, 2:]) / dt
             if learner.admits(u_obs):
                 learner.add(_observe_rows(hdot_mode, prev, cur, obj_idx, nbr_idx, u_obs,
                                           safety, dt, t_next))
-                state["sample_steps"].append(t_next)
-        if t_next == phase_budget and prediction_enabled and learner.estimate is not None:
-            chosen = select_alpha(learner.estimate.alpha_hat, policy)
-            state["selected"] = chosen
-            state["ego_alpha"] = chosen
+                sample_steps.append(t_next)
+        if t_next == phase_budget and learner.estimate is not None:
+            selected = ego_alpha = select_alpha(learner.estimate.alpha_hat, policy)
             # The learner takes no sample after the budget, so the estimate
             # and the ego's style, and their gap, are final from here on.
-            state["gap"] = _style_gap(chosen, learner.estimate.alpha_hat)
+            gap = _style_gap(selected, learner.estimate.alpha_hat)
 
     def extra_rows_fn(t: int, v: int, cur: np.ndarray):
-        if v != ego_idx or not prediction_enabled or t < phase_budget or not learner.converged:
+        if v != ego_idx or t < phase_budget or not learner.converged:
             return ()
         # A learner converged by the budget had an estimate when the ego
         # selected its style, so the gap is set.
         dx_x, dx_y = (cur[ego_idx, :2] - cur[obj_idx, :2]).tolist()
-        ax, ay, b = _compat_row(dx_x, dx_y, state["gap"], safety, dt)
-        return (((ax, ay), b),)
+        return (_compat_row(dx_x, dx_y, gap, safety, dt)[:3],)
 
     trial = simulate(cfg, alpha_fn=alpha_fn, extra_rows_fn=extra_rows_fn,
                      on_step=on_step)
 
-    est = learner.estimate
     return AdaptiveRecord(
         trial=trial,
-        prediction_enabled=prediction_enabled,
+        prediction_enabled=True,
         estimate_history=tuple(learner.history),
-        sample_steps=tuple(state["sample_steps"]),
-        selected_alpha=state["selected"],
-        final_estimate=est,
+        sample_steps=tuple(sample_steps),
+        selected_alpha=selected,
+        final_estimate=learner.estimate,
         converged_at=learner.converged_at,
         converged_within_budget=learner.converged,
     )
@@ -240,7 +230,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
 
 # ---------------------------------------------------------------------------
 # Prediction-in-the-loop: the same three-vehicle merge run with the style
-# learner enabled and disabled.
+# learner and without it.
 
 @dataclass
 class AdaptiveComparison:
@@ -264,7 +254,9 @@ def experiment_prediction_in_loop(scenario: ScenarioConfig,
                                   settings: AdaptiveSettings = AdaptiveSettings(),
                                   ridge: Optional[RidgeConfig] = None,
                                   policy: Optional[StylePolicy] = None) -> AdaptiveComparison:
-    """Paired adaptive runs (prediction on/off) on the same scenario.
+    """Paired runs on the same scenario: run_adaptive_merge with prediction
+    on, and simulate(scenario) as the prediction-off baseline, the ego
+    keeping its configured style and no hook installed.
 
     Observation defaults to AdaptiveSettings.hdot_mode, the analytic rate
     (the observer reconstructs the object's acceleration from consecutive
@@ -272,8 +264,8 @@ def experiment_prediction_in_loop(scenario: ScenarioConfig,
     hdot_mode="finite_diff" difference clearances instead.
     """
     policy = policy if policy is not None else DEFAULT_POLICY
-    enabled = run_adaptive_merge(scenario, settings, policy, ridge, prediction_enabled=True)
-    disabled = run_adaptive_merge(scenario, settings, policy, ridge, prediction_enabled=False)
+    enabled = run_adaptive_merge(scenario, settings, policy, ridge)
+    disabled = AdaptiveRecord(trial=simulate(scenario), prediction_enabled=False)
     # run_adaptive_merge has checked the roster, so it has exactly one ego.
     ego_name = scenario.vehicles[_roster(scenario)[0]].name
 
@@ -361,7 +353,7 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
             ex, ey = ego.position.tolist()
             ox, oy = obj.position.tolist()
             # h is the clearance of the states this step starts from.
-            ax, ay, b, h = _compat_row_and_clearance(ex - ox, ey - oy, gap, safety, dt)
+            ax, ay, b, h = _compat_row(ex - ox, ey - oy, gap, safety, dt)
             if h < min_h:
                 min_h = h
             ux, uy, ok, _, _ = _solve_scalar(

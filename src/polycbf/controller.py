@@ -300,7 +300,9 @@ def _enumerate_min_deviation(ubar_x, ubar_y, rows, nominal_cut=False):
             ax2, ay2, b2 = rows[j]
             det = ax1 * ay2 - ay1 * ax2
             scale = math.sqrt(nrm1 * nrms[j])
-            if scale == 0.0 or abs(det) <= 1e-14 * scale:
+            # scale is NaN for a zero row beside one whose norm overflows,
+            # and then only det == 0 skips the pair.
+            if det == 0.0 or scale == 0.0 or abs(det) <= 1e-14 * scale:
                 continue
             ux = (b1 * ay2 - b2 * ay1) / det
             uy = (ax1 * b2 - ax2 * b1) / det

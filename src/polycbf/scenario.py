@@ -309,18 +309,20 @@ class TrialRecord:
 
 def simulate(cfg: ScenarioConfig,
              alpha_fn: Optional[Callable[[int, int], AlphaVector]] = None,
-             extra_rows_fn: Optional[Callable[[int, int, np.ndarray], Sequence]] = None,
+             extra_rows_fn: Optional[Callable[[int, int, np.ndarray],
+                                              Sequence[Tuple[float, float, float]]]] = None,
              on_step: Optional[Callable[[int, np.ndarray, np.ndarray], object]] = None,
              ) -> TrialRecord:
     """Run one synchronous trial.
 
     Hooks see states as the read-only (n, 4) rows [x, y, vx, vy] logged as
     states[t].  alpha_fn(t, v) overrides vehicle v's style at step t;
-    extra_rows_fn(t, v, cur) appends pre-built QP rows (dropped for the step,
-    and counted, if they make the QP infeasible while the safety rows alone
-    are satisfiable); on_step(t_next, prev, cur) gets states[t_next - 1] and
-    states[t_next] after each advance, and may return truthy to end the trial
-    early (the new step is still logged, and all per-step arrays are
+    extra_rows_fn(t, v, cur) returns QP rows to append as they are, each a
+    float triple (ax, ay, b) meaning ax*ux + ay*uy <= b (dropped for the
+    step, and counted, if they make the QP infeasible while the safety rows
+    alone are satisfiable); on_step(t_next, prev, cur) gets states[t_next - 1]
+    and states[t_next] after each advance, and may return truthy to end the
+    trial early (the new step is still logged, and all per-step arrays are
     truncated to the steps actually run).  Within a step the hooks run in
     this order: alpha_fn(t, v) for every v, then extra_rows_fn(t, v, cur) for
     every v, then on_step(t + 1, ...).  No hook runs at the last logged step.
@@ -415,8 +417,7 @@ def simulate(cfg: ScenarioConfig,
             rows = safety[v]
             extra = None
             if extra_rows_fn is not None:
-                extra = [(float(a[0]), float(a[1]), float(b))
-                         for a, b in extra_rows_fn(t, v, cur)]
+                extra = list(extra_rows_fn(t, v, cur))
                 rows = rows + extra
 
             ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x[v], lo_y[v],

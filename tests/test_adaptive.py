@@ -16,6 +16,7 @@ from polycbf import (
     aggressiveness_score,
     build_safety_constraint,
     experiment_assumption_mismatch,
+    experiment_prediction_in_loop,
     kappa,
     run_adaptive_merge,
     select_alpha,
@@ -35,8 +36,8 @@ def preset_config(n_steps):
 def test_compatibility_row_hand_example():
     # distance 6 gives h = 11 with basis (11, 1331); exact halves keep the
     # arithmetic representable
-    ax, ay, b = _compat_row(6.0, 0.0, _style_gap(AlphaVector((1.0, 0.0)),
-                                                 AlphaVector((0.5, 0.5))), CFG, 0.01)
+    ax, ay, b, _ = _compat_row(6.0, 0.0, _style_gap(AlphaVector((1.0, 0.0)),
+                                                    AlphaVector((0.5, 0.5))), CFG, 0.01)
     assert (ax, ay) == pytest.approx((-0.12, 0.0), rel=1e-15, abs=0.0)
     assert b == 0.5 * 11.0 - 0.5 * 1331.0
 
@@ -44,7 +45,7 @@ def test_compatibility_row_hand_example():
 def test_compatibility_row_pads_mixed_orders():
     gap = _style_gap(AlphaVector((2.0,)), AlphaVector((0.5, 0.25)))
     assert gap == (1.5, -0.25)
-    _, _, b = _compat_row(6.0, 0.0, gap, CFG, 0.01)
+    _, _, b, _ = _compat_row(6.0, 0.0, gap, CFG, 0.01)
     assert b == pytest.approx(1.5 * 11.0 - 0.25 * 1331.0, rel=1e-12)
 
 
@@ -60,7 +61,7 @@ def test_compatibility_row_is_safety_margin_difference():
         ai = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
         aj = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
         dx_x, dx_y = (ego.position - other.position).tolist()
-        ax, ay, b = _compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, dt)
+        ax, ay, b, _ = _compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, dt)
         a1, b1 = build_safety_constraint(ego, other, (0.0, 0.0), ai, CFG, dt)
         a2, b2 = build_safety_constraint(ego, other, (0.0, 0.0), aj, CFG, dt)
         assert np.array_equal((ax, ay), a1)
@@ -142,17 +143,19 @@ def test_adaptive_run_argument_validation():
 
 
 def test_disabled_prediction_reduces_to_plain_trial():
-    cfg = preset_config(n_steps=400)
-    rec = run_adaptive_merge(cfg, AdaptiveSettings(hdot_mode="analytic"),
-                             prediction_enabled=False)
-    plain = simulate(cfg)
-    assert not rec.prediction_enabled
-    assert rec.selected_alpha is None
-    assert rec.final_estimate is None
-    assert np.array_equal(rec.trial.log.states, plain.log.states)
-    assert np.array_equal(rec.trial.log.inputs, plain.log.inputs)
-    assert np.array_equal(rec.trial.log.pair_h, plain.log.pair_h)
-    assert np.array_equal(rec.trial.log.feasible, plain.log.feasible)
+    # the prediction-off baseline of the shipped experiment is a hookless
+    # simulate run of its scenario, bit for bit
+    preset = load_preset("adaptive")
+    disabled = experiment_prediction_in_loop(**preset).disabled
+    plain = simulate(preset["scenario"])
+    assert not disabled.prediction_enabled
+    assert disabled.selected_alpha is None
+    assert disabled.final_estimate is None
+    for name in ("states", "inputs", "pair_h", "feasible"):
+        assert (getattr(disabled.trial.log, name).tobytes()
+                == getattr(plain.log, name).tobytes())
+    assert disabled.trial.metrics == plain.metrics
+    assert disabled.trial.relaxed_steps == plain.relaxed_steps == 0
 
 
 def test_adaptive_run_identifies_and_concedes():

@@ -182,6 +182,16 @@ def test_nan_row_is_never_satisfied():
         == (-5.0, -5.0, False, 61.0, math.inf)
 
 
+def test_zero_row_beside_an_overflowing_row_is_not_divided_by():
+    # the pair of a zero row and a row whose squared norm overflows has
+    # det = 0 and scale = sqrt(0 * inf) = NaN, so the scan skips it on
+    # det == 0; the zero row 0.u <= -1 holds nowhere, t* = 1, and the
+    # relaxed re-solve keeps the nominal
+    rows = [(0.0, 0.0, -1.0), (1e200, 1e200, 1e200)]
+    assert controller._solve_scalar(0.5, 0.5, -5.0, -5.0, 5.0, 5.0, rows) \
+        == (0.5, 0.5, False, 0.0, 1.0)
+
+
 def test_solve_qp_duplicated_rows_match_a_single_copy():
     lo, hi = np.array([-4.0, -4.0]), np.array([4.0, 4.0])
     u_nom = np.array([2.0, 1.5])

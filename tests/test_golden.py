@@ -1,4 +1,4 @@
-"""Golden artifacts: the CSV bytes of four shipped runs, the fields of one
+"""Golden artifacts: the CSV bytes of five shipped runs, the fields of one
 assumption-mismatch batch, the metrics and full log of one 16-vehicle merge
 and the full log of one 32-vehicle merge, pinned by sha256.
 
@@ -9,12 +9,15 @@ and the merge digest while infeasible multi-row programs still went to an LP
 solver; the weight sweep and the adaptive run were added before the
 filter's candidate scan became a single pass, the 16-vehicle merge's full
 log before the two vehicles of a pair shared one computation of their
-safety-row terms, and the 32-vehicle merge's full log before rows that
-cannot bind left the filter's candidate scans.  A refactor that changes any
-output bit fails here, not only a rerun that disagrees with itself.  No
-pinned output depends on BLAS or LAPACK, so the digests do not depend on the
-numpy build's linear-algebra kernels: the adaptive run's learner does call
-LAPACK, and its files are the ones left unpinned.
+safety-row terms, the 32-vehicle merge's full log before rows that cannot
+bind left the filter's candidate scans, and the prediction trials'
+trajectory after one-live-row programs were solved in closed form.  A
+refactor that changes any output bit fails here, not only a rerun that
+disagrees with itself.  No pinned output depends on BLAS or LAPACK, so the
+digests do not depend on the numpy build's linear-algebra kernels: the
+learner's ridge fits do call LAPACK, and the files they shape, the adaptive
+run's estimates, metrics and prediction-on trajectory and the prediction
+run's estimates and metrics, are the ones left unpinned.
 """
 import hashlib
 from pathlib import Path
@@ -57,17 +60,22 @@ GOLDEN = {
         "metrics.csv": "c379bffa754005469e8f20f90b11f766e42f0412b1de4c13cb639d98daf636d8",
         "trajectory.csv": "e99daf12b02ed408362108f6e5de9c5676532c61e0dc16bb735377ac772a212e",
     }),
-    # The fixed-style run, which drives the QP through extra_rows_fn and
-    # on_step.  The learner's files are left out: its ridge solve calls
-    # LAPACK, whose kernels vary with the numpy build.
+    # The fixed-style run, a hookless simulate of the preset.  The learner's
+    # files are left out: its ridge solve calls LAPACK, whose kernels vary
+    # with the numpy build.
     "adaptive": (["run", "adaptive", "--config", str(PRESETS / "adaptive.cfg"),
                   "--seed", "0"], {
         "trajectory_disabled.csv": "678c660732b951b1c52ea4fb738da107e88a1d374608089407ee94c6eaae05eb",
     }),
+    # The worst trial's trajectory; the learner's files are left out.
+    "predict": (["run", "predict", "--trials", "3", "--seed", "0"], {
+        "trajectory.csv": "00af5f9f64d905f54bc6ecd57ef5bc01e85b6dcd67ea1905b712fa3f71bfeb31",
+    }),
 }
 
 # Files a run writes that depend on BLAS or LAPACK, so are not pinned.
-UNPINNED = {"adaptive": {"estimates.csv", "metrics.csv", "trajectory_enabled.csv"}}
+UNPINNED = {"adaptive": {"estimates.csv", "metrics.csv", "trajectory_enabled.csv"},
+            "predict": {"estimates.csv", "metrics.csv"}}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

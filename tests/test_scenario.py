@@ -471,7 +471,7 @@ def test_nan_extra_row_is_dropped_and_counted():
     plain = simulate(cfg)
 
     def nan_row(t, v, cur):
-        return (((1.0, 0.0), float("nan")),) if v == 0 else ()
+        return ((1.0, 0.0, float("nan")),) if v == 0 else ()
 
     rec = simulate(cfg, extra_rows_fn=nan_row)
     assert rec.relaxed_steps == 50
