@@ -30,8 +30,7 @@ for i, est in enumerate(t.estimate_series):
     vals = ", ".join(f"{c:12.9f}" for c in est)
     print(f"  after sample {i + 1:2d}: ({vals})")
 
-truth, cfg = prediction_trial_setup(worst, preset["settings"], preset["safety"],
-                                    q=preset["ridge"].q_hypothesis)
+truth, cfg = prediction_trial_setup(worst, preset["settings"], preset["safety"])
 rec = simulate(cfg)
 print()
 print(f"that trial replayed: {rec.log.states.shape[0] - 1} steps, "

@@ -6,8 +6,7 @@ other agents' barrier coefficients from observed clearances, and an adaptive
 ramp-merge loop that couples the two.
 """
 
-from .barrier import (AlphaVector, BarrierBasis, SafetyConfig, basis, hdot,
-                      kappa, safety_value)
+from .barrier import AlphaVector, SafetyConfig, basis, hdot, kappa, safety_value
 from .controller import (DEFAULT_LIMITS, ControlLimits, NominalPlan, QpSolution,
                          build_safety_constraint, nominal_control, safe_control)
 from .dynamics import DEFAULT_DT, VehicleState, step
@@ -30,8 +29,7 @@ from .adaptive import (DEFAULT_POLICY, AdaptiveComparison, AdaptiveRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaVector", "BarrierBasis", "SafetyConfig", "basis", "hdot", "kappa",
-    "safety_value",
+    "AlphaVector", "SafetyConfig", "basis", "hdot", "kappa", "safety_value",
     "ControlLimits", "DEFAULT_LIMITS", "NominalPlan", "QpSolution",
     "build_safety_constraint", "nominal_control", "safe_control",
     "DEFAULT_DT", "VehicleState", "step",

@@ -80,9 +80,17 @@ def aggressiveness_score(alpha: AlphaVector, reference_h: float) -> float:
 
 @dataclass(frozen=True)
 class StylePolicy:
-    """Preset styles ordered least to most aggressive at a reference clearance."""
+    """Preset styles ordered least to most aggressive at a reference clearance,
+    the [policy] config section.  The default table steps the weight from the
+    linear term to the cubic one."""
 
-    presets: Tuple[AlphaVector, ...]
+    presets: Tuple[AlphaVector, ...] = (
+        AlphaVector((1.0, 0.0)),
+        AlphaVector((0.75, 0.25)),
+        AlphaVector((0.5, 0.5)),
+        AlphaVector((0.25, 0.75)),
+        AlphaVector((0.0, 1.0)),
+    )
     reference_h: float = 25.0
 
     def __post_init__(self):
@@ -98,13 +106,7 @@ class StylePolicy:
         return tuple(aggressiveness_score(a, self.reference_h) for a in self.presets)
 
 
-DEFAULT_POLICY = StylePolicy(presets=(
-    AlphaVector((1.0, 0.0)),
-    AlphaVector((0.75, 0.25)),
-    AlphaVector((0.5, 0.5)),
-    AlphaVector((0.25, 0.75)),
-    AlphaVector((0.0, 1.0)),
-))
+DEFAULT_POLICY = StylePolicy()
 
 
 def select_alpha(alpha_j_hat: AlphaVector, policy: StylePolicy) -> AlphaVector:
@@ -164,7 +166,7 @@ class AdaptiveRecord:
 def run_adaptive_merge(cfg: ScenarioConfig,
                        settings: AdaptiveSettings = AdaptiveSettings(),
                        policy: StylePolicy = DEFAULT_POLICY,
-                       ridge: Optional[RidgeConfig] = None) -> AdaptiveRecord:
+                       ridge: RidgeConfig = RidgeConfig()) -> AdaptiveRecord:
     """Two-phase merge: observe and fit for settings.phase_budget steps, then
     drive with the mirrored style (plus the compatibility row once the
     estimate has converged).  Its baseline, the ego keeping its configured
@@ -176,7 +178,6 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     row as the (ax, ay, b) triple _compat_row forms.
     """
     phase_budget, hdot_mode = settings.phase_budget, settings.hdot_mode
-    ridge = ridge if ridge is not None else RidgeConfig(q_hypothesis=cfg.safety.q)
     ego_idx, obj_idx, nbr_idx = _roster(cfg)
     dt = cfg.dt
     safety = cfg.safety
@@ -252,8 +253,8 @@ class AdaptiveComparison:
 
 def experiment_prediction_in_loop(scenario: ScenarioConfig,
                                   settings: AdaptiveSettings = AdaptiveSettings(),
-                                  ridge: Optional[RidgeConfig] = None,
-                                  policy: Optional[StylePolicy] = None) -> AdaptiveComparison:
+                                  ridge: RidgeConfig = RidgeConfig(),
+                                  policy: StylePolicy = DEFAULT_POLICY) -> AdaptiveComparison:
     """Paired runs on the same scenario: run_adaptive_merge with prediction
     on, and simulate(scenario) as the prediction-off baseline, the ego
     keeping its configured style and no hook installed.
@@ -263,7 +264,6 @@ def experiment_prediction_in_loop(scenario: ScenarioConfig,
     velocities, which the model makes exact); settings with
     hdot_mode="finite_diff" difference clearances instead.
     """
-    policy = policy if policy is not None else DEFAULT_POLICY
     enabled = run_adaptive_merge(scenario, settings, policy, ridge)
     disabled = AdaptiveRecord(trial=simulate(scenario), prediction_enabled=False)
     # run_adaptive_merge has checked the roster, so it has exactly one ego.

@@ -26,7 +26,6 @@ from .errors import ConfigurationError, DomainError, _check_dt
 
 __all__ = [
     "AlphaVector",
-    "BarrierBasis",
     "SafetyConfig",
     "safety_value",
     "basis",
@@ -77,20 +76,6 @@ class AlphaVector:
 
 
 @dataclass(frozen=True)
-class BarrierBasis:
-    """Odd powers of a clearance value: values[p] = h^(2p+1)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @property
-    def q(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class SafetyConfig:
     """Safety radius and polynomial order shared by a whole scenario."""
 
@@ -113,8 +98,8 @@ def safety_value(xi, xj, cfg: SafetyConfig) -> float:
     return dx * dx + dy * dy - cfg.r_safe * cfg.r_safe
 
 
-def basis(h: float, q: int) -> BarrierBasis:
-    """Odd-power basis [h, h^3, ..., h^(2q-1)] evaluated at a clearance h."""
+def basis(h: float, q: int) -> tuple[float, ...]:
+    """Odd-power basis (h, h^3, ..., h^(2q-1)) evaluated at a clearance h."""
     if q < 1:
         raise ConfigurationError(f"q must be >= 1, got {q}")
     h = float(h)
@@ -126,7 +111,7 @@ def basis(h: float, q: int) -> BarrierBasis:
     for _ in range(q):
         values.append(term)
         term *= h2
-    return BarrierBasis(tuple(values))
+    return tuple(values)
 
 
 def kappa(alpha: AlphaVector | Sequence[float], h: float) -> float:

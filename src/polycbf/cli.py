@@ -261,17 +261,11 @@ def _build_safety(cp) -> SafetyConfig:
     return _build(SafetyConfig, "[safety]", _section(cp, "safety"))
 
 
-def _build_ridge(cp, safety: SafetyConfig) -> Optional[RidgeConfig]:
-    if not cp.has_section("ridge"):
-        return None
-    # The hypothesis order follows [safety] q unless the section sets it.
-    raw = {"q_hypothesis": str(safety.q), **_section(cp, "ridge")}
-    return _build(RidgeConfig, "[ridge]", raw)
+def _build_ridge(cp) -> RidgeConfig:
+    return _build(RidgeConfig, "[ridge]", _section(cp, "ridge"))
 
 
-def _build_policy(cp) -> Optional[StylePolicy]:
-    if not cp.has_section("policy"):
-        return None
+def _build_policy(cp) -> StylePolicy:
     return _build(StylePolicy, "[policy]", _section(cp, "policy"))
 
 
@@ -330,18 +324,16 @@ def _build_adaptive_scenario(cp) -> ScenarioConfig:
 
 
 def _input_steps(cp, experiment: str, trials: Optional[int] = None):
-    """(name, needs, build) for each object the experiment reads from the
-    config, in build order.  build takes the object built by the step named
-    `needs`, or nothing when that is None; `name` is the runner's keyword and
-    the validate rule."""
-    steps = [("settings", None, lambda: _build_settings(cp, experiment, trials))]
+    """(name, build) for each object the experiment reads from the config,
+    in build order; `name` is the runner's keyword and the validate rule."""
+    steps = [("settings", lambda: _build_settings(cp, experiment, trials))]
     if experiment == "adaptive":
-        return steps + [("scenario", None, lambda: _build_adaptive_scenario(cp)),
-                        ("ridge", "scenario", lambda cfg: _build_ridge(cp, cfg.safety)),
-                        ("policy", None, lambda: _build_policy(cp))]
-    steps.append(("safety", None, lambda: _build_safety(cp)))
+        return steps + [("scenario", lambda: _build_adaptive_scenario(cp)),
+                        ("ridge", lambda: _build_ridge(cp)),
+                        ("policy", lambda: _build_policy(cp))]
+    steps.append(("safety", lambda: _build_safety(cp)))
     if experiment == "predict":
-        steps.append(("ridge", "safety", lambda safety: _build_ridge(cp, safety)))
+        steps.append(("ridge", lambda: _build_ridge(cp)))
     return steps
 
 
@@ -357,9 +349,7 @@ def _check_read(cp, experiment: str) -> None:
 def _build_inputs(cp, experiment: str, trials: Optional[int] = None) -> dict:
     """Every object the experiment reads from the config, keyed as its runner
     takes them, built (and so validated) before anything is written."""
-    got = {}
-    for name, needs, build in _input_steps(cp, experiment, trials):
-        got[name] = build(got[needs]) if needs else build()
+    got = {name: build() for name, build in _input_steps(cp, experiment, trials)}
     _check_read(cp, experiment)
     return got
 
@@ -527,8 +517,8 @@ def _tighter(worst, index: int, key: float, record):
 
 
 def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
-                 safety: SafetyConfig, ridge: Optional[RidgeConfig]):
-    q = ridge.q_hypothesis if ridge is not None else safety.q
+                 safety: SafetyConfig, ridge: RidgeConfig):
+    q = safety.q
     summary = experiment_prediction(settings, safety, ridge, seed)
 
     header = (["trial"] + [f"truth_{k}" for k in range(q)]
@@ -551,7 +541,7 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
     # Trajectory of the hardest trial (largest estimation error).  It is run
     # again because its experiment run stopped once the learner converged.
     worst = max(range(settings.trials), key=lambda k: summary.trials[k].rmse)
-    _, cfg = prediction_trial_setup(worst, settings, safety, q=q, seed=seed)
+    _, cfg = prediction_trial_setup(worst, settings, safety, seed)
     rec = simulate(cfg)
     trajectory = out_dir / "trajectory.csv"
     write_trajectory_csv(trajectory, rec.log)
@@ -615,8 +605,7 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
 
 
 def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
-                  scenario: ScenarioConfig, ridge: Optional[RidgeConfig],
-                  policy: Optional[StylePolicy]):
+                  scenario: ScenarioConfig, ridge: RidgeConfig, policy: StylePolicy):
     comparison = experiment_prediction_in_loop(scenario, settings, ridge, policy)
     enabled, disabled = comparison.enabled, comparison.disabled
     q = scenario.safety.q
@@ -781,11 +770,9 @@ _DESCRIBE = {
         f"merge at x={cfg.geometry.merge_point[0]:g}, lookahead {cfg.geometry.lookahead:g}; "
         f"roster {[v.name for v in cfg.vehicles]} with roles {[v.role for v in cfg.vehicles]}; "
         f"r_safe {cfg.safety.r_safe}, order {cfg.safety.q}"),
-    "ridge": lambda ridge: "no [ridge] section (defaults apply)" if ridge is None else (
-        f"regularizer {ridge.regularizer:g}, "
-        f"tol {ridge.convergence_tol:g}, window {ridge.convergence_window}"),
-    "policy": lambda policy: "no [policy] section (defaults apply)" if policy is None else (
-        f"{len(policy.presets)} presets, strictly ordered by aggressiveness"),
+    "ridge": lambda ridge: (f"regularizer {ridge.regularizer:g}, "
+                            f"tol {ridge.convergence_tol:g}, window {ridge.convergence_window}"),
+    "policy": lambda policy: f"{len(policy.presets)} presets, strictly ordered by aggressiveness",
 }
 
 
@@ -805,12 +792,9 @@ def _validate(cp) -> List[Tuple[str, bool, str]]:
                 f"[run] seed = {seed} is not >= 0")]
     steps = _input_steps(cp, experiment)
     got = {}
-    for name, needs, build in steps:
-        if needs and needs not in got:
-            results.append((name, False, f"not evaluated: {needs} did not build"))
-            continue
+    for name, build in steps:
         try:
-            got[name] = build(got[needs]) if needs else build()
+            got[name] = build()
             results.append((name, True, _DESCRIBE[name](got[name])))
         except (ConfigurationError, DomainError) as exc:
             results.append((name, False, str(exc)))

@@ -7,8 +7,10 @@ hdot) pairs during such episodes can therefore recover alpha by regressing
 the fit defined before enough distinct clearances have been seen.
 
 A sample is a BarrierSample: an observed clearance rate and the clearance
-basis it is regressed on.  The simulation hooks (scenario._observe_rows) make
-samples in one of two modes.  "finite_diff" differentiates the measured
+basis it is regressed on.  The fit has one coefficient per basis term, so its
+order is the length of its samples' basis, which the observers measure at
+the scenario's [safety] q.  The simulation hooks (scenario._observe_rows)
+make samples in one of two modes.  "finite_diff" differentiates the measured
 clearance itself through _observe (no knowledge of the neighbor's input
 needed, O(dt) discretization error).  "analytic" rebuilds the one-step rate
 from the object's acceleration, recovered exactly from consecutive velocity
@@ -23,7 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .barrier import DEFAULT_Q, AlphaVector, BarrierBasis, basis
+from .barrier import AlphaVector, basis
 from .errors import ConfigurationError, InsufficientDataError, RankDeficiencyError
 
 __all__ = [
@@ -38,16 +40,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BarrierSample:
-    """One observed (clearance rate, clearance basis) pair."""
+    """One observed clearance rate and the basis of the clearance it is
+    regressed on, the tuple (h, h^3, ..., h^(2q-1)) that basis() returns."""
 
     hdot_obs: float
-    basis: BarrierBasis
+    basis: tuple[float, ...]
     timestamp: int = 0
 
 
 @dataclass(frozen=True)
 class RidgeConfig:
-    """Regression and convergence-detection settings.
+    """Regression and convergence-detection settings.  The order of the fit
+    is not one of them: it is the length of the samples' basis.
 
     The regression target is the negated observed rate: active constraints
     satisfy hdot = -kappa(alpha, h), so regressing -hdot recovers +alpha.
@@ -59,7 +63,6 @@ class RidgeConfig:
     """
 
     regularizer: float = 1e-8
-    q_hypothesis: int = DEFAULT_Q
     convergence_tol: float = 1e-6
     convergence_window: int = 5
     admission_threshold: Optional[float] = 0.01
@@ -67,14 +70,13 @@ class RidgeConfig:
     def __post_init__(self):
         if not (math.isfinite(self.regularizer) and self.regularizer >= 0.0):
             raise ConfigurationError(f"regularizer must be >= 0, got {self.regularizer}")
-        if self.q_hypothesis < 1:
-            raise ConfigurationError(f"q_hypothesis must be >= 1, got {self.q_hypothesis}")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
             raise ConfigurationError(f"convergence_tol must be > 0, got {self.convergence_tol}")
         if self.convergence_window < 2:
             raise ConfigurationError(f"convergence_window must be >= 2, got {self.convergence_window}")
-        if self.admission_threshold is not None and self.admission_threshold < 0.0:
-            raise ConfigurationError("admission_threshold must be >= 0 or None")
+        thr = self.admission_threshold
+        if thr is not None and not (math.isfinite(thr) and thr >= 0.0):
+            raise ConfigurationError(f"admission_threshold must be >= 0 or None, got {thr}")
 
 
 @dataclass(frozen=True)
@@ -96,27 +98,35 @@ def _observe(h_cur: float, h_prev: float, q: int, dt: float, step: int) -> Barri
 def fit(samples: Sequence[BarrierSample], cfg: RidgeConfig) -> AlphaEstimate:
     """Ridge solution of (H^T H + r I) alpha = H^T (-hdot).
 
-    The raw solution is kept verbatim; alpha_hat clamps it to the valid
-    non-negative cone componentwise.
+    The order is the first sample's basis length, and every sample must
+    share it.  The raw solution is kept verbatim; alpha_hat clamps it to the
+    valid non-negative cone componentwise.
     """
     if len(samples) == 0:
         raise InsufficientDataError("cannot fit a style with no samples")
-    q = cfg.q_hypothesis
-    gram, moment = np.zeros((q, q)), np.zeros(q)
+    gram, moment = _zero_sums(samples[0])
     for s in samples:
-        _accumulate(gram, moment, s, q)
-    return _ridge_solve(gram + cfg.regularizer * np.eye(q), moment, cfg.regularizer,
-                        len(samples))
+        _accumulate(gram, moment, s)
+    return _ridge_solve(gram + cfg.regularizer * np.eye(len(moment)), moment,
+                        cfg.regularizer, len(samples))
 
 
-def _accumulate(gram: np.ndarray, moment: np.ndarray, sample: BarrierSample, q: int) -> None:
+def _zero_sums(first: BarrierSample) -> tuple[np.ndarray, np.ndarray]:
+    """Zero sums H^T H and H^T (-hdot) of the order of the first sample."""
+    q = len(first.basis)
+    if q < 1:
+        raise ConfigurationError("a sample needs a basis of order >= 1")
+    return np.zeros((q, q)), np.zeros(q)
+
+
+def _accumulate(gram: np.ndarray, moment: np.ndarray, sample: BarrierSample) -> None:
     """Add one sample to the sums H^T H and H^T (-hdot), in place.  fit and
     StyleLearner both sum in sample order through this, so they agree bit for
-    bit."""
-    if sample.basis.q != q:
-        raise ConfigurationError(
-            f"sample basis order {sample.basis.q} does not match q_hypothesis {q}")
-    phi = np.asarray(sample.basis.values, dtype=np.float64)
+    bit.  A sample whose order is not that of the sums is rejected."""
+    if len(sample.basis) != len(moment):
+        raise ConfigurationError(f"sample basis order {len(sample.basis)} does not match "
+                                 f"the order {len(moment)} of the samples before it")
+    phi = np.asarray(sample.basis, dtype=np.float64)
     gram += np.outer(phi, phi)
     moment += (-sample.hdot_obs) * phi
 
@@ -161,7 +171,8 @@ class StyleLearner:
 
     The normal equations are accumulated incrementally, so each admission
     costs O(q^2) regardless of how many samples came before; a batch refit
-    via fit() on the same samples gives the same estimate, bit for bit.
+    via fit() on the same samples gives the same estimate, bit for bit.  The
+    first sample sets the order q, and the sums are sized when it is added.
     """
 
     def __init__(self, ridge: RidgeConfig):
@@ -169,10 +180,7 @@ class StyleLearner:
         self.samples: List[BarrierSample] = []
         self.history: List[AlphaEstimate] = []
         self.converged_at: Optional[int] = None
-        q = ridge.q_hypothesis
-        self._gram = np.zeros((q, q))
-        self._moment = np.zeros(q)
-        self._ridge_eye = ridge.regularizer * np.eye(q)
+        self._gram = self._moment = self._ridge_eye = None
 
     @property
     def estimate(self) -> Optional[AlphaEstimate]:
@@ -193,7 +201,10 @@ class StyleLearner:
 
     def add(self, sample: BarrierSample) -> AlphaEstimate:
         """Admit a sample, refit, and update the convergence flag."""
-        _accumulate(self._gram, self._moment, sample, self.ridge.q_hypothesis)
+        if self._moment is None:
+            self._gram, self._moment = _zero_sums(sample)
+            self._ridge_eye = self.ridge.regularizer * np.eye(len(self._moment))
+        _accumulate(self._gram, self._moment, sample)
         self.samples.append(sample)
         est = _ridge_solve(self._gram + self._ridge_eye, self._moment,
                            self.ridge.regularizer, len(self.samples))

@@ -24,8 +24,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barrier import (DEFAULT_Q, AlphaVector, SafetyConfig, _kappa, basis, hdot, kappa,
-                      safety_value)
+from .barrier import AlphaVector, SafetyConfig, _kappa, basis, hdot, kappa, safety_value
 from .controller import (DEFAULT_LIMITS, ControlLimits, _check_cruise, _check_direction,
                          _cruise, _row_terms, _solve_scalar)
 from .dynamics import DEFAULT_DT, VehicleState, _step
@@ -70,6 +69,16 @@ def _check_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
+
+def _check_reals(*, nonnegative: bool, **values) -> None:
+    """Require each value, a float or a (low, high) range, to be finite and,
+    when nonnegative is set, >= 0."""
+    for name, value in values.items():
+        for v in np.ravel(value):
+            if not math.isfinite(v) or (nonnegative and v < 0.0):
+                rule = "finite and >= 0" if nonnegative else "finite"
+                raise ConfigurationError(f"{name} must be {rule}, got {value}")
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -497,6 +506,9 @@ class PredictSettings:
         _check_counts(trials=self.trials, n_steps=self.n_steps)
         if self.sample_cap is not None:
             _check_counts(sample_cap=self.sample_cap)
+        # The follower closes on the leader from outside its activation clearance.
+        _check_reals(nonnegative=True, closing_range=self.closing_range,
+                     margin_range=self.margin_range)
         if self.mode not in OBSERVATION_MODES:
             raise ConfigurationError(f"unknown observation mode {self.mode!r}")
 
@@ -559,7 +571,7 @@ def _activation_clearance(alpha: AlphaVector, closing: float, r_safe: float) -> 
 
 
 def prediction_trial_setup(trial_index: int, settings: PredictSettings = PredictSettings(),
-                           safety: SafetyConfig = SafetyConfig(), q: int = DEFAULT_Q,
+                           safety: SafetyConfig = SafetyConfig(),
                            seed: int = 0) -> Tuple[AlphaVector, ScenarioConfig]:
     """Ground truth and scenario for one identification trial: a follower
     closing slowly on a constant-speed leader in the same lane.
@@ -575,7 +587,7 @@ def prediction_trial_setup(trial_index: int, settings: PredictSettings = Predict
     to dump its trajectory, without rerunning the batch around it.
     """
     rng = _trial_rng(seed, trial_index)
-    truth = _sample_truth_alpha(rng, trial_index, q)
+    truth = _sample_truth_alpha(rng, trial_index, safety.q)
     leader_speed = rng.uniform(8.0, 10.0)
     closing = rng.uniform(*settings.closing_range)
     h_start = (_activation_clearance(truth, closing, safety.r_safe)
@@ -600,7 +612,7 @@ def prediction_trial_setup(trial_index: int, settings: PredictSettings = Predict
 
 def experiment_prediction(settings: PredictSettings = PredictSettings(),
                           safety: SafetyConfig = SafetyConfig(),
-                          ridge: Optional[RidgeConfig] = None,
+                          ridge: RidgeConfig = RidgeConfig(),
                           seed: int = 0) -> PredictionSummary:
     """Recover randomized ground-truth styles from observed interactions.
 
@@ -619,11 +631,9 @@ def experiment_prediction(settings: PredictSettings = PredictSettings(),
     input reveals the actuator, not the style.
     """
     dt, mode, sample_cap = settings.dt, settings.mode, settings.sample_cap
-    ridge = ridge if ridge is not None else RidgeConfig(q_hypothesis=safety.q)
     trials: List[PredictionTrial] = []
     for idx in range(settings.trials):
-        truth, cfg = prediction_trial_setup(idx, settings, safety, q=ridge.q_hypothesis,
-                                            seed=seed)
+        truth, cfg = prediction_trial_setup(idx, settings, safety, seed)
         learner = StyleLearner(ridge)
         cruise_v = None
         gain = cfg.vehicles[0].gain
@@ -652,7 +662,7 @@ def experiment_prediction(settings: PredictSettings = PredictSettings(),
         simulate(cfg, on_step=observe_step)
         est = learner.estimate
         if est is None:
-            alpha_hat = tuple(0.0 for _ in range(ridge.q_hypothesis))
+            alpha_hat = tuple(0.0 for _ in range(safety.q))
         else:
             alpha_hat = est.alpha_hat.coefficients
         err = np.array(alpha_hat) - np.array(truth.coefficients)
@@ -691,6 +701,11 @@ class SweepSettings:
     def __post_init__(self):
         _check_dt(self.dt)
         _check_counts(n_steps=self.n_steps)
+        _check_reals(nonnegative=False, ramp_angle_deg=self.ramp_angle_deg,
+                     ego_progress=self.ego_progress, other_progress=self.other_progress)
+        # Desired speeds, and the half-width of the actuator box.
+        _check_reals(nonnegative=True, ego_speed=self.ego_speed,
+                     other_speed=self.other_speed, accel_bound=self.accel_bound)
 
 
 @dataclass
@@ -790,6 +805,10 @@ class InvarianceSettings:
     def __post_init__(self):
         _check_dt(self.dt)
         _check_counts(trials=self.trials, n_steps=self.n_steps)
+        _check_reals(nonnegative=False, ramp_angle_deg=self.ramp_angle_deg,
+                     progress_range=self.progress_range)
+        # Drawn as initial and desired speeds.
+        _check_reals(nonnegative=True, speed_range=self.speed_range)
 
 
 def invariance_trial_setup(trial_index: int,

@@ -114,7 +114,7 @@ def test_basis_matches_odd_powers_and_recurrence():
     for _ in range(100):
         q = int(rng.integers(1, 6))
         h = float(rng.uniform(-20.0, 20.0))
-        vals = basis(h, q).values
+        vals = basis(h, q)
         assert len(vals) == q
         assert vals[0] == h
         for p in range(q - 1):

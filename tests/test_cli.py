@@ -561,6 +561,45 @@ NAN_DESIRED_SPEED = ADAPTIVE.replace("desired_speed = 3.0", "desired_speed = nan
 # fixed-route placement keys on a ramp vehicle, which nothing would read
 RAMP_HEADING = ADAPTIVE.replace("gain = 0.3", "gain = 0.3\nheading = 0 0\nstart_position = nan nan")
 
+# A value that the trials would reject only part-way through a run:
+# (id, experiment, config, validate rule, error).  Each gives a run row and
+# a validate row below.
+BAD_VALUES = [
+    ("margin-negative", "predict",
+     PREDICT.replace("margin_range = 1.0 2.5", "margin_range = -100 -90"), "settings",
+     "[predict]: margin_range must be finite and >= 0, got (-100.0, -90.0)"),
+    ("closing-nan", "predict",
+     PREDICT.replace("closing_range = 0.5 0.9", "closing_range = nan 0.9"), "settings",
+     "[predict]: closing_range must be finite and >= 0, got (nan, 0.9)"),
+    ("progress-nan", "invariance",
+     INVARIANCE_SMALL.replace("progress_range = -90.0 -60.0", "progress_range = nan -60"),
+     "settings", "[invariance]: progress_range must be finite, got (nan, -60.0)"),
+    ("speed-negative", "invariance",
+     INVARIANCE_SMALL.replace("speed_range = 9.0 10.5", "speed_range = -2 -1"), "settings",
+     "[invariance]: speed_range must be finite and >= 0, got (-2.0, -1.0)"),
+    ("invariance-angle-inf", "invariance",
+     INVARIANCE_SMALL.replace("ramp_angle_deg = 8.0", "ramp_angle_deg = inf"), "settings",
+     "[invariance]: ramp_angle_deg must be finite, got inf"),
+    ("sweep-angle-inf", "sweep",
+     SWEEP_HOT.replace("ramp_angle_deg = 8.0", "ramp_angle_deg = inf"), "settings",
+     "[sweep]: ramp_angle_deg must be finite, got inf"),
+    ("ego-speed-nan", "sweep", SWEEP_HOT.replace("ego_speed = 9.75", "ego_speed = nan"),
+     "settings", "[sweep]: ego_speed must be finite and >= 0, got nan"),
+    ("accel-bound-negative", "sweep",
+     SWEEP_HOT.replace("accel_bound = 5.0", "accel_bound = -1"), "settings",
+     "[sweep]: accel_bound must be finite and >= 0, got -1.0"),
+    ("admission-nan", "predict",
+     PREDICT.replace("admission_threshold = 0.01", "admission_threshold = nan"), "ridge",
+     "[ridge]: admission_threshold must be >= 0 or None, got nan"),
+    # the learner's order is that of its samples, [safety] q
+    ("ridge-q-hypothesis", "predict", PREDICT.replace("[ridge]", "[ridge]\nq_hypothesis = 3"),
+     "ridge", "[ridge] has no key 'q_hypothesis'"),
+]
+BAD_VALUE_ROWS = [row for _, experiment, config, rule, error in BAD_VALUES for row in (
+    (["run", experiment, "--config"], config, 3, "err", f"config error: {error}"),
+    (["validate"], config, 0, "out", f"FAIL {rule}: {error}"))]
+BAD_VALUE_IDS = [i for name, *_ in BAD_VALUES for i in (name, f"validate-{name}")]
+
 
 # Bad input from a flag, a config key, a config section or a vehicle's
 # number: run exits 3 before writing anything, and validate reports a FAIL
@@ -609,13 +648,14 @@ RAMP_HEADING = ADAPTIVE.replace("gain = 0.3", "gain = 0.3\nheading = 0 0\nstart_
      "config error: [vehicle.lead]: heading is only read on a fixed route, not on 'ramp'"),
     (["validate"], RAMP_HEADING, 0, "out",
      "FAIL scenario: [vehicle.lead]: heading is only read on a fixed route, not on 'ramp'"),
-], ids=["flag", "flag-preset", "config-key", "validate", "validate-mode",
+] + BAD_VALUE_ROWS, ids=["flag", "flag-preset", "config-key", "validate", "validate-mode",
         "validate-hdot-mode", "validate-sample-cap", "misspelt-key", "validate-misspelt-key",
         "misspelt-vehicle-key", "validate-misspelt-vehicle-key", "misspelt-section",
         "validate-misspelt-section", "adaptive-unread-section",
         "validate-adaptive-unread-section", "validate-adaptive-reported-safety",
         "desired-speed-nan", "validate-desired-speed-nan", "validate-gain-0",
-        "validate-gain-negative", "speed-nan", "ramp-heading", "validate-ramp-heading"])
+        "validate-gain-negative", "speed-nan", "ramp-heading", "validate-ramp-heading"]
+   + BAD_VALUE_IDS)
 def test_negative_seed_is_a_config_error(tmp_path, capsys, argv, config, code, stream, message):
     args = list(argv)
     if config is not None:

@@ -51,7 +51,7 @@ def test_observe_is_backward_difference_with_current_basis():
         h_cur = safety_value(o.position, nb.position, CFG)
         h_prev = safety_value(prev_o.position, prev_n.position, CFG)
         assert s.hdot_obs == (h_cur - h_prev) / dt
-        assert s.basis.values == basis(h_cur, CFG.q).values
+        assert s.basis == basis(h_cur, CFG.q)
         assert s.timestamp == 3
 
 
@@ -78,11 +78,11 @@ def test_observe_analytic_matches_kinematics():
         dv = (o.velocity + u * dt) - nb.velocity
         assert h1 - h0 == pytest.approx(s.hdot_obs * dt + float(dv @ dv) * dt * dt,
                                         rel=1e-9, abs=1e-9)
-        assert s.basis.values == basis(h0, CFG.q).values
+        assert s.basis == basis(h0, CFG.q)
 
 
 def test_fit_recovers_exact_synthetic_style():
-    ridge = RidgeConfig(regularizer=1e-8, q_hypothesis=2)
+    ridge = RidgeConfig(regularizer=1e-8)
     truth = AlphaVector((0.9, 0.1))
     est = fit(synthetic_samples(truth, [1.0, 2.0, 3.5, 5.0, 8.0], 2), ridge)
     assert est.alpha_hat.coefficients == pytest.approx((0.9, 0.1), abs=1e-6)
@@ -91,7 +91,7 @@ def test_fit_recovers_exact_synthetic_style():
 
 def test_fit_handles_degenerate_linear_truth():
     # a pure gamma h style fit with a two-term hypothesis: second weight ~ 0
-    ridge = RidgeConfig(regularizer=1e-8, q_hypothesis=2)
+    ridge = RidgeConfig(regularizer=1e-8)
     truth = AlphaVector((1.7,))
     hs = [0.5, 1.0, 2.0, 4.0, 6.0]
     samples = [BarrierSample(-kappa(truth, h), basis(h, 2), t)
@@ -103,7 +103,7 @@ def test_fit_handles_degenerate_linear_truth():
 
 def test_fit_clamps_but_keeps_raw():
     # flipping the sign of the rates drives the raw solution negative
-    ridge = RidgeConfig(regularizer=1e-8, q_hypothesis=2)
+    ridge = RidgeConfig(regularizer=1e-8)
     truth = AlphaVector((0.9, 0.1))
     samples = [BarrierSample(+kappa(truth, h), basis(h, 2), t)
                for t, h in enumerate([1.0, 2.0, 3.5, 5.0])]
@@ -116,17 +116,31 @@ def test_fit_empty_and_mismatched_inputs():
     ridge = RidgeConfig()
     with pytest.raises(InsufficientDataError):
         fit([], ridge)
-    bad = [BarrierSample(1.0, basis(2.0, 3), 0)]
-    with pytest.raises(ConfigurationError):
-        fit(bad, RidgeConfig(q_hypothesis=2))
+    # the first sample sets the order; a later sample of another order is
+    # rejected by the batch fit and by the incremental learner alike
+    mixed = [BarrierSample(1.0, basis(2.0, 2), 0), BarrierSample(1.0, basis(3.0, 3), 1)]
+    with pytest.raises(ConfigurationError, match="order 3 does not match the order 2"):
+        fit(mixed, ridge)
+    learner = StyleLearner(ridge)
+    learner.add(mixed[0])
+    with pytest.raises(ConfigurationError, match="order 3 does not match the order 2"):
+        learner.add(mixed[1])
+    # the rejected sample left the learner as it was
+    assert len(learner.samples) == len(learner.history) == 1
+    assert learner.add(mixed[0]) == fit([mixed[0]] * 2, ridge)
+    empty = BarrierSample(1.0, (), 0)
+    with pytest.raises(ConfigurationError, match="order >= 1"):
+        fit([empty], ridge)
+    with pytest.raises(ConfigurationError, match="order >= 1"):
+        StyleLearner(ridge).add(empty)
 
 
 def test_fit_rank_deficiency_only_without_regularizer():
     # identical clearances give a rank-1 design matrix
     samples = synthetic_samples(AlphaVector((1.0, 0.2)), [4.0, 4.0, 4.0], 2)
     with pytest.raises(RankDeficiencyError):
-        fit(samples, RidgeConfig(regularizer=0.0, q_hypothesis=2))
-    est = fit(samples, RidgeConfig(regularizer=1e-8, q_hypothesis=2))
+        fit(samples, RidgeConfig(regularizer=0.0))
+    est = fit(samples, RidgeConfig(regularizer=1e-8))
     assert np.isfinite(est.alpha_hat.coefficients).all()
 
 
@@ -146,7 +160,7 @@ def test_check_convergence_window_spread():
 
 def test_style_learner_matches_batch_fit():
     rng = np.random.default_rng(2)
-    ridge = RidgeConfig(regularizer=1e-8, q_hypothesis=2, admission_threshold=None)
+    ridge = RidgeConfig(regularizer=1e-8, admission_threshold=None)
     truth = AlphaVector((0.6, 0.35))
     hs = rng.uniform(0.5, 10.0, 12)
     samples = synthetic_samples(truth, hs, 2)
@@ -162,7 +176,7 @@ def test_style_learner_matches_batch_fit():
 
 
 def test_style_learner_convergence_is_sticky():
-    ridge = RidgeConfig(regularizer=1e-8, q_hypothesis=2,
+    ridge = RidgeConfig(regularizer=1e-8,
                         convergence_tol=1e-6, convergence_window=3,
                         admission_threshold=None)
     truth = AlphaVector((0.8, 0.05))
