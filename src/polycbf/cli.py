@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import functools
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -56,8 +56,8 @@ from .errors import ConfigurationError, DomainError
 from .learner import RidgeConfig
 from .scenario import (COLLISION_TOL, InvarianceSettings, PredictSettings, RoadGeometry,
                        ScenarioConfig, SweepSettings, TrajectoryLog, VehicleSpec,
-                       _invariance_records, _sweep_records, default_geometry,
-                       experiment_prediction, prediction_trial_setup, simulate)
+                       _invariance_records, _sweep_records, experiment_prediction,
+                       prediction_trial_setup, simulate)
 
 __all__ = [
     "main",
@@ -83,9 +83,9 @@ def _opt(value: Optional[int]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing.  Flat INI sections, each read into the dataclass (or, for
-# the road, the function) that declares its keys and their defaults.  Float
-# lists are whitespace separated, style lists separate entries with "|".
+# Config parsing.  Flat INI sections, each read into the dataclass that
+# declares its keys and their defaults.  Float lists are whitespace
+# separated, style lists separate entries with "|".
 
 class _Config(configparser.ConfigParser):
     """A parsed config that records each section a builder asks for."""
@@ -190,12 +190,12 @@ def _section(cp, section: str) -> Dict[str, str]:
 
 @functools.lru_cache(maxsize=None)
 def _keys(target) -> Dict[str, Callable[[str, str], object]]:
-    """Parser per config key of a dataclass or function: its parameters whose
-    annotation has a parser.  Cached, since resolving annotations is slow and
-    the targets are fixed module-level names."""
+    """Parser per config key of a dataclass: its fields whose annotation has
+    a parser.  Cached, since resolving annotations is slow and the targets
+    are fixed module-level names."""
     hints = typing.get_type_hints(target)
-    return {name: _PARSERS[hints[name]] for name in inspect.signature(target).parameters
-            if hints.get(name) in _PARSERS}
+    return {f.name: _PARSERS[hints[f.name]] for f in dataclasses.fields(target)
+            if hints[f.name] in _PARSERS}
 
 
 def _split(where: str, raw: Dict[str, str], *targets) -> List[dict]:
@@ -213,6 +213,16 @@ def _split(where: str, raw: Dict[str, str], *targets) -> List[dict]:
     return out
 
 
+@contextlib.contextmanager
+def _prefixed(where: str):
+    """Re-raise a construction error inside the block as a config error that
+    names the section."""
+    try:
+        yield
+    except (ConfigurationError, DomainError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
 def _build(cls, where: str, raw: Dict[str, str], **given):
     """Construct cls from a section's raw values; the caller supplies the
     `given` fields, which are therefore not keys.  Keys left out take the
@@ -224,10 +234,8 @@ def _build(cls, where: str, raw: Dict[str, str], **given):
     for f in dataclasses.fields(cls):
         if f.default is dataclasses.MISSING and f.name not in kwargs and f.name not in given:
             raise ConfigurationError(f"{where} is missing required key {f.name!r}")
-    try:
+    with _prefixed(where):
         return cls(**given, **kwargs)
-    except (ConfigurationError, DomainError) as exc:
-        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -285,16 +293,9 @@ def _build_vehicle(cp, section: str) -> VehicleSpec:
         return spec
     if lo is None or hi is None:
         raise ConfigurationError(f"{where} needs both accel_min and accel_max")
-    return dataclasses.replace(spec, limits=ControlLimits(
-        _parse_pair(lo, f"{where} accel_min"), _parse_pair(hi, f"{where} accel_max")))
-
-
-def _build_geometry(cp) -> Tuple[RoadGeometry, dict]:
-    """[scenario]: the road (default_geometry's keywords, then lookahead) and
-    the ScenarioConfig keywords dt and n_steps."""
-    shape, road, steps = _split("[scenario]", _section(cp, "scenario"),
-                                default_geometry, RoadGeometry, ScenarioConfig)
-    return dataclasses.replace(default_geometry(**shape), **road), steps
+    box = _parse_pair(lo, f"{where} accel_min"), _parse_pair(hi, f"{where} accel_max")
+    with _prefixed(where):
+        return dataclasses.replace(spec, limits=ControlLimits(*box))
 
 
 def _vehicle_sections(cp) -> List[str]:
@@ -307,9 +308,11 @@ def _build_scenario(cp) -> ScenarioConfig:
     vehicles = tuple(_build_vehicle(cp, s) for s in _vehicle_sections(cp))
     if not vehicles:
         raise ConfigurationError("config declares no [vehicle.*] sections")
-    geometry, steps = _build_geometry(cp)
-    return ScenarioConfig(geometry=geometry, vehicles=vehicles,
-                          safety=_build_safety(cp), **steps)
+    # [scenario] holds the road's keys and ScenarioConfig's dt and n_steps.
+    road, steps = _split("[scenario]", _section(cp, "scenario"), RoadGeometry, ScenarioConfig)
+    with _prefixed("[scenario]"):
+        cfg = ScenarioConfig(geometry=RoadGeometry(**road), vehicles=vehicles, **steps)
+    return dataclasses.replace(cfg, safety=_build_safety(cp))
 
 
 def _build_adaptive_scenario(cp) -> ScenarioConfig:
@@ -767,7 +770,7 @@ _DESCRIBE = {
     "settings": repr,
     "safety": lambda safety: f"r_safe {safety.r_safe}, order {safety.q}",
     "scenario": lambda cfg: (
-        f"merge at x={cfg.geometry.merge_point[0]:g}, lookahead {cfg.geometry.lookahead:g}; "
+        f"merge at x={cfg.geometry.merge_x:g}, lookahead {cfg.geometry.lookahead:g}; "
         f"roster {[v.name for v in cfg.vehicles]} with roles {[v.role for v in cfg.vehicles]}; "
         f"r_safe {cfg.safety.r_safe}, order {cfg.safety.q}"),
     "ridge": lambda ridge: (f"regularizer {ridge.regularizer:g}, "

@@ -81,7 +81,8 @@ class ControlLimits:
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise DomainError("control limits must be finite")
         if not (lo <= hi).all():
-            raise ConfigurationError(f"u_min must be <= u_max, got {lo} vs {hi}")
+            raise ConfigurationError(
+                f"u_min must be <= u_max, got {tuple(lo.tolist())} vs {tuple(hi.tolist())}")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "u_min", lo)

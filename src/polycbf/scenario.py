@@ -73,12 +73,14 @@ def _check_counts(**counts: int) -> None:
 
 def _check_reals(*, nonnegative: bool, **values) -> None:
     """Require each value, a float or a (low, high) range, to be finite and,
-    when nonnegative is set, >= 0."""
+    when nonnegative is set, >= 0; a range's width must be finite too."""
     for name, value in values.items():
         for v in np.ravel(value):
             if not math.isfinite(v) or (nonnegative and v < 0.0):
                 rule = "finite and >= 0" if nonnegative else "finite"
                 raise ConfigurationError(f"{name} must be {rule}, got {value}")
+        if np.ndim(value) and not math.isfinite(value[1] - value[0]):
+            raise ConfigurationError(f"{name} must have a finite width, got {value}")
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -93,7 +95,8 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RoadGeometry:
-    """Straight main road and straight ramp meeting it at the merge point.
+    """Main road along +x through (merge_x, 0), met at that merge point by a
+    straight ramp of length ramp_length climbing from below at ramp_angle_deg.
 
     Travel directions come from pure pursuit: a vehicle aims at the route
     point `lookahead` metres of arc ahead of its own projection, so a vehicle
@@ -102,58 +105,52 @@ class RoadGeometry:
     rather than turning on a hinge.
     """
 
-    main_start: np.ndarray
-    main_end: np.ndarray
-    ramp_start: np.ndarray
-    merge_point: np.ndarray
+    merge_x: float = 100.0
+    ramp_angle_deg: float = 15.0
+    ramp_length: float = 120.0
     lookahead: float = 20.0
 
     def __post_init__(self):
-        for name in ("main_start", "main_end", "ramp_start", "merge_point"):
-            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(2).copy()
-            if not np.isfinite(v).all():
-                raise ConfigurationError(f"{name} has non-finite components")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-        if not (math.isfinite(self.lookahead) and self.lookahead > 0.0):
-            raise ConfigurationError(f"lookahead must be > 0, got {self.lookahead}")
-        main_vec = self.main_end - self.main_start
-        main_len = math.hypot(main_vec[0], main_vec[1])
-        if main_len == 0.0:
-            raise ConfigurationError("main road has zero length")
-        ramp_vec = self.merge_point - self.ramp_start
-        ramp_len = math.hypot(ramp_vec[0], ramp_vec[1])
+        _check_reals(nonnegative=False, merge_x=self.merge_x,
+                     ramp_angle_deg=self.ramp_angle_deg)
+        for name in ("ramp_length", "lookahead"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        angle = math.radians(self.ramp_angle_deg)
+        mx = self.merge_x
+        # Through the ramp's start point, merge - ramp_length·(cos, sin): a
+        # plain (cos, sin) rounds differently and would move every trajectory.
+        rx = mx - (mx - self.ramp_length * math.cos(angle))
+        ry = 0.0 - (0.0 - self.ramp_length * math.sin(angle))
+        ramp_len = math.hypot(rx, ry)
         if ramp_len == 0.0:
             raise ConfigurationError("ramp start coincides with the merge point")
-        # The merge point must lie on the main segment.
-        rel = self.merge_point - self.main_start
-        proj = (rel @ main_vec) / main_len
-        off_axis = abs(rel[0] * main_vec[1] - rel[1] * main_vec[0]) / main_len
-        if off_axis > 1e-6 or proj < -1e-6 or proj > main_len + 1e-6:
-            raise ConfigurationError("merge_point does not lie on the main road segment")
-        object.__setattr__(self, "main_dir", main_vec / main_len)
-        object.__setattr__(self, "ramp_dir", ramp_vec / ramp_len)
-        object.__setattr__(self, "ramp_length", ramp_len)
+        if not math.isfinite(ramp_len):
+            raise ConfigurationError("ramp start overflows")
+        for name, v in (("merge_point", np.array([mx, 0.0])),
+                        ("ramp_dir", np.array([rx / ramp_len, ry / ramp_len])),
+                        ("main_dir", np.array([1.0, 0.0]))):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "_scalars", tuple(float(c) for c in (
             *self.merge_point, *self.ramp_dir, *self.main_dir, self.lookahead)))
 
-    def direction(self, route: str, position, heading=None) -> np.ndarray:
-        """Unit travel direction for a vehicle of the given route at a position."""
-        if route == "fixed":
-            if heading is None:
-                raise ConfigurationError("fixed-route vehicles need a heading")
-            return np.asarray(heading, dtype=np.float64)
+    @staticmethod
+    def _route(route: str) -> bool:
+        """Whether a main or ramp route is the ramp."""
         if route not in ("main", "ramp"):
-            raise ConfigurationError(f"unknown route {route!r}")
-        return np.array(self._pursuit(route == "ramp", float(position[0]), float(position[1])))
+            raise ConfigurationError(f"the road serves main and ramp routes, not {route!r}")
+        return route == "ramp"
+
+    def direction(self, route: str, position) -> np.ndarray:
+        """Unit travel direction for a main or ramp vehicle at a position."""
+        return np.array(self._pursuit(self._route(route), float(position[0]),
+                                      float(position[1])))
 
     def progress(self, route: str, position) -> float:
-        """Signed arc length to the merge point; NaN for fixed-heading vehicles."""
-        if route == "fixed":
-            return math.nan
-        if route not in ("main", "ramp"):
-            raise ConfigurationError(f"unknown route {route!r}")
-        return self._progress(route == "ramp", float(position[0]), float(position[1]))
+        """Signed arc length to the merge point along a main or ramp route."""
+        return self._progress(self._route(route), float(position[0]), float(position[1]))
 
     def _progress(self, ramp: bool, px: float, py: float) -> float:
         """Scalar kernel of progress for main (ramp False) and ramp routes."""
@@ -183,26 +180,12 @@ class RoadGeometry:
 
     def place(self, route: str, progress: float) -> np.ndarray:
         """Route point at a given signed arc distance from the merge."""
-        if route == "main":
-            return self.merge_point + progress * self.main_dir
-        if route == "ramp":
-            d = self.ramp_dir if progress < 0.0 else self.main_dir
-            return self.merge_point + progress * d
-        raise ConfigurationError(f"cannot place a fixed-route vehicle by progress")
+        d = self.ramp_dir if self._route(route) and progress < 0.0 else self.main_dir
+        return self.merge_point + progress * d
 
 
-def default_geometry(merge_x: float = 100.0, ramp_angle_deg: float = 15.0,
-                     ramp_length: float = 120.0) -> RoadGeometry:
-    """Main road along +x through the origin, ramp approaching from below."""
-    angle = math.radians(ramp_angle_deg)
-    merge = np.array([merge_x, 0.0])
-    ramp_dir = np.array([math.cos(angle), math.sin(angle)])
-    return RoadGeometry(
-        main_start=np.array([merge_x - 250.0, 0.0]),
-        main_end=np.array([merge_x + 250.0, 0.0]),
-        ramp_start=merge - ramp_length * ramp_dir,
-        merge_point=merge,
-    )
+# The road under its former builder's name, which the benchmark's workloads import.
+default_geometry = RoadGeometry
 
 
 @dataclass(frozen=True)
@@ -606,7 +589,7 @@ def prediction_trial_setup(trial_index: int, settings: PredictSettings = Predict
         desired_speed=leader_speed + closing, gain=0.8,
         alpha=truth,
     )
-    return truth, ScenarioConfig(geometry=default_geometry(), vehicles=(follower, leader),
+    return truth, ScenarioConfig(geometry=RoadGeometry(), vehicles=(follower, leader),
                                  dt=settings.dt, n_steps=settings.n_steps, safety=safety)
 
 
@@ -737,7 +720,7 @@ def sweep_trial_config(alpha: AlphaVector, settings: SweepSettings,
     """Two-vehicle merge for one point of a style sweep: the ego on the main
     road with the swept style alpha, the other vehicle on the ramp with a
     fixed one.  Reads every field of settings except styles."""
-    geom = default_geometry(ramp_angle_deg=settings.ramp_angle_deg)
+    geom = RoadGeometry(ramp_angle_deg=settings.ramp_angle_deg)
     bound = settings.accel_bound
     limits = ControlLimits((-bound, -bound), (bound, bound))
     ego = VehicleSpec(name="ego", role="ego", route="main",
@@ -831,7 +814,7 @@ def invariance_trial_setup(trial_index: int,
                         speed=rng.uniform(*settings.speed_range),
                         desired_speed=rng.uniform(*settings.speed_range),
                         gain=0.8, alpha=random_alpha())
-    return ScenarioConfig(geometry=default_geometry(ramp_angle_deg=settings.ramp_angle_deg),
+    return ScenarioConfig(geometry=RoadGeometry(ramp_angle_deg=settings.ramp_angle_deg),
                           vehicles=(ego, other), dt=settings.dt, n_steps=settings.n_steps,
                           safety=safety)
 

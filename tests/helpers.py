@@ -14,6 +14,9 @@ def qp_oracle(u_nom, lo, hi, rows, feas_tol=1e-9):
     generic rows), solves the stationarity system for each, keeps feasible
     candidates, and returns (u, objective) for the best one.  Returns None
     when no candidate is feasible, i.e. the program itself is infeasible.
+    Rows of tiny norm can push a candidate past the float range; its
+    arithmetic runs without warnings and a non-finite candidate is
+    infeasible.
     """
     A = [np.asarray(a, dtype=np.float64) for a, _ in rows]
     bs = [float(b) for _, b in rows]
@@ -24,34 +27,35 @@ def qp_oracle(u_nom, lo, hi, rows, feas_tol=1e-9):
     p = np.asarray(u_nom, dtype=np.float64)
 
     def feasible(u):
-        return all(float(A[k] @ u) - bs[k] <= feas_tol * max(1.0, abs(bs[k]))
-                   for k in range(m))
+        return np.isfinite(u).all() and all(
+            float(A[k] @ u) - bs[k] <= feas_tol * max(1.0, abs(bs[k])) for k in range(m))
 
-    candidates = [p]
-    for i in range(m):
-        nrm2 = float(A[i] @ A[i])
-        if nrm2 <= 0.0:
-            continue
-        # one active row: u = p - (lam/2) a_i with a_i.u = b_i
-        lam = 2.0 * (float(A[i] @ p) - bs[i]) / nrm2
-        candidates.append(p - 0.5 * lam * A[i])
-    for i, j in itertools.combinations(range(m), 2):
-        M = np.array([A[i], A[j]])
-        det = float(np.linalg.det(M))
-        scale = max(1.0, float(np.abs(M).max()) ** 2)
-        if abs(det) <= 1e-12 * scale:
-            continue
-        candidates.append(np.linalg.solve(M, np.array([bs[i], bs[j]])))
+    with np.errstate(all="ignore"):
+        candidates = [p]
+        for i in range(m):
+            nrm2 = float(A[i] @ A[i])
+            if nrm2 <= 0.0:
+                continue
+            # one active row: u = p - (lam/2) a_i with a_i.u = b_i
+            lam = 2.0 * (float(A[i] @ p) - bs[i]) / nrm2
+            candidates.append(p - 0.5 * lam * A[i])
+        for i, j in itertools.combinations(range(m), 2):
+            M = np.array([A[i], A[j]])
+            det = float(np.linalg.det(M))
+            scale = max(1.0, float(np.abs(M).max()) ** 2)
+            if abs(det) <= 1e-12 * scale:
+                continue
+            candidates.append(np.linalg.solve(M, np.array([bs[i], bs[j]])))
 
-    best = None
-    best_obj = np.inf
-    for u in candidates:
-        if not feasible(u):
-            continue
-        obj = float((u - p) @ (u - p))
-        if obj < best_obj:
-            best_obj = obj
-            best = u
+        best = None
+        best_obj = np.inf
+        for u in candidates:
+            if not feasible(u):
+                continue
+            obj = float((u - p) @ (u - p))
+            if obj < best_obj:
+                best_obj = obj
+                best = u
     if best is None:
         return None
     return best, best_obj
@@ -158,7 +162,9 @@ def minimax_oracle(lo, hi, rows, feas_tol=1e-9):
     The LP min t s.t. a_i.u - t <= b_i and lo <= u <= hi attains its optimum
     at a vertex of (ux, uy, t): three linearly independent active constraints
     among the rows and the four box faces.  Every triple is solved, and the
-    feasible vertex with the smallest t wins.  Returns (u, t).
+    feasible vertex with the smallest t wins.  Returns (u, t).  As in
+    qp_oracle, the arithmetic runs without warnings and a non-finite vertex
+    is infeasible.
     """
     G = [[float(a[0]), float(a[1]), -1.0] for a, _ in rows]
     h = [float(b) for _, b in rows]
@@ -168,14 +174,41 @@ def minimax_oracle(lo, hi, rows, feas_tol=1e-9):
     h = np.array(h)
     tol = feas_tol * np.maximum(1.0, np.abs(h))
     best = None
-    for triple in itertools.combinations(range(len(h)), 3):
-        M = G[list(triple)]
-        if abs(np.linalg.det(M)) <= 1e-12 * max(1.0, float(np.abs(M).max())) ** 3:
-            continue
-        z = np.linalg.solve(M, h[list(triple)])
-        if np.all(G @ z - h <= tol) and (best is None or z[2] < best[2]):
-            best = z
+    with np.errstate(all="ignore"):
+        for triple in itertools.combinations(range(len(h)), 3):
+            M = G[list(triple)]
+            if abs(np.linalg.det(M)) <= 1e-12 * max(1.0, float(np.abs(M).max())) ** 3:
+                continue
+            z = np.linalg.solve(M, h[list(triple)])
+            if (np.isfinite(z).all() and np.all(G @ z - h <= tol)
+                    and (best is None or z[2] < best[2])):
+                best = z
     return best[:2], float(best[2])
+
+
+def four_point_road_oracle(merge_x, ramp_angle_deg, ramp_length, lookahead):
+    """Frozen reference for the road, for bit-for-bit checks: the road as it
+    was once built, from a main segment 500 m long centred on the merge point
+    and a ramp start point ramp_length back along the ramp.  Returns
+    (merge_point, ramp_dir, main_dir, scalars, place), scalars being the
+    pursuit kernel's (mx, my, rx, ry, ex, ey, lookahead) and place(route,
+    progress) the route point at that signed arc length from the merge."""
+    angle = math.radians(ramp_angle_deg)
+    merge = np.array([merge_x, 0.0])
+    main_from = np.array([merge_x - 250.0, 0.0])
+    main_to = np.array([merge_x + 250.0, 0.0])
+    ramp_from = merge - ramp_length * np.array([math.cos(angle), math.sin(angle)])
+    main_vec = main_to - main_from
+    ramp_vec = merge - ramp_from
+    main_dir = main_vec / math.hypot(main_vec[0], main_vec[1])
+    ramp_dir = ramp_vec / math.hypot(ramp_vec[0], ramp_vec[1])
+    scalars = tuple(float(c) for c in (*merge, *ramp_dir, *main_dir, lookahead))
+
+    def place(route, progress):
+        d = ramp_dir if route == "ramp" and progress < 0.0 else main_dir
+        return merge + progress * d
+
+    return merge, ramp_dir, main_dir, scalars, place
 
 
 def trajectory_csv_oracle(log) -> bytes:

@@ -128,7 +128,7 @@ def test_trajectory_csv_reads_back_pair_columns_that_read_alike(tmp_path):
     # with these names the columns of pairs (a, b:c) and (a:b, c) are both
     # "h:a:b:c"; simulate's columns are taken by position
     names = ("a", "b:c", "a:b", "c")
-    cfg = ScenarioConfig(geometry=scenario.default_geometry(), n_steps=5, vehicles=tuple(
+    cfg = ScenarioConfig(geometry=scenario.RoadGeometry(), n_steps=5, vehicles=tuple(
         scenario.VehicleSpec(name=name, start_progress=-80.0 + 15.0 * k)
         for k, name in enumerate(names)))
     log = simulate(cfg).log
@@ -594,6 +594,31 @@ BAD_VALUES = [
     # the learner's order is that of its samples, [safety] q
     ("ridge-q-hypothesis", "predict", PREDICT.replace("[ridge]", "[ridge]\nq_hypothesis = 3"),
      "ridge", "[ridge] has no key 'q_hypothesis'"),
+    # finite bounds whose width overflows, which rng.uniform rejects
+    ("progress-width-overflows", "invariance",
+     INVARIANCE_SMALL.replace("progress_range = -90.0 -60.0", "progress_range = -1e308 1e308"),
+     "settings", "[invariance]: progress_range must have a finite width, got (-1e+308, 1e+308)"),
+    # the actuator box is built under its vehicle's section, its bounds as floats
+    ("accel-min-nan", "adaptive", ADAPTIVE.replace("accel_min = -8.0 -8.0", "accel_min = nan 0", 1),
+     "scenario", "[vehicle.lead]: control limits must be finite"),
+    ("accel-max-below-min", "adaptive",
+     ADAPTIVE.replace("accel_max = 8.0 8.0", "accel_max = -9 -9", 1), "scenario",
+     "[vehicle.lead]: u_min must be <= u_max, got (-8.0, -8.0) vs (-9.0, -9.0)"),
+    # the road's four numbers
+    ("ramp-angle-inf", "adaptive", ADAPTIVE.replace("ramp_angle_deg = 30.0", "ramp_angle_deg = inf"),
+     "scenario", "[scenario]: ramp_angle_deg must be finite, got inf"),
+    ("merge-x-nan", "adaptive", ADAPTIVE.replace("merge_x = 100.0", "merge_x = nan"),
+     "scenario", "[scenario]: merge_x must be finite, got nan"),
+    ("ramp-length-negative", "adaptive",
+     ADAPTIVE.replace("ramp_length = 120.0", "ramp_length = -120"), "scenario",
+     "[scenario]: ramp_length must be finite and > 0, got -120.0"),
+    ("lookahead-0", "adaptive", ADAPTIVE.replace("lookahead = 20.0", "lookahead = 0"),
+     "scenario", "[scenario]: lookahead must be finite and > 0, got 0.0"),
+    # and its step length and count
+    ("scenario-dt-0", "adaptive", ADAPTIVE.replace("dt = 0.01", "dt = 0"),
+     "scenario", "[scenario]: dt must be positive and finite, got 0.0"),
+    ("scenario-n-steps-0", "adaptive", ADAPTIVE.replace("n_steps = 3000", "n_steps = 0"),
+     "scenario", "[scenario]: n_steps must be >= 1, got 0"),
 ]
 BAD_VALUE_ROWS = [row for _, experiment, config, rule, error in BAD_VALUES for row in (
     (["run", experiment, "--config"], config, 3, "err", f"config error: {error}"),

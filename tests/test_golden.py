@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import polycbf
-from polycbf import (AlphaVector, ScenarioConfig, VehicleSpec, cli, default_geometry,
+from polycbf import (AlphaVector, RoadGeometry, ScenarioConfig, VehicleSpec, cli,
                      experiment_assumption_mismatch, simulate)
 
 PRESETS = Path(polycbf.__file__).parent / "presets"
@@ -123,7 +123,7 @@ def _two_lane_roster(per_lane=8):
                 speed=9.0 + 0.2 * j, desired_speed=10.5 - 0.2 * j, gain=0.8,
                 alpha=AlphaVector((0.1 + 0.11 * j, 0.9 - 0.1 * ((j + 3) % 8)))))
             progress -= 10.0 + 0.5 * ((k + phase) % 5)
-    return ScenarioConfig(geometry=default_geometry(ramp_angle_deg=8.0),
+    return ScenarioConfig(geometry=RoadGeometry(ramp_angle_deg=8.0),
                           vehicles=tuple(vehicles), dt=0.01, n_steps=90)
 
 

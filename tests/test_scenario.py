@@ -1,11 +1,12 @@
 """Road geometry, the batch simulation loop, and the canned experiments."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from helpers import configs_equal, safety_row_oracle
+from helpers import configs_equal, four_point_road_oracle, safety_row_oracle
 
 from polycbf import cli, scenario
 from polycbf import (
@@ -21,7 +22,6 @@ from polycbf import (
     ScenarioConfig,
     VehicleSpec,
     VehicleState,
-    default_geometry,
     experiment_assumption_mismatch,
     experiment_behavior_sweep,
     experiment_invariance,
@@ -38,30 +38,63 @@ from polycbf import (
 # --- geometry ---------------------------------------------------------------
 
 def test_default_geometry_shape():
-    g = default_geometry()
+    g = RoadGeometry()
+    assert (g.merge_x, g.ramp_angle_deg, g.ramp_length, g.lookahead) == (100.0, 15.0, 120.0, 20.0)
+    assert [f.name for f in dataclasses.fields(g)] == [
+        "merge_x", "ramp_angle_deg", "ramp_length", "lookahead"]
     assert g.merge_point == pytest.approx([100.0, 0.0])
-    assert np.hypot(*(g.merge_point - g.ramp_start)) == pytest.approx(120.0, rel=1e-12)
+    assert np.hypot(*g.ramp_dir) == pytest.approx(1.0, rel=1e-12)
     # ramp climbs toward the merge point from below the main lane
-    assert g.ramp_start[1] < 0.0
-    assert g.main_dir == pytest.approx([1.0, 0.0])
+    start = g.place("ramp", -g.ramp_length)
+    assert np.hypot(*(g.merge_point - start)) == pytest.approx(120.0, rel=1e-12)
+    assert start[1] < 0.0
+    assert np.array_equal(g.main_dir, [1.0, 0.0])
+    # the derived vectors are read-only, like the road itself
+    with pytest.raises(ValueError):
+        g.ramp_dir[0] = 0.0
 
 
 def test_geometry_validation():
-    g = default_geometry()
-    with pytest.raises(ConfigurationError):
-        RoadGeometry(main_start=g.main_start, main_end=g.main_end,
-                     ramp_start=g.ramp_start, merge_point=(0.0, 50.0))
-    with pytest.raises(ConfigurationError):
-        RoadGeometry(main_start=g.main_start, main_end=g.main_end,
-                     ramp_start=g.merge_point, merge_point=g.merge_point)
-    with pytest.raises(ConfigurationError):
-        RoadGeometry(main_start=g.main_start, main_end=g.main_end,
-                     ramp_start=g.ramp_start, merge_point=g.merge_point,
-                     lookahead=0.0)
+    for field, value, message in [
+            ("merge_x", math.nan, "merge_x must be finite, got nan"),
+            ("ramp_angle_deg", math.inf, "ramp_angle_deg must be finite, got inf"),
+            ("ramp_length", -120.0, "ramp_length must be finite and > 0, got -120.0"),
+            ("ramp_length", 0.0, "ramp_length must be finite and > 0, got 0.0"),
+            ("ramp_length", math.inf, "ramp_length must be finite and > 0, got inf"),
+            ("lookahead", 0.0, "lookahead must be finite and > 0, got 0.0"),
+            ("lookahead", math.nan, "lookahead must be finite and > 0, got nan")]:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            RoadGeometry(**{field: value})
+    # a ramp shorter than an ulp of merge_x, along the main road, starts at
+    # the merge point itself
+    with pytest.raises(ConfigurationError, match="ramp start coincides with the merge point"):
+        RoadGeometry(merge_x=1e20, ramp_angle_deg=0.0, ramp_length=1.0)
+    with pytest.raises(ConfigurationError, match="ramp start overflows"):
+        RoadGeometry(merge_x=1e308, ramp_angle_deg=180.0, ramp_length=1e308)
+
+
+def _road_bits(merge_point, ramp_dir, main_dir, scalars, place):
+    points = [place(route, s) for route in ("main", "ramp")
+              for s in (-150.0, -80.0, -30.5, -1e-9, -0.0, 0.0, 2.5, 40.0)]
+    return [[float(c).hex() for c in v]
+            for v in (merge_point, ramp_dir, main_dir, scalars, *points)]
+
+
+def test_road_matches_the_four_point_construction_bit_for_bit():
+    # the three roads the shipped presets build, then random ones
+    rng = np.random.default_rng(20)
+    roads = [(100.0, angle, 120.0, 20.0) for angle in (15.0, 30.0, 8.0)] + [
+        (float(rng.uniform(-1e4, 1e4)), float(rng.uniform(-180.0, 360.0)),
+         float(10.0 ** rng.uniform(-3.0, 4.0)), float(rng.uniform(0.1, 100.0)))
+        for _ in range(10_000)]
+    for road in roads:
+        g = RoadGeometry(*road)
+        got = _road_bits(g.merge_point, g.ramp_dir, g.main_dir, g._scalars, g.place)
+        assert got == _road_bits(*four_point_road_oracle(*road)), road
 
 
 def test_place_progress_round_trip():
-    g = default_geometry()
+    g = RoadGeometry()
     for route in ("main", "ramp"):
         for s in (-80.0, -30.5, -1.0, 0.0, 2.5, 40.0):
             pos = g.place(route, s)
@@ -70,13 +103,18 @@ def test_place_progress_round_trip():
     assert g.place("ramp", 10.0) == pytest.approx(g.place("main", 10.0))
 
 
-def test_progress_fixed_route_is_nan():
-    g = default_geometry()
-    assert math.isnan(g.progress("fixed", (0.0, 0.0)))
+def test_road_serves_main_and_ramp_routes_only():
+    # a fixed-route vehicle is placed by start_position and steered by its
+    # heading, so the road has no answer for it
+    g = RoadGeometry()
+    for ask in (lambda: g.progress("fixed", (0.0, 0.0)), lambda: g.place("fixed", -10.0),
+                lambda: g.direction("fixed", (0.0, 0.0)), lambda: g.progress("lane", (0.0, 0.0))):
+        with pytest.raises(ConfigurationError, match="serves main and ramp routes"):
+            ask()
 
 
 def test_direction_pure_pursuit():
-    g = default_geometry()
+    g = RoadGeometry()
     # on the main lane axis the pursuit direction is the lane tangent
     d = g.direction("main", g.place("main", -40.0))
     assert np.array_equal(d, g.main_dir)
@@ -91,12 +129,10 @@ def test_direction_pure_pursuit():
     d = g.direction("ramp", g.place("ramp", -5.0))
     assert not np.allclose(d, g.ramp_dir)
     assert d[1] > 0.0  # still climbing
-    with pytest.raises(ConfigurationError):
-        g.direction("fixed", (0.0, 0.0))
 
 
 def test_vehicle_spec_initial_state():
-    g = default_geometry()
+    g = RoadGeometry()
     spec = VehicleSpec(name="a", route="ramp", start_progress=-30.0,
                        speed=7.0, alpha=AlphaVector((1.0,)))
     s = spec.initial_state(g)
@@ -159,7 +195,7 @@ def test_vehicle_name_with_a_line_break_is_rejected(name):
 
 
 def test_scenario_config_validation():
-    g = default_geometry()
+    g = RoadGeometry()
     v = VehicleSpec(name="a", alpha=AlphaVector((1.0,)))
     with pytest.raises(ConfigurationError):
         ScenarioConfig(geometry=g, vehicles=(v, v), dt=0.01, n_steps=10)
@@ -172,7 +208,7 @@ def test_scenario_config_validation():
 # --- the batch loop against the library building blocks ---------------------
 
 def three_vehicle_config(n_steps=1500):
-    geom = default_geometry()
+    geom = RoadGeometry()
     safety = SafetyConfig(r_safe=5.0, q=2)
     vehicles = (
         VehicleSpec(name="lead", route="main", start_progress=-20.0, speed=8.5,
@@ -202,7 +238,8 @@ def reference_run(cfg):
         us = []
         ok_row = []
         for v, spec in enumerate(cfg.vehicles):
-            d = geom.direction(spec.route, cur[v].position, spec.heading)
+            d = (spec.heading if spec.route == "fixed"
+                 else geom.direction(spec.route, cur[v].position))
             plan = NominalPlan(desired_speed=spec.desired_speed,
                                lane_direction=d, gain=spec.gain)
             others = [(cur[w], None) for w in range(len(cur)) if w != v]
@@ -248,7 +285,7 @@ def test_simulate_rows_match_row_oracle_both_ways_bit_for_bit(monkeypatch):
     vehicles = tuple(VehicleSpec(name=name, route="fixed", start_position=start, heading=head,
                                  speed=speed, alpha=AlphaVector(coeffs))
                      for name, start, head, speed, coeffs in roster)
-    cfg = ScenarioConfig(geometry=default_geometry(), vehicles=vehicles, dt=0.01, n_steps=4)
+    cfg = ScenarioConfig(geometry=RoadGeometry(), vehicles=vehicles, dt=0.01, n_steps=4)
     seen = []
     solve = scenario._solve_scalar
 
@@ -286,7 +323,7 @@ def test_simulation_is_deterministic():
 
 
 def test_single_vehicle_follows_nominal_exactly():
-    geom = default_geometry()
+    geom = RoadGeometry()
     spec = VehicleSpec(name="solo", route="main", start_progress=-60.0,
                        speed=6.0, desired_speed=9.0, gain=0.5,
                        alpha=AlphaVector((1.0, 0.0)))
@@ -306,7 +343,7 @@ def test_single_vehicle_follows_nominal_exactly():
 def test_mirrored_head_on_pair_is_symmetric_and_safe():
     # two fixed-route vehicles aimed at each other with equal styles: the
     # trajectories stay exact mirror images and the filter splits the brake
-    geom = default_geometry()
+    geom = RoadGeometry()
     base = dict(role="neighbor", route="fixed", speed=2.0, desired_speed=2.0,
                 gain=0.8, alpha=AlphaVector((1.0,)))
     cfg = ScenarioConfig(
@@ -337,7 +374,7 @@ def test_mirrored_head_on_pair_is_symmetric_and_safe():
 
 def test_unfiltered_head_on_pair_collides():
     # near-zero barrier weight leaves nothing to brake with: flag must trip
-    geom = default_geometry()
+    geom = RoadGeometry()
     base = dict(role="neighbor", route="fixed", speed=10.0, desired_speed=10.0,
                 gain=0.8, alpha=AlphaVector((1e-9,)))
     cfg = ScenarioConfig(
@@ -366,7 +403,7 @@ def test_rear_end_approach_with_feasible_filters_does_not_collide():
     base = dict(role="neighbor", route="fixed", heading=(1.0, 0.0), gain=0.8,
                 alpha=AlphaVector((5.0,)), limits=wide)
     cfg = ScenarioConfig(
-        geometry=default_geometry(),
+        geometry=RoadGeometry(),
         safety=SafetyConfig(q=1),
         vehicles=(
             VehicleSpec(name="ego", start_position=(0.0, 0.0), speed=10.0,
