@@ -11,9 +11,8 @@ from .controller import (DEFAULT_LIMITS, ControlLimits, NominalPlan, QpSolution,
                          build_safety_constraint, nominal_control, safe_control)
 from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import (ConfigurationError, DegenerateConstraintError, DomainError,
-                     InsufficientDataError, RankDeficiencyError)
-from .learner import (AlphaEstimate, BarrierSample, RidgeConfig, StyleLearner,
-                      check_convergence, fit)
+                     RankDeficiencyError)
+from .learner import AlphaEstimate, BarrierSample, RidgeConfig, StyleLearner, check_convergence
 from .scenario import (InvarianceSettings, PredictionSummary, PredictionTrial,
                        PredictSettings, RoadGeometry, ScenarioConfig, SweepEntry,
                        SweepSettings, TrajectoryLog, TrialMetrics, TrialRecord,
@@ -34,9 +33,8 @@ __all__ = [
     "build_safety_constraint", "nominal_control", "safe_control",
     "DEFAULT_DT", "VehicleState", "step",
     "ConfigurationError", "DegenerateConstraintError", "DomainError",
-    "InsufficientDataError", "RankDeficiencyError",
-    "AlphaEstimate", "BarrierSample", "RidgeConfig", "StyleLearner",
-    "check_convergence", "fit",
+    "RankDeficiencyError",
+    "AlphaEstimate", "BarrierSample", "RidgeConfig", "StyleLearner", "check_convergence",
     "InvarianceSettings", "PredictSettings", "PredictionSummary", "PredictionTrial",
     "RoadGeometry", "ScenarioConfig", "SweepEntry", "SweepSettings", "TrajectoryLog",
     "TrialMetrics", "TrialRecord", "VehicleSpec", "default_geometry",

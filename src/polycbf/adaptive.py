@@ -140,11 +140,19 @@ class AdaptiveSettings:
 
 def _roster(cfg: ScenarioConfig) -> Tuple[int, int, int]:
     """Indices of the ego, the object and the first neighbor of an adaptive
-    roster, which needs exactly one ego, exactly one object and a neighbor."""
+    roster, which needs exactly one ego, exactly one object and a neighbor.
+    A route ego must start before the merge: the runs' deltas are measured
+    against its merge step, which would be 0."""
     roles = [v.role for v in cfg.vehicles]
     if roles.count("ego") != 1 or roles.count("object") != 1 or "neighbor" not in roles:
         raise ConfigurationError(
             f"adaptive runs need one ego, one object, and a neighbor; got {roles}")
+    ego = cfg.vehicles[roles.index("ego")]
+    if ego.route != "fixed" and cfg.geometry.progress(
+            ego.route, cfg.geometry.place(ego.route, ego.start_progress)) > 0.0:
+        raise ConfigurationError(
+            f"adaptive runs need the ego to start before the merge; ego {ego.name!r} "
+            f"starts past it, at start_progress {ego.start_progress}")
     return roles.index("ego"), roles.index("object"), roles.index("neighbor")
 
 

@@ -15,10 +15,6 @@ class DegenerateConstraintError(ValueError):
     """A pairwise constraint cannot be formed (coincident positions)."""
 
 
-class InsufficientDataError(ValueError):
-    """An estimator was asked to fit with no samples."""
-
-
 class RankDeficiencyError(ValueError):
     """The unregularized normal equations are singular; a positive ridge is needed."""
 

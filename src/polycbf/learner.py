@@ -26,13 +26,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .barrier import AlphaVector, basis
-from .errors import ConfigurationError, InsufficientDataError, RankDeficiencyError
+from .errors import ConfigurationError, RankDeficiencyError
 
 __all__ = [
     "BarrierSample",
     "RidgeConfig",
     "AlphaEstimate",
-    "fit",
     "check_convergence",
     "StyleLearner",
 ]
@@ -95,42 +94,6 @@ def _observe(h_cur: float, h_prev: float, q: int, dt: float, step: int) -> Barri
     return BarrierSample((h_cur - h_prev) / dt, basis(h_cur, q), step)
 
 
-def fit(samples: Sequence[BarrierSample], cfg: RidgeConfig) -> AlphaEstimate:
-    """Ridge solution of (H^T H + r I) alpha = H^T (-hdot).
-
-    The order is the first sample's basis length, and every sample must
-    share it.  The raw solution is kept verbatim; alpha_hat clamps it to the
-    valid non-negative cone componentwise.
-    """
-    if len(samples) == 0:
-        raise InsufficientDataError("cannot fit a style with no samples")
-    gram, moment = _zero_sums(samples[0])
-    for s in samples:
-        _accumulate(gram, moment, s)
-    return _ridge_solve(gram + cfg.regularizer * np.eye(len(moment)), moment,
-                        cfg.regularizer, len(samples))
-
-
-def _zero_sums(first: BarrierSample) -> tuple[np.ndarray, np.ndarray]:
-    """Zero sums H^T H and H^T (-hdot) of the order of the first sample."""
-    q = len(first.basis)
-    if q < 1:
-        raise ConfigurationError("a sample needs a basis of order >= 1")
-    return np.zeros((q, q)), np.zeros(q)
-
-
-def _accumulate(gram: np.ndarray, moment: np.ndarray, sample: BarrierSample) -> None:
-    """Add one sample to the sums H^T H and H^T (-hdot), in place.  fit and
-    StyleLearner both sum in sample order through this, so they agree bit for
-    bit.  A sample whose order is not that of the sums is rejected."""
-    if len(sample.basis) != len(moment):
-        raise ConfigurationError(f"sample basis order {len(sample.basis)} does not match "
-                                 f"the order {len(moment)} of the samples before it")
-    phi = np.asarray(sample.basis, dtype=np.float64)
-    gram += np.outer(phi, phi)
-    moment += (-sample.hdot_obs) * phi
-
-
 def _ridge_solve(G: np.ndarray, rhs: np.ndarray, regularizer: float,
                  n_samples: int) -> AlphaEstimate:
     """Solve the normal equations G alpha = rhs and clamp to the valid cone."""
@@ -169,10 +132,10 @@ def check_convergence(history: Sequence[AlphaEstimate], cfg: RidgeConfig) -> boo
 class StyleLearner:
     """Single-owner growing dataset with refit-on-admission and convergence tracking.
 
-    The normal equations are accumulated incrementally, so each admission
-    costs O(q^2) regardless of how many samples came before; a batch refit
-    via fit() on the same samples gives the same estimate, bit for bit.  The
-    first sample sets the order q, and the sums are sized when it is added.
+    This is the one fit: the normal equations are accumulated incrementally,
+    so each admission costs O(q^2) regardless of how many samples came
+    before.  The first sample sets the order q, and the sums are sized when
+    it is added.
     """
 
     def __init__(self, ridge: RidgeConfig):
@@ -200,11 +163,21 @@ class StyleLearner:
         return max(abs(du_x), abs(du_y)) > thr
 
     def add(self, sample: BarrierSample) -> AlphaEstimate:
-        """Admit a sample, refit, and update the convergence flag."""
+        """Admit a sample, add it to the sums H^T H and H^T (-hdot), refit,
+        and update the convergence flag.  A sample whose order is not that of
+        the samples before it is rejected and leaves the learner as it was."""
+        q = len(sample.basis)
         if self._moment is None:
-            self._gram, self._moment = _zero_sums(sample)
-            self._ridge_eye = self.ridge.regularizer * np.eye(len(self._moment))
-        _accumulate(self._gram, self._moment, sample)
+            if q < 1:
+                raise ConfigurationError("a sample needs a basis of order >= 1")
+            self._gram, self._moment = np.zeros((q, q)), np.zeros(q)
+            self._ridge_eye = self.ridge.regularizer * np.eye(q)
+        elif q != len(self._moment):
+            raise ConfigurationError(f"sample basis order {q} does not match "
+                                     f"the order {len(self._moment)} of the samples before it")
+        phi = np.asarray(sample.basis, dtype=np.float64)
+        self._gram += np.outer(phi, phi)
+        self._moment += (-sample.hdot_obs) * phi
         self.samples.append(sample)
         est = _ridge_solve(self._gram + self._ridge_eye, self._moment,
                            self.ridge.regularizer, len(self.samples))

@@ -96,7 +96,7 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class RoadGeometry:
     """Main road along +x through (merge_x, 0), met at that merge point by a
-    straight ramp of length ramp_length climbing from below at ramp_angle_deg.
+    straight ramp climbing from below at ramp_angle_deg.
 
     Travel directions come from pure pursuit: a vehicle aims at the route
     point `lookahead` metres of arc ahead of its own projection, so a vehicle
@@ -107,29 +107,16 @@ class RoadGeometry:
 
     merge_x: float = 100.0
     ramp_angle_deg: float = 15.0
-    ramp_length: float = 120.0
     lookahead: float = 20.0
 
     def __post_init__(self):
         _check_reals(nonnegative=False, merge_x=self.merge_x,
                      ramp_angle_deg=self.ramp_angle_deg)
-        for name in ("ramp_length", "lookahead"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.lookahead) and self.lookahead > 0.0):
+            raise ConfigurationError(f"lookahead must be finite and > 0, got {self.lookahead}")
         angle = math.radians(self.ramp_angle_deg)
-        mx = self.merge_x
-        # Through the ramp's start point, merge - ramp_length·(cos, sin): a
-        # plain (cos, sin) rounds differently and would move every trajectory.
-        rx = mx - (mx - self.ramp_length * math.cos(angle))
-        ry = 0.0 - (0.0 - self.ramp_length * math.sin(angle))
-        ramp_len = math.hypot(rx, ry)
-        if ramp_len == 0.0:
-            raise ConfigurationError("ramp start coincides with the merge point")
-        if not math.isfinite(ramp_len):
-            raise ConfigurationError("ramp start overflows")
-        for name, v in (("merge_point", np.array([mx, 0.0])),
-                        ("ramp_dir", np.array([rx / ramp_len, ry / ramp_len])),
+        for name, v in (("merge_point", np.array([self.merge_x, 0.0])),
+                        ("ramp_dir", np.array([math.cos(angle), math.sin(angle)])),
                         ("main_dir", np.array([1.0, 0.0]))):
             v.flags.writeable = False
             object.__setattr__(self, name, v)

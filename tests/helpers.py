@@ -186,29 +186,22 @@ def minimax_oracle(lo, hi, rows, feas_tol=1e-9):
     return best[:2], float(best[2])
 
 
-def four_point_road_oracle(merge_x, ramp_angle_deg, ramp_length, lookahead):
-    """Frozen reference for the road, for bit-for-bit checks: the road as it
-    was once built, from a main segment 500 m long centred on the merge point
-    and a ramp start point ramp_length back along the ramp.  Returns
-    (merge_point, ramp_dir, main_dir, scalars, place), scalars being the
-    pursuit kernel's (mx, my, rx, ry, ex, ey, lookahead) and place(route,
-    progress) the route point at that signed arc length from the merge."""
-    angle = math.radians(ramp_angle_deg)
-    merge = np.array([merge_x, 0.0])
-    main_from = np.array([merge_x - 250.0, 0.0])
-    main_to = np.array([merge_x + 250.0, 0.0])
-    ramp_from = merge - ramp_length * np.array([math.cos(angle), math.sin(angle)])
-    main_vec = main_to - main_from
-    ramp_vec = merge - ramp_from
-    main_dir = main_vec / math.hypot(main_vec[0], main_vec[1])
-    ramp_dir = ramp_vec / math.hypot(ramp_vec[0], ramp_vec[1])
-    scalars = tuple(float(c) for c in (*merge, *ramp_dir, *main_dir, lookahead))
-
-    def place(route, progress):
-        d = ramp_dir if route == "ramp" and progress < 0.0 else main_dir
-        return merge + progress * d
-
-    return merge, ramp_dir, main_dir, scalars, place
+def ridge_oracle(samples, regularizer):
+    """Ridge solution of (H^T H + r I) a = H^T (-hdot) over (hdot, basis)
+    pairs, the sums taken in sample order from zero.  Returns (clamped, raw):
+    the raw solution as a float tuple and its projection onto a >= 0.  None
+    when the regularizer is 0 and H has rank below its column count."""
+    q = len(samples[0][1])
+    if regularizer == 0.0 and np.linalg.matrix_rank(np.array([b for _, b in samples])) < q:
+        return None
+    gram = np.zeros((q, q))
+    moment = np.zeros(q)
+    for hdot_obs, b in samples:
+        phi = np.asarray(b, dtype=np.float64)
+        gram += np.outer(phi, phi)
+        moment += (-hdot_obs) * phi
+    raw = tuple(float(v) for v in np.linalg.solve(gram + regularizer * np.eye(q), moment))
+    return tuple(max(v, 0.0) for v in raw), raw
 
 
 def trajectory_csv_oracle(log) -> bytes:

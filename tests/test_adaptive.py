@@ -134,6 +134,17 @@ def test_adaptive_roster_validation():
     with pytest.raises(ConfigurationError):
         run_adaptive_merge(two_egos)
 
+    # the runs' deltas divide by the ego's merge step, which is 0 for an ego
+    # that starts past the merge; an ego on the merge point has not passed it
+    def ego_at(progress):
+        return dataclasses.replace(cfg, vehicles=tuple(
+            dataclasses.replace(v, start_progress=progress) if v.role == "ego" else v
+            for v in cfg.vehicles))
+
+    with pytest.raises(ConfigurationError, match="ego 'ego' starts past it, at start_progress 5.0"):
+        experiment_prediction_in_loop(ego_at(5.0))
+    assert math.isfinite(experiment_prediction_in_loop(ego_at(0.0)).ego_delta_pct)
+
 
 def test_adaptive_run_argument_validation():
     with pytest.raises(ConfigurationError):

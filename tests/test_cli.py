@@ -604,16 +604,21 @@ BAD_VALUES = [
     ("accel-max-below-min", "adaptive",
      ADAPTIVE.replace("accel_max = 8.0 8.0", "accel_max = -9 -9", 1), "scenario",
      "[vehicle.lead]: u_min must be <= u_max, got (-8.0, -8.0) vs (-9.0, -9.0)"),
-    # the road's four numbers
+    # the road's three numbers
     ("ramp-angle-inf", "adaptive", ADAPTIVE.replace("ramp_angle_deg = 30.0", "ramp_angle_deg = inf"),
      "scenario", "[scenario]: ramp_angle_deg must be finite, got inf"),
     ("merge-x-nan", "adaptive", ADAPTIVE.replace("merge_x = 100.0", "merge_x = nan"),
      "scenario", "[scenario]: merge_x must be finite, got nan"),
-    ("ramp-length-negative", "adaptive",
-     ADAPTIVE.replace("ramp_length = 120.0", "ramp_length = -120"), "scenario",
-     "[scenario]: ramp_length must be finite and > 0, got -120.0"),
+    ("lookahead-negative", "adaptive",
+     ADAPTIVE.replace("lookahead = 20.0", "lookahead = -20"), "scenario",
+     "[scenario]: lookahead must be finite and > 0, got -20.0"),
     ("lookahead-0", "adaptive", ADAPTIVE.replace("lookahead = 20.0", "lookahead = 0"),
      "scenario", "[scenario]: lookahead must be finite and > 0, got 0.0"),
+    # an ego past the merge, whose merge step of 0 the run's deltas divide by
+    ("ego-past-the-merge", "adaptive",
+     ADAPTIVE.replace("start_progress = -40.55", "start_progress = 5.0"), "scenario",
+     "adaptive runs need the ego to start before the merge; ego 'ego' starts past it, "
+     "at start_progress 5.0"),
     # and its step length and count
     ("scenario-dt-0", "adaptive", ADAPTIVE.replace("dt = 0.01", "dt = 0"),
      "scenario", "[scenario]: dt must be positive and finite, got 0.0"),

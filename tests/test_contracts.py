@@ -2,11 +2,19 @@
 
 derandomize=True draws the same examples on every run of the same source
 tree, so a failure here reproduces on every machine.  Hypothesis also draws
-floats from the numeric literals of the package's modules, so a change to a
-literal in src/ can change the draws; a program that once failed is kept as
-an @example.
+floats from the numeric literals of the package's modules, so adding,
+changing or deleting a literal in src/ can change the draws.  A contract that
+fails after such a change has met a new draw, which may expose an old
+defect: pin the failing program as an @example and report it.  A program
+that once failed is kept as an @example.
+
+pytest turns every warning into an error (pyproject.toml) except one that
+Hypothesis raises while it reports a failing test; the last test here checks
+that one failure still leaves the session running the tests after it.
 """
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -166,3 +174,33 @@ def test_trajectory_csv_round_trips_any_accepted_names(names, n_rows, data):
     for field in ("states", "inputs", "pair_h"):
         assert _same_floats(getattr(back, field), getattr(log, field)), field
     assert np.array_equal(back.feasible, log.feasible)
+
+
+_TWO_TESTS = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(database=None, derandomize=True, max_examples=5)
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
+    # under the repository's pytest settings, a failing @given test followed
+    # by a passing one: both run, and pytest exits 1 (tests failed), not 3
+    # (internal error)
+    (tmp_path / "test_two.py").write_text(_TWO_TESTS)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 1, proc.stdout + proc.stderr

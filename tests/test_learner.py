@@ -1,13 +1,15 @@
-"""Style identification: clearance-rate samples, ridge fit, convergence."""
+"""Style identification: clearance-rate samples, the StyleLearner ridge fit,
+convergence."""
 import numpy as np
 import pytest
+
+from helpers import ridge_oracle
 
 from polycbf import (
     AlphaEstimate,
     AlphaVector,
     BarrierSample,
     ConfigurationError,
-    InsufficientDataError,
     RankDeficiencyError,
     RidgeConfig,
     SafetyConfig,
@@ -15,7 +17,6 @@ from polycbf import (
     VehicleState,
     basis,
     check_convergence,
-    fit,
     hdot,
     kappa,
     safety_value,
@@ -30,6 +31,21 @@ def synthetic_samples(truth, hs, q):
     # a style that rides its constraint produces hdot = -kappa(alpha, h)
     return [BarrierSample(-kappa(truth, h), basis(h, q), t)
             for t, h in enumerate(hs)]
+
+
+def learn(samples, ridge):
+    """The estimate of a fresh StyleLearner after it admits the samples in order."""
+    learner = StyleLearner(ridge)
+    for s in samples:
+        est = learner.add(s)
+    return est
+
+
+def assert_matches_oracle(est, samples, ridge):
+    # the same sums in the same order give the oracle's bits
+    clamped, raw = ridge_oracle([(s.hdot_obs, s.basis) for s in samples], ridge.regularizer)
+    assert [v.hex() for v in est.raw] == [v.hex() for v in raw]
+    assert [v.hex() for v in est.alpha_hat.coefficients] == [v.hex() for v in clamped]
 
 
 def _rows(*states):
@@ -83,10 +99,11 @@ def test_observe_analytic_matches_kinematics():
 
 def test_fit_recovers_exact_synthetic_style():
     ridge = RidgeConfig(regularizer=1e-8)
-    truth = AlphaVector((0.9, 0.1))
-    est = fit(synthetic_samples(truth, [1.0, 2.0, 3.5, 5.0, 8.0], 2), ridge)
+    samples = synthetic_samples(AlphaVector((0.9, 0.1)), [1.0, 2.0, 3.5, 5.0, 8.0], 2)
+    est = learn(samples, ridge)
     assert est.alpha_hat.coefficients == pytest.approx((0.9, 0.1), abs=1e-6)
     assert est.n_samples == 5
+    assert_matches_oracle(est, samples, ridge)
 
 
 def test_fit_handles_degenerate_linear_truth():
@@ -96,9 +113,10 @@ def test_fit_handles_degenerate_linear_truth():
     hs = [0.5, 1.0, 2.0, 4.0, 6.0]
     samples = [BarrierSample(-kappa(truth, h), basis(h, 2), t)
                for t, h in enumerate(hs)]
-    est = fit(samples, ridge)
+    est = learn(samples, ridge)
     assert est.alpha_hat.coefficients[0] == pytest.approx(1.7, abs=1e-6)
     assert abs(est.alpha_hat.coefficients[1]) <= 1e-6
+    assert_matches_oracle(est, samples, ridge)
 
 
 def test_fit_clamps_but_keeps_raw():
@@ -107,41 +125,39 @@ def test_fit_clamps_but_keeps_raw():
     truth = AlphaVector((0.9, 0.1))
     samples = [BarrierSample(+kappa(truth, h), basis(h, 2), t)
                for t, h in enumerate([1.0, 2.0, 3.5, 5.0])]
-    est = fit(samples, ridge)
+    est = learn(samples, ridge)
     assert all(a >= 0.0 for a in est.alpha_hat.coefficients)
     assert any(r < 0.0 for r in est.raw)
+    assert_matches_oracle(est, samples, ridge)
 
 
 def test_fit_empty_and_mismatched_inputs():
     ridge = RidgeConfig()
-    with pytest.raises(InsufficientDataError):
-        fit([], ridge)
+    assert StyleLearner(ridge).estimate is None
     # the first sample sets the order; a later sample of another order is
-    # rejected by the batch fit and by the incremental learner alike
+    # rejected
     mixed = [BarrierSample(1.0, basis(2.0, 2), 0), BarrierSample(1.0, basis(3.0, 3), 1)]
-    with pytest.raises(ConfigurationError, match="order 3 does not match the order 2"):
-        fit(mixed, ridge)
     learner = StyleLearner(ridge)
     learner.add(mixed[0])
     with pytest.raises(ConfigurationError, match="order 3 does not match the order 2"):
         learner.add(mixed[1])
     # the rejected sample left the learner as it was
     assert len(learner.samples) == len(learner.history) == 1
-    assert learner.add(mixed[0]) == fit([mixed[0]] * 2, ridge)
-    empty = BarrierSample(1.0, (), 0)
+    assert_matches_oracle(learner.add(mixed[0]), [mixed[0]] * 2, ridge)
     with pytest.raises(ConfigurationError, match="order >= 1"):
-        fit([empty], ridge)
-    with pytest.raises(ConfigurationError, match="order >= 1"):
-        StyleLearner(ridge).add(empty)
+        StyleLearner(ridge).add(BarrierSample(1.0, (), 0))
 
 
 def test_fit_rank_deficiency_only_without_regularizer():
     # identical clearances give a rank-1 design matrix
     samples = synthetic_samples(AlphaVector((1.0, 0.2)), [4.0, 4.0, 4.0], 2)
+    assert ridge_oracle([(s.hdot_obs, s.basis) for s in samples], 0.0) is None
     with pytest.raises(RankDeficiencyError):
-        fit(samples, RidgeConfig(regularizer=0.0))
-    est = fit(samples, RidgeConfig(regularizer=1e-8))
+        learn(samples, RidgeConfig(regularizer=0.0))
+    ridge = RidgeConfig(regularizer=1e-8)
+    est = learn(samples, ridge)
     assert np.isfinite(est.alpha_hat.coefficients).all()
+    assert_matches_oracle(est, samples, ridge)
 
 
 def test_check_convergence_window_spread():
@@ -166,11 +182,9 @@ def test_style_learner_matches_batch_fit():
     samples = synthetic_samples(truth, hs, 2)
     learner = StyleLearner(ridge)
     for k, s in enumerate(samples):
-        est_inc = learner.add(s)
-        est_batch = fit(samples[: k + 1], ridge)
-        # incremental normal equations agree with the batch solve, bit for bit
-        assert est_inc.alpha_hat == est_batch.alpha_hat
-        assert est_inc.raw == est_batch.raw
+        # the incremental normal equations agree with the oracle's batch
+        # solve on every prefix, bit for bit
+        assert_matches_oracle(learner.add(s), samples[: k + 1], ridge)
     assert learner.estimate.alpha_hat.coefficients == pytest.approx(
         (0.6, 0.35), abs=1e-6)
 
