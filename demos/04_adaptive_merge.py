@@ -4,8 +4,8 @@ Three vehicles head for the same merge point: a slow lead on the ramp, a
 pushy object vehicle behind it, and the ego on the main lane.  With
 prediction off the ego holds its conservative default style and queues up
 behind the conflict.  With prediction on it spends the first phase watching
-the object, identifies its style from clearance rates, swaps to the policy
-preset that mirrors it, and adds a compatibility constraint so its plan stays
+the object, identifies its style from clearance rates, swaps to the preset
+style that mirrors it, and adds a compatibility constraint so its plan stays
 honest about what the object will tolerate.  The ego merges earlier and the
 whole roster finishes sooner.
 """

@@ -10,9 +10,8 @@ from .barrier import AlphaVector, SafetyConfig, basis, hdot, kappa, safety_value
 from .controller import (DEFAULT_LIMITS, ControlLimits, NominalPlan, QpSolution,
                          build_safety_constraint, nominal_control, safe_control)
 from .dynamics import DEFAULT_DT, VehicleState, step
-from .errors import (ConfigurationError, DegenerateConstraintError, DomainError,
-                     RankDeficiencyError)
-from .learner import AlphaEstimate, BarrierSample, RidgeConfig, StyleLearner, check_convergence
+from .errors import ConfigurationError, DegenerateConstraintError, DomainError
+from .learner import AlphaEstimate, BarrierSample, StyleLearner, check_convergence
 from .scenario import (InvarianceSettings, PredictionSummary, PredictionTrial,
                        PredictSettings, RoadGeometry, ScenarioConfig, SweepEntry,
                        SweepSettings, TrajectoryLog, TrialMetrics, TrialRecord,
@@ -20,8 +19,8 @@ from .scenario import (InvarianceSettings, PredictionSummary, PredictionTrial,
                        experiment_invariance, experiment_prediction,
                        invariance_trial_setup, prediction_trial_setup, simulate,
                        sweep_trial_config)
-from .adaptive import (DEFAULT_POLICY, AdaptiveComparison, AdaptiveRecord,
-                       AdaptiveSettings, MismatchTrial, StylePolicy, aggressiveness_score,
+from .adaptive import (REFERENCE_H, STYLE_PRESETS, AdaptiveComparison, AdaptiveRecord,
+                       AdaptiveSettings, MismatchTrial, aggressiveness_score,
                        experiment_assumption_mismatch, experiment_prediction_in_loop,
                        run_adaptive_merge, select_alpha)
 
@@ -33,16 +32,15 @@ __all__ = [
     "build_safety_constraint", "nominal_control", "safe_control",
     "DEFAULT_DT", "VehicleState", "step",
     "ConfigurationError", "DegenerateConstraintError", "DomainError",
-    "RankDeficiencyError",
-    "AlphaEstimate", "BarrierSample", "RidgeConfig", "StyleLearner", "check_convergence",
+    "AlphaEstimate", "BarrierSample", "StyleLearner", "check_convergence",
     "InvarianceSettings", "PredictSettings", "PredictionSummary", "PredictionTrial",
     "RoadGeometry", "ScenarioConfig", "SweepEntry", "SweepSettings", "TrajectoryLog",
     "TrialMetrics", "TrialRecord", "VehicleSpec", "default_geometry",
     "experiment_behavior_sweep", "experiment_invariance", "experiment_prediction",
     "invariance_trial_setup", "prediction_trial_setup", "simulate",
     "sweep_trial_config",
-    "DEFAULT_POLICY", "AdaptiveComparison", "AdaptiveRecord", "AdaptiveSettings",
-    "MismatchTrial", "StylePolicy", "aggressiveness_score",
+    "REFERENCE_H", "STYLE_PRESETS", "AdaptiveComparison", "AdaptiveRecord",
+    "AdaptiveSettings", "MismatchTrial", "aggressiveness_score",
     "experiment_assumption_mismatch",
     "experiment_prediction_in_loop", "run_adaptive_merge", "select_alpha",
     "__version__",

@@ -2,10 +2,11 @@
 
 Phase one of the loop watches an interacting pair and fits the observed
 vehicle's barrier coefficients from clearance data.  At a fixed step budget
-the ego mirrors the estimate through a preset table (the more aggressive the
-other driver scores, the more conservative the ego's pick) and, for the rest
-of the run, filters its control against every neighbor plus a
-compatibility row that keeps its chosen style consistent with the estimate.
+the ego mirrors the estimate through the preset table STYLE_PRESETS (the
+more aggressive the other driver scores, the more conservative the ego's
+pick) and, for the rest of the run, filters its control against every
+neighbor plus a compatibility row that keeps its chosen style consistent
+with the estimate.
 
 The module also declares the adaptive experiment: its settings (the
 [adaptive] config section) and the paired driver that sets the loop against
@@ -27,14 +28,14 @@ from .barrier import AlphaVector, SafetyConfig, _kappa, kappa, safety_value
 from .controller import ControlLimits, NominalPlan, _solve_scalar, safe_control
 from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import ConfigurationError
-from .learner import AlphaEstimate, RidgeConfig, StyleLearner
+from .learner import AlphaEstimate, StyleLearner
 from .scenario import (OBSERVATION_MODES, ScenarioConfig, TrialRecord, _check_counts,
                        _observe_rows, _trial_rng, simulate)
 
 __all__ = [
+    "REFERENCE_H",
+    "STYLE_PRESETS",
     "aggressiveness_score",
-    "StylePolicy",
-    "DEFAULT_POLICY",
     "select_alpha",
     "AdaptiveSettings",
     "AdaptiveRecord",
@@ -71,58 +72,41 @@ def _compat_row(dx_x, dx_y, gap, cfg, dt):
     return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(gap, h), h
 
 
-def aggressiveness_score(alpha: AlphaVector, reference_h: float) -> float:
-    """Barrier decay a style tolerates at a reference clearance; higher is pushier."""
-    if not (math.isfinite(reference_h) and reference_h > 0.0):
-        raise ConfigurationError(f"reference_h must be > 0, got {reference_h}")
-    return kappa(alpha, reference_h)
+# The ego's style table: preset styles ordered least to most aggressive at
+# the reference clearance REFERENCE_H, stepping the weight from the linear
+# term to the cubic one.
+STYLE_PRESETS: Tuple[AlphaVector, ...] = (
+    AlphaVector((1.0, 0.0)),
+    AlphaVector((0.75, 0.25)),
+    AlphaVector((0.5, 0.5)),
+    AlphaVector((0.25, 0.75)),
+    AlphaVector((0.0, 1.0)),
+)
+REFERENCE_H = 25.0
 
 
-@dataclass(frozen=True)
-class StylePolicy:
-    """Preset styles ordered least to most aggressive at a reference clearance,
-    the [policy] config section.  The default table steps the weight from the
-    linear term to the cubic one."""
-
-    presets: Tuple[AlphaVector, ...] = (
-        AlphaVector((1.0, 0.0)),
-        AlphaVector((0.75, 0.25)),
-        AlphaVector((0.5, 0.5)),
-        AlphaVector((0.25, 0.75)),
-        AlphaVector((0.0, 1.0)),
-    )
-    reference_h: float = 25.0
-
-    def __post_init__(self):
-        if len(self.presets) == 0:
-            raise ConfigurationError("policy needs at least one preset")
-        scores = self.scores()
-        for k in range(1, len(scores)):
-            if not scores[k] > scores[k - 1]:
-                raise ConfigurationError(
-                    f"preset scores must increase strictly, got {scores}")
-
-    def scores(self) -> Tuple[float, ...]:
-        return tuple(aggressiveness_score(a, self.reference_h) for a in self.presets)
+def aggressiveness_score(alpha: AlphaVector) -> float:
+    """Barrier decay a style tolerates at REFERENCE_H; higher is pushier."""
+    return kappa(alpha, REFERENCE_H)
 
 
-DEFAULT_POLICY = StylePolicy()
+_PRESET_SCORES = tuple(aggressiveness_score(a) for a in STYLE_PRESETS)
 
 
-def select_alpha(alpha_j_hat: AlphaVector, policy: StylePolicy) -> AlphaVector:
-    """Mirror the estimated style: rank it among the presets, pick the rank's
-    reflection, so an aggressive other driver draws a conservative ego.  A
-    score exactly between two presets counts as the more aggressive one."""
-    s = aggressiveness_score(alpha_j_hat, policy.reference_h)
-    scores = policy.scores()
+def select_alpha(alpha_j_hat: AlphaVector) -> AlphaVector:
+    """Mirror the estimated style: rank it among STYLE_PRESETS, pick the
+    rank's reflection, so an aggressive other driver draws a conservative
+    ego.  A score exactly between two presets counts as the more aggressive
+    one."""
+    s = aggressiveness_score(alpha_j_hat)
     best_k = 0
-    best_d = abs(s - scores[0])
-    for k in range(1, len(scores)):
-        d = abs(s - scores[k])
+    best_d = abs(s - _PRESET_SCORES[0])
+    for k in range(1, len(_PRESET_SCORES)):
+        d = abs(s - _PRESET_SCORES[k])
         if d <= best_d:
             best_d = d
             best_k = k
-    return policy.presets[len(policy.presets) - 1 - best_k]
+    return STYLE_PRESETS[len(STYLE_PRESETS) - 1 - best_k]
 
 
 @dataclass(frozen=True)
@@ -172,9 +156,7 @@ class AdaptiveRecord:
 
 
 def run_adaptive_merge(cfg: ScenarioConfig,
-                       settings: AdaptiveSettings = AdaptiveSettings(),
-                       policy: StylePolicy = DEFAULT_POLICY,
-                       ridge: RidgeConfig = RidgeConfig()) -> AdaptiveRecord:
+                       settings: AdaptiveSettings = AdaptiveSettings()) -> AdaptiveRecord:
     """Two-phase merge: observe and fit for settings.phase_budget steps, then
     drive with the mirrored style (plus the compatibility row once the
     estimate has converged).  Its baseline, the ego keeping its configured
@@ -189,7 +171,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     ego_idx, obj_idx, nbr_idx = _roster(cfg)
     dt = cfg.dt
     safety = cfg.safety
-    learner = StyleLearner(ridge)
+    learner = StyleLearner()
     ego_alpha = cfg.vehicles[ego_idx].alpha
     selected: Optional[AlphaVector] = None
     gap = None
@@ -209,7 +191,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
                                           safety, dt, t_next))
                 sample_steps.append(t_next)
         if t_next == phase_budget and learner.estimate is not None:
-            selected = ego_alpha = select_alpha(learner.estimate.alpha_hat, policy)
+            selected = ego_alpha = select_alpha(learner.estimate.alpha_hat)
             # The learner takes no sample after the budget, so the estimate
             # and the ego's style, and their gap, are final from here on.
             gap = _style_gap(selected, learner.estimate.alpha_hat)
@@ -259,10 +241,9 @@ class AdaptiveComparison:
         return 100.0 * (self.overall_disabled - self.overall_enabled) / self.overall_disabled
 
 
-def experiment_prediction_in_loop(scenario: ScenarioConfig,
-                                  settings: AdaptiveSettings = AdaptiveSettings(),
-                                  ridge: RidgeConfig = RidgeConfig(),
-                                  policy: StylePolicy = DEFAULT_POLICY) -> AdaptiveComparison:
+def experiment_prediction_in_loop(
+        scenario: ScenarioConfig,
+        settings: AdaptiveSettings = AdaptiveSettings()) -> AdaptiveComparison:
     """Paired runs on the same scenario: run_adaptive_merge with prediction
     on, and simulate(scenario) as the prediction-off baseline, the ego
     keeping its configured style and no hook installed.
@@ -272,7 +253,7 @@ def experiment_prediction_in_loop(scenario: ScenarioConfig,
     velocities, which the model makes exact); settings with
     hdot_mode="finite_diff" difference clearances instead.
     """
-    enabled = run_adaptive_merge(scenario, settings, policy, ridge)
+    enabled = run_adaptive_merge(scenario, settings)
     disabled = AdaptiveRecord(trial=simulate(scenario), prediction_enabled=False)
     # run_adaptive_merge has checked the roster, so it has exactly one ego.
     ego_name = scenario.vehicles[_roster(scenario)[0]].name

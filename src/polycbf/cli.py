@@ -14,11 +14,10 @@ row of the step.
 
 Configs are INI files.  Each section is parsed, by field type, into the
 dataclass that declares its keys and their defaults (the experiment's
-*Settings, SafetyConfig, RidgeConfig, StylePolicy, VehicleSpec, ...), so a
-key left out takes that default; a key that names no field, and a section
-the experiment does not read, is a config error.  `run` builds every object
-before it writes anything; `validate` reports the same construction rule by
-rule.
+*Settings, SafetyConfig, VehicleSpec, ...), so a key left out takes that
+default; a key that names no field, and a section the experiment does not
+read, is a config error.  `run` builds every object before it writes
+anything; `validate` reports the same construction rule by rule.
 
 Exit codes: 0 on success, 2 for unknown subcommands or experiments (usage
 error), 3 for a config that cannot be parsed or fails construction, 4 when
@@ -49,11 +48,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adaptive import AdaptiveSettings, StylePolicy, _roster, experiment_prediction_in_loop
+from .adaptive import AdaptiveSettings, _roster, experiment_prediction_in_loop
 from .barrier import AlphaVector, SafetyConfig
 from .controller import ControlLimits
 from .errors import ConfigurationError, DomainError
-from .learner import RidgeConfig
 from .scenario import (COLLISION_TOL, InvarianceSettings, PredictSettings, RoadGeometry,
                        ScenarioConfig, SweepSettings, TrajectoryLog, VehicleSpec,
                        _invariance_records, _sweep_records, experiment_prediction,
@@ -174,7 +172,6 @@ _PARSERS: Dict[object, Callable[[str, str], object]] = {
     str: lambda raw, where: raw,
     float: _parse_float,
     int: _parse_int,
-    Optional[float]: _optional(_parse_float),
     Optional[int]: _optional(_parse_int),
     Tuple[float, float]: _parse_pair,
     Optional[Tuple[float, float]]: _optional(_parse_pair),
@@ -269,14 +266,6 @@ def _build_safety(cp) -> SafetyConfig:
     return _build(SafetyConfig, "[safety]", _section(cp, "safety"))
 
 
-def _build_ridge(cp) -> RidgeConfig:
-    return _build(RidgeConfig, "[ridge]", _section(cp, "ridge"))
-
-
-def _build_policy(cp) -> StylePolicy:
-    return _build(StylePolicy, "[policy]", _section(cp, "policy"))
-
-
 def _build_vehicle(cp, section: str) -> VehicleSpec:
     where = f"[{section}]"
     name = section[len("vehicle."):]
@@ -331,13 +320,8 @@ def _input_steps(cp, experiment: str, trials: Optional[int] = None):
     in build order; `name` is the runner's keyword and the validate rule."""
     steps = [("settings", lambda: _build_settings(cp, experiment, trials))]
     if experiment == "adaptive":
-        return steps + [("scenario", lambda: _build_adaptive_scenario(cp)),
-                        ("ridge", lambda: _build_ridge(cp)),
-                        ("policy", lambda: _build_policy(cp))]
-    steps.append(("safety", lambda: _build_safety(cp)))
-    if experiment == "predict":
-        steps.append(("ridge", lambda: _build_ridge(cp)))
-    return steps
+        return steps + [("scenario", lambda: _build_adaptive_scenario(cp))]
+    return steps + [("safety", lambda: _build_safety(cp))]
 
 
 def _check_read(cp, experiment: str) -> None:
@@ -361,10 +345,10 @@ def load_preset(name: str) -> dict:
     """The objects `polycbf run` builds from the shipped preset `name`
     (predict, sweep_weights, sweep_gamma, adaptive or invariance), keyed as
     the experiment's runner and its library entry point take them: settings,
-    then safety, scenario, ridge or policy as the experiment reads them.  So
-    experiment_prediction, experiment_behavior_sweep,
-    experiment_prediction_in_loop and experiment_invariance each run
-    **load_preset(name) as `polycbf run` does (the seed aside)."""
+    then safety, or scenario for adaptive.  So experiment_prediction,
+    experiment_behavior_sweep, experiment_prediction_in_loop and
+    experiment_invariance each run **load_preset(name) as `polycbf run` does
+    (the seed aside)."""
     cp = _parse_config(_preset_text(name))
     return _build_inputs(cp, _build_run(cp).experiment)
 
@@ -520,9 +504,9 @@ def _tighter(worst, index: int, key: float, record):
 
 
 def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
-                 safety: SafetyConfig, ridge: RidgeConfig):
+                 safety: SafetyConfig):
     q = safety.q
-    summary = experiment_prediction(settings, safety, ridge, seed)
+    summary = experiment_prediction(settings, safety, seed)
 
     header = (["trial"] + [f"truth_{k}" for k in range(q)]
               + [f"estimate_{k}" for k in range(q)]
@@ -608,16 +592,18 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
 
 
 def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
-                  scenario: ScenarioConfig, ridge: RidgeConfig, policy: StylePolicy):
-    comparison = experiment_prediction_in_loop(scenario, settings, ridge, policy)
+                  scenario: ScenarioConfig):
+    comparison = experiment_prediction_in_loop(scenario, settings)
     enabled, disabled = comparison.enabled, comparison.disabled
     q = scenario.safety.q
+    # The selected preset's order need not be [safety] q: pad to the longer.
+    width = max(q, len(enabled.selected_alpha.coefficients) if enabled.selected_alpha else 0)
 
     names = [v.name for v in scenario.vehicles]
     header = (["run", "prediction_enabled", "collision", "infeasible_steps", "min_h"]
               + [f"merge_step:{n}" for n in names]
               + ["ego_merge_step", "overall_step", "converged_at"]
-              + [f"selected_alpha_{k}" for k in range(q)])
+              + [f"selected_alpha_{k}" for k in range(width)])
     rows = []
     for label, record, ego_step, overall in (
             ("enabled", enabled, comparison.ego_step_enabled, comparison.overall_enabled),
@@ -628,7 +614,7 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
                      m.infeasible_step_count, _g17(min(m.min_h.values()))]
                     + [_opt(m.merge_step[n]) for n in names]
                     + [ego_step, overall, _opt(record.converged_at)]
-                    + [_g17(c) for c in selected] + [""] * (q - len(selected)))
+                    + [_g17(c) for c in selected] + [""] * (width - len(selected)))
     metrics = out_dir / "metrics.csv"
     _write_csv(metrics, header, rows)
 
@@ -656,9 +642,13 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
            comparison.overall_delta_pct),
     ]
     if enabled.selected_alpha is not None:
-        lines.append("selected style (%s) after converging at sample %s"
-                     % (", ".join(_g17(c) for c in enabled.selected_alpha.coefficients),
-                        enabled.converged_at))
+        style = ", ".join(_g17(c) for c in enabled.selected_alpha.coefficients)
+        if enabled.converged_at is not None:
+            lines.append(f"selected style ({style}) after converging at sample "
+                         f"{enabled.converged_at}")
+        else:
+            lines.append(f"selected style ({style}) at the phase budget from an "
+                         "unconverged estimate; no compatibility row")
     else:
         lines.append("estimate never converged; ego kept its configured style")
     diag = None
@@ -773,9 +763,6 @@ _DESCRIBE = {
         f"merge at x={cfg.geometry.merge_x:g}, lookahead {cfg.geometry.lookahead:g}; "
         f"roster {[v.name for v in cfg.vehicles]} with roles {[v.role for v in cfg.vehicles]}; "
         f"r_safe {cfg.safety.r_safe}, order {cfg.safety.q}"),
-    "ridge": lambda ridge: (f"regularizer {ridge.regularizer:g}, "
-                            f"tol {ridge.convergence_tol:g}, window {ridge.convergence_window}"),
-    "policy": lambda policy: f"{len(policy.presets)} presets, strictly ordered by aggressiveness",
 }
 
 

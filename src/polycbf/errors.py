@@ -15,10 +15,6 @@ class DegenerateConstraintError(ValueError):
     """A pairwise constraint cannot be formed (coincident positions)."""
 
 
-class RankDeficiencyError(ValueError):
-    """The unregularized normal equations are singular; a positive ridge is needed."""
-
-
 def _check_dt(dt) -> float:
     """dt as a float, once it is checked to be positive and finite."""
     dt = float(dt)

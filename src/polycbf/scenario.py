@@ -29,7 +29,7 @@ from .controller import (DEFAULT_LIMITS, ControlLimits, _check_cruise, _check_di
                          _cruise, _row_terms, _solve_scalar)
 from .dynamics import DEFAULT_DT, VehicleState, _step
 from .errors import ConfigurationError, DomainError, _check_dt
-from .learner import BarrierSample, RidgeConfig, StyleLearner, _observe
+from .learner import BarrierSample, StyleLearner, _observe
 
 __all__ = [
     "RoadGeometry",
@@ -582,7 +582,6 @@ def prediction_trial_setup(trial_index: int, settings: PredictSettings = Predict
 
 def experiment_prediction(settings: PredictSettings = PredictSettings(),
                           safety: SafetyConfig = SafetyConfig(),
-                          ridge: RidgeConfig = RidgeConfig(),
                           seed: int = 0) -> PredictionSummary:
     """Recover randomized ground-truth styles from observed interactions.
 
@@ -604,7 +603,7 @@ def experiment_prediction(settings: PredictSettings = PredictSettings(),
     trials: List[PredictionTrial] = []
     for idx in range(settings.trials):
         truth, cfg = prediction_trial_setup(idx, settings, safety, seed)
-        learner = StyleLearner(ridge)
+        learner = StyleLearner()
         cruise_v = None
         gain = cfg.vehicles[0].gain
         lim = cfg.vehicles[0].limits

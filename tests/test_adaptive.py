@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from polycbf import (
-    DEFAULT_POLICY,
+    REFERENCE_H,
+    STYLE_PRESETS,
     AdaptiveSettings,
     AlphaVector,
     ConfigurationError,
     SafetyConfig,
-    StylePolicy,
     VehicleState,
     aggressiveness_score,
     build_safety_constraint,
@@ -88,35 +88,33 @@ def test_compatibility_bound_is_zero_for_equal_styles_and_nonnegative_under_domi
 
 def test_aggressiveness_score_is_kappa_at_reference():
     a = AlphaVector((0.9, 0.1))
-    assert aggressiveness_score(a, 25.0) == kappa(a, 25.0)
-    with pytest.raises(ConfigurationError):
-        aggressiveness_score(a, 0.0)
+    assert REFERENCE_H == 25.0
+    assert aggressiveness_score(a) == kappa(a, 25.0)
 
 
-def test_style_policy_requires_increasing_scores():
-    with pytest.raises(ConfigurationError):
-        StylePolicy(presets=())
-    with pytest.raises(ConfigurationError):
-        StylePolicy(presets=(AlphaVector((1.0, 0.0)), AlphaVector((1.0, 0.0))))
+def test_style_presets_scores_increase_strictly():
+    # select_alpha ranks an estimate among the presets by score, so the
+    # table must be ordered least to most aggressive, with no two alike
+    assert STYLE_PRESETS == tuple(AlphaVector((1.0 - w, w))
+                                  for w in (0.0, 0.25, 0.5, 0.75, 1.0))
+    scores = [aggressiveness_score(a) for a in STYLE_PRESETS]
+    assert all(a < b for a, b in zip(scores, scores[1:])), scores
 
 
 def test_select_alpha_mirrors_the_scale():
-    presets = DEFAULT_POLICY.presets
-    n = len(presets)
+    n = len(STYLE_PRESETS)
     # an estimate sitting exactly on preset k answers with preset n-1-k:
     # the more aggressive the neighbor, the more the ego concedes
-    for k, p in enumerate(presets):
-        assert select_alpha(p, DEFAULT_POLICY) == presets[n - 1 - k]
+    for k, p in enumerate(STYLE_PRESETS):
+        assert select_alpha(p) == STYLE_PRESETS[n - 1 - k]
 
 
 def test_select_alpha_nearest_score_and_tie_rule():
     # score((0.9, 0.1)) = 1585 sits nearest the least aggressive preset
-    assert select_alpha(AlphaVector((0.9, 0.1)), DEFAULT_POLICY) == \
-        DEFAULT_POLICY.presets[-1]
+    assert select_alpha(AlphaVector((0.9, 0.1))) == STYLE_PRESETS[-1]
     # (79,) scores exactly midway between presets 0 and 1; the tie counts as
     # the more aggressive preset 1, so the answer is presets[3]
-    assert select_alpha(AlphaVector((79.0,)), DEFAULT_POLICY) == \
-        DEFAULT_POLICY.presets[3]
+    assert select_alpha(AlphaVector((79.0,))) == STYLE_PRESETS[3]
 
 
 def test_adaptive_roster_validation():
@@ -178,7 +176,7 @@ def test_adaptive_run_identifies_and_concedes():
     assert est is not None
     # the object in the shipped preset drives a (0.9, 0.1) style
     assert est.alpha_hat.coefficients == pytest.approx((0.9, 0.1), abs=1e-4)
-    assert rec.selected_alpha == DEFAULT_POLICY.presets[-1]
+    assert rec.selected_alpha == STYLE_PRESETS[-1]
     assert rec.trial.relaxed_steps == 0
     assert not rec.trial.metrics.collision
     # sampling happened strictly inside the observation phase

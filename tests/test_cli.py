@@ -435,11 +435,21 @@ def test_rosterless_adaptive_config_runs_the_preset_roster(tmp_path, monkeypatch
     assert configs_equal(built["scenario"], cli.load_preset("adaptive")["scenario"])
 
 
+def assert_rows_fit_the_header(path):
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows
+    assert [len(row) for row in rows] == [len(header)] * len(rows), path
+
+
 def test_adaptive_preset_run_reports_speedup(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["run", "adaptive", "--out", out]) == 0
     captured = capsys.readouterr()
     exp_dir = out / "adaptive"
+    for name in ("metrics.csv", "estimates.csv"):
+        assert_rows_fit_the_header(exp_dir / name)
+    assert "selected style (0, 1) after converging at sample " in captured.out
     rows = (exp_dir / "metrics.csv").read_text().splitlines()
     header = rows[0].split(",")
     enabled = dict(zip(header, rows[1].split(",")))
@@ -452,6 +462,30 @@ def test_adaptive_preset_run_reports_speedup(tmp_path, capsys):
     assert (exp_dir / "trajectory_disabled.csv").exists()
     assert (exp_dir / "estimates.csv").exists()
     assert "wrote" in captured.out
+
+
+@pytest.mark.parametrize("q,selected", [
+    # a one-term fit of the object's two-term style never settles, so the ego
+    # picks at the phase budget and carries no compatibility row
+    (1, "selected style (0, 1) at the phase budget from an unconverged estimate; "
+        "no compatibility row\n"),
+    (3, "selected style (0, 1) after converging at sample "),
+], ids=["q1", "q3"])
+def test_adaptive_rows_fit_the_header_at_any_order(tmp_path, capsys, q, selected):
+    # the selected preset has two coefficients whatever [safety] q is
+    cfg = write_cfg(tmp_path, ADAPTIVE.replace("\nq = 2\n", f"\nq = {q}\n"))
+    out = tmp_path / "out"
+    assert run_cli(["run", "adaptive", "--config", cfg, "--out", out]) == 0
+    assert selected in capsys.readouterr().out
+    for name in ("metrics.csv", "estimates.csv"):
+        assert_rows_fit_the_header(out / "adaptive" / name)
+    with open(out / "adaptive" / "metrics.csv", newline="") as fh:
+        enabled, disabled = list(csv.DictReader(fh))
+    width = max(q, 2)
+    assert [enabled[f"selected_alpha_{k}"] for k in range(width)] == \
+        ["0", "1"] + [""] * (width - 2)
+    assert [disabled[f"selected_alpha_{k}"] for k in range(width)] == [""] * width
+    assert (enabled["converged_at"] == "") == (q == 1)
 
 
 WEIGHT_STYLES = cli._parse_config(cli._preset_text("sweep_weights")).get("sweep", "styles")
@@ -560,6 +594,10 @@ ADAPTIVE_NO_ROSTER = "[run]\nexperiment = adaptive\n\n[safety]\nr_safe = 7.0\n"
 NAN_DESIRED_SPEED = ADAPTIVE.replace("desired_speed = 3.0", "desired_speed = nan")
 # fixed-route placement keys on a ramp vehicle, which nothing would read
 RAMP_HEADING = ADAPTIVE.replace("gain = 0.3", "gain = 0.3\nheading = 0 0\nstart_position = nan nan")
+# The learner and the style table take no settings, so no experiment reads a
+# [ridge] or [policy] section, whatever it sets.
+RIDGE_SECTION = PREDICT + "\n[ridge]\nregularizer = 0\n"
+POLICY_SECTION = ADAPTIVE + "\n[policy]\nreference_h = 25\n"
 
 # A value that the trials would reject only part-way through a run:
 # (id, experiment, config, validate rule, error).  Each gives a run row and
@@ -588,12 +626,6 @@ BAD_VALUES = [
     ("accel-bound-negative", "sweep",
      SWEEP_HOT.replace("accel_bound = 5.0", "accel_bound = -1"), "settings",
      "[sweep]: accel_bound must be finite and >= 0, got -1.0"),
-    ("admission-nan", "predict",
-     PREDICT.replace("admission_threshold = 0.01", "admission_threshold = nan"), "ridge",
-     "[ridge]: admission_threshold must be >= 0 or None, got nan"),
-    # the learner's order is that of its samples, [safety] q
-    ("ridge-q-hypothesis", "predict", PREDICT.replace("[ridge]", "[ridge]\nq_hypothesis = 3"),
-     "ridge", "[ridge] has no key 'q_hypothesis'"),
     # finite bounds whose width overflows, which rng.uniform rejects
     ("progress-width-overflows", "invariance",
      INVARIANCE_SMALL.replace("progress_range = -90.0 -60.0", "progress_range = -1e308 1e308"),
@@ -663,7 +695,15 @@ BAD_VALUE_IDS = [i for name, *_ in BAD_VALUES for i in (name, f"validate-{name}"
      "FAIL sections: [safety] is not read by the adaptive experiment"),
     # and validate reports the preset roster's safety, not the unread r_safe 7.0
     (["validate"], ADAPTIVE_NO_ROSTER, 0, "out",
-     "roles ['neighbor', 'object', 'ego']; r_safe 5.0, order 2\nPASS ridge"),
+     "roles ['neighbor', 'object', 'ego']; r_safe 5.0, order 2\nFAIL sections"),
+    (["run", "predict", "--config"], RIDGE_SECTION, 3, "err",
+     "config error: [ridge] is not read by the predict experiment"),
+    (["validate"], RIDGE_SECTION, 0, "out",
+     "FAIL sections: [ridge] is not read by the predict experiment"),
+    (["run", "adaptive", "--config"], POLICY_SECTION, 3, "err",
+     "config error: [policy] is not read by the adaptive experiment"),
+    (["validate"], POLICY_SECTION, 0, "out",
+     "FAIL sections: [policy] is not read by the adaptive experiment"),
     (["run", "adaptive", "--config"], NAN_DESIRED_SPEED, 3, "err",
      "config error: [vehicle.object]: desired_speed must be >= 0, got nan"),
     (["validate"], NAN_DESIRED_SPEED, 0, "out",
@@ -683,6 +723,8 @@ BAD_VALUE_IDS = [i for name, *_ in BAD_VALUES for i in (name, f"validate-{name}"
         "misspelt-vehicle-key", "validate-misspelt-vehicle-key", "misspelt-section",
         "validate-misspelt-section", "adaptive-unread-section",
         "validate-adaptive-unread-section", "validate-adaptive-reported-safety",
+        "ridge-section", "validate-ridge-section", "policy-section",
+        "validate-policy-section",
         "desired-speed-nan", "validate-desired-speed-nan", "validate-gain-0",
         "validate-gain-negative", "speed-nan", "ramp-heading", "validate-ramp-heading"]
    + BAD_VALUE_IDS)

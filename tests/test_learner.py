@@ -10,8 +10,6 @@ from polycbf import (
     AlphaVector,
     BarrierSample,
     ConfigurationError,
-    RankDeficiencyError,
-    RidgeConfig,
     SafetyConfig,
     StyleLearner,
     VehicleState,
@@ -25,6 +23,8 @@ from polycbf import (
 from polycbf.scenario import _observe_rows
 
 CFG = SafetyConfig(r_safe=5.0, q=2)
+# The learner's ridge term, which the oracle is handed.
+REGULARIZER = 1e-8
 
 
 def synthetic_samples(truth, hs, q):
@@ -33,17 +33,17 @@ def synthetic_samples(truth, hs, q):
             for t, h in enumerate(hs)]
 
 
-def learn(samples, ridge):
+def learn(samples):
     """The estimate of a fresh StyleLearner after it admits the samples in order."""
-    learner = StyleLearner(ridge)
+    learner = StyleLearner()
     for s in samples:
         est = learner.add(s)
     return est
 
 
-def assert_matches_oracle(est, samples, ridge):
+def assert_matches_oracle(est, samples):
     # the same sums in the same order give the oracle's bits
-    clamped, raw = ridge_oracle([(s.hdot_obs, s.basis) for s in samples], ridge.regularizer)
+    clamped, raw = ridge_oracle([(s.hdot_obs, s.basis) for s in samples], REGULARIZER)
     assert [v.hex() for v in est.raw] == [v.hex() for v in raw]
     assert [v.hex() for v in est.alpha_hat.coefficients] == [v.hex() for v in clamped]
 
@@ -98,120 +98,118 @@ def test_observe_analytic_matches_kinematics():
 
 
 def test_fit_recovers_exact_synthetic_style():
-    ridge = RidgeConfig(regularizer=1e-8)
     samples = synthetic_samples(AlphaVector((0.9, 0.1)), [1.0, 2.0, 3.5, 5.0, 8.0], 2)
-    est = learn(samples, ridge)
+    est = learn(samples)
     assert est.alpha_hat.coefficients == pytest.approx((0.9, 0.1), abs=1e-6)
     assert est.n_samples == 5
-    assert_matches_oracle(est, samples, ridge)
+    assert_matches_oracle(est, samples)
 
 
 def test_fit_handles_degenerate_linear_truth():
     # a pure gamma h style fit with a two-term hypothesis: second weight ~ 0
-    ridge = RidgeConfig(regularizer=1e-8)
     truth = AlphaVector((1.7,))
     hs = [0.5, 1.0, 2.0, 4.0, 6.0]
     samples = [BarrierSample(-kappa(truth, h), basis(h, 2), t)
                for t, h in enumerate(hs)]
-    est = learn(samples, ridge)
+    est = learn(samples)
     assert est.alpha_hat.coefficients[0] == pytest.approx(1.7, abs=1e-6)
     assert abs(est.alpha_hat.coefficients[1]) <= 1e-6
-    assert_matches_oracle(est, samples, ridge)
+    assert_matches_oracle(est, samples)
 
 
 def test_fit_clamps_but_keeps_raw():
     # flipping the sign of the rates drives the raw solution negative
-    ridge = RidgeConfig(regularizer=1e-8)
     truth = AlphaVector((0.9, 0.1))
     samples = [BarrierSample(+kappa(truth, h), basis(h, 2), t)
                for t, h in enumerate([1.0, 2.0, 3.5, 5.0])]
-    est = learn(samples, ridge)
+    est = learn(samples)
     assert all(a >= 0.0 for a in est.alpha_hat.coefficients)
     assert any(r < 0.0 for r in est.raw)
-    assert_matches_oracle(est, samples, ridge)
+    assert_matches_oracle(est, samples)
 
 
 def test_fit_empty_and_mismatched_inputs():
-    ridge = RidgeConfig()
-    assert StyleLearner(ridge).estimate is None
+    assert StyleLearner().estimate is None
     # the first sample sets the order; a later sample of another order is
     # rejected
     mixed = [BarrierSample(1.0, basis(2.0, 2), 0), BarrierSample(1.0, basis(3.0, 3), 1)]
-    learner = StyleLearner(ridge)
+    learner = StyleLearner()
     learner.add(mixed[0])
     with pytest.raises(ConfigurationError, match="order 3 does not match the order 2"):
         learner.add(mixed[1])
     # the rejected sample left the learner as it was
     assert len(learner.samples) == len(learner.history) == 1
-    assert_matches_oracle(learner.add(mixed[0]), [mixed[0]] * 2, ridge)
+    assert_matches_oracle(learner.add(mixed[0]), [mixed[0]] * 2)
     with pytest.raises(ConfigurationError, match="order >= 1"):
-        StyleLearner(ridge).add(BarrierSample(1.0, (), 0))
+        StyleLearner().add(BarrierSample(1.0, (), 0))
 
 
 def test_fit_rank_deficiency_only_without_regularizer():
-    # identical clearances give a rank-1 design matrix
+    # identical clearances give a rank-1 design matrix, which only the
+    # learner's ridge term makes solvable
     samples = synthetic_samples(AlphaVector((1.0, 0.2)), [4.0, 4.0, 4.0], 2)
     assert ridge_oracle([(s.hdot_obs, s.basis) for s in samples], 0.0) is None
-    with pytest.raises(RankDeficiencyError):
-        learn(samples, RidgeConfig(regularizer=0.0))
-    ridge = RidgeConfig(regularizer=1e-8)
-    est = learn(samples, ridge)
+    est = learn(samples)
     assert np.isfinite(est.alpha_hat.coefficients).all()
-    assert_matches_oracle(est, samples, ridge)
+    assert_matches_oracle(est, samples)
+    # a single sample is rank deficient too; the first sample of every run
+    # is one
+    assert_matches_oracle(learn(samples[:1]), samples[:1])
 
 
 def test_check_convergence_window_spread():
-    ridge = RidgeConfig(convergence_tol=1e-3, convergence_window=3)
-
     def estimate(a):
         return AlphaEstimate(alpha_hat=AlphaVector(a), raw=a, n_samples=1,
                              converged=False)
 
-    flat = [estimate((1.0, 2.0))] * 3
-    assert check_convergence(flat, ridge)
-    drifting = [estimate((1.0, 2.0)), estimate((1.0, 2.0)), estimate((1.01, 2.0))]
-    assert not check_convergence(drifting, ridge)
-    assert not check_convergence(flat[:2], ridge)
+    # the window is the last 5 estimates, the tolerance 1e-6 per coefficient
+    flat = [estimate((1.0, 2.0))] * 5
+    assert check_convergence(flat)
+    assert not check_convergence(flat[:4])
+    within = flat[:4] + [estimate((1.0 + 1e-6, 2.0))]
+    assert check_convergence(within)
+    drifting = flat[:4] + [estimate((1.0, 2.0 + 2e-6))]
+    assert not check_convergence(drifting)
+    # an old estimate outside the window does not count
+    assert check_convergence([estimate((9.0, 9.0))] + flat)
 
 
 def test_style_learner_matches_batch_fit():
     rng = np.random.default_rng(2)
-    ridge = RidgeConfig(regularizer=1e-8, admission_threshold=None)
     truth = AlphaVector((0.6, 0.35))
     hs = rng.uniform(0.5, 10.0, 12)
     samples = synthetic_samples(truth, hs, 2)
-    learner = StyleLearner(ridge)
+    learner = StyleLearner()
     for k, s in enumerate(samples):
         # the incremental normal equations agree with the oracle's batch
         # solve on every prefix, bit for bit
-        assert_matches_oracle(learner.add(s), samples[: k + 1], ridge)
+        assert_matches_oracle(learner.add(s), samples[: k + 1])
     assert learner.estimate.alpha_hat.coefficients == pytest.approx(
         (0.6, 0.35), abs=1e-6)
 
 
 def test_style_learner_convergence_is_sticky():
-    ridge = RidgeConfig(regularizer=1e-8,
-                        convergence_tol=1e-6, convergence_window=3,
-                        admission_threshold=None)
     truth = AlphaVector((0.8, 0.05))
-    learner = StyleLearner(ridge)
+    learner = StyleLearner()
     for t, h in enumerate([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]):
         learner.add(BarrierSample(-kappa(truth, h), basis(h, 2), t))
     assert learner.converged
     first = learner.converged_at
-    assert first is not None
+    # no earlier than a full window of estimates
+    assert first is not None and first >= 5
     learner.add(BarrierSample(-kappa(truth, 8.0), basis(8.0, 2), 99))
     assert learner.converged_at == first
     assert learner.estimate.converged
 
 
 def test_style_learner_admission_gate():
-    ridge = RidgeConfig(admission_threshold=0.05)
-    learner = StyleLearner(ridge)
-    # quiescent inputs carry no constraint information
+    learner = StyleLearner()
+    # quiescent inputs carry no constraint information: the gate opens
+    # strictly above 0.01 in either component
     assert not learner.admits((0.0, 0.0))
-    assert not learner.admits((0.04, -0.03))
-    assert learner.admits((0.06, 0.0))
+    assert not learner.admits((0.01, -0.01))
+    assert not learner.admits((0.009, -0.008))
+    assert learner.admits((0.011, 0.0))
+    assert learner.admits((0.0, -0.011))
     assert learner.admits((1.0, 0.2), obj_u_nominal_est=(1.0, 0.3))
-    open_gate = StyleLearner(RidgeConfig(admission_threshold=None))
-    assert open_gate.admits((0.0, 0.0))
+    assert not learner.admits((1.0, 0.2), obj_u_nominal_est=(1.005, 0.195))
