@@ -134,7 +134,7 @@ def _kappa_args(alpha: AlphaVector | Sequence[float],
 
 
 def _kappa(coeffs: tuple[float, ...], h: float) -> float:
-    """Scalar kernel of kappa: no validation, shared with the batch simulator.
+    """Scalar kernel of kappa: no validation, shared with simulate's pair loop.
 
     A zero coefficient adds nothing, not 0 * h^(2p+1): that product is NaN
     once the power overflows.  Skipping it leaves every finite result as it
@@ -148,6 +148,26 @@ def _kappa(coeffs: tuple[float, ...], h: float) -> float:
         if c:
             total += c * term
         term *= h2
+    return total
+
+
+def _kappa_rows(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Array twin of _kappa for simulate's array stage: row v of h (n, m)
+    takes the coefficients coeffs[v] (n, q), zero-padded to a common q.
+
+    Each element is _kappa's, bit for bit: the terms are summed in the same
+    order, and a zero coefficient adds +0.0 in place of its product, which
+    leaves the total unchanged since it never holds -0.0; a padding zero does
+    the same.  Overflow and 0 * inf happen in the skipped products, so the
+    caller runs this under np.errstate.
+    """
+    total = np.zeros_like(h)
+    term = h
+    h2 = h * h
+    for c in coeffs.T:
+        c = c[:, None]
+        total += np.where(c != 0.0, c * term, 0.0)
+        term = term * h2
     return total
 
 

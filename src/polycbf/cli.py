@@ -12,12 +12,13 @@ feasible, then one ``h:<A>:<B>`` clearance column per vehicle pair.  Each
 step contributes one row per vehicle; the clearance columns repeat on every
 row of the step.
 
-Configs are INI files.  Each section is parsed, by field type, into the
-dataclass that declares its keys and their defaults (the experiment's
-*Settings, SafetyConfig, VehicleSpec, ...), so a key left out takes that
-default; a key that names no field, and a section the experiment does not
-read, is a config error.  `run` builds every object before it writes
-anything; `validate` reports the same construction rule by rule.
+Configs are UTF-8 INI files; bytes that do not decode do not parse.  Each
+section is parsed, by field type, into the dataclass that declares its keys
+and their defaults (the experiment's *Settings, SafetyConfig, VehicleSpec,
+...), so a key left out takes that default; a key that names no field, and
+a section the experiment does not read, is a config error.  `run` builds
+every object before it writes anything; `validate` reports the same
+construction rule by rule.
 
 Exit codes: 0 on success, 2 for unknown subcommands or experiments (usage
 error), 3 for a config that cannot be parsed or fails construction, 4 when
@@ -103,7 +104,11 @@ def _parse_config(text: str) -> _Config:
 
 
 def _load_config(path: Path) -> _Config:
-    return _parse_config(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config does not parse: {path} is not UTF-8: {exc}") from None
+    return _parse_config(text)
 
 
 def _preset_text(name: str) -> str:
@@ -395,7 +400,10 @@ def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
     config carries it), so the caller supplies it.  A malformed header or
     body row raises ConfigurationError naming its line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: not UTF-8: {exc}") from None
     if not rows:
         raise ConfigurationError(f"{path}: empty trajectory file")
     header, body = rows[0], rows[1:]
@@ -801,15 +809,11 @@ def _validate(cp) -> List[Tuple[str, bool, str]]:
 
 
 def _cmd_validate(args) -> int:
-    path = Path(args.config)
     try:
-        text = path.read_text(encoding="utf-8")
+        cp = _load_config(Path(args.config))
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        cp = _parse_config(text)
     except ConfigurationError as exc:
         results = [("parse", False, str(exc))]
     else:

@@ -7,8 +7,11 @@ from the one-step clearance rate, so satisfying it keeps the clearance decay
 within the vehicle's class-K margin.  The two vehicles of a pair share the
 row's terms: their directions a are opposite, the rate term 2 dx.dv is the
 same, and only the margin kappa(alpha, h) is each vehicle's own.  _row_terms
-is the one kernel for a and the rate term; the batch simulator calls it once
-per pair and step and mirrors the result for the second vehicle.
+is the one kernel for a and the rate term.  simulate's pair loop calls it on
+floats once per pair and step and mirrors the result for the second vehicle;
+its array stage, for large rosters, calls it once per step on (n, n) arrays
+of ego-minus-other differences and screens every nominal input at once with
+_admits_rows, the elementwise twin of _admits.
 
 The solver is an active-set enumeration specialized to two decision
 variables: the optimum of a strictly convex 2-D projection lies either at the
@@ -206,12 +209,13 @@ def _safety_row(ego, other, other_u_assumed, alpha, cfg, dt):
 
 
 def _row_terms(dx_x, dx_y, dv_x, dv_y, dt):
-    """Scalar kernel of build_safety_constraint: no validation, shared with the
-    batch simulator.  dx and dv are ego minus other.  Returns the row
-    direction (ax, ay) = -2 dx dt and the rate term s = 2 dx.dv; the row's
-    bound is s - 2 dx.u_other dt + kappa(alpha, h).  Swapping ego and other
-    negates dx and dv, so the other vehicle's row of the pair has direction
-    -a and the same s, and only kappa differs between the two."""
+    """Kernel of build_safety_constraint: no validation, shared with simulate,
+    which calls it on floats (pair loop) or on (n, n) arrays (array stage).
+    dx and dv are ego minus other.  Returns the row direction
+    (ax, ay) = -2 dx dt and the rate term s = 2 dx.dv; the row's bound is
+    s - 2 dx.u_other dt + kappa(alpha, h).  Swapping ego and other negates dx
+    and dv, so the other vehicle's row of the pair has direction -a and the
+    same s, and only kappa differs between the two."""
     return -2.0 * dx_x * dt, -2.0 * dx_y * dt, 2.0 * (dx_x * dv_x + dx_y * dv_y)
 
 
@@ -228,6 +232,19 @@ def _admits(rows, ux, uy):
         if not v <= 0.0 and not v <= _FEAS_TOL * max(1.0, abs(b)):
             return False
     return True
+
+
+def _admits_rows(ax, ay, b, ux, uy):
+    """Array twin of _admits' test of one row, elementwise: True where
+    a.u <= b holds to within _FEAS_TOL of its scale, on broadcast arrays.
+
+    The tolerance is never NaN (np.fmax keeps Python's max(1.0, nan) == 1.0)
+    and always positive, so _admits' first test, v <= 0, is implied by its
+    second; a NaN violation fails it.  Rows with an infinity overflow or form
+    inf - inf, so the caller runs this under np.errstate.
+    """
+    v = ax * ux + ay * uy - b
+    return v <= _FEAS_TOL * np.fmax(1.0, np.abs(b))
 
 
 def _enumerate_min_deviation(ubar_x, ubar_y, rows, nominal_cut=False):

@@ -1,0 +1,178 @@
+"""simulate's two stages, the pair loop and the array stage, give the same
+trials bit for bit, and the array stage's kernels match their scalar twins
+element by element.
+
+simulate picks a stage by roster size (_ARRAY_MIN_VEHICLES); each test here
+forces both on the same roster.  The 16- and 32-vehicle golden logs in
+test_golden.py pin the array stage's output at the default size; these tests
+keep the two stages from drifting apart at any size.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from test_golden import _two_lane_roster
+
+from polycbf import AlphaVector, RoadGeometry, ScenarioConfig, VehicleSpec, scenario, simulate
+from polycbf.barrier import _kappa, _kappa_rows
+from polycbf.controller import _admits, _admits_rows, _row_terms
+
+STAGES = {"loop": 10 ** 9, "arrays": 2}
+
+
+def run_stage(monkeypatch, stage, cfg, make_hooks=dict):
+    """simulate(cfg) on one stage; make_hooks() builds fresh hooks per run."""
+    monkeypatch.setattr(scenario, "_ARRAY_MIN_VEHICLES", STAGES[stage])
+    return simulate(cfg, **make_hooks())
+
+
+def assert_same_trial(a, b):
+    for name in ("states", "inputs", "pair_h", "feasible"):
+        x, y = getattr(a.log, name), getattr(b.log, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.log.pairs == b.log.pairs
+    assert {k: v.hex() for k, v in a.metrics.min_h.items()} == \
+        {k: v.hex() for k, v in b.metrics.min_h.items()}
+    assert a.metrics.merge_step == b.metrics.merge_step
+    assert a.metrics.infeasible_step_count == b.metrics.infeasible_step_count
+    assert a.metrics.collision == b.metrics.collision
+    assert a.relaxed_steps == b.relaxed_steps
+
+
+def both_stages(monkeypatch, cfg, make_hooks=dict):
+    loop = run_stage(monkeypatch, "loop", cfg, make_hooks)
+    arrays = run_stage(monkeypatch, "arrays", cfg, make_hooks)
+    assert_same_trial(loop, arrays)
+    return arrays
+
+
+def with_styles(cfg, style):
+    """cfg with vehicle k's style replaced by style(k)."""
+    return dataclasses.replace(cfg, vehicles=tuple(
+        dataclasses.replace(v, alpha=style(k)) for k, v in enumerate(cfg.vehicles)))
+
+
+def test_stages_agree_on_the_golden_infeasible_merge(monkeypatch):
+    rec = both_stages(monkeypatch, _two_lane_roster())
+    assert rec.metrics.infeasible_step_count > 0
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_stages_agree_at_styles_of_order_one_and_three(monkeypatch, q):
+    # order 3 with a zero middle coefficient, and a zero leading one on some
+    # vehicles: the skipped products of the kappa kernels
+    def style(k):
+        if q == 1:
+            return AlphaVector((0.1 + 0.13 * (k % 7),))
+        return AlphaVector((0.0 if k % 4 == 0 else 0.2 + 0.1 * (k % 5), 0.0, 0.01 * (k % 3)))
+
+    rec = both_stages(monkeypatch, with_styles(_two_lane_roster(per_lane=6), style))
+    assert not rec.log.feasible.all()
+
+
+def test_stages_agree_under_every_hook(monkeypatch):
+    # 12 vehicles: alpha_fn switches half the roster to an order-3 style at
+    # step 30, extra_rows_fn caps two vehicles' x acceleration and gives
+    # vehicle 0 a NaN row from step 20, which is dropped and counted, and
+    # on_step ends the trial after step 70.
+    cfg = dataclasses.replace(_two_lane_roster(per_lane=6), n_steps=90)
+    hot = AlphaVector((0.9, 0.0, 0.05))
+
+    def make_hooks():
+        def alpha_fn(t, v):
+            return hot if t >= 30 and v % 2 else cfg.vehicles[v].alpha
+
+        def extra_rows_fn(t, v, cur):
+            if v == 0 and t >= 20:
+                return [(1.0, 0.0, math.nan)]
+            if v in (3, 8):
+                return [(1.0, 0.0, 0.5)]
+            return []
+
+        def on_step(t_next, prev, cur):
+            return t_next == 70
+
+        return {"alpha_fn": alpha_fn, "extra_rows_fn": extra_rows_fn, "on_step": on_step}
+
+    rec = both_stages(monkeypatch, cfg, make_hooks)
+    assert rec.log.states.shape[0] == 71
+    assert rec.relaxed_steps >= 50
+
+
+def test_stages_agree_on_fixed_routes(monkeypatch):
+    # two crossing columns of fixed-heading vehicles, five a column, on
+    # exact lanes (dx or dy is zero within a column) with matched speeds
+    # (dv is zero), so the zero-difference rows of the pair loop recur
+    vehicles = []
+    for k in range(5):
+        gap = -30.0 - 9.0 * k
+        vehicles.append(VehicleSpec(name=f"e{k}", route="fixed", start_position=(gap, 0.0),
+                                    heading=(1.0, 0.0), speed=8.0,
+                                    alpha=AlphaVector((0.3 + 0.1 * k, 0.02))))
+        vehicles.append(VehicleSpec(name=f"n{k}", route="fixed", start_position=(0.0, gap),
+                                    heading=(0.0, 1.0), speed=8.0,
+                                    alpha=AlphaVector((0.6, 0.0, 0.001 * k))))
+    cfg = ScenarioConfig(geometry=RoadGeometry(), vehicles=tuple(vehicles), dt=0.01, n_steps=400)
+    rec = both_stages(monkeypatch, cfg)
+    assert not rec.log.feasible.all()
+    assert rec.log.inputs[:-1].any()
+
+
+# --- the array kernels against their scalar twins ----------------------------
+
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e150, -1e150, 1.7976931348623157e308,
+         math.inf, -math.inf, math.nan)
+
+
+def edge_values(rng, shape):
+    """Random normals with about a third of the entries replaced by EDGES."""
+    values = rng.normal(scale=10.0, size=shape)
+    mask = rng.random(shape) < 0.35
+    values[mask] = rng.choice(EDGES, size=int(mask.sum()))
+    return values
+
+
+def hex_all(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def test_kappa_rows_matches_kappa_elementwise():
+    rng = np.random.default_rng(23)
+    for q in (1, 2, 3, 4):
+        coeffs = rng.uniform(0.0, 2.0, size=(9, q))
+        coeffs[rng.random((9, q)) < 0.3] = 0.0
+        coeffs[0, -1] = 0.0  # a padded row
+        h = edge_values(rng, (9, 11))
+        with np.errstate(all="ignore"):
+            got = _kappa_rows(coeffs, h)
+        want = [[_kappa(tuple(coeffs[v].tolist()), x) for x in h[v].tolist()] for v in range(9)]
+        assert hex_all(got) == hex_all(want)
+
+
+def test_row_terms_on_arrays_match_floats_elementwise():
+    rng = np.random.default_rng(24)
+    dx_x, dx_y, dv_x, dv_y = (edge_values(rng, (8, 8)) for _ in range(4))
+    with np.errstate(all="ignore"):
+        got = _row_terms(dx_x, dx_y, dv_x, dv_y, 0.01)
+    want = [_row_terms(*args, 0.01) for args in zip(dx_x.ravel().tolist(), dx_y.ravel().tolist(),
+                                                    dv_x.ravel().tolist(), dv_y.ravel().tolist())]
+    for k in range(3):
+        assert hex_all(got[k]) == hex_all([w[k] for w in want])
+
+
+def test_admits_rows_matches_admits_elementwise():
+    rng = np.random.default_rng(25)
+    ax, ay, b = (edge_values(rng, (12, 12)) for _ in range(3))
+    ux, uy = edge_values(rng, (12, 1)), edge_values(rng, (12, 1))
+    with np.errstate(all="ignore"):
+        # rows on their line and near their tolerance
+        b[:3] = ax[:3] * ux[:3] + ay[:3] * uy[:3]
+        b[3:6] = (ax[3:6] * ux[3:6] + ay[3:6] * uy[3:6]) * (1.0 - 1e-9)
+        got = _admits_rows(ax, ay, b, ux, uy)
+    rows = np.stack((ax, ay, b), axis=-1).tolist()
+    want = [[_admits([row], ux[v, 0].item(), uy[v, 0].item()) for row in rows[v]]
+            for v in range(12)]
+    assert got.tolist() == want
+    assert got.any() and not got.all()

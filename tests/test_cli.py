@@ -163,6 +163,7 @@ def test_trajectory_csv_unresolvable_pair_column_is_config_error(tmp_path, names
     ("1,a,1,2,3,4,5,6,yes,7", "line 4: feasible must be 0 or 1"),
     ("1,a,1,2,3,x,5,6,1,7", "line 4: could not convert"),     # not a float
     ("one,a,1,2,3,4,5,6,1,7", "line 4: invalid literal"),     # not a step
+    ("1,\xe9,1,2,3,4,5,6,1,7", "traj.csv: not UTF-8"),         # latin-1 byte
 ])
 def test_trajectory_csv_bad_body_row_is_config_error(tmp_path, row, match):
     log = _small_log(("a", "b"), ((0, 1),))
@@ -170,7 +171,7 @@ def test_trajectory_csv_bad_body_row_is_config_error(tmp_path, row, match):
     cli.write_trajectory_csv(path, log)
     lines = path.read_text().split("\n")
     lines[3] = row  # the second step's first row
-    path.write_text("\n".join(lines))
+    path.write_bytes("\n".join(lines).encode("latin-1"))
     with pytest.raises(cli.ConfigurationError, match=match):
         cli.read_trajectory_csv(path, dt=log.dt)
 
@@ -533,12 +534,19 @@ def test_validate_reports_failures_but_exits_zero(tmp_path, capsys):
     assert "PASS experiment" in out
 
 
+# A section header left open, and bytes that are not UTF-8.
+UNPARSEABLE = [b"[run\nexperiment = invariance\n", b"\xff\xfe[run]\n"]
+
+
 def test_validate_unparseable_config_fails_every_rule(tmp_path, capsys):
-    p = write_cfg(tmp_path, "[run\nexperiment = invariance\n")
-    assert run_cli(["validate", p]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" not in out
-    assert "0 of" in out.splitlines()[-1]
+    p = tmp_path / "exp.cfg"
+    for data in UNPARSEABLE:
+        p.write_bytes(data)
+        assert run_cli(["validate", p]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL parse: config does not parse" in out
+        assert "PASS" not in out
+        assert "0 of" in out.splitlines()[-1]
 
 
 def test_validate_missing_file_is_io_error(tmp_path, capsys):
@@ -555,9 +563,11 @@ def test_unknown_experiment_exits_two(tmp_path):
 
 
 def test_unparseable_config_exits_three(tmp_path, capsys):
-    p = write_cfg(tmp_path, "[run\nexperiment = invariance\n")
-    assert run_cli(["run", "invariance", "--config", p, "--out", tmp_path]) == 3
-    assert "config error" in capsys.readouterr().err
+    p = tmp_path / "exp.cfg"
+    for data in UNPARSEABLE:
+        p.write_bytes(data)
+        assert run_cli(["run", "invariance", "--config", p, "--out", tmp_path]) == 3
+        assert "config error: config does not parse" in capsys.readouterr().err
 
 
 def test_invalid_value_exits_three(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from helpers import configs_equal, safety_row_oracle
 
 from polycbf import cli, scenario
+from polycbf.controller import _admits
 from polycbf import (
     AlphaVector,
     ConfigurationError,
@@ -260,23 +261,52 @@ def test_simulation_loop_matches_library_calls_exactly():
         assert np.array_equal(rec.log.pair_h[:, p], h)
 
 
-def test_simulate_rows_match_row_oracle_both_ways_bit_for_bit(monkeypatch):
-    # simulate builds each pair's row terms once and mirrors them; every row
-    # handed to the QP must still be the row formula's, bit for bit, from each
-    # vehicle's own side.  Fixed-heading vehicles share a lane (dy = 0), match
-    # velocities (dv = 0), sit on zeros of opposite sign in x, y and vy,
-    # differ by a subnormal and by 1e150, and mix styles of order 1, 2 and 3.
+def _oracle_roster(head_on=False):
+    # Fixed-heading vehicles share a lane (dy = 0), match velocities
+    # (dv = 0), sit on zeros of opposite sign in x, y and vy, differ by a
+    # subnormal and by 1e150, and mix styles of order 1, 2 and 3.  No filter
+    # binds; head_on adds a vehicle 12 m ahead of "a" driving at it, which
+    # leaves both their programs infeasible.
     roster = [
         ("a", (0.0, 0.0), (1.0, 0.0), 2.0, (0.7,)),
         ("b", (-0.0, 30.0), (1.0, -0.0), 2.0, (0.2, 0.05)),
         ("c", (40.0, 0.0), (1.0, 0.0), 2.0, (0.4, 0.0, 0.01)),
         ("d", (5e-324, -40.0), (0.0, 1.0), 1e-300, (1.1, 0.3)),
         ("e", (1e150, -0.0), (-1.0, 0.0), 3.0, (0.5, 0.0, 0.2)),
-    ]
+    ] + [("f", (12.0, 0.0), (-1.0, 0.0), 2.0, (0.7,))] * head_on
     vehicles = tuple(VehicleSpec(name=name, route="fixed", start_position=start, heading=head,
                                  speed=speed, alpha=AlphaVector(coeffs))
                      for name, start, head, speed, coeffs in roster)
-    cfg = ScenarioConfig(geometry=RoadGeometry(), vehicles=vehicles, dt=0.01, n_steps=4)
+    return ScenarioConfig(geometry=RoadGeometry(), vehicles=vehicles, dt=0.01, n_steps=4)
+
+
+def _oracle_rows(cfg, states, v):
+    """safety_row_oracle's rows of vehicle v against each neighbour, in
+    ascending order, at the logged states of one step."""
+    st = states.tolist()
+    r2 = cfg.safety.r_safe * cfg.safety.r_safe
+    rows = []
+    for w in range(len(st)):
+        if w == v:
+            continue
+        dx_x, dx_y = st[v][0] - st[w][0], st[v][1] - st[w][1]
+        h = dx_x * dx_x + dx_y * dx_y - r2
+        rows.append(safety_row_oracle(dx_x, dx_y, st[v][2] - st[w][2], st[v][3] - st[w][3],
+                                      0.0, 0.0, h, cfg.vehicles[v].alpha.coefficients, cfg.dt))
+    return rows
+
+
+def _hex_rows(rows):
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
+def test_simulate_rows_match_row_oracle_both_ways_bit_for_bit(monkeypatch):
+    # The pair loop builds each pair's row terms once and mirrors them; every
+    # row handed to the QP must still be the row formula's, bit for bit, from
+    # each vehicle's own side.
+    cfg = _oracle_roster()
+    n = len(cfg.vehicles)
+    monkeypatch.setattr(scenario, "_ARRAY_MIN_VEHICLES", n + 1)
     seen = []
     solve = scenario._solve_scalar
 
@@ -286,23 +316,52 @@ def test_simulate_rows_match_row_oracle_both_ways_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(scenario, "_solve_scalar", spy)
     log = simulate(cfg).log
-    n = len(vehicles)
-    r2 = cfg.safety.r_safe * cfg.safety.r_safe
     assert len(seen) == cfg.n_steps * n
     for t in range(cfg.n_steps):
-        st = log.states[t].tolist()
         for v in range(n):
-            expect = []
-            for w in range(n):
-                if w == v:
-                    continue
-                dx_x, dx_y = st[v][0] - st[w][0], st[v][1] - st[w][1]
-                h = dx_x * dx_x + dx_y * dx_y - r2
-                expect.append(safety_row_oracle(dx_x, dx_y, st[v][2] - st[w][2],
-                                                st[v][3] - st[w][3], 0.0, 0.0, h,
-                                                vehicles[v].alpha.coefficients, cfg.dt))
-            got = [tuple(map(float.hex, row)) for row in seen[t * n + v]]
-            assert got == [tuple(map(float.hex, row)) for row in expect], (t, v)
+            expect = _hex_rows(_oracle_rows(cfg, log.states[t], v))
+            assert _hex_rows(seen[t * n + v]) == expect, (t, v)
+
+
+@pytest.mark.parametrize("head_on", [False, True])
+def test_array_stage_rows_and_screen_match_row_oracle_bit_for_bit(monkeypatch, head_on):
+    # The array stage forms every vehicle's rows from its own side on (n, n)
+    # arrays.  Every row, those of nominals the screen passed included, must
+    # be the row formula's, each screen verdict _admits' on those rows, and
+    # exactly the vehicles the screen failed reach the QP, with those rows.
+    cfg = _oracle_roster(head_on)
+    n = len(cfg.vehicles)
+    monkeypatch.setattr(scenario, "_ARRAY_MIN_VEHICLES", 2)
+    screens, solved = [], []
+    screen, solve = scenario._admits_rows, scenario._solve_scalar
+
+    def screen_spy(ax, ay, b, ux, uy):
+        ok = screen(ax, ay, b, ux, uy)
+        screens.append((ax.tolist(), ay.tolist(), b.tolist(), ux[:, 0].tolist(),
+                        uy[:, 0].tolist(), ok.tolist()))
+        return ok
+
+    def solve_spy(*args):
+        solved.append((args[0], args[1], list(args[6])))
+        return solve(*args)
+
+    monkeypatch.setattr(scenario, "_admits_rows", screen_spy)
+    monkeypatch.setattr(scenario, "_solve_scalar", solve_spy)
+    log = simulate(cfg).log
+    assert len(screens) == cfg.n_steps
+    expect_solved = []
+    for t, (ax, ay, b, ux, uy, ok) in enumerate(screens):
+        for v in range(n):
+            rows = _oracle_rows(cfg, log.states[t], v)
+            others = [w for w in range(n) if w != v]
+            got = [(ax[v][w], ay[v][w], b[v][w]) for w in others]
+            assert _hex_rows(got) == _hex_rows(rows), (t, v)
+            verdicts = [ok[v][w] for w in others]
+            assert verdicts == [_admits([row], ux[v], uy[v]) for row in rows], (t, v)
+            if not all(verdicts):
+                expect_solved.append((ux[v], uy[v], _hex_rows(rows)))
+    assert bool(expect_solved) == head_on
+    assert [(x, y, _hex_rows(rows)) for x, y, rows in solved] == expect_solved
 
 
 def test_simulation_is_deterministic():
