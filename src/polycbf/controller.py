@@ -169,7 +169,13 @@ def _cruise(gain, speed, d_x, d_y, v_x, v_y, lo_x, lo_y, hi_x, hi_y):
     """Scalar kernel of nominal_control: no validation, shared with the batch simulator."""
     ux = gain * (speed * d_x - v_x)
     uy = gain * (speed * d_y - v_y)
-    return min(max(ux, lo_x), hi_x), min(max(uy, lo_y), hi_y)
+    # min(max(u, lo), hi) as comparisons, which return the builtins' very
+    # operands (NaN and the sign of zero included) without their call cost.
+    ux = lo_x if lo_x > ux else ux
+    ux = hi_x if hi_x < ux else ux
+    uy = lo_y if lo_y > uy else uy
+    uy = hi_y if hi_y < uy else uy
+    return ux, uy
 
 
 def build_safety_constraint(ego: VehicleState, other: VehicleState, other_u_assumed,

@@ -19,6 +19,7 @@ Each experiment declares its settings and their defaults once, in a frozen
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -134,7 +135,7 @@ class RoadGeometry:
     def direction(self, route: str, position) -> np.ndarray:
         """Unit travel direction for a main or ramp vehicle at a position."""
         return np.array(self._pursuit(self._route(route), float(position[0]),
-                                      float(position[1])))
+                                      float(position[1]))[:2])
 
     def progress(self, route: str, position) -> float:
         """Signed arc length to the merge point along a main or ramp route."""
@@ -150,10 +151,13 @@ class RoadGeometry:
                 return along_ramp
         return sx * ex + sy * ey
 
-    def _pursuit(self, ramp: bool, px: float, py: float) -> Tuple[float, float]:
-        """Scalar kernel of direction for main (ramp False) and ramp routes."""
+    def _pursuit(self, ramp: bool, px: float, py: float) -> Tuple[float, float, float]:
+        """Scalar kernel of direction for main (ramp False) and ramp routes:
+        (dir_x, dir_y, progress), with the progress the aim point is taken
+        from, so that simulate reads its merge steps off the same call."""
         mx, my, rx, ry, ex, ey, look = self._scalars
-        target = self._progress(ramp, px, py) + look
+        progress = self._progress(ramp, px, py)
+        target = progress + look
         if ramp and target < 0.0:
             dx, dy = rx, ry
         else:
@@ -163,8 +167,8 @@ class RoadGeometry:
         norm = math.hypot(ddx, ddy)
         if norm <= 1e-9:
             # Standing on the aim point: fall back to the local tangent.
-            return dx, dy
-        return ddx / norm, ddy / norm
+            return dx, dy, progress
+        return ddx / norm, ddy / norm, progress
 
     def place(self, route: str, progress: float) -> np.ndarray:
         """Route point at a given signed arc distance from the merge."""
@@ -289,11 +293,11 @@ class TrialRecord:
 
 # The roster size from which simulate builds rows and screens nominals on
 # (n, n) arrays instead of pair by pair: the measured crossover.  Whole
-# simulate time per vehicle-step, in µs, best of 3, on the two-lane merges
+# simulate time per vehicle-step, in µs, best of 15, on the two-lane merges
 # of the golden tests (90 steps; 2-core x86_64, Python 3.11, numpy 2.4):
 #   n        2     4     8     9    10    12    16    32
-#   arrays 28.0  15.9   9.2   8.5   8.3   7.4   6.4   5.3
-#   loop    7.4   7.0   8.0   8.4   9.2   9.8  12.2  21.1
+#   arrays 23.6  13.4   7.8   7.2   6.7   6.3   5.4   4.5
+#   loop    5.4   5.2   6.5   6.9   7.4   8.4  10.4  19.0
 _ARRAY_MIN_VEHICLES = 10
 
 
@@ -334,6 +338,13 @@ def simulate(cfg: ScenarioConfig,
     and their bounds at once, and screens every nominal input against its
     rows; only a vehicle whose nominal fails the screen, or that has extra
     rows, solves its QP.  Both stages give the same bits.
+
+    The log is kept as the trial runs: states in one preallocated array,
+    whose read-only rows are what the hooks see, and the inputs and pair
+    clearances in flat buffers that are reshaped into their arrays once, at
+    the end.  A route vehicle's merge step is read off the progress its
+    pursuit computes for the step's direction, and off the progress itself
+    at the last logged step, which runs no pursuit.
     """
     geom = cfg.geometry
     vehicles = cfg.vehicles
@@ -343,6 +354,7 @@ def simulate(cfg: ScenarioConfig,
     r2 = cfg.safety.r_safe * cfg.safety.r_safe
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     array_stage = n >= _ARRAY_MIN_VEHICLES
+    pursuit = geom._pursuit
 
     states = np.empty((N + 1, n, 4))
     for v, spec in enumerate(vehicles):
@@ -351,15 +363,20 @@ def simulate(cfg: ScenarioConfig,
     px, py, vx, vy = (states[0, :, k].tolist() for k in range(4))
     rows_ro = states.view()  # the hooks' view; each row is written once
     rows_ro.flags.writeable = False
-    gains = [v.gain for v in vehicles]
-    desired = [v.desired_speed for v in vehicles]
-    lo_x = [float(v.limits.u_min[0]) for v in vehicles]
-    lo_y = [float(v.limits.u_min[1]) for v in vehicles]
-    hi_x = [float(v.limits.u_max[0]) for v in vehicles]
-    hi_y = [float(v.limits.u_max[1]) for v in vehicles]
-    ramp = [v.route == "ramp" for v in vehicles]
-    headings = [(float(v.heading[0]), float(v.heading[1])) if v.route == "fixed" else None
-                for v in vehicles]
+    width = 4 * n
+    flat = states.reshape(-1)  # states[t] is flat[width * t:width * (t + 1)]
+    # Each vehicle's (gain, desired speed, lo_x, lo_y, hi_x, hi_y, on the
+    # ramp, heading): a fixed route's heading, normalized once here, or None
+    # on the road, where pursuit steers.
+    consts = []
+    for spec in vehicles:
+        heading = None
+        if spec.route == "fixed":
+            hx, hy = float(spec.heading[0]), float(spec.heading[1])
+            nn = math.hypot(hx, hy)
+            heading = (hx / nn, hy / nn)
+        consts.append((spec.gain, spec.desired_speed, *map(float, spec.limits.u_min),
+                       *map(float, spec.limits.u_max), spec.route == "ramp", heading))
     coeffs = [v.alpha.coefficients for v in vehicles]
     if array_stage:
         upper = np.triu_indices(n, 1)
@@ -371,13 +388,15 @@ def simulate(cfg: ScenarioConfig,
         # rewritten at each step that runs the filters.
         safety = [[None] * (n - 1) for _ in range(n)]
 
-    inputs = np.zeros((N + 1, n, 2))
-    pair_h = np.empty((N + 1, len(pairs)))
+    inputs_log = array("d")
+    log_u = inputs_log.append
+    pair_h_log = array("d")
+    log_h = pair_h_log.append
     feasible = np.ones((N + 1, n), dtype=bool)
-    merge_step: Dict[str, Optional[int]] = {v.name: None for v in vehicles}
+    merge_step: List[Optional[int]] = [None] * n
     relaxed = 0
     stop = False
-    n_logged = N + 1
+    hooked = extra_rows_fn is not None or on_step is not None
 
     for t in range(N + 1):
         last = t == N or stop
@@ -393,18 +412,17 @@ def simulate(cfg: ScenarioConfig,
                 dx = x[:, None] - x
                 dy = y[:, None] - y
                 h = dx * dx + dy * dy - r2
-                pair_h[t] = h[upper]
+                pair_h_log.frombytes(h[upper].tobytes())
                 if not last:
                     ax, ay, s = _row_terms(dx, dy, vel_x[:, None] - vel_x,
                                            vel_y[:, None] - vel_y, dt)
                     b = s + _kappa_rows(alphas, h)
         else:
-            hs = []
             for i, j in pairs:
                 dxx = px[i] - px[j]
                 dyy = py[i] - py[j]
                 h = dxx * dxx + dyy * dyy - r2
-                hs.append(h)
+                log_h(h)
                 if last:
                     continue
                 ax, ay, s = _row_terms(dxx, dyy, vx[i] - vx[j], vy[i] - vy[j], dt)
@@ -418,102 +436,110 @@ def simulate(cfg: ScenarioConfig,
                     ax, ay, s = _row_terms(px[j] - px[i], py[j] - py[i],
                                            vx[j] - vx[i], vy[j] - vy[i], dt)
                     safety[j][i] = (ax, ay, s + _kappa(coeffs[j], h))
-            pair_h[t] = hs
-        for v, spec in enumerate(vehicles):
-            if merge_step[spec.name] is None and spec.route != "fixed":
-                if geom._progress(ramp[v], px[v], py[v]) > 0.0:
-                    merge_step[spec.name] = t
         if last:
+            # No pursuit runs at the last logged step, so its merges are
+            # read off the progress itself; no input follows it.
+            for v, (*_, ramp, heading) in enumerate(consts):
+                if heading is None and merge_step[v] is None and \
+                        geom._progress(ramp, px[v], py[v]) > 0.0:
+                    merge_step[v] = t
+            inputs_log.extend([0.0] * (2 * n))
             n_logged = t + 1
             break
 
-        cur = rows_ro[t]
-        new_u = []
+        cur = rows_ro[t] if hooked else None  # the row the hooks see
+        row_next = []  # states[t + 1], vehicle by vehicle
         if array_stage:
             nominal = []
-            for v in range(n):
-                if headings[v] is None:
-                    dir_x, dir_y = geom._pursuit(ramp[v], px[v], py[v])
+            for v, (gain, speed, lo_x, lo_y, hi_x, hi_y, ramp, heading) in enumerate(consts):
+                if heading is None:
+                    dir_x, dir_y, progress = pursuit(ramp, px[v], py[v])
+                    if progress > 0.0 and merge_step[v] is None:
+                        merge_step[v] = t
+                    nn = math.hypot(dir_x, dir_y)
+                    dir_x, dir_y = dir_x / nn, dir_y / nn
                 else:
-                    dir_x, dir_y = headings[v]
-                nn = math.hypot(dir_x, dir_y)
-                nominal.append(_cruise(gains[v], desired[v], dir_x / nn, dir_y / nn,
-                                       vx[v], vy[v], lo_x[v], lo_y[v], hi_x[v], hi_y[v]))
+                    dir_x, dir_y = heading
+                nominal.append(_cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
+                                       lo_x, lo_y, hi_x, hi_y))
             ub = np.array(nominal)
             with np.errstate(all="ignore"):
                 # A nominal in the box that every row admits is
                 # _solve_scalar's answer; a NaN nominal fails every row.
                 passed = (_admits_rows(ax, ay, b, ub[:, :1], ub[:, 1:])
                           | diagonal).all(axis=1).tolist()
-            for v in range(n):
-                ub_x, ub_y = nominal[v]
+            for v, (ub_x, ub_y) in enumerate(nominal):
+                ux, uy = ub_x, ub_y
                 extra = None
                 if extra_rows_fn is not None:
                     extra = list(extra_rows_fn(t, v, cur))
-                if passed[v] and not extra:
-                    new_u.append((ub_x, ub_y))
-                    continue
-                cols = [m[v].tolist() for m in (ax, ay, b)]
-                for col in cols:
-                    del col[v]
-                rows = safety_v = list(zip(*cols))
-                if extra:
-                    rows = rows + extra
-                ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x[v], lo_y[v],
-                                                 hi_x[v], hi_y[v], rows)
-                if extra and not ok:
-                    # As in the pair loop below.
-                    ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x[v], lo_y[v],
-                                                     hi_x[v], hi_y[v], safety_v)
-                    if ok:
-                        relaxed += 1
-                new_u.append((ux, uy))
-                if not ok:
-                    feasible[t, v] = False
+                if not passed[v] or extra:
+                    lo_x, lo_y, hi_x, hi_y = consts[v][2:6]
+                    cols = [m[v].tolist() for m in (ax, ay, b)]
+                    for col in cols:
+                        del col[v]
+                    rows = safety_v = list(zip(*cols))
+                    if extra:
+                        rows = rows + extra
+                    ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
+                    if extra and not ok:
+                        # As in the pair loop below.
+                        ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y,
+                                                         hi_x, hi_y, safety_v)
+                        if ok:
+                            relaxed += 1
+                    if not ok:
+                        feasible[t, v] = False
+                log_u(ux)
+                log_u(uy)
+                x_next, vx_next = _step(px[v], vx[v], ux, dt)
+                y_next, vy_next = _step(py[v], vy[v], uy, dt)
+                row_next += x_next, y_next, vx_next, vy_next
         else:
             # The pair loop computes each nominal where it solves: a separate
             # pass, shared with the array stage, costs it a few percent.
-            for v in range(n):
-                if headings[v] is None:
-                    dir_x, dir_y = geom._pursuit(ramp[v], px[v], py[v])
+            for v, (gain, speed, lo_x, lo_y, hi_x, hi_y, ramp, heading) in enumerate(consts):
+                if heading is None:
+                    dir_x, dir_y, progress = pursuit(ramp, px[v], py[v])
+                    if progress > 0.0 and merge_step[v] is None:
+                        merge_step[v] = t
+                    # NominalPlan normalizes the lane direction it is given.
+                    nn = math.hypot(dir_x, dir_y)
+                    dir_x, dir_y = dir_x / nn, dir_y / nn
                 else:
-                    dir_x, dir_y = headings[v]
-                # NominalPlan normalizes the lane direction it is given.
-                nn = math.hypot(dir_x, dir_y)
-                ub_x, ub_y = _cruise(gains[v], desired[v], dir_x / nn, dir_y / nn,
-                                     vx[v], vy[v], lo_x[v], lo_y[v], hi_x[v], hi_y[v])
+                    dir_x, dir_y = heading
+                ub_x, ub_y = _cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
+                                     lo_x, lo_y, hi_x, hi_y)
                 rows = safety[v]
                 extra = None
                 if extra_rows_fn is not None:
                     extra = list(extra_rows_fn(t, v, cur))
                     rows = rows + extra
 
-                ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x[v], lo_y[v],
-                                                 hi_x[v], hi_y[v], rows)
+                ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
                 if extra and not ok:
                     # The appended rows are advisory relative to the safety
                     # rows: rather than let the fallback trade safety slack
                     # for them, drop them for this step and record that we did.
-                    ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x[v], lo_y[v],
-                                                     hi_x[v], hi_y[v], safety[v])
+                    ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y,
+                                                     hi_x, hi_y, safety[v])
                     if ok:
                         relaxed += 1
-                new_u.append((ux, uy))
                 if not ok:
                     feasible[t, v] = False
-        inputs[t] = new_u
-
-        for v in range(n):
-            ux, uy = new_u[v]
-            px[v], vx[v] = _step(px[v], vx[v], ux, dt)
-            py[v], vy[v] = _step(py[v], vy[v], uy, dt)
-        states[t + 1].T[...] = px, py, vx, vy
+                log_u(ux)
+                log_u(uy)
+                x_next, vx_next = _step(px[v], vx[v], ux, dt)
+                y_next, vy_next = _step(py[v], vy[v], uy, dt)
+                row_next += x_next, y_next, vx_next, vy_next
+        flat[width * (t + 1):width * (t + 2)] = row_next
+        px, py, vx, vy = row_next[0::4], row_next[1::4], row_next[2::4], row_next[3::4]
         if on_step is not None:
             stop = bool(on_step(t + 1, cur, rows_ro[t + 1]))
 
     states = states[:n_logged]
-    inputs = inputs[:n_logged]
-    pair_h = pair_h[:n_logged]
+    inputs = np.frombuffer(inputs_log).reshape(n_logged, n, 2)
+    pair_h = np.frombuffer(pair_h_log).reshape(n_logged, len(pairs))
     feasible = feasible[:n_logged]
     names = tuple(v.name for v in vehicles)
     min_h = {(names[i], names[j]): float(pair_h[:, p].min())
@@ -521,7 +547,7 @@ def simulate(cfg: ScenarioConfig,
     collision = any(v < COLLISION_TOL for v in min_h.values()) if min_h else False
     metrics = TrialMetrics(
         min_h=min_h,
-        merge_step=dict(merge_step),
+        merge_step={spec.name: merge_step[v] for v, spec in enumerate(vehicles)},
         infeasible_step_count=int((~feasible[: n_logged - 1]).sum()),
         collision=collision,
     )

@@ -104,6 +104,14 @@ def enumeration_oracle(ubar_x, ubar_y, rows, feas_tol=1e-9):
     return None
 
 
+def cruise_oracle(gain, speed, d_x, d_y, v_x, v_y, lo_x, lo_y, hi_x, hi_y):
+    """The cruise law gain*(speed*d - v), each axis clamped by the builtins
+    as min(max(u, lo), hi)."""
+    ux = gain * (speed * d_x - v_x)
+    uy = gain * (speed * d_y - v_y)
+    return min(max(ux, lo_x), hi_x), min(max(uy, lo_y), hi_y)
+
+
 def safety_row_oracle(dx_x, dx_y, dv_x, dv_y, uo_x, uo_y, h, coeffs, dt):
     """Frozen reference for one safety row, for bit-for-bit checks.
 

@@ -1,4 +1,5 @@
 """Safety filter QP: nominal law, constraint rows, exact solve, fallbacks."""
+import itertools
 import math
 import os
 import random
@@ -10,8 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (enumeration_oracle, frozen_solve_scalar, minimax_oracle, qp_oracle,
-                     random_box_qp, result_bits, safety_row_oracle)
+from helpers import (cruise_oracle, enumeration_oracle, frozen_solve_scalar, minimax_oracle,
+                     qp_oracle, random_box_qp, result_bits, safety_row_oracle)
 
 import polycbf
 from polycbf import controller
@@ -55,6 +56,39 @@ def test_nominal_control_clamps_to_box():
     s = VehicleState((0.0, 0.0), (0.0, 0.0))
     u = nominal_control(s, plan, ControlLimits((-3.0, -3.0), (3.0, 3.0)))
     assert u[0] == 3.0 and u[1] == 0.0
+
+
+# NaN, both zeros, both infinities and finite values, some equal to others:
+# every (u, lo, hi) drawn from these puts u on a bound, past it or inside,
+# and includes lo == hi.
+_CLAMP_VALUES = (math.nan, -math.inf, -3.0, -0.0, 0.0, 2.5, 3.0, math.inf)
+
+
+def _hex(pair):
+    return tuple(map(float.hex, pair))
+
+
+def test_cruise_clamp_matches_min_max_oracle_bit_for_bit():
+    for u, lo, hi in itertools.product(_CLAMP_VALUES, repeat=3):
+        # speed*d_x is -0.0 and v_x = -u, so the unclamped x input is u
+        # itself, -0.0 included; the y axis takes the same values rotated.
+        args = (1.0, 1.0, -0.0, -0.0, -u, -lo, lo, hi, hi, u)
+        assert _hex(controller._cruise(*args)) == _hex(cruise_oracle(*args)), (u, lo, hi)
+
+
+@pytest.mark.parametrize("limits", [None, ControlLimits((-3.0, -0.0), (0.0, 3.0)),
+                                    ControlLimits((2.0, -1.0), (2.0, -1.0))])
+def test_nominal_control_clamp_matches_min_max_oracle_bit_for_bit(limits):
+    lo, hi = (-math.inf, -math.inf), (math.inf, math.inf)
+    if limits is not None:
+        lo, hi = limits.u_min.tolist(), limits.u_max.tolist()
+    for d, v in [((1.0, 0.0), (4.0, 0.0)), ((-0.0, 1.0), (0.0, 9.0)), ((0.6, 0.8), (-2.0, 1.0)),
+                 ((1.0, -0.0), (-1e308, 1e308)), ((3.0, 4.0), (6.0, 8.0))]:
+        plan = NominalPlan(desired_speed=10.0, lane_direction=d, gain=1e10)
+        state = VehicleState((0.0, 0.0), v)
+        expect = cruise_oracle(plan.gain, plan.desired_speed, *plan.lane_direction.tolist(),
+                               *v, lo[0], lo[1], hi[0], hi[1])
+        assert _hex(nominal_control(state, plan, limits).tolist()) == _hex(expect), (d, v)
 
 
 def test_nominal_plan_validation():
