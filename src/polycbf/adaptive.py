@@ -143,7 +143,9 @@ def _roster(cfg: ScenarioConfig) -> Tuple[int, int, int]:
 @dataclass
 class AdaptiveRecord:
     """Everything one adaptive run produced.  The prediction-off baseline is
-    a plain simulate trial, and its learner fields keep their defaults."""
+    a plain simulate trial, and its learner fields keep their defaults; its
+    trial may be the enabled run's own TrialRecord object, when that run
+    selected no style."""
 
     trial: TrialRecord
     prediction_enabled: bool
@@ -246,7 +248,10 @@ def experiment_prediction_in_loop(
         settings: AdaptiveSettings = AdaptiveSettings()) -> AdaptiveComparison:
     """Paired runs on the same scenario: run_adaptive_merge with prediction
     on, and simulate(scenario) as the prediction-off baseline, the ego
-    keeping its configured style and no hook installed.
+    keeping its configured style and no hook installed.  When no style was
+    selected, every hook left the filter program as it was, so the enabled
+    trial is that baseline bit for bit, and the disabled record holds the
+    enabled TrialRecord itself instead of a second run.
 
     Observation defaults to AdaptiveSettings.hdot_mode, the analytic rate
     (the observer reconstructs the object's acceleration from consecutive
@@ -254,7 +259,8 @@ def experiment_prediction_in_loop(
     hdot_mode="finite_diff" difference clearances instead.
     """
     enabled = run_adaptive_merge(scenario, settings)
-    disabled = AdaptiveRecord(trial=simulate(scenario), prediction_enabled=False)
+    baseline = enabled.trial if enabled.selected_alpha is None else simulate(scenario)
+    disabled = AdaptiveRecord(trial=baseline, prediction_enabled=False)
     # run_adaptive_merge has checked the roster, so it has exactly one ego.
     ego_name = scenario.vehicles[_roster(scenario)[0]].name
 

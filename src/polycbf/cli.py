@@ -40,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import typing
 from dataclasses import dataclass
@@ -639,7 +640,10 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
     traj_on = out_dir / "trajectory_enabled.csv"
     write_trajectory_csv(traj_on, enabled.trial.log)
     traj_off = out_dir / "trajectory_disabled.csv"
-    write_trajectory_csv(traj_off, disabled.trial.log)
+    if disabled.trial is enabled.trial:
+        shutil.copyfile(traj_on, traj_off)
+    else:
+        write_trajectory_csv(traj_off, disabled.trial.log)
 
     lines = [
         "adaptive: ego merge step %d with prediction vs %d without (%.1f%% earlier)"
@@ -658,7 +662,11 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
             lines.append(f"selected style ({style}) at the phase budget from an "
                          "unconverged estimate; no compatibility row")
     else:
-        lines.append("estimate never converged; ego kept its configured style")
+        budget = settings.phase_budget
+        cause = (f"the run ended at step {scenario.n_steps}, before the phase budget {budget}"
+                 if scenario.n_steps < budget else f"no sample was admitted by step {budget}")
+        lines.append(f"no style selected: {cause}; the ego kept its configured style, "
+                     "so the baseline is the same trial")
     diag = None
     flagged = [label for label, record in (("enabled", enabled), ("disabled", disabled))
                if record.trial.metrics.collision]

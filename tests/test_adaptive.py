@@ -151,12 +151,28 @@ def test_adaptive_run_argument_validation():
         AdaptiveSettings(phase_budget=0)
 
 
-def test_disabled_prediction_reduces_to_plain_trial():
-    # the prediction-off baseline of the shipped experiment is a hookless
-    # simulate run of its scenario, bit for bit
-    preset = load_preset("adaptive")
-    disabled = experiment_prediction_in_loop(**preset).disabled
-    plain = simulate(preset["scenario"])
+def object_style(cfg, coefficients):
+    """cfg with its object driving the given style."""
+    return dataclasses.replace(cfg, vehicles=tuple(
+        dataclasses.replace(v, alpha=AlphaVector(coefficients)) if v.role == "object" else v
+        for v in cfg.vehicles))
+
+
+@pytest.mark.parametrize("scenario,selects", [
+    (preset_config(3000), True),
+    # the learner admits no sample of this object by the phase budget
+    (object_style(preset_config(3000), (0.5, 0.5)), False),
+    # the run ends before the phase budget
+    (preset_config(100), False),
+], ids=["preset", "no-sample", "short-run"])
+def test_disabled_prediction_reduces_to_plain_trial(scenario, selects):
+    # the prediction-off baseline is a hookless simulate run of the scenario,
+    # bit for bit; a run that selected no style is its own baseline
+    comparison = experiment_prediction_in_loop(scenario)
+    enabled, disabled = comparison.enabled, comparison.disabled
+    assert (enabled.selected_alpha is not None) == selects
+    assert (disabled.trial is enabled.trial) == (not selects)
+    plain = simulate(scenario)
     assert not disabled.prediction_enabled
     assert disabled.selected_alpha is None
     assert disabled.final_estimate is None

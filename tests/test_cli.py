@@ -461,6 +461,9 @@ def test_adaptive_preset_run_reports_speedup(tmp_path, capsys):
     assert int(enabled["overall_step"]) < int(disabled["overall_step"])
     assert (exp_dir / "trajectory_enabled.csv").exists()
     assert (exp_dir / "trajectory_disabled.csv").exists()
+    # a selected style changes the trial: two runs, two different files
+    assert ((exp_dir / "trajectory_enabled.csv").read_bytes()
+            != (exp_dir / "trajectory_disabled.csv").read_bytes())
     assert (exp_dir / "estimates.csv").exists()
     assert "wrote" in captured.out
 
@@ -487,6 +490,43 @@ def test_adaptive_rows_fit_the_header_at_any_order(tmp_path, capsys, q, selected
         ["0", "1"] + [""] * (width - 2)
     assert [disabled[f"selected_alpha_{k}"] for k in range(width)] == [""] * width
     assert (enabled["converged_at"] == "") == (q == 1)
+
+
+NO_SAMPLE = ADAPTIVE.replace("alpha = 0.9 0.1", "alpha = 0.5 0.5")
+
+
+@pytest.mark.parametrize("config,line,converged_at", [
+    # the learner admits no sample of a (0.5, 0.5) object
+    (NO_SAMPLE, "no style selected: no sample was admitted by step 300; the ego kept its "
+                "configured style, so the baseline is the same trial\n", ""),
+    # the estimate converges, but the run ends before the budget selects a style
+    (ADAPTIVE.replace("phase_budget = 300", "phase_budget = 5000"),
+     "no style selected: the run ended at step 3000, before the phase budget 5000; the ego "
+     "kept its configured style, so the baseline is the same trial\n", "6"),
+], ids=["no-sample", "run-ended"])
+def test_adaptive_run_without_a_selection_copies_its_trajectory(tmp_path, capsys, monkeypatch,
+                                                                 config, line, converged_at):
+    cfg = write_cfg(tmp_path, config)
+    out = tmp_path / "out"
+    assert run_cli(["run", "adaptive", "--config", cfg, "--out", out]) == 0
+    assert line in capsys.readouterr().out
+    exp_dir = out / "adaptive"
+    with open(exp_dir / "metrics.csv", newline="") as fh:
+        enabled, disabled = list(csv.DictReader(fh))
+    assert enabled["converged_at"] == converged_at
+    assert enabled["selected_alpha_0"] == disabled["selected_alpha_0"] == ""
+    # the baseline file is a copy of the one trial's, which is what a fresh
+    # hookless run of the scenario writes
+    trial_bytes = (exp_dir / "trajectory_enabled.csv").read_bytes()
+    assert (exp_dir / "trajectory_disabled.csv").read_bytes() == trial_bytes
+    plain = tmp_path / "plain.csv"
+    built = built_by_run(tmp_path / "built", monkeypatch, "adaptive", cfg)
+    cli.write_trajectory_csv(plain, simulate(built["scenario"]).log)
+    assert plain.read_bytes() == trial_bytes
+    sha = {e["name"]: e["sha256"]
+           for e in json.loads((exp_dir / "manifest.json").read_text())["files"]}
+    assert sha["trajectory_disabled.csv"] == sha["trajectory_enabled.csv"] \
+        == hashlib.sha256(trial_bytes).hexdigest()
 
 
 WEIGHT_STYLES = cli._parse_config(cli._preset_text("sweep_weights")).get("sweep", "styles")
