@@ -29,8 +29,8 @@ from .controller import ControlLimits, NominalPlan, _solve_scalar, safe_control
 from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import ConfigurationError
 from .learner import AlphaEstimate, StyleLearner
-from .scenario import (OBSERVATION_MODES, ScenarioConfig, TrialRecord, _check_counts,
-                       _observe_rows, _trial_rng, simulate)
+from .scenario import (ScenarioConfig, TrialRecord, _check_counts, _observe_rows, _trial_rng,
+                       simulate)
 
 __all__ = [
     "REFERENCE_H",
@@ -114,12 +114,9 @@ class AdaptiveSettings:
     """Settings of experiment_prediction_in_loop, the [adaptive] config section."""
 
     phase_budget: int = 300
-    hdot_mode: str = "analytic"
 
     def __post_init__(self):
         _check_counts(phase_budget=self.phase_budget)
-        if self.hdot_mode not in OBSERVATION_MODES:
-            raise ConfigurationError(f"unknown hdot_mode {self.hdot_mode!r}")
 
 
 def _roster(cfg: ScenarioConfig) -> Tuple[int, int, int]:
@@ -169,7 +166,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     against the first neighbor.  The hooks hand simulate the compatibility
     row as the (ax, ay, b) triple _compat_row forms.
     """
-    phase_budget, hdot_mode = settings.phase_budget, settings.hdot_mode
+    phase_budget = settings.phase_budget
     ego_idx, obj_idx, nbr_idx = _roster(cfg)
     dt = cfg.dt
     safety = cfg.safety
@@ -189,7 +186,7 @@ def run_adaptive_merge(cfg: ScenarioConfig,
         if t_next <= phase_budget and not learner.converged:
             u_obs = (cur[obj_idx, 2:] - prev[obj_idx, 2:]) / dt
             if learner.admits(u_obs):
-                learner.add(_observe_rows(hdot_mode, prev, cur, obj_idx, nbr_idx, u_obs,
+                learner.add(_observe_rows("analytic", prev, cur, obj_idx, nbr_idx, u_obs,
                                           safety, dt, t_next))
                 sample_steps.append(t_next)
         if t_next == phase_budget and learner.estimate is not None:
@@ -253,10 +250,8 @@ def experiment_prediction_in_loop(
     trial is that baseline bit for bit, and the disabled record holds the
     enabled TrialRecord itself instead of a second run.
 
-    Observation defaults to AdaptiveSettings.hdot_mode, the analytic rate
-    (the observer reconstructs the object's acceleration from consecutive
-    velocities, which the model makes exact); settings with
-    hdot_mode="finite_diff" difference clearances instead.
+    The observer takes the analytic rate: it reconstructs the object's
+    acceleration from consecutive velocities, which the model makes exact.
     """
     enabled = run_adaptive_merge(scenario, settings)
     baseline = enabled.trial if enabled.selected_alpha is None else simulate(scenario)

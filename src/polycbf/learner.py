@@ -4,7 +4,10 @@ While a vehicle's safety constraint is active, its clearance rate sits exactly
 on the class-K margin: hdot = -kappa(alpha, h).  An observer that logs (h,
 hdot) pairs during such episodes can therefore recover alpha by regressing
 -hdot on the odd-power basis of h.  Ridge-regularized normal equations keep
-the fit defined before enough distinct clearances have been seen.
+the fit defined before enough distinct clearances have been seen.  The fit
+sums and solves them on Python floats, by Gaussian elimination in a fixed
+order, so its bits do not depend on which BLAS or LAPACK kernels a numpy
+build would pick.
 
 The fit takes no settings: its ridge term, its convergence test and its
 admission gate are the module constants below.
@@ -24,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from .barrier import AlphaVector, basis
 from .errors import ConfigurationError
@@ -75,11 +76,33 @@ def _observe(h_cur: float, h_prev: float, q: int, dt: float, step: int) -> Barri
     return BarrierSample((h_cur - h_prev) / dt, basis(h_cur, q), step)
 
 
-def _ridge_solve(G: np.ndarray, rhs: np.ndarray, n_samples: int) -> AlphaEstimate:
-    """Solve the normal equations G alpha = rhs and clamp to the valid cone."""
-    raw = np.linalg.solve(G, rhs)
-    clamped = tuple(max(float(v), 0.0) for v in raw)
-    return AlphaEstimate(AlphaVector(clamped), tuple(float(v) for v in raw), n_samples)
+def _ridge_solve(G, rhs, n_samples: int) -> AlphaEstimate:
+    """Solve the normal equations G alpha = rhs and clamp to the valid cone.
+
+    G is a list of q rows and rhs a list of q floats.  Gaussian elimination
+    with partial pivoting on the first row of largest |pivot| scales each
+    multiplier by the pivot's reciprocal, as LAPACK's getf2 does, and
+    back-substitutes by division."""
+    m = [row + [r] for row, r in zip(G, rhs)]
+    q = len(m)
+    for c in range(q):
+        p = max(range(c, q), key=lambda r: abs(m[r][c]))
+        m[c], m[p] = m[p], m[c]
+        pivot_row = m[c]
+        inv = 1.0 / pivot_row[c]
+        for r in range(c + 1, q):
+            row = m[r]
+            f = row[c] * inv
+            for k in range(c + 1, q + 1):
+                row[k] -= f * pivot_row[k]
+    raw = [0.0] * q
+    for c in reversed(range(q)):
+        s = m[c][q]
+        for k in range(c + 1, q):
+            s -= m[c][k] * raw[k]
+        raw[c] = s / m[c][c]
+    clamped = tuple(max(v, 0.0) for v in raw)
+    return AlphaEstimate(AlphaVector(clamped), tuple(raw), n_samples)
 
 
 def check_convergence(history: Sequence[AlphaEstimate]) -> bool:
@@ -115,7 +138,7 @@ class StyleLearner:
         self.samples: List[BarrierSample] = []
         self.history: List[AlphaEstimate] = []
         self.converged_at: Optional[int] = None
-        self._gram = self._moment = self._ridge_eye = None
+        self._gram = self._moment = None
 
     @property
     def estimate(self) -> Optional[AlphaEstimate]:
@@ -139,16 +162,22 @@ class StyleLearner:
         if self._moment is None:
             if q < 1:
                 raise ConfigurationError("a sample needs a basis of order >= 1")
-            self._gram, self._moment = np.zeros((q, q)), np.zeros(q)
-            self._ridge_eye = _REGULARIZER * np.eye(q)
+            self._gram, self._moment = [[0.0] * q for _ in range(q)], [0.0] * q
         elif q != len(self._moment):
             raise ConfigurationError(f"sample basis order {q} does not match "
                                      f"the order {len(self._moment)} of the samples before it")
-        phi = np.asarray(sample.basis, dtype=np.float64)
-        self._gram += np.outer(phi, phi)
-        self._moment += (-sample.hdot_obs) * phi
+        phi = sample.basis
+        rate = -float(sample.hdot_obs)
+        for i, (row, phi_i) in enumerate(zip(self._gram, phi)):
+            for j, phi_j in enumerate(phi):
+                row[j] += phi_i * phi_j
+            self._moment[i] += rate * phi_i
         self.samples.append(sample)
-        est = _ridge_solve(self._gram + self._ridge_eye, self._moment, len(self.samples))
+        # G + r I.  The sums start at +0.0, so no entry is -0.0 and adding
+        # the identity's 0.0 off the diagonal would change no bit.
+        ridged = [[g + _REGULARIZER if i == j else g for j, g in enumerate(row)]
+                  for i, row in enumerate(self._gram)]
+        est = _ridge_solve(ridged, self._moment, len(self.samples))
         self.history.append(est)
         if self.converged_at is None and check_convergence(self.history):
             self.converged_at = len(self.samples)

@@ -198,7 +198,9 @@ def ridge_oracle(samples, regularizer):
     """Ridge solution of (H^T H + r I) a = H^T (-hdot) over (hdot, basis)
     pairs, the sums taken in sample order from zero.  Returns (clamped, raw):
     the raw solution as a float tuple and its projection onto a >= 0.  None
-    when the regularizer is 0 and H has rank below its column count."""
+    when the regularizer is 0 and H has rank below its column count.
+
+    The system is solved by frozen_elimination, for bit-for-bit checks."""
     q = len(samples[0][1])
     if regularizer == 0.0 and np.linalg.matrix_rank(np.array([b for _, b in samples])) < q:
         return None
@@ -208,8 +210,36 @@ def ridge_oracle(samples, regularizer):
         phi = np.asarray(b, dtype=np.float64)
         gram += np.outer(phi, phi)
         moment += (-hdot_obs) * phi
-    raw = tuple(float(v) for v in np.linalg.solve(gram + regularizer * np.eye(q), moment))
+    raw = tuple(frozen_elimination((gram + regularizer * np.eye(q)).tolist(), moment.tolist()))
     return tuple(max(v, 0.0) for v in raw), raw
+
+
+def frozen_elimination(a, b):
+    """Frozen solve of a x = b on Python floats, for bit-for-bit checks.
+
+    Gaussian elimination with partial pivoting: the pivot is the first row
+    of largest |a[r][c]|, each multiplier a[r][c] * (1.0 / pivot), and the
+    back-substitution divides by the pivots.  Returns x as a list."""
+    n = len(b)
+    m = [[float(x) for x in row] + [float(r)] for row, r in zip(a, b)]
+    for c in range(n):
+        p = c
+        for r in range(c + 1, n):
+            if abs(m[r][c]) > abs(m[p][c]):
+                p = r
+        m[c], m[p] = m[p], m[c]
+        recip = 1.0 / m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] * recip
+            for k in range(c + 1, n + 1):
+                m[r][k] = m[r][k] - f * m[c][k]
+    x = [0.0] * n
+    for c in range(n - 1, -1, -1):
+        acc = m[c][n]
+        for k in range(c + 1, n):
+            acc = acc - m[c][k] * x[k]
+        x[c] = acc / m[c][c]
+    return x
 
 
 def trajectory_csv_oracle(log) -> bytes:

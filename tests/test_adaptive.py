@@ -146,9 +146,10 @@ def test_adaptive_roster_validation():
 
 def test_adaptive_run_argument_validation():
     with pytest.raises(ConfigurationError):
-        AdaptiveSettings(hdot_mode="spectral")
-    with pytest.raises(ConfigurationError):
         AdaptiveSettings(phase_budget=0)
+    # the observer is the analytic one, and no setting picks another
+    with pytest.raises(TypeError):
+        AdaptiveSettings(hdot_mode="analytic")
 
 
 def object_style(cfg, coefficients):
@@ -185,7 +186,7 @@ def test_disabled_prediction_reduces_to_plain_trial(scenario, selects):
 
 def test_adaptive_run_identifies_and_concedes():
     cfg = preset_config(n_steps=700)
-    rec = run_adaptive_merge(cfg, AdaptiveSettings(phase_budget=300, hdot_mode="analytic"))
+    rec = run_adaptive_merge(cfg, AdaptiveSettings(phase_budget=300))
     assert rec.converged_within_budget
     assert rec.converged_at is not None and rec.converged_at <= 300
     est = rec.final_estimate

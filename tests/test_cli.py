@@ -648,6 +648,9 @@ RAMP_HEADING = ADAPTIVE.replace("gain = 0.3", "gain = 0.3\nheading = 0 0\nstart_
 # [ridge] or [policy] section, whatever it sets.
 RIDGE_SECTION = PREDICT + "\n[ridge]\nregularizer = 0\n"
 POLICY_SECTION = ADAPTIVE + "\n[policy]\nreference_h = 25\n"
+# The adaptive observer is always the analytic one, so [adaptive] has no
+# hdot_mode key to pick it.
+HDOT_MODE = ADAPTIVE.replace("phase_budget = 300", "phase_budget = 300\nhdot_mode = analytic")
 
 # A value that the trials would reject only part-way through a run:
 # (id, experiment, config, validate rule, error).  Each gives a run row and
@@ -723,8 +726,9 @@ BAD_VALUE_IDS = [i for name, *_ in BAD_VALUES for i in (name, f"validate-{name}"
     (["validate"], NEGATIVE_SEED, 0, "out", "FAIL seed"),
     (["validate"], PREDICT.replace("mode = analytic", "mode = bogus"), 0, "out",
      "FAIL settings: [predict]: unknown observation mode 'bogus'"),
-    (["validate"], ADAPTIVE.replace("hdot_mode = analytic", "hdot_mode = bogus"), 0, "out",
-     "FAIL settings: [adaptive]: unknown hdot_mode 'bogus'"),
+    (["run", "adaptive", "--config"], HDOT_MODE, 3, "err",
+     "config error: [adaptive] has no key 'hdot_mode'"),
+    (["validate"], HDOT_MODE, 0, "out", "FAIL settings: [adaptive] has no key 'hdot_mode'"),
     (["validate"], PREDICT.replace("mode = analytic", "mode = analytic\nsample_cap = 0"), 0,
      "out", "FAIL settings: [predict]: sample_cap must be >= 1, got 0"),
     (["run", "predict", "--config"], PREDICT.replace("n_steps = 4000", "n_step = 10"), 3,
@@ -769,8 +773,8 @@ BAD_VALUE_IDS = [i for name, *_ in BAD_VALUES for i in (name, f"validate-{name}"
     (["validate"], RAMP_HEADING, 0, "out",
      "FAIL scenario: [vehicle.lead]: heading is only read on a fixed route, not on 'ramp'"),
 ] + BAD_VALUE_ROWS, ids=["flag", "flag-preset", "config-key", "validate", "validate-mode",
-        "validate-hdot-mode", "validate-sample-cap", "misspelt-key", "validate-misspelt-key",
-        "misspelt-vehicle-key", "validate-misspelt-vehicle-key", "misspelt-section",
+        "hdot-mode", "validate-hdot-mode", "validate-sample-cap", "misspelt-key",
+        "validate-misspelt-key", "misspelt-vehicle-key", "validate-misspelt-vehicle-key", "misspelt-section",
         "validate-misspelt-section", "adaptive-unread-section",
         "validate-adaptive-unread-section", "validate-adaptive-reported-safety",
         "ridge-section", "validate-ridge-section", "policy-section",

@@ -13,11 +13,12 @@ safety-row terms, the 32-vehicle merge's full log before rows that cannot
 bind left the filter's candidate scans, and the prediction trials'
 trajectory after one-live-row programs were solved in closed form.  A
 refactor that changes any output bit fails here, not only a rerun that
-disagrees with itself.  No pinned output depends on BLAS or LAPACK, so the
-digests do not depend on the numpy build's linear-algebra kernels: the
-learner's ridge fits do call LAPACK, and the files they shape, the adaptive
-run's estimates, metrics and prediction-on trajectory and the prediction
-run's estimates and metrics, are the ones left unpinned.
+disagrees with itself.  No run calls BLAS or LAPACK, the learner's ridge
+fits included, so every file each run writes is pinned and the digests do
+not depend on the numpy build's linear-algebra kernels.  The learner's files,
+the adaptive run's estimates, metrics and prediction-on trajectory and the
+prediction run's estimates and metrics, were pinned at the bytes the fit
+wrote while it still called LAPACK, under OpenBLAS's Prescott kernels.
 """
 import hashlib
 from pathlib import Path
@@ -60,22 +61,22 @@ GOLDEN = {
         "metrics.csv": "c379bffa754005469e8f20f90b11f766e42f0412b1de4c13cb639d98daf636d8",
         "trajectory.csv": "e99daf12b02ed408362108f6e5de9c5676532c61e0dc16bb735377ac772a212e",
     }),
-    # The fixed-style run, a hookless simulate of the preset.  The learner's
-    # files are left out: its ridge solve calls LAPACK, whose kernels vary
-    # with the numpy build.
+    # trajectory_disabled is the fixed-style run, a hookless simulate of the
+    # preset.
     "adaptive": (["run", "adaptive", "--config", str(PRESETS / "adaptive.cfg"),
                   "--seed", "0"], {
+        "estimates.csv": "490f16f4370a92ef6aa6fe8966f027bdf51a7bf18e1b3f00c4cea9024a70b36e",
+        "metrics.csv": "5d2976a61976c124e2fe5cc374400a407de8bea85bd8f2693984c3fb4fbd6baf",
         "trajectory_disabled.csv": "678c660732b951b1c52ea4fb738da107e88a1d374608089407ee94c6eaae05eb",
+        "trajectory_enabled.csv": "7c3113190710eead56ba79d12d41899629ce94099fb704e5e8f70dec37e0e4fb",
     }),
-    # The worst trial's trajectory; the learner's files are left out.
+    # trajectory is the worst trial's.
     "predict": (["run", "predict", "--trials", "3", "--seed", "0"], {
+        "estimates.csv": "894550989ef1d81c356c718ad108daf4e10f4167bfffbfd771769ab7b39abcbe",
+        "metrics.csv": "1710feef2643d2e49940b6eb7e60e62bfa6022b2809f4e99fd62772590e5c4f2",
         "trajectory.csv": "00af5f9f64d905f54bc6ecd57ef5bc01e85b6dcd67ea1905b712fa3f71bfeb31",
     }),
 }
-
-# Files a run writes that depend on BLAS or LAPACK, so are not pinned.
-UNPINNED = {"adaptive": {"estimates.csv", "metrics.csv", "trajectory_enabled.csv"},
-            "predict": {"estimates.csv", "metrics.csv"}}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -83,9 +84,7 @@ def test_csv_bytes_match_golden_digests(tmp_path, name):
     args, digests = GOLDEN[name]
     assert cli.main(args + ["--out", str(tmp_path)]) == 0
     out = tmp_path / args[1]
-    skip = UNPINNED.get(name, set())
-    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")
-             if p.name not in skip}
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert found == digests
 
 

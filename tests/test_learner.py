@@ -1,25 +1,37 @@
 """Style identification: clearance-rate samples, the StyleLearner ridge fit,
-convergence."""
+convergence.
+
+The fit solves on Python floats, so the oracle's bit-for-bit checks and the
+pinned estimates below hold whichever BLAS kernels numpy runs."""
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from helpers import ridge_oracle
+from test_log_pins import PINS, log_digest
 
 from polycbf import (
     AlphaEstimate,
     AlphaVector,
     BarrierSample,
     ConfigurationError,
+    PredictSettings,
     SafetyConfig,
     StyleLearner,
     VehicleState,
     basis,
     check_convergence,
+    cli,
+    experiment_prediction,
     hdot,
     kappa,
     safety_value,
     step,
 )
+from polycbf.adaptive import run_adaptive_merge
+from polycbf.learner import _ridge_solve
 from polycbf.scenario import _observe_rows
 
 CFG = SafetyConfig(r_safe=5.0, q=2)
@@ -97,12 +109,37 @@ def test_observe_analytic_matches_kinematics():
         assert s.basis == basis(h0, CFG.q)
 
 
+def exact_solve(a, b):
+    """The solution of a x = b in exact rational arithmetic, as floats."""
+    n = len(b)
+    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(a, b)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[p] = m[p], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [float(m[c][n] / m[c][c]) for c in range(n)]
+
+
 def test_fit_recovers_exact_synthetic_style():
     samples = synthetic_samples(AlphaVector((0.9, 0.1)), [1.0, 2.0, 3.5, 5.0, 8.0], 2)
     est = learn(samples)
     assert est.alpha_hat.coefficients == pytest.approx((0.9, 0.1), abs=1e-6)
     assert est.n_samples == 5
     assert_matches_oracle(est, samples)
+    # the solve itself, against exact rationals, on well-conditioned Gram
+    # systems of every order the fit is run at
+    rng = np.random.default_rng(3)
+    for q in (1, 2, 3):
+        for _ in range(50):
+            H = rng.uniform(-1.0, 1.0, (2 * q + 2, q))
+            G = (H.T @ H + REGULARIZER * np.eye(q)).tolist()
+            rhs = rng.uniform(-1.0, 1.0, q).tolist()
+            exact = exact_solve(G, rhs)
+            raw = _ridge_solve(G, rhs, 1).raw
+            assert max(abs(x - e) for x, e in zip(raw, exact)) <= 1e-12 * max(map(abs, exact))
 
 
 def test_fit_handles_degenerate_linear_truth():
@@ -213,3 +250,25 @@ def test_style_learner_admission_gate():
     assert learner.admits((0.0, -0.011))
     assert learner.admits((1.0, 0.2), obj_u_nominal_est=(1.0, 0.3))
     assert not learner.admits((1.0, 0.2), obj_u_nominal_est=(1.005, 0.195))
+
+
+# sha256 over the hex of every estimate of the adaptive preset's learner (its
+# raw solutions) and of the three-trial prediction run's learners (their
+# estimate series), recorded while the fit still called np.linalg.solve, under
+# OpenBLAS's Prescott kernels.
+FIT_DIGEST = "5f0d635a6f9f4637803742c2e36ca8bac0eae6589d3d7b207773422ec356e92c"
+
+
+def test_shipped_fits_never_reach_lapack(monkeypatch):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the fit called np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_lapack)
+    preset = cli.load_preset("adaptive")
+    rec = run_adaptive_merge(preset["scenario"], preset["settings"])
+    summary = experiment_prediction(PredictSettings(trials=3))
+    assert log_digest(rec.trial.log) == PINS["adaptive_preset"][0]
+    series = [est.raw for est in rec.estimate_history]
+    series += [a for trial in summary.trials for a in trial.estimate_series]
+    text = "\n".join(" ".join(v.hex() for v in a) for a in series)
+    assert hashlib.sha256(text.encode()).hexdigest() == FIT_DIGEST

@@ -8,9 +8,8 @@ The runs: a lone vehicle (no pairs), invariance trial 0, the adaptive
 preset's two-phase run (every hook), a run that on_step ends at the step a
 vehicle first crosses the merge, a roster with a fixed-route vehicle and a
 vehicle placed past the merge, and the 16-vehicle two-lane merge (the array
-stage).  The adaptive run's learner solves its normal equations in pure
-Python here, so that, unlike the shipped adaptive CSVs, its pin does not
-depend on the BLAS kernels numpy calls.
+stage).  No pinned run calls BLAS or LAPACK: the adaptive run's learner
+solves its normal equations on Python floats.
 """
 import dataclasses
 import hashlib
@@ -23,26 +22,6 @@ from test_golden import _two_lane_roster
 from polycbf import (AlphaVector, RoadGeometry, ScenarioConfig, VehicleSpec, cli, scenario,
                      invariance_trial_setup, simulate)
 from polycbf.adaptive import run_adaptive_merge
-
-
-def _solve(a, b):
-    """Gaussian elimination with partial pivoting on Python floats, for the
-    learner's small normal equations."""
-    m = [list(map(float, row)) + [float(r)] for row, r in zip(a, b)]
-    q = len(m)
-    for c in range(q):
-        p = max(range(c, q), key=lambda r: abs(m[r][c]))
-        m[c], m[p] = m[p], m[c]
-        for r in range(c + 1, q):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    x = [0.0] * q
-    for c in reversed(range(q)):
-        r = m[c][q]
-        for k in range(c + 1, q):
-            r -= m[c][k] * x[k]
-        x[c] = r / m[c][c]
-    return np.array(x)
 
 
 def _lone_vehicle():
@@ -87,20 +66,19 @@ def _fixed_and_past_merge():
                     desired_speed=7.0, alpha=AlphaVector((0.8, 0.0)))))
 
 
-def _adaptive_preset(monkeypatch):
-    monkeypatch.setattr(np.linalg, "solve", _solve)
+def _adaptive_preset():
     preset = cli.load_preset("adaptive")
     return run_adaptive_merge(preset["scenario"], preset["settings"]).trial
 
 
 RUNS = {
-    "lone_vehicle": lambda mp: simulate(_lone_vehicle()),
-    "invariance_trial_0": lambda mp: simulate(invariance_trial_setup(0)),
+    "lone_vehicle": lambda: simulate(_lone_vehicle()),
+    "invariance_trial_0": lambda: simulate(invariance_trial_setup(0)),
     "adaptive_preset": _adaptive_preset,
-    "early_stop": lambda mp: simulate(_merging_trio(),
-                                      on_step=_stop_at_first_merge(_merging_trio())),
-    "fixed_and_past_merge": lambda mp: simulate(_fixed_and_past_merge()),
-    "two_lane_16": lambda mp: simulate(dataclasses.replace(_two_lane_roster(), n_steps=600)),
+    "early_stop": lambda: simulate(_merging_trio(),
+                                   on_step=_stop_at_first_merge(_merging_trio())),
+    "fixed_and_past_merge": lambda: simulate(_fixed_and_past_merge()),
+    "two_lane_16": lambda: simulate(dataclasses.replace(_two_lane_roster(), n_steps=600)),
 }
 
 # (log digest, merge steps, relaxed steps) of each run.
@@ -134,8 +112,8 @@ def log_digest(log):
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_full_log_matches_its_pin(monkeypatch, run):
-    rec = RUNS[run](monkeypatch)
+def test_full_log_matches_its_pin(run):
+    rec = RUNS[run]()
     assert (log_digest(rec.log), rec.metrics.merge_step, rec.relaxed_steps) == PINS[run]
 
 
