@@ -140,9 +140,10 @@ def _roster(cfg: ScenarioConfig) -> Tuple[int, int, int]:
 @dataclass
 class AdaptiveRecord:
     """Everything one adaptive run produced.  The prediction-off baseline is
-    a plain simulate trial, and its learner fields keep their defaults; its
-    trial may be the enabled run's own TrialRecord object, when that run
-    selected no style."""
+    a hookless simulate trial, and its learner fields keep their defaults;
+    its trial is the enabled run's own TrialRecord object when that run
+    selected no style, and otherwise that run resumed at the phase budget,
+    so its relaxed_steps counts the steps from the budget on."""
 
     trial: TrialRecord
     prediction_enabled: bool
@@ -245,16 +246,24 @@ def experiment_prediction_in_loop(
         settings: AdaptiveSettings = AdaptiveSettings()) -> AdaptiveComparison:
     """Paired runs on the same scenario: run_adaptive_merge with prediction
     on, and simulate(scenario) as the prediction-off baseline, the ego
-    keeping its configured style and no hook installed.  When no style was
-    selected, every hook left the filter program as it was, so the enabled
-    trial is that baseline bit for bit, and the disabled record holds the
-    enabled TrialRecord itself instead of a second run.
+    keeping its configured style and no hook installed.
+
+    Before the phase budget the hooks leave every filter program as it is:
+    alpha_fn returns the configured styles, extra_rows_fn no row, and
+    on_step never ends the run.  So the baseline shares the enabled run's
+    bits up to that step and is built as simulate(scenario, resume=(enabled
+    log, phase_budget)), which steps only the rest.  When no style was
+    selected the hooks changed nothing at all, the enabled trial is the
+    baseline bit for bit, and the disabled record holds the enabled
+    TrialRecord itself instead of a second run.
 
     The observer takes the analytic rate: it reconstructs the object's
     acceleration from consecutive velocities, which the model makes exact.
     """
     enabled = run_adaptive_merge(scenario, settings)
-    baseline = enabled.trial if enabled.selected_alpha is None else simulate(scenario)
+    baseline = enabled.trial
+    if enabled.selected_alpha is not None:
+        baseline = simulate(scenario, resume=(baseline.log, settings.phase_budget))
     disabled = AdaptiveRecord(trial=baseline, prediction_enabled=False)
     # run_adaptive_merge has checked the roster, so it has exactly one ego.
     ego_name = scenario.vehicles[_roster(scenario)[0]].name

@@ -40,13 +40,12 @@ import hashlib
 import io
 import json
 import os
-import shutil
 import sys
 import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -369,30 +368,99 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-# One trajectory row: step, quoted name, the six floats, feasible, then the
-# step's clearance suffix.  '%.17g' % x is format(x, ".17g"), as in _g17.
-_TRAJECTORY_ROW = "%d,%s," + ",".join(["%.17g"] * 6) + ",%d%s\n"
+# Steps per '%' call of the trajectory writer.  Blocks of 16 to 256 steps
+# write the adaptive preset's 3001-step file equally fast (37-40 ms best of
+# 25 on a 2-core x86_64, against 50 ms for one '%' per row), but a block's
+# 9 objects per row are alive while it is formatted: 256-step blocks raised
+# the peak RSS of repeated adaptive runs by about 1 MB.
+_TRAJECTORY_BLOCK = 32
 
 
-def write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
+def _trajectory_blocks(log: TrajectoryLog, start: int) -> Iterator[str]:
+    """The CSV rows of steps start onward, _TRAJECTORY_BLOCK steps per string.
+
+    A row's template holds its vehicle's quoted name, so its arguments are
+    the step, the six floats, feasible and the step's clearance suffix; one
+    object array per block holds them in row order, and one '%' formats
+    them.  The suffixes come from one '%' per block over the clearances.
+    '%.17g' % x is format(x, ".17g"), as in _g17.
+    """
+    n = len(log.names)
+    step_fmt = "".join("%d," + _csv_field(name).replace("%", "%%")
+                       + ",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d%s\n" for name in log.names)
+    suffix_fmt = ",%.17g" * len(log.pairs) + "\n"
+    feasible = np.asarray(log.feasible, dtype=bool)
+    n_steps = len(log.states)
+    args = np.empty((_TRAJECTORY_BLOCK, n, 9), dtype=object)
+    for t in range(start, n_steps, _TRAJECTORY_BLOCK):
+        end = min(t + _TRAJECTORY_BLOCK, n_steps)
+        block = args[:end - t]
+        block[:, :, 0] = np.arange(t, end)[:, None]
+        block[:, :, 1:5] = log.states[t:end]
+        block[:, :, 5:7] = log.inputs[t:end]
+        block[:, :, 7] = feasible[t:end]
+        suffixes = (suffix_fmt * (end - t) % tuple(log.pair_h[t:end].ravel().tolist()))
+        block[:, :, 8] = np.array(suffixes.split("\n")[:-1], dtype=object)[:, None]
+        yield step_fmt * (end - t) % tuple(block.ravel().tolist())
+
+
+def _shared_steps(log: TrajectoryLog, other: TrajectoryLog) -> Optional[int]:
+    """How many leading steps two logs hold bit for bit alike in states,
+    inputs, clearances and feasible (as floats), which their CSVs then write
+    as the same lines; None when their headers differ (names or pairs), or
+    when a name holds a line break and a row may span lines."""
+    if log.names != other.names or log.pairs != other.pairs or any(
+            "\n" in name or "\r" in name for name in log.names):
+        return None
+    m = min(len(log.states), len(other.states))
+    differs = np.zeros(m, dtype=bool)
+    for name in ("states", "inputs", "pair_h", "feasible"):
+        a, b = (np.asarray(getattr(x, name)[:m], dtype=np.float64).view(np.uint64)
+                for x in (log, other))
+        differs |= (a != b).any(axis=tuple(range(1, a.ndim)))
+    return int(np.argmax(differs)) if differs.any() else m
+
+
+def _copy_lines(src, dst, count: int) -> None:
+    """Copy the first count lines of the binary file src to dst."""
+    while count:
+        chunk = src.read(1 << 16)
+        if not chunk:
+            raise ConfigurationError(f"{src.name}: fewer lines than its log holds")
+        ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+        if len(ends) >= count:
+            dst.write(chunk[:ends[count - 1] + 1])
+            return
+        dst.write(chunk)
+        count -= len(ends)
+
+
+def write_trajectory_csv(path: Path, log: TrajectoryLog,
+                         source: Optional[Tuple[Path, TrajectoryLog]] = None) -> None:
     """One row per (step, vehicle); clearances repeat on each row of a step.
 
-    Streams one step at a time: each step's arrays become Python floats with
-    one tolist() each, its clearance suffix is formatted once, and its rows
-    are written with one call, so the file is never held in memory.  The
-    bytes are those of csv.writer with every float through _g17.
+    The rows are formatted _TRAJECTORY_BLOCK steps at a time, and the file
+    is never held in memory whole.  The bytes are those of csv.writer with
+    every float through _g17.
+
+    source=(file, source_log), with file source_log's CSV as this function
+    wrote it, copies from that file the header and the rows of the leading
+    steps the two logs hold bit for bit alike, and formats only the steps
+    after them: a byte copy when the logs are alike throughout.
     """
-    names = [_csv_field(name) for name in log.names]
-    pair_fmt = ",%.17g" * len(log.pairs)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            list(TRAJECTORY_COLUMNS)
-            + [f"h:{log.names[i]}:{log.names[j]}" for i, j in log.pairs])
-        steps = zip(log.states, log.inputs, np.asarray(log.feasible, dtype=bool), log.pair_h)
-        for t, (xs, us, oks, hs) in enumerate(steps):
-            h = pair_fmt % tuple(hs.tolist())
-            fh.write("".join([_TRAJECTORY_ROW % (t, name, *x, *u, ok, h) for name, x, u, ok
-                              in zip(names, xs.tolist(), us.tolist(), oks.tolist())]))
+    shared = None if source is None else _shared_steps(log, source[1])
+    with open(path, "wb") as fh:
+        if shared is None:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(
+                list(TRAJECTORY_COLUMNS)
+                + [f"h:{log.names[i]}:{log.names[j]}" for i, j in log.pairs])
+            fh.write(buf.getvalue().encode("utf-8"))
+            shared = 0
+        else:
+            with open(source[0], "rb") as src:
+                _copy_lines(src, fh, 1 + shared * len(log.names))
+        fh.writelines(block.encode("utf-8") for block in _trajectory_blocks(log, shared))
 
 
 def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
@@ -640,10 +708,7 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
     traj_on = out_dir / "trajectory_enabled.csv"
     write_trajectory_csv(traj_on, enabled.trial.log)
     traj_off = out_dir / "trajectory_disabled.csv"
-    if disabled.trial is enabled.trial:
-        shutil.copyfile(traj_on, traj_off)
-    else:
-        write_trajectory_csv(traj_off, disabled.trial.log)
+    write_trajectory_csv(traj_off, disabled.trial.log, source=(traj_on, enabled.trial.log))
 
     lines = [
         "adaptive: ego merge step %d with prediction vs %d without (%.1f%% earlier)"

@@ -307,11 +307,26 @@ def _alpha_matrix(coeffs):
     return np.array([c + (0.0,) * (q - len(c)) for c in coeffs])
 
 
+def _check_resume(cfg: ScenarioConfig, pairs, log: TrajectoryLog, t0: int) -> None:
+    """Require log to be of cfg's roster and dt, and t0 one of its logged
+    steps that cfg's run reaches."""
+    names = tuple(v.name for v in cfg.vehicles)
+    if tuple(log.names) != names or tuple(log.pairs) != pairs:
+        raise ConfigurationError(f"a resumed log must hold the roster {names} and its pairs, "
+                                 f"got {tuple(log.names)} and {tuple(log.pairs)}")
+    if log.dt != cfg.dt:
+        raise ConfigurationError(f"a resumed log must have dt {cfg.dt}, got {log.dt}")
+    last = min(len(log.states) - 1, cfg.n_steps)
+    if not 0 <= t0 <= last:
+        raise ConfigurationError(f"resume step must be in [0, {last}], got {t0}")
+
+
 def simulate(cfg: ScenarioConfig,
              alpha_fn: Optional[Callable[[int, int], AlphaVector]] = None,
              extra_rows_fn: Optional[Callable[[int, int, np.ndarray],
                                               Sequence[Tuple[float, float, float]]]] = None,
              on_step: Optional[Callable[[int, np.ndarray, np.ndarray], object]] = None,
+             resume: Optional[Tuple[TrajectoryLog, int]] = None,
              ) -> TrialRecord:
     """Run one synchronous trial.
 
@@ -345,6 +360,15 @@ def simulate(cfg: ScenarioConfig,
     the end.  A route vehicle's merge step is read off the progress its
     pursuit computes for the step's direction, and off the progress itself
     at the last logged step, which runs no pursuit.
+
+    resume=(log, t0) starts the trial at step t0 of log, a log of the same
+    roster (names and pairs) and dt: rows [0, t0) of every array and
+    states[t0] are copied, the merge steps before t0 are read off the copied
+    states with the progress arithmetic pursuit uses, and the trial steps on
+    from t0, the hooks included.  That gives a fresh run's bits wherever the
+    run that wrote log followed this call's program before t0 (it may have
+    stopped early, at t0 or after).  relaxed_steps then counts only the steps
+    from t0 on.
     """
     geom = cfg.geometry
     vehicles = cfg.vehicles
@@ -357,10 +381,30 @@ def simulate(cfg: ScenarioConfig,
     pursuit = geom._pursuit
 
     states = np.empty((N + 1, n, 4))
-    for v, spec in enumerate(vehicles):
-        init = spec.initial_state(geom)
-        states[0, v] = (*init.position, *init.velocity)
-    px, py, vx, vy = (states[0, :, k].tolist() for k in range(4))
+    inputs_log = array("d")
+    pair_h_log = array("d")
+    feasible = np.ones((N + 1, n), dtype=bool)
+    merge_step: List[Optional[int]] = [None] * n
+    t0 = 0
+    if resume is None:
+        for v, spec in enumerate(vehicles):
+            init = spec.initial_state(geom)
+            states[0, v] = (*init.position, *init.velocity)
+    else:
+        log, t0 = resume
+        _check_resume(cfg, pairs, log, t0)
+        states[:t0 + 1] = log.states[:t0 + 1]
+        inputs_log.frombytes(np.asarray(log.inputs[:t0], dtype=np.float64).tobytes())
+        pair_h_log.frombytes(np.asarray(log.pair_h[:t0], dtype=np.float64).tobytes())
+        feasible[:t0] = log.feasible[:t0]
+        # The merge steps before t0: the first step whose progress, as
+        # pursuit computes it, is positive.
+        for v, spec in enumerate(vehicles):
+            if spec.route != "fixed":
+                ramp = spec.route == "ramp"
+                merge_step[v] = next((t for t, (x, y) in enumerate(
+                    states[:t0, v, :2].tolist()) if geom._progress(ramp, x, y) > 0.0), None)
+    px, py, vx, vy = (states[t0, :, k].tolist() for k in range(4))
     rows_ro = states.view()  # the hooks' view; each row is written once
     rows_ro.flags.writeable = False
     width = 4 * n
@@ -388,17 +432,13 @@ def simulate(cfg: ScenarioConfig,
         # rewritten at each step that runs the filters.
         safety = [[None] * (n - 1) for _ in range(n)]
 
-    inputs_log = array("d")
     log_u = inputs_log.append
-    pair_h_log = array("d")
     log_h = pair_h_log.append
-    feasible = np.ones((N + 1, n), dtype=bool)
-    merge_step: List[Optional[int]] = [None] * n
     relaxed = 0
     stop = False
     hooked = extra_rows_fn is not None or on_step is not None
 
-    for t in range(N + 1):
+    for t in range(t0, N + 1):
         last = t == N or stop
         if not last and alpha_fn is not None:
             coeffs = [alpha_fn(t, v).coefficients for v in range(n)]

@@ -182,8 +182,8 @@ EDGE_FLOATS = (-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
                1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0e-7, 9007199254740993.0)
 
 
-def _edge_log(names):
-    n, rows = len(names), 7
+def _edge_log(names, rows=7):
+    n = len(names)
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     return TrajectoryLog(
         names=tuple(names), pairs=pairs, dt=0.01,
@@ -205,17 +205,84 @@ def _adaptive_logs():
     return [comparison.enabled.trial.log, comparison.disabled.trial.log]
 
 
+BLOCK = cli._TRAJECTORY_BLOCK
+
+
 @pytest.mark.parametrize("make_logs", [
     lambda: [_edge_log(["plain", "a,b", 'say "hi"'])],
     lambda: [_edge_log(["solo"])],
     lambda: [_early_stop_log()],
     _adaptive_logs,
-], ids=["edge-values-quoted-names", "one-vehicle", "early-stop", "adaptive-preset"])
+    # a name with "%" stays literal in the block template
+    lambda: [_edge_log(names, rows) for rows in (1, BLOCK - 1, BLOCK, BLOCK + 1)
+             for names in (["plain", "100%d"], ["solo"])],
+], ids=["edge-values-quoted-names", "one-vehicle", "early-stop", "adaptive-preset",
+        "block-lengths"])
 def test_trajectory_csv_matches_csv_writer_oracle(tmp_path, make_logs):
     for k, log in enumerate(make_logs()):
         path = tmp_path / f"traj{k}.csv"
         cli.write_trajectory_csv(path, log)
         assert path.read_bytes() == trajectory_csv_oracle(log)
+
+
+def _changed_at(log, k, field):
+    """A copy of log that differs from it in the bits of field at step k only."""
+    arrays = {name: getattr(log, name).copy()
+              for name in ("states", "inputs", "pair_h", "feasible")}
+    row = arrays[field][k].reshape(-1)
+    # negation flips the sign bit of every float, NaN and zero included
+    row[0] = not row[0] if field == "feasible" else -row[0]
+    return dataclasses.replace(log, **arrays)
+
+
+def write_sharing(tmp_path, monkeypatch, log, source_log):
+    """write_trajectory_csv(path, log) copying from source_log's file; the
+    file's bytes and the first step it formatted."""
+    source = tmp_path / "source.csv"
+    cli.write_trajectory_csv(source, source_log)
+    starts = []
+    blocks = cli._trajectory_blocks
+    monkeypatch.setattr(cli, "_trajectory_blocks",
+                        lambda log, start: starts.append(start) or blocks(log, start))
+    path = tmp_path / "shared.csv"
+    cli.write_trajectory_csv(path, log, source=(source, source_log))
+    [start] = starts
+    return path.read_bytes(), start
+
+
+@pytest.mark.parametrize("field", ["states", "inputs", "pair_h", "feasible"])
+@pytest.mark.parametrize("k", [0, 1, BLOCK, None], ids=["k0", "k1", "kB", "alike"])
+def test_trajectory_csv_copies_the_rows_two_logs_share(tmp_path, monkeypatch, k, field):
+    source_log = _edge_log(["plain", "a,b", "100%d"], 2 * BLOCK + 3)
+    log = source_log if k is None else _changed_at(source_log, k, field)
+    data, start = write_sharing(tmp_path, monkeypatch, log, source_log)
+    assert data == trajectory_csv_oracle(log)
+    # the rows before the first differing step are copied, not formatted
+    assert start == (len(log.states) if k is None else k)
+
+
+def test_trajectory_csv_shares_a_prefix_of_logs_of_other_lengths(tmp_path, monkeypatch):
+    long = _edge_log(["a", "b"], BLOCK + 9)
+    short = dataclasses.replace(long, **{name: getattr(long, name)[:BLOCK + 2]
+                                         for name in ("states", "inputs", "pair_h", "feasible")})
+    for log, source_log in ((short, long), (long, short)):
+        data, start = write_sharing(tmp_path, monkeypatch, log, source_log)
+        assert data == trajectory_csv_oracle(log)
+        assert start == BLOCK + 2
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("make_log", [
+    lambda log: dataclasses.replace(log, names=("a", "b", "d")),
+    lambda log: dataclasses.replace(log, pairs=log.pairs[::-1]),
+    lambda log: _edge_log(["a", "b"], 5),
+], ids=["renamed", "pairs-reordered", "fewer-vehicles"])
+def test_trajectory_csv_shares_nothing_with_another_roster(tmp_path, monkeypatch, make_log):
+    source_log = _edge_log(["a", "b", "c"], 5)
+    log = make_log(source_log)
+    data, start = write_sharing(tmp_path, monkeypatch, log, source_log)
+    assert data == trajectory_csv_oracle(log)
+    assert start == 0
 
 
 # --- run: artifacts and manifest ---------------------------------------------
@@ -527,6 +594,34 @@ def test_adaptive_run_without_a_selection_copies_its_trajectory(tmp_path, capsys
            for e in json.loads((exp_dir / "manifest.json").read_text())["files"]}
     assert sha["trajectory_disabled.csv"] == sha["trajectory_enabled.csv"] \
         == hashlib.sha256(trial_bytes).hexdigest()
+
+
+def test_adaptive_style_selected_at_the_last_step_drives_no_step(tmp_path, capsys,
+                                                                monkeypatch):
+    # with phase_budget = n_steps the style is selected at the last logged
+    # step, where no step follows: the baseline resumes there, steps nothing,
+    # and the two trajectory files are the same bytes
+    cfg = write_cfg(tmp_path, ADAPTIVE.replace("phase_budget = 300", "phase_budget = 3000"))
+    steps, resumed = [], []
+    step = scenario._step
+    monkeypatch.setattr(scenario, "_step", lambda *args: steps.append(args) or step(*args))
+    run = adaptive.simulate
+
+    def spy(*args, **kwargs):
+        before = len(steps)
+        rec = run(*args, **kwargs)
+        if "resume" in kwargs:
+            resumed.append((kwargs["resume"][1], len(steps) - before))
+        return rec
+
+    monkeypatch.setattr(adaptive, "simulate", spy)
+    out = tmp_path / "out"
+    assert run_cli(["run", "adaptive", "--config", cfg, "--out", out]) == 0
+    assert "selected style (0, 1) after converging at sample " in capsys.readouterr().out
+    assert resumed == [(3000, 0)]
+    exp_dir = out / "adaptive"
+    assert (exp_dir / "trajectory_enabled.csv").read_bytes() == \
+        (exp_dir / "trajectory_disabled.csv").read_bytes()
 
 
 WEIGHT_STYLES = cli._parse_config(cli._preset_text("sweep_weights")).get("sweep", "styles")

@@ -3,10 +3,15 @@ import dataclasses
 import math
 import re
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import configs_equal, safety_row_oracle
+from test_golden import _two_lane_roster
 
 from polycbf import cli, scenario
 from polycbf.controller import _admits
@@ -580,6 +585,123 @@ def test_alpha_fn_hook_overrides_styles():
                             for k, v in enumerate(cfg.vehicles)))
     direct = simulate(swapped)
     assert np.array_equal(rec.log.states, direct.log.states)
+
+
+# --- resuming from a logged step ---------------------------------------------
+
+_STYLES = (AlphaVector((0.2, 0.05)), AlphaVector((3.0, 0.0, 0.5)))
+
+
+def _hooks(cfg, hooked):
+    """No hooks, or stateless ones: a style that alternates with the step and
+    the vehicle, and on vehicle 0 a row that reads the logged states or one
+    that no box of the rosters below can meet, which simulate drops."""
+    if not hooked:
+        return {}
+
+    def alpha_fn(t, v):
+        return _STYLES[(t // 3 + v) % 2] if v % 2 else cfg.vehicles[v].alpha
+
+    def extra_rows_fn(t, v, cur):
+        if v or t % 4 == 3:
+            return ()
+        if t % 4 == 2:
+            return ((1.0, 0.0, -60.0),)
+        return ((cur[0, 2] - cur[1, 2], cur[0, 3] - cur[1, 3], 1.5 - 0.1 * (t % 7)),)
+
+    return {"alpha_fn": alpha_fn, "extra_rows_fn": extra_rows_fn}
+
+
+def _stop_at(step):
+    return lambda t_next, prev, cur: t_next >= step
+
+
+def assert_resumes_bit_for_bit(cfg, hooked, stop, t0):
+    """simulate resumed at t0 from a run stopped at step stop (None: not
+    stopped) is the fresh run bit for bit; its relaxed_steps count the
+    steps from t0 on."""
+    source = simulate(cfg, **_hooks(cfg, hooked), on_step=None if stop is None else _stop_at(stop))
+    fresh = simulate(cfg, **_hooks(cfg, hooked))
+    resumed = simulate(cfg, **_hooks(cfg, hooked), resume=(source.log, t0))
+    for name in ("states", "inputs", "pair_h", "feasible"):
+        a, b = getattr(fresh.log, name), getattr(resumed.log, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert {k: v.hex() for k, v in fresh.metrics.min_h.items()} == \
+        {k: v.hex() for k, v in resumed.metrics.min_h.items()}
+    assert fresh.metrics.merge_step == resumed.metrics.merge_step
+    assert fresh.metrics.infeasible_step_count == resumed.metrics.infeasible_step_count
+    assert fresh.metrics.collision == resumed.metrics.collision
+    before = simulate(cfg, **_hooks(cfg, hooked), on_step=_stop_at(t0)).relaxed_steps if t0 else 0
+    assert resumed.relaxed_steps == fresh.relaxed_steps - before
+    return fresh
+
+
+@st.composite
+def _rosters(draw):
+    """2-8 vehicles on both routes near the merge, styles of order 1-3 and
+    boxes from +-1 to +-50, so that runs merge, interact and hit infeasible
+    steps."""
+    q = draw(st.integers(1, 3))
+    vehicles = []
+    for k in range(draw(st.integers(2, 8))):
+        bound = draw(st.floats(1.0, 50.0))
+        vehicles.append(VehicleSpec(
+            name=f"v{k}", route=draw(st.sampled_from(("main", "ramp"))),
+            start_progress=draw(st.floats(-15.0, 3.0)), speed=draw(st.floats(0.0, 15.0)),
+            desired_speed=draw(st.floats(0.0, 15.0)), gain=draw(st.floats(0.1, 2.0)),
+            alpha=AlphaVector(tuple(draw(st.floats(0.0, 1.0)) for _ in range(q))),
+            limits=ControlLimits((-bound, -bound), (bound, bound))))
+    return ScenarioConfig(geometry=RoadGeometry(ramp_angle_deg=draw(st.floats(5.0, 40.0))),
+                          vehicles=tuple(vehicles), dt=draw(st.sampled_from((0.01, 0.05))),
+                          n_steps=draw(st.integers(1, 60)), safety=SafetyConfig(q=q))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cfg=_rosters(), stage=st.sampled_from(("loop", "arrays")), hooked=st.booleans(),
+       data=st.data())
+def test_resumed_run_is_a_fresh_run_bit_for_bit(cfg, stage, hooked, data):
+    # both stages, from a full source log or one an on_step stop cut short
+    stop = data.draw(st.one_of(st.none(), st.integers(1, cfg.n_steps)))
+    t0 = data.draw(st.integers(0, cfg.n_steps if stop is None else stop))
+    with mock.patch.object(scenario, "_ARRAY_MIN_VEHICLES", 10 ** 9 if stage == "loop" else 2):
+        assert_resumes_bit_for_bit(cfg, hooked, stop, t0)
+
+
+@pytest.mark.parametrize("hooked", [False, True])
+def test_a_large_roster_resumes_bit_for_bit(hooked):
+    # the array stage at its default size, on a merge with infeasible steps
+    cfg = _two_lane_roster()
+    assert len(cfg.vehicles) >= scenario._ARRAY_MIN_VEHICLES
+    for t0, stop in ((0, None), (1, 1), (37, None), (45, 80), (90, None)):
+        fresh = assert_resumes_bit_for_bit(cfg, hooked, stop, t0)
+    assert fresh.metrics.infeasible_step_count > 0
+
+
+def test_resume_merge_steps_come_from_the_copied_prefix():
+    # every merge lies before t0, so the resumed run reads them all off the
+    # copied states
+    cfg = three_vehicle_config(n_steps=600)
+    fresh = simulate(cfg)
+    steps = fresh.metrics.merge_step
+    assert all(s is not None and 0 < s < 590 for s in steps.values())
+    assert simulate(cfg, resume=(fresh.log, 590)).metrics.merge_step == steps
+
+
+def test_resume_from_a_foreign_log_or_past_its_end_is_a_config_error():
+    cfg = three_vehicle_config(n_steps=40)
+    log = simulate(cfg, on_step=_stop_at(20)).log
+    renamed = dataclasses.replace(log, names=("lead", "ramp1", "other"))
+    unpaired = dataclasses.replace(log, pairs=((0, 1), (0, 2)))
+    for bad, t0, match in ((renamed, 5, "roster"), (unpaired, 5, "roster"),
+                           (dataclasses.replace(log, dt=0.02), 5, "dt"),
+                           (log, 21, r"\[0, 20\]"), (log, -1, r"\[0, 20\]")):
+        with pytest.raises(ConfigurationError, match=match):
+            simulate(cfg, resume=(bad, t0))
+    # a log longer than the config's run resumes up to the config's last step
+    short = dataclasses.replace(cfg, n_steps=10)
+    with pytest.raises(ConfigurationError, match=r"\[0, 10\]"):
+        simulate(short, resume=(log, 11))
+    assert simulate(short, resume=(log, 10)).log.states.shape[0] == 11
 
 
 # --- canned experiments ------------------------------------------------------
