@@ -7,10 +7,9 @@ ramp-merge loop that couples the two.
 """
 
 from .barrier import AlphaVector, SafetyConfig, basis, hdot, kappa, safety_value
-from .controller import (DEFAULT_LIMITS, ControlLimits, NominalPlan, QpSolution,
-                         build_safety_constraint, nominal_control, safe_control)
+from .controller import DEFAULT_LIMITS, ControlLimits
 from .dynamics import DEFAULT_DT, VehicleState, step
-from .errors import ConfigurationError, DegenerateConstraintError, DomainError
+from .errors import ConfigurationError, DomainError
 from .learner import AlphaEstimate, BarrierSample, StyleLearner, check_convergence
 from .scenario import (InvarianceSettings, PredictionSummary, PredictionTrial,
                        PredictSettings, RoadGeometry, ScenarioConfig, SweepEntry,
@@ -28,10 +27,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaVector", "SafetyConfig", "basis", "hdot", "kappa", "safety_value",
-    "ControlLimits", "DEFAULT_LIMITS", "NominalPlan", "QpSolution",
-    "build_safety_constraint", "nominal_control", "safe_control",
+    "ControlLimits", "DEFAULT_LIMITS",
     "DEFAULT_DT", "VehicleState", "step",
-    "ConfigurationError", "DegenerateConstraintError", "DomainError",
+    "ConfigurationError", "DomainError",
     "AlphaEstimate", "BarrierSample", "StyleLearner", "check_convergence",
     "InvarianceSettings", "PredictSettings", "PredictionSummary", "PredictionTrial",
     "RoadGeometry", "ScenarioConfig", "SweepEntry", "SweepSettings", "TrajectoryLog",

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .barrier import AlphaVector, SafetyConfig, _kappa, kappa, safety_value
-from .controller import ControlLimits, NominalPlan, _solve_scalar, safe_control
+from .controller import _cruise, _row_terms, _solve_scalar
 from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import ConfigurationError
 from .learner import AlphaEstimate, StyleLearner
@@ -65,8 +65,9 @@ def _compat_row(dx_x, dx_y, gap, cfg, dt):
     the bound 0, and an ego whose coefficients are componentwise at least the
     other's keeps it non-negative at h >= 0, so the row only ever bites on
     approach.  h = |dx|^2 - r_safe^2 is safety_value's arithmetic on the same
-    offset, so the mismatch trial folds it into its closest approach instead
-    of measuring the clearance of each state a second time.
+    offset, so the mismatch trial folds it into its closest approach and the
+    object's safety margin instead of measuring the clearance of each state
+    a second time.
     """
     h = dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe
     return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(gap, h), h
@@ -317,11 +318,13 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
 
     The setup is fixed: each trial runs 1200 steps of DEFAULT_DT under the
     default SafetyConfig, the ego's acceleration box is [-2.5, 2.5]^2 and
-    the object's is [-80, 80]^2.
+    the object's is [-80, 80]^2.  The object's program is the one
+    simulate's pair loop builds: the _cruise nominal (its start speed along
+    +x, gain 0.8) and one _row_terms row with bound s + kappa(alpha_j, h).
+    Both programs go to _solve_scalar, and dynamics.step advances the pair.
     """
     _check_counts(n_trials=n_trials)
-    safety, dt, n_steps, bound = SafetyConfig(), DEFAULT_DT, 1200, 2.5
-    object_limits = ControlLimits((-80.0, -80.0), (80.0, 80.0))
+    safety, dt, n_steps, bound, obj_bound = SafetyConfig(), DEFAULT_DT, 1200, 2.5, 80.0
     trials: List[MismatchTrial] = []
     for idx in range(n_trials):
         rng = _trial_rng(seed, idx)
@@ -335,8 +338,8 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
         d0 = math.sqrt(h0 + safety.r_safe * safety.r_safe)
         ego = VehicleState((0.0, 0.0), (v_ego, 0.0))
         obj = VehicleState((d0, 0.0), (v_obj, 0.0))
-        plan_obj = NominalPlan(v_obj, (1.0, 0.0), 0.8)
 
+        coeffs_j = alpha_j.coefficients
         gap = _style_gap(alpha_i, alpha_j)
         min_h = math.inf
         ego_bad = obj_bad = 0
@@ -344,23 +347,28 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
         # order, as one (x, y) draw per step.
         raw = rng.uniform((-0.3 * bound, -0.2), (bound, 0.2), size=(n_steps, 2)).tolist()
         for raw_x, raw_y in raw:
-            # safe_control rejects coincident positions before the ego's row.
-            sol_j = safe_control(obj, [(ego, None)], alpha_j, plan_obj,
-                                 safety, object_limits, dt)
-            if not sol_j.feasible:
-                obj_bad += 1
             ex, ey = ego.position.tolist()
             ox, oy = obj.position.tolist()
+            ev_x, ev_y = ego.velocity.tolist()
+            ov_x, ov_y = obj.velocity.tolist()
             # h is the clearance of the states this step starts from.
             ax, ay, b, h = _compat_row(ex - ox, ey - oy, gap, safety, dt)
             if h < min_h:
                 min_h = h
+            ub_x, ub_y = _cruise(0.8, v_obj, 1.0, 0.0, ov_x, ov_y,
+                                 -obj_bound, -obj_bound, obj_bound, obj_bound)
+            oa_x, oa_y, s = _row_terms(ox - ex, oy - ey, ov_x - ev_x, ov_y - ev_y, dt)
+            uo_x, uo_y, ok, _, _ = _solve_scalar(
+                ub_x, ub_y, -obj_bound, -obj_bound, obj_bound, obj_bound,
+                ((oa_x, oa_y, s + _kappa(coeffs_j, h)),))
+            if not ok:
+                obj_bad += 1
             ux, uy, ok, _, _ = _solve_scalar(
                 raw_x, raw_y, -bound, -bound, bound, bound, ((ax, ay, b),))
             if not ok:
                 ego_bad += 1
             ego = step(ego, (ux, uy), dt)
-            obj = step(obj, sol_j.u, dt)
+            obj = step(obj, (uo_x, uo_y), dt)
         h = safety_value(ego.position, obj.position, safety)
         if h < min_h:
             min_h = h

@@ -4,7 +4,12 @@ Each control step solves a tiny quadratic program: stay as close as possible
 to a nominal cruise acceleration while respecting box limits and one linear
 half-plane row per neighbor.  A row (a, b) encodes a.u <= b and is derived
 from the one-step clearance rate, so satisfying it keeps the clearance decay
-within the vehicle's class-K margin.  The two vehicles of a pair share the
+within the vehicle's class-K margin.  The module holds the kernels of that
+program and no per-vehicle route into it: the callers, simulate and the
+assumption-mismatch trial, form the nominal with _cruise and each row with
+_row_terms plus barrier._kappa, and hand the floats to _solve_scalar.  Their
+data is checked once, where it is configured (VehicleSpec, ControlLimits,
+ScenarioConfig), not per step.  The two vehicles of a pair share the
 row's terms: their directions a are opposite, the rate term 2 dx.dv is the
 same, and only the margin kappa(alpha, h) is each vehicle's own.  _row_terms
 is the one kernel for a and the rate term.  simulate's pair loop calls it on
@@ -49,23 +54,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .barrier import AlphaVector, SafetyConfig, _kappa, _kappa_args
-from .dynamics import DEFAULT_DT, VehicleState
-from .errors import ConfigurationError, DegenerateConstraintError, DomainError, _check_dt
+from .errors import ConfigurationError, DomainError
 
-__all__ = [
-    "ControlLimits",
-    "NominalPlan",
-    "QpSolution",
-    "nominal_control",
-    "build_safety_constraint",
-    "safe_control",
-    "DEFAULT_LIMITS",
-]
+__all__ = ["ControlLimits", "DEFAULT_LIMITS"]
 
 # Feasibility slack used when screening candidate points, relative to row scale.
 _FEAS_TOL = 1e-9
@@ -95,24 +89,8 @@ class ControlLimits:
 DEFAULT_LIMITS = ControlLimits(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
 
 
-@dataclass(frozen=True)
-class NominalPlan:
-    """Proportional cruise law: pull velocity toward desired_speed * lane_direction."""
-
-    desired_speed: float
-    lane_direction: np.ndarray
-    gain: float
-
-    def __post_init__(self):
-        _check_cruise(self.desired_speed, self.gain)
-        d = np.asarray(self.lane_direction, dtype=np.float64).reshape(2).copy()
-        d /= _check_direction("lane_direction", *d.tolist())
-        d.flags.writeable = False
-        object.__setattr__(self, "lane_direction", d)
-
-
 def _check_cruise(desired_speed, gain):
-    """NominalPlan's rules on its speed and gain, shared with VehicleSpec."""
+    """VehicleSpec's rules on its cruise law's speed and gain."""
     if not (math.isfinite(desired_speed) and desired_speed >= 0.0):
         raise ConfigurationError(f"desired_speed must be >= 0, got {desired_speed}")
     if not (math.isfinite(gain) and gain > 0.0):
@@ -129,44 +107,9 @@ def _check_direction(name, d_x, d_y):
     return norm
 
 
-def _check_qp_data(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows):
-    """safe_control's checks of its program on float data, rows being
-    (ax, ay, b) triples, before it hands the program to _solve_scalar."""
-    isfinite = math.isfinite
-    if not (isfinite(ubar_x) and isfinite(ubar_y) and isfinite(lo_x) and isfinite(lo_y)
-            and isfinite(hi_x) and isfinite(hi_y)):
-        raise DomainError("QP data must be finite")
-    if not (lo_x <= hi_x and lo_y <= hi_y):
-        raise ConfigurationError(
-            f"u_min must be <= u_max, got ({lo_x}, {lo_y}) vs ({hi_x}, {hi_y})")
-    for ax, ay, b in rows:
-        if not (isfinite(ax) and isfinite(ay) and isfinite(b)):
-            raise DomainError("constraint row must be finite")
-
-
-@dataclass(frozen=True)
-class QpSolution:
-    """Filtered input plus telemetry for the step that produced it."""
-
-    u: np.ndarray
-    feasible: bool
-    objective: float
-    max_violation: float = 0.0
-
-
-def nominal_control(state: VehicleState, plan: NominalPlan,
-                    limits: Optional[ControlLimits] = None) -> np.ndarray:
-    """Cruise acceleration gain * (desired velocity - velocity), box-clamped."""
-    lo = limits.u_min if limits is not None else (-math.inf, -math.inf)
-    hi = limits.u_max if limits is not None else (math.inf, math.inf)
-    d = plan.lane_direction
-    return np.array(_cruise(plan.gain, plan.desired_speed, float(d[0]), float(d[1]),
-                            float(state.velocity[0]), float(state.velocity[1]),
-                            float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])))
-
-
 def _cruise(gain, speed, d_x, d_y, v_x, v_y, lo_x, lo_y, hi_x, hi_y):
-    """Scalar kernel of nominal_control: no validation, shared with the batch simulator."""
+    """The cruise law gain * (speed * d - v), d a unit direction, clamped
+    into the box [lo, hi]: no validation."""
     ux = gain * (speed * d_x - v_x)
     uy = gain * (speed * d_y - v_y)
     # min(max(u, lo), hi) as comparisons, which return the builtins' very
@@ -178,50 +121,15 @@ def _cruise(gain, speed, d_x, d_y, v_x, v_y, lo_x, lo_y, hi_x, hi_y):
     return ux, uy
 
 
-def build_safety_constraint(ego: VehicleState, other: VehicleState, other_u_assumed,
-                            alpha: AlphaVector, cfg: SafetyConfig,
-                            dt: float) -> Tuple[np.ndarray, float]:
-    """Half-plane row (a, b) keeping the clearance rate above -kappa(alpha, h).
-
-    The one-step rate 2 dx.dv + 2 dx.u_ego dt - 2 dx.u_other dt >= -kappa
-    rearranges to a.u_ego <= b with a = -2 dx dt.  The neighbor's acceleration
-    is whatever the caller assumes for it (zero models a constant-velocity
-    neighbor).
-    """
-    ax, ay, b = _safety_row(ego, other, other_u_assumed, alpha, cfg, dt)
-    return np.array([ax, ay]), b
-
-
-def _safety_row(ego, other, other_u_assumed, alpha, cfg, dt):
-    """build_safety_constraint on floats, with all its checks: returns
-    (ax, ay, b).  h is safety_value's arithmetic on positions that
-    VehicleState has already checked."""
-    ex, ey = ego.position.tolist()
-    ox, oy = other.position.tolist()
-    dx_x = ex - ox
-    dx_y = ey - oy
-    if dx_x == 0.0 and dx_y == 0.0:
-        raise DegenerateConstraintError("coincident positions admit no separating row")
-    ev_x, ev_y = ego.velocity.tolist()
-    ov_x, ov_y = other.velocity.tolist()
-    if other_u_assumed is None:
-        uo_x = uo_y = 0.0
-    else:
-        uo_x, uo_y = np.asarray(other_u_assumed, dtype=np.float64).reshape(2).tolist()
-    dt = _check_dt(dt)
-    coeffs, h = _kappa_args(alpha, dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe)
-    ax, ay, s = _row_terms(dx_x, dx_y, ev_x - ov_x, ev_y - ov_y, dt)
-    return ax, ay, s - 2.0 * (dx_x * uo_x + dx_y * uo_y) * dt + _kappa(coeffs, h)
-
-
 def _row_terms(dx_x, dx_y, dv_x, dv_y, dt):
-    """Kernel of build_safety_constraint: no validation, shared with simulate,
-    which calls it on floats (pair loop) or on (n, n) arrays (array stage).
+    """Terms of the safety row: no validation, called by simulate on floats
+    (pair loop) or on (n, n) arrays (array stage), and by the mismatch trial.
     dx and dv are ego minus other.  Returns the row direction
-    (ax, ay) = -2 dx dt and the rate term s = 2 dx.dv; the row's bound is
-    s - 2 dx.u_other dt + kappa(alpha, h).  Swapping ego and other negates dx
-    and dv, so the other vehicle's row of the pair has direction -a and the
-    same s, and only kappa differs between the two."""
+    (ax, ay) = -2 dx dt and the rate term s = 2 dx.dv; for a neighbour
+    assumed not to accelerate the row's bound is s + kappa(alpha, h).
+    Swapping ego and other negates dx and dv, so the other vehicle's row of
+    the pair has direction -a and the same s, and only kappa differs between
+    the two."""
     return -2.0 * dx_x * dt, -2.0 * dx_y * dt, 2.0 * (dx_x * dv_x + dx_y * dv_y)
 
 
@@ -439,7 +347,7 @@ def _live_rows(rows, ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y):
 
 
 def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
-    """Scalar-core solve shared by safe_control and the batch simulation loop;
+    """The filter QP on floats, shared by simulate and the mismatch trial;
     no validation.
 
     constraint_rows is a sequence of (ax, ay, b) triples excluding the box.
@@ -520,31 +428,3 @@ def _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, constraint_rows):
     dxu = ux - ubar_x
     dyu = uy - ubar_y
     return ux, uy, False, dxu * dxu + dyu * dyu, t_star
-
-
-def safe_control(ego: VehicleState, others: Sequence, alpha: AlphaVector,
-                 plan: NominalPlan, cfg: SafetyConfig,
-                 limits: ControlLimits = DEFAULT_LIMITS,
-                 dt: float = DEFAULT_DT) -> QpSolution:
-    """Filter the nominal cruise input against every neighbor.
-
-    others is a sequence of (VehicleState, assumed acceleration) pairs; pass
-    None for the acceleration to model a constant-velocity neighbor.
-
-    This is the one validated route into the filter QP.  Its program is
-    nominal_control(ego, plan, limits) and the build_safety_constraint row of
-    each neighbor, formed on floats; _check_qp_data rejects non-finite data
-    before _solve_scalar solves it.
-    """
-    lo_x, lo_y = limits.u_min.tolist()
-    hi_x, hi_y = limits.u_max.tolist()
-    d_x, d_y = plan.lane_direction.tolist()
-    v_x, v_y = ego.velocity.tolist()
-    ubar_x, ubar_y = _cruise(plan.gain, plan.desired_speed, d_x, d_y, v_x, v_y,
-                             lo_x, lo_y, hi_x, hi_y)
-    rows = [_safety_row(ego, other, u_assumed, alpha, cfg, dt)
-            for other, u_assumed in others]
-    _check_qp_data(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y, rows)
-    ux, uy, feasible, obj, t_star = _solve_scalar(ubar_x, ubar_y, lo_x, lo_y, hi_x, hi_y,
-                                                  rows)
-    return QpSolution(np.array([ux, uy]), feasible, obj, t_star)

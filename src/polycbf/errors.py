@@ -11,10 +11,6 @@ class ConfigurationError(ValueError):
     """A parameter violates its declared invariant (q < 1, negative radius, ...)."""
 
 
-class DegenerateConstraintError(ValueError):
-    """A pairwise constraint cannot be formed (coincident positions)."""
-
-
 def _check_dt(dt) -> float:
     """dt as a float, once it is checked to be positive and finite."""
     dt = float(dt)

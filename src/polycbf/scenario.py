@@ -343,8 +343,9 @@ def simulate(cfg: ScenarioConfig,
     every v, then on_step(t + 1, ...).  No hook runs at the last logged step.
 
     Each step builds every vehicle's safety row against each neighbour
-    (ascending), and for finite states every row is bit-identical to
-    build_safety_constraint's for a neighbour assumed not to accelerate.
+    (ascending), for a neighbour assumed not to accelerate: direction
+    -2 dx dt and bound 2 dx.dv + kappa(alpha, h), dx and dv being the
+    vehicle minus the neighbour, the arithmetic of _row_terms and _kappa.
     Below _ARRAY_MIN_VEHICLES vehicles a pair loop computes each pair's
     clearance and row terms (a, s) once, from the first vehicle's side; the
     second vehicle's row is (-a, s), and each vehicle's bound is s plus its
@@ -543,7 +544,9 @@ def simulate(cfg: ScenarioConfig,
                     dir_x, dir_y, progress = pursuit(ramp, px[v], py[v])
                     if progress > 0.0 and merge_step[v] is None:
                         merge_step[v] = t
-                    # NominalPlan normalizes the lane direction it is given.
+                    # Pursuit's direction is a unit vector up to rounding.
+                    # Dividing by its norm again moves its last bits, and
+                    # the pinned logs and golden digests hold those bits.
                     nn = math.hypot(dir_x, dir_y)
                     dir_x, dir_y = dir_x / nn, dir_y / nn
                 else:

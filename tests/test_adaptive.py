@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import safety_row_oracle
+
 from polycbf import (
     REFERENCE_H,
     STYLE_PRESETS,
@@ -12,9 +14,7 @@ from polycbf import (
     AlphaVector,
     ConfigurationError,
     SafetyConfig,
-    VehicleState,
     aggressiveness_score,
-    build_safety_constraint,
     experiment_assumption_mismatch,
     experiment_prediction_in_loop,
     kappa,
@@ -54,18 +54,19 @@ def test_compatibility_row_is_safety_margin_difference():
     # direction vector is the shared safety row direction
     rng = np.random.default_rng(0)
     dt = 0.01
+    r2 = CFG.r_safe * CFG.r_safe
     for _ in range(100):
-        ego = VehicleState(rng.uniform(-20, 20, 2), rng.uniform(-8, 8, 2))
-        other = VehicleState(ego.position + rng.uniform(6, 25, 2),
-                             rng.uniform(-8, 8, 2))
+        dx_x, dx_y = (-rng.uniform(6, 25, 2)).tolist()
+        dv_x, dv_y = rng.uniform(-16, 16, 2).tolist()
         ai = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
         aj = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
-        dx_x, dx_y = (ego.position - other.position).tolist()
-        ax, ay, b, _ = _compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, dt)
-        a1, b1 = build_safety_constraint(ego, other, (0.0, 0.0), ai, CFG, dt)
-        a2, b2 = build_safety_constraint(ego, other, (0.0, 0.0), aj, CFG, dt)
-        assert np.array_equal((ax, ay), a1)
-        assert np.array_equal((ax, ay), a2)
+        ax, ay, b, h = _compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, dt)
+        assert h == dx_x * dx_x + dx_y * dx_y - r2
+        ax1, ay1, b1 = safety_row_oracle(dx_x, dx_y, dv_x, dv_y, 0.0, 0.0, h,
+                                         ai.coefficients, dt)
+        ax2, ay2, b2 = safety_row_oracle(dx_x, dx_y, dv_x, dv_y, 0.0, 0.0, h,
+                                         aj.coefficients, dt)
+        assert (ax, ay) == (ax1, ay1) == (ax2, ay2)
         assert b == pytest.approx(b1 - b2, rel=1e-9, abs=1e-9)
 
 

@@ -5,8 +5,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,42 +20,46 @@ from polycbf import (
     AlphaVector,
     ConfigurationError,
     ControlLimits,
-    DEFAULT_LIMITS,
-    DegenerateConstraintError,
     DomainError,
-    NominalPlan,
-    QpSolution,
     SafetyConfig,
     VehicleState,
-    build_safety_constraint,
     kappa,
-    nominal_control,
-    safe_control,
 )
+from polycbf.barrier import _kappa
+
+# One filter solve: the input u, whether the program was feasible, the
+# objective and the worst violation of the fallback.
+Solution = namedtuple("Solution", "u feasible objective max_violation")
 
 
 def _solve(u_nom, lo, hi, rows):
     """The filter QP through _solve_scalar, rows being (a, b) pairs that mean
-    a.u <= b; the result as a QpSolution."""
+    a.u <= b; the result as a Solution."""
     ux, uy, feasible, objective, t_star = controller._solve_scalar(
         float(u_nom[0]), float(u_nom[1]), float(lo[0]), float(lo[1]),
         float(hi[0]), float(hi[1]), [(float(a[0]), float(a[1]), float(b)) for a, b in rows])
-    return QpSolution(np.array([ux, uy]), feasible, objective, t_star)
+    return Solution(np.array([ux, uy]), feasible, objective, t_star)
+
+
+def _row(ego, other, alpha, cfg, dt):
+    """The safety row (a, b) of ego against an other vehicle held at constant
+    velocity, as simulate forms it: _row_terms plus _kappa."""
+    dx_x, dx_y = (ego.position - other.position).tolist()
+    dv_x, dv_y = (ego.velocity - other.velocity).tolist()
+    h = dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe
+    ax, ay, s = controller._row_terms(dx_x, dx_y, dv_x, dv_y, dt)
+    return np.array([ax, ay]), s + _kappa(alpha.coefficients, h)
 
 
 def test_nominal_control_proportional_law():
-    plan = NominalPlan(desired_speed=8.0, lane_direction=(3.0, 4.0), gain=0.5)
-    s = VehicleState((0.0, 0.0), (2.0, -1.0))
-    u = nominal_control(s, plan)
-    # direction normalizes to (0.6, 0.8)
-    assert u == pytest.approx([0.5 * (8.0 * 0.6 - 2.0), 0.5 * (8.0 * 0.8 + 1.0)], rel=1e-12)
+    # the cruise law along the unit direction (0.6, 0.8), inside the box
+    u = controller._cruise(0.5, 8.0, 0.6, 0.8, 2.0, -1.0, -5.0, -5.0, 5.0, 5.0)
+    assert u == pytest.approx((0.5 * (8.0 * 0.6 - 2.0), 0.5 * (8.0 * 0.8 + 1.0)), rel=1e-12)
 
 
 def test_nominal_control_clamps_to_box():
-    plan = NominalPlan(desired_speed=50.0, lane_direction=(1.0, 0.0), gain=2.0)
-    s = VehicleState((0.0, 0.0), (0.0, 0.0))
-    u = nominal_control(s, plan, ControlLimits((-3.0, -3.0), (3.0, 3.0)))
-    assert u[0] == 3.0 and u[1] == 0.0
+    u = controller._cruise(2.0, 50.0, 1.0, 0.0, 0.0, 0.0, -3.0, -3.0, 3.0, 3.0)
+    assert u == (3.0, 0.0)
 
 
 # NaN, both zeros, both infinities and finite values, some equal to others:
@@ -79,25 +83,29 @@ def test_cruise_clamp_matches_min_max_oracle_bit_for_bit():
 @pytest.mark.parametrize("limits", [None, ControlLimits((-3.0, -0.0), (0.0, 3.0)),
                                     ControlLimits((2.0, -1.0), (2.0, -1.0))])
 def test_nominal_control_clamp_matches_min_max_oracle_bit_for_bit(limits):
+    # _cruise in a box, or unbounded (None), against the builtins' clamp; the
+    # gain overflows the larger velocities to infinities
     lo, hi = (-math.inf, -math.inf), (math.inf, math.inf)
     if limits is not None:
         lo, hi = limits.u_min.tolist(), limits.u_max.tolist()
     for d, v in [((1.0, 0.0), (4.0, 0.0)), ((-0.0, 1.0), (0.0, 9.0)), ((0.6, 0.8), (-2.0, 1.0)),
-                 ((1.0, -0.0), (-1e308, 1e308)), ((3.0, 4.0), (6.0, 8.0))]:
-        plan = NominalPlan(desired_speed=10.0, lane_direction=d, gain=1e10)
-        state = VehicleState((0.0, 0.0), v)
-        expect = cruise_oracle(plan.gain, plan.desired_speed, *plan.lane_direction.tolist(),
-                               *v, lo[0], lo[1], hi[0], hi[1])
-        assert _hex(nominal_control(state, plan, limits).tolist()) == _hex(expect), (d, v)
+                 ((1.0, -0.0), (-1e308, 1e308)), ((0.6, 0.8), (6.0, 8.0))]:
+        args = (1e10, 10.0, *d, *v, lo[0], lo[1], hi[0], hi[1])
+        assert _hex(controller._cruise(*args)) == _hex(cruise_oracle(*args)), (d, v)
 
 
 def test_nominal_plan_validation():
-    with pytest.raises(ConfigurationError):
-        NominalPlan(desired_speed=-1.0, lane_direction=(1.0, 0.0), gain=0.5)
-    with pytest.raises(ConfigurationError):
-        NominalPlan(desired_speed=1.0, lane_direction=(0.0, 0.0), gain=0.5)
-    with pytest.raises(ConfigurationError):
-        NominalPlan(desired_speed=1.0, lane_direction=(1.0, 0.0), gain=0.0)
+    # the cruise law's rules, which VehicleSpec applies to its speed, gain
+    # and fixed heading
+    with pytest.raises(ConfigurationError, match="^desired_speed must be >= 0, got -1.0$"):
+        controller._check_cruise(-1.0, 0.5)
+    with pytest.raises(ConfigurationError, match="^gain must be > 0, got 0.0$"):
+        controller._check_cruise(1.0, 0.0)
+    with pytest.raises(ConfigurationError, match="^heading must be non-zero$"):
+        controller._check_direction("heading", 0.0, 0.0)
+    with pytest.raises(DomainError, match="^heading has non-finite components$"):
+        controller._check_direction("heading", math.nan, 1.0)
+    assert controller._check_direction("heading", 3.0, 4.0) == 5.0
 
 
 def test_control_limits_ordering():
@@ -852,22 +860,10 @@ def test_build_safety_constraint_hand_example():
     ego = VehicleState((0.0, 0.0), (1.0, 0.0))
     other = VehicleState((7.0, 0.0), (-2.0, 0.0))
     alpha = AlphaVector((1.0, 0.5))
-    dt = 0.01
-    a, b = build_safety_constraint(ego, other, (0.5, 0.0), alpha, cfg, dt)
+    a, b = _row(ego, other, alpha, cfg, 0.01)
     # h = 49 - 25 = 24, dx = (-7, 0), dv = (3, 0)
     assert a == pytest.approx([0.14, 0.0], rel=1e-12, abs=1e-15)
-    expect_b = -42.0 + 0.07 + kappa(alpha, 24.0)
-    assert b == pytest.approx(expect_b, rel=1e-12)
-
-
-def test_build_safety_constraint_constant_velocity_assumption():
-    cfg = SafetyConfig(r_safe=5.0, q=1)
-    ego = VehicleState((0.0, 0.0), (3.0, 0.0))
-    other = VehicleState((10.0, 2.0), (-1.0, 0.5))
-    alpha = AlphaVector((2.0,))
-    a0, b0 = build_safety_constraint(ego, other, None, alpha, cfg, 0.02)
-    a1, b1 = build_safety_constraint(ego, other, (0.0, 0.0), alpha, cfg, 0.02)
-    assert np.array_equal(a0, a1) and b0 == b1
+    assert b == pytest.approx(-42.0 + kappa(alpha, 24.0), rel=1e-12)
 
 
 # Row components whose rounding is special: signed zeros, the smallest
@@ -880,9 +876,9 @@ def _hex_row(row):
 
 
 def test_build_safety_constraint_matches_row_oracle_bit_for_bit():
-    # Both directions of each pair, against the row formula as it stood
-    # before the pair terms were shared; q = 1, 2 and 3, with and without an
-    # assumed neighbour acceleration.
+    # Both directions of each pair, _row_terms plus _kappa as simulate adds
+    # them, against the row formula as it stood before the pair terms were
+    # shared, for a constant-velocity other vehicle; q = 1, 2 and 3.
     rng = random.Random(11)
     cfg = SafetyConfig(r_safe=5.0)
     r2 = cfg.r_safe * cfg.r_safe
@@ -893,34 +889,23 @@ def test_build_safety_constraint_matches_row_oracle_bit_for_bit():
             pj[1] = pi[1]  # same lane: dy = 0
         if rng.random() < 0.3:
             vj = list(vi)  # dv = 0
-        if pi[0] - pj[0] == 0.0 and pi[1] - pj[1] == 0.0:
-            continue  # coincident positions are rejected
-        uo = rng.choice([None, (0.0, -0.0), (1.5, -2.5), (1e200, 5e-324)])
         alpha = AlphaVector(tuple(rng.choice((0.0, 0.3, 2.0)) for _ in range(rng.randint(1, 3))))
         dt = rng.choice((0.01, 0.1))
-        uo_x, uo_y = (0.0, 0.0) if uo is None else uo
         for (pe, ve), (po, vo) in (((pi, vi), (pj, vj)), ((pj, vj), (pi, vi))):
-            a, b = build_safety_constraint(VehicleState(pe, ve), VehicleState(po, vo),
-                                           uo, alpha, cfg, dt)
             dx_x, dx_y = pe[0] - po[0], pe[1] - po[1]
+            dv_x, dv_y = ve[0] - vo[0], ve[1] - vo[1]
             h = dx_x * dx_x + dx_y * dx_y - r2
-            expect = safety_row_oracle(dx_x, dx_y, ve[0] - vo[0], ve[1] - vo[1],
-                                       uo_x, uo_y, h, alpha.coefficients, dt)
-            assert _hex_row((a[0], a[1], b)) == _hex_row(expect), (pe, ve, po, vo, uo)
+            ax, ay, s = controller._row_terms(dx_x, dx_y, dv_x, dv_y, dt)
+            row = (ax, ay, s + _kappa(alpha.coefficients, h))
+            expect = safety_row_oracle(dx_x, dx_y, dv_x, dv_y, 0.0, 0.0, h,
+                                       alpha.coefficients, dt)
+            assert _hex_row(row) == _hex_row(expect), (pe, ve, po, vo)
             checked += 1
-
-
-def test_build_safety_constraint_rejects_coincident_positions():
-    cfg = SafetyConfig()
-    s = VehicleState((1.0, 1.0), (0.0, 0.0))
-    with pytest.raises(DegenerateConstraintError):
-        build_safety_constraint(s, VehicleState((1.0, 1.0), (2.0, 0.0)),
-                                None, AlphaVector((1.0,)), cfg, 0.01)
 
 
 def test_constraint_row_certifies_one_step_safety():
     # any u on the feasible side keeps the next-step clearance above
-    # (1 - margin terms); verify h' >= h - kappa(alpha, h) dt analytically
+    # h - kappa(alpha, h) dt against an other vehicle at constant velocity
     from polycbf import safety_value, step
 
     cfg = SafetyConfig(r_safe=5.0, q=2)
@@ -930,128 +915,29 @@ def test_constraint_row_certifies_one_step_safety():
         ego = VehicleState(rng.uniform(-20, 20, 2), rng.uniform(-8, 8, 2))
         other = VehicleState(ego.position + rng.uniform(6, 30, 2),
                              rng.uniform(-8, 8, 2))
-        u_other = rng.uniform(-4, 4, 2)
         alpha = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
-        a, b = build_safety_constraint(ego, other, u_other, alpha, cfg, dt)
+        a, b = _row(ego, other, alpha, cfg, dt)
         # pick a strictly feasible input
         u = rng.uniform(-5, 5, 2)
         if float(a @ u) > b:
             u = u - a * (float(a @ u) - b + 1.0) / float(a @ a)
         h0 = safety_value(ego.position, other.position, cfg)
         h1 = safety_value(step(ego, u, dt).position,
-                          step(other, u_other, dt).position, cfg)
+                          step(other, (0.0, 0.0), dt).position, cfg)
         # discrete constraint: h' - h >= -kappa(alpha, h) dt, up to the
         # strictly helpful ||dv'||^2 dt^2 term
         assert h1 - h0 >= -kappa(alpha, h0) * dt - 1e-9
 
 
-def test_safe_control_matches_manual_problem():
-    cfg = SafetyConfig(r_safe=5.0, q=2)
-    ego = VehicleState((0.0, 0.0), (9.0, 0.0))
-    lead = VehicleState((12.0, 0.5), (4.0, 0.0))
-    alpha = AlphaVector((0.8, 0.2))
-    plan = NominalPlan(desired_speed=10.0, lane_direction=(1.0, 0.0), gain=0.9)
-    lim = ControlLimits((-5.0, -5.0), (5.0, 5.0))
-    sol = safe_control(ego, [(lead, None)], alpha, plan, cfg, lim, dt=0.01)
-    row = build_safety_constraint(ego, lead, None, alpha, cfg, 0.01)
-    manual = _solve(nominal_control(ego, plan, lim),
-                    lim.u_min, lim.u_max, (row,))
-    assert np.array_equal(sol.u, manual.u)
-    assert sol.feasible == manual.feasible
-    assert sol.objective == manual.objective
-    # the filtered input satisfies the row
-    a, b = row
-    assert float(a @ sol.u) <= b + 1e-9 * max(1.0, abs(b))
-
-
 def test_safe_control_brakes_for_slower_lead():
+    # the ego's program, cruise nominal and one row against a slower lead,
+    # as simulate builds it
     cfg = SafetyConfig(r_safe=5.0, q=1)
     ego = VehicleState((0.0, 0.0), (10.0, 0.0))
     lead = VehicleState((7.0, 0.0), (2.0, 0.0))
-    plan = NominalPlan(desired_speed=10.0, lane_direction=(1.0, 0.0), gain=0.8)
-    sol = safe_control(ego, [(lead, None)], AlphaVector((0.5,)), plan, cfg)
+    u_nom = controller._cruise(0.8, 10.0, 1.0, 0.0, 10.0, 0.0, -5.0, -5.0, 5.0, 5.0)
+    sol = _solve(u_nom, (-5.0, -5.0), (5.0, 5.0),
+                 (_row(ego, lead, AlphaVector((0.5,)), cfg, 0.01),))
     # nominal wants to hold speed; the filter must brake instead
+    assert u_nom == (0.0, 0.0)
     assert sol.u[0] < 0.0
-
-
-def _old_safe_control(ego, others, alpha, plan, cfg, limits, dt):
-    # safe_control composed of the public nominal law and safety rows and the
-    # scalar solver, as it was before it ran on floats
-    rows = tuple(build_safety_constraint(ego, other, u_assumed, alpha, cfg, dt)
-                 for other, u_assumed in others)
-    return _solve(nominal_control(ego, plan, limits),
-                  limits.u_min, limits.u_max, rows)
-
-
-def _hex_solution(sol):
-    return (sol.u[0].hex(), sol.u[1].hex(), sol.feasible, sol.objective.hex(),
-            float(sol.max_violation).hex())
-
-
-def test_safe_control_matches_the_qp_problem_composition_bit_for_bit():
-    rng = np.random.default_rng(23)
-    paths = {"nominal": 0, "active": 0, "infeasible": 0}
-    for _ in range(3000):
-        cfg = SafetyConfig(r_safe=5.0, q=int(rng.integers(1, 4)))
-        alpha = AlphaVector(tuple(rng.uniform(0.0, 0.5, cfg.q)))
-        ego = VehicleState(rng.uniform(-20.0, 20.0, 2), rng.uniform(-1.0, 1.0, 2))
-        # slow neighbours 5.5 to 8 m away, so that rows bind as well as idle
-        others = [(VehicleState(ego.position + rng.uniform(5.5, 8.0)
-                                * np.array([math.cos(th), math.sin(th)]),
-                                rng.uniform(-1.0, 1.0, 2)),
-                   None if rng.random() < 0.4 else rng.uniform(-5.0, 5.0, 2))
-                  for th in rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(1, 4)))]
-        plan = NominalPlan(float(rng.uniform(0.0, 15.0)), tuple(rng.uniform(-1.0, 1.0, 2)),
-                           float(rng.uniform(0.1, 2.0)))
-        limits = ControlLimits(-rng.uniform(0.5, 6.0, 2), rng.uniform(0.5, 6.0, 2))
-        dt = float(rng.choice((0.01, 0.1, 0.5)))
-        sol = safe_control(ego, others, alpha, plan, cfg, limits, dt)
-        assert _hex_solution(sol) == _hex_solution(
-            _old_safe_control(ego, others, alpha, plan, cfg, limits, dt))
-        paths["infeasible" if not sol.feasible else
-              "nominal" if sol.objective == 0.0 else "active"] += 1
-    assert min(paths.values()) > 100, paths
-
-
-def _filter_args(**changes):
-    args = dict(ego=VehicleState((0.0, 0.0), (9.0, 0.0)),
-                others=[(VehicleState((12.0, 0.0), (8.0, 0.0)), None)],
-                alpha=AlphaVector((1.0, 0.5)), plan=NominalPlan(10.0, (1.0, 0.0), 0.8),
-                cfg=SafetyConfig(), limits=DEFAULT_LIMITS, dt=0.01)
-    args.update(changes)
-    return args
-
-
-# ControlLimits rejects infinite bounds; this stand-in lets the nominal
-# overflow to inf.
-UNBOUNDED = SimpleNamespace(u_min=np.array([-math.inf, -math.inf]),
-                            u_max=np.array([math.inf, math.inf]))
-
-
-# Each case's class and exact message; the last two are _check_qp_data's.
-@pytest.mark.parametrize("changes, error, message", [
-    ({"dt": -0.01}, ConfigurationError, "dt must be positive and finite, got -0.01"),
-    ({"dt": 0.0}, ConfigurationError, "dt must be positive and finite, got 0.0"),
-    ({"others": [(VehicleState((0.0, 0.0), (1.0, 0.0)), None)]}, DegenerateConstraintError,
-     "coincident positions admit no separating row"),
-    ({"plan": NominalPlan(1e10, (1.0, 0.0), 1e300), "limits": UNBOUNDED}, DomainError,
-     "QP data must be finite"),
-    ({"others": [(VehicleState((12.0, 0.0), (8.0, 0.0)), (-1e308, 0.0))]}, DomainError,
-     "constraint row must be finite"),
-], ids=["dt<0", "dt=0", "coincident", "nominal-inf", "row-bound-inf"])
-def test_safe_control_raises_what_the_qp_problem_composition_raised(changes, error, message):
-    with pytest.raises(error) as raised:
-        safe_control(**_filter_args(**changes))
-    assert str(raised.value) == message
-
-
-def test_qp_problem_keeps_its_finiteness_messages():
-    # _check_qp_data, safe_control's checks, keeps the messages QpProblem had
-    lo_hi = (-5.0, -5.0, 5.0, 5.0)
-    with pytest.raises(DomainError, match="^QP data must be finite$"):
-        controller._check_qp_data(math.inf, 0.0, *lo_hi, [])
-    with pytest.raises(DomainError, match="^constraint row must be finite$"):
-        controller._check_qp_data(0.0, 0.0, *lo_hi, [(1.0, 0.0, 1.0), (1.0, math.nan, 1.0)])
-    with pytest.raises(ConfigurationError,
-                       match=r"^u_min must be <= u_max, got \(1\.0, 0\.0\) vs \(0\.0, 1\.0\)$"):
-        controller._check_qp_data(0.0, 0.0, 1.0, 0.0, 0.0, 1.0, [])

@@ -3,10 +3,11 @@ assumption-mismatch batch, the metrics and full log of one 16-vehicle merge
 and the full log of one 32-vehicle merge, pinned by sha256.
 
 The CSV digests were recorded before `simulate` and the per-vehicle API were
-moved onto shared scalar kernels, the mismatch digest on a trial that steps
-the per-vehicle API in a loop of its own (it never moved onto `simulate`),
-and the merge digest while infeasible multi-row programs still went to an LP
-solver; the weight sweep and the adaptive run were added before the
+moved onto shared scalar kernels, the mismatch digest while its trial still
+called a per-vehicle filter API (it now builds the object's program from the
+kernels `simulate`'s pair loop runs, in a loop of its own, and the digest
+holds), and the merge digest while infeasible multi-row programs still went
+to an LP solver; the weight sweep and the adaptive run were added before the
 filter's candidate scan became a single pass, the 16-vehicle merge's full
 log before the two vehicles of a pair shared one computation of their
 safety-row terms, the 32-vehicle merge's full log before rows that cannot

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import configs_equal, safety_row_oracle
+from helpers import configs_equal, cruise_oracle, frozen_solve_scalar, safety_row_oracle
 from test_golden import _two_lane_roster
 
 from polycbf import cli, scenario
@@ -21,21 +21,17 @@ from polycbf import (
     ControlLimits,
     DomainError,
     InvarianceSettings,
-    NominalPlan,
     PredictSettings,
     RoadGeometry,
     SafetyConfig,
     ScenarioConfig,
     VehicleSpec,
-    VehicleState,
     experiment_assumption_mismatch,
     experiment_behavior_sweep,
     experiment_invariance,
     experiment_prediction,
     invariance_trial_setup,
-    nominal_control,
     prediction_trial_setup,
-    safe_control,
     simulate,
     sweep_trial_config,
 )
@@ -143,14 +139,12 @@ def test_vehicle_spec_initial_state():
     ("desired_speed", math.nan), ("desired_speed", -1.0), ("gain", 0.0), ("gain", -0.8),
     ("gain", math.inf)])
 def test_vehicle_spec_applies_the_nominal_plan_rules(field, value):
-    # the cruise law a spec declares obeys the rules NominalPlan enforces,
-    # with NominalPlan's own message
-    plan = {"desired_speed": 10.0, "lane_direction": (1.0, 0.0), "gain": 0.8, field: value}
-    with pytest.raises(ConfigurationError) as from_plan:
-        NominalPlan(**plan)
-    with pytest.raises(ConfigurationError, match=field) as from_spec:
+    # the cruise law a spec declares has a finite speed >= 0 and a finite
+    # gain > 0
+    bound = ">= 0" if field == "desired_speed" else "> 0"
+    with pytest.raises(ConfigurationError) as from_spec:
         VehicleSpec(name="a", **{field: value})
-    assert str(from_spec.value) == str(from_plan.value)
+    assert str(from_spec.value) == f"{field} must be {bound}, got {value}"
 
 
 @pytest.mark.parametrize("field, value", [
@@ -221,11 +215,14 @@ def three_vehicle_config(n_steps=1500):
 
 
 def reference_run(cfg):
-    """Drive the same trial through the public per-vehicle API, one call at a
-    time, to pin the batch loop's arithmetic."""
+    """Drive the same trial one vehicle at a time on the test oracles, the
+    cruise law, the safety row against each neighbour held at constant
+    velocity and the frozen solve, stepping with dynamics.step, to pin the
+    batch loop's arithmetic."""
     from polycbf import step as integrate
 
     geom = cfg.geometry
+    r2 = cfg.safety.r_safe * cfg.safety.r_safe
     cur = [v.initial_state(geom) for v in cfg.vehicles]
     states = [np.array([[s.position[0], s.position[1],
                          s.velocity[0], s.velocity[1]] for s in cur])]
@@ -237,13 +234,27 @@ def reference_run(cfg):
         for v, spec in enumerate(cfg.vehicles):
             d = (spec.heading if spec.route == "fixed"
                  else geom.direction(spec.route, cur[v].position))
-            plan = NominalPlan(desired_speed=spec.desired_speed,
-                               lane_direction=d, gain=spec.gain)
-            others = [(cur[w], None) for w in range(len(cur)) if w != v]
-            sol = safe_control(cur[v], others, spec.alpha, plan, cfg.safety,
-                               spec.limits, cfg.dt)
-            us.append(sol.u)
-            ok_row.append(sol.feasible)
+            # simulate divides the direction by its norm, pursuit's included
+            d_x, d_y = (float(c) for c in d)
+            norm = math.hypot(d_x, d_y)
+            d_x, d_y = d_x / norm, d_y / norm
+            (px, py), (vx, vy) = cur[v].position.tolist(), cur[v].velocity.tolist()
+            lo_x, lo_y = spec.limits.u_min.tolist()
+            hi_x, hi_y = spec.limits.u_max.tolist()
+            ub_x, ub_y = cruise_oracle(spec.gain, spec.desired_speed, d_x, d_y, vx, vy,
+                                       lo_x, lo_y, hi_x, hi_y)
+            rows = []
+            for w in range(len(cur)):
+                if w == v:
+                    continue
+                (ox, oy), (ovx, ovy) = cur[w].position.tolist(), cur[w].velocity.tolist()
+                dx_x, dx_y = px - ox, py - oy
+                rows.append(safety_row_oracle(dx_x, dx_y, vx - ovx, vy - ovy, 0.0, 0.0,
+                                              dx_x * dx_x + dx_y * dx_y - r2,
+                                              spec.alpha.coefficients, cfg.dt))
+            ux, uy, ok, _, _ = frozen_solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
+            us.append((ux, uy))
+            ok_row.append(ok)
         cur = [integrate(cur[v], us[v], cfg.dt) for v in range(len(cur))]
         states.append(np.array([[s.position[0], s.position[1],
                                  s.velocity[0], s.velocity[1]] for s in cur]))
@@ -256,6 +267,8 @@ def test_simulation_loop_matches_library_calls_exactly():
     cfg = three_vehicle_config()
     rec = simulate(cfg)
     states, inputs, feas = reference_run(cfg)
+    # the roster's filters turn infeasible, so the fallback is pinned too
+    assert (~feas).sum() > 0
     assert np.array_equal(rec.log.states, states)
     assert np.array_equal(rec.log.inputs[:-1], inputs)
     assert np.array_equal(rec.log.feasible[:-1], feas)
@@ -385,12 +398,11 @@ def test_single_vehicle_follows_nominal_exactly():
     cfg = ScenarioConfig(geometry=geom, vehicles=(spec,), dt=0.01, n_steps=2000)
     rec = simulate(cfg)
     for t in range(0, 2000, 97):
-        s = rec.log.states[t]
-        state = VehicleState(s[0, :2], s[0, 2:])
-        d = geom.direction("main", state.position)
-        u = nominal_control(state, NominalPlan(desired_speed=9.0,
-                                               lane_direction=d, gain=0.5))
-        assert np.array_equal(rec.log.inputs[t, 0], u)
+        px, py, vx, vy = rec.log.states[t, 0].tolist()
+        d_x, d_y = geom.direction("main", (px, py)).tolist()
+        norm = math.hypot(d_x, d_y)
+        u = cruise_oracle(0.5, 9.0, d_x / norm, d_y / norm, vx, vy, -5.0, -5.0, 5.0, 5.0)
+        assert rec.log.inputs[t, 0].tolist() == list(u)
     # converges to the desired cruise speed
     assert np.hypot(*rec.log.states[-1, 0, 2:]) == pytest.approx(9.0, abs=1e-3)
 
