@@ -19,7 +19,7 @@ polycbf.cli.load_preset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -140,11 +140,13 @@ def _roster(cfg: ScenarioConfig) -> Tuple[int, int, int]:
 
 @dataclass
 class AdaptiveRecord:
-    """Everything one adaptive run produced.  The prediction-off baseline is
-    a hookless simulate trial, and its learner fields keep their defaults;
-    its trial is the enabled run's own TrialRecord object when that run
-    selected no style, and otherwise that run resumed at the phase budget,
-    so its relaxed_steps counts the steps from the budget on."""
+    """Everything one adaptive run produced.  The enabled run's trial is its
+    continuation from the phase budget (the observation run itself when the
+    run ends before the budget), so its relaxed_steps counts the steps from
+    the budget on.  The prediction-off baseline is a hookless simulate
+    trial, and its learner fields keep their defaults; its trial is the
+    enabled run's own TrialRecord object when that run selected no style,
+    and otherwise that run resumed at the phase budget."""
 
     trial: TrialRecord
     prediction_enabled: bool
@@ -163,9 +165,14 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     estimate has converged).  Its baseline, the ego keeping its configured
     style, is simulate(cfg) itself.
 
+    Each phase is one simulate call: cfg run up to the budget with the
+    learner as its on_step hook, then that log resumed at the budget under
+    cfg with the ego driving the selected style, if any.  A run that ends
+    before the budget is the observation run alone.
+
     The roster must contain exactly one ego, exactly one object (the vehicle
     being identified), and at least one neighbor; the object is observed
-    against the first neighbor.  The hooks hand simulate the compatibility
+    against the first neighbor.  The hook hands simulate the compatibility
     row as the (ax, ay, b) triple _compat_row forms.
     """
     phase_budget = settings.phase_budget
@@ -173,40 +180,34 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     dt = cfg.dt
     safety = cfg.safety
     learner = StyleLearner()
-    ego_alpha = cfg.vehicles[ego_idx].alpha
-    selected: Optional[AlphaVector] = None
-    gap = None
     sample_steps: List[int] = []
+    selected: Optional[AlphaVector] = None
 
-    def alpha_fn(t: int, v: int) -> AlphaVector:
-        if v == ego_idx:
-            return ego_alpha
-        return cfg.vehicles[v].alpha
-
-    def on_step(t_next: int, prev: np.ndarray, cur: np.ndarray):
-        nonlocal ego_alpha, selected, gap
-        if t_next <= phase_budget and not learner.converged:
+    def observe(t_next: int, prev: np.ndarray, cur: np.ndarray):
+        if not learner.converged:
             u_obs = (cur[obj_idx, 2:] - prev[obj_idx, 2:]) / dt
             if learner.admits(u_obs):
                 learner.add(_observe_rows("analytic", prev, cur, obj_idx, nbr_idx, u_obs,
                                           safety, dt, t_next))
                 sample_steps.append(t_next)
-        if t_next == phase_budget and learner.estimate is not None:
-            selected = ego_alpha = select_alpha(learner.estimate.alpha_hat)
-            # The learner takes no sample after the budget, so the estimate
-            # and the ego's style, and their gap, are final from here on.
-            gap = _style_gap(selected, learner.estimate.alpha_hat)
 
-    def extra_rows_fn(t: int, v: int, cur: np.ndarray):
-        if v != ego_idx or t < phase_budget or not learner.converged:
+    def compat(t: int, v: int, cur: np.ndarray):
+        if v != ego_idx:
             return ()
-        # A learner converged by the budget had an estimate when the ego
-        # selected its style, so the gap is set.
         dx_x, dx_y = (cur[ego_idx, :2] - cur[obj_idx, :2]).tolist()
         return (_compat_row(dx_x, dx_y, gap, safety, dt)[:3],)
 
-    trial = simulate(cfg, alpha_fn=alpha_fn, extra_rows_fn=extra_rows_fn,
-                     on_step=on_step)
+    trial = simulate(replace(cfg, n_steps=min(phase_budget, cfg.n_steps)), on_step=observe)
+    if phase_budget <= cfg.n_steps:
+        styled = cfg
+        if learner.estimate is not None:
+            selected = select_alpha(learner.estimate.alpha_hat)
+            gap = _style_gap(selected, learner.estimate.alpha_hat)
+            styled = replace(cfg, vehicles=tuple(replace(v, alpha=selected) if k == ego_idx
+                                                 else v for k, v in enumerate(cfg.vehicles)))
+        # A converged learner has an estimate, so compat's gap is set.
+        trial = simulate(styled, extra_rows_fn=compat if learner.converged else None,
+                         resume=(trial.log, phase_budget))
 
     return AdaptiveRecord(
         trial=trial,
@@ -249,14 +250,14 @@ def experiment_prediction_in_loop(
     on, and simulate(scenario) as the prediction-off baseline, the ego
     keeping its configured style and no hook installed.
 
-    Before the phase budget the hooks leave every filter program as it is:
-    alpha_fn returns the configured styles, extra_rows_fn no row, and
-    on_step never ends the run.  So the baseline shares the enabled run's
-    bits up to that step and is built as simulate(scenario, resume=(enabled
-    log, phase_budget)), which steps only the rest.  When no style was
-    selected the hooks changed nothing at all, the enabled trial is the
-    baseline bit for bit, and the disabled record holds the enabled
-    TrialRecord itself instead of a second run.
+    The enabled run's observation phase runs the scenario's own program,
+    its on_step hook never ending the run, so the baseline shares the
+    enabled run's bits up to the phase budget and is built as
+    simulate(scenario, resume=(enabled log, phase_budget)), which steps only
+    the rest.  When no style was selected the continuation, if any, ran the
+    scenario's program with no hook, the enabled trial is the baseline bit
+    for bit, and the disabled record holds the enabled TrialRecord itself
+    instead of a second run.
 
     The observer takes the analytic rate: it reconstructs the object's
     acceleration from consecutive velocities, which the model makes exact.

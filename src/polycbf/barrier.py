@@ -83,8 +83,10 @@ class SafetyConfig:
     q: int = DEFAULT_Q
 
     def __post_init__(self):
-        if not (math.isfinite(self.r_safe) and self.r_safe > 0.0):
-            raise ConfigurationError(f"r_safe must be positive and finite, got {self.r_safe}")
+        # Every clearance subtracts r_safe * r_safe, so the square must be finite too.
+        if not (self.r_safe > 0.0 and math.isfinite(self.r_safe * self.r_safe)):
+            raise ConfigurationError(
+                f"r_safe must be positive with a finite square, got {self.r_safe}")
         if self.q < 1:
             raise ConfigurationError(f"q must be >= 1, got {self.q}")
 

@@ -75,12 +75,14 @@ def _check_counts(**counts: int) -> None:
 
 def _check_reals(*, nonnegative: bool, **values) -> None:
     """Require each value, a float or a (low, high) range, to be finite and,
-    when nonnegative is set, >= 0; a range's width must be finite too."""
+    when nonnegative is set, >= 0; a range needs low <= high and a finite width."""
     for name, value in values.items():
         for v in np.ravel(value):
             if not math.isfinite(v) or (nonnegative and v < 0.0):
                 rule = "finite and >= 0" if nonnegative else "finite"
                 raise ConfigurationError(f"{name} must be {rule}, got {value}")
+        if np.ndim(value) and not value[0] <= value[1]:
+            raise ConfigurationError(f"{name} must have low <= high, got {value}")
         if np.ndim(value) and not math.isfinite(value[1] - value[0]):
             raise ConfigurationError(f"{name} must have a finite width, got {value}")
 
@@ -261,8 +263,8 @@ class TrajectoryLog:
     states[t, v] = (x, y, vx, vy) before step t; row n_steps is the final
     state.  inputs[t, v] is the acceleration applied at step t (zero-filled on
     the final row, where no step follows).  pair_h[t, p] is the clearance of
-    pairs[p] at step t, and feasible[t, v] is False where the filter QP had to
-    fall back.
+    pairs[p] in states[t], computed from the states once the trial has run,
+    and feasible[t, v] is False where the filter QP had to fall back.
     """
 
     names: Tuple[str, ...]
@@ -301,15 +303,10 @@ class TrialRecord:
 _ARRAY_MIN_VEHICLES = 10
 
 
-def _alpha_matrix(coeffs):
-    """Each vehicle's coefficients as a row of an (n, q) array, zero-padded."""
-    q = max(map(len, coeffs))
-    return np.array([c + (0.0,) * (q - len(c)) for c in coeffs])
-
-
 def _check_resume(cfg: ScenarioConfig, pairs, log: TrajectoryLog, t0: int) -> None:
-    """Require log to be of cfg's roster and dt, and t0 one of its logged
-    steps that cfg's run reaches."""
+    """Require log to be of cfg's roster (names and pairs, not styles) and
+    dt, and t0 one of its logged steps that cfg's run reaches; the program
+    from t0 on is cfg's."""
     names = tuple(v.name for v in cfg.vehicles)
     if tuple(log.names) != names or tuple(log.pairs) != pairs:
         raise ConfigurationError(f"a resumed log must hold the roster {names} and its pairs, "
@@ -322,25 +319,24 @@ def _check_resume(cfg: ScenarioConfig, pairs, log: TrajectoryLog, t0: int) -> No
 
 
 def simulate(cfg: ScenarioConfig,
-             alpha_fn: Optional[Callable[[int, int], AlphaVector]] = None,
              extra_rows_fn: Optional[Callable[[int, int, np.ndarray],
                                               Sequence[Tuple[float, float, float]]]] = None,
              on_step: Optional[Callable[[int, np.ndarray, np.ndarray], object]] = None,
              resume: Optional[Tuple[TrajectoryLog, int]] = None,
              ) -> TrialRecord:
-    """Run one synchronous trial.
+    """Run one synchronous trial, each vehicle filtering with the style cfg
+    gives it for the whole run.
 
     Hooks see states as the read-only (n, 4) rows [x, y, vx, vy] logged as
-    states[t].  alpha_fn(t, v) overrides vehicle v's style at step t;
-    extra_rows_fn(t, v, cur) returns QP rows to append as they are, each a
-    float triple (ax, ay, b) meaning ax*ux + ay*uy <= b (dropped for the
-    step, and counted, if they make the QP infeasible while the safety rows
-    alone are satisfiable); on_step(t_next, prev, cur) gets states[t_next - 1]
-    and states[t_next] after each advance, and may return truthy to end the
-    trial early (the new step is still logged, and all per-step arrays are
-    truncated to the steps actually run).  Within a step the hooks run in
-    this order: alpha_fn(t, v) for every v, then extra_rows_fn(t, v, cur) for
-    every v, then on_step(t + 1, ...).  No hook runs at the last logged step.
+    states[t].  extra_rows_fn(t, v, cur) returns QP rows to append as they
+    are, each a float triple (ax, ay, b) meaning ax*ux + ay*uy <= b (dropped
+    for the step, and counted, if they make the QP infeasible while the
+    safety rows alone are satisfiable); on_step(t_next, prev, cur) gets
+    states[t_next - 1] and states[t_next] after each advance, and may return
+    truthy to end the trial early (the new step is still logged, and all
+    per-step arrays are truncated to the steps actually run).  Within a step
+    the hooks run in this order: extra_rows_fn(t, v, cur) for every v, then
+    on_step(t + 1, ...).  No hook runs at the last logged step.
 
     Each step builds every vehicle's safety row against each neighbour
     (ascending), for a neighbour assumed not to accelerate: direction
@@ -355,21 +351,23 @@ def simulate(cfg: ScenarioConfig,
     rows; only a vehicle whose nominal fails the screen, or that has extra
     rows, solves its QP.  Both stages give the same bits.
 
-    The log is kept as the trial runs: states in one preallocated array,
-    whose read-only rows are what the hooks see, and the inputs and pair
-    clearances in flat buffers that are reshaped into their arrays once, at
-    the end.  A route vehicle's merge step is read off the progress its
+    The loop logs what it decides: states in one preallocated array, whose
+    read-only rows are what the hooks see, the inputs in a flat buffer
+    reshaped once at the end, and the feasible flags.  pair_h is computed
+    once after the loop from the logged states, with the rows' clearance
+    arithmetic.  A route vehicle's merge step is read off the progress its
     pursuit computes for the step's direction, and off the progress itself
     at the last logged step, which runs no pursuit.
 
     resume=(log, t0) starts the trial at step t0 of log, a log of the same
-    roster (names and pairs) and dt: rows [0, t0) of every array and
-    states[t0] are copied, the merge steps before t0 are read off the copied
-    states with the progress arithmetic pursuit uses, and the trial steps on
-    from t0, the hooks included.  That gives a fresh run's bits wherever the
-    run that wrote log followed this call's program before t0 (it may have
-    stopped early, at t0 or after).  relaxed_steps then counts only the steps
-    from t0 on.
+    roster (names and pairs) and dt: rows [0, t0) of its states, inputs and
+    feasible flags and states[t0] are copied, the merge steps before t0 are
+    read off the copied states with the progress arithmetic pursuit uses,
+    and the trial steps on from t0 under cfg's program, the hooks included,
+    whatever styles the run that wrote log drove.  That gives a fresh run's
+    bits wherever the run that wrote log followed this call's program before
+    t0 (it may have stopped early, at t0 or after).  relaxed_steps then
+    counts only the steps from t0 on.
     """
     geom = cfg.geometry
     vehicles = cfg.vehicles
@@ -383,7 +381,6 @@ def simulate(cfg: ScenarioConfig,
 
     states = np.empty((N + 1, n, 4))
     inputs_log = array("d")
-    pair_h_log = array("d")
     feasible = np.ones((N + 1, n), dtype=bool)
     merge_step: List[Optional[int]] = [None] * n
     t0 = 0
@@ -396,7 +393,6 @@ def simulate(cfg: ScenarioConfig,
         _check_resume(cfg, pairs, log, t0)
         states[:t0 + 1] = log.states[:t0 + 1]
         inputs_log.frombytes(np.asarray(log.inputs[:t0], dtype=np.float64).tobytes())
-        pair_h_log.frombytes(np.asarray(log.pair_h[:t0], dtype=np.float64).tobytes())
         feasible[:t0] = log.feasible[:t0]
         # The merge steps before t0: the first step whose progress, as
         # pursuit computes it, is positive.
@@ -424,27 +420,22 @@ def simulate(cfg: ScenarioConfig,
                        *map(float, spec.limits.u_max), spec.route == "ramp", heading))
     coeffs = [v.alpha.coefficients for v in vehicles]
     if array_stage:
-        upper = np.triu_indices(n, 1)
         diagonal = np.eye(n, dtype=bool)
-        alphas = _alpha_matrix(coeffs)
+        # Each vehicle's coefficients as a row, zero-padded to the longest.
+        q = max(map(len, coeffs))
+        alphas = np.array([c + (0.0,) * (q - len(c)) for c in coeffs])
     else:
         # safety[v] holds v's rows (ax, ay, b) against each neighbour w in
         # ascending order (slot w below v, w - 1 above); every slot is
-        # rewritten at each step that runs the filters.
+        # rewritten at each step.
         safety = [[None] * (n - 1) for _ in range(n)]
 
     log_u = inputs_log.append
-    log_h = pair_h_log.append
     relaxed = 0
-    stop = False
     hooked = extra_rows_fn is not None or on_step is not None
 
-    for t in range(t0, N + 1):
-        last = t == N or stop
-        if not last and alpha_fn is not None:
-            coeffs = [alpha_fn(t, v).coefficients for v in range(n)]
-            if array_stage:
-                alphas = _alpha_matrix(coeffs)
+    n_logged = N + 1
+    for t in range(t0, N):
         if array_stage:
             # Scalar IEEE arithmetic, elementwise: infinities and NaNs flow
             # through as they do on floats, without warnings.
@@ -453,19 +444,14 @@ def simulate(cfg: ScenarioConfig,
                 dx = x[:, None] - x
                 dy = y[:, None] - y
                 h = dx * dx + dy * dy - r2
-                pair_h_log.frombytes(h[upper].tobytes())
-                if not last:
-                    ax, ay, s = _row_terms(dx, dy, vel_x[:, None] - vel_x,
-                                           vel_y[:, None] - vel_y, dt)
-                    b = s + _kappa_rows(alphas, h)
+                ax, ay, s = _row_terms(dx, dy, vel_x[:, None] - vel_x,
+                                       vel_y[:, None] - vel_y, dt)
+                b = s + _kappa_rows(alphas, h)
         else:
             for i, j in pairs:
                 dxx = px[i] - px[j]
                 dyy = py[i] - py[j]
                 h = dxx * dxx + dyy * dyy - r2
-                log_h(h)
-                if last:
-                    continue
                 ax, ay, s = _row_terms(dxx, dyy, vx[i] - vx[j], vy[i] - vy[j], dt)
                 safety[i][j - 1] = (ax, ay, s + _kappa(coeffs[i], h))
                 if dxx and dyy:
@@ -477,17 +463,6 @@ def simulate(cfg: ScenarioConfig,
                     ax, ay, s = _row_terms(px[j] - px[i], py[j] - py[i],
                                            vx[j] - vx[i], vy[j] - vy[i], dt)
                     safety[j][i] = (ax, ay, s + _kappa(coeffs[j], h))
-        if last:
-            # No pursuit runs at the last logged step, so its merges are
-            # read off the progress itself; no input follows it.
-            for v, (*_, ramp, heading) in enumerate(consts):
-                if heading is None and merge_step[v] is None and \
-                        geom._progress(ramp, px[v], py[v]) > 0.0:
-                    merge_step[v] = t
-            inputs_log.extend([0.0] * (2 * n))
-            n_logged = t + 1
-            break
-
         cur = rows_ro[t] if hooked else None  # the row the hooks see
         row_next = []  # states[t + 1], vehicle by vehicle
         if array_stage:
@@ -577,12 +552,25 @@ def simulate(cfg: ScenarioConfig,
                 row_next += x_next, y_next, vx_next, vy_next
         flat[width * (t + 1):width * (t + 2)] = row_next
         px, py, vx, vy = row_next[0::4], row_next[1::4], row_next[2::4], row_next[3::4]
-        if on_step is not None:
-            stop = bool(on_step(t + 1, cur, rows_ro[t + 1]))
+        if on_step is not None and on_step(t + 1, cur, rows_ro[t + 1]):
+            n_logged = t + 2
+            break
 
+    # No pursuit runs at the last logged step, so its merges are read off
+    # the progress itself; no input follows it.
+    for v, (*_, ramp, heading) in enumerate(consts):
+        if heading is None and merge_step[v] is None and geom._progress(ramp, px[v], py[v]) > 0.0:
+            merge_step[v] = n_logged - 1
+    inputs_log.extend([0.0] * (2 * n))
     states = states[:n_logged]
     inputs = np.frombuffer(inputs_log).reshape(n_logged, n, 2)
-    pair_h = np.frombuffer(pair_h_log).reshape(n_logged, len(pairs))
+    # The clearances of the logged states, with the rows' arithmetic: numpy's
+    # elementwise + - * give the bits the loop's floats do.
+    i, j = [p[0] for p in pairs], [p[1] for p in pairs]
+    with np.errstate(all="ignore"):
+        dx = states[:, i, 0] - states[:, j, 0]
+        dy = states[:, i, 1] - states[:, j, 1]
+        pair_h = dx * dx + dy * dy - r2
     feasible = feasible[:n_logged]
     names = tuple(v.name for v in vehicles)
     min_h = {(names[i], names[j]): float(pair_h[:, p].min())

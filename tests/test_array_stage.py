@@ -22,10 +22,11 @@ from polycbf.controller import _admits, _admits_rows, _row_terms
 STAGES = {"loop": 10 ** 9, "arrays": 2}
 
 
-def run_stage(monkeypatch, stage, cfg, make_hooks=dict):
-    """simulate(cfg) on one stage; make_hooks() builds fresh hooks per run."""
+def run_stage(monkeypatch, stage, cfg, make_kwargs=dict):
+    """simulate(cfg) on one stage; make_kwargs() builds its hooks and resume
+    afresh per run, on that stage."""
     monkeypatch.setattr(scenario, "_ARRAY_MIN_VEHICLES", STAGES[stage])
-    return simulate(cfg, **make_hooks())
+    return simulate(cfg, **make_kwargs())
 
 
 def assert_same_trial(a, b):
@@ -41,9 +42,9 @@ def assert_same_trial(a, b):
     assert a.relaxed_steps == b.relaxed_steps
 
 
-def both_stages(monkeypatch, cfg, make_hooks=dict):
-    loop = run_stage(monkeypatch, "loop", cfg, make_hooks)
-    arrays = run_stage(monkeypatch, "arrays", cfg, make_hooks)
+def both_stages(monkeypatch, cfg, make_kwargs=dict):
+    loop = run_stage(monkeypatch, "loop", cfg, make_kwargs)
+    arrays = run_stage(monkeypatch, "arrays", cfg, make_kwargs)
     assert_same_trial(loop, arrays)
     return arrays
 
@@ -73,32 +74,30 @@ def test_stages_agree_at_styles_of_order_one_and_three(monkeypatch, q):
 
 
 def test_stages_agree_under_every_hook(monkeypatch):
-    # 12 vehicles: alpha_fn switches half the roster to an order-3 style at
-    # step 30, extra_rows_fn caps two vehicles' x acceleration and gives
-    # vehicle 0 a NaN row from step 20, which is dropped and counted, and
-    # on_step ends the trial after step 70.
+    # 12 vehicles: extra_rows_fn caps two vehicles' x acceleration and gives
+    # vehicle 0 a NaN row from step 20, which is dropped and counted; the run
+    # stopped at step 30 is resumed there under a roster whose odd vehicles
+    # switch to an order-3 style, and on_step ends it after step 70.
     cfg = dataclasses.replace(_two_lane_roster(per_lane=6), n_steps=90)
     hot = AlphaVector((0.9, 0.0, 0.05))
 
-    def make_hooks():
-        def alpha_fn(t, v):
-            return hot if t >= 30 and v % 2 else cfg.vehicles[v].alpha
+    def extra_rows_fn(t, v, cur):
+        if v == 0 and t >= 20:
+            return [(1.0, 0.0, math.nan)]
+        if v in (3, 8):
+            return [(1.0, 0.0, 0.5)]
+        return []
 
-        def extra_rows_fn(t, v, cur):
-            if v == 0 and t >= 20:
-                return [(1.0, 0.0, math.nan)]
-            if v in (3, 8):
-                return [(1.0, 0.0, 0.5)]
-            return []
+    def make_kwargs():
+        head = simulate(cfg, extra_rows_fn=extra_rows_fn,
+                        on_step=lambda t_next, prev, cur: t_next == 30)
+        return {"extra_rows_fn": extra_rows_fn, "on_step": lambda t_next, prev, cur: t_next == 70,
+                "resume": (head.log, 30)}
 
-        def on_step(t_next, prev, cur):
-            return t_next == 70
-
-        return {"alpha_fn": alpha_fn, "extra_rows_fn": extra_rows_fn, "on_step": on_step}
-
-    rec = both_stages(monkeypatch, cfg, make_hooks)
+    restyled = with_styles(cfg, lambda k: hot if k % 2 else cfg.vehicles[k].alpha)
+    rec = both_stages(monkeypatch, restyled, make_kwargs)
     assert rec.log.states.shape[0] == 71
-    assert rec.relaxed_steps >= 50
+    assert rec.relaxed_steps >= 40
 
 
 def test_stages_agree_on_fixed_routes(monkeypatch):

@@ -164,6 +164,10 @@ def test_safety_value_distance_squared_margin():
 def test_safety_config_validation():
     with pytest.raises(ConfigurationError):
         SafetyConfig(r_safe=0.0)
+    # every clearance subtracts r_safe * r_safe, which must not overflow
+    with pytest.raises(ConfigurationError, match="finite square"):
+        SafetyConfig(r_safe=1e200)
+    assert SafetyConfig(r_safe=1e150).r_safe == 1e150
     with pytest.raises(ConfigurationError):
         SafetyConfig(r_safe=5.0, q=0)
 

@@ -599,8 +599,9 @@ def test_adaptive_run_without_a_selection_copies_its_trajectory(tmp_path, capsys
 def test_adaptive_style_selected_at_the_last_step_drives_no_step(tmp_path, capsys,
                                                                 monkeypatch):
     # with phase_budget = n_steps the style is selected at the last logged
-    # step, where no step follows: the baseline resumes there, steps nothing,
-    # and the two trajectory files are the same bytes
+    # step, where no step follows: the enabled run's continuation and the
+    # baseline resume there and step nothing, and the two trajectory files
+    # are the same bytes
     cfg = write_cfg(tmp_path, ADAPTIVE.replace("phase_budget = 300", "phase_budget = 3000"))
     steps, resumed = [], []
     step = scenario._step
@@ -618,7 +619,7 @@ def test_adaptive_style_selected_at_the_last_step_drives_no_step(tmp_path, capsy
     out = tmp_path / "out"
     assert run_cli(["run", "adaptive", "--config", cfg, "--out", out]) == 0
     assert "selected style (0, 1) after converging at sample " in capsys.readouterr().out
-    assert resumed == [(3000, 0)]
+    assert resumed == [(3000, 0), (3000, 0)]
     exp_dir = out / "adaptive"
     assert (exp_dir / "trajectory_enabled.csv").read_bytes() == \
         (exp_dir / "trajectory_disabled.csv").read_bytes()
@@ -774,6 +775,22 @@ BAD_VALUES = [
     ("accel-bound-negative", "sweep",
      SWEEP_HOT.replace("accel_bound = 5.0", "accel_bound = -1"), "settings",
      "[sweep]: accel_bound must be finite and >= 0, got -1.0"),
+    # reversed ranges, which rng.uniform rejects
+    ("closing-reversed", "predict",
+     PREDICT.replace("closing_range = 0.5 0.9", "closing_range = 0.9 0.5"), "settings",
+     "[predict]: closing_range must have low <= high, got (0.9, 0.5)"),
+    ("margin-reversed", "predict",
+     PREDICT.replace("margin_range = 1.0 2.5", "margin_range = 2.5 1.0"), "settings",
+     "[predict]: margin_range must have low <= high, got (2.5, 1.0)"),
+    ("speed-reversed", "invariance",
+     INVARIANCE_SMALL.replace("speed_range = 9.0 10.5", "speed_range = 10.5 9.0"), "settings",
+     "[invariance]: speed_range must have low <= high, got (10.5, 9.0)"),
+    ("progress-reversed", "invariance",
+     INVARIANCE_SMALL.replace("progress_range = -90.0 -60.0", "progress_range = -60 -90"),
+     "settings", "[invariance]: progress_range must have low <= high, got (-60.0, -90.0)"),
+    # an r_safe whose square, subtracted from every clearance, overflows
+    ("r-safe-square-overflows", "predict", PREDICT.replace("r_safe = 5.0", "r_safe = 1e200"),
+     "safety", "[safety]: r_safe must be positive with a finite square, got 1e+200"),
     # finite bounds whose width overflows, which rng.uniform rejects
     ("progress-width-overflows", "invariance",
      INVARIANCE_SMALL.replace("progress_range = -90.0 -60.0", "progress_range = -1e308 1e308"),

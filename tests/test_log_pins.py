@@ -5,11 +5,13 @@ simulate kept its input and clearance logs in flat buffers and took merge
 steps from its pursuit kernel.
 
 The runs: a lone vehicle (no pairs), invariance trial 0, the adaptive
-preset's two-phase run (every hook), a run that on_step ends at the step a
-vehicle first crosses the merge, a roster with a fixed-route vehicle and a
-vehicle placed past the merge, and the 16-vehicle two-lane merge (the array
-stage).  No pinned run calls BLAS or LAPACK: the adaptive run's learner
-solves its normal equations on Python floats.
+preset's two-phase run (an observation run with on_step, resumed at the
+phase budget under the selected style with the compatibility row as
+extra_rows_fn), a run that on_step ends at the step a vehicle first crosses
+the merge, a roster with a fixed-route vehicle and a vehicle placed past the
+merge, and the 16-vehicle two-lane merge (the array stage).  No pinned run
+calls BLAS or LAPACK: the adaptive run's learner solves its normal equations
+on Python floats.
 """
 import dataclasses
 import hashlib

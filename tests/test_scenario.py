@@ -214,11 +214,12 @@ def three_vehicle_config(n_steps=1500):
                           n_steps=n_steps, safety=safety)
 
 
-def reference_run(cfg):
+def reference_run(cfg, restyled=None, t0=0):
     """Drive the same trial one vehicle at a time on the test oracles, the
     cruise law, the safety row against each neighbour held at constant
     velocity and the frozen solve, stepping with dynamics.step, to pin the
-    batch loop's arithmetic."""
+    batch loop's arithmetic.  Given restyled, a roster of the same vehicles,
+    each vehicle filters with its restyled style from step t0 on."""
     from polycbf import step as integrate
 
     geom = cfg.geometry
@@ -228,9 +229,10 @@ def reference_run(cfg):
                          s.velocity[0], s.velocity[1]] for s in cur])]
     inputs = []
     feas = []
-    for _ in range(cfg.n_steps):
+    for t in range(cfg.n_steps):
         us = []
         ok_row = []
+        styles = restyled.vehicles if restyled is not None and t >= t0 else cfg.vehicles
         for v, spec in enumerate(cfg.vehicles):
             d = (spec.heading if spec.route == "fixed"
                  else geom.direction(spec.route, cur[v].position))
@@ -251,7 +253,7 @@ def reference_run(cfg):
                 dx_x, dx_y = px - ox, py - oy
                 rows.append(safety_row_oracle(dx_x, dx_y, vx - ovx, vy - ovy, 0.0, 0.0,
                                               dx_x * dx_x + dx_y * dx_y - r2,
-                                              spec.alpha.coefficients, cfg.dt))
+                                              styles[v].alpha.coefficients, cfg.dt))
             ux, uy, ok, _, _ = frozen_solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
             us.append((ux, uy))
             ok_row.append(ok)
@@ -522,14 +524,10 @@ def test_on_step_early_stop_truncates_log():
 
 
 def test_hooks_run_in_their_documented_order_and_not_at_the_last_step():
-    # within a step: every alpha_fn, then every extra_rows_fn, then on_step;
-    # the step logged after the early stop runs no hook
+    # within a step: every extra_rows_fn, then on_step; the step logged
+    # after the early stop runs no hook
     cfg = three_vehicle_config(n_steps=50)
     calls = []
-
-    def alpha_fn(t, v):
-        calls.append(("alpha", t, v))
-        return cfg.vehicles[v].alpha
 
     def extra_rows_fn(t, v, cur):
         calls.append(("extra", t, v))
@@ -539,10 +537,9 @@ def test_hooks_run_in_their_documented_order_and_not_at_the_last_step():
         calls.append(("on_step", t_next))
         return t_next == 2
 
-    rec = simulate(cfg, alpha_fn=alpha_fn, extra_rows_fn=extra_rows_fn, on_step=on_step)
+    rec = simulate(cfg, extra_rows_fn=extra_rows_fn, on_step=on_step)
     assert calls == [call for t in (0, 1) for call in (
-        [("alpha", t, v) for v in range(3)] + [("extra", t, v) for v in range(3)]
-        + [("on_step", t + 1)])]
+        [("extra", t, v) for v in range(3)] + [("on_step", t + 1)])]
     # the hooks changed nothing: the log is a plain two-step run's
     plain = simulate(dataclasses.replace(cfg, n_steps=2)).log
     for name in ("states", "inputs", "pair_h", "feasible"):
@@ -583,36 +580,14 @@ def test_nan_extra_row_is_dropped_and_counted():
         assert getattr(rec.log, name).tobytes() == getattr(plain.log, name).tobytes()
 
 
-def test_alpha_fn_hook_overrides_styles():
-    # forcing a huge linear gain on the ego reproduces the config with that gain
-    cfg = three_vehicle_config(n_steps=300)
-    hot = AlphaVector((8.0,))
-
-    def alpha_fn(t, v):
-        return hot if v == 2 else cfg.vehicles[v].alpha
-
-    rec = simulate(cfg, alpha_fn=alpha_fn)
-    swapped = dataclasses.replace(
-        cfg, vehicles=tuple(dataclasses.replace(v, alpha=hot) if k == 2 else v
-                            for k, v in enumerate(cfg.vehicles)))
-    direct = simulate(swapped)
-    assert np.array_equal(rec.log.states, direct.log.states)
-
-
 # --- resuming from a logged step ---------------------------------------------
 
-_STYLES = (AlphaVector((0.2, 0.05)), AlphaVector((3.0, 0.0, 0.5)))
-
-
 def _hooks(cfg, hooked):
-    """No hooks, or stateless ones: a style that alternates with the step and
-    the vehicle, and on vehicle 0 a row that reads the logged states or one
-    that no box of the rosters below can meet, which simulate drops."""
+    """No hooks, or a stateless one: on vehicle 0 a row that reads the
+    logged states or one that no box of the rosters below can meet, which
+    simulate drops."""
     if not hooked:
         return {}
-
-    def alpha_fn(t, v):
-        return _STYLES[(t // 3 + v) % 2] if v % 2 else cfg.vehicles[v].alpha
 
     def extra_rows_fn(t, v, cur):
         if v or t % 4 == 3:
@@ -621,7 +596,7 @@ def _hooks(cfg, hooked):
             return ((1.0, 0.0, -60.0),)
         return ((cur[0, 2] - cur[1, 2], cur[0, 3] - cur[1, 3], 1.5 - 0.1 * (t % 7)),)
 
-    return {"alpha_fn": alpha_fn, "extra_rows_fn": extra_rows_fn}
+    return {"extra_rows_fn": extra_rows_fn}
 
 
 def _stop_at(step):
@@ -687,6 +662,42 @@ def test_a_large_roster_resumes_bit_for_bit(hooked):
     for t0, stop in ((0, None), (1, 1), (37, None), (45, 80), (90, None)):
         fresh = assert_resumes_bit_for_bit(cfg, hooked, stop, t0)
     assert fresh.metrics.infeasible_step_count > 0
+
+
+@pytest.mark.parametrize("stage", ["loop", "arrays"])
+def test_a_run_resumed_under_a_restyled_roster_switches_styles_at_t0(stage):
+    # the adaptive run's mechanism: the run up to t0, resumed under a roster
+    # whose ego and lead drive other styles (the ego's of order 3), is the
+    # oracle replay with those styles switched at t0
+    cfg = three_vehicle_config(n_steps=700)
+    restyled = dataclasses.replace(cfg, vehicles=(
+        dataclasses.replace(cfg.vehicles[0], alpha=AlphaVector((0.2, 0.05))),
+        cfg.vehicles[1],
+        dataclasses.replace(cfg.vehicles[2], alpha=AlphaVector((0.0, 0.3, 0.002)))))
+    t0 = 250
+    with mock.patch.object(scenario, "_ARRAY_MIN_VEHICLES", 10 ** 9 if stage == "loop" else 2):
+        head = simulate(cfg, on_step=_stop_at(t0))
+        rec = simulate(restyled, resume=(head.log, t0))
+    states, inputs, feas = reference_run(cfg, restyled, t0)
+    assert np.array_equal(rec.log.states, states)
+    assert np.array_equal(rec.log.inputs[:-1], inputs)
+    assert np.array_equal(rec.log.feasible[:-1], feas)
+    # the switch moved the run off both unswitched ones
+    for plain in (simulate(cfg), simulate(restyled)):
+        assert not np.array_equal(plain.log.states, rec.log.states)
+
+
+@pytest.mark.parametrize("stage", ["loop", "arrays"])
+def test_a_resumed_run_derives_its_clearances_from_its_states(stage):
+    # the source log's clearances are overwritten: the resumed run's come
+    # from the copied states, not from the source's pair_h
+    cfg = three_vehicle_config(n_steps=200)
+    with mock.patch.object(scenario, "_ARRAY_MIN_VEHICLES", 10 ** 9 if stage == "loop" else 2):
+        fresh = simulate(cfg)
+        garbled = dataclasses.replace(fresh.log, pair_h=np.full_like(fresh.log.pair_h, -1e9))
+        resumed = simulate(cfg, resume=(garbled, 150))
+    assert resumed.log.pair_h.tobytes() == fresh.log.pair_h.tobytes()
+    assert resumed.metrics == fresh.metrics
 
 
 def test_resume_merge_steps_come_from_the_copied_prefix():
