@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .barrier import AlphaVector, SafetyConfig, _kappa, kappa, safety_value
 from .controller import _cruise, _row_terms, _solve_scalar
 from .dynamics import DEFAULT_DT, VehicleState, step
@@ -57,7 +55,7 @@ def _compat_row(dx_x, dx_y, gap, cfg, dt):
     """Row (ax, ay, b), a.u <= b, tying the ego's braking authority to the
     style mismatch, and the clearance h it is formed at, as (ax, ay, b, h);
     dx is ego minus other and gap the _style_gap of the two styles (ego's
-    first): no validation, the adaptive merge's row hook.
+    first): no validation, the mismatch trial's row.
 
     Against an other vehicle whose filter runs alpha_j, an ego running
     alpha_i must not out-brake the clearance budget the two styles disagree
@@ -143,10 +141,10 @@ class AdaptiveRecord:
     """Everything one adaptive run produced.  The enabled run's trial is its
     continuation from the phase budget (the observation run itself when the
     run ends before the budget), so its relaxed_steps counts the steps from
-    the budget on.  The prediction-off baseline is a hookless simulate
-    trial, and its learner fields keep their defaults; its trial is the
-    enabled run's own TrialRecord object when that run selected no style,
-    and otherwise that run resumed at the phase budget."""
+    the budget on.  The prediction-off baseline is a simulate trial of the
+    scenario as configured, and its learner fields keep their defaults; its
+    trial is the enabled run's own TrialRecord object when that run selected
+    no style, and otherwise that run resumed at the phase budget."""
 
     trial: TrialRecord
     prediction_enabled: bool
@@ -165,15 +163,15 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     estimate has converged).  Its baseline, the ego keeping its configured
     style, is simulate(cfg) itself.
 
-    Each phase is one simulate call: cfg run up to the budget with the
-    learner as its on_step hook, then that log resumed at the budget under
-    cfg with the ego driving the selected style, if any.  A run that ends
-    before the budget is the observation run alone.
+    Each phase is one simulate call: cfg run up to the budget, whose logged
+    states the learner then reads, and that log resumed at the budget under
+    cfg with the ego driving the selected style, if any, and holding the
+    compatibility row against the object once the learner has converged.
+    A run that ends before the budget is the observation run alone.
 
     The roster must contain exactly one ego, exactly one object (the vehicle
     being identified), and at least one neighbor; the object is observed
-    against the first neighbor.  The hook hands simulate the compatibility
-    row as the (ax, ay, b) triple _compat_row forms.
+    against the first neighbor.
     """
     phase_budget = settings.phase_budget
     ego_idx, obj_idx, nbr_idx = _roster(cfg)
@@ -183,31 +181,28 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     sample_steps: List[int] = []
     selected: Optional[AlphaVector] = None
 
-    def observe(t_next: int, prev: np.ndarray, cur: np.ndarray):
-        if not learner.converged:
-            u_obs = (cur[obj_idx, 2:] - prev[obj_idx, 2:]) / dt
-            if learner.admits(u_obs):
-                learner.add(_observe_rows("analytic", prev, cur, obj_idx, nbr_idx, u_obs,
-                                          safety, dt, t_next))
-                sample_steps.append(t_next)
-
-    def compat(t: int, v: int, cur: np.ndarray):
-        if v != ego_idx:
-            return ()
-        dx_x, dx_y = (cur[ego_idx, :2] - cur[obj_idx, :2]).tolist()
-        return (_compat_row(dx_x, dx_y, gap, safety, dt)[:3],)
-
-    trial = simulate(replace(cfg, n_steps=min(phase_budget, cfg.n_steps)), on_step=observe)
+    trial = simulate(replace(cfg, n_steps=min(phase_budget, cfg.n_steps)))
+    states = trial.log.states
+    for t in range(1, len(states)):
+        if learner.converged:
+            break
+        prev, cur = states[t - 1], states[t]
+        u_obs = (cur[obj_idx, 2:] - prev[obj_idx, 2:]) / dt
+        if learner.admits(u_obs):
+            learner.add(_observe_rows("analytic", prev, cur, obj_idx, nbr_idx, u_obs,
+                                      safety, dt, t))
+            sample_steps.append(t)
     if phase_budget <= cfg.n_steps:
         styled = cfg
         if learner.estimate is not None:
             selected = select_alpha(learner.estimate.alpha_hat)
-            gap = _style_gap(selected, learner.estimate.alpha_hat)
-            styled = replace(cfg, vehicles=tuple(replace(v, alpha=selected) if k == ego_idx
-                                                 else v for k, v in enumerate(cfg.vehicles)))
-        # A converged learner has an estimate, so compat's gap is set.
-        trial = simulate(styled, extra_rows_fn=compat if learner.converged else None,
-                         resume=(trial.log, phase_budget))
+            ego = replace(cfg.vehicles[ego_idx], alpha=selected)
+            if learner.converged:
+                ego = replace(ego, compat=(cfg.vehicles[obj_idx].name,
+                                           _style_gap(selected, learner.estimate.alpha_hat)))
+            styled = replace(cfg, vehicles=tuple(ego if k == ego_idx else v
+                                                 for k, v in enumerate(cfg.vehicles)))
+        trial = simulate(styled, resume=(trial.log, phase_budget))
 
     return AdaptiveRecord(
         trial=trial,
@@ -248,16 +243,15 @@ def experiment_prediction_in_loop(
         settings: AdaptiveSettings = AdaptiveSettings()) -> AdaptiveComparison:
     """Paired runs on the same scenario: run_adaptive_merge with prediction
     on, and simulate(scenario) as the prediction-off baseline, the ego
-    keeping its configured style and no hook installed.
+    keeping its configured style and holding no compatibility row.
 
-    The enabled run's observation phase runs the scenario's own program,
-    its on_step hook never ending the run, so the baseline shares the
-    enabled run's bits up to the phase budget and is built as
-    simulate(scenario, resume=(enabled log, phase_budget)), which steps only
-    the rest.  When no style was selected the continuation, if any, ran the
-    scenario's program with no hook, the enabled trial is the baseline bit
-    for bit, and the disabled record holds the enabled TrialRecord itself
-    instead of a second run.
+    The enabled run's observation phase runs the scenario's own program, so
+    the baseline shares the enabled run's bits up to the phase budget and is
+    built as simulate(scenario, resume=(enabled log, phase_budget)), which
+    steps only the rest.  When no style was selected the continuation, if
+    any, ran the scenario's own program, the enabled trial is the baseline
+    bit for bit, and the disabled record holds the enabled TrialRecord
+    itself instead of a second run.
 
     The observer takes the analytic rate: it reconstructs the object's
     acceleration from consecutive velocities, which the model makes exact.

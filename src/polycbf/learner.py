@@ -15,12 +15,12 @@ admission gate are the module constants below.
 A sample is a BarrierSample: an observed clearance rate and the clearance
 basis it is regressed on.  The fit has one coefficient per basis term, so its
 order is the length of its samples' basis, which the observers measure at
-the scenario's [safety] q.  The simulation hooks (scenario._observe_rows)
-make samples in one of two modes.  "finite_diff" differentiates the measured
-clearance itself through _observe (no knowledge of the neighbor's input
-needed, O(dt) discretization error).  "analytic" rebuilds the one-step rate
-from the object's acceleration, recovered exactly from consecutive velocity
-samples under the semi-implicit integrator.
+the scenario's [safety] q.  The observers (scenario._observe_rows) make
+samples from a trial's logged states, in one of two modes.  "finite_diff"
+differentiates the measured clearance itself through _observe (no knowledge
+of the neighbor's input needed, O(dt) discretization error).  "analytic"
+rebuilds the one-step rate from the object's acceleration, recovered exactly
+from consecutive velocity samples under the semi-implicit integrator.
 """
 
 from __future__ import annotations
@@ -82,13 +82,16 @@ def _ridge_solve(G, rhs, n_samples: int) -> AlphaEstimate:
     G is a list of q rows and rhs a list of q floats.  Gaussian elimination
     with partial pivoting on the first row of largest |pivot| scales each
     multiplier by the pivot's reciprocal, as LAPACK's getf2 does, and
-    back-substitutes by division."""
+    back-substitutes by division.  A column whose pivot is 0.0 eliminates
+    nothing, and its raw coefficient is 0.0: the data do not identify it."""
     m = [row + [r] for row, r in zip(G, rhs)]
     q = len(m)
     for c in range(q):
         p = max(range(c, q), key=lambda r: abs(m[r][c]))
         m[c], m[p] = m[p], m[c]
         pivot_row = m[c]
+        if pivot_row[c] == 0.0:
+            continue
         inv = 1.0 / pivot_row[c]
         for r in range(c + 1, q):
             row = m[r]
@@ -100,7 +103,7 @@ def _ridge_solve(G, rhs, n_samples: int) -> AlphaEstimate:
         s = m[c][q]
         for k in range(c + 1, q):
             s -= m[c][k] * raw[k]
-        raw[c] = s / m[c][c]
+        raw[c] = s / m[c][c] if m[c][c] else 0.0
     clamped = tuple(max(v, 0.0) for v in raw)
     return AlphaEstimate(AlphaVector(clamped), tuple(raw), n_samples)
 

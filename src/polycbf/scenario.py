@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -184,7 +184,11 @@ default_geometry = RoadGeometry
 
 @dataclass(frozen=True)
 class VehicleSpec:
-    """One roster entry: identity, route placement, style, and limits."""
+    """One roster entry: identity, route placement, style, limits, and an
+    optional compatibility entry compat = (name, gap), the advisory row
+    (ax, ay, kappa(gap, h)) that simulate appends to the vehicle's filter,
+    (ax, ay) and h being those of its safety row against the vehicle named.
+    gap may be negative, so it is not an AlphaVector; no config key sets it."""
 
     name: str
     role: str = "neighbor"
@@ -197,6 +201,7 @@ class VehicleSpec:
     limits: ControlLimits = DEFAULT_LIMITS
     start_position: Optional[Tuple[float, float]] = None
     heading: Optional[Tuple[float, float]] = None
+    compat: Optional[Tuple[str, Tuple[float, ...]]] = None
 
     def __post_init__(self):
         # csv.writer leaves a "\r" unquoted when rows end in "\n", so such a
@@ -224,6 +229,10 @@ class VehicleSpec:
                 if getattr(self, name) is not None:
                     raise ConfigurationError(
                         f"{name} is only read on a fixed route, not on {self.route!r}")
+        if self.compat is not None and (self.compat[0] == self.name or not self.compat[1]
+                                        or not all(map(math.isfinite, self.compat[1]))):
+            raise ConfigurationError("a compatibility entry needs another vehicle's name and "
+                                     f"a non-empty, finite gap, got {self.compat}")
 
     def initial_state(self, geom: RoadGeometry) -> VehicleState:
         if self.route == "fixed":
@@ -254,6 +263,10 @@ class ScenarioConfig:
             raise ConfigurationError(f"vehicle names must be unique, got {names}")
         if len(names) == 0:
             raise ConfigurationError("scenario needs at least one vehicle")
+        for v in self.vehicles:
+            if v.compat is not None and v.compat[0] not in names:
+                raise ConfigurationError(f"vehicle {v.name!r} has a compatibility row against "
+                                         f"{v.compat[0]!r}, which is not in the roster")
 
 
 @dataclass
@@ -304,9 +317,9 @@ _ARRAY_MIN_VEHICLES = 10
 
 
 def _check_resume(cfg: ScenarioConfig, pairs, log: TrajectoryLog, t0: int) -> None:
-    """Require log to be of cfg's roster (names and pairs, not styles) and
-    dt, and t0 one of its logged steps that cfg's run reaches; the program
-    from t0 on is cfg's."""
+    """Require log to be of cfg's roster (names and pairs, not styles or
+    compatibility entries) and dt, and t0 one of its logged steps that cfg's
+    run reaches; the program from t0 on is cfg's."""
     names = tuple(v.name for v in cfg.vehicles)
     if tuple(log.names) != names or tuple(log.pairs) != pairs:
         raise ConfigurationError(f"a resumed log must hold the roster {names} and its pairs, "
@@ -318,56 +331,51 @@ def _check_resume(cfg: ScenarioConfig, pairs, log: TrajectoryLog, t0: int) -> No
         raise ConfigurationError(f"resume step must be in [0, {last}], got {t0}")
 
 
-def simulate(cfg: ScenarioConfig,
-             extra_rows_fn: Optional[Callable[[int, int, np.ndarray],
-                                              Sequence[Tuple[float, float, float]]]] = None,
-             on_step: Optional[Callable[[int, np.ndarray, np.ndarray], object]] = None,
-             resume: Optional[Tuple[TrajectoryLog, int]] = None,
-             ) -> TrialRecord:
-    """Run one synchronous trial, each vehicle filtering with the style cfg
-    gives it for the whole run.
+def _with_compat(rows, v, w, gap, px, py, r2):
+    """Vehicle v's safety rows (ascending) and its compatibility row against
+    w: the direction of its row against w, bound kappa(gap, h) at their h."""
+    ax, ay, _ = rows[w if w < v else w - 1]
+    dx, dy = px[v] - px[w], py[v] - py[w]
+    return rows + [(ax, ay, _kappa(gap, dx * dx + dy * dy - r2))]
 
-    Hooks see states as the read-only (n, 4) rows [x, y, vx, vy] logged as
-    states[t].  extra_rows_fn(t, v, cur) returns QP rows to append as they
-    are, each a float triple (ax, ay, b) meaning ax*ux + ay*uy <= b (dropped
-    for the step, and counted, if they make the QP infeasible while the
-    safety rows alone are satisfiable); on_step(t_next, prev, cur) gets
-    states[t_next - 1] and states[t_next] after each advance, and may return
-    truthy to end the trial early (the new step is still logged, and all
-    per-step arrays are truncated to the steps actually run).  Within a step
-    the hooks run in this order: extra_rows_fn(t, v, cur) for every v, then
-    on_step(t + 1, ...).  No hook runs at the last logged step.
+
+def simulate(cfg: ScenarioConfig,
+             resume: Optional[Tuple[TrajectoryLog, int]] = None) -> TrialRecord:
+    """Run one synchronous trial of cfg.n_steps steps, each vehicle filtering
+    with the style and compatibility entry cfg gives it for the whole run.
 
     Each step builds every vehicle's safety row against each neighbour
     (ascending), for a neighbour assumed not to accelerate: direction
     -2 dx dt and bound 2 dx.dv + kappa(alpha, h), dx and dv being the
     vehicle minus the neighbour, the arithmetic of _row_terms and _kappa.
+    A vehicle with a compatibility entry appends its row after them (see
+    VehicleSpec), and solves again without it when the row makes its QP
+    infeasible while the safety rows alone are satisfiable.
     Below _ARRAY_MIN_VEHICLES vehicles a pair loop computes each pair's
     clearance and row terms (a, s) once, from the first vehicle's side; the
     second vehicle's row is (-a, s), and each vehicle's bound is s plus its
     own kappa(alpha, h).  From that size up an array stage forms the (n, n)
     ego-minus-other differences, the rows of every vehicle from its own side
     and their bounds at once, and screens every nominal input against its
-    rows; only a vehicle whose nominal fails the screen, or that has extra
-    rows, solves its QP.  Both stages give the same bits.
+    rows; only a vehicle whose nominal fails the screen, or that has a
+    compatibility entry, solves its QP.  Both stages give the same bits.
 
-    The loop logs what it decides: states in one preallocated array, whose
-    read-only rows are what the hooks see, the inputs in a flat buffer
-    reshaped once at the end, and the feasible flags.  pair_h is computed
-    once after the loop from the logged states, with the rows' clearance
-    arithmetic.  A route vehicle's merge step is read off the progress its
-    pursuit computes for the step's direction, and off the progress itself
-    at the last logged step, which runs no pursuit.
+    The loop logs what it decides: states in one preallocated array, the
+    inputs in a flat buffer reshaped once at the end, and the feasible
+    flags.  pair_h is computed once after the loop from the logged states,
+    with the rows' clearance arithmetic.  A route vehicle's merge step is
+    read off the progress its pursuit computes for the step's direction, and
+    off the progress itself at the last logged step, which runs no pursuit.
 
     resume=(log, t0) starts the trial at step t0 of log, a log of the same
     roster (names and pairs) and dt: rows [0, t0) of its states, inputs and
     feasible flags and states[t0] are copied, the merge steps before t0 are
     read off the copied states with the progress arithmetic pursuit uses,
-    and the trial steps on from t0 under cfg's program, the hooks included,
-    whatever styles the run that wrote log drove.  That gives a fresh run's
-    bits wherever the run that wrote log followed this call's program before
-    t0 (it may have stopped early, at t0 or after).  relaxed_steps then
-    counts only the steps from t0 on.
+    and the trial steps on from t0 under cfg's program, whatever program
+    the run that wrote log drove.  That gives a fresh run's bits wherever
+    the run that wrote log followed this call's program before t0 (it may
+    have been shorter, ending at t0 or after).  relaxed_steps then counts
+    only the steps from t0 on.
     """
     geom = cfg.geometry
     vehicles = cfg.vehicles
@@ -402,8 +410,6 @@ def simulate(cfg: ScenarioConfig,
                 merge_step[v] = next((t for t, (x, y) in enumerate(
                     states[:t0, v, :2].tolist()) if geom._progress(ramp, x, y) > 0.0), None)
     px, py, vx, vy = (states[t0, :, k].tolist() for k in range(4))
-    rows_ro = states.view()  # the hooks' view; each row is written once
-    rows_ro.flags.writeable = False
     width = 4 * n
     flat = states.reshape(-1)  # states[t] is flat[width * t:width * (t + 1)]
     # Each vehicle's (gain, desired speed, lo_x, lo_y, hi_x, hi_y, on the
@@ -419,6 +425,9 @@ def simulate(cfg: ScenarioConfig,
         consts.append((spec.gain, spec.desired_speed, *map(float, spec.limits.u_min),
                        *map(float, spec.limits.u_max), spec.route == "ramp", heading))
     coeffs = [v.alpha.coefficients for v in vehicles]
+    names = tuple(v.name for v in vehicles)
+    # Each vehicle's compatibility entry as (the other vehicle's index, gap).
+    compat = [spec.compat and (names.index(spec.compat[0]), spec.compat[1]) for spec in vehicles]
     if array_stage:
         diagonal = np.eye(n, dtype=bool)
         # Each vehicle's coefficients as a row, zero-padded to the longest.
@@ -432,15 +441,13 @@ def simulate(cfg: ScenarioConfig,
 
     log_u = inputs_log.append
     relaxed = 0
-    hooked = extra_rows_fn is not None or on_step is not None
 
-    n_logged = N + 1
     for t in range(t0, N):
         if array_stage:
             # Scalar IEEE arithmetic, elementwise: infinities and NaNs flow
             # through as they do on floats, without warnings.
             with np.errstate(all="ignore"):
-                x, y, vel_x, vel_y = rows_ro[t].T
+                x, y, vel_x, vel_y = states[t].T
                 dx = x[:, None] - x
                 dy = y[:, None] - y
                 h = dx * dx + dy * dy - r2
@@ -463,7 +470,6 @@ def simulate(cfg: ScenarioConfig,
                     ax, ay, s = _row_terms(px[j] - px[i], py[j] - py[i],
                                            vx[j] - vx[i], vy[j] - vy[i], dt)
                     safety[j][i] = (ax, ay, s + _kappa(coeffs[j], h))
-        cur = rows_ro[t] if hooked else None  # the row the hooks see
         row_next = []  # states[t + 1], vehicle by vehicle
         if array_stage:
             nominal = []
@@ -486,19 +492,16 @@ def simulate(cfg: ScenarioConfig,
                           | diagonal).all(axis=1).tolist()
             for v, (ub_x, ub_y) in enumerate(nominal):
                 ux, uy = ub_x, ub_y
-                extra = None
-                if extra_rows_fn is not None:
-                    extra = list(extra_rows_fn(t, v, cur))
-                if not passed[v] or extra:
+                if not passed[v] or compat[v] is not None:
                     lo_x, lo_y, hi_x, hi_y = consts[v][2:6]
                     cols = [m[v].tolist() for m in (ax, ay, b)]
                     for col in cols:
                         del col[v]
                     rows = safety_v = list(zip(*cols))
-                    if extra:
-                        rows = rows + extra
+                    if compat[v] is not None:
+                        rows = _with_compat(rows, v, *compat[v], px, py, r2)
                     ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
-                    if extra and not ok:
+                    if not ok and compat[v] is not None:
                         # As in the pair loop below.
                         ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y,
                                                          hi_x, hi_y, safety_v)
@@ -529,16 +532,14 @@ def simulate(cfg: ScenarioConfig,
                 ub_x, ub_y = _cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
                                      lo_x, lo_y, hi_x, hi_y)
                 rows = safety[v]
-                extra = None
-                if extra_rows_fn is not None:
-                    extra = list(extra_rows_fn(t, v, cur))
-                    rows = rows + extra
+                if compat[v] is not None:
+                    rows = _with_compat(rows, v, *compat[v], px, py, r2)
 
                 ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
-                if extra and not ok:
-                    # The appended rows are advisory relative to the safety
-                    # rows: rather than let the fallback trade safety slack
-                    # for them, drop them for this step and record that we did.
+                if not ok and compat[v] is not None:
+                    # The compatibility row is advisory relative to the
+                    # safety rows: rather than let the fallback trade safety
+                    # slack for it, drop it for this step and record that we did.
                     ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y,
                                                      hi_x, hi_y, safety[v])
                     if ok:
@@ -552,18 +553,14 @@ def simulate(cfg: ScenarioConfig,
                 row_next += x_next, y_next, vx_next, vy_next
         flat[width * (t + 1):width * (t + 2)] = row_next
         px, py, vx, vy = row_next[0::4], row_next[1::4], row_next[2::4], row_next[3::4]
-        if on_step is not None and on_step(t + 1, cur, rows_ro[t + 1]):
-            n_logged = t + 2
-            break
 
     # No pursuit runs at the last logged step, so its merges are read off
     # the progress itself; no input follows it.
     for v, (*_, ramp, heading) in enumerate(consts):
         if heading is None and merge_step[v] is None and geom._progress(ramp, px[v], py[v]) > 0.0:
-            merge_step[v] = n_logged - 1
+            merge_step[v] = N
     inputs_log.extend([0.0] * (2 * n))
-    states = states[:n_logged]
-    inputs = np.frombuffer(inputs_log).reshape(n_logged, n, 2)
+    inputs = np.frombuffer(inputs_log).reshape(N + 1, n, 2)
     # The clearances of the logged states, with the rows' arithmetic: numpy's
     # elementwise + - * give the bits the loop's floats do.
     i, j = [p[0] for p in pairs], [p[1] for p in pairs]
@@ -571,15 +568,13 @@ def simulate(cfg: ScenarioConfig,
         dx = states[:, i, 0] - states[:, j, 0]
         dy = states[:, i, 1] - states[:, j, 1]
         pair_h = dx * dx + dy * dy - r2
-    feasible = feasible[:n_logged]
-    names = tuple(v.name for v in vehicles)
     min_h = {(names[i], names[j]): float(pair_h[:, p].min())
              for p, (i, j) in enumerate(pairs)}
     collision = any(v < COLLISION_TOL for v in min_h.values()) if min_h else False
     metrics = TrialMetrics(
         min_h=min_h,
         merge_step={spec.name: merge_step[v] for v, spec in enumerate(vehicles)},
-        infeasible_step_count=int((~feasible[: n_logged - 1]).sum()),
+        infeasible_step_count=int((~feasible[:N]).sum()),
         collision=collision,
     )
     log = TrajectoryLog(names, pairs, dt, states, inputs, pair_h, feasible)
@@ -588,7 +583,8 @@ def simulate(cfg: ScenarioConfig,
 
 def _observe_rows(mode, prev, cur, obj, nbr, u_obs, safety, dt, t_next):
     """The learner's sample of vehicle obj against vehicle nbr over the step
-    that ended at t_next, from the state rows an on_step hook receives."""
+    that ended at t_next, from the logged state rows prev = states[t_next - 1]
+    and cur = states[t_next]."""
     if mode == "analytic":
         # The exact one-step rate at the states where the object's input
         # u_obs was applied, the neighbour held at constant velocity.
@@ -726,6 +722,12 @@ def prediction_trial_setup(trial_index: int, settings: PredictSettings = Predict
                                  dt=settings.dt, n_steps=settings.n_steps, safety=safety)
 
 
+# experiment_prediction's first chunk of a trial, in steps; each later chunk
+# doubles the run.  The predict preset's 30 trials stop at steps 22-49 and so
+# step 1504 steps in 47 calls; a 4000-step trial that never stops takes 8.
+_PREDICT_CHUNK = 32
+
+
 def experiment_prediction(settings: PredictSettings = PredictSettings(),
                           safety: SafetyConfig = SafetyConfig(),
                           seed: int = 0) -> PredictionSummary:
@@ -744,42 +746,40 @@ def experiment_prediction(settings: PredictSettings = PredictSettings(),
     is overriding, hence the safety constraint is active).  Steps where the
     object's input sits on its actuator limit are rejected too: a saturated
     input reveals the actuator, not the style.
+
+    The learner reads the logged states step by step up to the step where
+    it converges or reaches sample_cap.  The trial is simulated in chunks
+    that each resume the last one's log, until the chunk of that step.
     """
-    dt, mode, sample_cap = settings.dt, settings.mode, settings.sample_cap
+    dt, mode = settings.dt, settings.mode
+    cap = math.inf if settings.sample_cap is None else settings.sample_cap
     trials: List[PredictionTrial] = []
     for idx in range(settings.trials):
         truth, cfg = prediction_trial_setup(idx, settings, safety, seed)
         learner = StyleLearner()
-        cruise_v = None
         gain = cfg.vehicles[0].gain
         lim = cfg.vehicles[0].limits
-
-        def observe_step(t: int, prev: np.ndarray, cur: np.ndarray):
-            nonlocal cruise_v
-            if learner.converged:
-                return True
-            if cruise_v is None:
-                cruise_v = prev[0, 2:]
-            u_obs = (cur[0, 2:] - prev[0, 2:]) / dt
-            u_nominal_est = gain * (cruise_v - prev[0, 2:])
-            if not learner.admits(u_obs, u_nominal_est):
-                return False
-            saturated = any(
-                u_obs[c] <= lim.u_min[c] + 1e-3 or u_obs[c] >= lim.u_max[c] - 1e-3
-                for c in range(2))
-            if saturated:
-                return False
-            learner.add(_observe_rows(mode, prev, cur, 0, 1, u_obs, safety, dt, t))
-            if sample_cap is not None and len(learner.samples) >= sample_cap:
-                return True
-            return learner.converged
-
-        simulate(cfg, on_step=observe_step)
+        log, end, stopped = None, 0, False
+        while not stopped and end < cfg.n_steps:
+            start, end = end, min(2 * end or _PREDICT_CHUNK, cfg.n_steps)
+            log = simulate(replace(cfg, n_steps=end),
+                           resume=None if log is None else (log, start)).log
+            states = log.states
+            cruise_v = states[0, 0, 2:]
+            for t in range(start + 1, end + 1):
+                prev, cur = states[t - 1], states[t]
+                u_obs = (cur[0, 2:] - prev[0, 2:]) / dt
+                u_nominal_est = gain * (cruise_v - prev[0, 2:])
+                if not learner.admits(u_obs, u_nominal_est) or any(
+                        u_obs[c] <= lim.u_min[c] + 1e-3 or u_obs[c] >= lim.u_max[c] - 1e-3
+                        for c in range(2)):
+                    continue
+                learner.add(_observe_rows(mode, prev, cur, 0, 1, u_obs, safety, dt, t))
+                stopped = learner.converged or len(learner.samples) >= cap
+                if stopped:
+                    break
         est = learner.estimate
-        if est is None:
-            alpha_hat = tuple(0.0 for _ in range(safety.q))
-        else:
-            alpha_hat = est.alpha_hat.coefficients
+        alpha_hat = (0.0,) * safety.q if est is None else est.alpha_hat.coefficients
         err = np.array(alpha_hat) - np.array(truth.coefficients)
         rmse = float(np.sqrt(np.mean(err ** 2)))
         trials.append(PredictionTrial(

@@ -168,7 +168,7 @@ def object_style(cfg, coefficients):
     (preset_config(100), False),
 ], ids=["preset", "no-sample", "short-run"])
 def test_disabled_prediction_reduces_to_plain_trial(scenario, selects):
-    # the prediction-off baseline is a hookless simulate run of the scenario,
+    # the prediction-off baseline is a plain simulate run of the scenario,
     # bit for bit; a run that selected no style is its own baseline
     comparison = experiment_prediction_in_loop(scenario)
     enabled, disabled = comparison.enabled, comparison.disabled

@@ -23,8 +23,8 @@ STAGES = {"loop": 10 ** 9, "arrays": 2}
 
 
 def run_stage(monkeypatch, stage, cfg, make_kwargs=dict):
-    """simulate(cfg) on one stage; make_kwargs() builds its hooks and resume
-    afresh per run, on that stage."""
+    """simulate(cfg) on one stage; make_kwargs() builds its resume afresh
+    per run, on that stage."""
     monkeypatch.setattr(scenario, "_ARRAY_MIN_VEHICLES", STAGES[stage])
     return simulate(cfg, **make_kwargs())
 
@@ -74,30 +74,31 @@ def test_stages_agree_at_styles_of_order_one_and_three(monkeypatch, q):
 
 
 def test_stages_agree_under_every_hook(monkeypatch):
-    # 12 vehicles: extra_rows_fn caps two vehicles' x acceleration and gives
-    # vehicle 0 a NaN row from step 20, which is dropped and counted; the run
-    # stopped at step 30 is resumed there under a roster whose odd vehicles
-    # switch to an order-3 style, and on_step ends it after step 70.
-    cfg = dataclasses.replace(_two_lane_roster(per_lane=6), n_steps=90)
+    # 12 vehicles: compatibility entries cap two vehicles' approach with
+    # negative gaps; the run of 30 steps is resumed there, for 40 more steps,
+    # under a roster whose odd vehicles switch to an order-3 style and whose
+    # vehicle 0 holds a row that is never met, which is dropped and counted
+    cfg = dataclasses.replace(_two_lane_roster(per_lane=6), n_steps=30)
+    names = [v.name for v in cfg.vehicles]
     hot = AlphaVector((0.9, 0.0, 0.05))
-
-    def extra_rows_fn(t, v, cur):
-        if v == 0 and t >= 20:
-            return [(1.0, 0.0, math.nan)]
-        if v in (3, 8):
-            return [(1.0, 0.0, 0.5)]
-        return []
+    cfg = dataclasses.replace(cfg, vehicles=tuple(
+        dataclasses.replace(v, compat=(names[k - 1], (-0.002, 0.0))) if k in (3, 8) else v
+        for k, v in enumerate(cfg.vehicles)))
 
     def make_kwargs():
-        head = simulate(cfg, extra_rows_fn=extra_rows_fn,
-                        on_step=lambda t_next, prev, cur: t_next == 30)
-        return {"extra_rows_fn": extra_rows_fn, "on_step": lambda t_next, prev, cur: t_next == 70,
-                "resume": (head.log, 30)}
+        return {"resume": (simulate(cfg).log, 30)}
 
-    restyled = with_styles(cfg, lambda k: hot if k % 2 else cfg.vehicles[k].alpha)
+    restyled = with_styles(dataclasses.replace(cfg, n_steps=70),
+                           lambda k: hot if k % 2 else cfg.vehicles[k].alpha)
+    restyled = dataclasses.replace(restyled, vehicles=(
+        dataclasses.replace(restyled.vehicles[0], compat=(names[1], (-1e5, -1.0))),
+        *restyled.vehicles[1:]))
     rec = both_stages(monkeypatch, restyled, make_kwargs)
     assert rec.log.states.shape[0] == 71
     assert rec.relaxed_steps >= 40
+    plain = run_stage(monkeypatch, "arrays", dataclasses.replace(restyled, vehicles=tuple(
+        dataclasses.replace(v, compat=None) for v in restyled.vehicles)), make_kwargs)
+    assert not np.array_equal(plain.log.states, rec.log.states)
 
 
 def test_stages_agree_on_fixed_routes(monkeypatch):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -194,8 +195,8 @@ def _edge_log(names, rows=7):
 
 
 def _early_stop_log():
-    cfg = invariance_trial_setup(0, InvarianceSettings(n_steps=200), seed=3)
-    log = simulate(cfg, on_step=lambda t_next, prev, cur: t_next >= 37).log
+    cfg = invariance_trial_setup(0, InvarianceSettings(n_steps=37), seed=3)
+    log = simulate(cfg).log
     assert log.states.shape[0] == 38
     return log
 
@@ -383,8 +384,10 @@ def test_seed_note_names_experiments_without_a_seed(tmp_path, capsys, experiment
 
 # --- run: each trial simulated once -------------------------------------------
 
-# predict runs its worst trial a second time: the experiment's run stops once
-# the learner converges, and trajectory.csv holds the full-length run.
+# predict runs its worst trial a second time: the experiment's run stops at
+# the chunk where the learner converges, and trajectory.csv holds the
+# full-length run.  A predict trial's later chunks resume the chunk before
+# them at its last step, so they step no step twice.
 @pytest.mark.parametrize("experiment,config,trials,calls", [
     ("invariance", INVARIANCE_SMALL, 3, 3),
     ("sweep", SWEEP_HOT.replace("styles = 8.0", "styles = 0.4 | 8.0 | 2.2")
@@ -393,19 +396,24 @@ def test_seed_note_names_experiments_without_a_seed(tmp_path, capsys, experiment
 ], ids=["invariance", "sweep", "predict"])
 def test_run_simulates_each_trial_once(tmp_path, monkeypatch, experiment, config,
                                        trials, calls):
-    seen = []
+    fresh, last = [], []
     original = scenario.simulate
 
-    def counting(*args, **kwargs):
-        seen.append(args[0])
-        return original(*args, **kwargs)
+    def counting(cfg, resume=None):
+        if resume is None:
+            fresh.append(cfg)
+        else:
+            log, t0 = resume
+            assert log is last[-1].log and t0 == len(log.states) - 1 < cfg.n_steps
+        last.append(original(cfg, resume))
+        return last[-1]
 
     monkeypatch.setattr(scenario, "simulate", counting)
     monkeypatch.setattr(cli, "simulate", counting)  # predict's rerun of its worst trial
     argv = ["run", experiment, "--config", write_cfg(tmp_path, config),
             "--out", tmp_path / "out"]
     assert run_cli(argv + (["--trials", trials] if trials else [])) == 0
-    assert len(seen) == calls
+    assert len(fresh) == calls
 
 
 def _stub_record(k: int, min_h: float) -> TrialRecord:
@@ -559,6 +567,29 @@ def test_adaptive_rows_fit_the_header_at_any_order(tmp_path, capsys, q, selected
     assert (enabled["converged_at"] == "") == (q == 1)
 
 
+@pytest.mark.parametrize("lead_progress", ["50.0", "120.0"])
+def test_adaptive_fit_with_a_zero_pivot_writes_finite_estimates(tmp_path, capsys,
+                                                                lead_progress):
+    # The object, held to 5 m/s with the lead far ahead, is admitted from
+    # step 1 at h of thousands of m^2, where the fit's ridge term is below
+    # the rounding of its normal matrix and elimination meets a pivot of 0.0.
+    text = ADAPTIVE.replace("start_progress = -33.6", f"start_progress = {lead_progress}")
+    text = text.replace("desired_speed = 3.0", "desired_speed = 5.0", 1)
+    assert f"start_progress = {lead_progress}" in text
+    assert "[vehicle.object]\nrole = object\nroute = ramp\nstart_progress = -40.0\n" \
+        "speed = 3.0\ndesired_speed = 5.0" in text
+    cfg = write_cfg(tmp_path, text)
+    assert run_cli(["validate", cfg]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert run_cli(["run", "adaptive", "--config", cfg, "--out", out]) == 0
+    with open(out / "adaptive" / "estimates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and rows[0]["step"] == "1"
+    assert all(math.isfinite(float(v)) for row in rows for k, v in row.items()
+               if k.startswith(("alpha_", "raw_")))
+
+
 NO_SAMPLE = ADAPTIVE.replace("alpha = 0.9 0.1", "alpha = 0.5 0.5")
 
 
@@ -583,7 +614,7 @@ def test_adaptive_run_without_a_selection_copies_its_trajectory(tmp_path, capsys
     assert enabled["converged_at"] == converged_at
     assert enabled["selected_alpha_0"] == disabled["selected_alpha_0"] == ""
     # the baseline file is a copy of the one trial's, which is what a fresh
-    # hookless run of the scenario writes
+    # run of the scenario as configured writes
     trial_bytes = (exp_dir / "trajectory_enabled.csv").read_bytes()
     assert (exp_dir / "trajectory_disabled.csv").read_bytes() == trial_bytes
     plain = tmp_path / "plain.csv"
@@ -747,6 +778,8 @@ POLICY_SECTION = ADAPTIVE + "\n[policy]\nreference_h = 25\n"
 # The adaptive observer is always the analytic one, so [adaptive] has no
 # hdot_mode key to pick it.
 HDOT_MODE = ADAPTIVE.replace("phase_budget = 300", "phase_budget = 300\nhdot_mode = analytic")
+# Only the adaptive run sets a vehicle's compatibility row.
+COMPAT_KEY = ADAPTIVE.replace("alpha = 1.0 0.0", "alpha = 1.0 0.0\ncompat = object -0.9 0.9")
 
 # A value that the trials would reject only part-way through a run:
 # (id, experiment, config, validate rule, error).  Each gives a run row and
@@ -884,6 +917,9 @@ BAD_VALUE_IDS = [i for name, *_ in BAD_VALUES for i in (name, f"validate-{name}"
      "config error: [vehicle.lead]: heading is only read on a fixed route, not on 'ramp'"),
     (["validate"], RAMP_HEADING, 0, "out",
      "FAIL scenario: [vehicle.lead]: heading is only read on a fixed route, not on 'ramp'"),
+    (["run", "adaptive", "--config"], COMPAT_KEY, 3, "err",
+     "config error: [vehicle.ego] has no key 'compat'"),
+    (["validate"], COMPAT_KEY, 0, "out", "FAIL scenario: [vehicle.ego] has no key 'compat'"),
 ] + BAD_VALUE_ROWS, ids=["flag", "flag-preset", "config-key", "validate", "validate-mode",
         "hdot-mode", "validate-hdot-mode", "validate-sample-cap", "misspelt-key",
         "validate-misspelt-key", "misspelt-vehicle-key", "validate-misspelt-vehicle-key", "misspelt-section",
@@ -892,7 +928,8 @@ BAD_VALUE_IDS = [i for name, *_ in BAD_VALUES for i in (name, f"validate-{name}"
         "ridge-section", "validate-ridge-section", "policy-section",
         "validate-policy-section",
         "desired-speed-nan", "validate-desired-speed-nan", "validate-gain-0",
-        "validate-gain-negative", "speed-nan", "ramp-heading", "validate-ramp-heading"]
+        "validate-gain-negative", "speed-nan", "ramp-heading", "validate-ramp-heading",
+        "compat-key", "validate-compat-key"]
    + BAD_VALUE_IDS)
 def test_negative_seed_is_a_config_error(tmp_path, capsys, argv, config, code, stream, message):
     args = list(argv)

@@ -62,7 +62,7 @@ GOLDEN = {
         "metrics.csv": "c379bffa754005469e8f20f90b11f766e42f0412b1de4c13cb639d98daf636d8",
         "trajectory.csv": "e99daf12b02ed408362108f6e5de9c5676532c61e0dc16bb735377ac772a212e",
     }),
-    # trajectory_disabled is the fixed-style run, a hookless simulate of the
+    # trajectory_disabled is the fixed-style run, a plain simulate of the
     # preset.
     "adaptive": (["run", "adaptive", "--config", str(PRESETS / "adaptive.cfg"),
                   "--seed", "0"], {

@@ -4,6 +4,7 @@ convergence.
 The fit solves on Python floats, so the oracle's bit-for-bit checks and the
 pinned estimates below hold whichever BLAS kernels numpy runs."""
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -61,7 +62,7 @@ def assert_matches_oracle(est, samples):
 
 
 def _rows(*states):
-    """States as the (n, 4) rows [x, y, vx, vy] that simulate's hooks see."""
+    """States as the (n, 4) rows [x, y, vx, vy] that simulate logs per step."""
     return np.array([[*s.position, *s.velocity] for s in states])
 
 
@@ -192,6 +193,28 @@ def test_fit_rank_deficiency_only_without_regularizer():
     # a single sample is rank deficient too; the first sample of every run
     # is one
     assert_matches_oracle(learn(samples[:1]), samples[:1])
+
+
+def test_fits_at_large_clearances_have_no_zero_pivot_division():
+    # From h of a few thousand m^2 the ridge term is below the rounding of
+    # the normal matrix's diagonal, and elimination can leave a pivot of
+    # exactly 0.0 (867 of the grid's single-sample fits).  That column
+    # eliminates nothing and its raw coefficient is 0.0.
+    truth = AlphaVector((0.9, 0.1))
+    unidentified = 0
+    for h in np.geomspace(10.0, 1e7, 4000).tolist():
+        est = learn([BarrierSample(-kappa(truth, h), basis(h, 2), 0)])
+        assert all(math.isfinite(v) for v in est.raw), h
+        unidentified += est.raw[1] == 0.0
+    assert unidentified >= 867
+    # fits of 1-6 samples of order 1-3 over the same clearances
+    rng = np.random.default_rng(7)
+    for _ in range(4000):
+        q = int(rng.integers(1, 4))
+        alpha = AlphaVector(tuple(rng.uniform(0.0, 1.0, q).tolist()))
+        hs = (10.0 ** rng.uniform(1.0, 7.0, int(rng.integers(1, 7)))).tolist()
+        est = learn(synthetic_samples(alpha, hs, q))
+        assert all(math.isfinite(v) for v in est.raw), (alpha, hs)
 
 
 def test_check_convergence_window_spread():

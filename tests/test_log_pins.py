@@ -5,11 +5,11 @@ simulate kept its input and clearance logs in flat buffers and took merge
 steps from its pursuit kernel.
 
 The runs: a lone vehicle (no pairs), invariance trial 0, the adaptive
-preset's two-phase run (an observation run with on_step, resumed at the
-phase budget under the selected style with the compatibility row as
-extra_rows_fn), a run that on_step ends at the step a vehicle first crosses
-the merge, a roster with a fixed-route vehicle and a vehicle placed past the
-merge, and the 16-vehicle two-lane merge (the array stage).  No pinned run
+preset's two-phase run (an observation run the learner reads, resumed at
+the phase budget under the selected style with the compatibility row as the
+ego's compat entry), a run that ends at the step a vehicle first crosses
+the merge, a roster with a fixed-route vehicle and a vehicle placed past
+the merge, and the 16-vehicle two-lane merge (the array stage).  No pinned run
 calls BLAS or LAPACK: the adaptive run's learner solves its normal equations
 on Python floats.
 """
@@ -43,16 +43,9 @@ def _merging_trio(n_steps=600):
                     desired_speed=11.0, alpha=AlphaVector((0.9, 0.0)))))
 
 
-def _stop_at_first_merge(cfg):
-    """on_step that ends the trial at the step where any route vehicle
-    first has positive progress."""
-    geom = cfg.geometry
-    routes = [(v, spec.route) for v, spec in enumerate(cfg.vehicles) if spec.route != "fixed"]
-
-    def on_step(t_next, prev, cur):
-        return any(geom.progress(route, cur[v, :2]) > 0.0 for v, route in routes)
-
-    return on_step
+# The step at which the ramp vehicle of _merging_trio first has positive
+# progress, the first of its vehicles to.
+FIRST_MERGE = 312
 
 
 def _fixed_and_past_merge():
@@ -77,8 +70,7 @@ RUNS = {
     "lone_vehicle": lambda: simulate(_lone_vehicle()),
     "invariance_trial_0": lambda: simulate(invariance_trial_setup(0)),
     "adaptive_preset": _adaptive_preset,
-    "early_stop": lambda: simulate(_merging_trio(),
-                                   on_step=_stop_at_first_merge(_merging_trio())),
+    "early_stop": lambda: simulate(_merging_trio(FIRST_MERGE)),
     "fixed_and_past_merge": lambda: simulate(_fixed_and_past_merge()),
     "two_lane_16": lambda: simulate(dataclasses.replace(_two_lane_roster(), n_steps=600)),
 }
@@ -122,16 +114,19 @@ def test_full_log_matches_its_pin(run):
 @pytest.mark.parametrize("min_vehicles", [1, 10 ** 9], ids=["arrays", "loop"])
 def test_merge_steps_and_log_shapes_in_both_stages(monkeypatch, min_vehicles):
     monkeypatch.setattr(scenario, "_ARRAY_MIN_VEHICLES", min_vehicles)
-    cfg = _merging_trio()
-    rec = simulate(cfg, on_step=_stop_at_first_merge(cfg))
+    cfg = _merging_trio(FIRST_MERGE)
+    rec = simulate(cfg)
     log = rec.log
     n_logged = log.states.shape[0]
-    assert n_logged < cfg.n_steps + 1
+    assert n_logged == cfg.n_steps + 1
     for v, spec in enumerate(cfg.vehicles):
         merged = [t for t in range(n_logged)
                   if cfg.geometry.progress(spec.route, log.states[t, v, :2]) > 0.0]
         assert rec.metrics.merge_step[spec.name] == (merged[0] if merged else None)
-    # the stopping step, which runs no pursuit, is the ramp vehicle's merge step
+    # the last step, which runs no pursuit, is the ramp vehicle's merge step,
+    # and the first merge of any vehicle
+    assert not any(cfg.geometry.progress(spec.route, log.states[t, v, :2]) > 0.0
+                   for t in range(n_logged - 1) for v, spec in enumerate(cfg.vehicles))
     assert rec.metrics.merge_step["ramp"] == n_logged - 1
     assert [u.hex() for u in log.inputs[-1].ravel().tolist()] == [(0.0).hex()] * 6
     assert log.inputs.shape == (n_logged, 3, 2)

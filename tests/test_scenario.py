@@ -218,8 +218,13 @@ def reference_run(cfg, restyled=None, t0=0):
     """Drive the same trial one vehicle at a time on the test oracles, the
     cruise law, the safety row against each neighbour held at constant
     velocity and the frozen solve, stepping with dynamics.step, to pin the
-    batch loop's arithmetic.  Given restyled, a roster of the same vehicles,
-    each vehicle filters with its restyled style from step t0 on."""
+    batch loop's arithmetic.  A vehicle's compatibility entry (name, gap)
+    appends the safety row oracle's row against that vehicle with the style
+    gap and no rate term, and is dropped, the step counted, when the program
+    with it is infeasible and the one without it is not.  Given restyled, a
+    roster of the same vehicles, each vehicle filters with its restyled
+    style and entry from step t0 on.  Returns the states, the inputs, the
+    feasible flags and the count of dropped steps from t0 on."""
     from polycbf import step as integrate
 
     geom = cfg.geometry
@@ -229,6 +234,8 @@ def reference_run(cfg, restyled=None, t0=0):
                          s.velocity[0], s.velocity[1]] for s in cur])]
     inputs = []
     feas = []
+    relaxed = 0
+    index = {spec.name: v for v, spec in enumerate(cfg.vehicles)}
     for t in range(cfg.n_steps):
         us = []
         ok_row = []
@@ -254,7 +261,17 @@ def reference_run(cfg, restyled=None, t0=0):
                 rows.append(safety_row_oracle(dx_x, dx_y, vx - ovx, vy - ovy, 0.0, 0.0,
                                               dx_x * dx_x + dx_y * dx_y - r2,
                                               styles[v].alpha.coefficients, cfg.dt))
-            ux, uy, ok, _, _ = frozen_solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
+            program = rows
+            if styles[v].compat is not None:
+                name, gap = styles[v].compat
+                ox, oy = cur[index[name]].position.tolist()
+                dx_x, dx_y = px - ox, py - oy
+                program = rows + [safety_row_oracle(dx_x, dx_y, 0.0, 0.0, 0.0, 0.0,
+                                                    dx_x * dx_x + dx_y * dx_y - r2, gap, cfg.dt)]
+            ux, uy, ok, _, _ = frozen_solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, program)
+            if not ok and program is not rows:
+                ux, uy, ok, _, _ = frozen_solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
+                relaxed += ok and t >= t0
             us.append((ux, uy))
             ok_row.append(ok)
         cur = [integrate(cur[v], us[v], cfg.dt) for v in range(len(cur))]
@@ -262,13 +279,13 @@ def reference_run(cfg, restyled=None, t0=0):
                                  s.velocity[0], s.velocity[1]] for s in cur]))
         inputs.append(np.array(us))
         feas.append(ok_row)
-    return np.array(states), np.array(inputs), np.array(feas)
+    return np.array(states), np.array(inputs), np.array(feas), relaxed
 
 
 def test_simulation_loop_matches_library_calls_exactly():
     cfg = three_vehicle_config()
     rec = simulate(cfg)
-    states, inputs, feas = reference_run(cfg)
+    states, inputs, feas, _ = reference_run(cfg)
     # the roster's filters turn infeasible, so the fallback is pinned too
     assert (~feas).sum() > 0
     assert np.array_equal(rec.log.states, states)
@@ -499,117 +516,77 @@ def test_merge_step_matches_logged_positions():
         assert rec.metrics.merge_step[spec.name] == expect
 
 
-def test_on_step_early_stop_truncates_log():
-    cfg = three_vehicle_config(n_steps=500)
-    seen = []
-
-    def stop_at_five(t_next, prev_states, new_states):
-        seen.append((t_next, prev_states.copy(), new_states.copy()))
-        assert new_states.shape == (3, 4)
-        for rows in (prev_states, new_states):
-            with pytest.raises(ValueError):
-                rows[0, 0] = 0.0
-        return t_next >= 5
-
-    rec = simulate(cfg, on_step=stop_at_five)
-    assert [t for t, _, _ in seen] == [1, 2, 3, 4, 5]
-    # the hook sees exactly the logged rows of the step it follows
-    for t, prev_states, new_states in seen:
-        assert np.array_equal(prev_states, rec.log.states[t - 1])
-        assert np.array_equal(new_states, rec.log.states[t])
-    # the stopping step is still logged, nothing after it
-    assert rec.log.states.shape[0] == 6
-    assert rec.log.inputs.shape[0] == 6
-    assert rec.log.pair_h.shape[0] == 6
+# A gap whose row no box of these tests meets at a positive clearance: its
+# bound kappa(gap, h) is below -1e5 h, its direction of the size 2 |dx| dt.
+UNMEETABLE = (-1e5, -1.0)
 
 
-def test_hooks_run_in_their_documented_order_and_not_at_the_last_step():
-    # within a step: every extra_rows_fn, then on_step; the step logged
-    # after the early stop runs no hook
-    cfg = three_vehicle_config(n_steps=50)
-    calls = []
-
-    def extra_rows_fn(t, v, cur):
-        calls.append(("extra", t, v))
-        return ()
-
-    def on_step(t_next, prev, cur):
-        calls.append(("on_step", t_next))
-        return t_next == 2
-
-    rec = simulate(cfg, extra_rows_fn=extra_rows_fn, on_step=on_step)
-    assert calls == [call for t in (0, 1) for call in (
-        [("extra", t, v) for v in range(3)] + [("on_step", t + 1)])]
-    # the hooks changed nothing: the log is a plain two-step run's
-    plain = simulate(dataclasses.replace(cfg, n_steps=2)).log
-    for name in ("states", "inputs", "pair_h", "feasible"):
-        assert np.array_equal(getattr(rec.log, name), getattr(plain, name))
+def with_compat(cfg, entries):
+    """cfg with vehicle v's compatibility entry set to entries[v]."""
+    return dataclasses.replace(cfg, vehicles=tuple(
+        dataclasses.replace(spec, compat=entries[v]) if v in entries else spec
+        for v, spec in enumerate(cfg.vehicles)))
 
 
-def test_extra_rows_fn_sees_logged_rows_and_empty_rows_change_nothing():
-    cfg = three_vehicle_config(n_steps=300)
-    plain = simulate(cfg)
-    seen = []
-
-    def no_rows(t, v, cur):
-        seen.append((t, v, cur.copy()))
-        with pytest.raises(ValueError):
-            cur[v, 2] = 0.0
-        return ()
-
-    rec = simulate(cfg, extra_rows_fn=no_rows)
-    assert [(t, v) for t, v, _ in seen] == [(t, v) for t in range(300) for v in range(3)]
-    assert all(np.array_equal(cur, rec.log.states[t]) for t, _, cur in seen)
-    for name in ("states", "inputs", "pair_h", "feasible"):
-        assert getattr(rec.log, name).tobytes() == getattr(plain.log, name).tobytes()
-    assert rec.metrics == plain.metrics
-
-
-def test_nan_extra_row_is_dropped_and_counted():
-    # a NaN extra row makes every step's QP infeasible, so simulate drops it
-    # and counts the step, and the run is the plain one
+def test_unmeetable_compat_row_is_dropped_and_counted():
+    # an unmeetable row makes every step's QP infeasible,
+    # so simulate drops it and counts the step, and the run is the plain one
     cfg = three_vehicle_config(n_steps=50)
     plain = simulate(cfg)
-
-    def nan_row(t, v, cur):
-        return ((1.0, 0.0, float("nan")),) if v == 0 else ()
-
-    rec = simulate(cfg, extra_rows_fn=nan_row)
+    rec = simulate(with_compat(cfg, {0: ("ego", UNMEETABLE)}))
     assert rec.relaxed_steps == 50
     for name in ("states", "inputs", "pair_h", "feasible"):
         assert getattr(rec.log, name).tobytes() == getattr(plain.log, name).tobytes()
 
 
+@pytest.mark.parametrize("stage", ["loop", "arrays"])
+def test_compat_rows_match_the_oracle_with_their_drops(stage):
+    # the ego's row against the lead binds, kept in some steps and dropped
+    # in others; the lead's row against ramp1 is never met; ramp1's row of
+    # order 1 against the ego binds and is always met
+    cfg = with_compat(three_vehicle_config(n_steps=600), {
+        2: ("lead", (-0.002, 0.0)), 0: ("ramp1", UNMEETABLE), 1: ("ego", (-0.001,))})
+    with mock.patch.object(scenario, "_ARRAY_MIN_VEHICLES", 10 ** 9 if stage == "loop" else 2):
+        rec = simulate(cfg)
+    states, inputs, feas, relaxed = reference_run(cfg)
+    assert np.array_equal(rec.log.states, states)
+    assert np.array_equal(rec.log.inputs[:-1], inputs)
+    assert np.array_equal(rec.log.feasible[:-1], feas)
+    assert rec.relaxed_steps == relaxed
+    plain = simulate(dataclasses.replace(cfg, vehicles=tuple(
+        dataclasses.replace(v, compat=None) for v in cfg.vehicles)))
+    # the rows changed the run, and the ego's drops add to the lead's
+    assert not np.array_equal(plain.log.states, rec.log.states)
+    assert cfg.n_steps < relaxed < 2 * cfg.n_steps
+
+
+@pytest.mark.parametrize("compat", [
+    ("a", (1.0,)), ("b", ()), ("b", (0.5, math.nan)), ("b", (-math.inf,))],
+    ids=["itself", "empty", "nan", "inf"])
+def test_compat_entry_needs_another_vehicle_and_a_finite_gap(compat):
+    with pytest.raises(ConfigurationError, match="needs another vehicle's name and a "
+                                                 "non-empty, finite gap, got"):
+        VehicleSpec(name="a", compat=compat)
+    VehicleSpec(name="a", compat=("b", (-0.9, 0.9)))
+
+
+def test_compat_entry_names_a_vehicle_of_the_roster():
+    a = VehicleSpec(name="a", compat=("b", (-0.9, 0.9)))
+    b = VehicleSpec(name="b", start_progress=-40.0)
+    ScenarioConfig(geometry=RoadGeometry(), vehicles=(a, b))
+    with pytest.raises(ConfigurationError, match="'b', which is not in the roster"):
+        ScenarioConfig(geometry=RoadGeometry(), vehicles=(a,))
+
+
 # --- resuming from a logged step ---------------------------------------------
 
-def _hooks(cfg, hooked):
-    """No hooks, or a stateless one: on vehicle 0 a row that reads the
-    logged states or one that no box of the rosters below can meet, which
-    simulate drops."""
-    if not hooked:
-        return {}
-
-    def extra_rows_fn(t, v, cur):
-        if v or t % 4 == 3:
-            return ()
-        if t % 4 == 2:
-            return ((1.0, 0.0, -60.0),)
-        return ((cur[0, 2] - cur[1, 2], cur[0, 3] - cur[1, 3], 1.5 - 0.1 * (t % 7)),)
-
-    return {"extra_rows_fn": extra_rows_fn}
-
-
-def _stop_at(step):
-    return lambda t_next, prev, cur: t_next >= step
-
-
-def assert_resumes_bit_for_bit(cfg, hooked, stop, t0):
-    """simulate resumed at t0 from a run stopped at step stop (None: not
-    stopped) is the fresh run bit for bit; its relaxed_steps count the
-    steps from t0 on."""
-    source = simulate(cfg, **_hooks(cfg, hooked), on_step=None if stop is None else _stop_at(stop))
-    fresh = simulate(cfg, **_hooks(cfg, hooked))
-    resumed = simulate(cfg, **_hooks(cfg, hooked), resume=(source.log, t0))
+def assert_resumes_bit_for_bit(cfg, stop, t0):
+    """simulate resumed at t0 from the run of cfg cut to stop steps (None:
+    not cut) is the fresh run bit for bit; its relaxed_steps count the steps
+    from t0 on."""
+    source = simulate(cfg if stop is None else dataclasses.replace(cfg, n_steps=stop))
+    fresh = simulate(cfg)
+    resumed = simulate(cfg, resume=(source.log, t0))
     for name in ("states", "inputs", "pair_h", "feasible"):
         a, b = getattr(fresh.log, name), getattr(resumed.log, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -618,9 +595,25 @@ def assert_resumes_bit_for_bit(cfg, hooked, stop, t0):
     assert fresh.metrics.merge_step == resumed.metrics.merge_step
     assert fresh.metrics.infeasible_step_count == resumed.metrics.infeasible_step_count
     assert fresh.metrics.collision == resumed.metrics.collision
-    before = simulate(cfg, **_hooks(cfg, hooked), on_step=_stop_at(t0)).relaxed_steps if t0 else 0
+    before = simulate(dataclasses.replace(cfg, n_steps=t0)).relaxed_steps if t0 else 0
     assert resumed.relaxed_steps == fresh.relaxed_steps - before
     return fresh
+
+
+@st.composite
+def _compat_entries(draw, cfg):
+    """cfg with a compatibility entry drawn for some vehicles: against
+    another vehicle, a gap of order 1-3 with entries of either sign, or the
+    unmeetable gap, which simulate drops."""
+    n = len(cfg.vehicles)
+    entries = {}
+    for v in range(n):
+        if draw(st.booleans()):
+            w = draw(st.integers(0, n - 2))
+            gap = draw(st.one_of(st.just(UNMEETABLE), st.lists(
+                st.floats(-2.0, 2.0), min_size=1, max_size=3).map(tuple)))
+            entries[v] = (cfg.vehicles[w + (w >= v)].name, gap)
+    return with_compat(cfg, entries)
 
 
 @st.composite
@@ -644,44 +637,55 @@ def _rosters(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(cfg=_rosters(), stage=st.sampled_from(("loop", "arrays")), hooked=st.booleans(),
+@given(cfg=_rosters(), stage=st.sampled_from(("loop", "arrays")), compat=st.booleans(),
        data=st.data())
-def test_resumed_run_is_a_fresh_run_bit_for_bit(cfg, stage, hooked, data):
-    # both stages, from a full source log or one an on_step stop cut short
+def test_resumed_run_is_a_fresh_run_bit_for_bit(cfg, stage, compat, data):
+    # both stages, from a full source log or one of a shorter run
+    if compat:
+        cfg = data.draw(_compat_entries(cfg))
     stop = data.draw(st.one_of(st.none(), st.integers(1, cfg.n_steps)))
     t0 = data.draw(st.integers(0, cfg.n_steps if stop is None else stop))
     with mock.patch.object(scenario, "_ARRAY_MIN_VEHICLES", 10 ** 9 if stage == "loop" else 2):
-        assert_resumes_bit_for_bit(cfg, hooked, stop, t0)
+        assert_resumes_bit_for_bit(cfg, stop, t0)
 
 
-@pytest.mark.parametrize("hooked", [False, True])
-def test_a_large_roster_resumes_bit_for_bit(hooked):
-    # the array stage at its default size, on a merge with infeasible steps
+@pytest.mark.parametrize("compat", [False, True])
+def test_a_large_roster_resumes_bit_for_bit(compat):
+    # the array stage at its default size, on a merge with infeasible steps;
+    # with compat, one vehicle's row has a negative gap and another's is
+    # never met, so rows are kept and dropped
     cfg = _two_lane_roster()
+    if compat:
+        names = [v.name for v in cfg.vehicles]
+        cfg = with_compat(cfg, {0: (names[1], (-0.9, 0.9)), 3: (names[0], UNMEETABLE)})
     assert len(cfg.vehicles) >= scenario._ARRAY_MIN_VEHICLES
     for t0, stop in ((0, None), (1, 1), (37, None), (45, 80), (90, None)):
-        fresh = assert_resumes_bit_for_bit(cfg, hooked, stop, t0)
+        fresh = assert_resumes_bit_for_bit(cfg, stop, t0)
     assert fresh.metrics.infeasible_step_count > 0
+    assert (fresh.relaxed_steps > 0) == compat
 
 
 @pytest.mark.parametrize("stage", ["loop", "arrays"])
 def test_a_run_resumed_under_a_restyled_roster_switches_styles_at_t0(stage):
     # the adaptive run's mechanism: the run up to t0, resumed under a roster
-    # whose ego and lead drive other styles (the ego's of order 3), is the
-    # oracle replay with those styles switched at t0
+    # whose ego and lead drive other styles (the ego's of order 3) and whose
+    # ego holds a compatibility row against the lead, is the oracle replay
+    # with those styles and that row switched on at t0
     cfg = three_vehicle_config(n_steps=700)
     restyled = dataclasses.replace(cfg, vehicles=(
         dataclasses.replace(cfg.vehicles[0], alpha=AlphaVector((0.2, 0.05))),
         cfg.vehicles[1],
-        dataclasses.replace(cfg.vehicles[2], alpha=AlphaVector((0.0, 0.3, 0.002)))))
+        dataclasses.replace(cfg.vehicles[2], alpha=AlphaVector((0.0, 0.3, 0.002)),
+                            compat=("lead", (-0.9, 0.9)))))
     t0 = 250
     with mock.patch.object(scenario, "_ARRAY_MIN_VEHICLES", 10 ** 9 if stage == "loop" else 2):
-        head = simulate(cfg, on_step=_stop_at(t0))
+        head = simulate(dataclasses.replace(cfg, n_steps=t0))
         rec = simulate(restyled, resume=(head.log, t0))
-    states, inputs, feas = reference_run(cfg, restyled, t0)
+    states, inputs, feas, relaxed = reference_run(cfg, restyled, t0)
     assert np.array_equal(rec.log.states, states)
     assert np.array_equal(rec.log.inputs[:-1], inputs)
     assert np.array_equal(rec.log.feasible[:-1], feas)
+    assert rec.relaxed_steps == relaxed
     # the switch moved the run off both unswitched ones
     for plain in (simulate(cfg), simulate(restyled)):
         assert not np.array_equal(plain.log.states, rec.log.states)
@@ -712,7 +716,7 @@ def test_resume_merge_steps_come_from_the_copied_prefix():
 
 def test_resume_from_a_foreign_log_or_past_its_end_is_a_config_error():
     cfg = three_vehicle_config(n_steps=40)
-    log = simulate(cfg, on_step=_stop_at(20)).log
+    log = simulate(dataclasses.replace(cfg, n_steps=20)).log
     renamed = dataclasses.replace(log, names=("lead", "ramp1", "other"))
     unpaired = dataclasses.replace(log, pairs=((0, 1), (0, 2)))
     for bad, t0, match in ((renamed, 5, "roster"), (unpaired, 5, "roster"),
