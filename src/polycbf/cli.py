@@ -361,47 +361,88 @@ def load_preset(name: str) -> dict:
 # ---------------------------------------------------------------------------
 # CSV emission and re-parsing.
 
-def _csv_field(text: str) -> str:
-    """text as csv.writer (QUOTE_MINIMAL) writes it as one field of a row."""
+def _csv_line(row: Sequence) -> str:
+    """row as csv.writer (QUOTE_MINIMAL) writes it, line break included."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
 
 
-# Steps per '%' call of the trajectory writer.  Blocks of 16 to 256 steps
-# write the adaptive preset's 3001-step file equally fast (37-40 ms best of
-# 25 on a 2-core x86_64, against 50 ms for one '%' per row), but a block's
-# 9 objects per row are alive while it is formatted: 256-step blocks raised
-# the peak RSS of repeated adaptive runs by about 1 MB.
-_TRAJECTORY_BLOCK = 32
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as one field of a row."""
+    return _csv_line([text, ""])[:-2]
 
 
-def _trajectory_blocks(log: TrajectoryLog, start: int) -> Iterator[str]:
-    """The CSV rows of steps start onward, _TRAJECTORY_BLOCK steps per string.
+# Float fields per block of rows that the CSV writers format, lay out and
+# compact at once.  Blocks of 1024 to 2048 fields wrote the adaptive preset's
+# 3001-step trajectory in 14-15 and 11-12 ms on a 2-core x86_64 (against 30
+# ms for the '%' writer before csvtext), but a block's buffers grow with it:
+# at 1024 each stays under 64 KB on the shipped presets, well below the
+# allocator's 128 KB mmap threshold.
+_TRAJECTORY_BLOCK = 1024
 
-    A row's template holds its vehicle's quoted name, so its arguments are
-    the step, the six floats, feasible and the step's clearance suffix; one
-    object array per block holds them in row order, and one '%' formats
-    them.  The suffixes come from one '%' per block over the clearances.
-    '%.17g' % x is format(x, ".17g"), as in _g17.
+
+def _block_steps(n_vehicles: int, n_pairs: int) -> int:
+    """Steps per block of trajectory rows: _TRAJECTORY_BLOCK float fields,
+    the clearances counted on every row, and at least one step."""
+    return max(1, _TRAJECTORY_BLOCK // (n_vehicles * (6 + n_pairs)))
+
+
+def _trajectory_blocks(log: TrajectoryLog, start: int) -> Iterator[bytes]:
+    """The CSV rows of steps start onward, _block_steps steps per block.
+
+    A block is one word buffer of rows: the step, ',' and the vehicle's
+    quoted name, six float slots, ',' and feasible, one slot per clearance
+    and the line break.  One csvtext.g17_slots call formats the block's
+    floats, and one compaction drops the buffer's NULs, though not a name's.
     """
-    n = len(log.names)
-    step_fmt = "".join("%d," + _csv_field(name).replace("%", "%%")
-                       + ",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d%s\n" for name in log.names)
-    suffix_fmt = ",%.17g" * len(log.pairs) + "\n"
-    feasible = np.asarray(log.feasible, dtype=bool)
-    n_steps = len(log.states)
-    args = np.empty((_TRAJECTORY_BLOCK, n, 9), dtype=object)
-    for t in range(start, n_steps, _TRAJECTORY_BLOCK):
-        end = min(t + _TRAJECTORY_BLOCK, n_steps)
-        block = args[:end - t]
-        block[:, :, 0] = np.arange(t, end)[:, None]
-        block[:, :, 1:5] = log.states[t:end]
-        block[:, :, 5:7] = log.inputs[t:end]
-        block[:, :, 7] = feasible[t:end]
-        suffixes = (suffix_fmt * (end - t) % tuple(log.pair_h[t:end].ravel().tolist()))
-        block[:, :, 8] = np.array(suffixes.split("\n")[:-1], dtype=object)[:, None]
-        yield step_fmt * (end - t) % tuple(block.ravel().tolist())
+    # Imported here, not with the module: its tables and the numpy code it
+    # runs cost a process RSS and start-up time that one writing no CSV
+    # need not pay.
+    from . import csvtext
+
+    n, n_pairs, n_steps = len(log.names), len(log.pairs), len(log.states)
+    names = [("," + _csv_field(name)).encode("utf-8") for name in log.names]
+    step_w = -(-len(str(n_steps - 1)) // 4)
+    name_w = -(-max(map(len, names)) // 4)
+    named = np.array(names, dtype=f"S{4 * name_w}").view(np.uint32).reshape(1, n, name_w)
+    name_bytes = np.arange(4 * name_w) < np.array([len(b) for b in names])[:, None]
+    flags = csvtext.words([[ord(","), ord("0"), 0, 0], [ord(","), ord("1"), 0, 0]])
+    feasible = np.asarray(log.feasible, dtype=bool).view(np.uint8)
+    block = _block_steps(n, n_pairs)
+    for t in range(start, n_steps, block):
+        m = min(block, n_steps - t)
+        slots = csvtext.g17_slots(np.concatenate(
+            (np.concatenate((log.states[t:t + m], log.inputs[t:t + m]), axis=2).ravel(),
+             log.pair_h[t:t + m].ravel()), dtype=np.float64))
+        w = slots.shape[1]
+        pairs = step_w + name_w + 6 * w + 1
+        rows = np.empty((m, n, pairs + n_pairs * w + 1), dtype=np.uint32)
+        rows[:, :, :step_w] = csvtext.int_words(np.arange(t, t + m), step_w)[:, None]
+        rows[:, :, step_w:step_w + name_w] = named
+        rows[:, :, step_w + name_w:pairs - 1] = slots[:6 * m * n].reshape(m, n, 6 * w)
+        rows[:, :, pairs - 1] = flags[feasible[t:t + m]]
+        rows[:, :, pairs:-1] = slots[6 * m * n:].reshape(m, 1, n_pairs * w)
+        rows[:, :, -1] = csvtext.NEWLINE
+        keep = rows.view(np.uint8) != 0
+        keep[:, :, 4 * step_w:4 * (step_w + name_w)] = name_bytes
+        yield csvtext.text(rows, keep)
+
+
+def _write_series_csv(path: Path, header: Sequence[str], values: np.ndarray) -> None:
+    """The header, then one row per value: its index and the value, as
+    _write_csv writes them with the value through _g17."""
+    from . import csvtext  # imported here: see _trajectory_blocks
+
+    values = np.asarray(values, dtype=np.float64)
+    step_w = -(-len(str(max(len(values) - 1, 0))) // 4)
+    with open(path, "wb") as fh:
+        fh.write(_csv_line(header).encode("utf-8"))
+        for t in range(0, len(values), _TRAJECTORY_BLOCK):
+            slots = csvtext.g17_slots(values[t:t + _TRAJECTORY_BLOCK])
+            steps = csvtext.int_words(np.arange(t, t + len(slots)), step_w)
+            fh.write(csvtext.text(np.concatenate(
+                (steps, slots, np.broadcast_to(csvtext.NEWLINE, (len(slots), 1))), axis=1)))
 
 
 def _shared_steps(log: TrajectoryLog, other: TrajectoryLog) -> Optional[int]:
@@ -439,9 +480,10 @@ def write_trajectory_csv(path: Path, log: TrajectoryLog,
                          source: Optional[Tuple[Path, TrajectoryLog]] = None) -> None:
     """One row per (step, vehicle); clearances repeat on each row of a step.
 
-    The rows are formatted _TRAJECTORY_BLOCK steps at a time, and the file
-    is never held in memory whole.  The bytes are those of csv.writer with
-    every float through _g17.
+    The rows are formatted in blocks of about _TRAJECTORY_BLOCK floats by
+    csvtext.g17_slots, which writes '%.17g' exactly on whole arrays, and the
+    file is never held in memory whole.  The bytes are those of csv.writer
+    with every float through _g17.
 
     source=(file, source_log), with file source_log's CSV as this function
     wrote it, copies from that file the header and the rows of the leading
@@ -451,16 +493,13 @@ def write_trajectory_csv(path: Path, log: TrajectoryLog,
     shared = None if source is None else _shared_steps(log, source[1])
     with open(path, "wb") as fh:
         if shared is None:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow(
-                list(TRAJECTORY_COLUMNS)
-                + [f"h:{log.names[i]}:{log.names[j]}" for i, j in log.pairs])
-            fh.write(buf.getvalue().encode("utf-8"))
+            fh.write(_csv_line(list(TRAJECTORY_COLUMNS) + [
+                f"h:{log.names[i]}:{log.names[j]}" for i, j in log.pairs]).encode("utf-8"))
             shared = 0
         else:
             with open(source[0], "rb") as src:
                 _copy_lines(src, fh, 1 + shared * len(log.names))
-        fh.writelines(block.encode("utf-8") for block in _trajectory_blocks(log, shared))
+        fh.writelines(_trajectory_blocks(log, shared))
 
 
 def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
@@ -644,8 +683,7 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
                        _opt(e.ego_merge_step), _opt(e.other_merge_step),
                        e.merge_order or "", e.infeasible_step_count])
         dist = out_dir / f"distance_style_{idx:0{width}d}.csv"
-        _write_csv(dist, ["step", "distance"],
-                   [[t, _g17(d)] for t, d in enumerate(e.distance)])
+        _write_series_csv(dist, ["step", "distance"], e.distance)
         files.append(dist)
     metrics = out_dir / "metrics.csv"
     _write_csv(metrics, header, rows)

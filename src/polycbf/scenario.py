@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .barrier import (AlphaVector, SafetyConfig, _kappa, _kappa_rows, basis, hdot, kappa,
+from .barrier import (AlphaVector, SafetyConfig, _kappa, _kappa_rows, basis, hdot,
                       safety_value)
 from .controller import (DEFAULT_LIMITS, ControlLimits, _admits_rows, _check_cruise,
                          _check_direction, _cruise, _row_terms, _solve_scalar)
@@ -666,9 +666,15 @@ def _sample_truth_alpha(rng: np.random.Generator, trial_index: int, q: int) -> A
 
 def _activation_clearance(alpha: AlphaVector, closing: float, r_safe: float) -> float:
     """Clearance below which a style's filter starts overriding a pursuit at
-    the given closing speed: kappa(alpha, h) = 2 d(h) closing, solved for h."""
+    the given closing speed: kappa(alpha, h) = 2 d(h) closing, solved for h.
+
+    The bisection stops at its first step that leaves the bracket as it
+    was: every later step would compute the same midpoint and leave it too.
+    """
+    coeffs = alpha.coefficients
+
     def gap(h: float) -> float:
-        return kappa(alpha, h) - 2.0 * math.sqrt(h + r_safe * r_safe) * closing
+        return _kappa(coeffs, h) - 2.0 * math.sqrt(h + r_safe * r_safe) * closing
 
     lo, hi = 0.0, 1.0
     while gap(hi) < 0.0 and hi < 1e6:
@@ -676,9 +682,11 @@ def _activation_clearance(alpha: AlphaVector, closing: float, r_safe: float) -> 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if gap(mid) < 0.0:
-            lo = mid
+            lo, moved = mid, mid != lo
         else:
-            hi = mid
+            hi, moved = mid, mid != hi
+        if not moved:
+            break
     return hi
 
 

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import math
 import subprocess
@@ -206,7 +207,19 @@ def _adaptive_logs():
     return [comparison.enabled.trial.log, comparison.disabled.trial.log]
 
 
-BLOCK = cli._TRAJECTORY_BLOCK
+# Steps per formatted block of the three-vehicle edge log.
+BLOCK = cli._block_steps(3, 3)
+
+
+def _block_length_logs():
+    """Logs of 1 step and of one step around one and two blocks; a name
+    with "%" stays literal, and a name's own NUL is written."""
+    logs = []
+    for names in (["plain", "100%d"], ["solo"], ["nul\0", "x"]):
+        block = cli._block_steps(len(names), len(names) * (len(names) - 1) // 2)
+        logs += [_edge_log(names, rows)
+                 for rows in (1, block - 1, block, block + 1, 2 * block + 1)]
+    return logs
 
 
 @pytest.mark.parametrize("make_logs", [
@@ -214,9 +227,7 @@ BLOCK = cli._TRAJECTORY_BLOCK
     lambda: [_edge_log(["solo"])],
     lambda: [_early_stop_log()],
     _adaptive_logs,
-    # a name with "%" stays literal in the block template
-    lambda: [_edge_log(names, rows) for rows in (1, BLOCK - 1, BLOCK, BLOCK + 1)
-             for names in (["plain", "100%d"], ["solo"])],
+    _block_length_logs,
 ], ids=["edge-values-quoted-names", "one-vehicle", "early-stop", "adaptive-preset",
         "block-lengths"])
 def test_trajectory_csv_matches_csv_writer_oracle(tmp_path, make_logs):
@@ -224,6 +235,17 @@ def test_trajectory_csv_matches_csv_writer_oracle(tmp_path, make_logs):
         path = tmp_path / f"traj{k}.csv"
         cli.write_trajectory_csv(path, log)
         assert path.read_bytes() == trajectory_csv_oracle(log)
+
+
+@pytest.mark.parametrize("length", [0, 1, cli._TRAJECTORY_BLOCK, cli._TRAJECTORY_BLOCK + 1,
+                                    10_001])
+def test_series_csv_matches_csv_writer_oracle(tmp_path, length):
+    values = np.resize(np.array(EDGE_FLOATS), length)
+    cli._write_series_csv(tmp_path / "series.csv", ["step", "distance"], values)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["step", "distance"]] + [[t, format(v, ".17g")] for t, v in enumerate(values.tolist())])
+    assert (tmp_path / "series.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def _changed_at(log, k, field):

@@ -12,7 +12,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polycbf"
 
 # Lowest layer first.
 LAYERS = (
-    ("errors",),
+    ("errors", "csvtext"),
     ("barrier", "dynamics"),
     ("controller",),
     ("learner",),

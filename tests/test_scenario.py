@@ -31,6 +31,7 @@ from polycbf import (
     experiment_invariance,
     experiment_prediction,
     invariance_trial_setup,
+    kappa,
     prediction_trial_setup,
     simulate,
     sweep_trial_config,
@@ -754,6 +755,52 @@ def test_trial_setups_depend_only_on_index():
     tb, cb = prediction_trial_setup(2, seed=3)
     assert ta == tb
     assert configs_equal(ca, cb)
+
+
+def activation_clearance_oracle(alpha, closing, r_safe):
+    """_activation_clearance as a fixed 200 bisection steps through kappa."""
+    def gap(h):
+        return kappa(alpha, h) - 2.0 * math.sqrt(h + r_safe * r_safe) * closing
+
+    lo, hi = 0.0, 1.0
+    while gap(hi) < 0.0 and hi < 1e6:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_activation_clearance_stops_once_its_bracket_stops_moving(monkeypatch):
+    # The predict preset's 30 trial setups, then random styles (zero
+    # coefficients included), closing speeds and radii.
+    cases = []
+    record = scenario._activation_clearance
+    monkeypatch.setattr(scenario, "_activation_clearance",
+                        lambda *args: cases.append(args) or record(*args))
+    preset = cli.load_preset("predict")
+    for k in range(preset["settings"].trials):
+        prediction_trial_setup(k, **preset, seed=0)
+    monkeypatch.undo()
+    assert len(cases) == 30
+    rng = np.random.default_rng(20261020)
+    for _ in range(3000):
+        q = int(rng.integers(1, 5))
+        coeffs = rng.uniform(0.0, 2.0, q) * (rng.random(q) < 0.7)
+        coeffs[rng.integers(q)] = rng.uniform(0.05, 2.0)
+        cases.append((AlphaVector(tuple(coeffs)), rng.uniform(0.05, 3.0), rng.uniform(0.5, 20.0)))
+    calls = []
+    kernel = scenario._kappa
+    monkeypatch.setattr(scenario, "_kappa", lambda *args: calls.append(1) or kernel(*args))
+    for alpha, closing, r_safe in cases:
+        calls.clear()
+        got = scenario._activation_clearance(alpha, closing, r_safe)
+        assert got.hex() == activation_clearance_oracle(alpha, closing, r_safe).hex()
+        # at most 21 doublings, then the bisection of a double's bits
+        assert 0 < len(calls) <= 100, (alpha, closing, r_safe)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123456789])
