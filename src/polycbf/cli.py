@@ -20,9 +20,10 @@ a section the experiment does not read, is a config error.  `run` builds
 every object before it writes anything; `validate` reports the same
 construction rule by rule.
 
-Exit codes: 0 on success, 2 for unknown subcommands or experiments (usage
-error), 3 for a config that cannot be parsed or fails construction, 4 when
-a run completes but flags a collision (artifacts are still written).
+Exit codes: 0 on success, 1 for an IO error (such as a config file that
+cannot be read), 2 for unknown subcommands or experiments (usage error), 3
+for a config that cannot be parsed or fails construction, 4 when a run
+completes but flags a collision (artifacts are still written).
 
 The default output directory is ``polycbf-out`` under the current
 directory; set POLYCBF_OUT or pass --out to move it.

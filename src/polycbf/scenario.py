@@ -137,7 +137,7 @@ class RoadGeometry:
     def direction(self, route: str, position) -> np.ndarray:
         """Unit travel direction for a main or ramp vehicle at a position."""
         return np.array(self._pursuit(self._route(route), float(position[0]),
-                                      float(position[1]))[:2])
+                                      float(position[1])))
 
     def progress(self, route: str, position) -> float:
         """Signed arc length to the merge point along a main or ramp route."""
@@ -153,13 +153,23 @@ class RoadGeometry:
                 return along_ramp
         return sx * ex + sy * ey
 
-    def _pursuit(self, ramp: bool, px: float, py: float) -> Tuple[float, float, float]:
+    def _progress_rows(self, ramp: bool, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        """Array kernel of _progress, elementwise on positions (px, py) of one
+        route: numpy's + - * and a select on along_ramp < 0 give its bits."""
+        mx, my, rx, ry, ex, ey, _ = self._scalars
+        sx, sy = px - mx, py - my
+        progress = sx * ex + sy * ey
+        if ramp:
+            along_ramp = sx * rx + sy * ry
+            progress = np.where(along_ramp < 0.0, along_ramp, progress)
+        return progress
+
+    def _pursuit(self, ramp: bool, px: float, py: float) -> Tuple[float, float]:
         """Scalar kernel of direction for main (ramp False) and ramp routes:
-        (dir_x, dir_y, progress), with the progress the aim point is taken
-        from, so that simulate reads its merge steps off the same call."""
+        (dir_x, dir_y) toward the route point lookahead metres of progress
+        ahead of the position's own."""
         mx, my, rx, ry, ex, ey, look = self._scalars
-        progress = self._progress(ramp, px, py)
-        target = progress + look
+        target = self._progress(ramp, px, py) + look
         if ramp and target < 0.0:
             dx, dy = rx, ry
         else:
@@ -169,8 +179,8 @@ class RoadGeometry:
         norm = math.hypot(ddx, ddy)
         if norm <= 1e-9:
             # Standing on the aim point: fall back to the local tangent.
-            return dx, dy, progress
-        return ddx / norm, ddy / norm, progress
+            return dx, dy
+        return ddx / norm, ddy / norm
 
     def place(self, route: str, progress: float) -> np.ndarray:
         """Route point at a given signed arc distance from the merge."""
@@ -351,31 +361,35 @@ def simulate(cfg: ScenarioConfig,
     A vehicle with a compatibility entry appends its row after them (see
     VehicleSpec), and solves again without it when the row makes its QP
     infeasible while the safety rows alone are satisfiable.
-    Below _ARRAY_MIN_VEHICLES vehicles a pair loop computes each pair's
-    clearance and row terms (a, s) once, from the first vehicle's side; the
-    second vehicle's row is (-a, s), and each vehicle's bound is s plus its
-    own kappa(alpha, h).  From that size up an array stage forms the (n, n)
-    ego-minus-other differences, the rows of every vehicle from its own side
-    and their bounds at once, and screens every nominal input against its
-    rows; only a vehicle whose nominal fails the screen, or that has a
-    compatibility entry, solves its QP.  Both stages give the same bits.
+
+    A step first computes every vehicle's nominal input, the cruise law
+    along its pursuit direction or fixed heading.  The two stages differ
+    only in how they then build the rows and screen the nominals.  Below
+    _ARRAY_MIN_VEHICLES vehicles a pair loop computes each pair's clearance
+    and row terms (a, s) once, from the first vehicle's side; the second
+    vehicle's row is (-a, s), each vehicle's bound is s plus its own
+    kappa(alpha, h), and no nominal is screened.  From that size up an array
+    stage forms the (n, n) ego-minus-other differences, the rows of every
+    vehicle from its own side and their bounds at once, and screens every
+    nominal input against its rows.  Both stages then share one per-vehicle
+    step: a vehicle whose nominal was not screened, or that has a
+    compatibility entry, solves its QP; every vehicle logs its input and
+    advances.  Both stages give the same bits.
 
     The loop logs what it decides: states in one preallocated array, the
     inputs in a flat buffer reshaped once at the end, and the feasible
-    flags.  pair_h is computed once after the loop from the logged states,
-    with the rows' clearance arithmetic.  A route vehicle's merge step is
-    read off the progress its pursuit computes for the step's direction, and
-    off the progress itself at the last logged step, which runs no pursuit.
+    flags.  pair_h and the merge steps are computed once after the loop from
+    the logged states: pair_h with the rows' clearance arithmetic, and a
+    route vehicle's merge step as the first logged step whose progress is
+    positive.
 
     resume=(log, t0) starts the trial at step t0 of log, a log of the same
     roster (names and pairs) and dt: rows [0, t0) of its states, inputs and
-    feasible flags and states[t0] are copied, the merge steps before t0 are
-    read off the copied states with the progress arithmetic pursuit uses,
-    and the trial steps on from t0 under cfg's program, whatever program
-    the run that wrote log drove.  That gives a fresh run's bits wherever
-    the run that wrote log followed this call's program before t0 (it may
-    have been shorter, ending at t0 or after).  relaxed_steps then counts
-    only the steps from t0 on.
+    feasible flags and states[t0] are copied, and the trial steps on from t0
+    under cfg's program, whatever program the run that wrote log drove.
+    That gives a fresh run's bits wherever the run that wrote log followed
+    this call's program before t0 (it may have been shorter, ending at t0 or
+    after).  relaxed_steps then counts only the steps from t0 on.
     """
     geom = cfg.geometry
     vehicles = cfg.vehicles
@@ -390,7 +404,6 @@ def simulate(cfg: ScenarioConfig,
     states = np.empty((N + 1, n, 4))
     inputs_log = array("d")
     feasible = np.ones((N + 1, n), dtype=bool)
-    merge_step: List[Optional[int]] = [None] * n
     t0 = 0
     if resume is None:
         for v, spec in enumerate(vehicles):
@@ -402,13 +415,6 @@ def simulate(cfg: ScenarioConfig,
         states[:t0 + 1] = log.states[:t0 + 1]
         inputs_log.frombytes(np.asarray(log.inputs[:t0], dtype=np.float64).tobytes())
         feasible[:t0] = log.feasible[:t0]
-        # The merge steps before t0: the first step whose progress, as
-        # pursuit computes it, is positive.
-        for v, spec in enumerate(vehicles):
-            if spec.route != "fixed":
-                ramp = spec.route == "ramp"
-                merge_step[v] = next((t for t, (x, y) in enumerate(
-                    states[:t0, v, :2].tolist()) if geom._progress(ramp, x, y) > 0.0), None)
     px, py, vx, vy = (states[t0, :, k].tolist() for k in range(4))
     width = 4 * n
     flat = states.reshape(-1)  # states[t] is flat[width * t:width * (t + 1)]
@@ -428,21 +434,35 @@ def simulate(cfg: ScenarioConfig,
     names = tuple(v.name for v in vehicles)
     # Each vehicle's compatibility entry as (the other vehicle's index, gap).
     compat = [spec.compat and (names.index(spec.compat[0]), spec.compat[1]) for spec in vehicles]
+    # safety[v] holds v's rows (ax, ay, b) against each neighbour w in
+    # ascending order (slot w below v, w - 1 above): the pair loop rewrites
+    # every slot at each step, the array stage the rows of a vehicle that solves.
+    safety = [[None] * (n - 1) for _ in range(n)]
+    # Whether each vehicle's nominal passed the screen: the pair loop screens none.
+    passed = [False] * n
     if array_stage:
         diagonal = np.eye(n, dtype=bool)
         # Each vehicle's coefficients as a row, zero-padded to the longest.
         q = max(map(len, coeffs))
         alphas = np.array([c + (0.0,) * (q - len(c)) for c in coeffs])
-    else:
-        # safety[v] holds v's rows (ax, ay, b) against each neighbour w in
-        # ascending order (slot w below v, w - 1 above); every slot is
-        # rewritten at each step.
-        safety = [[None] * (n - 1) for _ in range(n)]
 
     log_u = inputs_log.append
     relaxed = 0
 
     for t in range(t0, N):
+        nominal = []
+        for v, (gain, speed, lo_x, lo_y, hi_x, hi_y, ramp, heading) in enumerate(consts):
+            if heading is None:
+                dir_x, dir_y = pursuit(ramp, px[v], py[v])
+                # Pursuit's direction is a unit vector up to rounding.
+                # Dividing by its norm again moves its last bits, and
+                # the pinned logs and golden digests hold those bits.
+                nn = math.hypot(dir_x, dir_y)
+                dir_x, dir_y = dir_x / nn, dir_y / nn
+            else:
+                dir_x, dir_y = heading
+            nominal.append(_cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
+                                   lo_x, lo_y, hi_x, hi_y))
         if array_stage:
             # Scalar IEEE arithmetic, elementwise: infinities and NaNs flow
             # through as they do on floats, without warnings.
@@ -454,6 +474,11 @@ def simulate(cfg: ScenarioConfig,
                 ax, ay, s = _row_terms(dx, dy, vel_x[:, None] - vel_x,
                                        vel_y[:, None] - vel_y, dt)
                 b = s + _kappa_rows(alphas, h)
+                ub = np.array(nominal)
+                # A nominal in the box that every row admits is
+                # _solve_scalar's answer; a NaN nominal fails every row.
+                passed = (_admits_rows(ax, ay, b, ub[:, :1], ub[:, 1:])
+                          | diagonal).all(axis=1).tolist()
         else:
             for i, j in pairs:
                 dxx = px[i] - px[j]
@@ -471,70 +496,18 @@ def simulate(cfg: ScenarioConfig,
                                            vx[j] - vx[i], vy[j] - vy[i], dt)
                     safety[j][i] = (ax, ay, s + _kappa(coeffs[j], h))
         row_next = []  # states[t + 1], vehicle by vehicle
-        if array_stage:
-            nominal = []
-            for v, (gain, speed, lo_x, lo_y, hi_x, hi_y, ramp, heading) in enumerate(consts):
-                if heading is None:
-                    dir_x, dir_y, progress = pursuit(ramp, px[v], py[v])
-                    if progress > 0.0 and merge_step[v] is None:
-                        merge_step[v] = t
-                    nn = math.hypot(dir_x, dir_y)
-                    dir_x, dir_y = dir_x / nn, dir_y / nn
-                else:
-                    dir_x, dir_y = heading
-                nominal.append(_cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
-                                       lo_x, lo_y, hi_x, hi_y))
-            ub = np.array(nominal)
-            with np.errstate(all="ignore"):
-                # A nominal in the box that every row admits is
-                # _solve_scalar's answer; a NaN nominal fails every row.
-                passed = (_admits_rows(ax, ay, b, ub[:, :1], ub[:, 1:])
-                          | diagonal).all(axis=1).tolist()
-            for v, (ub_x, ub_y) in enumerate(nominal):
-                ux, uy = ub_x, ub_y
-                if not passed[v] or compat[v] is not None:
-                    lo_x, lo_y, hi_x, hi_y = consts[v][2:6]
+        for v, (ub_x, ub_y) in enumerate(nominal):
+            ux, uy = ub_x, ub_y
+            if not passed[v] or compat[v] is not None:
+                if array_stage:
                     cols = [m[v].tolist() for m in (ax, ay, b)]
                     for col in cols:
                         del col[v]
-                    rows = safety_v = list(zip(*cols))
-                    if compat[v] is not None:
-                        rows = _with_compat(rows, v, *compat[v], px, py, r2)
-                    ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
-                    if not ok and compat[v] is not None:
-                        # As in the pair loop below.
-                        ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y,
-                                                         hi_x, hi_y, safety_v)
-                        if ok:
-                            relaxed += 1
-                    if not ok:
-                        feasible[t, v] = False
-                log_u(ux)
-                log_u(uy)
-                x_next, vx_next = _step(px[v], vx[v], ux, dt)
-                y_next, vy_next = _step(py[v], vy[v], uy, dt)
-                row_next += x_next, y_next, vx_next, vy_next
-        else:
-            # The pair loop computes each nominal where it solves: a separate
-            # pass, shared with the array stage, costs it a few percent.
-            for v, (gain, speed, lo_x, lo_y, hi_x, hi_y, ramp, heading) in enumerate(consts):
-                if heading is None:
-                    dir_x, dir_y, progress = pursuit(ramp, px[v], py[v])
-                    if progress > 0.0 and merge_step[v] is None:
-                        merge_step[v] = t
-                    # Pursuit's direction is a unit vector up to rounding.
-                    # Dividing by its norm again moves its last bits, and
-                    # the pinned logs and golden digests hold those bits.
-                    nn = math.hypot(dir_x, dir_y)
-                    dir_x, dir_y = dir_x / nn, dir_y / nn
-                else:
-                    dir_x, dir_y = heading
-                ub_x, ub_y = _cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
-                                     lo_x, lo_y, hi_x, hi_y)
+                    safety[v] = list(zip(*cols))
                 rows = safety[v]
                 if compat[v] is not None:
                     rows = _with_compat(rows, v, *compat[v], px, py, r2)
-
+                lo_x, lo_y, hi_x, hi_y = consts[v][2:6]
                 ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
                 if not ok and compat[v] is not None:
                     # The compatibility row is advisory relative to the
@@ -546,34 +519,38 @@ def simulate(cfg: ScenarioConfig,
                         relaxed += 1
                 if not ok:
                     feasible[t, v] = False
-                log_u(ux)
-                log_u(uy)
-                x_next, vx_next = _step(px[v], vx[v], ux, dt)
-                y_next, vy_next = _step(py[v], vy[v], uy, dt)
-                row_next += x_next, y_next, vx_next, vy_next
+            log_u(ux)
+            log_u(uy)
+            x_next, vx_next = _step(px[v], vx[v], ux, dt)
+            y_next, vy_next = _step(py[v], vy[v], uy, dt)
+            row_next += x_next, y_next, vx_next, vy_next
         flat[width * (t + 1):width * (t + 2)] = row_next
         px, py, vx, vy = row_next[0::4], row_next[1::4], row_next[2::4], row_next[3::4]
 
-    # No pursuit runs at the last logged step, so its merges are read off
-    # the progress itself; no input follows it.
-    for v, (*_, ramp, heading) in enumerate(consts):
-        if heading is None and merge_step[v] is None and geom._progress(ramp, px[v], py[v]) > 0.0:
-            merge_step[v] = N
     inputs_log.extend([0.0] * (2 * n))
     inputs = np.frombuffer(inputs_log).reshape(N + 1, n, 2)
-    # The clearances of the logged states, with the rows' arithmetic: numpy's
-    # elementwise + - * give the bits the loop's floats do.
+    # The clearances and progress of the logged states, with the arithmetic
+    # of the rows and of _progress: numpy's elementwise + - * give the bits
+    # the loop's floats do.  A route vehicle merges at the first logged step
+    # whose progress is positive; one vehicle's column at a time keeps the
+    # temporaries small.
     i, j = [p[0] for p in pairs], [p[1] for p in pairs]
+    merge_step: Dict[str, Optional[int]] = dict.fromkeys(names)
     with np.errstate(all="ignore"):
         dx = states[:, i, 0] - states[:, j, 0]
         dy = states[:, i, 1] - states[:, j, 1]
         pair_h = dx * dx + dy * dy - r2
+        for v, (*_, ramp, heading) in enumerate(consts):
+            if heading is None:
+                merged = geom._progress_rows(ramp, states[:, v, 0], states[:, v, 1]) > 0.0
+                first = int(merged.argmax())
+                merge_step[names[v]] = first if merged[first] else None
     min_h = {(names[i], names[j]): float(pair_h[:, p].min())
              for p, (i, j) in enumerate(pairs)}
     collision = any(v < COLLISION_TOL for v in min_h.values()) if min_h else False
     metrics = TrialMetrics(
         min_h=min_h,
-        merge_step={spec.name: merge_step[v] for v, spec in enumerate(vehicles)},
+        merge_step=merge_step,
         infeasible_step_count=int((~feasible[:N]).sum()),
         collision=collision,
     )

@@ -176,3 +176,29 @@ def test_admits_rows_matches_admits_elementwise():
             for v in range(12)]
     assert got.tolist() == want
     assert got.any() and not got.all()
+
+
+@pytest.mark.parametrize("ramp", [False, True], ids=["main", "ramp"])
+def test_progress_rows_matches_progress_elementwise(ramp):
+    # simulate reads its merge steps off _progress_rows; positions at the
+    # edges, around the merge point, and on a circle about it, which has
+    # points past the merge on the main road (progress > 0) that lie behind
+    # it along the ramp (along_ramp < 0)
+    rng = np.random.default_rng(26)
+    circle = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    behind_the_ramp = 0
+    for angle in (8.0, 15.0, 30.0, 90.0, -20.0):
+        for merge_x in (100.0, 0.0, -0.0, 5e-324, -1e150):
+            geom = RoadGeometry(merge_x=merge_x, ramp_angle_deg=angle)
+            px = np.concatenate((edge_values(rng, 150), merge_x + edge_values(rng, 150),
+                                 merge_x + 10.0 * np.cos(circle)))
+            py = np.concatenate((edge_values(rng, 150), edge_values(rng, 150),
+                                 10.0 * np.sin(circle)))
+            with np.errstate(all="ignore"):
+                got = geom._progress_rows(ramp, px, py)
+            want = [geom._progress(ramp, x, y) for x, y in zip(px.tolist(), py.tolist())]
+            assert hex_all(got) == hex_all(want)
+            assert (got > 0.0).tolist() == [p > 0.0 for p in want]
+            behind_the_ramp += sum(geom._progress(False, x, y) > 0.0 > geom._progress(True, x, y)
+                                   for x, y in zip(px.tolist(), py.tolist()))
+    assert behind_the_ramp > 0
