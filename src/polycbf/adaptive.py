@@ -51,26 +51,6 @@ def _style_gap(alpha_i, alpha_j):
     return tuple(ci - cj for ci, cj in zip(alpha_i.padded(q), alpha_j.padded(q)))
 
 
-def _compat_row(dx_x, dx_y, gap, cfg, dt):
-    """Row (ax, ay, b), a.u <= b, tying the ego's braking authority to the
-    style mismatch, and the clearance h it is formed at, as (ax, ay, b, h);
-    dx is ego minus other and gap the _style_gap of the two styles (ego's
-    first): no validation, the mismatch trial's row.
-
-    Against an other vehicle whose filter runs alpha_j, an ego running
-    alpha_i must not out-brake the clearance budget the two styles disagree
-    by: -2 dx . u * dt <= kappa(alpha_i - alpha_j, h).  Equal styles give
-    the bound 0, and an ego whose coefficients are componentwise at least the
-    other's keeps it non-negative at h >= 0, so the row only ever bites on
-    approach.  h = |dx|^2 - r_safe^2 is safety_value's arithmetic on the same
-    offset, so the mismatch trial folds it into its closest approach and the
-    object's safety margin instead of measuring the clearance of each state
-    a second time.
-    """
-    h = dx_x * dx_x + dx_y * dx_y - cfg.r_safe * cfg.r_safe
-    return -2.0 * dx_x * dt, -2.0 * dx_y * dt, _kappa(gap, h), h
-
-
 # The ego's style table: preset styles ordered least to most aggressive at
 # the reference clearance REFERENCE_H, stepping the weight from the linear
 # term to the cubic one.
@@ -346,8 +326,14 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
             ox, oy = obj.position.tolist()
             ev_x, ev_y = ego.velocity.tolist()
             ov_x, ov_y = obj.velocity.tolist()
-            # h is the clearance of the states this step starts from.
-            ax, ay, b, h = _compat_row(ex - ox, ey - oy, gap, safety, dt)
+            # The ego's compatibility row, as simulate appends it: the
+            # direction of its safety row and the bound kappa(gap, h), at the
+            # clearance h of the states this step starts from.  h is
+            # safety_value's arithmetic on the same offset, so it also feeds
+            # the closest approach and the object's row.
+            dx, dy = ex - ox, ey - oy
+            h = dx * dx + dy * dy - safety.r_safe * safety.r_safe
+            ax, ay, _ = _row_terms(dx, dy, ev_x - ov_x, ev_y - ov_y, dt)
             if h < min_h:
                 min_h = h
             ub_x, ub_y = _cruise(0.8, v_obj, 1.0, 0.0, ov_x, ov_y,
@@ -359,7 +345,7 @@ def experiment_assumption_mismatch(n_trials: int = 100, seed: int = 0) -> List[M
             if not ok:
                 obj_bad += 1
             ux, uy, ok, _, _ = _solve_scalar(
-                raw_x, raw_y, -bound, -bound, bound, bound, ((ax, ay, b),))
+                raw_x, raw_y, -bound, -bound, bound, bound, ((ax, ay, _kappa(gap, h)),))
             if not ok:
                 ego_bad += 1
             ego = step(ego, (ux, uy), dt)

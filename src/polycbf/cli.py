@@ -23,7 +23,8 @@ construction rule by rule.
 Exit codes: 0 on success, 1 for an IO error (such as a config file that
 cannot be read), 2 for unknown subcommands or experiments (usage error), 3
 for a config that cannot be parsed or fails construction, 4 when a run
-completes but flags a collision (artifacts are still written).
+completes but flags a collision, a non-finite clearance included (artifacts
+are still written).
 
 The default output directory is ``polycbf-out`` under the current
 directory; set POLYCBF_OUT or pass --out to move it.
@@ -54,10 +55,9 @@ from .adaptive import AdaptiveSettings, _roster, experiment_prediction_in_loop
 from .barrier import AlphaVector, SafetyConfig
 from .controller import ControlLimits
 from .errors import ConfigurationError, DomainError
-from .scenario import (COLLISION_TOL, InvarianceSettings, PredictSettings, RoadGeometry,
-                       ScenarioConfig, SweepSettings, TrajectoryLog, VehicleSpec,
-                       _invariance_records, _sweep_records, experiment_prediction,
-                       prediction_trial_setup, simulate)
+from .scenario import (InvarianceSettings, PredictSettings, RoadGeometry, ScenarioConfig,
+                       SweepSettings, TrajectoryLog, VehicleSpec, _invariance_records,
+                       _sweep_records, experiment_prediction, prediction_trial_setup, simulate)
 
 __all__ = [
     "main",
@@ -389,8 +389,8 @@ def _block_steps(n_vehicles: int, n_pairs: int) -> int:
     return max(1, _TRAJECTORY_BLOCK // (n_vehicles * (6 + n_pairs)))
 
 
-def _trajectory_blocks(log: TrajectoryLog, start: int) -> Iterator[bytes]:
-    """The CSV rows of steps start onward, _block_steps steps per block.
+def _trajectory_blocks(log: TrajectoryLog, start: int, stop: int) -> Iterator[bytes]:
+    """The CSV rows of steps start to stop, _block_steps steps per block.
 
     A block is one word buffer of rows: the step, ',' and the vehicle's
     quoted name, six float slots, ',' and feasible, one slot per clearance
@@ -411,8 +411,8 @@ def _trajectory_blocks(log: TrajectoryLog, start: int) -> Iterator[bytes]:
     flags = csvtext.words([[ord(","), ord("0"), 0, 0], [ord(","), ord("1"), 0, 0]])
     feasible = np.asarray(log.feasible, dtype=bool).view(np.uint8)
     block = _block_steps(n, n_pairs)
-    for t in range(start, n_steps, block):
-        m = min(block, n_steps - t)
+    for t in range(start, stop, block):
+        m = min(block, stop - t)
         slots = csvtext.g17_slots(np.concatenate(
             (np.concatenate((log.states[t:t + m], log.inputs[t:t + m]), axis=2).ravel(),
              log.pair_h[t:t + m].ravel()), dtype=np.float64))
@@ -446,14 +446,12 @@ def _write_series_csv(path: Path, header: Sequence[str], values: np.ndarray) -> 
                 (steps, slots, np.broadcast_to(csvtext.NEWLINE, (len(slots), 1))), axis=1)))
 
 
-def _shared_steps(log: TrajectoryLog, other: TrajectoryLog) -> Optional[int]:
+def _shared_steps(log: TrajectoryLog, other: TrajectoryLog) -> int:
     """How many leading steps two logs hold bit for bit alike in states,
     inputs, clearances and feasible (as floats), which their CSVs then write
-    as the same lines; None when their headers differ (names or pairs), or
-    when a name holds a line break and a row may span lines."""
-    if log.names != other.names or log.pairs != other.pairs or any(
-            "\n" in name or "\r" in name for name in log.names):
-        return None
+    as the same rows; 0 when their headers differ (names or pairs)."""
+    if log.names != other.names or log.pairs != other.pairs:
+        return 0
     m = min(len(log.states), len(other.states))
     differs = np.zeros(m, dtype=bool)
     for name in ("states", "inputs", "pair_h", "feasible"):
@@ -463,22 +461,8 @@ def _shared_steps(log: TrajectoryLog, other: TrajectoryLog) -> Optional[int]:
     return int(np.argmax(differs)) if differs.any() else m
 
 
-def _copy_lines(src, dst, count: int) -> None:
-    """Copy the first count lines of the binary file src to dst."""
-    while count:
-        chunk = src.read(1 << 16)
-        if not chunk:
-            raise ConfigurationError(f"{src.name}: fewer lines than its log holds")
-        ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
-        if len(ends) >= count:
-            dst.write(chunk[:ends[count - 1] + 1])
-            return
-        dst.write(chunk)
-        count -= len(ends)
-
-
 def write_trajectory_csv(path: Path, log: TrajectoryLog,
-                         source: Optional[Tuple[Path, TrajectoryLog]] = None) -> None:
+                         twin: Optional[Tuple[Path, TrajectoryLog]] = None) -> None:
     """One row per (step, vehicle); clearances repeat on each row of a step.
 
     The rows are formatted in blocks of about _TRAJECTORY_BLOCK floats by
@@ -486,21 +470,22 @@ def write_trajectory_csv(path: Path, log: TrajectoryLog,
     file is never held in memory whole.  The bytes are those of csv.writer
     with every float through _g17.
 
-    source=(file, source_log), with file source_log's CSV as this function
-    wrote it, copies from that file the header and the rows of the leading
-    steps the two logs hold bit for bit alike, and formats only the steps
-    after them: a byte copy when the logs are alike throughout.
+    twin=(twin_path, twin_log) writes twin_log's CSV to twin_path in the same
+    pass: the rows of the leading steps the two logs hold bit for bit alike
+    are formatted once and written to both files.
     """
-    shared = None if source is None else _shared_steps(log, source[1])
-    with open(path, "wb") as fh:
-        if shared is None:
+    logs = [(path, log)] + ([twin] if twin is not None else [])
+    shared = 0 if twin is None else _shared_steps(log, twin[1])
+    with contextlib.ExitStack() as stack:
+        files = [(stack.enter_context(open(p, "wb")), lg) for p, lg in logs]
+        for fh, lg in files:
             fh.write(_csv_line(list(TRAJECTORY_COLUMNS) + [
-                f"h:{log.names[i]}:{log.names[j]}" for i, j in log.pairs]).encode("utf-8"))
-            shared = 0
-        else:
-            with open(source[0], "rb") as src:
-                _copy_lines(src, fh, 1 + shared * len(log.names))
-        fh.writelines(_trajectory_blocks(log, shared))
+                f"h:{lg.names[i]}:{lg.names[j]}" for i, j in lg.pairs]).encode("utf-8"))
+        for block in _trajectory_blocks(log, 0, shared):
+            for fh, _ in files:
+                fh.write(block)
+        for fh, lg in files:
+            fh.writelines(_trajectory_blocks(lg, shared, len(lg.states)))
 
 
 def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
@@ -665,9 +650,12 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
 
 def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: SafetyConfig):
     entries = []
+    collided = []
     tightest = None  # (style, min_h, record)
     for idx, (entry, rec) in enumerate(_sweep_records(settings, safety)):
         entries.append(entry)
+        if rec.metrics.collision:
+            collided.append(idx)
         tightest = _tighter(tightest, idx, entry.min_h, rec)
 
     q = max(len(s.coefficients) for s in settings.styles)
@@ -700,10 +688,7 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
         "min distance per style: " + ", ".join("%.3f" % e.min_distance for e in entries),
         f"tightest clearance {worst_h:.6f} (style {worst})",
     ]
-    diag = None
-    if any(e.min_h < COLLISION_TOL for e in entries):
-        bad = [i for i, e in enumerate(entries) if e.min_h < COLLISION_TOL]
-        diag = f"collision flagged for style indices {bad}"
+    diag = f"collision flagged for style indices {collided}" if collided else None
     return lines, [metrics, trajectory] + files, diag
 
 
@@ -745,9 +730,8 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
                est_rows)
 
     traj_on = out_dir / "trajectory_enabled.csv"
-    write_trajectory_csv(traj_on, enabled.trial.log)
     traj_off = out_dir / "trajectory_disabled.csv"
-    write_trajectory_csv(traj_off, disabled.trial.log, source=(traj_on, enabled.trial.log))
+    write_trajectory_csv(traj_on, enabled.trial.log, twin=(traj_off, disabled.trial.log))
 
     lines = [
         "adaptive: ego merge step %d with prediction vs %d without (%.1f%% earlier)"

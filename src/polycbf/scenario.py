@@ -343,7 +343,9 @@ def _check_resume(cfg: ScenarioConfig, pairs, log: TrajectoryLog, t0: int) -> No
 
 def _with_compat(rows, v, w, gap, px, py, r2):
     """Vehicle v's safety rows (ascending) and its compatibility row against
-    w: the direction of its row against w, bound kappa(gap, h) at their h."""
+    w: the direction of its row against w, bound kappa(gap, h) at their h.
+    Equal styles give the bound 0, and a gap componentwise at least 0 keeps
+    it non-negative at h >= 0, so the row only bites on approach."""
     ax, ay, _ = rows[w if w < v else w - 1]
     dx, dy = px[v] - px[w], py[v] - py[w]
     return rows + [(ax, ay, _kappa(gap, dx * dx + dy * dy - r2))]
@@ -547,7 +549,8 @@ def simulate(cfg: ScenarioConfig,
                 merge_step[names[v]] = first if merged[first] else None
     min_h = {(names[i], names[j]): float(pair_h[:, p].min())
              for p, (i, j) in enumerate(pairs)}
-    collision = any(v < COLLISION_TOL for v in min_h.values()) if min_h else False
+    # A NaN clearance certifies nothing, so it counts as a collision.
+    collision = any(not v >= COLLISION_TOL for v in min_h.values())
     metrics = TrialMetrics(
         min_h=min_h,
         merge_step=merge_step,
@@ -875,8 +878,10 @@ def _sweep_records(settings: SweepSettings,
     its record, so that a caller keeps only the logs it wants."""
     for alpha in settings.styles:
         rec = simulate(sweep_trial_config(alpha, settings, safety))
-        delta = rec.log.states[:, 0, 0:2] - rec.log.states[:, 1, 0:2]
-        distance = np.hypot(delta[:, 0], delta[:, 1])
+        # A diverged run's states hold inf - inf: the series then holds NaN.
+        with np.errstate(invalid="ignore", over="ignore"):
+            delta = rec.log.states[:, 0, 0:2] - rec.log.states[:, 1, 0:2]
+            distance = np.hypot(delta[:, 0], delta[:, 1])
         yield SweepEntry(
             alpha=alpha,
             distance=distance,

@@ -22,10 +22,23 @@ from polycbf import (
     select_alpha,
     simulate,
 )
-from polycbf.adaptive import _compat_row, _style_gap
+from polycbf.adaptive import _style_gap
+from polycbf.barrier import safety_value
 from polycbf.cli import load_preset
+from polycbf.controller import _row_terms
+from polycbf.scenario import _with_compat
 
 CFG = SafetyConfig(r_safe=5.0, q=2)
+
+
+def compat_row(dx_x, dx_y, gap, cfg, dt):
+    """The compatibility row (ax, ay, b) that simulate appends for a vehicle
+    at offset dx from the vehicle named in its entry, and their clearance h,
+    as (ax, ay, b, h)."""
+    rows = [_row_terms(dx_x, dx_y, 0.0, 0.0, dt)]
+    r2 = cfg.r_safe * cfg.r_safe
+    ax, ay, b = _with_compat(rows, 0, 1, gap, (dx_x, 0.0), (dx_y, 0.0), r2)[-1]
+    return ax, ay, b, safety_value((dx_x, dx_y), (0.0, 0.0), cfg)
 
 
 def preset_config(n_steps):
@@ -36,8 +49,8 @@ def preset_config(n_steps):
 def test_compatibility_row_hand_example():
     # distance 6 gives h = 11 with basis (11, 1331); exact halves keep the
     # arithmetic representable
-    ax, ay, b, _ = _compat_row(6.0, 0.0, _style_gap(AlphaVector((1.0, 0.0)),
-                                                    AlphaVector((0.5, 0.5))), CFG, 0.01)
+    ax, ay, b, _ = compat_row(6.0, 0.0, _style_gap(AlphaVector((1.0, 0.0)),
+                                                   AlphaVector((0.5, 0.5))), CFG, 0.01)
     assert (ax, ay) == pytest.approx((-0.12, 0.0), rel=1e-15, abs=0.0)
     assert b == 0.5 * 11.0 - 0.5 * 1331.0
 
@@ -45,7 +58,7 @@ def test_compatibility_row_hand_example():
 def test_compatibility_row_pads_mixed_orders():
     gap = _style_gap(AlphaVector((2.0,)), AlphaVector((0.5, 0.25)))
     assert gap == (1.5, -0.25)
-    _, _, b, _ = _compat_row(6.0, 0.0, gap, CFG, 0.01)
+    _, _, b, _ = compat_row(6.0, 0.0, gap, CFG, 0.01)
     assert b == pytest.approx(1.5 * 11.0 - 0.25 * 1331.0, rel=1e-12)
 
 
@@ -60,7 +73,7 @@ def test_compatibility_row_is_safety_margin_difference():
         dv_x, dv_y = rng.uniform(-16, 16, 2).tolist()
         ai = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
         aj = AlphaVector(tuple(rng.uniform(0.0, 2.0, 2)))
-        ax, ay, b, h = _compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, dt)
+        ax, ay, b, h = compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, dt)
         assert h == dx_x * dx_x + dx_y * dx_y - r2
         ax1, ay1, b1 = safety_row_oracle(dx_x, dx_y, dv_x, dv_y, 0.0, 0.0, h,
                                          ai.coefficients, dt)
@@ -83,8 +96,8 @@ def test_compatibility_bound_is_zero_for_equal_styles_and_nonnegative_under_domi
         d = rng.uniform(5.0, 60.0)  # h = d^2 - 25 >= 0
         th = rng.uniform(0.0, 2.0 * math.pi)
         dx_x, dx_y = d * math.cos(th), d * math.sin(th)
-        assert _compat_row(dx_x, dx_y, _style_gap(aj, aj), CFG, 0.01)[2] == 0.0
-        assert _compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, 0.01)[2] >= 0.0
+        assert compat_row(dx_x, dx_y, _style_gap(aj, aj), CFG, 0.01)[2] == 0.0
+        assert compat_row(dx_x, dx_y, _style_gap(ai, aj), CFG, 0.01)[2] >= 0.0
 
 
 def test_aggressiveness_score_is_kappa_at_reference():

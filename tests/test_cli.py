@@ -258,40 +258,42 @@ def _changed_at(log, k, field):
     return dataclasses.replace(log, **arrays)
 
 
-def write_sharing(tmp_path, monkeypatch, log, source_log):
-    """write_trajectory_csv(path, log) copying from source_log's file; the
-    file's bytes and the first step it formatted."""
-    source = tmp_path / "source.csv"
-    cli.write_trajectory_csv(source, source_log)
-    starts = []
+def write_sharing(tmp_path, monkeypatch, log, primary):
+    """write_trajectory_csv(path, primary, twin=(twin_path, log)): the twin
+    file's bytes and the number of leading steps formatted once for both,
+    after checking the primary file and that every other step of either
+    file is formatted once."""
+    spans = []
     blocks = cli._trajectory_blocks
-    monkeypatch.setattr(cli, "_trajectory_blocks",
-                        lambda log, start: starts.append(start) or blocks(log, start))
-    path = tmp_path / "shared.csv"
-    cli.write_trajectory_csv(path, log, source=(source, source_log))
-    [start] = starts
-    return path.read_bytes(), start
+    monkeypatch.setattr(cli, "_trajectory_blocks", lambda lg, start, stop:
+                        spans.append((start, stop)) or blocks(lg, start, stop))
+    path, twin = tmp_path / "primary.csv", tmp_path / "twin.csv"
+    cli.write_trajectory_csv(path, primary, twin=(twin, log))
+    assert path.read_bytes() == trajectory_csv_oracle(primary)
+    shared = spans[0][1]
+    assert spans == [(0, shared), (shared, len(primary.states)), (shared, len(log.states))]
+    return twin.read_bytes(), shared
 
 
 @pytest.mark.parametrize("field", ["states", "inputs", "pair_h", "feasible"])
 @pytest.mark.parametrize("k", [0, 1, BLOCK, None], ids=["k0", "k1", "kB", "alike"])
 def test_trajectory_csv_copies_the_rows_two_logs_share(tmp_path, monkeypatch, k, field):
-    source_log = _edge_log(["plain", "a,b", "100%d"], 2 * BLOCK + 3)
-    log = source_log if k is None else _changed_at(source_log, k, field)
-    data, start = write_sharing(tmp_path, monkeypatch, log, source_log)
+    primary = _edge_log(["plain", "a,b", "100%d"], 2 * BLOCK + 3)
+    log = primary if k is None else _changed_at(primary, k, field)
+    data, shared = write_sharing(tmp_path, monkeypatch, log, primary)
     assert data == trajectory_csv_oracle(log)
-    # the rows before the first differing step are copied, not formatted
-    assert start == (len(log.states) if k is None else k)
+    # the rows before the first differing step are formatted once for both
+    assert shared == (len(log.states) if k is None else k)
 
 
 def test_trajectory_csv_shares_a_prefix_of_logs_of_other_lengths(tmp_path, monkeypatch):
     long = _edge_log(["a", "b"], BLOCK + 9)
     short = dataclasses.replace(long, **{name: getattr(long, name)[:BLOCK + 2]
                                          for name in ("states", "inputs", "pair_h", "feasible")})
-    for log, source_log in ((short, long), (long, short)):
-        data, start = write_sharing(tmp_path, monkeypatch, log, source_log)
+    for log, primary in ((short, long), (long, short)):
+        data, shared = write_sharing(tmp_path, monkeypatch, log, primary)
         assert data == trajectory_csv_oracle(log)
-        assert start == BLOCK + 2
+        assert shared == BLOCK + 2
         monkeypatch.undo()
 
 
@@ -301,11 +303,11 @@ def test_trajectory_csv_shares_a_prefix_of_logs_of_other_lengths(tmp_path, monke
     lambda log: _edge_log(["a", "b"], 5),
 ], ids=["renamed", "pairs-reordered", "fewer-vehicles"])
 def test_trajectory_csv_shares_nothing_with_another_roster(tmp_path, monkeypatch, make_log):
-    source_log = _edge_log(["a", "b", "c"], 5)
-    log = make_log(source_log)
-    data, start = write_sharing(tmp_path, monkeypatch, log, source_log)
+    primary = _edge_log(["a", "b", "c"], 5)
+    log = make_log(primary)
+    data, shared = write_sharing(tmp_path, monkeypatch, log, primary)
     assert data == trajectory_csv_oracle(log)
-    assert start == 0
+    assert shared == 0
 
 
 # --- run: artifacts and manifest ---------------------------------------------
@@ -981,6 +983,21 @@ def test_collision_exits_four_with_diagnostic(tmp_path, capsys):
     assert "SAFETY" in captured.err
     assert (out / "sweep" / "manifest.json").exists()
     assert (out / "sweep" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, text", [
+    ("invariance", INVARIANCE_SMALL.replace("trials = 3", "trials = 1")),
+    ("sweep", SWEEP_HOT.replace("n_steps = 2200", "n_steps = 50")),
+], ids=["invariance", "sweep"])
+def test_diverged_run_exits_four_with_diagnostic(tmp_path, capsys, experiment, text):
+    # at dt = 1e300 the states overflow and every clearance is NaN, which
+    # certifies nothing: the run completes, flags it and writes its artifacts
+    assert "dt = 0.01" in text
+    p = write_cfg(tmp_path, text.replace("dt = 0.01", "dt = 1e300"))
+    out = tmp_path / "out"
+    assert run_cli(["run", experiment, "--config", p, "--out", out]) == 4
+    assert "SAFETY: collision flagged" in capsys.readouterr().err
+    assert (out / experiment / "manifest.json").exists()
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

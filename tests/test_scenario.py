@@ -479,6 +479,15 @@ def test_unfiltered_head_on_pair_collides():
     assert min(rec.metrics.min_h.values()) < 0.0
 
 
+def test_diverged_pair_with_nan_clearance_collides():
+    # a step this long sends the positions to inf, and inf - inf leaves the
+    # clearance NaN: it certifies nothing, so the flag must trip
+    cfg = invariance_trial_setup(0, InvarianceSettings(dt=1e300, n_steps=3), seed=0)
+    rec = simulate(cfg)
+    assert math.isnan(min(rec.metrics.min_h.values()))
+    assert rec.metrics.collision
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "decentralized filters: each assumes its neighbour holds its velocity, so "
     "both spend the same clearance slack in one synchronous step and the "
