@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .barrier import AlphaVector, SafetyConfig, _kappa, kappa, safety_value
 from .controller import _cruise, _row_terms, _solve_scalar
 from .dynamics import DEFAULT_DT, VehicleState, step
@@ -163,7 +165,10 @@ def run_adaptive_merge(cfg: ScenarioConfig,
 
     trial = simulate(replace(cfg, n_steps=min(phase_budget, cfg.n_steps)))
     states = trial.log.states
-    for t in range(1, len(states)):
+    # A diverged log carries no sample: observing stops at the first step
+    # whose object or neighbour row is not all finite.
+    finite = np.isfinite(states[:, (obj_idx, nbr_idx)]).all(axis=(1, 2))
+    for t in range(1, len(states) if finite.all() else int(finite.argmin())):
         if learner.converged:
             break
         prev, cur = states[t - 1], states[t]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .barrier import (AlphaVector, SafetyConfig, _kappa, _kappa_rows, basis, hdot,
                       safety_value)
-from .controller import (DEFAULT_LIMITS, ControlLimits, _admits_rows, _check_cruise,
+from .controller import (DEFAULT_LIMITS, ControlLimits, _admits, _admits_rows, _check_cruise,
                          _check_direction, _cruise, _row_terms, _solve_scalar)
 from .dynamics import DEFAULT_DT, VehicleState, _step
 from .errors import ConfigurationError, DomainError, _check_dt
@@ -318,11 +318,12 @@ class TrialRecord:
 
 # The roster size from which simulate builds rows and screens nominals on
 # (n, n) arrays instead of pair by pair: the measured crossover.  Whole
-# simulate time per vehicle-step, in µs, best of 15, on the two-lane merges
-# of the golden tests (90 steps; 2-core x86_64, Python 3.11, numpy 2.4):
+# simulate time per vehicle-step, in µs, best of 30 taken over ten rounds
+# of every size and stage in turn, on the two-lane merges of the golden
+# tests (90 steps; 2-core x86_64, Python 3.11, numpy 2.4):
 #   n        2     4     8     9    10    12    16    32
-#   arrays 23.6  13.4   7.8   7.2   6.7   6.3   5.4   4.5
-#   loop    5.4   5.2   6.5   6.9   7.4   8.4  10.4  19.0
+#   arrays 22.0  12.8   7.3   6.6   6.4   6.1   5.2   4.1
+#   loop    5.2   4.9   6.2   6.5   7.0   7.9   9.8  17.9
 _ARRAY_MIN_VEHICLES = 10
 
 
@@ -369,21 +370,25 @@ def simulate(cfg: ScenarioConfig,
     only in how they then build the rows and screen the nominals.  Below
     _ARRAY_MIN_VEHICLES vehicles a pair loop computes each pair's clearance
     and row terms (a, s) once, from the first vehicle's side; the second
-    vehicle's row is (-a, s), each vehicle's bound is s plus its own
-    kappa(alpha, h), and no nominal is screened.  From that size up an array
-    stage forms the (n, n) ego-minus-other differences, the rows of every
-    vehicle from its own side and their bounds at once, and screens every
-    nominal input against its rows.  Both stages then share one per-vehicle
-    step: a vehicle whose nominal was not screened, or that has a
-    compatibility entry, solves its QP; every vehicle logs its input and
-    advances.  Both stages give the same bits.
+    vehicle's row is (-a, s), and each vehicle's bound is s plus its own
+    kappa(alpha, h).  It screens each nominal with _solve_scalar's first
+    test on the vehicle's whole program, compatibility row included: a
+    nominal in the box that _admits accepts is the QP's answer.  From that
+    size up an array stage forms the (n, n) ego-minus-other differences, the
+    rows of every vehicle from its own side and their bounds at once, and
+    screens every nominal against its safety rows with _admits_rows.  Both
+    stages then share one per-vehicle step: a vehicle whose nominal failed
+    the screen, or that the array stage screened without its compatibility
+    row, solves its QP, and every vehicle steps from the states before the
+    step.  Both stages give the same bits.
 
-    The loop logs what it decides: states in one preallocated array, the
-    inputs in a flat buffer reshaped once at the end, and the feasible
-    flags.  pair_h and the merge steps are computed once after the loop from
-    the logged states: pair_h with the rows' clearance arithmetic, and a
-    route vehicle's merge step as the first logged step whose progress is
-    positive.
+    The running state is one float list per coordinate.  The loop logs what
+    it decides: states and inputs in flat buffers, to which each step
+    appends those lists whole, rearranged to (step, vehicle, coordinate)
+    once at the end, and the feasible flags.  pair_h and the merge steps are
+    computed once after the loop from the logged states: pair_h with the
+    rows' clearance arithmetic, and a route vehicle's merge step as the
+    first logged step whose progress is positive.
 
     resume=(log, t0) starts the trial at step t0 of log, a log of the same
     roster (names and pairs) and dt: rows [0, t0) of its states, inputs and
@@ -403,35 +408,40 @@ def simulate(cfg: ScenarioConfig,
     array_stage = n >= _ARRAY_MIN_VEHICLES
     pursuit = geom._pursuit
 
-    states = np.empty((N + 1, n, 4))
+    # The logs hold one step after another, and within a step one coordinate
+    # (x, y, vx, vy, or ux, uy) across the vehicles after another: the order
+    # of the running float lists below, so a step appends each list whole.
+    states_log = array("d")
     inputs_log = array("d")
     feasible = np.ones((N + 1, n), dtype=bool)
     t0 = 0
     if resume is None:
-        for v, spec in enumerate(vehicles):
-            init = spec.initial_state(geom)
-            states[0, v] = (*init.position, *init.velocity)
+        inits = [spec.initial_state(geom) for spec in vehicles]
+        start = [(*s.position.tolist(), *s.velocity.tolist()) for s in inits]
     else:
         log, t0 = resume
         _check_resume(cfg, pairs, log, t0)
-        states[:t0 + 1] = log.states[:t0 + 1]
-        inputs_log.frombytes(np.asarray(log.inputs[:t0], dtype=np.float64).tobytes())
+        for flat, logged in ((states_log, log.states), (inputs_log, log.inputs)):
+            flat.frombytes(np.asarray(logged[:t0], dtype=np.float64).transpose(0, 2, 1).tobytes())
         feasible[:t0] = log.feasible[:t0]
-    px, py, vx, vy = (states[t0, :, k].tolist() for k in range(4))
-    width = 4 * n
-    flat = states.reshape(-1)  # states[t] is flat[width * t:width * (t + 1)]
-    # Each vehicle's (gain, desired speed, lo_x, lo_y, hi_x, hi_y, on the
-    # ramp, heading): a fixed route's heading, normalized once here, or None
-    # on the road, where pursuit steers.
-    consts = []
+        start = log.states[t0].tolist()
+    # The running state before the step, one float list per coordinate, and
+    # the lists the step writes the next state into; they swap after it.
+    px, py, vx, vy = map(list, zip(*start))
+    nx, ny, nvx, nvy = ([0.0] * n for _ in range(4))
+    # Each vehicle's (gain, desired speed, on the ramp, heading): a fixed
+    # route's heading, normalized once here, or None on the road, where
+    # pursuit steers; and its box (lo_x, lo_y, hi_x, hi_y).
+    consts, boxes = [], []
     for spec in vehicles:
         heading = None
         if spec.route == "fixed":
             hx, hy = float(spec.heading[0]), float(spec.heading[1])
             nn = math.hypot(hx, hy)
             heading = (hx / nn, hy / nn)
-        consts.append((spec.gain, spec.desired_speed, *map(float, spec.limits.u_min),
-                       *map(float, spec.limits.u_max), spec.route == "ramp", heading))
+        box = (*map(float, spec.limits.u_min), *map(float, spec.limits.u_max))
+        consts.append((spec.gain, spec.desired_speed, spec.route == "ramp", heading, *box))
+        boxes.append(box)
     coeffs = [v.alpha.coefficients for v in vehicles]
     names = tuple(v.name for v in vehicles)
     # Each vehicle's compatibility entry as (the other vehicle's index, gap).
@@ -440,20 +450,28 @@ def simulate(cfg: ScenarioConfig,
     # ascending order (slot w below v, w - 1 above): the pair loop rewrites
     # every slot at each step, the array stage the rows of a vehicle that solves.
     safety = [[None] * (n - 1) for _ in range(n)]
-    # Whether each vehicle's nominal passed the screen: the pair loop screens none.
+    # Whether each vehicle's nominal passed the array stage's screen of its
+    # safety rows; the pair loop screens each vehicle's whole program instead.
     passed = [False] * n
     if array_stage:
         diagonal = np.eye(n, dtype=bool)
         # Each vehicle's coefficients as a row, zero-padded to the longest.
         q = max(map(len, coeffs))
         alphas = np.array([c + (0.0,) * (q - len(c)) for c in coeffs])
+    # The step's inputs: the nominals, then each vehicle's decision.
+    u_x, u_y = [0.0] * n, [0.0] * n
 
-    log_u = inputs_log.append
+    width = 4 * n
+    log_s = states_log.fromlist
+    log_u = inputs_log.fromlist
     relaxed = 0
 
     for t in range(t0, N):
-        nominal = []
-        for v, (gain, speed, lo_x, lo_y, hi_x, hi_y, ramp, heading) in enumerate(consts):
+        log_s(px)
+        log_s(py)
+        log_s(vx)
+        log_s(vy)
+        for v, (gain, speed, ramp, heading, lo_x, lo_y, hi_x, hi_y) in enumerate(consts):
             if heading is None:
                 dir_x, dir_y = pursuit(ramp, px[v], py[v])
                 # Pursuit's direction is a unit vector up to rounding.
@@ -463,23 +481,23 @@ def simulate(cfg: ScenarioConfig,
                 dir_x, dir_y = dir_x / nn, dir_y / nn
             else:
                 dir_x, dir_y = heading
-            nominal.append(_cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
-                                   lo_x, lo_y, hi_x, hi_y))
+            u_x[v], u_y[v] = _cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
+                                     lo_x, lo_y, hi_x, hi_y)
         if array_stage:
             # Scalar IEEE arithmetic, elementwise: infinities and NaNs flow
             # through as they do on floats, without warnings.
             with np.errstate(all="ignore"):
-                x, y, vel_x, vel_y = states[t].T
+                x, y, vel_x, vel_y = np.frombuffer(states_log[-width:]).reshape(4, n)
                 dx = x[:, None] - x
                 dy = y[:, None] - y
                 h = dx * dx + dy * dy - r2
                 ax, ay, s = _row_terms(dx, dy, vel_x[:, None] - vel_x,
                                        vel_y[:, None] - vel_y, dt)
                 b = s + _kappa_rows(alphas, h)
-                ub = np.array(nominal)
+                nominal_x, nominal_y = np.array((u_x, u_y))[:, :, None]
                 # A nominal in the box that every row admits is
                 # _solve_scalar's answer; a NaN nominal fails every row.
-                passed = (_admits_rows(ax, ay, b, ub[:, :1], ub[:, 1:])
+                passed = (_admits_rows(ax, ay, b, nominal_x, nominal_y)
                           | diagonal).all(axis=1).tolist()
         else:
             for i, j in pairs:
@@ -497,40 +515,47 @@ def simulate(cfg: ScenarioConfig,
                     ax, ay, s = _row_terms(px[j] - px[i], py[j] - py[i],
                                            vx[j] - vx[i], vy[j] - vy[i], dt)
                     safety[j][i] = (ax, ay, s + _kappa(coeffs[j], h))
-        row_next = []  # states[t + 1], vehicle by vehicle
-        for v, (ub_x, ub_y) in enumerate(nominal):
-            ux, uy = ub_x, ub_y
-            if not passed[v] or compat[v] is not None:
+        for v, box in enumerate(boxes):
+            ux, uy = ub_x, ub_y = u_x[v], u_y[v]
+            entry = compat[v]
+            if not passed[v] or entry is not None:
                 if array_stage:
                     cols = [m[v].tolist() for m in (ax, ay, b)]
                     for col in cols:
                         del col[v]
                     safety[v] = list(zip(*cols))
                 rows = safety[v]
-                if compat[v] is not None:
-                    rows = _with_compat(rows, v, *compat[v], px, py, r2)
-                lo_x, lo_y, hi_x, hi_y = consts[v][2:6]
-                ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y, hi_x, hi_y, rows)
-                if not ok and compat[v] is not None:
-                    # The compatibility row is advisory relative to the
-                    # safety rows: rather than let the fallback trade safety
-                    # slack for it, drop it for this step and record that we did.
-                    ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, lo_x, lo_y,
-                                                     hi_x, hi_y, safety[v])
-                    if ok:
-                        relaxed += 1
-                if not ok:
-                    feasible[t, v] = False
-            log_u(ux)
-            log_u(uy)
-            x_next, vx_next = _step(px[v], vx[v], ux, dt)
-            y_next, vy_next = _step(py[v], vy[v], uy, dt)
-            row_next += x_next, y_next, vx_next, vy_next
-        flat[width * (t + 1):width * (t + 2)] = row_next
-        px, py, vx, vy = row_next[0::4], row_next[1::4], row_next[2::4], row_next[3::4]
+                if entry is not None:
+                    rows = _with_compat(rows, v, *entry, px, py, r2)
+                lo_x, lo_y, hi_x, hi_y = box
+                # The pair loop's screen is _solve_scalar's first branch: a
+                # nominal in the box that every row admits is its answer.
+                if array_stage or not (lo_x <= ux <= hi_x and lo_y <= uy <= hi_y
+                                       and _admits(rows, ux, uy)):
+                    ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, *box, rows)
+                    if not ok and entry is not None:
+                        # The compatibility row is advisory relative to the
+                        # safety rows: rather than let the fallback trade
+                        # safety slack for it, drop it for this step and
+                        # record that we did.
+                        ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, *box, safety[v])
+                        if ok:
+                            relaxed += 1
+                    if not ok:
+                        feasible[t, v] = False
+                    u_x[v], u_y[v] = ux, uy
+            nx[v], nvx[v] = _step(px[v], vx[v], ux, dt)
+            ny[v], nvy[v] = _step(py[v], vy[v], uy, dt)
+        log_u(u_x)
+        log_u(u_y)
+        # Every vehicle has decided from the states before the step.
+        px, py, vx, vy, nx, ny, nvx, nvy = nx, ny, nvx, nvy, px, py, vx, vy
 
-    inputs_log.extend([0.0] * (2 * n))
-    inputs = np.frombuffer(inputs_log).reshape(N + 1, n, 2)
+    for column in (px, py, vx, vy):
+        log_s(column)
+    states = np.frombuffer(states_log).reshape(N + 1, 4, n).transpose(0, 2, 1).copy()
+    log_u([0.0] * (2 * n))
+    inputs = np.frombuffer(inputs_log).reshape(N + 1, 2, n).transpose(0, 2, 1).copy()
     # The clearances and progress of the logged states, with the arithmetic
     # of the rows and of _progress: numpy's elementwise + - * give the bits
     # the loop's floats do.  A route vehicle merges at the first logged step
@@ -542,7 +567,7 @@ def simulate(cfg: ScenarioConfig,
         dx = states[:, i, 0] - states[:, j, 0]
         dy = states[:, i, 1] - states[:, j, 1]
         pair_h = dx * dx + dy * dy - r2
-        for v, (*_, ramp, heading) in enumerate(consts):
+        for v, (_, _, ramp, heading, *_) in enumerate(consts):
             if heading is None:
                 merged = geom._progress_rows(ramp, states[:, v, 0], states[:, v, 1]) > 0.0
                 first = int(merged.argmax())

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from test_golden import _two_lane_roster
+from test_scenario import _hex_rows, _oracle_rows
 
 from polycbf import AlphaVector, RoadGeometry, ScenarioConfig, VehicleSpec, scenario, simulate
 from polycbf.barrier import _kappa, _kappa_rows
@@ -118,6 +119,78 @@ def test_stages_agree_on_fixed_routes(monkeypatch):
     rec = both_stages(monkeypatch, cfg)
     assert not rec.log.feasible.all()
     assert rec.log.inputs[:-1].any()
+
+
+def program_at(cfg, states, v):
+    """Vehicle v's QP rows at the logged states of one step: the row
+    oracle's safety rows, then the compatibility row of its entry, if any,
+    with that row's direction and the margin kappa(gap, h)."""
+    rows = _oracle_rows(cfg, states, v)
+    spec = cfg.vehicles[v]
+    if spec.compat is not None:
+        w = [u.name for u in cfg.vehicles].index(spec.compat[0])
+        ax, ay, _ = rows[w if w < v else w - 1]
+        dx, dy = (states[v, :2] - states[w, :2]).tolist()
+        rows.append((ax, ay, _kappa(spec.compat[1],
+                                    dx * dx + dy * dy - cfg.safety.r_safe * cfg.safety.r_safe)))
+    return rows
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_only_nominals_that_fail_the_screen_reach_the_solver(monkeypatch, stage):
+    # 12 vehicles of the golden merge, two of them with compatibility rows,
+    # one that cuts off every nominal and one that admits them.
+    # _solve_scalar runs on exactly the vehicle-steps whose nominal fails the
+    # screen, its own first test: in the box and admitted by every row of
+    # the program.  The pair loop screens the whole program, the array stage
+    # only the safety rows, so there a vehicle with a compatibility entry
+    # always solves.  A screened vehicle-step logs its nominal bit for bit.
+    cfg = _two_lane_roster(per_lane=6)
+    names = [v.name for v in cfg.vehicles]
+    gaps = {3: (-0.002, 0.0), 8: (0.002, 0.0)}
+    cfg = dataclasses.replace(cfg, vehicles=tuple(
+        dataclasses.replace(v, compat=(names[k - 1], gaps[k])) if k in gaps else v
+        for k, v in enumerate(cfg.vehicles)))
+    nominals, calls = [], []
+    cruise, solve = scenario._cruise, scenario._solve_scalar
+
+    def cruise_spy(*args):
+        nominals.append(cruise(*args))
+        return nominals[-1]
+
+    def solve_spy(*args):
+        result = solve(*args)
+        calls.append((args[0].hex(), args[1].hex(), _hex_rows(args[6]), result[2]))
+        return result
+
+    monkeypatch.setattr(scenario, "_cruise", cruise_spy)
+    monkeypatch.setattr(scenario, "_solve_scalar", solve_spy)
+    log = run_stage(monkeypatch, stage, cfg).log
+    n = len(cfg.vehicles)
+    assert len(nominals) == cfg.n_steps * n
+    remaining = iter(calls)
+    screened = {False: 0, True: 0}  # vehicle-steps screened, without and with an entry
+    for t in range(cfg.n_steps):
+        for v, spec in enumerate(cfg.vehicles):
+            rows = program_at(cfg, log.states[t], v)
+            ux, uy = nominals[t * n + v]
+            (lo_x, lo_y), (hi_x, hi_y) = spec.limits.u_min.tolist(), spec.limits.u_max.tolist()
+            entry = spec.compat is not None
+            if (lo_x <= ux <= hi_x and lo_y <= uy <= hi_y and _admits(rows, ux, uy)
+                    and not (entry and stage == "arrays")):
+                assert log.inputs[t, v].tobytes() == np.array((ux, uy)).tobytes(), (t, v)
+                assert log.feasible[t, v]
+                screened[entry] += 1
+                continue
+            *args, ok = next(remaining)
+            assert args == [ux.hex(), uy.hex(), _hex_rows(rows)], (t, v)
+            if entry and not ok:
+                # the re-solve without the compatibility row
+                assert next(remaining)[:3] == (ux.hex(), uy.hex(), _hex_rows(rows[:-1])), (t, v)
+    assert next(remaining, None) is None
+    # infeasible programs among the solved ones
+    assert screened[False] and not all(ok for *_, ok in calls)
+    assert bool(screened[True]) == (stage == "loop")
 
 
 # --- the array kernels against their scalar twins ----------------------------

@@ -988,10 +988,14 @@ def test_collision_exits_four_with_diagnostic(tmp_path, capsys):
 @pytest.mark.parametrize("experiment, text", [
     ("invariance", INVARIANCE_SMALL.replace("trials = 3", "trials = 1")),
     ("sweep", SWEEP_HOT.replace("n_steps = 2200", "n_steps = 50")),
-], ids=["invariance", "sweep"])
+    ("adaptive", ADAPTIVE),
+    ("predict", PREDICT.replace("trials = 30", "trials = 1").replace("n_steps = 4000",
+                                                                     "n_steps = 200")),
+], ids=["invariance", "sweep", "adaptive", "predict"])
 def test_diverged_run_exits_four_with_diagnostic(tmp_path, capsys, experiment, text):
     # at dt = 1e300 the states overflow and every clearance is NaN, which
-    # certifies nothing: the run completes, flags it and writes its artifacts
+    # certifies nothing: the run completes, flags it and writes its artifacts;
+    # the adaptive learner observes no sample past the first non-finite state
     assert "dt = 0.01" in text
     p = write_cfg(tmp_path, text.replace("dt = 0.01", "dt = 1e300"))
     out = tmp_path / "out"

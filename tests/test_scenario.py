@@ -340,25 +340,37 @@ def _hex_rows(rows):
 
 def test_simulate_rows_match_row_oracle_both_ways_bit_for_bit(monkeypatch):
     # The pair loop builds each pair's row terms once and mirrors them; every
-    # row handed to the QP must still be the row formula's, bit for bit, from
-    # each vehicle's own side.
-    cfg = _oracle_roster()
-    n = len(cfg.vehicles)
-    monkeypatch.setattr(scenario, "_ARRAY_MIN_VEHICLES", n + 1)
-    seen = []
-    solve = scenario._solve_scalar
+    # row handed to the nominal screen must still be the row formula's, bit
+    # for bit, from each vehicle's own side.  The screen sees every
+    # vehicle-step, and the QP exactly those whose nominal it fails: none on
+    # the roster, and the two infeasible programs of its head-on variant.
+    screen, solve = scenario._admits, scenario._solve_scalar
+    for head_on in (False, True):
+        cfg = _oracle_roster(head_on)
+        n = len(cfg.vehicles)
+        monkeypatch.setattr(scenario, "_ARRAY_MIN_VEHICLES", n + 1)
+        seen, failed, solved = [], [], []
 
-    def spy(*args):
-        seen.append(list(args[6]))
-        return solve(*args)
+        def screen_spy(rows, ux, uy):
+            seen.append(list(rows))
+            ok = screen(rows, ux, uy)
+            if not ok:
+                failed.append(seen[-1])
+            return ok
 
-    monkeypatch.setattr(scenario, "_solve_scalar", spy)
-    log = simulate(cfg).log
-    assert len(seen) == cfg.n_steps * n
-    for t in range(cfg.n_steps):
-        for v in range(n):
-            expect = _hex_rows(_oracle_rows(cfg, log.states[t], v))
-            assert _hex_rows(seen[t * n + v]) == expect, (t, v)
+        def solve_spy(*args):
+            solved.append(list(args[6]))
+            return solve(*args)
+
+        monkeypatch.setattr(scenario, "_admits", screen_spy)
+        monkeypatch.setattr(scenario, "_solve_scalar", solve_spy)
+        log = simulate(cfg).log
+        assert len(seen) == cfg.n_steps * n
+        assert solved == failed and bool(failed) == head_on
+        for t in range(cfg.n_steps):
+            for v in range(n):
+                expect = _hex_rows(_oracle_rows(cfg, log.states[t], v))
+                assert _hex_rows(seen[t * n + v]) == expect, (t, v)
 
 
 @pytest.mark.parametrize("head_on", [False, True])
