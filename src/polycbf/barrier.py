@@ -153,23 +153,42 @@ def _kappa(coeffs: tuple[float, ...], h: float) -> float:
     return total
 
 
-def _kappa_rows(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Array twin of _kappa for simulate's array stage: row v of h (n, m)
-    takes the coefficients coeffs[v] (n, q), zero-padded to a common q.
+def _kappa_columns(coeffs: np.ndarray) -> tuple:
+    """_kappa_rows' per-run form of the coefficients coeffs (n, q), one row a
+    vehicle, zero-padded to a common q: for each power, the (n, 1) column
+    and, only when it holds a zero (+0.0 or -0.0, as _kappa's `if c:`
+    sees it), the column's non-zero mask."""
+    columns = []
+    for c in np.asarray(coeffs, dtype=np.float64).T:
+        c = c[:, None].copy()
+        columns.append((c, None if c.all() else c != 0.0))
+    return tuple(columns)
 
-    Each element is _kappa's, bit for bit: the terms are summed in the same
-    order, and a zero coefficient adds +0.0 in place of its product, which
-    leaves the total unchanged since it never holds -0.0; a padding zero does
-    the same.  Overflow and 0 * inf happen in the skipped products, so the
-    caller runs this under np.errstate.
+
+def _kappa_rows(columns: tuple, h: np.ndarray) -> np.ndarray:
+    """Array twin of _kappa for simulate's array stage: row v of h (n, m)
+    takes vehicle v's coefficients, given as _kappa_columns built them once
+    per run.
+
+    Each element is _kappa's, bit for bit: the sum starts from +0.0 and adds
+    the terms in the same order, and a zero coefficient adds +0.0 in place
+    of its product, which leaves the total unchanged since it never holds
+    -0.0; a padding zero does the same.  A column without a zero adds its
+    products as they are, which is what the masked add picks there.
+    Overflow and 0 * inf happen in the skipped products, so the caller runs
+    this under np.errstate.
     """
-    total = np.zeros_like(h)
+    total = np.zeros(h.shape)
     term = h
-    h2 = h * h
-    for c in coeffs.T:
-        c = c[:, None]
-        total += np.where(c != 0.0, c * term, 0.0)
-        term = term * h2
+    for k, (c, nonzero) in enumerate(columns):
+        if k == 1:
+            h2 = h * h
+        if k:
+            term = term * h2
+        if nonzero is None:
+            total += c * term
+        else:
+            total += np.where(nonzero, c * term, 0.0)
     return total
 
 

@@ -15,8 +15,11 @@ same, and only the margin kappa(alpha, h) is each vehicle's own.  _row_terms
 is the one kernel for a and the rate term.  simulate's pair loop calls it on
 floats once per pair and step and mirrors the result for the second vehicle;
 its array stage, for large rosters, calls it once per step on (n, n) arrays
-of ego-minus-other differences and screens every nominal input at once with
-_admits_rows, the elementwise twin of _admits.
+of ego-minus-other differences, adds each vehicle's margins with
+barrier._kappa_rows from coefficient columns it prepares once per run, and
+screens every nominal input at once with _admits_rows, the elementwise twin
+of _admits.  A step of that stage costs numpy's per-call overhead more than
+arithmetic, so these kernels keep their calls and temporaries few.
 
 The solver is an active-set enumeration specialized to two decision
 variables: the optimum of a strictly convex 2-D projection lies either at the
@@ -150,15 +153,23 @@ def _admits(rows, ux, uy):
 
 def _admits_rows(ax, ay, b, ux, uy):
     """Array twin of _admits' test of one row, elementwise: True where
-    a.u <= b holds to within _FEAS_TOL of its scale, on broadcast arrays.
+    a.u <= b holds to within _FEAS_TOL of its scale, for rows ax, ay, b of
+    one shape and inputs ux, uy that broadcast against it.
 
     The tolerance is never NaN (np.fmax keeps Python's max(1.0, nan) == 1.0)
     and always positive, so _admits' first test, v <= 0, is implied by its
-    second; a NaN violation fails it.  Rows with an infinity overflow or form
-    inf - inf, so the caller runs this under np.errstate.
+    second; a NaN violation fails it.  v and the tolerance are formed in
+    place in new arrays, in _admits' order of operations, and the rows are
+    left as they were.  Rows with an infinity overflow or form inf - inf, so
+    the caller runs this under np.errstate.
     """
-    v = ax * ux + ay * uy - b
-    return v <= _FEAS_TOL * np.fmax(1.0, np.abs(b))
+    v = ax * ux
+    v += ay * uy
+    v -= b
+    tol = np.abs(b)
+    np.fmax(tol, 1.0, out=tol)
+    tol *= _FEAS_TOL
+    return v <= tol
 
 
 def _enumerate_min_deviation(ubar_x, ubar_y, rows, nominal_cut=False):

@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .barrier import (AlphaVector, SafetyConfig, _kappa, _kappa_rows, basis, hdot,
+from .barrier import (AlphaVector, SafetyConfig, _kappa, _kappa_columns, _kappa_rows, basis, hdot,
                       safety_value)
 from .controller import (DEFAULT_LIMITS, ControlLimits, _admits, _admits_rows, _check_cruise,
                          _check_direction, _cruise, _row_terms, _solve_scalar)
@@ -320,11 +320,13 @@ class TrialRecord:
 # (n, n) arrays instead of pair by pair: the measured crossover.  Whole
 # simulate time per vehicle-step, in µs, best of 30 taken over ten rounds
 # of every size and stage in turn, on the two-lane merges of the golden
-# tests (90 steps; 2-core x86_64, Python 3.11, numpy 2.4):
-#   n        2     4     8     9    10    12    16    32
-#   arrays 22.0  12.8   7.3   6.6   6.4   6.1   5.2   4.1
-#   loop    5.2   4.9   6.2   6.5   7.0   7.9   9.8  17.9
-_ARRAY_MIN_VEHICLES = 10
+# tests (90 steps, the first n vehicles; 2-core x86_64, Python 3.11,
+# numpy 2.4).  At 8 vehicles the arrays were faster in 26 of 30 paired
+# rounds (by a median 3%), at 7 in none:
+#   n        2     4     7     8     9    10    12    16    32
+#   arrays 20.6  11.4   7.6   7.0   6.4   6.1   5.9   5.4   4.6
+#   loop    6.1   6.2   7.0   7.4   7.8   8.3  10.0  12.5  21.5
+_ARRAY_MIN_VEHICLES = 8
 
 
 def _check_resume(cfg: ScenarioConfig, pairs, log: TrajectoryLog, t0: int) -> None:
@@ -455,9 +457,10 @@ def simulate(cfg: ScenarioConfig,
     passed = [False] * n
     if array_stage:
         diagonal = np.eye(n, dtype=bool)
-        # Each vehicle's coefficients as a row, zero-padded to the longest.
+        # Each vehicle's coefficients as a row, zero-padded to the longest,
+        # in _kappa_rows' per-run form.
         q = max(map(len, coeffs))
-        alphas = np.array([c + (0.0,) * (q - len(c)) for c in coeffs])
+        columns = _kappa_columns([c + (0.0,) * (q - len(c)) for c in coeffs])
     # The step's inputs: the nominals, then each vehicle's decision.
     u_x, u_y = [0.0] * n, [0.0] * n
 
@@ -466,90 +469,92 @@ def simulate(cfg: ScenarioConfig,
     log_u = inputs_log.fromlist
     relaxed = 0
 
-    for t in range(t0, N):
-        log_s(px)
-        log_s(py)
-        log_s(vx)
-        log_s(vy)
-        for v, (gain, speed, ramp, heading, lo_x, lo_y, hi_x, hi_y) in enumerate(consts):
-            if heading is None:
-                dir_x, dir_y = pursuit(ramp, px[v], py[v])
-                # Pursuit's direction is a unit vector up to rounding.
-                # Dividing by its norm again moves its last bits, and
-                # the pinned logs and golden digests hold those bits.
-                nn = math.hypot(dir_x, dir_y)
-                dir_x, dir_y = dir_x / nn, dir_y / nn
-            else:
-                dir_x, dir_y = heading
-            u_x[v], u_y[v] = _cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
-                                     lo_x, lo_y, hi_x, hi_y)
-        if array_stage:
-            # Scalar IEEE arithmetic, elementwise: infinities and NaNs flow
-            # through as they do on floats, without warnings.
-            with np.errstate(all="ignore"):
-                x, y, vel_x, vel_y = np.frombuffer(states_log[-width:]).reshape(4, n)
-                dx = x[:, None] - x
-                dy = y[:, None] - y
-                h = dx * dx + dy * dy - r2
-                ax, ay, s = _row_terms(dx, dy, vel_x[:, None] - vel_x,
-                                       vel_y[:, None] - vel_y, dt)
-                b = s + _kappa_rows(alphas, h)
+    # Scalar IEEE arithmetic, elementwise, in the array stage: infinities and
+    # NaNs flow through as they do on floats, without warnings.
+    with np.errstate(all="ignore"):
+        for t in range(t0, N):
+            log_s(px)
+            log_s(py)
+            log_s(vx)
+            log_s(vy)
+            for v, (gain, speed, ramp, heading, lo_x, lo_y, hi_x, hi_y) in enumerate(consts):
+                if heading is None:
+                    dir_x, dir_y = pursuit(ramp, px[v], py[v])
+                    # Pursuit's direction is a unit vector up to rounding.
+                    # Dividing by its norm again moves its last bits, and
+                    # the pinned logs and golden digests hold those bits.
+                    nn = math.hypot(dir_x, dir_y)
+                    dir_x, dir_y = dir_x / nn, dir_y / nn
+                else:
+                    dir_x, dir_y = heading
+                u_x[v], u_y[v] = _cruise(gain, speed, dir_x, dir_y, vx[v], vy[v],
+                                         lo_x, lo_y, hi_x, hi_y)
+            if array_stage:
+                # The ego-minus-other differences of x, y, vx and vy at once.
+                state = np.frombuffer(states_log[-width:]).reshape(4, n)
+                dx, dy, dv_x, dv_y = state[:, :, None] - state[:, None]
+                h = dx * dx + dy * dy
+                h -= r2
+                ax, ay, s = _row_terms(dx, dy, dv_x, dv_y, dt)
+                b = _kappa_rows(columns, h)
+                b += s
                 nominal_x, nominal_y = np.array((u_x, u_y))[:, :, None]
                 # A nominal in the box that every row admits is
                 # _solve_scalar's answer; a NaN nominal fails every row.
-                passed = (_admits_rows(ax, ay, b, nominal_x, nominal_y)
-                          | diagonal).all(axis=1).tolist()
-        else:
-            for i, j in pairs:
-                dxx = px[i] - px[j]
-                dyy = py[i] - py[j]
-                h = dxx * dxx + dyy * dyy - r2
-                ax, ay, s = _row_terms(dxx, dyy, vx[i] - vx[j], vy[i] - vy[j], dt)
-                safety[i][j - 1] = (ax, ay, s + _kappa(coeffs[i], h))
-                if dxx and dyy:
-                    # A non-zero fl(b - a) is -fl(a - b): j's row is the exact mirror.
-                    safety[j][i] = (-ax, -ay, s + _kappa(coeffs[j], h))
-                else:
-                    # a - b and b - a are both +0 when a == b, so a zero difference
-                    # does not negate: j's terms come from its own side.
-                    ax, ay, s = _row_terms(px[j] - px[i], py[j] - py[i],
-                                           vx[j] - vx[i], vy[j] - vy[i], dt)
-                    safety[j][i] = (ax, ay, s + _kappa(coeffs[j], h))
-        for v, box in enumerate(boxes):
-            ux, uy = ub_x, ub_y = u_x[v], u_y[v]
-            entry = compat[v]
-            if not passed[v] or entry is not None:
-                if array_stage:
-                    cols = [m[v].tolist() for m in (ax, ay, b)]
-                    for col in cols:
-                        del col[v]
-                    safety[v] = list(zip(*cols))
-                rows = safety[v]
-                if entry is not None:
-                    rows = _with_compat(rows, v, *entry, px, py, r2)
-                lo_x, lo_y, hi_x, hi_y = box
-                # The pair loop's screen is _solve_scalar's first branch: a
-                # nominal in the box that every row admits is its answer.
-                if array_stage or not (lo_x <= ux <= hi_x and lo_y <= uy <= hi_y
-                                       and _admits(rows, ux, uy)):
-                    ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, *box, rows)
-                    if not ok and entry is not None:
-                        # The compatibility row is advisory relative to the
-                        # safety rows: rather than let the fallback trade
-                        # safety slack for it, drop it for this step and
-                        # record that we did.
-                        ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, *box, safety[v])
-                        if ok:
-                            relaxed += 1
-                    if not ok:
-                        feasible[t, v] = False
-                    u_x[v], u_y[v] = ux, uy
-            nx[v], nvx[v] = _step(px[v], vx[v], ux, dt)
-            ny[v], nvy[v] = _step(py[v], vy[v], uy, dt)
-        log_u(u_x)
-        log_u(u_y)
-        # Every vehicle has decided from the states before the step.
-        px, py, vx, vy, nx, ny, nvx, nvy = nx, ny, nvx, nvy, px, py, vx, vy
+                ok = _admits_rows(ax, ay, b, nominal_x, nominal_y)
+                ok |= diagonal
+                passed = ok.all(axis=1).tolist()
+            else:
+                for i, j in pairs:
+                    dxx = px[i] - px[j]
+                    dyy = py[i] - py[j]
+                    h = dxx * dxx + dyy * dyy - r2
+                    ax, ay, s = _row_terms(dxx, dyy, vx[i] - vx[j], vy[i] - vy[j], dt)
+                    safety[i][j - 1] = (ax, ay, s + _kappa(coeffs[i], h))
+                    if dxx and dyy:
+                        # A non-zero fl(b - a) is -fl(a - b): j's row is the exact mirror.
+                        safety[j][i] = (-ax, -ay, s + _kappa(coeffs[j], h))
+                    else:
+                        # a - b and b - a are both +0 when a == b, so a zero difference
+                        # does not negate: j's terms come from its own side.
+                        ax, ay, s = _row_terms(px[j] - px[i], py[j] - py[i],
+                                               vx[j] - vx[i], vy[j] - vy[i], dt)
+                        safety[j][i] = (ax, ay, s + _kappa(coeffs[j], h))
+            for v, box in enumerate(boxes):
+                ux, uy = ub_x, ub_y = u_x[v], u_y[v]
+                entry = compat[v]
+                if not passed[v] or entry is not None:
+                    if array_stage:
+                        cols = [m[v].tolist() for m in (ax, ay, b)]
+                        for col in cols:
+                            del col[v]
+                        safety[v] = list(zip(*cols))
+                    rows = safety[v]
+                    if entry is not None:
+                        rows = _with_compat(rows, v, *entry, px, py, r2)
+                    lo_x, lo_y, hi_x, hi_y = box
+                    # The pair loop's screen is _solve_scalar's first branch: a
+                    # nominal in the box that every row admits is its answer.
+                    if array_stage or not (lo_x <= ux <= hi_x and lo_y <= uy <= hi_y
+                                           and _admits(rows, ux, uy)):
+                        ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, *box, rows)
+                        if not ok and entry is not None:
+                            # The compatibility row is advisory relative to the
+                            # safety rows: rather than let the fallback trade
+                            # safety slack for it, drop it for this step and
+                            # record that we did.
+                            ux, uy, ok, _, _ = _solve_scalar(ub_x, ub_y, *box, safety[v])
+                            if ok:
+                                relaxed += 1
+                        if not ok:
+                            feasible[t, v] = False
+                        u_x[v], u_y[v] = ux, uy
+                nx[v], nvx[v] = _step(px[v], vx[v], ux, dt)
+                ny[v], nvy[v] = _step(py[v], vy[v], uy, dt)
+            log_u(u_x)
+            log_u(u_y)
+            # Every vehicle has decided from the states before the step.
+            px, py, vx, vy, nx, ny, nvx, nvy = nx, ny, nvx, nvy, px, py, vx, vy
 
     for column in (px, py, vx, vy):
         log_s(column)

@@ -8,16 +8,21 @@ test_golden.py pin the array stage's output at the default size; these tests
 keep the two stages from drifting apart at any size.
 """
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_contracts import _vehicle
 from test_golden import _two_lane_roster
 from test_scenario import _hex_rows, _oracle_rows
 
-from polycbf import AlphaVector, RoadGeometry, ScenarioConfig, VehicleSpec, scenario, simulate
-from polycbf.barrier import _kappa, _kappa_rows
+from polycbf import (AlphaVector, ControlLimits, RoadGeometry, SafetyConfig, ScenarioConfig,
+                     VehicleSpec, scenario, simulate)
+from polycbf.barrier import _kappa, _kappa_columns, _kappa_rows
 from polycbf.controller import _admits, _admits_rows, _row_terms
 
 STAGES = {"loop": 10 ** 9, "arrays": 2}
@@ -72,6 +77,16 @@ def test_stages_agree_at_styles_of_order_one_and_three(monkeypatch, q):
 
     rec = both_stages(monkeypatch, with_styles(_two_lane_roster(per_lane=6), style))
     assert not rec.log.feasible.all()
+
+
+def test_stages_agree_with_negative_zero_coefficients(monkeypatch):
+    # AlphaVector accepts -0.0, and both kappa kernels skip it as a zero
+    def style(k):
+        return (AlphaVector((-0.0, 0.3)), AlphaVector((0.4, -0.0, 0.01)),
+                cfg.vehicles[k].alpha)[k % 3]
+
+    cfg = _two_lane_roster(per_lane=6)
+    both_stages(monkeypatch, with_styles(cfg, style))
 
 
 def test_stages_agree_under_every_hook(monkeypatch):
@@ -212,14 +227,21 @@ def hex_all(values):
 
 
 def test_kappa_rows_matches_kappa_elementwise():
+    # zero coefficients of either sign, which both kernels skip, and the
+    # first column free of zeros, which _kappa_columns leaves unmasked
     rng = np.random.default_rng(23)
-    for q in (1, 2, 3, 4):
+    for zero, q in itertools.product((0.0, -0.0), (1, 2, 3, 4)):
         coeffs = rng.uniform(0.0, 2.0, size=(9, q))
-        coeffs[rng.random((9, q)) < 0.3] = 0.0
-        coeffs[0, -1] = 0.0  # a padded row
+        coeffs[rng.random((9, q)) < 0.3] = zero
+        coeffs[:, 0] = rng.uniform(0.1, 2.0, size=9)
+        if q > 1:
+            coeffs[0, -1] = zero  # a padded row
+        columns = _kappa_columns(coeffs)
+        assert [mask is None for _, mask in columns] == [bool(c.all()) for c in coeffs.T]
+        assert columns[0][1] is None and (q == 1 or columns[-1][1] is not None)
         h = edge_values(rng, (9, 11))
         with np.errstate(all="ignore"):
-            got = _kappa_rows(coeffs, h)
+            got = _kappa_rows(columns, h)
         want = [[_kappa(tuple(coeffs[v].tolist()), x) for x in h[v].tolist()] for v in range(9)]
         assert hex_all(got) == hex_all(want)
 
@@ -243,7 +265,10 @@ def test_admits_rows_matches_admits_elementwise():
         # rows on their line and near their tolerance
         b[:3] = ax[:3] * ux[:3] + ay[:3] * uy[:3]
         b[3:6] = (ax[3:6] * ux[3:6] + ay[3:6] * uy[3:6]) * (1.0 - 1e-9)
+        inputs = [a.tobytes() for a in (ax, ay, b, ux, uy)]
         got = _admits_rows(ax, ay, b, ux, uy)
+    # a vehicle that fails the screen builds its rows from b afterwards
+    assert [a.tobytes() for a in (ax, ay, b, ux, uy)] == inputs
     rows = np.stack((ax, ay, b), axis=-1).tolist()
     want = [[_admits([row], ux[v, 0].item(), uy[v, 0].item()) for row in rows[v]]
             for v in range(12)]
@@ -275,3 +300,75 @@ def test_progress_rows_matches_progress_elementwise(ramp):
             behind_the_ramp += sum(geom._progress(False, x, y) > 0.0 > geom._progress(True, x, y)
                                    for x, y in zip(px.tolist(), py.tolist()))
     assert behind_the_ramp > 0
+
+
+# --- numpy's error state -------------------------------------------------------
+
+def log_bytes(rec):
+    return [getattr(rec.log, name).tobytes() for name in ("states", "inputs", "pair_h", "feasible")]
+
+
+@pytest.mark.parametrize("dt", [0.01, 1e300], ids=["merge", "diverged"])
+@pytest.mark.parametrize("stage", STAGES)
+def test_simulate_does_not_depend_on_numpys_error_state(monkeypatch, stage, dt):
+    # at dt = 1e300 the states overflow and every row holds infinities or NaNs
+    cfg = dataclasses.replace(_two_lane_roster(), dt=dt)
+    want = run_stage(monkeypatch, stage, cfg)
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        got = run_stage(monkeypatch, stage, cfg)
+        assert np.geterr() == before
+    assert log_bytes(got) == log_bytes(want)
+    assert np.isnan(got.log.pair_h).any() == (dt > 1.0)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_simulate_restores_numpys_error_state_when_a_step_raises(monkeypatch, stage):
+    solve = scenario._solve_scalar
+    calls = []
+
+    def failing_solve(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise RuntimeError("solver failed")
+        return solve(*args)
+
+    monkeypatch.setattr(scenario, "_solve_scalar", failing_solve)
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        with pytest.raises(RuntimeError, match="solver failed"):
+            run_stage(monkeypatch, stage, _two_lane_roster())
+        assert np.geterr() == before
+    assert len(calls) == 5
+
+
+# --- generated rosters ---------------------------------------------------------
+
+@st.composite
+def mixed_rosters(draw):
+    """2-12 vehicles of test_contracts' kinds (both routes and fixed
+    headings), styles of order 1-3 with zero coefficients of either sign
+    mixed in, boxes from +-1 to +-50, and sometimes a compatibility entry."""
+    n = draw(st.integers(2, 12))
+    q = draw(st.integers(1, 3))
+    coefficient = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, -0.0)))
+    vehicles = []
+    for k in range(n):
+        bound = draw(st.floats(1.0, 50.0))
+        spec = dict(draw(_vehicle), limits=ControlLimits((-bound, -bound), (bound, bound)),
+                    alpha=AlphaVector(tuple(draw(coefficient)
+                                            for _ in range(draw(st.integers(1, q))))))
+        vehicles.append(VehicleSpec(name=f"v{k}", **spec))
+    if draw(st.booleans()):
+        v, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        gap = tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)))
+        vehicles[v] = dataclasses.replace(vehicles[v], compat=(vehicles[w].name, gap))
+    return ScenarioConfig(geometry=RoadGeometry(), vehicles=tuple(vehicles),
+                          n_steps=draw(st.integers(1, 30)), safety=SafetyConfig(q=q))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(cfg=mixed_rosters())
+def test_stages_agree_on_generated_rosters(cfg):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        both_stages(monkeypatch, cfg)
