@@ -22,15 +22,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .barrier import AlphaVector, SafetyConfig, _kappa, kappa, safety_value
 from .controller import _cruise, _row_terms, _solve_scalar
 from .dynamics import DEFAULT_DT, VehicleState, step
 from .errors import ConfigurationError
 from .learner import AlphaEstimate, StyleLearner
-from .scenario import (ScenarioConfig, TrialRecord, _check_counts, _observe_rows, _trial_rng,
-                       simulate)
+from .scenario import ScenarioConfig, TrialRecord, _check_counts, _trial_rng, simulate
 
 __all__ = [
     "REFERENCE_H",
@@ -146,9 +143,10 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     style, is simulate(cfg) itself.
 
     Each phase is one simulate call: cfg run up to the budget, whose logged
-    states the learner then reads, and that log resumed at the budget under
-    cfg with the ego driving the selected style, if any, and holding the
-    compatibility row against the object once the learner has converged.
+    states StyleLearner.observe then reads (analytic, zero nominal, no box,
+    no cap), and that log resumed at the budget under cfg with the ego
+    driving the selected style, if any, and holding the compatibility row
+    against the object once the learner has converged.
     A run that ends before the budget is the observation run alone.
 
     The roster must contain exactly one ego, exactly one object (the vehicle
@@ -157,26 +155,11 @@ def run_adaptive_merge(cfg: ScenarioConfig,
     """
     phase_budget = settings.phase_budget
     ego_idx, obj_idx, nbr_idx = _roster(cfg)
-    dt = cfg.dt
-    safety = cfg.safety
     learner = StyleLearner()
-    sample_steps: List[int] = []
     selected: Optional[AlphaVector] = None
 
     trial = simulate(replace(cfg, n_steps=min(phase_budget, cfg.n_steps)))
-    states = trial.log.states
-    # A diverged log carries no sample: observing stops at the first step
-    # whose object or neighbour row is not all finite.
-    finite = np.isfinite(states[:, (obj_idx, nbr_idx)]).all(axis=(1, 2))
-    for t in range(1, len(states) if finite.all() else int(finite.argmin())):
-        if learner.converged:
-            break
-        prev, cur = states[t - 1], states[t]
-        u_obs = (cur[obj_idx, 2:] - prev[obj_idx, 2:]) / dt
-        if learner.admits(u_obs):
-            learner.add(_observe_rows("analytic", prev, cur, obj_idx, nbr_idx, u_obs,
-                                      safety, dt, t))
-            sample_steps.append(t)
+    sample_steps = learner.observe(trial.log.states, obj_idx, nbr_idx, cfg.safety, cfg.dt)
     if phase_budget <= cfg.n_steps:
         styled = cfg
         if learner.estimate is not None:

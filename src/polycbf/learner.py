@@ -14,24 +14,29 @@ admission gate are the module constants below.
 
 A sample is a BarrierSample: an observed clearance rate and the clearance
 basis it is regressed on.  The fit has one coefficient per basis term, so its
-order is the length of its samples' basis, which the observers measure at
-the scenario's [safety] q.  The observers (scenario._observe_rows) make
-samples from a trial's logged states, in one of two modes.  "finite_diff"
-differentiates the measured clearance itself through _observe (no knowledge
-of the neighbor's input needed, O(dt) discretization error).  "analytic"
-rebuilds the one-step rate from the object's acceleration, recovered exactly
-from consecutive velocity samples under the semi-implicit integrator.
+order is the length of its samples' basis, which the observer measures at
+the scenario's [safety] q.  The observer, StyleLearner.observe, is the one
+pass from a trial's logged states to admitted samples, for the prediction
+experiment and the adaptive run alike, in one of two modes.  "finite_diff"
+differentiates the measured clearance itself (no knowledge of the
+neighbor's input needed, O(dt) discretization error).  "analytic" rebuilds
+the one-step rate from the object's acceleration, recovered exactly from
+consecutive velocity samples under the semi-implicit integrator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from .barrier import AlphaVector, basis
+import numpy as np
+
+from .barrier import AlphaVector, SafetyConfig, basis, hdot, safety_value
 from .errors import ConfigurationError
 
 __all__ = [
+    "OBSERVATION_MODES",
     "BarrierSample",
     "AlphaEstimate",
     "check_convergence",
@@ -51,13 +56,15 @@ class BarrierSample:
 
 # An estimate has converged once every coefficient moved by at most
 # _CONVERGENCE_TOL over the last _CONVERGENCE_WINDOW estimates.  A sample is
-# admitted when the object's input deviates from its estimated nominal
-# (cruise ~ zero) by more than _ADMISSION_THRESHOLD in some component, a
-# proxy for "the safety constraint is plausibly active".
+# admitted when the object's input deviates from its estimated nominal by
+# more than _ADMISSION_THRESHOLD in some component, a proxy for "the safety
+# constraint is plausibly active" (the whole rule is StyleLearner.observe's).
 _REGULARIZER = 1e-8
 _CONVERGENCE_TOL = 1e-6
 _CONVERGENCE_WINDOW = 5
 _ADMISSION_THRESHOLD = 0.01
+OBSERVATION_MODES = ("analytic", "finite_diff")
+_UNBOUNDED = ((-math.inf, -math.inf), (math.inf, math.inf))
 
 
 @dataclass(frozen=True)
@@ -70,10 +77,19 @@ class AlphaEstimate:
     converged: bool = False
 
 
-def _observe(h_cur: float, h_prev: float, q: int, dt: float, step: int) -> BarrierSample:
-    """Backward-difference clearance rate over one step of length dt, paired
-    with the current clearance's basis: the finite_diff sample."""
-    return BarrierSample((h_cur - h_prev) / dt, basis(h_cur, q), step)
+def _sample(mode: str, prev, cur, u_obs, safety: SafetyConfig, dt: float, t: int):
+    """The sample over the step that ended at t, from the logged rows [x, y,
+    vx, vy] of (object, neighbour) at t - 1 (prev) and t (cur): "analytic"
+    is the exact one-step rate at prev under the object's input u_obs, the
+    neighbour coasting; "finite_diff" the clearance's backward difference,
+    with the current clearance's basis."""
+    (po, pn), (co, cn) = prev, cur
+    h = safety_value(po[:2], pn[:2], safety)
+    if mode == "analytic":
+        rate = hdot(po[:2], pn[:2], po[2:], pn[2:], u_obs, (0.0, 0.0), dt)
+        return BarrierSample(rate, basis(h, safety.q), t - 1)
+    h_cur = safety_value(co[:2], cn[:2], safety)
+    return BarrierSample((h_cur - h) / dt, basis(h_cur, safety.q), t)
 
 
 def _ridge_solve(G, rhs, n_samples: int) -> AlphaEstimate:
@@ -188,3 +204,39 @@ class StyleLearner:
             est = replace(est, converged=True)
             self.history[-1] = est
         return est
+
+    def observe(self, states, obj: int, nbr: int, safety: SafetyConfig, dt: float, t0: int = 0,
+                *, mode: str = "analytic", gain: float = 0.0, box=_UNBOUNDED,
+                cap: float = math.inf) -> List[int]:
+        """Add the admitted samples of vehicle obj against vehicle nbr over
+        steps t0 + 1 ... of a logged states array (states[t, v] = (x, y, vx,
+        vy)) in mode, and return the steps admitted.
+
+        The object's input u = (v_t - v_{t-1}) / dt is admitted when admits()
+        finds it off its estimated task input, the cruise law gain * (v_0 -
+        v_{t-1}) toward its first logged velocity v_0 (the filter overrides,
+        so the constraint is active), and it lies more than 1e-3 inside box
+        = (u_min, u_max): a saturated input shows the actuator, not the
+        style.  Reading stops before the first step whose object or
+        neighbour row is not all finite, and once the learner has converged
+        or holds cap samples.
+        """
+        rows = states[t0:, (obj, nbr)]
+        finite = np.isfinite(rows).all(axis=(1, 2))
+        rows = rows[:len(rows) if finite.all() else int(finite.argmin())].tolist()
+        v0_x, v0_y = states[0, obj, 2:].tolist()
+        (lo_x, lo_y), (hi_x, hi_y) = ([float(c) for c in corner] for corner in box)
+        admitted = []
+        for k in range(1, len(rows)):
+            if self.converged or len(self.samples) >= cap:
+                break
+            prev, cur = rows[k - 1], rows[k]
+            pv_x, pv_y = prev[0][2:]
+            u_x, u_y = (cur[0][2] - pv_x) / dt, (cur[0][3] - pv_y) / dt
+            if not self.admits((u_x, u_y), (gain * (v0_x - pv_x), gain * (v0_y - pv_y))) or (
+                    u_x <= lo_x + 1e-3 or u_x >= hi_x - 1e-3
+                    or u_y <= lo_y + 1e-3 or u_y >= hi_y - 1e-3):
+                continue
+            self.add(_sample(mode, prev, cur, (u_x, u_y), safety, dt, t0 + k))
+            admitted.append(t0 + k)
+        return admitted

@@ -25,13 +25,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .barrier import (AlphaVector, SafetyConfig, _kappa, _kappa_columns, _kappa_rows, basis, hdot,
-                      safety_value)
+from .barrier import AlphaVector, SafetyConfig, _kappa, _kappa_columns, _kappa_rows
 from .controller import (DEFAULT_LIMITS, ControlLimits, _admits, _admits_rows, _check_cruise,
                          _check_direction, _cruise, _row_terms, _solve_scalar)
-from .dynamics import DEFAULT_DT, VehicleState, _step
+from .dynamics import DEFAULT_DT, _step
 from .errors import ConfigurationError, DomainError, _check_dt
-from .learner import BarrierSample, StyleLearner, _observe
+from .learner import OBSERVATION_MODES, StyleLearner
 
 __all__ = [
     "RoadGeometry",
@@ -62,15 +61,23 @@ COLLISION_TOL = -1e-9
 
 ROUTES = ("main", "ramp", "fixed")
 ROLES = ("ego", "object", "neighbor")
-# Clearance-rate observers: "analytic" rebuilds the one-step rate from the
-# recovered acceleration, "finite_diff" differences the measured clearance.
-OBSERVATION_MODES = ("analytic", "finite_diff")
 
 
 def _check_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
+
+def _check_steps(n_steps: int, n_vehicles: int) -> None:
+    """Require n_steps >= 1, and a trajectory log of n_steps steps of
+    n_vehicles whose largest array, the states or the pair clearances, numpy
+    can index: at most np.iinfo(np.intp).max bytes."""
+    _check_counts(n_steps=n_steps)
+    width = max(4 * n_vehicles, n_vehicles * (n_vehicles - 1) // 2)
+    if (int(n_steps) + 1) * width * 8 > np.iinfo(np.intp).max:
+        raise ConfigurationError(f"n_steps = {n_steps} makes a trajectory log of {n_vehicles} "
+                                 "vehicles larger than numpy's largest array")
 
 
 def _check_reals(*, nonnegative: bool, **values) -> None:
@@ -244,15 +251,16 @@ class VehicleSpec:
             raise ConfigurationError("a compatibility entry needs another vehicle's name and "
                                      f"a non-empty, finite gap, got {self.compat}")
 
-    def initial_state(self, geom: RoadGeometry) -> VehicleState:
+    def initial_state(self, geom: RoadGeometry) -> Tuple[float, float, float, float]:
+        """The vehicle's first logged state (x, y, vx, vy)."""
         if self.route == "fixed":
             d = np.asarray(self.heading, dtype=np.float64)
             d = d / math.hypot(d[0], d[1])
-            return VehicleState(np.asarray(self.start_position, dtype=np.float64),
-                                self.speed * d)
-        pos = geom.place(self.route, self.start_progress)
-        d = geom.direction(self.route, pos)
-        return VehicleState(pos, self.speed * d)
+            pos = np.asarray(self.start_position, dtype=np.float64)
+        else:
+            pos = geom.place(self.route, self.start_progress)
+            d = geom.direction(self.route, pos)
+        return (*pos.tolist(), *(self.speed * d).tolist())
 
 
 @dataclass(frozen=True)
@@ -267,7 +275,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_dt(self.dt)
-        _check_counts(n_steps=self.n_steps)
+        _check_steps(self.n_steps, len(self.vehicles))
         names = [v.name for v in self.vehicles]
         if len(names) != len(set(names)):
             raise ConfigurationError(f"vehicle names must be unique, got {names}")
@@ -418,8 +426,7 @@ def simulate(cfg: ScenarioConfig,
     feasible = np.ones((N + 1, n), dtype=bool)
     t0 = 0
     if resume is None:
-        inits = [spec.initial_state(geom) for spec in vehicles]
-        start = [(*s.position.tolist(), *s.velocity.tolist()) for s in inits]
+        start = [spec.initial_state(geom) for spec in vehicles]
     else:
         log, t0 = resume
         _check_resume(cfg, pairs, log, t0)
@@ -591,21 +598,6 @@ def simulate(cfg: ScenarioConfig,
     return TrialRecord(log, metrics, relaxed)
 
 
-def _observe_rows(mode, prev, cur, obj, nbr, u_obs, safety, dt, t_next):
-    """The learner's sample of vehicle obj against vehicle nbr over the step
-    that ended at t_next, from the logged state rows prev = states[t_next - 1]
-    and cur = states[t_next]."""
-    if mode == "analytic":
-        # The exact one-step rate at the states where the object's input
-        # u_obs was applied, the neighbour held at constant velocity.
-        rate = hdot(prev[obj, :2], prev[nbr, :2], prev[obj, 2:], prev[nbr, 2:],
-                    u_obs, (0.0, 0.0), dt)
-        h = safety_value(prev[obj, :2], prev[nbr, :2], safety)
-        return BarrierSample(rate, basis(h, safety.q), t_next - 1)
-    return _observe(safety_value(cur[obj, :2], cur[nbr, :2], safety),
-                    safety_value(prev[obj, :2], prev[nbr, :2], safety), safety.q, dt, t_next)
-
-
 # ---------------------------------------------------------------------------
 # Style-prediction experiment: observe a follower/leader interaction and
 # recover the follower's style coefficients from clearance data alone.
@@ -625,7 +617,8 @@ class PredictSettings:
 
     def __post_init__(self):
         _check_dt(self.dt)
-        _check_counts(trials=self.trials, n_steps=self.n_steps)
+        _check_counts(trials=self.trials)
+        _check_steps(self.n_steps, n_vehicles=2)
         if self.sample_cap is not None:
             _check_counts(sample_cap=self.sample_cap)
         # The follower closes on the leader from outside its activation clearance.
@@ -757,17 +750,11 @@ def experiment_prediction(settings: PredictSettings = PredictSettings(),
     an O(dt) bias, so it is best run at a finer dt than the control-rate
     default (with a sample_cap to bound how long each trial keeps collecting).
 
-    Admission mirrors what an outside observer can do: the object cruises at
-    its initial velocity until the interaction starts, so its task input is
-    estimated as a cruise-restoring law toward that initial velocity, and a
-    sample is admitted only when the seen input deviates from it (the filter
-    is overriding, hence the safety constraint is active).  Steps where the
-    object's input sits on its actuator limit are rejected too: a saturated
-    input reveals the actuator, not the style.
-
-    The learner reads the logged states step by step up to the step where
-    it converges or reaches sample_cap.  The trial is simulated in chunks
-    that each resume the last one's log, until the chunk of that step.
+    The learner reads each trial's logged states with StyleLearner.observe,
+    whose admission rule takes the object's gain and actuator box, up to the
+    step where it converges or reaches sample_cap.  The trial is simulated
+    in chunks that each resume the last one's log, until the chunk of that
+    step.
     """
     dt, mode = settings.dt, settings.mode
     cap = math.inf if settings.sample_cap is None else settings.sample_cap
@@ -775,27 +762,15 @@ def experiment_prediction(settings: PredictSettings = PredictSettings(),
     for idx in range(settings.trials):
         truth, cfg = prediction_trial_setup(idx, settings, safety, seed)
         learner = StyleLearner()
-        gain = cfg.vehicles[0].gain
-        lim = cfg.vehicles[0].limits
+        obj = cfg.vehicles[0]
         log, end, stopped = None, 0, False
         while not stopped and end < cfg.n_steps:
             start, end = end, min(2 * end or _PREDICT_CHUNK, cfg.n_steps)
             log = simulate(replace(cfg, n_steps=end),
                            resume=None if log is None else (log, start)).log
-            states = log.states
-            cruise_v = states[0, 0, 2:]
-            for t in range(start + 1, end + 1):
-                prev, cur = states[t - 1], states[t]
-                u_obs = (cur[0, 2:] - prev[0, 2:]) / dt
-                u_nominal_est = gain * (cruise_v - prev[0, 2:])
-                if not learner.admits(u_obs, u_nominal_est) or any(
-                        u_obs[c] <= lim.u_min[c] + 1e-3 or u_obs[c] >= lim.u_max[c] - 1e-3
-                        for c in range(2)):
-                    continue
-                learner.add(_observe_rows(mode, prev, cur, 0, 1, u_obs, safety, dt, t))
-                stopped = learner.converged or len(learner.samples) >= cap
-                if stopped:
-                    break
+            learner.observe(log.states, 0, 1, safety, dt, start, mode=mode, gain=obj.gain,
+                            box=(obj.limits.u_min, obj.limits.u_max), cap=cap)
+            stopped = learner.converged or len(learner.samples) >= cap
         est = learner.estimate
         alpha_hat = (0.0,) * safety.q if est is None else est.alpha_hat.coefficients
         err = np.array(alpha_hat) - np.array(truth.coefficients)
@@ -833,7 +808,7 @@ class SweepSettings:
 
     def __post_init__(self):
         _check_dt(self.dt)
-        _check_counts(n_steps=self.n_steps)
+        _check_steps(self.n_steps, n_vehicles=2)
         _check_reals(nonnegative=False, ramp_angle_deg=self.ramp_angle_deg,
                      ego_progress=self.ego_progress, other_progress=self.other_progress)
         # Desired speeds, and the half-width of the actuator box.
@@ -939,7 +914,8 @@ class InvarianceSettings:
 
     def __post_init__(self):
         _check_dt(self.dt)
-        _check_counts(trials=self.trials, n_steps=self.n_steps)
+        _check_counts(trials=self.trials)
+        _check_steps(self.n_steps, n_vehicles=2)
         _check_reals(nonnegative=False, ramp_angle_deg=self.ramp_angle_deg,
                      progress_range=self.progress_range)
         # Drawn as initial and desired speeds.

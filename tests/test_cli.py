@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -785,6 +786,22 @@ def test_nonpositive_trials_exit_three(tmp_path, capsys, experiment, config, tri
     assert run_cli(args) == 3
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / experiment).exists()
+
+
+@pytest.mark.parametrize("n_steps", [10**20, 2**62], ids=["1e20", "2^62"])
+@pytest.mark.parametrize("preset, experiment", [
+    ("invariance", "invariance"), ("predict", "predict"), ("sweep_gamma", "sweep"),
+    ("adaptive", "adaptive")])
+def test_a_log_larger_than_numpy_allows_fails_validate_and_exits_three(
+        tmp_path, capsys, preset, experiment, n_steps):
+    text = re.sub(r"(?m)^n_steps = \d+$", f"n_steps = {n_steps}", cli._preset_text(preset))
+    assert f"n_steps = {n_steps}" in text
+    p = write_cfg(tmp_path, text)
+    assert run_cli(["validate", p]) == 0
+    assert "larger than numpy's largest array" in capsys.readouterr().out
+    assert run_cli(["run", experiment, "--config", p, "--out", tmp_path / "out"]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 NEGATIVE_SEED = INVARIANCE_SMALL.replace("experiment = invariance",

@@ -32,8 +32,8 @@ from polycbf import (
     step,
 )
 from polycbf.adaptive import run_adaptive_merge
-from polycbf.learner import _ridge_solve
-from polycbf.scenario import _observe_rows
+from polycbf.learner import _ridge_solve, _sample
+from polycbf.scenario import prediction_trial_setup, simulate
 
 CFG = SafetyConfig(r_safe=5.0, q=2)
 # The learner's ridge term, which the oracle is handed.
@@ -75,8 +75,7 @@ def test_observe_is_backward_difference_with_current_basis():
                               rng.uniform(-10, 10, 2))
         o = step(prev_o, rng.uniform(-4, 4, 2), dt)
         nb = step(prev_n, rng.uniform(-4, 4, 2), dt)
-        s = _observe_rows("finite_diff", _rows(prev_o, prev_n), _rows(o, nb), 0, 1, None,
-                          CFG, dt, 3)
+        s = _sample("finite_diff", _rows(prev_o, prev_n), _rows(o, nb), None, CFG, dt, 3)
         h_cur = safety_value(o.position, nb.position, CFG)
         h_prev = safety_value(prev_o.position, prev_n.position, CFG)
         assert s.hdot_obs == (h_cur - h_prev) / dt
@@ -95,8 +94,7 @@ def test_observe_analytic_matches_kinematics():
         u = rng.uniform(-4, 4, 2)
         # the sample of the step that ended at t_next = 8 is stamped 7, the
         # step at which u was applied
-        s = _observe_rows("analytic", _rows(nb, o), _rows(nb, step(o, u, dt)), 1, 0, u,
-                          CFG, dt, 8)
+        s = _sample("analytic", _rows(o, nb), _rows(step(o, u, dt), nb), u, CFG, dt, 8)
         expect = hdot(o.position, nb.position, o.velocity, nb.velocity,
                       u, (0.0, 0.0), dt)
         assert s.hdot_obs == expect
@@ -122,6 +120,97 @@ def exact_solve(a, b):
                 f = m[r][c] / m[c][c]
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return [float(m[c][n] / m[c][c]) for c in range(n)]
+
+
+def _observed_trial():
+    """Prediction trial 0's log, and StyleLearner.observe's two
+    parameterizations of its object: the prediction experiment's (the
+    object's gain and actuator box) and the adaptive run's (the defaults:
+    a zero nominal and no box)."""
+    _, cfg = prediction_trial_setup(0, PredictSettings(n_steps=120), CFG)
+    obj = cfg.vehicles[0]
+    params = {"predict": dict(gain=obj.gain, box=(obj.limits.u_min, obj.limits.u_max)),
+              "adaptive": {}}
+    return cfg, simulate(cfg).log.states, params
+
+
+@pytest.mark.parametrize("rule", ["predict", "adaptive"])
+@pytest.mark.parametrize("vehicle", [0, 1], ids=["object", "neighbour"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_observe_stops_before_a_non_finite_row(rule, vehicle, bad):
+    cfg, states, params = _observed_trial()
+    clean = StyleLearner().observe(states, 0, 1, CFG, cfg.dt, **params[rule])
+    k = clean[3]
+    for rows in (slice(k, k + 1), slice(k, None)):
+        broken = states.copy()
+        broken[rows, vehicle, 0] = bad
+        learner = StyleLearner()
+        # the steps at and after k are not read, and nothing raises
+        assert learner.observe(broken, 0, 1, CFG, cfg.dt, **params[rule]) == clean[:3]
+        assert len(learner.samples) == 3
+
+
+@pytest.mark.parametrize("rule", ["predict", "adaptive"])
+def test_observe_resumes_at_t0_and_stops_at_cap(rule):
+    cfg, states, params = _observed_trial()
+    whole = StyleLearner()
+    steps = whole.observe(states, 0, 1, CFG, cfg.dt, **params[rule])
+    assert whole.converged and steps == [s.timestamp + 1 for s in whole.samples]
+    # the prediction experiment's chunks: each log holds the steps before it
+    chunked = StyleLearner()
+    split = steps[2]
+    assert (chunked.observe(states[:split + 1], 0, 1, CFG, cfg.dt, **params[rule])
+            + chunked.observe(states, 0, 1, CFG, cfg.dt, split, **params[rule])) == steps
+    assert (chunked.samples, chunked.history) == (whole.samples, whole.history)
+    capped = StyleLearner()
+    assert capped.observe(states, 0, 1, CFG, cfg.dt, cap=2, **params[rule]) == steps[:2]
+    assert capped.observe(states, 0, 1, CFG, cfg.dt, steps[2], cap=2, **params[rule]) == []
+
+
+def test_observe_estimates_the_nominal_toward_the_first_logged_velocity():
+    # the object drops from 10 to 9 m/s at step 1, then follows the cruise
+    # law back toward 10 m/s with gain 0.8: from step 2 on its input is the
+    # estimated nominal up to rounding, which only a zero gain admits
+    dt, gain, n = 0.01, 0.8, 40
+    v = [10.0, 9.0]
+    while len(v) <= n:
+        v.append(v[-1] + dt * gain * (10.0 - v[-1]))
+    states = np.zeros((n + 1, 2, 4))
+    states[:, 0, 0], states[:, 0, 2] = np.cumsum(v) * dt, v
+    states[:, 1, 0], states[:, 1, 2] = 100.0 + 10.0 * dt * np.arange(n + 1), 10.0
+    for t0 in (0, 1):
+        assert StyleLearner().observe(states, 0, 1, CFG, dt, t0, gain=gain) == [1][t0:]
+    assert StyleLearner().observe(states, 0, 1, CFG, dt, 1)[:3] == [2, 3, 4]
+
+
+def test_observe_rejects_inputs_within_1e3_of_a_box_face():
+    cfg, states, _ = _observed_trial()
+    steps = StyleLearner().observe(states, 0, 1, CFG, cfg.dt)
+    u_x = {t: (states[t, 0, 2] - states[t - 1, 0, 2]) / cfg.dt for t in steps}
+    lo, hi = min(u_x.values()), max(u_x.values())
+    assert lo < hi
+    for margin, rejected in ((2e-3, set()), (5e-4, {lo, hi})):
+        box = ((lo - margin, -10.0), (hi + margin, 10.0))
+        got = StyleLearner().observe(states, 0, 1, CFG, cfg.dt, box=box)
+        assert [t for t in steps if u_x[t] not in rejected] == [t for t in got if t in u_x]
+        assert not rejected & {u_x.get(t) for t in got}
+
+
+# sha256 over the hex of every estimate of a three-trial finite_diff
+# prediction run, and its trials' admitted counts, recorded while the
+# observation loop lived in scenario.
+FINITE_DIFF_PIN = ("98ef2de2fc1b1b3b9f4308fc783344853a98da83e18dabadcd048f57adfcfa96",
+                   [1795, 1756, 16])
+
+
+def test_finite_diff_prediction_is_pinned():
+    summary = experiment_prediction(PredictSettings(
+        trials=3, mode="finite_diff", dt=2.5e-4, n_steps=40000, closing_range=(0.8, 1.2),
+        sample_cap=8000))
+    text = "\n".join(" ".join(v.hex() for v in a)
+                     for trial in summary.trials for a in trial.estimate_series)
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            [trial.n_admitted for trial in summary.trials]) == FINITE_DIFF_PIN
 
 
 def test_fit_recovers_exact_synthetic_style():

@@ -25,6 +25,7 @@ from polycbf import (
     RoadGeometry,
     SafetyConfig,
     ScenarioConfig,
+    SweepSettings,
     VehicleSpec,
     experiment_assumption_mismatch,
     experiment_behavior_sweep,
@@ -36,6 +37,7 @@ from polycbf import (
     simulate,
     sweep_trial_config,
 )
+from polycbf.dynamics import VehicleState
 
 
 # --- geometry ---------------------------------------------------------------
@@ -129,9 +131,9 @@ def test_vehicle_spec_initial_state():
     g = RoadGeometry()
     spec = VehicleSpec(name="a", route="ramp", start_progress=-30.0,
                        speed=7.0, alpha=AlphaVector((1.0,)))
-    s = spec.initial_state(g)
-    assert s.position == pytest.approx(g.place("ramp", -30.0))
-    assert np.hypot(*s.velocity) == pytest.approx(7.0, rel=1e-12)
+    x, y, vx, vy = spec.initial_state(g)
+    assert (x, y) == pytest.approx(g.place("ramp", -30.0))
+    assert math.hypot(vx, vy) == pytest.approx(7.0, rel=1e-12)
     with pytest.raises(ConfigurationError):
         VehicleSpec(name="b", route="fixed", alpha=AlphaVector((1.0,)))
 
@@ -197,6 +199,29 @@ def test_scenario_config_validation():
         ScenarioConfig(geometry=g, vehicles=(v,), dt=0.0, n_steps=10)
 
 
+# At 10**20 steps numpy refuses a log's shape ("Maximum allowed dimension
+# exceeded"), and at 2**62 its size ("array is too big"), before allocating.
+@pytest.mark.parametrize("n_steps", [10**20, 2**62], ids=["1e20", "2^62"])
+def test_a_log_larger_than_numpy_allows_is_a_config_error(n_steps):
+    builders = (lambda: dataclasses.replace(invariance_trial_setup(0), n_steps=n_steps),
+                lambda: InvarianceSettings(n_steps=n_steps),
+                lambda: PredictSettings(n_steps=n_steps),
+                lambda: SweepSettings(styles=(AlphaVector((1.0,)),), n_steps=n_steps))
+    for build in builders:
+        with pytest.raises(ConfigurationError, match="larger than numpy's largest array"):
+            build()
+
+
+@pytest.mark.parametrize("n, width", [(2, 4 * 2), (16, 16 * 15 // 2)], ids=["states", "pair_h"])
+def test_the_largest_log_numpy_allows_is_accepted(n, width):
+    # the log's widest array takes width floats a step, over n_steps + 1 steps
+    roster = tuple(VehicleSpec(name=f"v{k}", start_progress=-10.0 * k) for k in range(n))
+    most = np.iinfo(np.intp).max // (8 * width) - 1
+    ScenarioConfig(geometry=RoadGeometry(), vehicles=roster, n_steps=most)
+    with pytest.raises(ConfigurationError, match="larger than numpy's largest array"):
+        ScenarioConfig(geometry=RoadGeometry(), vehicles=roster, n_steps=most + 1)
+
+
 # --- the batch loop against the library building blocks ---------------------
 
 def three_vehicle_config(n_steps=1500):
@@ -230,7 +255,7 @@ def reference_run(cfg, restyled=None, t0=0):
 
     geom = cfg.geometry
     r2 = cfg.safety.r_safe * cfg.safety.r_safe
-    cur = [v.initial_state(geom) for v in cfg.vehicles]
+    cur = [VehicleState(s[:2], s[2:]) for s in (v.initial_state(geom) for v in cfg.vehicles)]
     states = [np.array([[s.position[0], s.position[1],
                          s.velocity[0], s.velocity[1]] for s in cur])]
     inputs = []
