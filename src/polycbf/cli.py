@@ -374,13 +374,57 @@ def _csv_field(text: str) -> str:
     return _csv_line([text, ""])[:-2]
 
 
-# Float fields per block of rows that the CSV writers format, lay out and
-# compact at once.  Blocks of 1024 to 2048 fields wrote the adaptive preset's
-# 3001-step trajectory in 14-15 and 11-12 ms on a 2-core x86_64 (against 30
-# ms for the '%' writer before csvtext), but a block's buffers grow with it:
-# at 1024 each stays under 64 KB on the shipped presets, well below the
-# allocator's 128 KB mmap threshold.
-_TRAJECTORY_BLOCK = 1024
+class _Artifact(typing.NamedTuple):
+    """An emitted file as manifest.json lists it."""
+    name: str
+    sha256: str
+    size: int
+
+
+class _HashedWrite:
+    """Writes bytes to one or more binary files and takes the sha256 and
+    length of what it wrote on the way, so no file is read back to hash."""
+
+    def __init__(self, *files, digest=None, size: int = 0):
+        self.files = files
+        self.digest = hashlib.sha256() if digest is None else digest
+        self.size = size
+
+    def write(self, data) -> None:
+        """data: bytes, or a contiguous uint8 array."""
+        for fh in self.files:
+            fh.write(data)
+        self.digest.update(data)
+        self.size += len(data)
+
+    def fork(self, fh) -> "_HashedWrite":
+        """A writer to fh alone whose hash and length go on from this one's."""
+        return _HashedWrite(fh, digest=self.digest.copy(), size=self.size)
+
+    def artifact(self, path: Path) -> _Artifact:
+        return _Artifact(Path(path).name, self.digest.hexdigest(), self.size)
+
+
+# Float fields per block of rows that the CSV writers format, lay out, hash
+# and write at once.  A block costs csvtext.g17_slots about 65 us on top of
+# about 0.08 us a value, so small blocks pay mostly that fixed cost, while a
+# block's buffers grow with it.  On a 2-core x86_64 (Python 3.11, numpy
+# 2.4): write_trajectory_csv of the adaptive preset's two 3001-step logs
+# and of the invariance preset's 1201-step log (best of 18 with the sizes
+# interleaved; the range over two such runs), and the peak RSS of one
+# `polycbf run adaptive` / `polycbf run invariance --trials 2` process (the
+# range over 6 / 3 processes):
+#
+#   block | adaptive, no style | style selected | invariance | peak RSS adaptive | invariance
+#    1024 | 20.9-21.5 ms       | 32.6-33.9 ms   | 5.6-5.9 ms | 36.2-36.4 MB      | 37.7-37.8 MB
+#    2048 | 16.9-17.8 ms       | 26.1-26.2 ms   | 4.6-5.0 ms | 36.1-36.5 MB      | 37.7-37.8 MB
+#    4096 | 14.7-15.1 ms       | 23.3-24.6 ms   | 4.3-4.4 ms | 36.1-36.4 MB      | 37.8-37.9 MB
+#    8192 | 14.2-15.3 ms       | 22.0 ms        | 4.8 ms     | 36.7-37.2 MB      | 38.3 MB
+#   16384 | 15.4-15.9 ms       | 23.2-24.6 ms   | 4.4-4.6 ms | 37.9-38.8 MB      | 39.4-39.5 MB
+#
+# 4096 takes most of the gain without raising the peak RSS; from 8192 up the
+# buffers add 0.5-2 MB.  The block size changes no byte of any file.
+_TRAJECTORY_BLOCK = 4096
 
 
 def _block_steps(n_vehicles: int, n_pairs: int) -> int:
@@ -389,13 +433,14 @@ def _block_steps(n_vehicles: int, n_pairs: int) -> int:
     return max(1, _TRAJECTORY_BLOCK // (n_vehicles * (6 + n_pairs)))
 
 
-def _trajectory_blocks(log: TrajectoryLog, start: int, stop: int) -> Iterator[bytes]:
+def _trajectory_blocks(log: TrajectoryLog, start: int, stop: int) -> Iterator[np.ndarray]:
     """The CSV rows of steps start to stop, _block_steps steps per block.
 
     A block is one word buffer of rows: the step, ',' and the vehicle's
     quoted name, six float slots, ',' and feasible, one slot per clearance
     and the line break.  One csvtext.g17_slots call formats the block's
     floats, and one compaction drops the buffer's NULs, though not a name's.
+    Each block is yielded as a uint8 array of its bytes.
     """
     # Imported here, not with the module: its tables and the numpy code it
     # runs cost a process RSS and start-up time that one writing no CSV
@@ -425,12 +470,19 @@ def _trajectory_blocks(log: TrajectoryLog, start: int, stop: int) -> Iterator[by
         rows[:, :, pairs - 1] = flags[feasible[t:t + m]]
         rows[:, :, pairs:-1] = slots[6 * m * n:].reshape(m, 1, n_pairs * w)
         rows[:, :, -1] = csvtext.NEWLINE
+        # Each buffer is freed once used, so none is alive while the block
+        # is written or the next one formatted (at 4096 floats a block,
+        # keeping them raised the adaptive bench's peak RSS by 0.3 MB), and
+        # the block is written and hashed from its array, with no copy.
+        del slots
         keep = rows.view(np.uint8) != 0
         keep[:, :, 4 * step_w:4 * (step_w + name_w)] = name_bytes
-        yield csvtext.text(rows, keep)
+        text = rows.view(np.uint8)[keep]
+        del rows, keep
+        yield text
 
 
-def _write_series_csv(path: Path, header: Sequence[str], values: np.ndarray) -> None:
+def _write_series_csv(path: Path, header: Sequence[str], values: np.ndarray) -> _Artifact:
     """The header, then one row per value: its index and the value, as
     _write_csv writes them with the value through _g17."""
     from . import csvtext  # imported here: see _trajectory_blocks
@@ -438,18 +490,22 @@ def _write_series_csv(path: Path, header: Sequence[str], values: np.ndarray) -> 
     values = np.asarray(values, dtype=np.float64)
     step_w = -(-len(str(max(len(values) - 1, 0))) // 4)
     with open(path, "wb") as fh:
-        fh.write(_csv_line(header).encode("utf-8"))
+        out = _HashedWrite(fh)
+        out.write(_csv_line(header).encode("utf-8"))
         for t in range(0, len(values), _TRAJECTORY_BLOCK):
             slots = csvtext.g17_slots(values[t:t + _TRAJECTORY_BLOCK])
             steps = csvtext.int_words(np.arange(t, t + len(slots)), step_w)
-            fh.write(csvtext.text(np.concatenate(
+            out.write(csvtext.text(np.concatenate(
                 (steps, slots, np.broadcast_to(csvtext.NEWLINE, (len(slots), 1))), axis=1)))
+    return out.artifact(path)
 
 
 def _shared_steps(log: TrajectoryLog, other: TrajectoryLog) -> int:
     """How many leading steps two logs hold bit for bit alike in states,
     inputs, clearances and feasible (as floats), which their CSVs then write
     as the same rows; 0 when their headers differ (names or pairs)."""
+    if other is log:
+        return len(log.states)
     if log.names != other.names or log.pairs != other.pairs:
         return 0
     m = min(len(log.states), len(other.states))
@@ -461,31 +517,45 @@ def _shared_steps(log: TrajectoryLog, other: TrajectoryLog) -> int:
     return int(np.argmax(differs)) if differs.any() else m
 
 
+def _trajectory_header(log: TrajectoryLog) -> bytes:
+    return _csv_line(list(TRAJECTORY_COLUMNS) + [
+        f"h:{log.names[i]}:{log.names[j]}" for i, j in log.pairs]).encode("utf-8")
+
+
 def write_trajectory_csv(path: Path, log: TrajectoryLog,
-                         twin: Optional[Tuple[Path, TrajectoryLog]] = None) -> None:
+                         twin: Optional[Tuple[Path, TrajectoryLog]] = None) -> List[_Artifact]:
     """One row per (step, vehicle); clearances repeat on each row of a step.
 
     The rows are formatted in blocks of about _TRAJECTORY_BLOCK floats by
     csvtext.g17_slots, which writes '%.17g' exactly on whole arrays, and the
     file is never held in memory whole.  The bytes are those of csv.writer
-    with every float through _g17.
+    with every float through _g17, whatever the block size.  Each block is
+    hashed as it is written, and the file's manifest entry is returned.
 
     twin=(twin_path, twin_log) writes twin_log's CSV to twin_path in the same
-    pass: the rows of the leading steps the two logs hold bit for bit alike
-    are formatted once and written to both files.
+    pass: the header and the rows of the leading steps the two logs hold bit
+    for bit alike are formatted and hashed once and written to both files,
+    and the twin's hash goes on from a copy of the shared one.  The entries
+    are returned in the order path, twin_path.
     """
     logs = [(path, log)] + ([twin] if twin is not None else [])
     shared = 0 if twin is None else _shared_steps(log, twin[1])
+    heads = [_trajectory_header(lg) for _, lg in logs]
     with contextlib.ExitStack() as stack:
-        files = [(stack.enter_context(open(p, "wb")), lg) for p, lg in logs]
-        for fh, lg in files:
-            fh.write(_csv_line(list(TRAJECTORY_COLUMNS) + [
-                f"h:{lg.names[i]}:{lg.names[j]}" for i, j in lg.pairs]).encode("utf-8"))
+        files = [stack.enter_context(open(p, "wb")) for p, _ in logs]
+        alike = files if heads[-1] == heads[0] else files[:1]
+        common = _HashedWrite(*alike)
+        common.write(heads[0])
         for block in _trajectory_blocks(log, 0, shared):
-            for fh, _ in files:
-                fh.write(block)
-        for fh, lg in files:
-            fh.writelines(_trajectory_blocks(lg, shared, len(lg.states)))
+            common.write(block)
+        sinks = [common.fork(fh) for fh in alike]
+        if len(alike) < len(files):  # a twin of other columns shares no step
+            sinks.append(_HashedWrite(files[1]))
+            sinks[-1].write(heads[1])
+        for sink, (_, lg) in zip(sinks, logs):
+            for block in _trajectory_blocks(lg, shared, len(lg.states)):
+                sink.write(block)
+    return [sink.artifact(p) for sink, (p, _) in zip(sinks, logs)]
 
 
 def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
@@ -561,25 +631,24 @@ def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
                          feasible=feasible)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(list(header))
-        for row in rows:
-            w.writerow(list(row))
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> _Artifact:
+    """The header, then the rows, as csv.writer writes them; the text is
+    built in memory, then hashed and written."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(list(header))
+    for row in rows:
+        w.writerow(list(row))
+    with open(path, "wb") as fh:
+        out = _HashedWrite(fh)
+        out.write(buf.getvalue().encode("utf-8"))
+    return out.artifact(path)
 
 
 def _write_manifest(out_dir: Path, experiment: str, config_label: str,
-                    seed: int, files: Sequence[Path]) -> Path:
-    entries = [{"name": f.name, "sha256": _sha256(f), "bytes": f.stat().st_size}
+                    seed: int, files: Sequence[_Artifact]) -> Path:
+    """manifest.json of the run, from the entries the writers returned."""
+    entries = [{"name": f.name, "sha256": f.sha256, "bytes": f.size}
                for f in sorted(files, key=lambda f: f.name)]
     doc = {
         "experiment": experiment,
@@ -595,8 +664,8 @@ def _write_manifest(out_dir: Path, experiment: str, config_label: str,
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.  Each returns (stdout lines, emitted files, collision
-# diagnostic or None).
+# Experiment runners.  Each returns (stdout lines, the manifest entries of the
+# files it wrote, collision diagnostic or None).
 
 def _tighter(worst, index: int, key: float, record):
     """worst, or (index, key, record) when key is strictly smaller: the rule
@@ -621,19 +690,16 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
                     + [_g17(t.rmse), _opt(t.converged_at), t.n_admitted])
         for s, est in enumerate(t.estimate_series):
             est_rows.append([idx, s] + [_g17(c) for c in est])
-    metrics = out_dir / "metrics.csv"
-    _write_csv(metrics, header, rows)
-    estimates = out_dir / "estimates.csv"
-    _write_csv(estimates, ["trial", "sample_index"] + [f"alpha_{k}" for k in range(q)],
-               est_rows)
+    files = [_write_csv(out_dir / "metrics.csv", header, rows),
+             _write_csv(out_dir / "estimates.csv",
+                        ["trial", "sample_index"] + [f"alpha_{k}" for k in range(q)], est_rows)]
 
     # Trajectory of the hardest trial (largest estimation error).  It is run
     # again because its experiment run stopped once the learner converged.
     worst = max(range(settings.trials), key=lambda k: summary.trials[k].rmse)
     _, cfg = prediction_trial_setup(worst, settings, safety, seed)
     rec = simulate(cfg)
-    trajectory = out_dir / "trajectory.csv"
-    write_trajectory_csv(trajectory, rec.log)
+    files += write_trajectory_csv(out_dir / "trajectory.csv", rec.log)
 
     lines = [
         f"predict: {settings.trials} trials, mode {settings.mode}",
@@ -645,7 +711,7 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
     diag = None
     if rec.metrics.collision:
         diag = f"collision flagged in the trajectory of trial {worst}"
-    return lines, [metrics, estimates, trajectory], diag
+    return lines, files, diag
 
 
 def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: SafetyConfig):
@@ -671,16 +737,13 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
                     + [_g17(e.min_distance), _g17(e.min_h),
                        _opt(e.ego_merge_step), _opt(e.other_merge_step),
                        e.merge_order or "", e.infeasible_step_count])
-        dist = out_dir / f"distance_style_{idx:0{width}d}.csv"
-        _write_series_csv(dist, ["step", "distance"], e.distance)
-        files.append(dist)
-    metrics = out_dir / "metrics.csv"
-    _write_csv(metrics, header, rows)
+        files.append(_write_series_csv(out_dir / f"distance_style_{idx:0{width}d}.csv",
+                                       ["step", "distance"], e.distance))
+    files.append(_write_csv(out_dir / "metrics.csv", header, rows))
 
     # Trajectory of the tightest style (smallest clearance margin).
     worst, worst_h, rec = tightest
-    trajectory = out_dir / "trajectory.csv"
-    write_trajectory_csv(trajectory, rec.log)
+    files += write_trajectory_csv(out_dir / "trajectory.csv", rec.log)
 
     orders = "".join((e.merge_order or "?")[0].upper() for e in entries)
     lines = [
@@ -689,7 +752,7 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
         f"tightest clearance {worst_h:.6f} (style {worst})",
     ]
     diag = f"collision flagged for style indices {collided}" if collided else None
-    return lines, [metrics, trajectory] + files, diag
+    return lines, files, diag
 
 
 def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
@@ -716,22 +779,18 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
                     + [_opt(m.merge_step[n]) for n in names]
                     + [ego_step, overall, _opt(record.converged_at)]
                     + [_g17(c) for c in selected] + [""] * (width - len(selected)))
-    metrics = out_dir / "metrics.csv"
-    _write_csv(metrics, header, rows)
+    files = [_write_csv(out_dir / "metrics.csv", header, rows)]
 
     est_rows = [[k, step] + [_g17(c) for c in est.alpha_hat.coefficients]
                 + [_g17(c) for c in est.raw]
                 for k, (step, est) in enumerate(zip(enabled.sample_steps,
                                                     enabled.estimate_history))]
-    estimates = out_dir / "estimates.csv"
-    _write_csv(estimates,
-               ["sample_index", "step"] + [f"alpha_{k}" for k in range(q)]
-               + [f"raw_{k}" for k in range(q)],
-               est_rows)
-
-    traj_on = out_dir / "trajectory_enabled.csv"
-    traj_off = out_dir / "trajectory_disabled.csv"
-    write_trajectory_csv(traj_on, enabled.trial.log, twin=(traj_off, disabled.trial.log))
+    files.append(_write_csv(out_dir / "estimates.csv",
+                            ["sample_index", "step"] + [f"alpha_{k}" for k in range(q)]
+                            + [f"raw_{k}" for k in range(q)],
+                            est_rows))
+    files += write_trajectory_csv(out_dir / "trajectory_enabled.csv", enabled.trial.log,
+                                  twin=(out_dir / "trajectory_disabled.csv", disabled.trial.log))
 
     lines = [
         "adaptive: ego merge step %d with prediction vs %d without (%.1f%% earlier)"
@@ -760,7 +819,7 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
                if record.trial.metrics.collision]
     if flagged:
         diag = f"collision flagged in {' and '.join(flagged)} run"
-    return lines, [metrics, estimates, traj_on, traj_off], diag
+    return lines, files, diag
 
 
 def _run_invariance(out_dir: Path, seed: int, settings: InvarianceSettings,
@@ -775,13 +834,12 @@ def _run_invariance(out_dir: Path, seed: int, settings: InvarianceSettings,
         tightest = _tighter(tightest, idx, h, rec)
         rows.append([idx, int(m.collision), m.infeasible_step_count, _g17(h),
                      _opt(m.merge_step.get("ego")), _opt(m.merge_step.get("other"))])
-    metrics = out_dir / "metrics.csv"
-    _write_csv(metrics, ["trial", "collision", "infeasible_steps", "min_h",
-                         "merge_step:ego", "merge_step:other"], rows)
+    files = [_write_csv(out_dir / "metrics.csv", ["trial", "collision", "infeasible_steps",
+                                                  "min_h", "merge_step:ego", "merge_step:other"],
+                        rows)]
 
     worst, worst_h, rec = tightest
-    trajectory = out_dir / "trajectory.csv"
-    write_trajectory_csv(trajectory, rec.log)
+    files += write_trajectory_csv(out_dir / "trajectory.csv", rec.log)
 
     n_collisions = sum(m.collision for m in metrics_list)
     total_inf = sum(m.infeasible_step_count for m in metrics_list)
@@ -794,13 +852,13 @@ def _run_invariance(out_dir: Path, seed: int, settings: InvarianceSettings,
     if n_collisions:
         bad = [i for i, m in enumerate(metrics_list) if m.collision]
         diag = f"collision flagged in trials {bad}"
-    return lines, [metrics, trajectory], diag
+    return lines, files, diag
 
 
 class _Experiment(typing.NamedTuple):
     settings: type    # its config section's dataclass
     preset: str       # the shipped preset `run` reads without --config
-    run: Callable     # the runner: (out_dir, seed, **inputs) -> (lines, files, diag)
+    run: Callable     # the runner: (out_dir, seed, **inputs) -> (lines, artifacts, diag)
     seeded: bool      # whether the runner draws from the seed
 
 

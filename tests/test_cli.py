@@ -65,6 +65,7 @@ q = 2
 
 PREDICT = cli._preset_text("predict")
 ADAPTIVE = cli._preset_text("adaptive")
+NO_SAMPLE = ADAPTIVE.replace("alpha = 0.9 0.1", "alpha = 0.5 0.5")
 PRESETS = Path(polycbf.__file__).parent / "presets"
 
 
@@ -238,15 +239,76 @@ def test_trajectory_csv_matches_csv_writer_oracle(tmp_path, make_logs):
         assert path.read_bytes() == trajectory_csv_oracle(log)
 
 
-@pytest.mark.parametrize("length", [0, 1, cli._TRAJECTORY_BLOCK, cli._TRAJECTORY_BLOCK + 1,
-                                    10_001])
-def test_series_csv_matches_csv_writer_oracle(tmp_path, length):
-    values = np.resize(np.array(EDGE_FLOATS), length)
-    cli._write_series_csv(tmp_path / "series.csv", ["step", "distance"], values)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [["step", "distance"]] + [[t, format(v, ".17g")] for t, v in enumerate(values.tolist())])
-    assert (tmp_path / "series.csv").read_bytes() == buf.getvalue().encode("utf-8")
+# Block sizes the writers must give the same bytes at: one float, a prime,
+# the old block and the current one.
+BLOCK_SIZES = sorted({1, 97, 1024, cli._TRAJECTORY_BLOCK})
+
+
+def entry_on_disk(path):
+    """The manifest entry of the file at path, hashed from what is on disk."""
+    return (path.name, hashlib.sha256(path.read_bytes()).hexdigest(), path.stat().st_size)
+
+
+def _widening_log(n_steps=700, wide_at=300):
+    """A two-vehicle log whose values are all below 10 in magnitude but one
+    state at step wide_at, 12345.678: the block that holds that step lays
+    out two groups of integer digits, every other block one."""
+    rng = np.random.default_rng(5)
+    log = TrajectoryLog(names=("a", "b"), pairs=((0, 1),), dt=0.01,
+                        states=rng.uniform(-9.9, 9.9, (n_steps, 2, 4)),
+                        inputs=rng.uniform(-9.9, 9.9, (n_steps, 2, 2)),
+                        pair_h=rng.uniform(0.0, 9.9, (n_steps, 1)),
+                        feasible=rng.random((n_steps, 2)) < 0.9)
+    log.states[wide_at, 1, 0] = 12345.678
+    return log
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_trajectory_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(cli, "_TRAJECTORY_BLOCK", block)
+    edge = _edge_log(["plain", "a,b", 'say "hi"'], 2 * BLOCK + 3)
+    path = tmp_path / "edge.csv"
+    assert cli.write_trajectory_csv(path, edge) == [entry_on_disk(path)]
+    assert path.read_bytes() == trajectory_csv_oracle(edge)
+
+    log = _widening_log()
+    # Shares its first 301 steps with log: a prefix that ends inside a
+    # block at every size but 1.
+    twin = _changed_at(log, 301, "states")
+    assert cli._shared_steps(log, twin) == 301
+    assert 301 % cli._block_steps(2, 1) != 0 or block == 1
+    path, twin_path = tmp_path / "log.csv", tmp_path / "twin.csv"
+    entries = cli.write_trajectory_csv(path, log, twin=(twin_path, twin))
+    assert path.read_bytes() == trajectory_csv_oracle(log)
+    assert twin_path.read_bytes() == trajectory_csv_oracle(twin)
+    assert entries == [entry_on_disk(path), entry_on_disk(twin_path)]
+
+
+def _series_values(kind, length):
+    if kind == "edge":
+        return np.resize(np.array(EDGE_FLOATS), length)
+    values = np.random.default_rng(6).uniform(-9.9, 9.9, length)
+    values[length // 2:length // 2 + 1] = 12345.678  # one block of wider integers
+    return values
+
+
+# Lengths of one block and one past it at the old block size and the current one.
+@pytest.mark.parametrize("length", sorted({0, 1, 1024, 1025, cli._TRAJECTORY_BLOCK,
+                                           cli._TRAJECTORY_BLOCK + 1, 10_001}))
+def test_series_csv_matches_csv_writer_oracle(tmp_path, monkeypatch, length):
+    path = tmp_path / "series.csv"
+    for kind in ("edge", "widening"):
+        values = _series_values(kind, length)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["step", "distance"]]
+            + [[t, format(v, ".17g")] for t, v in enumerate(values.tolist())])
+        expected = buf.getvalue().encode("utf-8")
+        for block in BLOCK_SIZES:
+            monkeypatch.setattr(cli, "_TRAJECTORY_BLOCK", block)
+            entry = cli._write_series_csv(path, ["step", "distance"], values)
+            assert path.read_bytes() == expected, (kind, block)
+            assert entry == entry_on_disk(path)
 
 
 def _changed_at(log, k, field):
@@ -277,14 +339,32 @@ def write_sharing(tmp_path, monkeypatch, log, primary):
 
 
 @pytest.mark.parametrize("field", ["states", "inputs", "pair_h", "feasible"])
-@pytest.mark.parametrize("k", [0, 1, BLOCK, None], ids=["k0", "k1", "kB", "alike"])
+@pytest.mark.parametrize("k", [0, 1, BLOCK, "copy", None],
+                         ids=["k0", "k1", "kB", "alike", "same-log"])
 def test_trajectory_csv_copies_the_rows_two_logs_share(tmp_path, monkeypatch, k, field):
     primary = _edge_log(["plain", "a,b", "100%d"], 2 * BLOCK + 3)
-    log = primary if k is None else _changed_at(primary, k, field)
+    if k is None:
+        log = primary
+    elif k == "copy":  # an equal log, but another object
+        log = dataclasses.replace(primary)
+    else:
+        log = _changed_at(primary, k, field)
     data, shared = write_sharing(tmp_path, monkeypatch, log, primary)
     assert data == trajectory_csv_oracle(log)
     # the rows before the first differing step are formatted once for both
-    assert shared == (len(log.states) if k is None else k)
+    assert shared == (k if isinstance(k, int) else len(log.states))
+
+
+class _Unreadable:
+    def __getitem__(self, key):
+        raise AssertionError("the log was read")
+
+
+def test_shared_steps_of_a_log_with_itself_reads_no_array():
+    log = dataclasses.replace(_edge_log(["a", "b"], 5), inputs=_Unreadable())
+    assert cli._shared_steps(log, log) == 5
+    with pytest.raises(AssertionError, match="was read"):
+        cli._shared_steps(log, dataclasses.replace(log))
 
 
 def test_trajectory_csv_shares_a_prefix_of_logs_of_other_lengths(tmp_path, monkeypatch):
@@ -313,21 +393,68 @@ def test_trajectory_csv_shares_nothing_with_another_roster(tmp_path, monkeypatch
 
 # --- run: artifacts and manifest ---------------------------------------------
 
+def assert_manifest_matches_disk(exp_dir, experiment):
+    """manifest.json of exp_dir names every other file there, in name
+    order, each with the sha256 and size of the file on disk; returns its
+    entries by name."""
+    manifest = json.loads((exp_dir / "manifest.json").read_text())
+    assert manifest["experiment"] == experiment
+    assert manifest["seed"] == 0
+    declared = [f["name"] for f in manifest["files"]]
+    assert declared == sorted(declared)
+    assert sorted(p.name for p in exp_dir.iterdir()) == sorted(declared + ["manifest.json"])
+    entries = {f["name"]: (f["name"], f["sha256"], f["bytes"]) for f in manifest["files"]}
+    for name, entry in entries.items():
+        assert entry == entry_on_disk(exp_dir / name)
+    return entries
+
+
 def test_run_writes_declared_artifacts(tmp_path):
     cfg = write_cfg(tmp_path, INVARIANCE_SMALL)
     out = tmp_path / "out"
     assert run_cli(["run", "invariance", "--config", cfg, "--out", out]) == 0
-    exp_dir = out / "invariance"
-    manifest = json.loads((exp_dir / "manifest.json").read_text())
-    assert manifest["experiment"] == "invariance"
-    assert manifest["seed"] == 0
-    on_disk = sorted(p.name for p in exp_dir.iterdir())
-    declared = sorted(f["name"] for f in manifest["files"])
-    assert on_disk == sorted(declared + ["manifest.json"])
-    for entry in manifest["files"]:
-        p = exp_dir / entry["name"]
-        assert p.stat().st_size == entry["bytes"]
-        assert hashlib.sha256(p.read_bytes()).hexdigest() == entry["sha256"]
+    assert_manifest_matches_disk(out / "invariance", "invariance")
+
+
+@pytest.mark.parametrize("experiment, text, flags, twins_equal", [
+    ("predict", PREDICT.replace("n_steps = 4000", "n_steps = 300"), ["--trials", 2], None),
+    ("sweep", cli._preset_text("sweep_weights").replace("n_steps = 3200", "n_steps = 600"), [],
+     None),
+    ("adaptive", ADAPTIVE, [], False),
+    ("adaptive", NO_SAMPLE, [], True),
+], ids=["predict", "sweep", "adaptive-selected", "adaptive-no-style"])
+def test_every_experiment_writes_its_declared_artifacts(tmp_path, experiment, text, flags,
+                                                        twins_equal):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_cli(["run", experiment, "--config", cfg, "--out", out] + flags) == 0
+    entries = assert_manifest_matches_disk(out / experiment, experiment)
+    if twins_equal is not None:
+        # with no style selected the two trajectories are one log, hashed once
+        enabled, disabled = (entries[f"trajectory_{run}.csv"][1:]
+                             for run in ("enabled", "disabled"))
+        assert (enabled == disabled) == twins_equal
+
+
+def test_run_reads_no_artifact_back(tmp_path, monkeypatch):
+    """The manifest's hashes come from the writers: no file of the output
+    directory is opened for reading during a run."""
+    cfg = write_cfg(tmp_path, ADAPTIVE)
+    out = tmp_path / "out"
+    opened = []
+    real_open = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, Path)):
+            opened.append((Path(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr("builtins.open", recording_open)
+    assert run_cli(["run", "adaptive", "--config", cfg, "--out", out]) == 0
+    written = {p for p, mode in opened if p.parent == out / "adaptive"}
+    assert {p.name for p in written} == {p.name for p in (out / "adaptive").iterdir()}
+    assert [(p, mode) for p, mode in opened if p in written and "r" in mode] == []
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -614,8 +741,6 @@ def test_adaptive_fit_with_a_zero_pivot_writes_finite_estimates(tmp_path, capsys
     assert all(math.isfinite(float(v)) for row in rows for k, v in row.items()
                if k.startswith(("alpha_", "raw_")))
 
-
-NO_SAMPLE = ADAPTIVE.replace("alpha = 0.9 0.1", "alpha = 0.5 0.5")
 
 
 @pytest.mark.parametrize("config,line,converged_at", [
