@@ -8,9 +8,12 @@ recovers the in-memory values exactly, and rerunning the same config with
 the same seed reproduces every CSV byte for byte.
 
 Trajectory CSV columns, in order: step, vehicle, x, y, vx, vy, ux, uy,
-feasible, then one ``h:<A>:<B>`` clearance column per vehicle pair.  Each
-step contributes one row per vehicle; the clearance columns repeat on every
-row of the step.
+feasible, then one ``h:<A>:<B>`` clearance column for every vehicle pair A
+before B in roster order, the one layout simulate logs: read_trajectory_csv
+rejects any other clearance header, and a twin that write_trajectory_csv
+writes in the same pass must log the same vehicles and pairs.  Each step
+contributes one row per vehicle; the clearance columns repeat on every row of
+the step.
 
 Configs are UTF-8 INI files; bytes that do not decode do not parse.  Each
 section is parsed, by field type, into the dataclass that declares its keys
@@ -503,11 +506,9 @@ def _write_series_csv(path: Path, header: Sequence[str], values: np.ndarray) -> 
 def _shared_steps(log: TrajectoryLog, other: TrajectoryLog) -> int:
     """How many leading steps two logs hold bit for bit alike in states,
     inputs, clearances and feasible (as floats), which their CSVs then write
-    as the same rows; 0 when their headers differ (names or pairs)."""
+    as the same rows."""
     if other is log:
         return len(log.states)
-    if log.names != other.names or log.pairs != other.pairs:
-        return 0
     m = min(len(log.states), len(other.states))
     differs = np.zeros(m, dtype=bool)
     for name in ("states", "inputs", "pair_h", "feasible"):
@@ -535,23 +536,23 @@ def write_trajectory_csv(path: Path, log: TrajectoryLog,
     twin=(twin_path, twin_log) writes twin_log's CSV to twin_path in the same
     pass: the header and the rows of the leading steps the two logs hold bit
     for bit alike are formatted and hashed once and written to both files,
-    and the twin's hash goes on from a copy of the shared one.  The entries
-    are returned in the order path, twin_path.
+    and the twin's hash goes on from a copy of the shared one.  The twin must
+    log the same vehicles and pairs as log, or ConfigurationError is raised
+    before any file is opened.  The entries are returned in the order path,
+    twin_path.
     """
+    if twin is not None and (twin[1].names, twin[1].pairs) != (log.names, log.pairs):
+        raise ConfigurationError(f"{twin[0]}: a twin trajectory must log the vehicles "
+                                 f"{log.names} and pairs {log.pairs} of {path}")
     logs = [(path, log)] + ([twin] if twin is not None else [])
     shared = 0 if twin is None else _shared_steps(log, twin[1])
-    heads = [_trajectory_header(lg) for _, lg in logs]
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "wb")) for p, _ in logs]
-        alike = files if heads[-1] == heads[0] else files[:1]
-        common = _HashedWrite(*alike)
-        common.write(heads[0])
+        common = _HashedWrite(*files)
+        common.write(_trajectory_header(log))
         for block in _trajectory_blocks(log, 0, shared):
             common.write(block)
-        sinks = [common.fork(fh) for fh in alike]
-        if len(alike) < len(files):  # a twin of other columns shares no step
-            sinks.append(_HashedWrite(files[1]))
-            sinks[-1].write(heads[1])
+        sinks = [common.fork(fh) for fh in files]
         for sink, (_, lg) in zip(sinks, logs):
             for block in _trajectory_blocks(lg, shared, len(lg.states)):
                 sink.write(block)
@@ -561,8 +562,12 @@ def write_trajectory_csv(path: Path, log: TrajectoryLog,
 def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
     """Rebuild a TrajectoryLog from its CSV; exact because floats are written
     with 17 significant digits.  dt is not stored in the file (the manifest's
-    config carries it), so the caller supplies it.  A malformed header or
-    body row raises ConfigurationError naming its line."""
+    config carries it), so the caller supplies it.  The clearance columns
+    must be the ones simulate logs, h:<A>:<B> for every pair A before B in
+    the order the first step's rows name the vehicles; any other clearance
+    header raises ConfigurationError naming the file, the columns found and
+    the columns expected.  A malformed header or body row raises it naming
+    its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.reader(fh))
@@ -587,24 +592,13 @@ def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
     if n_veh == 0 or len(body) % n_veh != 0:
         raise ConfigurationError(f"{path}: ragged trajectory body")
     n_rows = len(body) // n_veh
-    index = {n: i for i, n in enumerate(names)}
     columns = header[len(TRAJECTORY_COLUMNS):]
-    # simulate writes every pair i < j in roster order.  Those columns are
-    # taken by position, because names with ":" can make two of them read
-    # alike; any other columns are parsed one by one.
+    # Taken by position, because names with ":" can make two columns read alike.
     pairs = [(i, j) for i in range(n_veh) for j in range(i + 1, n_veh)]
-    if columns != [f"h:{names[i]}:{names[j]}" for i, j in pairs]:
-        pairs = []
-        for col in columns:
-            # "h:<name>:<name>", where a vehicle name may itself contain ":".
-            tag, _, rest = col.partition(":")
-            cuts = [k for k, c in enumerate(rest) if c == ":"]
-            found = [(index[rest[:k]], index[rest[k + 1:]]) for k in cuts
-                     if rest[:k] in index and rest[k + 1:] in index]
-            if tag != "h" or len(found) != 1:
-                raise ConfigurationError(f"{path}: column {col!r} does not name one "
-                                         f"pair of the vehicles {names}")
-            pairs.append(found[0])
+    expected = [f"h:{names[i]}:{names[j]}" for i, j in pairs]
+    if columns != expected:
+        raise ConfigurationError(f"{path}: clearance columns {columns}, expected "
+                                 f"{expected} for the vehicles {names}")
     states = np.zeros((n_rows, n_veh, 4))
     inputs = np.zeros((n_rows, n_veh, 2))
     pair_h = np.zeros((n_rows, len(pairs)))

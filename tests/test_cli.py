@@ -117,7 +117,7 @@ def _small_log(names, pairs, n_rows=3):
 
 
 def test_trajectory_csv_round_trips_names_with_colons(tmp_path):
-    log = _small_log(("a:1", "b"), ((0, 1), (1, 0)))
+    log = _small_log(("a:1", "b"), ((0, 1),))
     path = tmp_path / "traj.csv"
     cli.write_trajectory_csv(path, log)
     back = cli.read_trajectory_csv(path, dt=log.dt)
@@ -151,13 +151,32 @@ def test_trajectory_csv_reads_back_pair_columns_that_read_alike(tmp_path):
     (("a", "b"), "g:a:b"),          # not a clearance column
 ])
 def test_trajectory_csv_unresolvable_pair_column_is_config_error(tmp_path, names, column):
-    log = _small_log(names, ((0, 1),))
+    # the last of simulate's clearance columns renamed to one it never writes
+    log = _edge_log(names, 3)
     path = tmp_path / "traj.csv"
     cli.write_trajectory_csv(path, log)
     lines = path.read_text().split("\n")
     lines[0] = ",".join(lines[0].split(",")[:-1] + [column])
     path.write_text("\n".join(lines))
-    with pytest.raises(cli.ConfigurationError, match="does not name one pair"):
+    with pytest.raises(cli.ConfigurationError,
+                       match=f"traj.csv: clearance columns .*'{column}'.*, expected"):
+        cli.read_trajectory_csv(path, dt=log.dt)
+
+
+@pytest.mark.parametrize("edit", [lambda cols: cols[::-1], lambda cols: cols[:-1]],
+                         ids=["reordered", "subset"])
+def test_trajectory_csv_pair_columns_out_of_roster_order_are_config_error(tmp_path, edit):
+    # the clearance columns of every line rearranged, so only the header's
+    # names are wrong: simulate logs every pair i < j in roster order
+    log = _edge_log(["a", "b", "c"], 3)
+    path = tmp_path / "traj.csv"
+    cli.write_trajectory_csv(path, log)
+    base = len(cli.TRAJECTORY_COLUMNS)
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("".join(",".join(f[:base] + edit(f[base:])) + "\n" for f in lines))
+    expected = ["h:a:b", "h:a:c", "h:b:c"]
+    with pytest.raises(cli.ConfigurationError, match=re.escape(
+            f"traj.csv: clearance columns {edit(expected)}, expected {expected}")):
         cli.read_trajectory_csv(path, dt=log.dt)
 
 
@@ -383,12 +402,14 @@ def test_trajectory_csv_shares_a_prefix_of_logs_of_other_lengths(tmp_path, monke
     lambda log: dataclasses.replace(log, pairs=log.pairs[::-1]),
     lambda log: _edge_log(["a", "b"], 5),
 ], ids=["renamed", "pairs-reordered", "fewer-vehicles"])
-def test_trajectory_csv_shares_nothing_with_another_roster(tmp_path, monkeypatch, make_log):
+def test_trajectory_csv_shares_nothing_with_another_roster(tmp_path, make_log):
+    # a twin must log the same vehicles and pairs: one of another roster is
+    # refused before either file is created
     primary = _edge_log(["a", "b", "c"], 5)
-    log = make_log(primary)
-    data, shared = write_sharing(tmp_path, monkeypatch, log, primary)
-    assert data == trajectory_csv_oracle(log)
-    assert shared == 0
+    path, twin = tmp_path / "primary.csv", tmp_path / "twin.csv"
+    with pytest.raises(cli.ConfigurationError, match="twin.csv: a twin trajectory must log"):
+        cli.write_trajectory_csv(path, primary, twin=(twin, make_log(primary)))
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- run: artifacts and manifest ---------------------------------------------
