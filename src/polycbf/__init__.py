@@ -21,7 +21,7 @@ from .scenario import (InvarianceSettings, PredictionSummary, PredictionTrial,
 from .adaptive import (REFERENCE_H, STYLE_PRESETS, AdaptiveComparison, AdaptiveRecord,
                        AdaptiveSettings, MismatchTrial, aggressiveness_score,
                        experiment_assumption_mismatch, experiment_prediction_in_loop,
-                       run_adaptive_merge, select_alpha)
+                       select_alpha)
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "REFERENCE_H", "STYLE_PRESETS", "AdaptiveComparison", "AdaptiveRecord",
     "AdaptiveSettings", "MismatchTrial", "aggressiveness_score",
     "experiment_assumption_mismatch",
-    "experiment_prediction_in_loop", "run_adaptive_merge", "select_alpha",
+    "experiment_prediction_in_loop", "select_alpha",
     "__version__",
 ]

@@ -9,8 +9,10 @@ neighbor plus a compatibility row that keeps its chosen style consistent
 with the estimate.
 
 The module also declares the adaptive experiment: its settings (the
-[adaptive] config section) and the paired driver that sets the loop against
-its prediction-off baseline, a plain simulate run; and the
+[adaptive] config section) and its driver, which makes two runs.  The
+prediction-off baseline is a plain simulate run, and its first phase_budget
+steps are the observation phase; the loop is a branch that resumes the
+baseline's log at the budget under the selected style.  Last comes the
 assumption-mismatch stress test of the compatibility row.  The shipped
 three-vehicle roster is the adaptive preset file, read by
 polycbf.cli.load_preset.
@@ -36,7 +38,6 @@ __all__ = [
     "select_alpha",
     "AdaptiveSettings",
     "AdaptiveRecord",
-    "run_adaptive_merge",
     "AdaptiveComparison",
     "experiment_prediction_in_loop",
     "MismatchTrial",
@@ -117,13 +118,12 @@ def _roster(cfg: ScenarioConfig) -> Tuple[int, int, int]:
 
 @dataclass
 class AdaptiveRecord:
-    """Everything one adaptive run produced.  The enabled run's trial is its
-    continuation from the phase budget (the observation run itself when the
-    run ends before the budget), so its relaxed_steps counts the steps from
-    the budget on.  The prediction-off baseline is a simulate trial of the
-    scenario as configured, and its learner fields keep their defaults; its
-    trial is the enabled run's own TrialRecord object when that run selected
-    no style, and otherwise that run resumed at the phase budget."""
+    """Everything one adaptive run produced.  The prediction-off baseline is
+    a simulate run of the scenario as configured, and its learner fields keep
+    their defaults.  The enabled run's trial is that baseline resumed at the
+    phase budget under the selected style, so its relaxed_steps counts the
+    steps from the budget on; when no style was selected it is the
+    baseline's own TrialRecord object."""
 
     trial: TrialRecord
     prediction_enabled: bool
@@ -133,55 +133,6 @@ class AdaptiveRecord:
     final_estimate: Optional[AlphaEstimate] = None
     converged_at: Optional[int] = None
     converged_within_budget: bool = False
-
-
-def run_adaptive_merge(cfg: ScenarioConfig,
-                       settings: AdaptiveSettings = AdaptiveSettings()) -> AdaptiveRecord:
-    """Two-phase merge: observe and fit for settings.phase_budget steps, then
-    drive with the mirrored style (plus the compatibility row once the
-    estimate has converged).  Its baseline, the ego keeping its configured
-    style, is simulate(cfg) itself.
-
-    Each phase is one simulate call: cfg run up to the budget, whose logged
-    states StyleLearner.observe then reads (analytic, zero nominal, no box,
-    no cap), and that log resumed at the budget under cfg with the ego
-    driving the selected style, if any, and holding the compatibility row
-    against the object once the learner has converged.
-    A run that ends before the budget is the observation run alone.
-
-    The roster must contain exactly one ego, exactly one object (the vehicle
-    being identified), and at least one neighbor; the object is observed
-    against the first neighbor.
-    """
-    phase_budget = settings.phase_budget
-    ego_idx, obj_idx, nbr_idx = _roster(cfg)
-    learner = StyleLearner()
-    selected: Optional[AlphaVector] = None
-
-    trial = simulate(replace(cfg, n_steps=min(phase_budget, cfg.n_steps)))
-    sample_steps = learner.observe(trial.log.states, obj_idx, nbr_idx, cfg.safety, cfg.dt)
-    if phase_budget <= cfg.n_steps:
-        styled = cfg
-        if learner.estimate is not None:
-            selected = select_alpha(learner.estimate.alpha_hat)
-            ego = replace(cfg.vehicles[ego_idx], alpha=selected)
-            if learner.converged:
-                ego = replace(ego, compat=(cfg.vehicles[obj_idx].name,
-                                           _style_gap(selected, learner.estimate.alpha_hat)))
-            styled = replace(cfg, vehicles=tuple(ego if k == ego_idx else v
-                                                 for k, v in enumerate(cfg.vehicles)))
-        trial = simulate(styled, resume=(trial.log, phase_budget))
-
-    return AdaptiveRecord(
-        trial=trial,
-        prediction_enabled=True,
-        estimate_history=tuple(learner.history),
-        sample_steps=tuple(sample_steps),
-        selected_alpha=selected,
-        final_estimate=learner.estimate,
-        converged_at=learner.converged_at,
-        converged_within_budget=learner.converged,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +160,54 @@ class AdaptiveComparison:
 def experiment_prediction_in_loop(
         scenario: ScenarioConfig,
         settings: AdaptiveSettings = AdaptiveSettings()) -> AdaptiveComparison:
-    """Paired runs on the same scenario: run_adaptive_merge with prediction
-    on, and simulate(scenario) as the prediction-off baseline, the ego
-    keeping its configured style and holding no compatibility row.
+    """Paired runs on the same scenario, with prediction on and off.
 
-    The enabled run's observation phase runs the scenario's own program, so
-    the baseline shares the enabled run's bits up to the phase budget and is
-    built as simulate(scenario, resume=(enabled log, phase_budget)), which
-    steps only the rest.  When no style was selected the continuation, if
-    any, ran the scenario's own program, the enabled trial is the baseline
-    bit for bit, and the disabled record holds the enabled TrialRecord
-    itself instead of a second run.
+    The prediction-off baseline is simulate(scenario): the ego keeps its
+    configured style and holds no compatibility row.  Its first
+    settings.phase_budget steps are the enabled run's observation phase:
+    StyleLearner.observe reads the baseline's logged states up to the
+    budget (analytic, zero nominal, no box, no cap), watching the object
+    against the first neighbor.  At the budget the ego mirrors the
+    estimate, if any, and the enabled run is the baseline resumed there
+    under the scenario with the ego driving the selected style and, once
+    the learner has converged, holding the compatibility row against the
+    object.  When no style is selected (no sample admitted by the budget,
+    or a run that ends before it) the enabled trial is the baseline's own
+    TrialRecord, and no second run is made.
 
-    The observer takes the analytic rate: it reconstructs the object's
-    acceleration from consecutive velocities, which the model makes exact.
+    The roster must contain exactly one ego, exactly one object (the vehicle
+    being identified), and at least one neighbor.  The observer takes the
+    analytic rate: it reconstructs the object's acceleration from
+    consecutive velocities, which the model makes exact.
     """
-    enabled = run_adaptive_merge(scenario, settings)
-    baseline = enabled.trial
-    if enabled.selected_alpha is not None:
-        baseline = simulate(scenario, resume=(baseline.log, settings.phase_budget))
+    phase_budget = settings.phase_budget
+    ego_idx, obj_idx, nbr_idx = _roster(scenario)
+    baseline = simulate(scenario)
+    learner = StyleLearner()
+    sample_steps = learner.observe(baseline.log.states[:phase_budget + 1], obj_idx, nbr_idx,
+                                   scenario.safety, scenario.dt)
+    trial, selected = baseline, None
+    if phase_budget <= scenario.n_steps and learner.estimate is not None:
+        selected = select_alpha(learner.estimate.alpha_hat)
+        ego = replace(scenario.vehicles[ego_idx], alpha=selected)
+        if learner.converged:
+            ego = replace(ego, compat=(scenario.vehicles[obj_idx].name,
+                                       _style_gap(selected, learner.estimate.alpha_hat)))
+        styled = replace(scenario, vehicles=tuple(ego if k == ego_idx else v
+                                                  for k, v in enumerate(scenario.vehicles)))
+        trial = simulate(styled, resume=(baseline.log, phase_budget))
+    enabled = AdaptiveRecord(
+        trial=trial,
+        prediction_enabled=True,
+        estimate_history=tuple(learner.history),
+        sample_steps=tuple(sample_steps),
+        selected_alpha=selected,
+        final_estimate=learner.estimate,
+        converged_at=learner.converged_at,
+        converged_within_budget=learner.converged,
+    )
     disabled = AdaptiveRecord(trial=baseline, prediction_enabled=False)
-    # run_adaptive_merge has checked the roster, so it has exactly one ego.
-    ego_name = scenario.vehicles[_roster(scenario)[0]].name
+    ego_name = scenario.vehicles[ego_idx].name
 
     def completion(record, name):
         s = record.trial.metrics.merge_step[name]

@@ -12,8 +12,6 @@ about 0.4 MB, most of it the numpy code its tables and first call page in.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -146,8 +144,7 @@ def int_words(values: np.ndarray, width: int) -> np.ndarray:
     return values.astype(f"S{4 * width}").view(np.uint32).reshape(len(values), width)
 
 
-def text(rows: np.ndarray, keep: Optional[np.ndarray] = None) -> bytes:
-    """The bytes of a word buffer without its NULs, or, when keep is given,
-    the bytes that the mask keep selects."""
+def text(rows: np.ndarray) -> bytes:
+    """The bytes of a word buffer without its NULs."""
     data = rows.view(np.uint8)
-    return data[data != 0 if keep is None else keep].tobytes()
+    return data[data != 0].tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import safety_row_oracle
+from test_log_pins import log_digest
 
 from polycbf import (
     REFERENCE_H,
@@ -18,10 +19,10 @@ from polycbf import (
     experiment_assumption_mismatch,
     experiment_prediction_in_loop,
     kappa,
-    run_adaptive_merge,
     select_alpha,
     simulate,
 )
+from polycbf import adaptive
 from polycbf.adaptive import _style_gap
 from polycbf.barrier import safety_value
 from polycbf.cli import load_preset
@@ -138,13 +139,13 @@ def test_adaptive_roster_validation():
         vehicles=tuple(dataclasses.replace(v, role="neighbor" if v.role == "object" else v.role)
                        for v in cfg.vehicles))
     with pytest.raises(ConfigurationError):
-        run_adaptive_merge(no_object)
+        experiment_prediction_in_loop(no_object)
     two_egos = dataclasses.replace(
         cfg,
         vehicles=tuple(dataclasses.replace(v, role="ego" if v.role == "object" else v.role)
                        for v in cfg.vehicles))
     with pytest.raises(ConfigurationError):
-        run_adaptive_merge(two_egos)
+        experiment_prediction_in_loop(two_egos)
 
     # the runs' deltas divide by the ego's merge step, which is 0 for an ego
     # that starts past the merge; an ego on the merge point has not passed it
@@ -180,11 +181,29 @@ def object_style(cfg, coefficients):
     # the run ends before the phase budget
     (preset_config(100), False),
 ], ids=["preset", "no-sample", "short-run"])
-def test_disabled_prediction_reduces_to_plain_trial(scenario, selects):
+def test_disabled_prediction_reduces_to_plain_trial(monkeypatch, scenario, selects):
     # the prediction-off baseline is a plain simulate run of the scenario,
-    # bit for bit; a run that selected no style is its own baseline
+    # bit for bit; a run that selected no style is its own baseline.  The
+    # observation phase is the baseline's own prefix, so the experiment
+    # simulates the scenario once from step 0, and resumes that log once at
+    # the phase budget when a style was selected
+    fresh, resumed = [], []
+    run = adaptive.simulate
+
+    def spy(cfg, resume=None):
+        rec = run(cfg, resume=resume)
+        (fresh if resume is None else resumed).append((cfg, resume, rec))
+        return rec
+
+    monkeypatch.setattr(adaptive, "simulate", spy)
     comparison = experiment_prediction_in_loop(scenario)
     enabled, disabled = comparison.enabled, comparison.disabled
+    (cfg, _, baseline), = fresh
+    assert cfg is scenario and baseline is disabled.trial
+    assert len(resumed) == selects
+    if selects:
+        (_, (log, t0), rec), = resumed
+        assert log is baseline.log and t0 == 300 and rec is enabled.trial
     assert (enabled.selected_alpha is not None) == selects
     assert (disabled.trial is enabled.trial) == (not selects)
     plain = simulate(scenario)
@@ -198,9 +217,33 @@ def test_disabled_prediction_reduces_to_plain_trial(scenario, selects):
     assert disabled.trial.relaxed_steps == plain.relaxed_steps == 0
 
 
+def test_unconverged_selection_runs_without_the_compatibility_row():
+    # at phase_budget 105 the preset's learner holds 2 samples and has not
+    # converged: the ego drives the selected style and no compatibility row,
+    # checked on the program that ran, not on what the CLI prints about it
+    cfg = preset_config(3000)
+    comparison = experiment_prediction_in_loop(cfg, AdaptiveSettings(phase_budget=105))
+    enabled = comparison.enabled
+    assert enabled.sample_steps == (104, 105)
+    assert not enabled.converged_within_budget and enabled.converged_at is None
+    assert enabled.selected_alpha == AlphaVector((0.0, 1.0))
+
+    def ego_with(compat):
+        return dataclasses.replace(cfg, vehicles=tuple(
+            dataclasses.replace(v, alpha=AlphaVector((0.0, 1.0)), compat=compat)
+            if v.role == "ego" else v for v in cfg.vehicles))
+
+    resume = (comparison.disabled.trial.log, 105)
+    ran = log_digest(enabled.trial.log)
+    assert ran == log_digest(simulate(ego_with(None), resume=resume).log)
+    # the row would have changed the run: without this the check above
+    # could not tell the two programs apart
+    gap = _style_gap(AlphaVector((0.0, 1.0)), enabled.final_estimate.alpha_hat)
+    assert ran != log_digest(simulate(ego_with(("object", gap)), resume=resume).log)
+
 def test_adaptive_run_identifies_and_concedes():
     cfg = preset_config(n_steps=700)
-    rec = run_adaptive_merge(cfg, AdaptiveSettings(phase_budget=300))
+    rec = experiment_prediction_in_loop(cfg, AdaptiveSettings(phase_budget=300)).enabled
     assert rec.converged_within_budget
     assert rec.converged_at is not None and rec.converged_at <= 300
     est = rec.final_estimate

@@ -801,9 +801,9 @@ def test_adaptive_run_without_a_selection_copies_its_trajectory(tmp_path, capsys
 def test_adaptive_style_selected_at_the_last_step_drives_no_step(tmp_path, capsys,
                                                                 monkeypatch):
     # with phase_budget = n_steps the style is selected at the last logged
-    # step, where no step follows: the enabled run's continuation and the
-    # baseline resume there and step nothing, and the two trajectory files
-    # are the same bytes
+    # step, where no step follows: the enabled run resumes the baseline
+    # there and steps nothing, and the two trajectory files are the same
+    # bytes
     cfg = write_cfg(tmp_path, ADAPTIVE.replace("phase_budget = 300", "phase_budget = 3000"))
     steps, resumed = [], []
     step = scenario._step
@@ -821,7 +821,7 @@ def test_adaptive_style_selected_at_the_last_step_drives_no_step(tmp_path, capsy
     out = tmp_path / "out"
     assert run_cli(["run", "adaptive", "--config", cfg, "--out", out]) == 0
     assert "selected style (0, 1) after converging at sample " in capsys.readouterr().out
-    assert resumed == [(3000, 0), (3000, 0)]
+    assert resumed == [(3000, 0)]
     exp_dir = out / "adaptive"
     assert (exp_dir / "trajectory_enabled.csv").read_bytes() == \
         (exp_dir / "trajectory_disabled.csv").read_bytes()

@@ -26,12 +26,12 @@ from polycbf import (
     check_convergence,
     cli,
     experiment_prediction,
+    experiment_prediction_in_loop,
     hdot,
     kappa,
     safety_value,
     step,
 )
-from polycbf.adaptive import run_adaptive_merge
 from polycbf.learner import _ridge_solve, _sample
 from polycbf.scenario import prediction_trial_setup, simulate
 
@@ -377,7 +377,7 @@ def test_shipped_fits_never_reach_lapack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", no_lapack)
     preset = cli.load_preset("adaptive")
-    rec = run_adaptive_merge(preset["scenario"], preset["settings"])
+    rec = experiment_prediction_in_loop(preset["scenario"], preset["settings"]).enabled
     summary = experiment_prediction(PredictSettings(trials=3))
     assert log_digest(rec.trial.log) == PINS["adaptive_preset"][0]
     series = [est.raw for est in rec.estimate_history]

@@ -22,8 +22,7 @@ import pytest
 from test_golden import _two_lane_roster
 
 from polycbf import (AlphaVector, RoadGeometry, ScenarioConfig, VehicleSpec, cli, scenario,
-                     invariance_trial_setup, simulate)
-from polycbf.adaptive import run_adaptive_merge
+                     experiment_prediction_in_loop, invariance_trial_setup, simulate)
 
 
 def _lone_vehicle():
@@ -63,7 +62,7 @@ def _fixed_and_past_merge():
 
 def _adaptive_preset():
     preset = cli.load_preset("adaptive")
-    return run_adaptive_merge(preset["scenario"], preset["settings"]).trial
+    return experiment_prediction_in_loop(preset["scenario"], preset["settings"]).enabled.trial
 
 
 RUNS = {
