@@ -81,10 +81,6 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _opt(value: Optional[int]) -> str:
-    return "" if value is None else str(value)
-
-
 # ---------------------------------------------------------------------------
 # Config parsing.  Flat INI sections, each read into the dataclass that
 # declares its keys and their defaults.  Float lists are whitespace
@@ -626,8 +622,8 @@ def read_trajectory_csv(path: Path, dt: float) -> TrajectoryLog:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> _Artifact:
-    """The header, then the rows, as csv.writer writes them; the text is
-    built in memory, then hashed and written."""
+    """The header, then the rows, as csv.writer writes them (None as an
+    empty field); the text is built in memory, then hashed and written."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(list(header))
@@ -681,7 +677,7 @@ def _run_predict(out_dir: Path, seed: int, settings: PredictSettings,
     for idx, t in enumerate(summary.trials):
         rows.append([idx] + [_g17(c) for c in t.truth.coefficients]
                     + [_g17(c) for c in t.estimate_alpha]
-                    + [_g17(t.rmse), _opt(t.converged_at), t.n_admitted])
+                    + [_g17(t.rmse), t.converged_at, t.n_admitted])
         for s, est in enumerate(t.estimate_series):
             est_rows.append([idx, s] + [_g17(c) for c in est])
     files = [_write_csv(out_dir / "metrics.csv", header, rows),
@@ -729,7 +725,7 @@ def _run_sweep(out_dir: Path, seed: int, settings: SweepSettings, safety: Safety
         coeffs = list(e.alpha.coefficients) + [0.0] * (q - len(e.alpha.coefficients))
         rows.append([idx] + [_g17(c) for c in coeffs]
                     + [_g17(e.min_distance), _g17(e.min_h),
-                       _opt(e.ego_merge_step), _opt(e.other_merge_step),
+                       e.ego_merge_step, e.other_merge_step,
                        e.merge_order or "", e.infeasible_step_count])
         files.append(_write_series_csv(out_dir / f"distance_style_{idx:0{width}d}.csv",
                                        ["step", "distance"], e.distance))
@@ -770,8 +766,8 @@ def _run_adaptive(out_dir: Path, seed: int, settings: AdaptiveSettings,
         selected = record.selected_alpha.coefficients if record.selected_alpha else ()
         rows.append([label, int(record.prediction_enabled), int(m.collision),
                      m.infeasible_step_count, _g17(min(m.min_h.values()))]
-                    + [_opt(m.merge_step[n]) for n in names]
-                    + [ego_step, overall, _opt(record.converged_at)]
+                    + [m.merge_step[n] for n in names]
+                    + [ego_step, overall, record.converged_at]
                     + [_g17(c) for c in selected] + [""] * (width - len(selected)))
     files = [_write_csv(out_dir / "metrics.csv", header, rows)]
 
@@ -827,7 +823,7 @@ def _run_invariance(out_dir: Path, seed: int, settings: InvarianceSettings,
         h = min(m.min_h.values())
         tightest = _tighter(tightest, idx, h, rec)
         rows.append([idx, int(m.collision), m.infeasible_step_count, _g17(h),
-                     _opt(m.merge_step.get("ego")), _opt(m.merge_step.get("other"))])
+                     m.merge_step.get("ego"), m.merge_step.get("other")])
     files = [_write_csv(out_dir / "metrics.csv", ["trial", "collision", "infeasible_steps",
                                                   "min_h", "merge_step:ego", "merge_step:other"],
                         rows)]

@@ -252,10 +252,18 @@ def _block_length_logs():
 ], ids=["edge-values-quoted-names", "one-vehicle", "early-stop", "adaptive-preset",
         "block-lengths"])
 def test_trajectory_csv_matches_csv_writer_oracle(tmp_path, make_logs):
-    for k, log in enumerate(make_logs()):
+    logs = make_logs()
+    for k, log in enumerate(logs):
         path = tmp_path / f"traj{k}.csv"
         cli.write_trajectory_csv(path, log)
         assert path.read_bytes() == trajectory_csv_oracle(log)
+    if make_logs is _adaptive_logs:
+        # the CLI writes the preset's two logs in one pass, as a twin
+        enabled, disabled = logs
+        path, twin_path = tmp_path / "enabled.csv", tmp_path / "disabled.csv"
+        cli.write_trajectory_csv(path, enabled, twin=(twin_path, disabled))
+        assert path.read_bytes() == trajectory_csv_oracle(enabled)
+        assert twin_path.read_bytes() == trajectory_csv_oracle(disabled)
 
 
 # Block sizes the writers must give the same bytes at: one float, a prime,

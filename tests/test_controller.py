@@ -461,6 +461,39 @@ def test_solve_scalar_matches_the_frozen_unscreened_solver_bit_for_bit():
     assert screened > 6000, screened
 
 
+@pytest.mark.parametrize("program", [
+    # the pair's point rounds onto the corner and ties the optimum's objective
+    (2.553522590034735, 2.3855772082455404, -5.0, -5.0, 5.0, 5.0,
+     [(-0.7855642988434952, 0.6187800358253841, 7.021721921341518),
+      (0.4534897421300905, -0.89126149573668, -6.723756189333853),
+      (-0.7855642986273431, 0.6187800358141256, 7.021721920204465)]),
+    # the pair's point lands inside the box, within the cutting row's
+    # tolerance, and beats the corner by more than rounding
+    (4.0067639150727015, 4.910715512743744, -5.0, -5.0, 5.0, 5.0,
+     [(-0.237403918668105, -0.9714110061620499, 6.044074632811592),
+      (0.934369068899174, 0.35630666999719585, -6.45337869448185),
+      (-0.23740393041833194, -0.9714110220817591, 6.044074771161273)]),
+    (1.188054732780345, 4.050125105713327, -5.0, -5.0, 5.0, 5.0,
+     [(0.007296810000894375, 0.999973377927538, -5.036350939642163),
+      (-0.36586030903562883, -0.9306697770684698, 6.482650592797686),
+      (-0.36586031100837363, -0.9306697764668498, 6.482650599653311)]),
+], ids=["tie", "inside-beats-corner", "inside-along-a-face"])
+def test_near_parallel_pair_past_a_corner_stays_in_the_scan(program):
+    # A nominal cut by a row through a box corner, and two near-parallel
+    # rows whose lines cross just past that corner: they clear the box by
+    # less than |b|/4 of _live_rows' margin, so they stay live, and their
+    # pair's point, off by Cramer's rounding, is admitted and wins.  A
+    # margin without the |b|/4 term drops them and answers with another
+    # point; these programs were found by a random search of that shape.
+    ux, uy, lo_x, lo_y, hi_x, hi_y, rows = program
+    pair = [r for r in rows if r[2] > _top(r[0], r[1], lo_x, lo_y, hi_x, hi_y)]
+    assert len(pair) == 2
+    assert all(b - _top(ax, ay, lo_x, lo_y, hi_x, hi_y) < 1e-6 for ax, ay, b in pair)
+    assert controller._live_rows(rows, ux, uy, lo_x, lo_y, hi_x, hi_y) == rows
+    assert result_bits(controller._solve_scalar(*program)) == \
+        result_bits(frozen_solve_scalar(*program))
+
+
 @pytest.mark.parametrize("rows", [
     [(1.0, 0.0, math.nan), (0.3, 0.4, 1e6)],
     [(0.3, 0.4, 1e6), (math.nan, 1.0, 0.0), (-2.0, 1.0, 1e4)],

@@ -1,6 +1,9 @@
-"""Golden artifacts: the CSV bytes of five shipped runs, the fields of one
-assumption-mismatch batch, the metrics and full log of one 16-vehicle merge
-and the full log of one 32-vehicle merge, pinned by sha256.
+"""Golden artifacts: the CSV bytes of the five shipped runs (invariance,
+both sweeps, predict and adaptive) and of the adaptive preset with seven
+main-road neighbours added, the fields of one assumption-mismatch batch, the
+metrics and full log of one 16-vehicle merge and the full log of one
+32-vehicle merge, pinned by sha256.  Every trajectory those runs write must
+also read back and rewrite the same bytes.
 
 The CSV digests were recorded before `simulate` and the per-vehicle API were
 moved onto shared scalar kernels, the mismatch digest while its trial still
@@ -12,14 +15,16 @@ filter's candidate scan became a single pass, the 16-vehicle merge's full
 log before the two vehicles of a pair shared one computation of their
 safety-row terms, the 32-vehicle merge's full log before rows that cannot
 bind left the filter's candidate scans, and the prediction trials'
-trajectory after one-live-row programs were solved in closed form.  A
-refactor that changes any output bit fails here, not only a rerun that
-disagrees with itself.  No run calls BLAS or LAPACK, the learner's ridge
-fits included, so every file each run writes is pinned and the digests do
-not depend on the numpy build's linear-algebra kernels.  The learner's files,
-the adaptive run's estimates, metrics and prediction-on trajectory and the
-prediction run's estimates and metrics, were pinned at the bytes the fit
-wrote while it still called LAPACK, under OpenBLAS's Prescott kernels.
+trajectory after one-live-row programs were solved in closed form; the
+ten-vehicle adaptive run was added after the adaptive experiment became one
+baseline run and one branch resumed from it.  A refactor that changes any
+output bit fails here, not only a rerun that disagrees with itself.  No run
+calls BLAS or LAPACK, the learner's ridge fits included, so every file each
+run writes is pinned and the digests do not depend on the numpy build's
+linear-algebra kernels.  The learner's files, the adaptive run's estimates,
+metrics and prediction-on trajectory and the prediction run's estimates and
+metrics, were pinned at the bytes the fit wrote while it still called LAPACK,
+under OpenBLAS's Prescott kernels.
 """
 import hashlib
 from pathlib import Path
@@ -71,6 +76,15 @@ GOLDEN = {
         "trajectory_disabled.csv": "678c660732b951b1c52ea4fb738da107e88a1d374608089407ee94c6eaae05eb",
         "trajectory_enabled.csv": "7c3113190710eead56ba79d12d41899629ce94099fb704e5e8f70dec37e0e4fb",
     }),
+    # The adaptive preset plus seven main-road neighbours: ten vehicles put
+    # simulate on its array stage, with the ego's compatibility row and the
+    # branch resumed from the baseline.
+    "adaptive_ten": (["run", "adaptive"], {
+        "estimates.csv": "490f16f4370a92ef6aa6fe8966f027bdf51a7bf18e1b3f00c4cea9024a70b36e",
+        "metrics.csv": "8460b65f799f64a62a3aa448d14363a24d6eecfa7dc038c2a51b86cf9286b893",
+        "trajectory_disabled.csv": "d1176f230747057bd9cb5943ee60621aebe7b6d307c949e7d007b7c128663ebf",
+        "trajectory_enabled.csv": "64696ba6fc07ce27bbd20618e2f3e6363cc7b4ca0d67350054e8a4297baf9b70",
+    }),
     # trajectory is the worst trial's.
     "predict": (["run", "predict", "--trials", "3", "--seed", "0"], {
         "estimates.csv": "894550989ef1d81c356c718ad108daf4e10f4167bfffbfd771769ab7b39abcbe",
@@ -80,13 +94,32 @@ GOLDEN = {
 }
 
 
+# Runs whose config is not a shipped preset, by GOLDEN name.
+CONFIG_TEXT = {
+    "adaptive_ten": cli._preset_text("adaptive") + "".join(
+        f"\n[vehicle.n{k}]\nrole = neighbor\nroute = main\n"
+        f"start_progress = {-120 - 15 * k}.0\nspeed = 3.0\ndesired_speed = 3.0\n"
+        "gain = 0.8\nalpha = 0.5 0.5\naccel_min = -8.0 -8.0\naccel_max = 8.0 8.0\n"
+        for k in range(7)),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_csv_bytes_match_golden_digests(tmp_path, name):
     args, digests = GOLDEN[name]
+    if name in CONFIG_TEXT:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(CONFIG_TEXT[name])
+        args = args + ["--config", str(cfg)]
     assert cli.main(args + ["--out", str(tmp_path)]) == 0
     out = tmp_path / args[1]
     found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert found == digests
+    # every trajectory reads back and rewrites the same bytes
+    for path in sorted(out.glob("trajectory*.csv")):
+        again = tmp_path / "again.csv"
+        cli.write_trajectory_csv(again, cli.read_trajectory_csv(path, 0.01))
+        assert again.read_bytes() == path.read_bytes(), path.name
 
 
 MISMATCH_DIGEST = "fb2c255f1819c47e2fcf63eae7fa2e1a84717ffa2786b17dda6d8699123aa10b"
